@@ -149,10 +149,15 @@ func BenchmarkIngestSingleLock(b *testing.B) {
 	cfg := farmer.ConfigFor(tr)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := farmer.New(cfg)
-		for j := range tr.Records {
-			m.Feed(&tr.Records[j])
+		m, err := farmer.Open(cfg)
+		if err != nil {
+			b.Fatal(err)
 		}
+		sm := m.Sharded()
+		for j := range tr.Records {
+			sm.Feed(&tr.Records[j])
+		}
+		m.Close()
 	}
 	b.ReportMetric(float64(len(tr.Records))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
@@ -171,11 +176,14 @@ func BenchmarkIngestSharded(b *testing.B) {
 	for _, shards := range shardCounts {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			cfg := farmer.ConfigFor(tr)
-			cfg.Shards = shards
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m := farmer.NewSharded(cfg)
-				m.FeedTraceParallel(tr)
+				m, err := farmer.Open(cfg, farmer.WithShards(shards))
+				if err != nil {
+					b.Fatal(err)
+				}
+				m.Sharded().FeedTraceParallel(tr)
+				m.Close()
 			}
 			b.ReportMetric(float64(len(tr.Records))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 		})

@@ -11,7 +11,7 @@
 //	        [-shards N] [-partition stripe|hash|group]
 //	        [-checkpoint D] [-prefetch-k K]
 //	        [-weight P] [-strength S]
-//	        [-replicate-to addr,addr...] [-follow] [-catchup-tail N]
+//	        [-replicate-to addr,addr...] [-follow]
 //	        [-replica-token T] [-lease-ttl D] [-lease-peers addr,addr...]
 //	        [-tls-cert cert.pem -tls-key key.pem]
 //	        [-auth token=tenant,tenant]... [-tenants-dir DIR]
@@ -32,22 +32,22 @@
 // record before the client's ack — so no acked record dies with the
 // primary. A follower restarted with -load resumes from its own
 // checkpoint, and the primary catches it up by replaying just the records
-// it missed when its position is within the last -catchup-tail records,
-// shipping a full cut otherwise. With -follow, this farmerd is a FOLLOWER:
-// it serves reads, refuses writes until promoted, and accepts promotion
-// (from a failing-over multi-address farmer.Dial client) only after its
-// primary's link is gone. See DESIGN.md "Replication & failover".
+// it missed when its position is within the last 65536 records, shipping a
+// full cut otherwise.
 //
-// With -lease-ttl, writability is governed by an epoch-versioned LEASE
-// instead of manual promotion: the primary renews its lease over the
-// replication stream (renewal needs acks from a majority of configured
-// followers), and a follower whose lease view expires elects itself at the
-// next epoch once a majority of -lease-peers grant their vote. Writes
-// against a deposed or lapsed daemon fail with a typed stale-epoch error
-// that multi-address clients use to find the live lease holder, and
-// `farmerctl rebalance` moves the lease (and the mined state) to another
-// daemon without dropping a single acked record. See DESIGN.md "Leases,
-// epochs & live handoff".
+// Writability is one epoch-versioned LEASE. A farmerd leads epoch 1 from
+// start; with -follow it starts without the lease: it serves reads, mirrors
+// its primary's term, and refuses writes until it takes the next epoch.
+// Without -lease-ttl the lease is untimed — a follower's view of it ends
+// with the primary's link, after which a failing-over multi-address
+// farmer.Dial client (or farmerctl) may promote it. With -lease-ttl the
+// primary renews over the replication stream (a renewal needs acks from a
+// majority of configured followers) and a follower whose lease view
+// expires elects itself once a majority of -lease-peers vote for it. A
+// deposed or lapsed daemon refuses writes with a typed stale-epoch error
+// that multi-address clients use to find the live holder, and `farmerctl
+// rebalance` moves lease and mined state to another daemon without losing
+// an acked record. See DESIGN.md "Leases, epochs & live handoff".
 //
 // With -tenants-dir, the daemon is MULTI-TENANT: frames carrying a tenant
 // id lazily open one miner per tenant, persisted under DIR/<tenant>/, with
@@ -121,9 +121,8 @@ func run() int {
 	strength := fs.Float64("strength", farmer.DefaultConfig().MaxStrength, "max_strength validity threshold")
 	drain := fs.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
 	replicateTo := fs.String("replicate-to", "", "comma-separated follower addresses to replicate to (serve as primary)")
-	follow := fs.Bool("follow", false, "serve as a replication follower: reads only until promoted")
-	catchupTail := fs.Int("catchup-tail", 0, "records a primary retains for delta catch-up of restarted followers (0 = default 65536, negative = full cuts only)")
-	leaseTTL := fs.Duration("lease-ttl", 0, "epoch-versioned write lease TTL: writes require a live lease, expiry triggers follower self-election (0 = leases off)")
+	follow := fs.Bool("follow", false, "start without the write lease, as a replication follower: reads only until promoted or elected")
+	leaseTTL := fs.Duration("lease-ttl", 0, "write lease TTL: renewal needs a follower quorum, expiry triggers follower self-election (0 = untimed: a follower's view of the lease ends with the primary's link)")
 	leasePeers := fs.String("lease-peers", "", "comma-separated peer farmerd addresses that vote in lease elections (needs -lease-ttl)")
 	replicaToken := fs.String("replica-token", "", "bearer token presented to -replicate-to followers running with -auth")
 	tlsCert := fs.String("tls-cert", "", "PEM certificate for serving over TLS (needs -tls-key)")
@@ -164,7 +163,6 @@ func run() int {
 		Drain:       *drain,
 		ReplicateTo: splitAddrs(*replicateTo),
 		Follow:      *follow,
-		CatchupTail: *catchupTail,
 		LeaseTTL:    *leaseTTL,
 		LeasePeers:  splitAddrs(*leasePeers),
 

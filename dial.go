@@ -5,6 +5,7 @@ import (
 	"crypto/tls"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -25,12 +26,13 @@ import (
 // a call fails with rpc.ErrDisconnected it redials the SAME address first
 // (riding out a transient connection fault, which used to wedge the old
 // single-connection client permanently), then the rest of the list. When a
-// write is refused with rpc.ErrNotPrimary — the server is an un-promoted
-// follower — the client asks it, then each other address, to promote: a
-// primary answers promotion as a no-op, an orphaned follower promotes and
-// takes the writes, and a follower whose primary link is still live refuses
-// (the split-brain guard), leaving the connection serving reads. Only when
-// the whole list is exhausted does the call fail.
+// write is refused with rpc.ErrNotPrimary or rpc.ErrStaleEpoch — the server
+// does not hold the write lease — the client sweeps the list (seekWritable):
+// the live lease holder with the highest epoch answers promotion as a
+// no-op, an orphaned follower takes the next epoch and the writes, and a
+// follower whose primary link is still live refuses (the split-brain
+// guard), leaving the connection serving reads. Only when the whole list
+// is exhausted, and a bounded retry with it, does the call fail.
 //
 // Mutations are never silently re-sent across a connection loss: a Feed or
 // FeedBatch interrupted by rpc.ErrDisconnected is IN DOUBT (the dying
@@ -188,8 +190,7 @@ func Dial(ctx context.Context, addr string, opts ...DialOption) (*RemoteMiner, e
 // us, an un-promoted follower refused a write, or a deposed leader refused
 // it as stale-epoch (the lease moved; the new leader is elsewhere).
 func failoverable(err error) bool {
-	return errors.Is(err, rpc.ErrDisconnected) || errors.Is(err, rpc.ErrNotPrimary) ||
-		errors.Is(err, rpc.ErrStaleEpoch)
+	return errors.Is(err, rpc.ErrDisconnected) || refusedUnapplied(err)
 }
 
 // refusedUnapplied reports a write refusal that provably happened BEFORE
@@ -235,116 +236,103 @@ func (m *RemoteMiner) connLocked(ctx context.Context) (*rpc.Client, error) {
 	return nil, lastErr
 }
 
-// seekWritable finds a server that takes writes after one refused: the
-// current connection is asked to promote (it succeeds exactly when its
-// primary is gone — otherwise the split-brain guard refuses), then each
-// other address — including the current one when its connection is down —
-// is dialed and asked the same. On success the writable connection becomes
-// current; on failure the current (read-capable) connection is kept.
+// seekWritableBound caps how long seekWritable keeps re-sweeping while the
+// only refusals are transient ones. A second covers the window between a
+// primary's death and its follower noticing the dead link.
+const seekWritableBound = time.Second
+
+// seekWritable finds a server that takes writes after one refused. Each
+// sweep dials every address once (reusing the current connection), asks
+// its LeaseStatus, and requests promotion: from the live self-leader with
+// the highest epoch first — which keeps the sweep away from a reachable
+// old primary that no longer holds the lease, however early its address is
+// listed — then from the rest in address order, where an orphaned follower
+// takes the next epoch and one whose primary is alive refuses (the
+// split-brain guard). On success the writable connection becomes current;
+// on failure the current (read-capable) connection is kept.
 //
-// It never reports success without a successful Promote. An earlier
-// version did: with the current connection down it skipped the current
-// address entirely and started the sweep at the next one, so a
-// single-address client got a nil "success" with nobody promoted — and do
-// retried the write against a server that had never accepted promotion.
-// When the cluster runs leases (farmerd -lease-ttl), the sweep is
-// preceded by a lease pass: each address is asked its LeaseStatus and the
-// live self-leader with the highest epoch wins outright — which is what
-// keeps the sweep away from a reachable-but-lease-expired old primary
-// whose in-order position would otherwise be tried first. Lease-less
-// servers answer with the zero term and simply do not bid.
+// It never reports success without a successful Promote (on the leader
+// that is an idempotent no-op). A refusal with ErrNotPrimary — the
+// primary's link is live, or its timed lease has not lapsed yet — may be a
+// server that has not noticed its primary died, so the sweep repeats with
+// backoff until seekWritableBound or ctx expires; any other outcome is
+// final at once.
 func (m *RemoteMiner) seekWritable(ctx context.Context) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return rpc.ErrClientClosed
-	}
-	if err := m.seekLeaseHolder(ctx); err == nil {
-		return nil
-	}
-	var lastErr error
-	start := 0
-	if m.c != nil {
-		if lastErr = m.c.Promote(ctx); lastErr == nil {
-			return nil
+	start, backoff := time.Now(), 10*time.Millisecond
+	for {
+		m.mu.Lock()
+		transient, err := m.sweepLocked(ctx)
+		m.mu.Unlock()
+		if err == nil || !transient || time.Since(start)+backoff > seekWritableBound {
+			return err
 		}
-		start = 1 // the current address already refused on the live connection
-	}
-	for i := start; i < len(m.addrs); i++ {
-		idx := (m.cur + i) % len(m.addrs)
-		c, err := rpc.DialWith(ctx, m.addrs[idx], m.opts)
-		if err != nil {
-			lastErr = err
-			continue
+		select {
+		case <-ctx.Done():
+			return err
+		case <-time.After(backoff):
 		}
-		if err := c.Promote(ctx); err != nil {
-			c.Close()
-			lastErr = err
-			continue
-		}
-		if m.c != nil {
-			m.c.Close()
-		}
-		m.c, m.cur = c, idx
-		return nil
+		backoff *= 2
 	}
-	if lastErr == nil {
-		// Unreachable while Dial demands an address, but the invariant is
-		// the point: no nil without a Promote.
-		lastErr = fmt.Errorf("%w: no server accepted promotion", rpc.ErrNotPrimary)
-	}
-	return lastErr
 }
 
-// seekLeaseHolder is seekWritable's lease pass, run under m.mu: probe every
-// address's LeaseStatus and make the live self-leader with the highest
-// epoch the current connection. Probe failures — unreachable servers,
-// pre-lease builds answering CodeUnsupported — just withhold that bid; an
-// error return means "no holder found, fall back to the promotion sweep".
-func (m *RemoteMiner) seekLeaseHolder(ctx context.Context) error {
-	var (
-		best      *rpc.Client
-		bestIdx   int
-		bestEpoch uint64
-	)
+// sweepLocked is one pass of seekWritable, run under m.mu. transient
+// reports that some server refused promotion with ErrNotPrimary.
+func (m *RemoteMiner) sweepLocked(ctx context.Context) (transient bool, err error) {
+	if m.closed {
+		return false, rpc.ErrClientClosed
+	}
+	type bid struct {
+		c    *rpc.Client
+		idx  int
+		rank uint64 // epoch of a live self-leader, 0 for everyone else
+	}
+	var bids []bid
 	for i := range m.addrs {
 		idx := (m.cur + i) % len(m.addrs)
 		c := m.c
-		if idx != m.cur || c == nil {
-			var err error
+		if i > 0 || c == nil {
 			if c, err = rpc.DialWith(ctx, m.addrs[idx], m.opts); err != nil {
 				continue
 			}
 		}
-		info, err := c.LeaseStatus(ctx)
-		if err != nil || !info.Self || info.Epoch <= bestEpoch {
-			if c != m.c {
-				c.Close()
+		info, serr := c.LeaseStatus(ctx)
+		if serr != nil {
+			err = serr
+			if c == m.c {
+				m.c = nil // dead underneath us: the next pass, or call, redials it
 			}
+			c.Close()
 			continue
 		}
-		if best != nil && best != m.c {
-			best.Close()
+		b := bid{c: c, idx: idx}
+		if info.Self {
+			b.rank = info.Epoch
 		}
-		best, bestIdx, bestEpoch = c, idx, info.Epoch
+		bids = append(bids, b)
 	}
-	if best == nil {
-		return fmt.Errorf("%w: no live lease holder among the configured addresses", rpc.ErrNotPrimary)
-	}
-	// Keep the sweep's invariant — never success without a Promote. On the
-	// lease holder it is an idempotent no-op; a refusal (the lease moved
-	// again between the probe and now) falls back to the sweep.
-	if err := best.Promote(ctx); err != nil {
-		if best != m.c {
-			best.Close()
+	defer func() { // whoever is not current by now was only a candidate
+		for _, b := range bids {
+			if b.c != m.c {
+				b.c.Close()
+			}
 		}
-		return err
+	}()
+	sort.SliceStable(bids, func(i, j int) bool { return bids[i].rank > bids[j].rank })
+	for _, b := range bids {
+		perr := b.c.Promote(ctx)
+		if perr == nil {
+			m.c, m.cur = b.c, b.idx
+			return false, nil
+		}
+		err = perr
+		transient = transient || errors.Is(perr, rpc.ErrNotPrimary)
 	}
-	if m.c != nil && m.c != best {
-		m.c.Close()
+	if err == nil {
+		// Unreachable while Dial demands an address, but the invariant is
+		// the point: no nil without a Promote.
+		err = fmt.Errorf("%w: no server accepted promotion", rpc.ErrNotPrimary)
 	}
-	m.c, m.cur = best, bestIdx
-	return nil
+	return transient, err
 }
 
 // drop discards a connection observed failing (if it is still current).
@@ -625,7 +613,7 @@ func (m *RemoteMiner) groups(ctx context.Context, req rpc.GroupsReq) (ReplicaGro
 
 // LeaseStatus reports the CURRENT server's view of the cluster lease: the
 // term (epoch + leader id), its TTL, and whether the answering server
-// holds it. Against a farmerd without -lease-ttl it reports the zero term.
+// holds it. A farmerd without -lease-ttl reports its untimed term (TTLMS 0).
 // Unlike writes, this deliberately does not failover past a reachable
 // server — the point is to ask one server what it believes.
 func (m *RemoteMiner) LeaseStatus(ctx context.Context) (LeaseInfo, error) {

@@ -19,7 +19,12 @@ func main() {
 
 	// Build a FARMER model with the paper's parameters (p = 0.7,
 	// max_strength = 0.4, IPA path handling) adapted to the trace schema.
-	model := farmer.New(farmer.ConfigFor(workload))
+	miner, err := farmer.Open(farmer.ConfigFor(workload))
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer miner.Close()
+	model := miner.Sharded()
 
 	// Stage 1-4 run incrementally, one request at a time.
 	for i := range workload.Records {

@@ -21,9 +21,7 @@
 //
 //	miner, err := farmer.Dial(ctx, "127.0.0.1:4727")
 //
-// and serves its own miner on the wire with Serve. The deprecated
-// panic-on-error constructors (New, NewSharded, NewClusterMiner) remain as
-// thin wrappers for existing callers.
+// and serves its own miner on the wire with Serve.
 //
 // The model combines semantic-attribute similarity (Vector Space Model over
 // user/process/host/path attributes) with access-sequence frequency (linear
@@ -204,31 +202,6 @@ func OpenStore(path string) (*Store, error) { return kvstore.Open(path) }
 // returns how many records survive and how many bytes were cut.
 func RepairStore(path string) (kept int, dropped int64, err error) { return kvstore.Repair(path) }
 
-// NewClusterMiner creates the collective miner of an n-server partitioned
-// deployment: a ShardedModel whose stripes are the deployment's partitions
-// under part (nil = StripePartitioner), so server i owns exactly the mined
-// state of the files part routes to it (Shard(i)) while the ensemble still
-// mines — and predicts — the one global model. Persist the whole ensemble
-// with ShardedModel.SaveMerged and restore at a different server count or
-// partitioner with LoadMerged: the load rebalances every file onto its new
-// owner, so a cluster can be resized between runs. cfg.Shards is ignored;
-// servers wins.
-//
-// Deprecated: use Open with WithShards(servers) and WithPartitioner(part),
-// which returns errors instead of panicking; this wrapper delegates to the
-// same validated path.
-func NewClusterMiner(cfg Config, servers int, part Partitioner) *ShardedModel {
-	if servers < 1 {
-		panic(fmt.Sprintf("farmer: cluster size %d", servers))
-	}
-	cfg.Shards = servers
-	m, err := Open(cfg, WithPartitioner(part))
-	if err != nil {
-		panic(err)
-	}
-	return m.Sharded()
-}
-
 // Observability layer, re-exported. A MetricsRegistry collects live
 // counters, gauges and histograms from every hot layer (ingest, taps,
 // replication, checkpoints, prediction) at zero hot-path cost; attach one
@@ -280,31 +253,6 @@ const (
 	AttrFileID  = vsm.AttrFileID
 	AttrDevice  = vsm.AttrDevice
 )
-
-// New creates a FARMER model.
-//
-// Deprecated: use Open, which returns errors instead of panicking and
-// yields the Miner interface; this wrapper remains for callers that want
-// the bare single-lock Model. It panics on an invalid configuration; use
-// Config.Validate to check first.
-func New(cfg Config) *Model { return core.New(cfg) }
-
-// NewSharded creates a concurrent FARMER miner striped across cfg.Shards
-// partitions (0 and 1 both mean unsharded, preserving Model's exact
-// behavior). FeedBatch/FeedTraceParallel mine with all shards in parallel
-// and still produce the same state a single Model reaches feeding the same
-// records in order.
-//
-// Deprecated: use Open, which returns errors instead of panicking. This
-// wrapper delegates to the same validated path and panics on an invalid
-// configuration, as it always has.
-func NewSharded(cfg Config) *ShardedModel {
-	m, err := Open(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return m.Sharded()
-}
 
 // DefaultConfig returns the paper's chosen parameters: weight p = 0.7,
 // max_strength = 0.4, IPA path handling, window-3 linear decremented

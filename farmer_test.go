@@ -7,12 +7,24 @@ import (
 	"farmer"
 )
 
+// openModel opens a miner through the public constructor and returns its
+// ensemble — the direct (context-free) mining surface these tests drive.
+func openModel(t testing.TB, cfg farmer.Config, opts ...farmer.Option) *farmer.ShardedModel {
+	t.Helper()
+	m, err := farmer.Open(cfg, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	return m.Sharded()
+}
+
 func TestPublicAPIQuickstart(t *testing.T) {
 	tr, err := farmer.Generate(farmer.HP(5000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := farmer.New(farmer.ConfigFor(tr))
+	model := openModel(t, farmer.ConfigFor(tr))
 	for i := range tr.Records {
 		model.Feed(&tr.Records[i])
 	}
@@ -56,7 +68,7 @@ func TestConfigForSchema(t *testing.T) {
 
 func TestCorrelatorListExposed(t *testing.T) {
 	tr, _ := farmer.Generate(farmer.HP(5000))
-	model := farmer.New(farmer.ConfigFor(tr))
+	model := openModel(t, farmer.ConfigFor(tr))
 	for i := range tr.Records {
 		model.Feed(&tr.Records[i])
 	}
@@ -86,12 +98,11 @@ func TestPublicAPISharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := farmer.ConfigFor(tr)
-	single := farmer.New(cfg)
+	single := openModel(t, cfg)
 	for i := range tr.Records {
 		single.Feed(&tr.Records[i])
 	}
-	cfg.Shards = 4
-	sharded := farmer.NewSharded(cfg)
+	sharded := openModel(t, cfg, farmer.WithShards(4))
 	sharded.FeedTraceParallel(tr)
 	if sharded.Fed() != single.Fed() {
 		t.Fatalf("fed %d vs %d", sharded.Fed(), single.Fed())
@@ -116,8 +127,7 @@ func TestPublicAPIAsyncPrefetcher(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := farmer.ConfigFor(tr)
-	cfg.Shards = 4
-	model := farmer.NewSharded(cfg)
+	model := openModel(t, cfg, farmer.WithShards(4))
 
 	var mu sync.Mutex
 	var got []farmer.PrefetchCandidate
@@ -142,7 +152,7 @@ func TestPublicAPIAsyncPrefetcher(t *testing.T) {
 			st.Predicted, st.Submitted, st.QueueDropped)
 	}
 	// The async pipeline must not have perturbed mining.
-	ref := farmer.New(farmer.ConfigFor(tr))
+	ref := openModel(t, farmer.ConfigFor(tr))
 	for i := range tr.Records {
 		ref.Feed(&tr.Records[i])
 	}
@@ -170,7 +180,7 @@ func TestPublicAPIClusterMiner(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := farmer.ConfigFor(tr)
-	cluster := farmer.NewClusterMiner(cfg, 4, farmer.HashPartitioner)
+	cluster := openModel(t, cfg, farmer.WithShards(4), farmer.WithPartitioner(farmer.HashPartitioner))
 	if cluster.Shards() != 4 {
 		t.Fatalf("servers = %d, want 4", cluster.Shards())
 	}
@@ -194,7 +204,7 @@ func TestPublicAPIClusterMiner(t *testing.T) {
 	if err := cluster.SaveMerged(st); err != nil {
 		t.Fatal(err)
 	}
-	resized := farmer.NewClusterMiner(cfg, 7, farmer.GroupPartitioner)
+	resized := openModel(t, cfg, farmer.WithShards(7), farmer.WithPartitioner(farmer.GroupPartitioner))
 	if err := resized.LoadMerged(st); err != nil {
 		t.Fatal(err)
 	}

@@ -48,15 +48,11 @@ type Options struct {
 	// catch-up) when it can, shipping a full cut otherwise.
 	ReplicateTo []string
 	Follow      bool
-	// CatchupTail is how many recent records a primary retains for delta
-	// catch-up (0 = default 65536, negative = full cuts only). Only
-	// meaningful with ReplicateTo.
-	CatchupTail int
-	// LeaseTTL enables epoch-versioned write leases: the daemon only
-	// accepts writes while holding a live lease, renews it over the
-	// replication stream, and a follower whose lease view expires holds an
-	// election among LeasePeers instead of waiting for a manual promote.
-	// Zero keeps the historical availability-wins behaviour.
+	// LeaseTTL puts a clock on the write lease: the leader renews it over
+	// the replication stream, and a follower whose lease view expires holds
+	// an election among LeasePeers instead of waiting for a manual promote.
+	// Zero leaves the lease untimed (availability wins: a follower's view
+	// of the leader's term ends with the replication link).
 	LeaseTTL time.Duration
 	// LeasePeers lists the other farmerd protocol addresses that vote in
 	// elections. Requires LeaseTTL.
@@ -300,7 +296,6 @@ func Run(ctx context.Context, o Options) error {
 		Checkpoint:   o.Ckpt,
 		DrainTimeout: o.Drain,
 		ReplicateTo:  o.ReplicateTo,
-		CatchupTail:  o.CatchupTail,
 		Follower:     o.Follow,
 		LeaseTTL:     o.LeaseTTL,
 		LeasePeers:   o.LeasePeers,

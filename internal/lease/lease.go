@@ -41,6 +41,13 @@ type Term struct {
 // Holder tracks one node's view of the cluster's lease. It is the single
 // source of truth for "may I serve writes" (Leading) and "is this peer's
 // claim current" (Observe/Vote).
+//
+// A Holder built with TTL 0 is UNTIMED: its terms never expire by the
+// clock. Its own term lasts until it is deposed, and a foreign term lasts
+// until LinkLost reports that the replication link which delivered it is
+// gone — the availability-wins rule of a daemon run without -lease-ttl,
+// expressed in the same term algebra. An untimed holder renews nothing and
+// grants no votes.
 type Holder struct {
 	self string
 	ttl  time.Duration
@@ -48,12 +55,12 @@ type Holder struct {
 
 	mu      sync.Mutex
 	term    Term
-	expiry  time.Time // zero = no live lease observed
+	expiry  time.Time // zero = no live lease observed; untimed: non-zero = live
 	deposed bool      // self lost the lease to a higher epoch; stays set until self wins a new one
 }
 
 // NewHolder builds a Holder for the node named self with the given lease
-// TTL. now injects a clock for tests; nil means time.Now.
+// TTL (0 = untimed). now injects a clock for tests; nil means time.Now.
 func NewHolder(self string, ttl time.Duration, now func() time.Time) *Holder {
 	if now == nil {
 		now = time.Now
@@ -68,7 +75,7 @@ func (h *Holder) Self() string { return h.self }
 func (h *Holder) TTL() time.Duration { return h.ttl }
 
 // Current returns the last observed term and how much of its TTL remains
-// (<= 0 when expired or never granted).
+// (<= 0 when expired or never granted, and always on an untimed holder).
 func (h *Holder) Current() (Term, time.Duration) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -87,8 +94,37 @@ func (h *Holder) Leading() bool {
 }
 
 func (h *Holder) leadingLocked() bool {
-	return h.term.Leader == h.self && !h.deposed &&
-		!h.expiry.IsZero() && h.now().Before(h.expiry)
+	return h.term.Leader == h.self && !h.deposed && h.liveLocked()
+}
+
+// liveLocked reports whether the current term is still in force: inside
+// its TTL, or — untimed — granted and not yet ended by LinkLost.
+func (h *Holder) liveLocked() bool {
+	return !h.expiry.IsZero() && (h.ttl <= 0 || h.now().Before(h.expiry))
+}
+
+// Led reports whether self has held a term since this holder was built —
+// leading now, lapsed, or deposed. A holder that never led is a follower in
+// waiting: it may be promoted or elect itself. One that led and lost the
+// lease refuses as stale and comes back only by restarting, so a lapsed
+// leader can never re-take an epoch its successor already claimed.
+func (h *Holder) Led() bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.term.Leader == h.self || h.deposed
+}
+
+// LinkLost tells an untimed holder that the replication link its foreign
+// term arrived on is gone: the term ends, and Acquire may take the next
+// epoch. A timed holder ignores it (its terms end by the clock, so a
+// reachable-but-disconnected leader cannot be contradicted early), and
+// self's own term never ends this way.
+func (h *Holder) LinkLost() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.ttl <= 0 && h.term.Leader != h.self {
+		h.expiry = time.Time{}
+	}
 }
 
 // Observe folds a term seen on the wire (a grant or a renewal) into this
@@ -139,10 +175,12 @@ func (h *Holder) Renew() error {
 func (h *Holder) Acquire() (Term, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.term.Leader != "" && h.term.Leader != h.self &&
-		!h.expiry.IsZero() && h.now().Before(h.expiry) {
-		return Term{}, fmt.Errorf("%w: %q holds epoch %d for another %v",
-			ErrLeaseHeld, h.term.Leader, h.term.Epoch, h.expiry.Sub(h.now()))
+	if h.term.Leader != "" && h.term.Leader != h.self && h.liveLocked() {
+		left := "until its replication link is lost"
+		if h.ttl > 0 {
+			left = "for another " + h.expiry.Sub(h.now()).String()
+		}
+		return Term{}, fmt.Errorf("%w: %q holds epoch %d %s", ErrLeaseHeld, h.term.Leader, h.term.Epoch, left)
 	}
 	h.term = Term{Epoch: h.term.Epoch + 1, Leader: h.self}
 	h.expiry = h.now().Add(h.ttl)
@@ -155,16 +193,20 @@ func (h *Holder) Acquire() (Term, error) {
 // in one epoch or later accept a smaller one — only when the epoch is
 // strictly above the current term AND the current lease has lapsed. A live
 // lease means the sitting leader may still be serving; voting then would
-// allow two leaders inside one TTL.
+// allow two leaders inside one TTL. An untimed holder never votes: a vote
+// is a promise not to lead for one TTL, and it has no TTL to bound it.
 func (h *Holder) Vote(epoch uint64, candidate string) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if h.ttl <= 0 {
+		return fmt.Errorf("%w: vote for %q refused, this node runs without a lease TTL",
+			ErrLeaseHeld, candidate)
+	}
 	if epoch <= h.term.Epoch {
 		return fmt.Errorf("%w: vote for epoch %d refused, already at %d (leader %q)",
 			ErrStaleEpoch, epoch, h.term.Epoch, h.term.Leader)
 	}
-	if h.term.Leader != "" && h.term.Leader != candidate &&
-		!h.expiry.IsZero() && h.now().Before(h.expiry) {
+	if h.term.Leader != "" && h.term.Leader != candidate && h.liveLocked() {
 		return fmt.Errorf("%w: %q still holds epoch %d for another %v",
 			ErrLeaseHeld, h.term.Leader, h.term.Epoch, h.expiry.Sub(h.now()))
 	}

@@ -202,6 +202,64 @@ func TestCurrentRemaining(t *testing.T) {
 	}
 }
 
+// TestUntimedHolder: with TTL 0 no clock ends a term. Self leads until
+// deposed; a foreign term lasts until its replication link is reported
+// lost, after which Acquire takes the next epoch; and no vote is granted.
+func TestUntimedHolder(t *testing.T) {
+	c := newClock()
+	leader := NewHolder("a", 0, c.now)
+	if term, err := leader.Acquire(); err != nil || term != (Term{Epoch: 1, Leader: "a"}) {
+		t.Fatalf("acquire: %+v %v", term, err)
+	}
+	c.advance(1000 * time.Hour)
+	leader.LinkLost() // a link going away never ends self's own term
+	if !leader.Leading() || !leader.Led() {
+		t.Fatal("an untimed leader stopped leading without being deposed")
+	}
+	if err := leader.Renew(); err != nil || !leader.Leading() {
+		t.Fatalf("renewing an untimed term must be a harmless no-op: %v", err)
+	}
+	if err := leader.Observe(Term{Epoch: 2, Leader: "b"}); err != nil {
+		t.Fatal(err)
+	}
+	if leader.Leading() || !leader.Deposed() || !leader.Led() {
+		t.Fatal("observing a higher epoch did not depose the untimed leader")
+	}
+
+	f := NewHolder("b", 0, c.now)
+	if f.Leading() || f.Led() {
+		t.Fatal("a fresh holder that acquired nothing claims to have led")
+	}
+	if err := f.Observe(Term{Epoch: 1, Leader: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	c.advance(1000 * time.Hour)
+	if _, err := f.Acquire(); !errors.Is(err, ErrLeaseHeld) {
+		t.Fatalf("acquire while the foreign term's link is up: %v, want ErrLeaseHeld", err)
+	}
+	if err := f.Vote(2, "c"); !errors.Is(err, ErrLeaseHeld) {
+		t.Fatalf("an untimed holder granted a vote: %v", err)
+	}
+	f.LinkLost()
+	if f.Led() {
+		t.Fatal("losing the link made a follower look like an ex-leader")
+	}
+	term, err := f.Acquire()
+	if err != nil || term != (Term{Epoch: 2, Leader: "b"}) || !f.Leading() {
+		t.Fatalf("acquire after the link was lost: %+v %v", term, err)
+	}
+
+	// A timed holder ignores LinkLost: its terms end by the clock only.
+	timed := holder("b", c)
+	if err := timed.Observe(Term{Epoch: 1, Leader: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	timed.LinkLost()
+	if _, err := timed.Acquire(); !errors.Is(err, ErrLeaseHeld) {
+		t.Fatalf("LinkLost ended a timed term early: %v", err)
+	}
+}
+
 // BenchmarkElectionAcquire is the bench-smoke row for the election path:
 // one expiry-check-plus-claim under the holder lock.
 func BenchmarkElectionAcquire(b *testing.B) {

@@ -37,11 +37,6 @@ type Owner interface {
 type Config struct {
 	Owners      int
 	Partitioner Partitioner
-	// Routing, when non-nil, indirects partition index -> owner through an
-	// epoch-versioned RoutingTable, so shards can move between owners live
-	// (farmerctl rebalance). Nil keeps the historical identity assumption:
-	// partition i IS owner i. The table must route at least Owners shards.
-	Routing *RoutingTable
 	// Mask and PathAlg configure the Stage-1 extractor; Graph supplies the
 	// lookahead window and LDA parameters (normalized like graph.New).
 	Mask    vsm.Mask
@@ -55,13 +50,12 @@ type Config struct {
 // partitioned deployment; Dispatch is not safe for concurrent use and
 // callers serialize around it.
 type Dispatcher struct {
-	owners  int
-	part    Partitioner
-	routing *RoutingTable // nil = identity (partition i is owner i)
-	gcfg    graph.Config
-	ex      *vsm.Extractor
-	window  []trace.FileID
-	seq     atomic.Uint64
+	owners int
+	part   Partitioner
+	gcfg   graph.Config
+	ex     *vsm.Extractor
+	window []trace.FileID
+	seq    atomic.Uint64
 }
 
 // NewDispatcher builds a dispatcher; it panics on a non-positive owner
@@ -74,39 +68,22 @@ func NewDispatcher(cfg Config) *Dispatcher {
 	if part == nil {
 		part = Stripe
 	}
-	if cfg.Routing != nil && cfg.Routing.Shards() < cfg.Owners {
-		panic(fmt.Sprintf("partition: routing table covers %d shards, dispatcher has %d owners",
-			cfg.Routing.Shards(), cfg.Owners))
-	}
 	ex := vsm.NewExtractor(cfg.Mask)
 	ex.Alg = cfg.PathAlg
 	return &Dispatcher{
-		owners:  cfg.Owners,
-		part:    part,
-		routing: cfg.Routing,
-		gcfg:    cfg.Graph.Normalized(),
-		ex:      ex,
+		owners: cfg.Owners,
+		part:   part,
+		gcfg:   cfg.Graph.Normalized(),
+		ex:     ex,
 	}
-}
-
-// route resolves a partition index to the owner currently serving it.
-func (d *Dispatcher) route(shard int) int {
-	if d.routing == nil {
-		return shard
-	}
-	return d.routing.OwnerOf(shard)
 }
 
 // Owners reports the partition count.
 func (d *Dispatcher) Owners() int { return d.owners }
 
-// OwnerOf reports which owner serves a file's mined state — the file's
-// partition index, routed through the RoutingTable when one is attached.
-func (d *Dispatcher) OwnerOf(f trace.FileID) int { return d.route(d.part(f, d.owners)) }
-
-// Routing returns the attached routing table (nil when ownership is the
-// identity mapping).
-func (d *Dispatcher) Routing() *RoutingTable { return d.routing }
+// OwnerOf reports which owner serves a file's mined state: the file's
+// partition index (partition i is owner i).
+func (d *Dispatcher) OwnerOf(f trace.FileID) int { return d.part(f, d.owners) }
 
 // Dispatched reports how many records have been sequenced. Safe to read
 // concurrently with Dispatch.
@@ -128,7 +105,7 @@ func (d *Dispatcher) Advance(n uint64) uint64 { return d.seq.Add(n) }
 func (d *Dispatcher) Dispatch(r *trace.Record, emit func(owner int, ev Event)) uint64 {
 	seq := d.seq.Add(1)
 	v := d.ex.Extract(r)
-	emit(d.route(d.part(r.File, d.owners)), Event{Succ: r.File, Vec: v, Seq: seq, Access: true})
+	emit(d.part(r.File, d.owners), Event{Succ: r.File, Vec: v, Seq: seq, Access: true})
 	for i := len(d.window) - 1; i >= 0; i-- {
 		pred := d.window[i]
 		if pred == r.File {
@@ -139,7 +116,7 @@ func (d *Dispatcher) Dispatch(r *trace.Record, emit func(owner int, ev Event)) u
 		if credit < d.gcfg.MinAssign {
 			credit = d.gcfg.MinAssign
 		}
-		emit(d.route(d.part(pred, d.owners)), Event{Pred: pred, Succ: r.File, Credit: credit, Vec: v, Seq: seq})
+		emit(d.part(pred, d.owners), Event{Pred: pred, Succ: r.File, Credit: credit, Vec: v, Seq: seq})
 	}
 	d.window = append(d.window, r.File)
 	if len(d.window) > d.gcfg.Window {

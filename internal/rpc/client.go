@@ -520,9 +520,9 @@ func (c *Client) Groups(ctx context.Context, req GroupsReq) (GroupsInfo, error) 
 	return decodeGroupsInfo(body)
 }
 
-// LeaseStatus asks the server for its current lease term (epoch 0 means
-// leases are disabled or none was ever observed). A pre-lease server
-// answers CodeUnsupported.
+// LeaseStatus asks the server for its current lease term (epoch 0: a
+// follower that has observed none yet; a daemon without -lease-ttl reports
+// its untimed term, TTLMS 0). A pre-lease server answers CodeUnsupported.
 func (c *Client) LeaseStatus(ctx context.Context) (LeaseInfo, error) {
 	body, err := c.call(ctx, MsgLeaseRequest, appendLeaseReq(nil, 0, ""))
 	if err != nil {

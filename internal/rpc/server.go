@@ -834,7 +834,7 @@ func (s *Server) handle(dst []byte, cs *connState, f *Frame) []byte {
 }
 
 // errLeaseUnsupported answers lease frames sent to a server whose backend
-// has no lease surface (leases disabled, or a pre-lease build).
+// has no lease surface (a pre-lease build).
 var errLeaseUnsupported = errors.New("rpc: backend does not support leases")
 
 // errReplicaUnsupported answers replication frames sent to a server whose

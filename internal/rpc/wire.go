@@ -1139,7 +1139,7 @@ type TenantObs struct {
 	CkptDelta     uint64 // incremental checkpoints completed
 	PredPredicted uint64 // prefetch predictions issued
 	PredHits      uint64 // predictions later confirmed by an access
-	LeaseEpoch    uint64 // current lease epoch (0 = leases disabled or none observed)
+	LeaseEpoch    uint64 // current lease epoch (0 = none observed yet)
 	Groups        []ObsGroup
 }
 

@@ -102,33 +102,8 @@ func TestOpenInvalidConfig(t *testing.T) {
 	}
 }
 
-// TestDeprecatedConstructorsStillPanic: the compatibility wrappers keep
-// their panic contract while delegating to the validated path.
-func TestDeprecatedConstructorsStillPanic(t *testing.T) {
-	bad := farmer.DefaultConfig()
-	bad.Weight = 7
-	for _, tc := range []struct {
-		name string
-		call func()
-	}{
-		{"New", func() { farmer.New(bad) }},
-		{"NewSharded", func() { farmer.NewSharded(bad) }},
-		{"NewClusterMiner", func() { farmer.NewClusterMiner(bad, 2, nil) }},
-		{"NewClusterMiner zero servers", func() { farmer.NewClusterMiner(farmer.DefaultConfig(), 0, nil) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("wrapper did not panic")
-				}
-			}()
-			tc.call()
-		})
-	}
-}
-
-// TestOpenEquivalentToNewSharded: the option-style constructor must build
-// the same miner the deprecated one did — bit-identical mined state.
+// TestOpenEquivalentToNewSharded: WithShards must build the same miner
+// Config.Shards does — bit-identical mined state.
 func TestOpenEquivalentToNewSharded(t *testing.T) {
 	tr, err := farmer.Generate(farmer.HP(3000))
 	if err != nil {
@@ -136,7 +111,7 @@ func TestOpenEquivalentToNewSharded(t *testing.T) {
 	}
 	cfg := farmer.ConfigFor(tr)
 	cfg.Shards = 4
-	old := farmer.NewSharded(cfg)
+	old := openModel(t, cfg)
 	old.FeedTraceParallel(tr)
 
 	m, err := farmer.Open(farmer.ConfigFor(tr), farmer.WithShards(4))
@@ -149,7 +124,7 @@ func TestOpenEquivalentToNewSharded(t *testing.T) {
 	}
 	for f := 0; f < tr.FileCount; f++ {
 		if !reflect.DeepEqual(old.CorrelatorList(farmer.FileID(f)), m.CorrelatorList(farmer.FileID(f))) {
-			t.Fatalf("file %d: Open-built miner diverged from NewSharded", f)
+			t.Fatalf("file %d: Open-built miner diverged from the Config.Shards one", f)
 		}
 	}
 }

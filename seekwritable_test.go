@@ -128,3 +128,77 @@ func TestSeekWritableDroppedConnSweepsCurrentAddress(t *testing.T) {
 		t.Fatalf("split-brain guard should have held on the linked follower: %v", err)
 	}
 }
+
+// promotesSeen reads, over a raw connection, how many MsgPromote frames the
+// server at addr has handled.
+func promotesSeen(t *testing.T, addr string) uint64 {
+	t.Helper()
+	ctx := context.Background()
+	c, err := rpc.DialWith(ctx, addr, rpc.DialOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	stats, err := c.WireStats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range stats {
+		if s.Type == rpc.MsgPromote {
+			return s.Count
+		}
+	}
+	return 0
+}
+
+// TestSeekWritablePicksUntimedPrimaryByEpoch: a daemon started without
+// -lease-ttl still answers LeaseStatus with a real term — the primary leads
+// epoch 1, its follower mirrors it — so one sweep finds the primary by
+// asking, not by trial promotion: the linked follower (listed first) is
+// never asked to promote, and the primary gets exactly the one idempotent
+// Promote the never-success-without-a-Promote invariant demands.
+func TestSeekWritablePicksUntimedPrimaryByEpoch(t *testing.T) {
+	ctx := context.Background()
+	cfg := farmer.DefaultConfig()
+	follower, err := farmer.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	fAddr, fStop := startServe(t, follower, farmer.ServeConfig{Follower: true})
+	defer fStop()
+	primary, err := farmer.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	pAddr, pStop := startServe(t, primary, farmer.ServeConfig{ReplicateTo: []string{fAddr}})
+	defer pStop()
+	// The primary answers only once it has attached the follower and
+	// announced its term, so this read is also the start barrier.
+	if n := promotesSeen(t, pAddr); n != 0 {
+		t.Fatalf("a fresh primary has seen %d promotion requests", n)
+	}
+
+	client, err := farmer.Dial(ctx, fAddr, farmer.WithFailover(pAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if info, err := client.LeaseStatus(ctx); err != nil || info.Epoch != 1 || info.Self {
+		t.Fatalf("follower's view of the untimed term: %+v (err %v), want epoch 1 led by the primary", info, err)
+	}
+	// The follower refuses the write; the client's sweep reroutes it.
+	if err := client.Feed(ctx, &trace.Record{File: 1}); err != nil {
+		t.Fatalf("feed through a follower-first address list: %v", err)
+	}
+	if info, err := client.LeaseStatus(ctx); err != nil || info.Epoch != 1 || !info.Self {
+		t.Fatalf("client settled on %+v (err %v), want the primary leading epoch 1", info, err)
+	}
+	if n := promotesSeen(t, fAddr); n != 0 {
+		t.Errorf("the linked follower was sent %d promotion requests, want 0", n)
+	}
+	if n := promotesSeen(t, pAddr); n != 1 {
+		t.Errorf("the primary was sent %d promotion requests, want exactly 1", n)
+	}
+}

@@ -50,13 +50,13 @@ type ServeConfig struct {
 	// client write forever, since only a transport error detaches it;
 	// when the bound expires the follower is dropped like a dead one.
 	ReplicaAckTimeout time.Duration
-	// Follower makes the served miner a replication FOLLOWER: it accepts a
-	// primary's catch-up and replication stream, serves reads, and refuses
-	// writes (rpc.ErrNotPrimary on the wire) until promoted. Promotion —
-	// requested by a failing-over client or farmerctl — is granted only
-	// while no primary link is attached, so a live primary can never be
-	// contradicted (the split-brain guard). Mutually exclusive with
-	// ReplicateTo.
+	// Follower starts the served miner without the write lease (every other
+	// daemon starts leading epoch 1): it accepts a primary's catch-up and
+	// replication stream, serves reads, and refuses writes (ErrNotPrimary on
+	// the wire) until it takes the next epoch — by a client's or farmerctl's
+	// promotion request, granted only while no primary link is attached so a
+	// live primary can never be contradicted (the split-brain guard), or,
+	// with LeaseTTL, by electing itself. Mutually exclusive with ReplicateTo.
 	Follower bool
 	// ReplicaToken is the bearer token presented when dialing followers —
 	// required when the followers run with AuthTokens (it must be granted
@@ -64,15 +64,15 @@ type ServeConfig struct {
 	ReplicaToken string
 	// ReplicaTLS, when non-nil, dials followers over TLS.
 	ReplicaTLS *tls.Config
-	// LeaseTTL enables the epoch-versioned ownership layer (internal/lease):
-	// the daemon holds writes behind a lease renewed every TTL/4 — through
-	// the replication stream when followers are configured, so a renewal
-	// needs a follower quorum and a partitioned leader LAPSES within one TTL
-	// and refuses writes typed (ErrStaleEpoch) instead of diverging. An
-	// un-promoted follower whose view of the lease lapsed elects itself
-	// (votes from LeasePeers, then the next epoch) with no farmerctl promote
-	// involved. 0 disables leases and keeps the historical availability-wins
-	// behavior.
+	// LeaseTTL puts a clock on the write lease (internal/lease): the leader
+	// renews it every TTL/4 — through the replication stream when followers
+	// are configured, so a renewal needs a follower quorum and a partitioned
+	// leader LAPSES within one TTL and refuses writes typed (ErrStaleEpoch)
+	// instead of diverging — and a follower whose view of the lease lapsed
+	// elects itself (votes from LeasePeers, then the next epoch) with no
+	// farmerctl promote involved. 0 leaves the lease untimed, which is
+	// availability-wins: the leader holds its epoch until the process ends,
+	// and a follower's view of it ends with the replication link.
 	LeaseTTL time.Duration
 	// LeaseID names this daemon in lease terms and election votes. It
 	// defaults to the listener address, which is what makes the client's
@@ -84,14 +84,6 @@ type ServeConfig struct {
 	// follower elects alone — the two-node deployment.
 	LeasePeers []string
 
-	// CatchupTail sets how many recent records the primary retains for
-	// delta catch-up: a follower that restarts holding its own on-disk
-	// checkpoint inside that tail is caught up by replaying just the
-	// records it missed (MsgCatchupDelta) instead of shipping a full
-	// snapshot — O(missed records), not O(model). 0 means the default
-	// (65536); negative disables delta catch-up. Only meaningful with
-	// ReplicateTo.
-	CatchupTail int
 	// Logf, if set, receives serve-time notices (a dropped follower, a
 	// promotion). Defaults to discarding them.
 	Logf func(format string, args ...any)
@@ -122,17 +114,16 @@ type ServeConfig struct {
 }
 
 // serveBackend adapts a LocalMiner to the wire protocol's backend surface
-// and carries the replication role state: primary (replicating or not),
-// which routes every mutation through the rpc.Replicator so followers see
-// the exact acked stream, or follower, which refuses writes until promoted
-// and applies the primary's stream instead. ApplyEvents hands a remote
-// dispatcher's event batches to the ensemble (rpc.NetOwner's server side);
-// it is unavailable on replicated deployments, whose single source of
-// mining truth is the record stream.
+// and carries the replication role state: a backend whose Holder leads
+// takes writes (routing every mutation through the rpc.Replicator, if any,
+// so followers see the exact acked stream); one that does not refuses them
+// and, while it has never led, applies a primary's stream instead.
+// ApplyEvents hands a remote dispatcher's event batches to the ensemble
+// (rpc.NetOwner's server side); it is unavailable on replicated
+// deployments, whose single source of mining truth is the record stream.
 type serveBackend struct {
 	m          *LocalMiner
-	drain      time.Duration
-	saveBudget time.Duration // routine-checkpoint bound (>= drain)
+	saveBudget time.Duration // routine-checkpoint bound (>= the drain timeout)
 	logf       func(format string, args ...any)
 
 	// repl is non-nil on a replicating primary. It is guarded by replGate
@@ -143,8 +134,13 @@ type serveBackend struct {
 	replGate sync.RWMutex
 	repl     *rpc.Replicator
 
-	// lease, when non-nil, is the daemon-wide lease machinery shared by
-	// every tenant backend (the daemon leads or follows as a whole).
+	// holder is the one answer to "may this backend serve writes". With a
+	// lease TTL the daemon leads or follows as a whole and every tenant
+	// backend shares lease.holder; untimed, a term lasts exactly as long as
+	// the replication link that delivered it, so each backend (one stream)
+	// owns its own and tenants promote one by one.
+	holder *lease.Holder
+	// lease is the daemon-wide election, renewal and handoff configuration.
 	lease *leaseState
 
 	// tenant and budget carry the registry's admission control: feeds are
@@ -155,20 +151,18 @@ type serveBackend struct {
 	memPending atomic.Int64 // records since the last footprint check
 	overBudget atomic.Bool
 
-	fmu      sync.Mutex
-	follower bool
-	promoted bool
-	srcConn  uint64 // connection id of the attached primary link (0 = none)
+	fmu     sync.Mutex
+	srcConn uint64 // connection id of the attached primary link (0 = none)
 }
 
 var _ rpc.ReplicaBackend = (*serveBackend)(nil)
 var _ rpc.LeaseBackend = (*serveBackend)(nil)
 var _ rpc.HandoffBackend = (*serveBackend)(nil)
 
-// leaseState is the daemon-wide half of the lease layer: one Holder (term
-// algebra), the peer set consulted during elections, and the renewal
-// quorum. serveBackend.leaseLoop drives it; every tenant backend shares it,
-// so "may this daemon serve writes" has exactly one answer.
+// leaseState is the daemon-wide half of the lease layer: the daemon's
+// Holder (term algebra; the default tenant's, and with a TTL every
+// tenant's), the peer set consulted during elections, and the renewal
+// quorum. serveBackend.leaseLoop drives it.
 type leaseState struct {
 	holder   *lease.Holder
 	peers    []string
@@ -179,10 +173,20 @@ type leaseState struct {
 	// quietly renew against an empty room.
 	renewQuorum int
 	replicaAck  time.Duration
-	logf        func(format string, args ...any)
 
 	handoffs  *obs.Counter   // farmer_handoffs_total
 	handoffNS *obs.Histogram // farmer_handoff_duration_ns
+}
+
+// newHolder builds a backend's Holder in its start state: a follower has
+// observed nothing and leads nothing; every other backend acquires epoch 1
+// (a fresh holder has observed nothing, so that cannot fail).
+func newHolder(id string, ttl time.Duration, follower bool) *lease.Holder {
+	h := lease.NewHolder(id, ttl, nil)
+	if !follower {
+		_, _ = h.Acquire()
+	}
+	return h
 }
 
 // replicator snapshots the replication handle under the gate (a live
@@ -193,40 +197,30 @@ func (b *serveBackend) replicator() *rpc.Replicator {
 	return b.repl
 }
 
-// writable reports whether this server currently accepts mutations:
-// primaries always, followers only once promoted — and, when leases are
-// enabled, only while this daemon's lease is live and un-deposed. The
-// lease refusal travels typed (ErrStaleEpoch): the client treats it like
-// ErrNotPrimary and seeks the current leader.
+// writable reports whether this backend currently accepts mutations: only
+// while its Holder leads. The refusal travels typed — a backend that never
+// led since start is a follower (ErrNotPrimary: dial its primary or promote
+// it); one that led and lapsed or was deposed is stale (ErrStaleEpoch: the
+// lease moved). The client treats both alike and seeks the current leader.
+//
+// The feed paths ask twice: up front, and again inside the mine closure,
+// which runs under the replicator's stream lock, where a concurrent lease
+// transfer's commit is serialized — so a feed admitted before the transfer
+// committed aborts there, before mining, before shipping, and the refusal
+// is safe to retry against the new leader (the record was definitely not
+// applied anywhere).
 func (b *serveBackend) writable() error {
-	b.fmu.Lock()
-	follower, promoted := b.follower, b.promoted
-	b.fmu.Unlock()
-	if follower && !promoted {
+	if b.holder.Leading() {
+		return nil
+	}
+	term, _ := b.holder.Current()
+	switch {
+	case !b.holder.Led():
 		return fmt.Errorf("%w: this farmerd is a replication follower; dial its primary or promote it", rpc.ErrNotPrimary)
+	case term.Leader != b.holder.Self():
+		return fmt.Errorf("%w: lease epoch %d is held by %q", rpc.ErrStaleEpoch, term.Epoch, term.Leader)
 	}
-	if ls := b.lease; ls != nil && !ls.holder.Leading() {
-		term, _ := ls.holder.Current()
-		if term.Leader != "" && term.Leader != ls.holder.Self() {
-			return fmt.Errorf("%w: lease epoch %d is held by %q", rpc.ErrStaleEpoch, term.Epoch, term.Leader)
-		}
-		return fmt.Errorf("%w: this farmerd's lease lapsed at epoch %d (renewal quorum lost?)", rpc.ErrStaleEpoch, term.Epoch)
-	}
-	return nil
-}
-
-// leaseStillWritable is the mine-closure re-check: it runs under the
-// replicator's stream lock, where a concurrent lease transfer's commit is
-// serialized, so a feed admitted before the transfer committed aborts here
-// — before mining, before shipping — and the refusal is safe to retry
-// against the new leader (the record was definitely not applied anywhere).
-func (b *serveBackend) leaseStillWritable() error {
-	if ls := b.lease; ls != nil && !ls.holder.Leading() {
-		term, _ := ls.holder.Current()
-		return fmt.Errorf("%w: lease moved to %q (epoch %d) while this feed was in flight",
-			rpc.ErrStaleEpoch, term.Leader, term.Epoch)
-	}
-	return nil
+	return fmt.Errorf("%w: this farmerd's lease lapsed at epoch %d (renewal quorum lost?)", rpc.ErrStaleEpoch, term.Epoch)
 }
 
 // budgetCheckStride is how many ingested records a tenant goes between
@@ -274,7 +268,7 @@ func (b *serveBackend) Feed(r *trace.Record) error {
 		return nil
 	}
 	return b.repl.Ingest(context.Background(), []trace.Record{*r}, func() error {
-		if err := b.leaseStillWritable(); err != nil {
+		if err := b.writable(); err != nil { // the re-check under the stream lock
 			return err
 		}
 		b.m.sm.Feed(r)
@@ -296,7 +290,7 @@ func (b *serveBackend) FeedBatch(recs []trace.Record) error {
 		return nil
 	}
 	return b.repl.Ingest(context.Background(), recs, func() error {
-		if err := b.leaseStillWritable(); err != nil {
+		if err := b.writable(); err != nil { // the re-check under the stream lock
 			return err
 		}
 		b.m.sm.FeedBatch(recs)
@@ -319,10 +313,8 @@ func (b *serveBackend) Stats() core.Stats                    { return b.m.sm.Sta
 // worst per-follower lag (primary position minus acked position).
 func (b *serveBackend) TenantObs(topK int) rpc.TenantObs {
 	row := b.m.obsRow(topK)
-	if ls := b.lease; ls != nil {
-		term, _ := ls.holder.Current()
-		row.LeaseEpoch = term.Epoch
-	}
+	term, _ := b.holder.Current()
+	row.LeaseEpoch = term.Epoch
 	if repl := b.replicator(); repl != nil {
 		lags := repl.Lags()
 		row.Followers = uint64(len(lags))
@@ -376,63 +368,43 @@ func (b *serveBackend) Load() error {
 
 // ------------------------------------------------------- replication surface
 
+// Promote makes this backend take the next epoch on a client's (or
+// farmerctl's) request. On the leader it is an idempotent no-op.
 func (b *serveBackend) Promote() error {
 	b.fmu.Lock()
 	defer b.fmu.Unlock()
-	if !b.follower || b.promoted {
-		// Already writable in role terms — but under leases "writable" also
-		// demands a live lease: a deposed or lapsed leader must not answer a
-		// failover sweep's Promote with success, or the sweep would steer
-		// writes right back at it.
-		if ls := b.lease; ls != nil && !ls.holder.Leading() {
-			term, _ := ls.holder.Current()
-			return fmt.Errorf("%w: refusing promotion, lease epoch %d is held by %q",
-				rpc.ErrStaleEpoch, term.Epoch, term.Leader)
-		}
-		return nil // already writable: promotion is an idempotent no-op
+	if b.holder.Led() {
+		// The leader answers nil. A deposed or lapsed one answers its typed
+		// stale refusal: it must not tell a failover sweep "success" (the
+		// sweep would steer writes right back at it), nor re-take an epoch
+		// its successor may already hold — it restarts to re-join.
+		return b.writable()
 	}
 	if b.srcConn != 0 {
 		return fmt.Errorf("%w: refusing promotion, the primary's replication link is live", rpc.ErrNotPrimary)
 	}
-	if ls := b.lease; ls != nil {
-		// Lease-mediated promotion: granted only by winning the next epoch,
-		// which Acquire refuses while another leader's lease is still live —
-		// a reachable-but-lease-expired primary can no longer be contradicted
-		// early, and a deposed one can never be "promoted back" silently.
-		if ls.holder.Leading() {
-			b.promoted = true // the daemon already leads; this tenant joins it
-			return nil
-		}
-		term, err := ls.holder.Acquire()
-		if err != nil {
-			return fmt.Errorf("farmer: refusing promotion: %w", err)
-		}
-		b.promoted = true
-		b.logf("promoted: leading at epoch %d, accepting writes from now on", term.Epoch)
-		return nil
+	// Acquire refuses while another leader's timed lease is still live: a
+	// reachable-but-disconnected primary cannot be contradicted early.
+	term, err := b.holder.Acquire()
+	if err != nil {
+		return fmt.Errorf("%w: refusing promotion: %v", rpc.ErrNotPrimary, err)
 	}
-	b.promoted = true
-	b.logf("promoted: accepting writes from now on")
+	b.logf("promoted: leading at epoch %d, accepting writes from now on", term.Epoch)
 	return nil
 }
 
 // ------------------------------------------------------------ lease surface
 
-// LeaseStatus implements rpc.LeaseBackend: the daemon's current term, TTL
-// and whether it is this daemon's own live lease — the answer the client's
-// failover sweep ranks candidates by. A daemon without leases enabled
-// reports the zero term (epoch 0).
+// LeaseStatus implements rpc.LeaseBackend: the backend's current term, TTL
+// (0 = untimed) and whether it is this daemon's own live lease — the answer
+// the client's failover sweep ranks candidates by.
 func (b *serveBackend) LeaseStatus() rpc.LeaseInfo {
-	ls := b.lease
-	if ls == nil {
-		return rpc.LeaseInfo{}
-	}
-	term, _ := ls.holder.Current()
+	term, _ := b.holder.Current()
 	return rpc.LeaseInfo{
 		Epoch:  term.Epoch,
 		Leader: term.Leader,
-		TTLMS:  uint64(ls.holder.TTL() / time.Millisecond),
-		Self:   ls.holder.Leading(),
+		TTLMS:  uint64(b.holder.TTL() / time.Millisecond),
+		Self:   b.holder.Leading(),
 	}
 }
 
@@ -442,61 +414,39 @@ func (b *serveBackend) LeaseStatus() rpc.LeaseInfo {
 // vote: a primary it can hear from is not dead, whatever the candidate's
 // clock says.
 func (b *serveBackend) LeaseVote(epoch uint64, candidate string) error {
-	ls := b.lease
-	if ls == nil {
-		return errors.New("farmer: leases are disabled on this farmerd (start it with -lease-ttl)")
-	}
-	b.fmu.Lock()
-	src := b.srcConn
-	b.fmu.Unlock()
-	if src != 0 {
+	if b.source() != 0 {
 		return fmt.Errorf("farmer: vote for %q withheld, the primary's replication link is live", candidate)
 	}
-	if err := ls.holder.Vote(epoch, candidate); err != nil {
+	if err := b.holder.Vote(epoch, candidate); err != nil {
 		return err
 	}
-	ls.logf("lease: voted for %q at epoch %d", candidate, epoch)
+	b.logf("lease: voted for %q at epoch %d", candidate, epoch)
 	return nil
 }
 
-// LeaseGrant folds a leader's announced term in. Renewal grants arrive on
-// the replication stream and just refresh this follower's view (refusing
-// one as stale is how a deposed leader learns it lost). A TRANSFER grant —
-// the last frame of a live handoff — must arrive on the pinned replication
-// link, FIFO behind every record the source acked, and makes this follower
-// the leader of the new epoch on the spot: adopt the term, self-promote,
-// serve writes.
+// LeaseGrant folds a leader's announced term in. Every grant must arrive on
+// the pinned replication link. Term announcements (at attach, and every
+// renewal under a TTL) just refresh this follower's view; refusing one as
+// stale is how a deposed leader learns it lost. A TRANSFER grant — the last
+// frame of a live handoff, FIFO behind every record the source acked —
+// makes this follower the leader of the new epoch on the spot.
 func (b *serveBackend) LeaseGrant(conn uint64, info rpc.LeaseInfo) error {
-	ls := b.lease
-	if ls == nil {
-		if info.Transfer {
-			return errors.New("farmer: lease transfer to a farmerd without leases enabled (start the target with -lease-ttl)")
-		}
-		return nil // renewal broadcast to a lease-less follower: harmless
+	if src := b.source(); src == 0 || src != conn {
+		return errors.New("farmer: lease grant outside the pinned replication link")
 	}
 	if !info.Transfer {
-		return ls.holder.Observe(lease.Term{Epoch: info.Epoch, Leader: info.Leader})
+		return b.holder.Observe(lease.Term{Epoch: info.Epoch, Leader: info.Leader})
 	}
-	b.fmu.Lock()
-	if !b.follower {
-		b.fmu.Unlock()
-		return errors.New("farmer: lease transfer to a non-follower")
+	if b.holder.TTL() <= 0 {
+		return errors.New("farmer: lease transfer to a farmerd without a lease TTL (start the target with -lease-ttl)")
 	}
-	if b.srcConn == 0 || b.srcConn != conn {
-		b.fmu.Unlock()
-		return errors.New("farmer: lease transfer outside the pinned replication link")
-	}
-	b.fmu.Unlock()
 	// Adopt the transferred epoch with SELF as leader (the source's name for
 	// this node is its dial address, which may not match LeaseID textually).
 	// The epoch is strictly above everything observed on this link, so the
 	// Observe cannot fail.
-	if err := ls.holder.Observe(lease.Term{Epoch: info.Epoch, Leader: ls.holder.Self()}); err != nil {
+	if err := b.holder.Observe(lease.Term{Epoch: info.Epoch, Leader: b.holder.Self()}); err != nil {
 		return err
 	}
-	b.fmu.Lock()
-	b.promoted = true
-	b.fmu.Unlock()
 	b.logf("lease transferred: leading at epoch %d, accepting writes", info.Epoch)
 	return nil
 }
@@ -510,9 +460,10 @@ func (b *serveBackend) LeaseGrant(conn uint64, info rpc.LeaseInfo) error {
 // grant (the target replays it) or aborts typed (ErrStaleEpoch, never
 // mined anywhere): acked-record loss is zero by construction.
 func (b *serveBackend) Handoff(target string) error {
-	ls := b.lease
-	if ls == nil {
-		return errors.New("farmer: live handoff needs leases (start this farmerd with -lease-ttl)")
+	if b.holder.TTL() <= 0 {
+		// A safety check, not a mode: untimed, no election exists to recover
+		// from a SIGKILL between the source's commit and the target's ack.
+		return errors.New("farmer: live handoff needs a lease TTL (start this farmerd with -lease-ttl)")
 	}
 	if b.tenant != "" {
 		return errors.New("farmer: rebalance moves the whole daemon; address it without -tenant")
@@ -521,10 +472,7 @@ func (b *serveBackend) Handoff(target string) error {
 		return err
 	}
 	start := time.Now()
-	rp, err := b.handoffReplicator(ls)
-	if err != nil {
-		return err
-	}
+	rp := b.handoffReplicator()
 	attached := false
 	for _, addr := range rp.Followers() {
 		if addr == target {
@@ -539,20 +487,20 @@ func (b *serveBackend) Handoff(target string) error {
 		}
 		b.logf("handoff: target %s caught up and attached", target)
 	}
-	term, _ := ls.holder.Current()
+	term, _ := b.holder.Current()
 	next := lease.Term{Epoch: term.Epoch + 1, Leader: target}
-	info := rpc.LeaseInfo{Epoch: next.Epoch, Leader: target, TTLMS: uint64(ls.holder.TTL() / time.Millisecond)}
-	err = rp.TransferLease(context.Background(), target, info, func() {
+	info := rpc.LeaseInfo{Epoch: next.Epoch, Leader: target, TTLMS: uint64(b.holder.TTL() / time.Millisecond)}
+	err := rp.TransferLease(context.Background(), target, info, func() {
 		// Commit, under the stream lock: observing the next epoch with the
 		// target as leader deposes this source. next.Epoch is strictly above
 		// everything this holder observed, so the Observe cannot fail.
-		_ = ls.holder.Observe(next)
+		_ = b.holder.Observe(next)
 	})
 	if err != nil {
 		return err
 	}
-	ls.handoffs.Inc()
-	ls.handoffNS.Observe(uint64(time.Since(start)))
+	b.lease.handoffs.Inc()
+	b.lease.handoffNS.Observe(uint64(time.Since(start)))
 	b.logf("handoff: lease transferred to %s at epoch %d in %v; this farmerd now refuses writes",
 		target, next.Epoch, time.Since(start).Round(time.Millisecond))
 	return nil
@@ -562,31 +510,31 @@ func (b *serveBackend) Handoff(target string) error {
 // standalone source: the install takes the write side of replGate, waiting
 // out every in-flight direct-path feed, so the stream position is exactly
 // the miner's record count when the target's catch-up cut is taken.
-func (b *serveBackend) handoffReplicator(ls *leaseState) (*rpc.Replicator, error) {
+func (b *serveBackend) handoffReplicator() *rpc.Replicator {
 	if rp := b.replicator(); rp != nil {
-		return rp, nil
+		return rp
 	}
 	b.replGate.Lock()
 	defer b.replGate.Unlock()
 	if b.repl == nil {
-		rp := rpc.NewReplicator(b.m.sm.Fed(), ls.replicaAck, func(addr string, err error) {
+		rp := rpc.NewReplicator(b.m.sm.Fed(), b.lease.replicaAck, func(addr string, err error) {
 			b.logf("handoff target %s dropped from replication: %v", addr, err)
 		})
-		rp.SetDialOptions(ls.dialOpts)
+		rp.SetDialOptions(b.lease.dialOpts)
 		b.repl = rp
 	}
-	return b.repl, nil
+	return b.repl
 }
 
 // ------------------------------------------------------- lease renewal loop
 
-// leaseLoop drives the daemon's lease at TTL/4: a leader renews its term
-// (through the replication stream when followers are configured), an
-// un-promoted follower whose view of the lease lapsed elects itself. Runs
-// on the default tenant's backend until ctx is done.
-func (b *serveBackend) leaseLoop(ctx context.Context, ls *leaseState) {
-	period := max(ls.holder.TTL()/4, 10*time.Millisecond)
-	t := time.NewTicker(period)
+// leaseLoop drives the daemon's timed lease at TTL/4: a backend that has
+// led renews its term (through the replication stream when followers are
+// configured; a deposed or handed-off one has nothing left to renew), one
+// that never led elects itself once its view of the lease lapsed. Runs on
+// the default tenant's backend until ctx is done.
+func (b *serveBackend) leaseLoop(ctx context.Context) {
+	t := time.NewTicker(max(b.holder.TTL()/4, 10*time.Millisecond))
 	defer t.Stop()
 	for {
 		select {
@@ -594,45 +542,48 @@ func (b *serveBackend) leaseLoop(ctx context.Context, ls *leaseState) {
 			return
 		case <-t.C:
 		}
-		b.fmu.Lock()
-		follower, promoted, src := b.follower, b.promoted, b.srcConn
-		b.fmu.Unlock()
-		if !follower || promoted {
-			b.renewTick(ctx, ls)
+		if b.holder.Led() {
+			b.renewTick(ctx)
 		} else {
-			b.electTick(ctx, ls, src)
+			b.electTick(ctx)
 		}
 	}
 }
 
-// renewTick extends the leader's lease. With configured followers the
-// renewal is a MsgLeaseGrant broadcast on the replication stream needing a
-// quorum of acks, so a partitioned leader LAPSES within one TTL and starts
-// refusing writes typed — the split-brain rule: once leases are on, safety
-// beats availability. A refusal as stale means a higher epoch exists
-// somewhere; the leader deposes itself immediately.
-func (b *serveBackend) renewTick(ctx context.Context, ls *leaseState) {
-	term, _ := ls.holder.Current()
-	if term.Leader != ls.holder.Self() || ls.holder.Deposed() {
+// renewTick announces the leader's term to its followers and extends it.
+// With configured followers the renewal is a MsgLeaseGrant broadcast on the
+// replication stream needing a quorum of acks, so a partitioned leader
+// LAPSES within one TTL and starts refusing writes typed — the split-brain
+// rule: with a TTL, safety beats availability. A refusal as stale means a
+// higher epoch exists somewhere; the leader deposes itself immediately.
+func (b *serveBackend) renewTick(ctx context.Context) {
+	h, ls := b.holder, b.lease
+	term, _ := h.Current()
+	if term.Leader != h.Self() || h.Deposed() {
 		return // deposed, or handed off: this daemon no longer renews
 	}
 	rp := b.replicator()
 	if rp == nil || ls.renewQuorum == 0 {
-		_ = ls.holder.Renew()
+		_ = h.Renew()
 		return
 	}
-	info := rpc.LeaseInfo{Epoch: term.Epoch, Leader: term.Leader, TTLMS: uint64(ls.holder.TTL() / time.Millisecond)}
-	rctx, cancel := context.WithTimeout(ctx, ls.holder.TTL())
+	info := rpc.LeaseInfo{Epoch: term.Epoch, Leader: term.Leader, TTLMS: uint64(h.TTL() / time.Millisecond)}
+	// A timed renewal is worthless past its TTL; an untimed announcement is
+	// bounded by the replicator's per-follower ack timeout alone.
+	rctx, cancel := ctx, context.CancelFunc(func() {})
+	if h.TTL() > 0 {
+		rctx, cancel = context.WithTimeout(ctx, h.TTL())
+	}
 	acked, stale := rp.RenewLease(rctx, info)
 	cancel()
 	switch {
 	case stale:
-		ls.holder.Depose()
-		ls.logf("lease: renewal refused as stale, a higher epoch exists; deposed, refusing writes")
+		h.Depose()
+		b.logf("lease: renewal refused as stale, a higher epoch exists; deposed, refusing writes")
 	case acked >= ls.renewQuorum:
-		_ = ls.holder.Renew()
+		_ = h.Renew()
 	default:
-		ls.logf("lease: renewal acked by %d/%d followers, quorum not met; lease will lapse", acked, ls.renewQuorum)
+		b.logf("lease: renewal acked by %d/%d followers, quorum not met; a timed lease will lapse", acked, ls.renewQuorum)
 	}
 }
 
@@ -640,71 +591,90 @@ func (b *serveBackend) renewTick(ctx context.Context, ls *leaseState) {
 // 0), its lease lapsed, and its replication link is gone, the follower
 // asks each configured peer to vote it the next epoch; with a majority of
 // peer votes (none needed without peers — the two-node deployment) it
-// acquires the term and promotes itself. No farmerctl promote involved.
-func (b *serveBackend) electTick(ctx context.Context, ls *leaseState, src uint64) {
-	term, remaining := ls.holder.Current()
-	if src != 0 || term.Epoch == 0 || remaining > 0 {
+// acquires the term and serves writes. No farmerctl promote involved.
+func (b *serveBackend) electTick(ctx context.Context) {
+	term, remaining := b.holder.Current()
+	if b.source() != 0 || term.Epoch == 0 || remaining > 0 {
 		return
 	}
 	next := term.Epoch + 1
 	votes := 0
-	for _, peer := range ls.peers {
-		if b.voteFrom(ctx, ls, peer, next) {
+	for _, peer := range b.lease.peers {
+		if b.voteFrom(ctx, peer, next) {
 			votes++
 		}
 	}
-	if need := (1 + len(ls.peers)) / 2; votes < need {
-		ls.logf("lease: election for epoch %d got %d/%d peer votes; retrying", next, votes, need)
+	if need := (1 + len(b.lease.peers)) / 2; votes < need {
+		b.logf("lease: election for epoch %d got %d/%d peer votes; retrying", next, votes, need)
 		return
 	}
-	won, err := ls.holder.Acquire()
+	won, err := b.holder.Acquire()
 	if err != nil {
-		ls.logf("lease: election for epoch %d lost: %v", next, err)
+		b.logf("lease: election for epoch %d lost: %v", next, err)
 		return
 	}
-	b.fmu.Lock()
-	b.promoted = true
-	b.fmu.Unlock()
-	ls.logf("lease: elected at epoch %d after the leader's lease lapsed; accepting writes", won.Epoch)
+	b.logf("lease: elected at epoch %d after the leader's lease lapsed; accepting writes", won.Epoch)
 }
 
 // voteFrom asks one peer for its vote. Any failure — unreachable peer, a
 // stale refusal, a peer that heard from the sitting leader more recently —
 // is a withheld vote, never fatal: the next tick retries.
-func (b *serveBackend) voteFrom(ctx context.Context, ls *leaseState, peer string, epoch uint64) bool {
-	vctx, cancel := context.WithTimeout(ctx, ls.holder.TTL())
+func (b *serveBackend) voteFrom(ctx context.Context, peer string, epoch uint64) bool {
+	vctx, cancel := context.WithTimeout(ctx, b.holder.TTL())
 	defer cancel()
-	c, err := rpc.DialWith(vctx, peer, ls.dialOpts)
+	c, err := rpc.DialWith(vctx, peer, b.lease.dialOpts)
 	if err != nil {
 		return false
 	}
 	defer c.Close()
-	return c.LeaseVote(vctx, epoch, ls.holder.Self()) == nil
+	return c.LeaseVote(vctx, epoch, b.holder.Self()) == nil
+}
+
+// source reports the pinned primary link's connection id (0 = none).
+func (b *serveBackend) source() uint64 {
+	b.fmu.Lock()
+	defer b.fmu.Unlock()
+	return b.srcConn
+}
+
+// pinSource admits conn as this backend's replication source. Only a
+// backend that has never led accepts a primary: a promoted follower or a
+// deposed source still has to restart to re-join. Pinning before the
+// install is safe — the connection is serial, so no replicate frame can
+// race it, and any other connection's catch-up is refused here.
+func (b *serveBackend) pinSource(conn uint64) error {
+	b.fmu.Lock()
+	defer b.fmu.Unlock()
+	if b.holder.Led() {
+		return errors.New("farmer: this farmerd has led (a primary, or a promoted follower) and refuses a new primary; restart it with -follow to re-join as a follower")
+	}
+	if b.srcConn != 0 && b.srcConn != conn {
+		return errors.New("farmer: already following a primary on another connection")
+	}
+	b.srcConn = conn
+	return nil
+}
+
+// unpinSource releases the primary link if conn is it, and reports whether
+// it was. Untimed, the observed term ends with the link that delivered it
+// (Holder.LinkLost) — that is the whole of "lease-less" semantics.
+func (b *serveBackend) unpinSource(conn uint64) bool {
+	b.fmu.Lock()
+	defer b.fmu.Unlock()
+	if b.srcConn != conn {
+		return false
+	}
+	b.srcConn = 0
+	b.holder.LinkLost()
+	return true
 }
 
 func (b *serveBackend) Catchup(conn uint64, cut rpc.CatchupCut) error {
-	b.fmu.Lock()
-	if !b.follower {
-		b.fmu.Unlock()
-		return errors.New("farmer: this farmerd is not a follower (start it with -follow to accept a primary)")
+	if err := b.pinSource(conn); err != nil {
+		return err
 	}
-	if b.promoted {
-		b.fmu.Unlock()
-		return errors.New("farmer: promoted follower refuses a new primary (restart it to re-join as a follower)")
-	}
-	if b.srcConn != 0 && b.srcConn != conn {
-		b.fmu.Unlock()
-		return errors.New("farmer: already following a primary on another connection")
-	}
-	// Pin the source before installing: this connection is serial, so no
-	// replicate frame can race the install, and any other connection's
-	// catch-up is refused above.
-	b.srcConn = conn
-	b.fmu.Unlock()
 	if err := b.m.applyCatchup(cut); err != nil {
-		b.fmu.Lock()
-		b.srcConn = 0
-		b.fmu.Unlock()
+		b.unpinSource(conn)
 		return err
 	}
 	b.logf("caught up from primary at position %d (%d files)", cut.Pos, cut.FileCount)
@@ -718,27 +688,11 @@ func (b *serveBackend) Catchup(conn uint64, cut rpc.CatchupCut) error {
 // primary's fallback — a full cut, usually on a fresh connection — is not
 // refused as a second primary.
 func (b *serveBackend) CatchupDelta(conn uint64, d rpc.CatchupDelta) error {
-	b.fmu.Lock()
-	if !b.follower {
-		b.fmu.Unlock()
-		return errors.New("farmer: this farmerd is not a follower (start it with -follow to accept a primary)")
+	if err := b.pinSource(conn); err != nil {
+		return err
 	}
-	if b.promoted {
-		b.fmu.Unlock()
-		return errors.New("farmer: promoted follower refuses a new primary (restart it to re-join as a follower)")
-	}
-	if b.srcConn != 0 && b.srcConn != conn {
-		b.fmu.Unlock()
-		return errors.New("farmer: already following a primary on another connection")
-	}
-	b.srcConn = conn
-	b.fmu.Unlock()
 	if err := b.m.applyCatchupDelta(d); err != nil {
-		b.fmu.Lock()
-		if b.srcConn == conn {
-			b.srcConn = 0
-		}
-		b.fmu.Unlock()
+		b.unpinSource(conn)
 		return err
 	}
 	if d.Final {
@@ -751,10 +705,7 @@ func (b *serveBackend) CatchupDelta(conn uint64, d rpc.CatchupDelta) error {
 // replicated guards one replication-stream frame: right source connection,
 // right stream position.
 func (b *serveBackend) replicated(conn uint64, pos uint64) error {
-	b.fmu.Lock()
-	src := b.srcConn
-	b.fmu.Unlock()
-	if src == 0 || src != conn {
+	if src := b.source(); src == 0 || src != conn {
 		return errors.New("farmer: replication frame from a connection that has not caught this follower up")
 	}
 	if fed := b.m.sm.Fed(); fed != pos {
@@ -810,26 +761,14 @@ func groupsInfo(gi ReplicaGroupsInfo) rpc.GroupsInfo {
 }
 
 // defaultCatchupTail is how many recent records a primary retains for delta
-// catch-up when ServeConfig.CatchupTail is zero.
+// catch-up: a follower that restarts holding its own on-disk checkpoint
+// inside that tail is caught up by replaying just the records it missed
+// (MsgCatchupDelta) instead of shipping a full snapshot — O(missed
+// records), not O(model).
 const defaultCatchupTail = 65536
 
-// catchupTail resolves the ServeConfig.CatchupTail convention: 0 = default,
-// negative = disabled.
-func catchupTail(cfg int) int {
-	if cfg < 0 {
-		return 0
-	}
-	if cfg == 0 {
-		return defaultCatchupTail
-	}
-	return cfg
-}
-
 func (b *serveBackend) ConnClosed(conn uint64) {
-	b.fmu.Lock()
-	defer b.fmu.Unlock()
-	if b.srcConn == conn {
-		b.srcConn = 0
+	if b.unpinSource(conn) {
 		b.logf("primary replication link lost; this follower is now promotable")
 	}
 }
@@ -864,36 +803,27 @@ func Serve(ctx context.Context, lis net.Listener, m *LocalMiner, cfg ServeConfig
 	if saveBudget <= 0 {
 		saveBudget = max(cfg.DrainTimeout, cfg.Checkpoint, time.Minute)
 	}
-	backend := &serveBackend{m: m, drain: cfg.DrainTimeout, saveBudget: saveBudget, logf: cfg.Logf, follower: cfg.Follower}
-	var leaseSt *leaseState
-	if cfg.LeaseTTL > 0 {
-		id := cfg.LeaseID
-		if id == "" {
-			id = lis.Addr().String()
-		}
-		leaseSt = &leaseState{
-			holder:      lease.NewHolder(id, cfg.LeaseTTL, nil),
-			peers:       cfg.LeasePeers,
-			dialOpts:    rpc.DialOptions{Token: cfg.ReplicaToken, TLS: cfg.ReplicaTLS},
-			renewQuorum: (1 + len(cfg.ReplicateTo)) / 2,
-			replicaAck:  cfg.ReplicaAckTimeout,
-			logf:        cfg.Logf,
-		}
-		backend.lease = leaseSt
-		if !cfg.Follower {
-			// A fresh holder has observed nothing, so this cannot fail.
-			term, _ := leaseSt.holder.Acquire()
-			cfg.Logf("lease: leading at epoch %d (id %s, ttl %v)", term.Epoch, id, cfg.LeaseTTL)
-		}
+	id := cfg.LeaseID
+	if id == "" {
+		id = lis.Addr().String()
+	}
+	leaseSt := &leaseState{
+		holder:      newHolder(id, max(cfg.LeaseTTL, 0), cfg.Follower),
+		peers:       cfg.LeasePeers,
+		dialOpts:    rpc.DialOptions{Token: cfg.ReplicaToken, TLS: cfg.ReplicaTLS},
+		renewQuorum: (1 + len(cfg.ReplicateTo)) / 2,
+		replicaAck:  cfg.ReplicaAckTimeout,
+	}
+	backend := &serveBackend{m: m, saveBudget: saveBudget, logf: cfg.Logf, holder: leaseSt.holder, lease: leaseSt}
+	if !cfg.Follower {
+		cfg.Logf("lease: leading at epoch 1 (id %s, ttl %v)", id, leaseSt.holder.TTL())
 	}
 	if len(cfg.ReplicateTo) > 0 {
 		backend.repl = rpc.NewReplicator(m.sm.Fed(), cfg.ReplicaAckTimeout, func(addr string, err error) {
 			cfg.Logf("follower %s dropped from replication: %v", addr, err)
 		})
-		backend.repl.SetDialOptions(rpc.DialOptions{Token: cfg.ReplicaToken, TLS: cfg.ReplicaTLS})
-		if tail := catchupTail(cfg.CatchupTail); tail > 0 {
-			backend.repl.EnableDeltaCatchup(tail, m.catchupFingerprint)
-		}
+		backend.repl.SetDialOptions(leaseSt.dialOpts)
+		backend.repl.EnableDeltaCatchup(defaultCatchupTail, m.catchupFingerprint)
 		defer backend.repl.Close()
 		for _, addr := range cfg.ReplicateTo {
 			if err := backend.repl.Attach(ctx, addr, m.catchupCut); err != nil {
@@ -901,14 +831,13 @@ func Serve(ctx context.Context, lis net.Listener, m *LocalMiner, cfg ServeConfig
 			}
 			cfg.Logf("follower %s caught up and attached", addr)
 		}
-		if leaseSt != nil && !cfg.Follower {
-			// Announce the lease term to the just-attached followers now
-			// rather than at the first renewal tick: a leader that dies
-			// inside that first TTL/4 window would otherwise leave followers
-			// that never observed any lease — and a follower that has seen
-			// no epoch refuses to elect itself.
-			backend.renewTick(ctx, leaseSt)
-		}
+		// Announce the lease term to the just-attached followers now, TTL or
+		// not, so a follower always knows whose epoch it mirrors — and, under
+		// a TTL, rather than at the first renewal tick: a leader that dies
+		// inside that first TTL/4 window would otherwise leave followers that
+		// never observed any lease, and a follower that has seen no epoch
+		// refuses to elect itself.
+		backend.renewTick(ctx)
 	}
 	if cfg.Obs != nil {
 		m.AttachMetrics(cfg.Obs)
@@ -920,17 +849,14 @@ func Serve(ctx context.Context, lis net.Listener, m *LocalMiner, cfg ServeConfig
 			})
 			cfg.Obs.GaugeFunc("farmer_repl_followers", func() float64 { return float64(len(repl.Lags())) })
 		}
-		if leaseSt != nil {
-			cfg.Obs.GaugeFunc("farmer_lease_epoch", func() float64 {
-				term, _ := leaseSt.holder.Current()
-				return float64(term.Epoch)
-			})
-			leaseSt.handoffs = cfg.Obs.Counter("farmer_handoffs_total")
-			leaseSt.handoffNS = cfg.Obs.Histogram("farmer_handoff_duration_ns")
-		}
+		cfg.Obs.GaugeFunc("farmer_lease_epoch", func() float64 {
+			term, _ := leaseSt.holder.Current()
+			return float64(term.Epoch)
+		})
+		leaseSt.handoffs = cfg.Obs.Counter("farmer_handoffs_total")
+		leaseSt.handoffNS = cfg.Obs.Histogram("farmer_handoff_duration_ns")
 	}
-	reg := newRegistry(cfg, saveBudget)
-	reg.leaseSt = leaseSt
+	reg := newRegistry(cfg, saveBudget, leaseSt)
 	reg.registerDefault(m, backend)
 	defer reg.closeReplicators()
 	srv := rpc.NewResolverServer(reg, rpc.ServerOptions{AuthTokens: cfg.AuthTokens, Obs: cfg.Obs})
@@ -938,12 +864,12 @@ func Serve(ctx context.Context, lis net.Listener, m *LocalMiner, cfg ServeConfig
 		lis = tls.NewListener(lis, cfg.TLS)
 	}
 
-	if leaseSt != nil {
+	if cfg.LeaseTTL > 0 {
 		// Cancel on return, not just on ctx: the listener-failure path must
 		// not leave the renewal loop running through the drain.
 		lctx, stopLease := context.WithCancel(ctx)
 		defer stopLease()
-		go backend.leaseLoop(lctx, leaseSt)
+		go backend.leaseLoop(lctx)
 	}
 
 	serveErr := make(chan error, 1)

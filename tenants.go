@@ -93,14 +93,12 @@ type Registry struct {
 	cfg        *TenantsConfig // nil = single-tenant (named tenants refused)
 	logf       func(format string, args ...any)
 	follower   bool
-	drain      time.Duration
 	saveBudget time.Duration
 
 	replicateTo []string
-	replicaAck  time.Duration
-	replicaOpts rpc.DialOptions // token/TLS half; Tenant is stamped per tenant
-	ckptTail    int             // delta catch-up tail per tenant replicator (0 = disabled)
-	leaseSt     *leaseState     // daemon-wide lease, shared by every tenant backend (nil = disabled)
+	// leaseSt is shared by every tenant backend; its replicaAck and dialOpts
+	// (Tenant is stamped per tenant) also dial each tenant's stream.
+	leaseSt *leaseState
 
 	mu      sync.Mutex
 	tenants map[string]*tenantEntry
@@ -118,21 +116,14 @@ type tenantEntry struct {
 	lastUse time.Time // guarded by Registry.mu
 }
 
-func newRegistry(cfg ServeConfig, saveBudget time.Duration) *Registry {
-	ack := cfg.ReplicaAckTimeout
-	if ack <= 0 {
-		ack = 30 * time.Second
-	}
+func newRegistry(cfg ServeConfig, saveBudget time.Duration, leaseSt *leaseState) *Registry {
 	return &Registry{
 		cfg:         cfg.Tenants,
 		logf:        cfg.Logf,
 		follower:    cfg.Follower,
-		drain:       cfg.DrainTimeout,
 		saveBudget:  saveBudget,
 		replicateTo: cfg.ReplicateTo,
-		replicaAck:  ack,
-		replicaOpts: rpc.DialOptions{Token: cfg.ReplicaToken, TLS: cfg.ReplicaTLS},
-		ckptTail:    catchupTail(cfg.CatchupTail),
+		leaseSt:     leaseSt,
 		tenants:     make(map[string]*tenantEntry),
 	}
 }
@@ -217,23 +208,27 @@ func (g *Registry) openLocked(tenant string) (*tenantEntry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("farmer: opening tenant %q: %w", tenant, err)
 	}
+	// Untimed, a term is scoped to one replication stream: promoting this
+	// tenant must not make a neighbor writable while its link is attached.
+	holder := g.leaseSt.holder
+	if holder.TTL() <= 0 {
+		holder = newHolder(holder.Self(), 0, g.follower)
+	}
 	b := &serveBackend{
-		m: m, drain: g.drain, saveBudget: g.saveBudget,
-		logf:     func(format string, args ...any) { g.logf("tenant %q: "+format, append([]any{tenant}, args...)...) },
-		follower: g.follower, tenant: tenant, budget: bud,
-		lease: g.leaseSt,
+		m: m, saveBudget: g.saveBudget,
+		logf:   func(format string, args ...any) { g.logf("tenant %q: "+format, append([]any{tenant}, args...)...) },
+		tenant: tenant, budget: bud,
+		holder: holder, lease: g.leaseSt,
 	}
 	b.memPending.Store(budgetCheckStride) // first feed checks the footprint
 	if len(g.replicateTo) > 0 {
-		repl := rpc.NewReplicator(m.sm.Fed(), g.replicaAck, func(addr string, err error) {
+		repl := rpc.NewReplicator(m.sm.Fed(), g.leaseSt.replicaAck, func(addr string, err error) {
 			g.logf("tenant %q: follower %s dropped from replication: %v", tenant, addr, err)
 		})
-		do := g.replicaOpts
+		do := g.leaseSt.dialOpts
 		do.Tenant = tenant
 		repl.SetDialOptions(do)
-		if g.ckptTail > 0 {
-			repl.EnableDeltaCatchup(g.ckptTail, m.catchupFingerprint)
-		}
+		repl.EnableDeltaCatchup(defaultCatchupTail, m.catchupFingerprint)
 		for _, addr := range g.replicateTo {
 			// Unlike the default tenant's startup attach, an unreachable
 			// follower here does not fail the open: the daemon is already
@@ -245,6 +240,7 @@ func (g *Registry) openLocked(tenant string) (*tenantEntry, error) {
 			g.logf("tenant %q: follower %s caught up and attached", tenant, addr)
 		}
 		b.repl = repl
+		b.renewTick(context.Background()) // announce the term to the attached followers
 	}
 	e := &tenantEntry{name: tenant, m: m, backend: b, owned: true, lastUse: time.Now()}
 	g.tenants[tenant] = e
