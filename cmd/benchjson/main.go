@@ -12,8 +12,8 @@
 // becomes one entry carrying the iteration count and every reported metric;
 // goos/goarch/cpu/pkg header lines are attached to the entries they precede.
 //
-// With -diff, two archived runs are compared instead: ns/op is
-// lower-is-better, any "/s" metric is higher-is-better, and a regression
+// With -diff, two archived runs are compared instead: ns/op and allocs/op
+// are lower-is-better, any "/s" metric is higher-is-better, and a regression
 // beyond -threshold (default 20%) on a benchmark present in both runs makes
 // the command exit 1. Rows measured with a single iteration in either run
 // are reported but never gated — one iteration seeds the trajectory, it is
@@ -96,8 +96,9 @@ func convert() {
 }
 
 // runDiff compares two archived runs and returns the process exit code.
-// Benchmarks are matched by package + name; metrics other than ns/op and
-// rates ("/s" suffix) carry no agreed direction and are not compared.
+// Benchmarks are matched by package + name; metrics other than ns/op,
+// allocs/op and rates ("/s" suffix) carry no agreed direction and are not
+// compared.
 func runDiff(oldPath, newPath string, threshold float64) int {
 	oldRun, err := loadRun(oldPath)
 	if err != nil {
@@ -128,7 +129,7 @@ func runDiff(oldPath, newPath string, threshold float64) int {
 		}
 		sort.Strings(metrics)
 		for _, m := range metrics {
-			lowerBetter := m == "ns/op"
+			lowerBetter := m == "ns/op" || m == "allocs/op"
 			if !lowerBetter && !strings.HasSuffix(m, "/s") {
 				continue
 			}

@@ -68,6 +68,14 @@ func TestRunDiff(t *testing.T) {
 	if c := runDiff(old, lowRate, 0.20); c != 1 {
 		t.Fatalf("records/s regression: exit %d, want 1", c)
 	}
+	// allocs/op is tracked like ns/op: one allocation per op becoming two fails.
+	oneAlloc := []Result{{Name: "BenchmarkFeed-8", Pkg: "farmer/internal/core", Iterations: 10,
+		Metrics: map[string]float64{"ns/op": 1500, "allocs/op": 1, "B/op": 55}}}
+	twoAllocs := []Result{{Name: "BenchmarkFeed-8", Pkg: "farmer/internal/core", Iterations: 10,
+		Metrics: map[string]float64{"ns/op": 1500, "allocs/op": 2, "B/op": 55}}}
+	if c := runDiff(writeRun(t, "one.json", oneAlloc), writeRun(t, "two.json", twoAllocs), 0.20); c != 1 {
+		t.Fatalf("allocs/op regression: exit %d, want 1", c)
+	}
 	// A single-iteration row is reported but never gated.
 	if c := runDiff(old, smoke, 0.20); c != 0 {
 		t.Fatalf("smoke row gated: exit %d, want 0", c)

@@ -1,0 +1,62 @@
+package core
+
+import (
+	"testing"
+
+	"farmer/internal/kvstore"
+	"farmer/internal/tracegen"
+)
+
+// The allocation gate: the steady-state mining path is one allocation per
+// record (the stored vector's scalar slice) and a sharded batch allocates
+// per call, not per event. A change that puts a per-record allocation back
+// fails here instead of showing up later as a slower ledger row.
+
+func TestFeedAllocsPerRecord(t *testing.T) {
+	tr := tracegen.HP(20000).MustGenerate()
+	for _, dirty := range []bool{false, true} {
+		m := New(DefaultConfig())
+		m.FeedTrace(tr) // warm: every file tracked, every list and edge table grown
+		if dirty {
+			st, err := kvstore.Open("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			if err := m.SaveTo(st); err != nil { // a completed save turns dirty tracking on
+				t.Fatal(err)
+			}
+			m.FeedTrace(tr) // warm the dirty set too
+		}
+		i := 0
+		perRecord := testing.AllocsPerRun(len(tr.Records), func() {
+			m.Feed(&tr.Records[i%len(tr.Records)])
+			i++
+		})
+		t.Logf("dirty tracking %v: %.2f allocs/record", dirty, perRecord)
+		if perRecord > 1 {
+			t.Errorf("dirty tracking %v: Model.Feed allocates %.2f times per record at steady state, want <= 1", dirty, perRecord)
+		}
+	}
+}
+
+func TestFeedBatchAllocsPerCall(t *testing.T) {
+	const batch = 1024
+	tr := tracegen.HP(20 * batch).MustGenerate()
+	cfg := DefaultConfig()
+	cfg.Shards = 2
+	sm := NewSharded(cfg)
+	sm.FeedBatch(tr.Records)
+	i := 0
+	perCall := testing.AllocsPerRun(len(tr.Records)/batch, func() {
+		sm.FeedBatch(tr.Records[i*batch : (i+1)*batch])
+		i = (i + 1) % (len(tr.Records) / batch)
+	})
+	// One scalar slice per record is Stage 1's; what the batch machinery adds
+	// on top — goroutines, channels, closures, a chunk the pool had dropped —
+	// must not grow with the ~4 events each record fans out to.
+	t.Logf("%.0f allocs per FeedBatch(%d)", perCall, batch)
+	if overhead := perCall - batch; overhead > 64 {
+		t.Errorf("FeedBatch(%d) at 2 shards allocates %.0f times per call, %.0f beyond one per record; want O(1) per call", batch, perCall, overhead)
+	}
+}

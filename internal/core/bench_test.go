@@ -70,7 +70,11 @@ func BenchmarkFeedTraceSharded(b *testing.B) {
 	}
 }
 
-// BenchmarkFeedNoSemantics isolates the sequence-mining cost (p = 0 path).
+// BenchmarkFeedNoSemantics feeds at p = 0, where R(x,y) is pure frequency.
+// It does not isolate the sequence-mining cost: vsm.Sim is still computed
+// for every evaluated pair, because the result is stored in Correlator.Sim
+// (and fingerprinted) whatever its weight in the degree. Against
+// BenchmarkFeed it shows only what the p-dependent list churn costs.
 func BenchmarkFeedNoSemantics(b *testing.B) {
 	tr := tracegen.HP(50000).MustGenerate()
 	cfg := DefaultConfig()

@@ -21,7 +21,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"farmer/internal/graph"
@@ -284,23 +283,40 @@ func (m *Model) evaluateVec(pred, succ trace.FileID, vs vsm.Vector, okS bool) {
 		}
 		return
 	}
-	entry := Correlator{File: succ, Degree: degree, Sim: sim, Freq: freq}
-	if idx >= 0 {
-		list[idx] = entry
-	} else {
+	m.lists[pred] = placeCorrelator(list, idx, Correlator{File: succ, Degree: degree, Sim: sim, Freq: freq}, m.cfg.MaxCorrelators)
+	m.notifyListChange(pred)
+}
+
+// ranksBefore is the Correlator List order: decreasing degree, ties toward
+// the lower file id. A list holds each file once, so the order is total and
+// a sorted list is unique.
+func ranksBefore(a, b *Correlator) bool {
+	if a.Degree != b.Degree {
+		return a.Degree > b.Degree
+	}
+	return a.File < b.File
+}
+
+// placeCorrelator is Stage 4 for one changed degree: entry replaces list[idx]
+// (or is appended when idx < 0) and slides to its rank — every other entry
+// is already in order, so moving the one that changed re-sorts the list —
+// and the list is cut to limit entries (0 = unbounded).
+func placeCorrelator(list []Correlator, idx int, entry Correlator, limit int) []Correlator {
+	if idx < 0 {
+		idx = len(list)
 		list = append(list, entry)
 	}
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].Degree != list[j].Degree {
-			return list[i].Degree > list[j].Degree
-		}
-		return list[i].File < list[j].File
-	})
-	if m.cfg.MaxCorrelators > 0 && len(list) > m.cfg.MaxCorrelators {
-		list = list[:m.cfg.MaxCorrelators]
+	for ; idx > 0 && ranksBefore(&entry, &list[idx-1]); idx-- {
+		list[idx] = list[idx-1]
 	}
-	m.lists[pred] = list
-	m.notifyListChange(pred)
+	for ; idx < len(list)-1 && ranksBefore(&list[idx+1], &entry); idx++ {
+		list[idx] = list[idx+1]
+	}
+	list[idx] = entry
+	if limit > 0 && len(list) > limit {
+		list = list[:limit]
+	}
+	return list
 }
 
 // FeedTrace feeds every record of a trace in order.

@@ -848,6 +848,14 @@ func decodeGraphNode(raw []byte) (total float64, edges []graph.Edge, err error) 
 			To:     trace.FileID(le.Uint32(raw[off:])),
 			Weight: math.Float64frombits(le.Uint64(raw[off+4:])),
 		}
+		// Every writer emits edges in ascending id order. A record that
+		// repeats (or reorders) a successor is refused: installed as it
+		// stands, the repeat would sit in the node's edge table and be
+		// credited apart from its twin, diverging Frequency from any
+		// honestly mined model.
+		if i > 0 && edges[i].To <= edges[i-1].To {
+			return 0, nil, fmt.Errorf("graph node: edge %d to file %d after file %d, want ascending ids", i, edges[i].To, edges[i-1].To)
+		}
 	}
 	return total, edges, nil
 }

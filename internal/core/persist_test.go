@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"farmer/internal/kvstore"
@@ -689,5 +690,57 @@ func TestCorruptCountsRejectedNotPanic(t *testing.T) {
 	}
 	if _, err := readWindow(s); err == nil {
 		t.Fatal("overflowing window count accepted")
+	}
+}
+
+// TestRepeatedEdgeRejected: a persisted graph node naming one successor twice
+// is refused at decode. A map-backed node collapsed the repeat; an edge slice
+// would hold both copies and credit them apart, so the mined state could
+// never again match an honest miner's. Reachable from a hostile catch-up
+// snapshot as well as a bad disk — the farmer package's
+// TestCatchupRejectsRepeatedEdge drives that path.
+func TestRepeatedEdgeRejected(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Shards = 2
+	sm := NewSharded(cfg)
+	sm.FeedBatch(tracegen.HP(2000).MustGenerate().Records)
+	st, err := kvstore.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := sm.SaveMerged(st); err != nil {
+		t.Fatal(err)
+	}
+	if err := NewSharded(cfg).LoadMerged(st); err != nil {
+		t.Fatalf("honest store refused: %v", err)
+	}
+	repeatFirstEdge(t, st)
+	if err := NewSharded(cfg).LoadMerged(st); err == nil || !strings.Contains(err.Error(), "ascending") {
+		t.Fatalf("LoadMerged of a node with a repeated edge: %v, want the decode refusal", err)
+	}
+	if err := New(DefaultConfig()).LoadFrom(st); err == nil {
+		t.Fatal("LoadFrom accepted a node with a repeated edge")
+	}
+}
+
+// repeatFirstEdge rewrites the first persisted graph node holding two or
+// more edges so that its second edge names the first edge's successor again.
+func repeatFirstEdge(t *testing.T, st *kvstore.Store) {
+	t.Helper()
+	var key, val []byte
+	st.Scan([]byte(keyPrefixGraph), prefixEnd(keyPrefixGraph), func(k, v []byte) bool {
+		if binary.LittleEndian.Uint32(v[8:12]) < 2 {
+			return true
+		}
+		key, val = append(key, k...), append(val, v...)
+		return false
+	})
+	if key == nil {
+		t.Fatal("no graph node with two edges to tamper with")
+	}
+	copy(val[24:28], val[12:16]) // edge 1's To := edge 0's To
+	if err := st.Put(key, val); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -256,6 +256,12 @@ func (s *ShardedModel) ApplyExternal(evs []partition.Event) {
 // shards busy on modest batches.
 const eventChunk = 512
 
+// chunkPool recycles FeedBatch's event chunks across calls and ensembles.
+// A chunk has one owner at a time: the dispatching goroutine while it fills,
+// then the shard worker it was sent to, which returns it to the pool only
+// after ApplyEvents and tap publication are done with its events.
+var chunkPool = sync.Pool{New: func() any { return new([eventChunk]partition.Event) }}
+
 // FeedBatch ingests a batch of records with all shards mining in parallel.
 // The records are treated as one contiguous stream segment continuing the
 // model's current lookahead window; the final state is identical to feeding
@@ -295,24 +301,27 @@ func (s *ShardedModel) FeedBatch(records []trace.Record) {
 			defer wg.Done()
 			for evs := range ch {
 				m.ApplyEvents(evs)
-				if s.tapCount.Load() == 0 {
-					continue
-				}
-				// Post-ingest taps: one event per record this shard owns,
-				// published by the lone worker so delivery stays FIFO.
-				for i := range evs {
-					if evs[i].Access {
-						s.publish(shard, TapEvent{Seq: evs[i].Seq, File: evs[i].Succ, Shard: shard})
+				if s.tapCount.Load() != 0 {
+					// Post-ingest taps: one event per record this shard owns,
+					// published by the lone worker so delivery stays FIFO.
+					for i := range evs {
+						if evs[i].Access {
+							s.publish(shard, TapEvent{Seq: evs[i].Seq, File: evs[i].Succ, Shard: shard})
+						}
 					}
 				}
+				chunkPool.Put((*[eventChunk]partition.Event)(evs[:eventChunk]))
 			}
 		}(i, s.shards[i], chans[i])
 	}
 
 	bufs := make([][]partition.Event, n)
 	emit := func(shard int, ev partition.Event) {
+		if bufs[shard] == nil {
+			bufs[shard] = chunkPool.Get().(*[eventChunk]partition.Event)[:0]
+		}
 		bufs[shard] = append(bufs[shard], ev)
-		if len(bufs[shard]) >= eventChunk {
+		if len(bufs[shard]) == eventChunk {
 			chans[shard] <- bufs[shard]
 			bufs[shard] = nil
 		}
@@ -471,6 +480,7 @@ func (m *Model) reset() {
 		m.notifyListChange(f)
 	}
 	m.vectors = make(map[trace.FileID]vsm.Vector)
+	m.extractor.Reset()
 	m.g = graph.New(m.cfg.Graph)
 	m.window = m.window[:0]
 	m.fed = 0

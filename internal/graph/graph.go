@@ -8,7 +8,8 @@
 package graph
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"farmer/internal/trace"
@@ -61,9 +62,38 @@ type Edge struct {
 	Weight float64 // accumulated LDA credit N_xy
 }
 
+// node is one file's out-edge table: a compact slice searched linearly, with
+// distinct To ids in no particular order. At the default MaxSuccessors it is
+// at most 64 entries (1 KiB), where a scan beats hashing and the eviction
+// victim is found without iterating a map.
 type node struct {
 	total float64 // N_x: accumulated outbound credit (denominator of F)
-	edges map[trace.FileID]float64
+	edges []Edge
+}
+
+// find returns the slot of the edge to the given file, -1 when there is none.
+func (n *node) find(to trace.FileID) int {
+	for i := range n.edges {
+		if n.edges[i].To == to {
+			return i
+		}
+	}
+	return -1
+}
+
+// weight returns N_xy for the edge to the given file, 0 when there is none.
+func (n *node) weight(to trace.FileID) float64 {
+	if i := n.find(to); i >= 0 {
+		return n.edges[i].Weight
+	}
+	return 0
+}
+
+// sortedByID returns a copy of the out-edges in ascending file id order.
+func (n *node) sortedByID() []Edge {
+	out := slices.Clone(n.edges)
+	slices.SortFunc(out, func(a, b Edge) int { return cmp.Compare(a.To, b.To) })
+	return out
 }
 
 // Graph is the correlation graph. Feed is single-writer; read methods may be
@@ -125,28 +155,31 @@ func (g *Graph) Add(from, to trace.FileID, w float64) {
 func (g *Graph) addEdge(from, to trace.FileID, w float64) {
 	n := g.nodes[from]
 	if n == nil {
-		n = &node{edges: make(map[trace.FileID]float64, 4)}
+		n = &node{edges: make([]Edge, 0, 4)}
 		g.nodes[from] = n
 	}
 	n.total += w
-	if _, exists := n.edges[to]; !exists && g.cfg.MaxSuccessors > 0 && len(n.edges) >= g.cfg.MaxSuccessors {
-		// Evict the weakest edge to stay within budget. Ties break toward the
-		// lowest file id so eviction — and therefore the whole mined state —
-		// is deterministic regardless of map iteration order.
-		var victim trace.FileID
-		minW := -1.0
-		for id, ew := range n.edges {
-			if minW < 0 || ew < minW || (ew == minW && id < victim) {
-				minW = ew
-				victim = id
-			}
-		}
-		if minW >= 0 && w <= minW {
-			return // new edge weaker than the weakest; drop it
-		}
-		delete(n.edges, victim)
+	if i := n.find(to); i >= 0 {
+		n.edges[i].Weight += w
+		return
 	}
-	n.edges[to] += w
+	if g.cfg.MaxSuccessors <= 0 || len(n.edges) < g.cfg.MaxSuccessors {
+		n.edges = append(n.edges, Edge{To: to, Weight: w})
+		return
+	}
+	// Full: the weakest edge makes room, unless the new edge is no stronger.
+	// Ties break toward the lowest file id — a total order, so eviction, and
+	// therefore the whole mined state, does not depend on slot order.
+	victim := &n.edges[0]
+	for i := 1; i < len(n.edges); i++ {
+		e := &n.edges[i]
+		if e.Weight < victim.Weight || (e.Weight == victim.Weight && e.To < victim.To) {
+			victim = e
+		}
+	}
+	if w > victim.Weight {
+		*victim = Edge{To: to, Weight: w}
+	}
 }
 
 // Weight returns the accumulated credit N_xy for edge from->to.
@@ -155,7 +188,7 @@ func (g *Graph) Weight(from, to trace.FileID) float64 {
 	if n == nil {
 		return 0
 	}
-	return n.edges[to]
+	return n.weight(to)
 }
 
 // Total returns N_x, the accumulated outbound credit of a node.
@@ -174,7 +207,7 @@ func (g *Graph) Frequency(from, to trace.FileID) float64 {
 	if n == nil || n.total == 0 {
 		return 0
 	}
-	return n.edges[to] / n.total
+	return n.weight(to) / n.total
 }
 
 // Successors returns all out-edges of a node sorted by decreasing weight
@@ -184,15 +217,9 @@ func (g *Graph) Successors(from trace.FileID) []Edge {
 	if n == nil {
 		return nil
 	}
-	out := make([]Edge, 0, len(n.edges))
-	for id, w := range n.edges {
-		out = append(out, Edge{To: id, Weight: w})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Weight != out[j].Weight {
-			return out[i].Weight > out[j].Weight
-		}
-		return out[i].To < out[j].To
+	out := slices.Clone(n.edges)
+	slices.SortFunc(out, func(a, b Edge) int {
+		return cmp.Or(cmp.Compare(b.Weight, a.Weight), cmp.Compare(a.To, b.To))
 	})
 	return out
 }
@@ -211,10 +238,11 @@ func (g *Graph) Edges() int {
 
 // MemoryBytes estimates the resident size of the graph's correlation state:
 // per-node overhead plus per-edge entries. Used for the Table-4 space
-// overhead experiment.
+// overhead experiment and tenant budgets, so the constants are part of the
+// model's observable behaviour and do not follow layout changes.
 func (g *Graph) MemoryBytes() int64 {
 	const (
-		nodeOverhead = 64 // map entry + node struct + edge map header
+		nodeOverhead = 64 // map entry + node struct + edge table header
 		edgeBytes    = 16 // fileID + float64 (+ padding amortised)
 	)
 	var b int64
@@ -233,12 +261,7 @@ func (g *Graph) MemoryBytes() int64 {
 // diverge from a continuously-mined model.
 func (g *Graph) Export(fn func(from trace.FileID, total float64, edges []Edge) bool) {
 	for id, nd := range g.nodes {
-		out := make([]Edge, 0, len(nd.edges))
-		for to, w := range nd.edges {
-			out = append(out, Edge{To: to, Weight: w})
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].To < out[j].To })
-		if !fn(id, nd.total, out) {
+		if !fn(id, nd.total, nd.sortedByID()) {
 			return
 		}
 	}
@@ -253,22 +276,15 @@ func (g *Graph) ExportNode(from trace.FileID) (total float64, edges []Edge, ok b
 	if !ok {
 		return 0, nil, false
 	}
-	out := make([]Edge, 0, len(nd.edges))
-	for to, w := range nd.edges {
-		out = append(out, Edge{To: to, Weight: w})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].To < out[j].To })
-	return nd.total, out, true
+	return nd.total, nd.sortedByID(), true
 }
 
 // RestoreNode installs one exported node exactly — total and edge weights as
-// given, replacing any existing node for the same file.
+// given, replacing any existing node for the same file. The edges must name
+// distinct successors, as Export's do; the checkpoint decoder refuses a
+// record that repeats one.
 func (g *Graph) RestoreNode(from trace.FileID, total float64, edges []Edge) {
-	n := &node{total: total, edges: make(map[trace.FileID]float64, len(edges))}
-	for _, e := range edges {
-		n.edges[e.To] = e.Weight
-	}
-	g.nodes[from] = n
+	g.nodes[from] = &node{total: total, edges: slices.Clone(edges)}
 }
 
 // Window returns a copy of the lookahead window, oldest first.
@@ -296,12 +312,9 @@ func (g *Graph) Prune(minFreq float64) int {
 			delete(g.nodes, id)
 			continue
 		}
-		for to, w := range nd.edges {
-			if w/nd.total < minFreq {
-				delete(nd.edges, to)
-				removed++
-			}
-		}
+		before := len(nd.edges)
+		nd.edges = slices.DeleteFunc(nd.edges, func(e Edge) bool { return e.Weight/nd.total < minFreq })
+		removed += before - len(nd.edges)
 		if len(nd.edges) == 0 {
 			delete(g.nodes, id)
 		}

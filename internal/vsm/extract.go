@@ -9,16 +9,54 @@ import (
 // Extractor is FARMER's Stage-1 component (paper §3.1): it turns a file
 // request into the semantic vector for the requested file, restricted to the
 // attributes enabled in the mask. The HUSt prototype calls this the
-// "extractor" filter.
+// "extractor" filter. Extract is single-writer: callers serialize around an
+// Extractor, as every miner already does around its window.
 type Extractor struct {
 	Mask Mask
 	Alg  PathAlg
+
+	// tokens interns the scalar tokens ("u:12") this extractor has built,
+	// keyed by attribute and value, so a steady stream reuses one string
+	// per distinct value instead of formatting a fresh one per record. It
+	// is a cache of derivable strings, not mined state: at most maxTokens
+	// entries, forgotten by Reset.
+	tokens map[uint64]string
 }
+
+// maxTokens bounds an Extractor's intern table. Users, processes and hosts
+// number far fewer; file ids do not, and past the bound their tokens are
+// simply built per record, as every token was before the table existed.
+const maxTokens = 1 << 14
 
 // NewExtractor returns an extractor for the given attribute combination
 // using the paper's preferred IPA path handling.
 func NewExtractor(mask Mask) *Extractor {
 	return &Extractor{Mask: mask, Alg: IPA}
+}
+
+// Reset forgets the interned tokens.
+func (e *Extractor) Reset() { e.tokens = nil }
+
+// scalarAttrs lists the discrete attributes in vector order with their tags.
+var scalarAttrs = [...]struct {
+	attr Attr
+	tag  string
+}{{AttrUser, "u:"}, {AttrProcess, "p:"}, {AttrHost, "h:"}, {AttrFileID, "f:"}, {AttrDevice, "d:"}}
+
+// token returns the namespaced token for one attribute value.
+func (e *Extractor) token(i int, val uint32) string {
+	key := uint64(i)<<32 | uint64(val)
+	if s, ok := e.tokens[key]; ok {
+		return s
+	}
+	s := scalarAttrs[i].tag + strconv.FormatUint(uint64(val), 10)
+	if len(e.tokens) < maxTokens {
+		if e.tokens == nil {
+			e.tokens = make(map[uint64]string)
+		}
+		e.tokens[key] = s
+	}
+	return s
 }
 
 // Extract builds the semantic vector for a record. Scalar tokens are
@@ -27,23 +65,14 @@ func NewExtractor(mask Mask) *Extractor {
 // namespaced entries.
 func (e *Extractor) Extract(r *trace.Record) Vector {
 	var v Vector
-	add := func(tag string, val uint32) {
-		v.Scalars = append(v.Scalars, tag+strconv.FormatUint(uint64(val), 10))
+	vals := [len(scalarAttrs)]uint32{r.UID, r.PID, r.Host, uint32(r.File), r.Dev}
+	if n := e.Mask.Without(AttrPath).Count(); n > 0 { // every attribute but the path is a scalar
+		v.Scalars = make([]string, 0, n)
 	}
-	if e.Mask.Has(AttrUser) {
-		add("u:", r.UID)
-	}
-	if e.Mask.Has(AttrProcess) {
-		add("p:", r.PID)
-	}
-	if e.Mask.Has(AttrHost) {
-		add("h:", r.Host)
-	}
-	if e.Mask.Has(AttrFileID) {
-		add("f:", uint32(r.File))
-	}
-	if e.Mask.Has(AttrDevice) {
-		add("d:", r.Dev)
+	for i, sa := range scalarAttrs {
+		if e.Mask.Has(sa.attr) {
+			v.Scalars = append(v.Scalars, e.token(i, vals[i]))
+		}
 	}
 	if e.Mask.Has(AttrPath) && r.Path != "" {
 		v.Path = r.Path

@@ -113,7 +113,10 @@ func (v *Vector) Len(alg PathAlg) int {
 	}
 	switch alg {
 	case DPA:
-		return n + len(SplitPath(v.Path))
+		for c, rest := nextComponent(v.Path); c != ""; c, rest = nextComponent(rest) {
+			n++
+		}
+		return n
 	default: // IPA
 		return n + 1
 	}
@@ -136,17 +139,18 @@ func (a PathAlg) String() string {
 	return "IPA"
 }
 
-// SplitPath splits a slash path into its components: "/home/u/a" ->
-// ["home", "u", "a"]. Empty components are dropped.
-func SplitPath(p string) []string {
-	parts := strings.Split(p, "/")
-	out := parts[:0]
-	for _, c := range parts {
-		if c != "" {
-			out = append(out, c)
-		}
+// nextComponent returns the first non-empty component of a slash path and
+// the unread remainder: "/home/u/a" -> ("home", "/u/a"). Empty components
+// are skipped; comp is "" once the path is exhausted. Both results are
+// substrings of p, so walking a path allocates nothing.
+func nextComponent(p string) (comp, rest string) {
+	for len(p) > 0 && p[0] == '/' {
+		p = p[1:]
 	}
-	return out
+	if i := strings.IndexByte(p, '/'); i >= 0 {
+		return p[:i], p[i:]
+	}
+	return p, ""
 }
 
 // PathSimilarity is the component-wise similarity of two paths used by IPA:
@@ -154,35 +158,50 @@ func SplitPath(p string) []string {
 // intersection. The paper's Table 2 example: /home/user1/paper/a vs
 // /home/user1/paper/b -> 3/4 = 0.75.
 func PathSimilarity(a, b string) float64 {
-	if a == "" || b == "" {
+	inter, la, lb := multisetIntersection(nil, a, nil, b)
+	if la == 0 || lb == 0 {
 		return 0
 	}
-	ca := SplitPath(a)
-	cb := SplitPath(b)
-	if len(ca) == 0 || len(cb) == 0 {
-		return 0
-	}
-	inter := multisetIntersection(ca, cb)
-	maxLen := len(ca)
-	if len(cb) > maxLen {
-		maxLen = len(cb)
-	}
-	return float64(inter) / float64(maxLen)
+	return float64(inter) / float64(max(la, lb))
 }
 
-func multisetIntersection(a, b []string) int {
-	counts := make(map[string]int, len(a))
-	for _, x := range a {
-		counts[x]++
+// itemScratch is how many items of one side multisetIntersection stages on
+// the stack. Three scalars plus a path 29 directories deep fit; a longer
+// vector spills to the heap through append and is counted the same way.
+const itemScratch = 32
+
+// multisetIntersection counts the items two vectors share, each side's
+// items being its scalars followed by the components of its path ("" for no
+// path), and reports how many items each side has. Side B is staged once in
+// a scratch list; every item of A then claims — and removes — one equal
+// item of B, so a value occurring i times in A and j times in B counts
+// min(i, j) times, whatever the order.
+func multisetIntersection(sa []string, pa string, sb []string, pb string) (inter, la, lb int) {
+	var scratch [itemScratch]string
+	unclaimed := append(scratch[:0], sb...)
+	for c, rest := nextComponent(pb); c != ""; c, rest = nextComponent(rest) {
+		unclaimed = append(unclaimed, c)
 	}
-	n := 0
-	for _, x := range b {
-		if counts[x] > 0 {
-			counts[x]--
-			n++
+	lb = len(unclaimed)
+	claim := func(x string) {
+		la++
+		for i, y := range unclaimed {
+			if x == y {
+				last := len(unclaimed) - 1
+				unclaimed[i] = unclaimed[last]
+				unclaimed = unclaimed[:last]
+				inter++
+				return
+			}
 		}
 	}
-	return n
+	for _, x := range sa {
+		claim(x)
+	}
+	for c, rest := nextComponent(pa); c != ""; c, rest = nextComponent(rest) {
+		claim(c)
+	}
+	return inter, la, lb
 }
 
 // Sim computes the semantic distance sim(A,B) between two vectors under the
@@ -200,23 +219,19 @@ func Sim(a, b *Vector, alg PathAlg) float64 {
 	if la == 0 || lb == 0 {
 		return 0
 	}
-	maxLen := la
-	if lb > maxLen {
-		maxLen = lb
-	}
 	var inter float64
 	switch alg {
 	case DPA:
-		itemsA := append(append([]string(nil), a.Scalars...), SplitPath(a.Path)...)
-		itemsB := append(append([]string(nil), b.Scalars...), SplitPath(b.Path)...)
-		inter = float64(multisetIntersection(itemsA, itemsB))
+		n, _, _ := multisetIntersection(a.Scalars, a.Path, b.Scalars, b.Path)
+		inter = float64(n)
 	default: // IPA
-		inter = float64(multisetIntersection(a.Scalars, b.Scalars))
+		n, _, _ := multisetIntersection(a.Scalars, "", b.Scalars, "")
+		inter = float64(n)
 		if a.Path != "" && b.Path != "" {
 			inter += PathSimilarity(a.Path, b.Path)
 		}
 	}
-	s := inter / float64(maxLen)
+	s := inter / float64(max(la, lb))
 	if s > 1 {
 		s = 1
 	}

@@ -2,8 +2,11 @@ package vsm
 
 import (
 	"math"
+	"slices"
+	"strconv"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"farmer/internal/trace"
 )
@@ -125,14 +128,25 @@ func TestSplitPath(t *testing.T) {
 		if got := SplitPath(c.in); len(got) != c.want {
 			t.Errorf("SplitPath(%q) = %v, want %d parts", c.in, got, c.want)
 		}
+		// The in-place walk yields the same components without splitting.
+		var walked []string
+		for comp, rest := nextComponent(c.in); comp != ""; comp, rest = nextComponent(rest) {
+			walked = append(walked, comp)
+		}
+		if !slices.Equal(walked, SplitPath(c.in)) {
+			t.Errorf("nextComponent walk of %q = %v, want %v", c.in, walked, SplitPath(c.in))
+		}
 	}
 }
 
 func TestMultisetIntersectionCountsDuplicates(t *testing.T) {
 	a := []string{"x", "x", "y"}
 	b := []string{"x", "x", "x"}
-	if got := multisetIntersection(a, b); got != 2 {
-		t.Fatalf("multiset intersection = %d, want 2", got)
+	if got, la, lb := multisetIntersection(a, "", b, ""); got != 2 || la != 3 || lb != 3 {
+		t.Fatalf("multiset intersection = %d of %d and %d items, want 2 of 3 and 3", got, la, lb)
+	}
+	if got := refMultisetIntersection(a, b); got != 2 {
+		t.Fatalf("reference multiset intersection = %d, want 2", got)
 	}
 }
 
@@ -272,5 +286,45 @@ func TestVectorLen(t *testing.T) {
 func TestPathAlgString(t *testing.T) {
 	if IPA.String() != "IPA" || DPA.String() != "DPA" {
 		t.Fatal("PathAlg String wrong")
+	}
+}
+
+// TestExtractorTokenTable: interning changes where a token's bytes live,
+// never what they are — with a warm table, past its bound and after Reset
+// the vector is the one a fresh extractor builds.
+func TestExtractorTokenTable(t *testing.T) {
+	all := MaskOf(AttrUser, AttrProcess, AttrHost, AttrFileID, AttrDevice)
+	r := trace.Record{UID: 7, PID: 42, Host: 3, File: 11, Dev: 2}
+	want := []string{"u:7", "p:42", "h:3", "f:11", "d:2"}
+	e := NewExtractor(all)
+	first, second := e.Extract(&r), e.Extract(&r)
+	if !slices.Equal(first.Scalars, want) || !slices.Equal(second.Scalars, want) {
+		t.Fatalf("scalars = %v then %v, want %v", first.Scalars, second.Scalars, want)
+	}
+	if unsafe.StringData(first.Scalars[0]) != unsafe.StringData(second.Scalars[0]) {
+		t.Error("the second extraction built a new token instead of reusing the interned one")
+	}
+	if NewExtractor(0).Extract(&r).Scalars != nil {
+		t.Error("an empty mask produced a non-nil scalar slice")
+	}
+
+	// More distinct file ids than the table holds: every token still right,
+	// the table no larger than its bound.
+	ids := NewExtractor(MaskOf(AttrFileID))
+	for f := 0; f < maxTokens+100; f++ {
+		v := ids.Extract(&trace.Record{File: trace.FileID(f)})
+		if want := "f:" + strconv.Itoa(f); len(v.Scalars) != 1 || v.Scalars[0] != want {
+			t.Fatalf("file %d: scalars = %v, want [%s]", f, v.Scalars, want)
+		}
+	}
+	if len(ids.tokens) != maxTokens {
+		t.Errorf("table holds %d tokens, want the bound %d", len(ids.tokens), maxTokens)
+	}
+	ids.Reset()
+	if len(ids.tokens) != 0 {
+		t.Errorf("Reset left %d tokens", len(ids.tokens))
+	}
+	if v := ids.Extract(&trace.Record{File: 5}); !slices.Equal(v.Scalars, []string{"f:5"}) {
+		t.Errorf("after Reset: scalars = %v", v.Scalars)
 	}
 }
