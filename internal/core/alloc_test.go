@@ -15,18 +15,18 @@ import (
 func TestFeedAllocsPerRecord(t *testing.T) {
 	tr := tracegen.HP(20000).MustGenerate()
 	for _, dirty := range []bool{false, true} {
-		m := New(DefaultConfig())
-		m.FeedTrace(tr) // warm: every file tracked, every list and edge table grown
+		m := NewSharded(DefaultConfig()) // one shard: Model.Feed behind the dispatch lock
+		m.FeedBatch(tr.Records)          // warm: every file tracked, every list and edge table grown
 		if dirty {
 			st, err := kvstore.Open("")
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer st.Close()
-			if err := m.SaveTo(st); err != nil { // a completed save turns dirty tracking on
+			if err := m.SaveMerged(st); err != nil { // a completed save turns dirty tracking on
 				t.Fatal(err)
 			}
-			m.FeedTrace(tr) // warm the dirty set too
+			m.FeedBatch(tr.Records) // warm the dirty set too
 		}
 		i := 0
 		perRecord := testing.AllocsPerRun(len(tr.Records), func() {

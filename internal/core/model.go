@@ -24,7 +24,6 @@ import (
 	"sync"
 
 	"farmer/internal/graph"
-	"farmer/internal/kvstore"
 	"farmer/internal/trace"
 	"farmer/internal/vsm"
 )
@@ -116,13 +115,11 @@ type Model struct {
 	// synchronized the model with a checkpoint store, every mutation marks
 	// the touched file so the next save can write only the delta. dirtyOn
 	// stays false (one branch per mutation, no map traffic) until the first
-	// save/load — a model that never checkpoints pays nothing. ckptStore
-	// and saveEpoch bind the dirty sets to the store (and its epoch) they
-	// are a delta against; see persist.go.
-	dirtyOn   bool
-	dirty     map[trace.FileID]uint8 // dirtyList|dirtyVec|dirtyGraph bits
-	ckptStore *kvstore.Store
-	saveEpoch uint64
+	// save/load — a model that never checkpoints pays nothing. The owning
+	// ensemble binds the dirty sets to the store (and its epoch) they are a
+	// delta against; see persist.go.
+	dirtyOn bool
+	dirty   map[trace.FileID]uint8 // dirtyList|dirtyVec|dirtyGraph bits
 }
 
 // Dirty bits: which of a file's three persisted facets changed since the

@@ -35,14 +35,14 @@ func TestSaveDeltaChainEqualsFullSave(t *testing.T) {
 	tr := tracegen.HP(9000).MustGenerate()
 	cfg := DefaultConfig()
 	cfg.Mask = vsm.DefaultMask(true)
-	m := New(cfg)
+	m := NewSharded(cfg) // one shard: the lone Model fed through its own lock
 	s, err := kvstore.Open("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
-	feed := func(mm *Model, lo, hi int) {
+	feed := func(mm *ShardedModel, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			mm.Feed(&tr.Records[i])
 		}
@@ -51,27 +51,27 @@ func TestSaveDeltaChainEqualsFullSave(t *testing.T) {
 	seg := (len(tr.Records) - hold) / 3
 
 	feed(m, 0, seg)
-	if err := m.SaveTo(s); err != nil {
+	if err := m.SaveMerged(s); err != nil {
 		t.Fatal(err)
 	}
 	feed(m, seg, 2*seg)
-	inc, err := m.SaveDelta(s)
+	inc, err := m.SaveCheckpoint(s)
 	if err != nil || !inc {
 		t.Fatalf("second save: incremental=%v err=%v", inc, err)
 	}
 	feed(m, 2*seg, 3*seg)
-	if inc, err = m.SaveDelta(s); err != nil || !inc {
+	if inc, err = m.SaveCheckpoint(s); err != nil || !inc {
 		t.Fatalf("third save: incremental=%v err=%v", inc, err)
 	}
 
-	m2 := New(cfg)
-	if err := m2.LoadFrom(s); err != nil {
+	m2 := NewSharded(cfg)
+	if err := m2.LoadMerged(s); err != nil {
 		t.Fatal(err)
 	}
 	if m2.Fed() != m.Fed() {
 		t.Fatalf("fed %d after chain reload, want %d", m2.Fed(), m.Fed())
 	}
-	fc := m.trackedFileCount()
+	fc := m.TrackedFileCount()
 	if got, want := StateFingerprint(m2, fc), StateFingerprint(m, fc); got != want {
 		t.Fatalf("full+delta chain reloads to %#x, live model is %#x", got, want)
 	}
@@ -82,7 +82,7 @@ func TestSaveDeltaChainEqualsFullSave(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer full.Close()
-	if err := m.SaveTo(full); err != nil {
+	if err := m.SaveMerged(full); err != nil {
 		t.Fatal(err)
 	}
 	fpChain, err := StoreFingerprint(s, fc)
@@ -100,7 +100,7 @@ func TestSaveDeltaChainEqualsFullSave(t *testing.T) {
 	// Both models mine the held-back tail identically.
 	feed(m, 3*seg, 3*seg+hold)
 	feed(m2, 3*seg, 3*seg+hold)
-	fc = m.trackedFileCount()
+	fc = m.TrackedFileCount()
 	if got, want := StateFingerprint(m2, fc), StateFingerprint(m, fc); got != want {
 		t.Fatalf("diverged after reload: %#x vs %#x", got, want)
 	}
@@ -349,7 +349,7 @@ func TestTombstoneNeverResurrects(t *testing.T) {
 		if err != nil || !inc {
 			t.Fatalf("checkpoint %d: incremental=%v err=%v", i, inc, err)
 		}
-		if _, ok := s.Get(listKey(victim)); ok {
+		if _, ok := s.Get(key(keyPrefixList, victim)); ok {
 			t.Fatalf("tombstoned list %d present in store after checkpoint %d", victim, i)
 		}
 		if i == 1 {
@@ -367,7 +367,7 @@ func TestTombstoneNeverResurrects(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if _, ok := s2.Get(listKey(victim)); ok {
+	if _, ok := s2.Get(key(keyPrefixList, victim)); ok {
 		t.Fatalf("tombstoned list %d resurrected across restart", victim)
 	}
 	sm2 := NewSharded(cfg)

@@ -15,13 +15,17 @@ import (
 	"farmer/internal/vsm"
 )
 
-func minedHP(t *testing.T, records int) *Model {
+// minedHP mines the HP trace on a 1-shard ensemble — the lone Model fed
+// through its own lock, which is how a single Model persists.
+func minedHP(t *testing.T, records int) *ShardedModel {
 	t.Helper()
 	tr := tracegen.HP(records).MustGenerate()
 	cfg := DefaultConfig()
 	cfg.Mask = vsm.DefaultMask(true)
-	m := New(cfg)
-	m.FeedTrace(tr)
+	m := NewSharded(cfg)
+	for i := range tr.Records {
+		m.Feed(&tr.Records[i])
+	}
 	return m
 }
 
@@ -32,12 +36,12 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := m.SaveTo(s); err != nil {
+	if err := m.SaveMerged(s); err != nil {
 		t.Fatal(err)
 	}
 
-	m2 := New(m.Config())
-	if err := m2.LoadFrom(s); err != nil {
+	m2 := NewSharded(m.Config())
+	if err := m2.LoadMerged(s); err != nil {
 		t.Fatal(err)
 	}
 	if m2.Fed() != m.Fed() {
@@ -65,8 +69,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestLoadFromEmptyStore(t *testing.T) {
 	s, _ := kvstore.Open("")
 	defer s.Close()
-	m := New(DefaultConfig())
-	if err := m.LoadFrom(s); err == nil {
+	m := NewSharded(DefaultConfig())
+	if err := m.LoadMerged(s); err == nil {
 		t.Fatal("empty store accepted")
 	}
 }
@@ -75,13 +79,13 @@ func TestLoadRejectsParameterMismatch(t *testing.T) {
 	m := minedHP(t, 2000)
 	s, _ := kvstore.Open("")
 	defer s.Close()
-	if err := m.SaveTo(s); err != nil {
+	if err := m.SaveMerged(s); err != nil {
 		t.Fatal(err)
 	}
 	cfg := m.Config()
 	cfg.Weight = 0.3 // different p
-	m2 := New(cfg)
-	if err := m2.LoadFrom(s); err == nil {
+	m2 := NewSharded(cfg)
+	if err := m2.LoadMerged(s); err == nil {
 		t.Fatal("parameter mismatch accepted")
 	}
 }
@@ -93,7 +97,7 @@ func TestSaveLoadThroughWALFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.SaveTo(s); err != nil {
+	if err := m.SaveMerged(s); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -105,8 +109,8 @@ func TestSaveLoadThroughWALFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	m2 := New(m.Config())
-	if err := m2.LoadFrom(s2); err != nil {
+	m2 := NewSharded(m.Config())
+	if err := m2.LoadMerged(s2); err != nil {
 		t.Fatal(err)
 	}
 	if m2.Stats().Correlators != m.Stats().Correlators {
@@ -119,11 +123,11 @@ func TestLoadedModelKeepsMining(t *testing.T) {
 	m := minedHP(t, 2000)
 	s, _ := kvstore.Open("")
 	defer s.Close()
-	if err := m.SaveTo(s); err != nil {
+	if err := m.SaveMerged(s); err != nil {
 		t.Fatal(err)
 	}
-	m2 := New(m.Config())
-	if err := m2.LoadFrom(s); err != nil {
+	m2 := NewSharded(m.Config())
+	if err := m2.LoadMerged(s); err != nil {
 		t.Fatal(err)
 	}
 	before := m2.Stats().Fed
@@ -162,7 +166,7 @@ func assertSamePredictions(t *testing.T, tr *trace.Trace, want, got interface {
 // TestSaveMergedLoadMergedResize is the resize round trip: a 4-stripe
 // ensemble saves once, and ensembles at other stripe counts — and under
 // entirely different deployment partitioners — load the same record with
-// identical predictions. A plain Model can read the merged save too.
+// identical predictions. (One stripe is the lone Model behind its own lock.)
 func TestSaveMergedLoadMergedResize(t *testing.T) {
 	tr, sm := minedShardedHP(t, 8000, 4)
 	st, err := kvstore.Open("")
@@ -198,12 +202,6 @@ func TestSaveMergedLoadMergedResize(t *testing.T) {
 		}
 		assertSamePredictions(t, tr, sm, sm2)
 	}
-	// Backward compatibility: the merged save is an ordinary model save.
-	single := New(cfg)
-	if err := single.LoadFrom(st); err != nil {
-		t.Fatal(err)
-	}
-	assertSamePredictions(t, tr, sm, single)
 }
 
 // TestLoadMergedRebalancesPlacement: after a resize load, every file's
@@ -296,24 +294,26 @@ func TestDecodeVectorRejectsGarbage(t *testing.T) {
 // TestSaveLoadPathlessTrace: vectors of a pathless (INS/RES-style) trace
 // end with an empty path string; decoding it at the end of the value must
 // yield "", not EOF. Regression test — every pathless load failed before
-// the io.ReadFull fix in decodeVector.
+// decodeVector stopped treating end-of-value as an error for a zero-length read.
 func TestSaveLoadPathlessTrace(t *testing.T) {
 	tr := tracegen.INS(3000).MustGenerate()
 	cfg := DefaultConfig()
 	cfg.Mask = vsm.DefaultMask(false)
-	m := New(cfg)
-	m.FeedTrace(tr)
+	m := NewSharded(cfg)
+	for i := range tr.Records {
+		m.Feed(&tr.Records[i])
+	}
 
 	s, err := kvstore.Open("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := m.SaveTo(s); err != nil {
+	if err := m.SaveMerged(s); err != nil {
 		t.Fatal(err)
 	}
-	m2 := New(cfg)
-	if err := m2.LoadFrom(s); err != nil {
+	m2 := NewSharded(cfg)
+	if err := m2.LoadMerged(s); err != nil {
 		t.Fatalf("pathless load: %v", err)
 	}
 	for f := 0; f < tr.FileCount; f++ {
@@ -325,18 +325,34 @@ func TestSaveLoadPathlessTrace(t *testing.T) {
 
 // TestLoadMergedRejectsCorruptValues: a store whose frames are intact but
 // whose values are garbage must fail the load with an error — never panic,
-// never install a half-decoded model.
+// never install a half-decoded model — and fail the fingerprint a catch-up
+// follower computes before installing. The rows below the first five state
+// the store's strictness: c/ and v/ values are exact-length like g/ and
+// m/window (every writer emits exact bytes), and a v/ string may be longer
+// than the wire's trace.MaxPathLen, because an in-process Feed may have
+// stored one.
 func TestLoadMergedRejectsCorruptValues(t *testing.T) {
+	oneEntryList := AppendCorrelators(nil, []Correlator{{File: 3, Degree: 0.5, Sim: 0.5, Freq: 0.5}})
+	claimsTwo := append([]byte{2, 0, 0, 0}, oneEntryList[4:]...)
+	vec := vsm.AppendVector(nil, &vsm.Vector{Scalars: []string{"u:1"}, Path: "/a"})
+	longPath := vsm.AppendVector(nil, &vsm.Vector{Path: "/" + strings.Repeat("x", trace.MaxPathLen)})
 	for _, tc := range []struct {
 		name string
 		key  []byte
 		val  []byte
+		ok   bool
 	}{
-		{"garbage list", listKey(7), []byte{0xff, 0xff, 0xff, 0xff}},
-		{"truncated list", listKey(7), []byte{2, 0, 0, 0, 1}},
-		{"garbage vector", vectorKey(9), []byte{0xff, 0xff, 0xff, 0xff}},
-		{"truncated vector", vectorKey(9), []byte{1, 0, 0, 0, 5, 0, 0, 0, 'a'}},
-		{"bad list key", append([]byte(keyPrefixList), 1, 2), []byte{0, 0, 0, 0}},
+		{"garbage list", key(keyPrefixList, 7), []byte{0xff, 0xff, 0xff, 0xff}, false},
+		{"truncated list", key(keyPrefixList, 7), []byte{2, 0, 0, 0, 1}, false},
+		{"garbage vector", key(keyPrefixVector, 9), []byte{0xff, 0xff, 0xff, 0xff}, false},
+		{"truncated vector", key(keyPrefixVector, 9), []byte{1, 0, 0, 0, 5, 0, 0, 0, 'a'}, false},
+		{"bad list key", append([]byte(keyPrefixList), 1, 2), []byte{0, 0, 0, 0}, false},
+		{"exact list", key(keyPrefixList, 7), oneEntryList, true},
+		{"trailing byte after list", key(keyPrefixList, 7), append(oneEntryList[:len(oneEntryList):len(oneEntryList)], 0), false},
+		{"list count one past the bytes", key(keyPrefixList, 7), claimsTwo, false},
+		{"exact vector", key(keyPrefixVector, 9), vec, true},
+		{"trailing byte after vector", key(keyPrefixVector, 9), append(vec[:len(vec):len(vec)], 0), false},
+		{"vector path over the wire's MaxPathLen", key(keyPrefixVector, 9), longPath, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := minedHP(t, 2000)
@@ -345,20 +361,21 @@ func TestLoadMergedRejectsCorruptValues(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			if err := m.SaveTo(s); err != nil {
+			if err := m.SaveMerged(s); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.Put(tc.key, tc.val); err != nil {
 				t.Fatal(err)
 			}
-
-			sm := NewSharded(DefaultConfig())
-			if err := sm.LoadMerged(s); err == nil {
-				t.Fatal("LoadMerged accepted a corrupt value")
+			for _, shards := range []int{1, 3} {
+				cfg := DefaultConfig()
+				cfg.Shards = shards
+				if err := NewSharded(cfg).LoadMerged(s); (err == nil) != tc.ok {
+					t.Fatalf("shards=%d: LoadMerged: %v, want ok=%v", shards, err, tc.ok)
+				}
 			}
-			m2 := New(DefaultConfig())
-			if err := m2.LoadFrom(s); err == nil {
-				t.Fatal("LoadFrom accepted a corrupt value")
+			if _, err := StoreFingerprint(s, 16); (err == nil) != tc.ok {
+				t.Fatalf("StoreFingerprint: %v, want ok=%v", err, tc.ok)
 			}
 		})
 	}
@@ -374,26 +391,27 @@ func TestCheckpointPrunesStaleKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := m.SaveTo(s); err != nil {
+	if err := m.SaveMerged(s); err != nil {
 		t.Fatal(err)
 	}
 
 	// Drop one mined list and one vector, as the threshold filter would.
 	var victim trace.FileID
-	m.mu.Lock()
-	for f := range m.lists {
+	sh := m.Shard(0)
+	sh.mu.Lock()
+	for f := range sh.lists {
 		victim = f
 		break
 	}
-	delete(m.lists, victim)
-	delete(m.vectors, victim)
-	m.mu.Unlock()
+	delete(sh.lists, victim)
+	delete(sh.vectors, victim)
+	sh.mu.Unlock()
 
-	if err := m.SaveTo(s); err != nil {
+	if err := m.SaveMerged(s); err != nil {
 		t.Fatal(err)
 	}
-	m2 := New(m.Config())
-	if err := m2.LoadFrom(s); err != nil {
+	m2 := NewSharded(m.Config())
+	if err := m2.LoadMerged(s); err != nil {
 		t.Fatal(err)
 	}
 	if got := m2.CorrelatorList(victim); got != nil {
@@ -453,7 +471,7 @@ func TestSaveMergedPrunesStaleKeys(t *testing.T) {
 func TestSaveLoadHighFileIDs(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Mask = vsm.DefaultMask(true)
-	m := New(cfg)
+	m := NewSharded(cfg)
 	ids := []trace.FileID{0xff000001, 0xff000002, 0xfffffffe, 1, 2}
 	for round := 0; round < 20; round++ {
 		for i, f := range ids {
@@ -468,11 +486,11 @@ func TestSaveLoadHighFileIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := m.SaveTo(s); err != nil {
+	if err := m.SaveMerged(s); err != nil {
 		t.Fatal(err)
 	}
-	m2 := New(cfg)
-	if err := m2.LoadFrom(s); err != nil {
+	m2 := NewSharded(cfg)
+	if err := m2.LoadMerged(s); err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range ids {
@@ -494,7 +512,7 @@ func TestLoadMergedRefusesFedEnsemble(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := m.SaveTo(s); err != nil {
+	if err := m.SaveMerged(s); err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
@@ -527,7 +545,7 @@ func TestCheckpointIsComplete(t *testing.T) {
 	ref.FeedTrace(tr)
 	want := StateFingerprint(ref, tr.FileCount)
 
-	m := New(cfg)
+	m := NewSharded(cfg)
 	for i := 0; i < cut; i++ {
 		m.Feed(&tr.Records[i])
 	}
@@ -536,11 +554,11 @@ func TestCheckpointIsComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := m.SaveTo(s); err != nil {
+	if err := m.SaveMerged(s); err != nil {
 		t.Fatal(err)
 	}
-	m2 := New(cfg)
-	if err := m2.LoadFrom(s); err != nil {
+	m2 := NewSharded(cfg)
+	if err := m2.LoadMerged(s); err != nil {
 		t.Fatal(err)
 	}
 	for i := cut; i < len(tr.Records); i++ {
@@ -597,13 +615,13 @@ func TestCheckpointIsCompleteMerged(t *testing.T) {
 // model-side fingerprint of the state that wrote it.
 func TestStoreFingerprintMatchesState(t *testing.T) {
 	m := minedHP(t, 3000)
-	fc := m.trackedFileCount()
+	fc := m.TrackedFileCount()
 	s, err := kvstore.Open("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := m.SaveTo(s); err != nil {
+	if err := m.SaveMerged(s); err != nil {
 		t.Fatal(err)
 	}
 	want := StateFingerprint(m, fc)
@@ -677,6 +695,18 @@ func TestCorruptCountsRejectedNotPanic(t *testing.T) {
 		t.Fatal("overflowing edge count accepted")
 	}
 
+	// Correlator list: the count is bounded by exactly what the bytes hold
+	// (28 per entry) before anything is allocated.
+	lraw := make([]byte, 4+28)
+	binary.LittleEndian.PutUint32(lraw, 1<<30)
+	if _, err := decodeList(lraw); err == nil {
+		t.Fatal("overflowing list count accepted")
+	}
+	binary.LittleEndian.PutUint32(lraw, 2)
+	if _, err := decodeList(lraw); err == nil {
+		t.Fatal("list count one past the bytes accepted")
+	}
+
 	// Window record with the same wrap: 4 bytes claiming 2^30 ids.
 	s, err := kvstore.Open("")
 	if err != nil {
@@ -719,8 +749,8 @@ func TestRepeatedEdgeRejected(t *testing.T) {
 	if err := NewSharded(cfg).LoadMerged(st); err == nil || !strings.Contains(err.Error(), "ascending") {
 		t.Fatalf("LoadMerged of a node with a repeated edge: %v, want the decode refusal", err)
 	}
-	if err := New(DefaultConfig()).LoadFrom(st); err == nil {
-		t.Fatal("LoadFrom accepted a node with a repeated edge")
+	if err := NewSharded(DefaultConfig()).LoadMerged(st); err == nil {
+		t.Fatal("a 1-shard LoadMerged accepted a node with a repeated edge")
 	}
 }
 

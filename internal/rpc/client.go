@@ -457,7 +457,7 @@ func (c *Client) Predict(ctx context.Context, f trace.FileID, k int) ([]trace.Fi
 	if err != nil {
 		return nil, err
 	}
-	return consumeFileIDs(body)
+	return decodePredictResp(body)
 }
 
 // CorrelatorList fetches f's full Correlator List with bit-exact degrees.
@@ -466,7 +466,7 @@ func (c *Client) CorrelatorList(ctx context.Context, f trace.FileID) ([]core.Cor
 	if err != nil {
 		return nil, err
 	}
-	return consumeCorrelators(body)
+	return decodeListResp(body)
 }
 
 // Stats fetches the remote miner's footprint snapshot.

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"farmer/internal/bin"
 	"farmer/internal/core"
 	"farmer/internal/obs"
 	"farmer/internal/partition"
@@ -585,8 +586,9 @@ func (s *Server) handle(dst []byte, cs *connState, f *Frame) []byte {
 	}
 	if f.Type == MsgWireStats {
 		// Control-plane like MsgObs: the latency table is server-wide.
-		if len(f.Body) != 0 {
-			return fail(CodeBadRequest, fmt.Errorf("rpc: wire stats request carries %d body bytes, want 0", len(f.Body)))
+		c := bin.Read("rpc: wire stats request", f.Body)
+		if err := c.Done(); err != nil {
+			return fail(CodeBadRequest, err)
 		}
 		return ok(appendWireStats(nil, s.WireStats()))
 	}
@@ -618,11 +620,9 @@ func (s *Server) handle(dst []byte, cs *connState, f *Frame) []byte {
 	case MsgPing:
 		return ok(nil)
 	case MsgFeed:
-		r, rest, err := trace.ConsumeRecord(f.Body)
-		if err == nil && len(rest) != 0 {
-			err = fmt.Errorf("rpc: %d trailing bytes after record", len(rest))
-		}
-		if err != nil {
+		c := bin.Read("rpc: feed", f.Body)
+		r := bin.Via(&c, trace.ConsumeRecord)
+		if err := c.Done(); err != nil {
 			return fail(CodeBadRequest, err)
 		}
 		if err := b.Feed(&r); err != nil {
@@ -649,16 +649,13 @@ func (s *Server) handle(dst []byte, cs *connState, f *Frame) []byte {
 		if err != nil {
 			return fail(CodeBadRequest, err)
 		}
-		return ok(appendFileIDs(nil, b.Predict(file, k)))
+		return ok(trace.AppendFileIDs(nil, b.Predict(file, k)))
 	case MsgList:
-		file, rest, err := consumeU32(f.Body)
-		if err == nil && len(rest) != 0 {
-			err = fmt.Errorf("rpc: %d trailing bytes after file id", len(rest))
-		}
+		file, err := decodeListReq(f.Body)
 		if err != nil {
 			return fail(CodeBadRequest, err)
 		}
-		return ok(appendCorrelators(nil, b.CorrelatorList(trace.FileID(file))))
+		return ok(core.AppendCorrelators(nil, b.CorrelatorList(file)))
 	case MsgStats:
 		return ok(appendStats(nil, b.Stats()))
 	case MsgSave:

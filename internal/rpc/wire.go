@@ -33,6 +33,7 @@ import (
 	"math"
 	"sync"
 
+	"farmer/internal/bin"
 	"farmer/internal/core"
 	"farmer/internal/lease"
 	"farmer/internal/partition"
@@ -427,53 +428,22 @@ func appendWireError(dst []byte, code Code, msg string) []byte {
 }
 
 func decodeWireError(body []byte) error {
-	if len(body) < 6 {
-		return fmt.Errorf("rpc: malformed error frame (%d bytes)", len(body))
+	c := bin.Read("rpc: error frame", body)
+	e := &WireError{Code: Code(c.U16())}
+	e.Msg = c.Str(int(c.U32()))
+	if err := c.Done(); err != nil {
+		return err
 	}
-	le := binary.LittleEndian
-	code := Code(le.Uint16(body[:2]))
-	n := le.Uint32(body[2:6])
-	if uint32(len(body)-6) < n {
-		return fmt.Errorf("rpc: malformed error frame: message truncated")
-	}
-	return &WireError{Code: code, Msg: string(body[6 : 6+n])}
+	return e
 }
 
 // ------------------------------------------------------------ body codecs
-
-// Float64 fields travel as their exact bit patterns: a mined degree must
-// survive the wire bit-identically for a remote miner to fingerprint equal
-// to a local one.
-func f64bits(v float64) uint64 { return math.Float64bits(v) }
-func f64from(b uint64) float64 { return math.Float64frombits(b) }
-
-func consumeU32(b []byte) (uint32, []byte, error) {
-	if len(b) < 4 {
-		return 0, nil, fmt.Errorf("rpc: truncated u32")
-	}
-	return binary.LittleEndian.Uint32(b[:4]), b[4:], nil
-}
-
-func consumeU64(b []byte) (uint64, []byte, error) {
-	if len(b) < 8 {
-		return 0, nil, fmt.Errorf("rpc: truncated u64")
-	}
-	return binary.LittleEndian.Uint64(b[:8]), b[8:], nil
-}
-
-// consumeCount reads a u32 element count and bounds it by what the
-// remaining bytes could possibly hold (elemMin = the element's minimum
-// encoded size), so a flipped count cannot demand a huge allocation.
-func consumeCount(b []byte, elemMin int) (int, []byte, error) {
-	n, rest, err := consumeU32(b)
-	if err != nil {
-		return 0, nil, err
-	}
-	if elemMin > 0 && int(n) > len(rest)/elemMin {
-		return 0, nil, fmt.Errorf("rpc: count %d exceeds remaining %d bytes", n, len(rest))
-	}
-	return int(n), rest, nil
-}
+//
+// Every decoder below is a bin.Cursor reading the fields in the order the
+// matching append wrote them, ending in Done (first error, or trailing
+// bytes). Values shared with the on-disk store — Correlator lists, semantic
+// vectors, FileID lists — have their one encoding beside their type
+// (core.AppendCorrelators, vsm.AppendVector, trace.AppendFileIDs).
 
 // appendRecords encodes a batch body: count + trace records.
 func appendRecords(dst []byte, recs []trace.Record) []byte {
@@ -485,103 +455,58 @@ func appendRecords(dst []byte, recs []trace.Record) []byte {
 }
 
 func consumeRecords(b []byte) ([]trace.Record, error) {
-	n, b, err := consumeCount(b, trace.RecordFixedLen)
-	if err != nil {
-		return nil, err
-	}
-	recs := make([]trace.Record, 0, n)
-	for i := 0; i < n; i++ {
-		var r trace.Record
-		if r, b, err = trace.ConsumeRecord(b); err != nil {
-			return nil, fmt.Errorf("rpc: record %d: %w", i, err)
-		}
-		recs = append(recs, r)
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("rpc: %d trailing bytes after records", len(b))
-	}
-	return recs, nil
+	c := bin.Read("rpc: records", b)
+	recs := readRecords(&c)
+	return recs, c.Done()
 }
 
-// appendFileIDs encodes a Predict result body.
-func appendFileIDs(dst []byte, files []trace.FileID) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(files)))
-	for _, f := range files {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(f))
+// readRecords reads an appendRecords run; each record is bounds-checked by
+// trace.ConsumeRecord, the codec it shares with trace files.
+func readRecords(c *bin.Cursor) []trace.Record {
+	recs := make([]trace.Record, c.Count(trace.RecordFixedLen))
+	for i := range recs {
+		recs[i] = bin.Via(c, trace.ConsumeRecord)
 	}
-	return dst
+	return recs
 }
 
-func consumeFileIDs(b []byte) ([]trace.FileID, error) {
-	n, b, err := consumeCount(b, 4)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]trace.FileID, n)
-	for i := range out {
-		var v uint32
-		if v, b, err = consumeU32(b); err != nil {
-			return nil, err
-		}
-		out[i] = trace.FileID(v)
-	}
-	return out, nil
+// Predict request body: u32 file, u32 k.
+func appendPredictReq(dst []byte, f trace.FileID, k int) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(f))
+	return binary.LittleEndian.AppendUint32(dst, uint32(k))
 }
 
-// Correlator list body: u32 count, then (u32 file, u64 degree, u64 sim,
-// u64 freq) with the float64 bit patterns — degrees survive the wire
-// bit-exactly, which the cross-process fingerprint tests rely on.
-func appendCorrelators(dst []byte, list []core.Correlator) []byte {
-	le := binary.LittleEndian
-	dst = le.AppendUint32(dst, uint32(len(list)))
-	for _, c := range list {
-		dst = le.AppendUint32(dst, uint32(c.File))
-		dst = le.AppendUint64(dst, f64bits(c.Degree))
-		dst = le.AppendUint64(dst, f64bits(c.Sim))
-		dst = le.AppendUint64(dst, f64bits(c.Freq))
-	}
-	return dst
+func decodePredictReq(b []byte) (trace.FileID, int, error) {
+	c := bin.Read("rpc: predict request", b)
+	f, k := trace.FileID(c.U32()), int(int32(c.U32()))
+	return f, k, c.Done()
 }
 
-func consumeCorrelators(b []byte) ([]core.Correlator, error) {
-	n, b, err := consumeCount(b, 28)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	list := make([]core.Correlator, n)
-	for i := range list {
-		var f uint32
-		var deg, sim, freq uint64
-		if f, b, err = consumeU32(b); err != nil {
-			return nil, err
-		}
-		if deg, b, err = consumeU64(b); err != nil {
-			return nil, err
-		}
-		if sim, b, err = consumeU64(b); err != nil {
-			return nil, err
-		}
-		if freq, b, err = consumeU64(b); err != nil {
-			return nil, err
-		}
-		list[i] = core.Correlator{
-			File:   trace.FileID(f),
-			Degree: f64from(deg),
-			Sim:    f64from(sim),
-			Freq:   f64from(freq),
-		}
-	}
-	return list, nil
+// Predict response body: a FileID list.
+func decodePredictResp(b []byte) ([]trace.FileID, error) {
+	c := bin.Read("rpc: predict response", b)
+	files := trace.ReadFileIDs(&c)
+	return files, c.Done()
+}
+
+// List request body: u32 file. Response body: a Correlator list, degrees as
+// exact bit patterns — which the cross-process fingerprint tests rely on.
+func decodeListReq(b []byte) (trace.FileID, error) {
+	c := bin.Read("rpc: list request", b)
+	f := trace.FileID(c.U32())
+	return f, c.Done()
+}
+
+func decodeListResp(b []byte) ([]core.Correlator, error) {
+	c := bin.Read("rpc: list response", b)
+	list := core.ReadCorrelators(&c)
+	return list, c.Done()
 }
 
 // Stats body: seven u64 fields in declaration order (Fed, TrackedFiles,
 // Lists, Correlators, GraphNodes, GraphEdges, MemoryBytes).
+const statsLen = 7 * 8
+
 func appendStats(dst []byte, st core.Stats) []byte {
 	le := binary.LittleEndian
 	dst = le.AppendUint64(dst, st.Fed)
@@ -592,26 +517,26 @@ func appendStats(dst []byte, st core.Stats) []byte {
 }
 
 func consumeStats(b []byte) (core.Stats, error) {
-	if len(b) != 7*8 {
-		return core.Stats{}, fmt.Errorf("rpc: stats body is %d bytes, want 56", len(b))
-	}
-	le := binary.LittleEndian
-	u := func(i int) uint64 { return le.Uint64(b[i*8 : i*8+8]) }
+	c := bin.Read("rpc: stats", b)
+	st := readStats(&c)
+	return st, c.Done()
+}
+
+func readStats(c *bin.Cursor) core.Stats {
 	return core.Stats{
-		Fed:          u(0),
-		TrackedFiles: int(u(1)),
-		Lists:        int(u(2)),
-		Correlators:  int(u(3)),
-		GraphNodes:   int(u(4)),
-		GraphEdges:   int(u(5)),
-		MemoryBytes:  int64(u(6)),
-	}, nil
+		Fed:          c.U64(),
+		TrackedFiles: int(c.U64()),
+		Lists:        int(c.U64()),
+		Correlators:  int(c.U64()),
+		GraphNodes:   int(c.U64()),
+		GraphEdges:   int(c.U64()),
+		MemoryBytes:  int64(c.U64()),
+	}
 }
 
 // Event body: u32 count, then per event
 //
-//	u8 flags (bit 0: access), u32 pred, u32 succ, u64 credit, u64 seq,
-//	vector: u32 scalarCount, (u32 len, bytes)*, u32 pathLen, path
+//	u8 flags (bit 0: access), u32 pred, u32 succ, u64 credit, u64 seq, vector
 func appendEvents(dst []byte, evs []partition.Event) []byte {
 	le := binary.LittleEndian
 	dst = le.AppendUint32(dst, uint32(len(evs)))
@@ -624,94 +549,38 @@ func appendEvents(dst []byte, evs []partition.Event) []byte {
 		dst = append(dst, flags)
 		dst = le.AppendUint32(dst, uint32(ev.Pred))
 		dst = le.AppendUint32(dst, uint32(ev.Succ))
-		dst = le.AppendUint64(dst, f64bits(ev.Credit))
+		dst = le.AppendUint64(dst, math.Float64bits(ev.Credit))
 		dst = le.AppendUint64(dst, ev.Seq)
-		dst = appendVector(dst, &ev.Vec)
+		dst = vsm.AppendVector(dst, &ev.Vec)
 	}
 	return dst
 }
 
 func consumeEvents(b []byte) ([]partition.Event, error) {
+	c := bin.Read("rpc: events", b)
 	// Minimum event size: flags + ids + credit + seq + empty vector (8).
-	n, b, err := consumeCount(b, 1+4+4+8+8+8)
-	if err != nil {
-		return nil, err
-	}
-	evs := make([]partition.Event, 0, n)
-	for i := 0; i < n; i++ {
-		if len(b) < 25 {
-			return nil, fmt.Errorf("rpc: event %d truncated", i)
+	evs := make([]partition.Event, c.Count(1+4+4+8+8+8))
+	for i := range evs {
+		ev := &evs[i]
+		ev.Access = c.Flags(1) != 0
+		ev.Pred = trace.FileID(c.U32())
+		ev.Succ = trace.FileID(c.U32())
+		ev.Credit = c.F64()
+		ev.Seq = c.U64()
+		ev.Vec = vsm.ReadVector(&c)
+		// The wire refuses absurd strings even when the bytes are all there;
+		// the store does not (an in-process Feed may have stored a longer
+		// path), so the bound lives here and not in the shared read.
+		for _, sc := range ev.Vec.Scalars {
+			if len(sc) > trace.MaxPathLen {
+				c.Failf("event %d: unreasonable string length %d", i, len(sc))
+			}
 		}
-		le := binary.LittleEndian
-		var ev partition.Event
-		if b[0]&^1 != 0 {
-			return nil, fmt.Errorf("rpc: event %d: unknown flag bits %#x", i, b[0])
+		if len(ev.Vec.Path) > trace.MaxPathLen {
+			c.Failf("event %d: unreasonable path length %d", i, len(ev.Vec.Path))
 		}
-		ev.Access = b[0]&1 != 0
-		ev.Pred = trace.FileID(le.Uint32(b[1:5]))
-		ev.Succ = trace.FileID(le.Uint32(b[5:9]))
-		ev.Credit = f64from(le.Uint64(b[9:17]))
-		ev.Seq = le.Uint64(b[17:25])
-		b = b[25:]
-		if ev.Vec, b, err = consumeVector(b); err != nil {
-			return nil, fmt.Errorf("rpc: event %d vector: %w", i, err)
-		}
-		evs = append(evs, ev)
 	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("rpc: %d trailing bytes after events", len(b))
-	}
-	return evs, nil
-}
-
-func appendVector(dst []byte, v *vsm.Vector) []byte {
-	le := binary.LittleEndian
-	dst = le.AppendUint32(dst, uint32(len(v.Scalars)))
-	for _, sc := range v.Scalars {
-		dst = le.AppendUint32(dst, uint32(len(sc)))
-		dst = append(dst, sc...)
-	}
-	dst = le.AppendUint32(dst, uint32(len(v.Path)))
-	return append(dst, v.Path...)
-}
-
-func consumeVector(b []byte) (vsm.Vector, []byte, error) {
-	var v vsm.Vector
-	n, b, err := consumeCount(b, 4)
-	if err != nil {
-		return v, nil, err
-	}
-	if n > 0 {
-		v.Scalars = make([]string, 0, n)
-	}
-	str := func() (string, error) {
-		var l uint32
-		if l, b, err = consumeU32(b); err != nil {
-			return "", err
-		}
-		if l > trace.MaxPathLen {
-			return "", fmt.Errorf("rpc: unreasonable string length %d", l)
-		}
-		if uint32(len(b)) < l {
-			return "", fmt.Errorf("rpc: string truncated: want %d bytes, have %d", l, len(b))
-		}
-		s := string(b[:l])
-		b = b[l:]
-		return s, nil
-	}
-	for i := 0; i < n; i++ {
-		sc, err := str()
-		if err != nil {
-			return v, nil, err
-		}
-		v.Scalars = append(v.Scalars, sc)
-	}
-	path, err := str()
-	if err != nil {
-		return v, nil, err
-	}
-	v.Path = path
-	return v, b, nil
+	return evs, c.Done()
 }
 
 // ------------------------------------------------------- replication bodies
@@ -739,16 +608,9 @@ func appendCatchup(dst []byte, cut *CatchupCut) []byte {
 }
 
 func decodeCatchup(b []byte) (CatchupCut, error) {
-	if len(b) < 20 {
-		return CatchupCut{}, fmt.Errorf("rpc: catchup body is %d bytes, want >= 20", len(b))
-	}
-	le := binary.LittleEndian
-	return CatchupCut{
-		Pos:         le.Uint64(b[:8]),
-		Fingerprint: le.Uint64(b[8:16]),
-		FileCount:   int(le.Uint32(b[16:20])),
-		Snapshot:    b[20:],
-	}, nil
+	c := bin.Read("rpc: catchup", b)
+	cut := CatchupCut{Pos: c.U64(), Fingerprint: c.U64(), FileCount: int(c.U32()), Snapshot: c.Rest()}
+	return cut, c.Done()
 }
 
 // CatchupDelta is one chunk of a delta catch-up: the records a restarted
@@ -782,25 +644,15 @@ func appendCatchupDelta(dst []byte, d *CatchupDelta) []byte {
 }
 
 func decodeCatchupDelta(b []byte) (CatchupDelta, error) {
-	if len(b) < 21 {
-		return CatchupDelta{}, fmt.Errorf("rpc: catchup delta body is %d bytes, want >= 21", len(b))
+	c := bin.Read("rpc: catchup delta", b)
+	d := CatchupDelta{
+		FromPos:     c.U64(),
+		Fingerprint: c.U64(),
+		FileCount:   int(c.U32()),
+		Final:       c.Flags(1) != 0,
+		Records:     readRecords(&c),
 	}
-	le := binary.LittleEndian
-	flags := b[20]
-	if flags&^byte(1) != 0 {
-		return CatchupDelta{}, fmt.Errorf("rpc: catchup delta has unknown flag bits %#x", flags)
-	}
-	recs, err := consumeRecords(b[21:])
-	if err != nil {
-		return CatchupDelta{}, err
-	}
-	return CatchupDelta{
-		FromPos:     le.Uint64(b[:8]),
-		Fingerprint: le.Uint64(b[8:16]),
-		FileCount:   int(le.Uint32(b[16:20])),
-		Final:       flags&1 != 0,
-		Records:     recs,
-	}, nil
+	return d, c.Done()
 }
 
 // Replicate frame kinds.
@@ -826,10 +678,9 @@ func appendReplicateGroups(dst []byte, pos uint64, req *GroupsReq) []byte {
 }
 
 func decodeReplicate(b []byte) (pos uint64, kind byte, payload []byte, err error) {
-	if len(b) < 9 {
-		return 0, 0, nil, fmt.Errorf("rpc: replicate body is %d bytes, want >= 9", len(b))
-	}
-	return binary.LittleEndian.Uint64(b[:8]), b[8], b[9:], nil
+	c := bin.Read("rpc: replicate", b)
+	pos, kind, payload = c.U64(), c.U8(), c.Rest()
+	return pos, kind, payload, c.Done()
 }
 
 // GroupsReq parameterises a replica-group operation (paper §4.3): build
@@ -847,7 +698,7 @@ type GroupsReq struct {
 func appendGroupsReq(dst []byte, req *GroupsReq) []byte {
 	le := binary.LittleEndian
 	dst = le.AppendUint32(dst, uint32(req.FileCount))
-	dst = le.AppendUint64(dst, f64bits(req.MinDegree))
+	dst = le.AppendUint64(dst, math.Float64bits(req.MinDegree))
 	var flags byte
 	if req.Read {
 		flags |= 1
@@ -856,18 +707,9 @@ func appendGroupsReq(dst []byte, req *GroupsReq) []byte {
 }
 
 func decodeGroupsReq(b []byte) (GroupsReq, error) {
-	if len(b) != 13 {
-		return GroupsReq{}, fmt.Errorf("rpc: groups body is %d bytes, want 13", len(b))
-	}
-	le := binary.LittleEndian
-	if b[12]&^1 != 0 {
-		return GroupsReq{}, fmt.Errorf("rpc: groups request: unknown flag bits %#x", b[12])
-	}
-	return GroupsReq{
-		FileCount: int(le.Uint32(b[:4])),
-		MinDegree: f64from(le.Uint64(b[4:12])),
-		Read:      b[12]&1 != 0,
-	}, nil
+	c := bin.Read("rpc: groups request", b)
+	req := GroupsReq{FileCount: int(c.U32()), MinDegree: c.F64(), Read: c.Flags(1) != 0}
+	return req, c.Done()
 }
 
 // GroupsInfo summarises a replica-group manager: the fingerprint covers
@@ -887,15 +729,9 @@ func appendGroupsInfo(dst []byte, info GroupsInfo) []byte {
 }
 
 func decodeGroupsInfo(b []byte) (GroupsInfo, error) {
-	if len(b) != 20 {
-		return GroupsInfo{}, fmt.Errorf("rpc: groups info is %d bytes, want 20", len(b))
-	}
-	le := binary.LittleEndian
-	return GroupsInfo{
-		Fingerprint: le.Uint64(b[:8]),
-		Groups:      int(le.Uint32(b[8:12])),
-		Versions:    le.Uint64(b[12:20]),
-	}, nil
+	c := bin.Read("rpc: groups info", b)
+	info := GroupsInfo{Fingerprint: c.U64(), Groups: int(c.U32()), Versions: c.U64()}
+	return info, c.Done()
 }
 
 // ------------------------------------------------------- tenancy bodies
@@ -907,14 +743,9 @@ func appendHello(dst []byte, token string) []byte {
 }
 
 func decodeHello(b []byte) (token string, err error) {
-	if len(b) < 4 {
-		return "", fmt.Errorf("rpc: hello body is %d bytes, want >= 4", len(b))
-	}
-	n := binary.LittleEndian.Uint32(b[:4])
-	if uint32(len(b)-4) != n {
-		return "", fmt.Errorf("rpc: hello token length %d does not match body", n)
-	}
-	return string(b[4:]), nil
+	c := bin.Read("rpc: hello", b)
+	token = c.Str(int(c.U32()))
+	return token, c.Done()
 }
 
 // TenantInfo is one live tenant in a MsgTenants response.
@@ -936,32 +767,12 @@ func appendTenantInfos(dst []byte, infos []TenantInfo) []byte {
 }
 
 func decodeTenantInfos(b []byte) ([]TenantInfo, error) {
-	n, b, err := consumeCount(b, 1+7*8)
-	if err != nil {
-		return nil, err
+	c := bin.Read("rpc: tenants", b)
+	infos := make([]TenantInfo, c.Count(1+statsLen))
+	for i := range infos {
+		infos[i] = TenantInfo{Name: c.Str(int(c.U8())), Stats: readStats(&c)}
 	}
-	infos := make([]TenantInfo, 0, n)
-	for i := 0; i < n; i++ {
-		if len(b) < 1 {
-			return nil, fmt.Errorf("rpc: tenant %d truncated", i)
-		}
-		nl := int(b[0])
-		b = b[1:]
-		if len(b) < nl+7*8 {
-			return nil, fmt.Errorf("rpc: tenant %d truncated", i)
-		}
-		name := string(b[:nl])
-		st, err := consumeStats(b[nl : nl+7*8])
-		if err != nil {
-			return nil, fmt.Errorf("rpc: tenant %d: %w", i, err)
-		}
-		b = b[nl+7*8:]
-		infos = append(infos, TenantInfo{Name: name, Stats: st})
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("rpc: %d trailing bytes after tenants", len(b))
-	}
-	return infos, nil
+	return infos, c.Done()
 }
 
 // ------------------------------------------------------- lease bodies
@@ -1001,25 +812,12 @@ func appendLeaseInfo(dst []byte, info *LeaseInfo) []byte {
 }
 
 func decodeLeaseInfo(b []byte) (LeaseInfo, error) {
-	if len(b) < 18 {
-		return LeaseInfo{}, fmt.Errorf("rpc: lease info is %d bytes, want >= 18", len(b))
-	}
-	le := binary.LittleEndian
-	flags := b[16]
-	if flags&^(leaseFlagSelf|leaseFlagTransfer) != 0 {
-		return LeaseInfo{}, fmt.Errorf("rpc: lease info has unknown flag bits %#x", flags)
-	}
-	nl := int(b[17])
-	if len(b) != 18+nl {
-		return LeaseInfo{}, fmt.Errorf("rpc: lease info leader length %d does not match body", nl)
-	}
-	return LeaseInfo{
-		Epoch:    le.Uint64(b[:8]),
-		TTLMS:    le.Uint64(b[8:16]),
-		Self:     flags&leaseFlagSelf != 0,
-		Transfer: flags&leaseFlagTransfer != 0,
-		Leader:   string(b[18:]),
-	}, nil
+	c := bin.Read("rpc: lease info", b)
+	info := LeaseInfo{Epoch: c.U64(), TTLMS: c.U64()}
+	flags := c.Flags(leaseFlagSelf | leaseFlagTransfer)
+	info.Self, info.Transfer = flags&leaseFlagSelf != 0, flags&leaseFlagTransfer != 0
+	info.Leader = c.Str(int(c.U8()))
+	return info, c.Done()
 }
 
 // MsgLeaseRequest body: u64 epoch (0 = status query), u8 candLen, candidate.
@@ -1030,14 +828,10 @@ func appendLeaseReq(dst []byte, epoch uint64, candidate string) []byte {
 }
 
 func decodeLeaseReq(b []byte) (epoch uint64, candidate string, err error) {
-	if len(b) < 9 {
-		return 0, "", fmt.Errorf("rpc: lease request is %d bytes, want >= 9", len(b))
-	}
-	nl := int(b[8])
-	if len(b) != 9+nl {
-		return 0, "", fmt.Errorf("rpc: lease request candidate length %d does not match body", nl)
-	}
-	return binary.LittleEndian.Uint64(b[:8]), string(b[9:]), nil
+	c := bin.Read("rpc: lease request", b)
+	epoch = c.U64()
+	candidate = c.Str(int(c.U8()))
+	return epoch, candidate, c.Done()
 }
 
 // MsgHandoff body: u16 addrLen, target address.
@@ -1047,17 +841,12 @@ func appendHandoffReq(dst []byte, target string) []byte {
 }
 
 func decodeHandoffReq(b []byte) (string, error) {
-	if len(b) < 2 {
-		return "", fmt.Errorf("rpc: handoff body is %d bytes, want >= 2", len(b))
+	c := bin.Read("rpc: handoff", b)
+	target := c.Str(int(c.U16()))
+	if target == "" {
+		c.Failf("target is empty")
 	}
-	n := int(binary.LittleEndian.Uint16(b[:2]))
-	if len(b) != 2+n {
-		return "", fmt.Errorf("rpc: handoff target length %d does not match body", n)
-	}
-	if n == 0 {
-		return "", fmt.Errorf("rpc: handoff target is empty")
-	}
-	return string(b[2:]), nil
+	return target, c.Done()
 }
 
 // WireStat is one request type's server-side latency accounting: how many
@@ -1082,27 +871,12 @@ func appendWireStats(dst []byte, stats []WireStat) []byte {
 }
 
 func decodeWireStats(b []byte) ([]WireStat, error) {
-	n, b, err := consumeCount(b, 1+8+8)
-	if err != nil {
-		return nil, err
+	c := bin.Read("rpc: wire stats", b)
+	out := make([]WireStat, c.Count(1+8+8))
+	for i := range out {
+		out[i] = WireStat{Type: MsgType(c.U8()), Count: c.U64(), SumNS: c.U64()}
 	}
-	le := binary.LittleEndian
-	out := make([]WireStat, 0, n)
-	for i := 0; i < n; i++ {
-		if len(b) < 17 {
-			return nil, fmt.Errorf("rpc: wire stat %d truncated", i)
-		}
-		out = append(out, WireStat{
-			Type:  MsgType(b[0]),
-			Count: le.Uint64(b[1:9]),
-			SumNS: le.Uint64(b[9:17]),
-		})
-		b = b[17:]
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("rpc: %d trailing bytes after wire stats", len(b))
-	}
-	return out, nil
+	return out, c.Done()
 }
 
 // ------------------------------------------------------- observability bodies
@@ -1143,9 +917,16 @@ type TenantObs struct {
 	Groups        []ObsGroup
 }
 
-// tenantObsU64s is the fixed per-row section: the TenantObs uint64 fields
-// in declaration order.
-const tenantObsU64s = 15
+// u64s lists the row's fixed section: the uint64 fields in declaration
+// (= wire) order, for the encoder to read and the decoder to fill.
+func (r *TenantObs) u64s() [15]*uint64 {
+	return [...]*uint64{
+		&r.Fed, &r.MemoryBytes, &r.TapDepth, &r.TapDropped,
+		&r.FeedRecords, &r.FeedFrames, &r.ReplLagMax, &r.Followers,
+		&r.CkptAgeMS, &r.CkptEpoch, &r.CkptFull, &r.CkptDelta,
+		&r.PredPredicted, &r.PredHits, &r.LeaseEpoch,
+	}
+}
 
 // MsgObs request body: u32 k, u8 flags (must be 0).
 func appendObsReq(dst []byte, k int) []byte {
@@ -1154,18 +935,15 @@ func appendObsReq(dst []byte, k int) []byte {
 }
 
 func decodeObsReq(b []byte) (int, error) {
-	if len(b) != 5 {
-		return 0, fmt.Errorf("rpc: obs body is %d bytes, want 5", len(b))
-	}
-	if b[4] != 0 {
-		return 0, fmt.Errorf("rpc: obs request: unknown flag bits %#x", b[4])
-	}
-	return int(int32(binary.LittleEndian.Uint32(b[:4]))), nil
+	c := bin.Read("rpc: obs request", b)
+	k := int(int32(c.U32()))
+	c.Flags(0)
+	return k, c.Done()
 }
 
 // MsgObs response body: u32 tenantCount, then per tenant u8 nameLen, name,
 // 15 u64 fields (declaration order), u32 groupCount, and per group
-// u32 seed, u64 strength bits, u32 fileCount, u32 files.
+// u32 seed, u64 strength bits, a FileID list.
 func appendTenantObs(dst []byte, rows []TenantObs) []byte {
 	le := binary.LittleEndian
 	dst = le.AppendUint32(dst, uint32(len(rows)))
@@ -1173,86 +951,36 @@ func appendTenantObs(dst []byte, rows []TenantObs) []byte {
 		r := &rows[i]
 		dst = append(dst, byte(len(r.Name)))
 		dst = append(dst, r.Name...)
-		for _, v := range [tenantObsU64s]uint64{
-			r.Fed, r.MemoryBytes, r.TapDepth, r.TapDropped,
-			r.FeedRecords, r.FeedFrames, r.ReplLagMax, r.Followers,
-			r.CkptAgeMS, r.CkptEpoch, r.CkptFull, r.CkptDelta,
-			r.PredPredicted, r.PredHits, r.LeaseEpoch,
-		} {
-			dst = le.AppendUint64(dst, v)
+		for _, p := range r.u64s() {
+			dst = le.AppendUint64(dst, *p)
 		}
 		dst = le.AppendUint32(dst, uint32(len(r.Groups)))
 		for _, g := range r.Groups {
 			dst = le.AppendUint32(dst, uint32(g.Seed))
-			dst = le.AppendUint64(dst, f64bits(g.Strength))
-			dst = appendFileIDs(dst, g.Files)
+			dst = le.AppendUint64(dst, math.Float64bits(g.Strength))
+			dst = trace.AppendFileIDs(dst, g.Files)
 		}
 	}
 	return dst
 }
 
 func decodeTenantObs(b []byte) ([]TenantObs, error) {
-	n, b, err := consumeCount(b, 1+tenantObsU64s*8+4)
-	if err != nil {
-		return nil, err
+	c := bin.Read("rpc: obs rows", b)
+	rows := make([]TenantObs, c.Count(1+15*8+4))
+	for i := range rows {
+		r := &rows[i]
+		r.Name = c.Str(int(c.U8()))
+		for _, p := range r.u64s() {
+			*p = c.U64()
+		}
+		if n := c.Count(4 + 8 + 4); n > 0 {
+			r.Groups = make([]ObsGroup, n)
+		}
+		for j := range r.Groups {
+			r.Groups[j] = ObsGroup{Seed: trace.FileID(c.U32()), Strength: c.F64(), Files: trace.ReadFileIDs(&c)}
+		}
 	}
-	le := binary.LittleEndian
-	rows := make([]TenantObs, 0, n)
-	for i := 0; i < n; i++ {
-		if len(b) < 1 {
-			return nil, fmt.Errorf("rpc: obs row %d truncated", i)
-		}
-		nl := int(b[0])
-		b = b[1:]
-		if len(b) < nl+tenantObsU64s*8+4 {
-			return nil, fmt.Errorf("rpc: obs row %d truncated", i)
-		}
-		var r TenantObs
-		r.Name = string(b[:nl])
-		b = b[nl:]
-		for _, p := range [tenantObsU64s]*uint64{
-			&r.Fed, &r.MemoryBytes, &r.TapDepth, &r.TapDropped,
-			&r.FeedRecords, &r.FeedFrames, &r.ReplLagMax, &r.Followers,
-			&r.CkptAgeMS, &r.CkptEpoch, &r.CkptFull, &r.CkptDelta,
-			&r.PredPredicted, &r.PredHits, &r.LeaseEpoch,
-		} {
-			*p = le.Uint64(b[:8])
-			b = b[8:]
-		}
-		var gn int
-		if gn, b, err = consumeCount(b, 4+8+4); err != nil {
-			return nil, fmt.Errorf("rpc: obs row %d groups: %w", i, err)
-		}
-		if gn > 0 {
-			r.Groups = make([]ObsGroup, 0, gn)
-		}
-		for j := 0; j < gn; j++ {
-			if len(b) < 4+8+4 {
-				return nil, fmt.Errorf("rpc: obs row %d group %d truncated", i, j)
-			}
-			var g ObsGroup
-			g.Seed = trace.FileID(le.Uint32(b[:4]))
-			g.Strength = f64from(le.Uint64(b[4:12]))
-			b = b[12:]
-			var fn int
-			if fn, b, err = consumeCount(b, 4); err != nil {
-				return nil, fmt.Errorf("rpc: obs row %d group %d: %w", i, j, err)
-			}
-			if fn > 0 {
-				g.Files = make([]trace.FileID, fn)
-				for k := range g.Files {
-					g.Files[k] = trace.FileID(le.Uint32(b[:4]))
-					b = b[4:]
-				}
-			}
-			r.Groups = append(r.Groups, g)
-		}
-		rows = append(rows, r)
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("rpc: %d trailing bytes after obs rows", len(b))
-	}
-	return rows, nil
+	return rows, c.Done()
 }
 
 // ------------------------------------------------------- frame buffer pool
@@ -1279,18 +1007,4 @@ func putFrameBuf(fb *frameBuf) {
 	}
 	fb.b = fb.b[:0]
 	framePool.Put(fb)
-}
-
-// Predict request body.
-func appendPredictReq(dst []byte, f trace.FileID, k int) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(f))
-	return binary.LittleEndian.AppendUint32(dst, uint32(k))
-}
-
-func decodePredictReq(b []byte) (trace.FileID, int, error) {
-	if len(b) != 8 {
-		return 0, 0, fmt.Errorf("rpc: predict body is %d bytes, want 8", len(b))
-	}
-	le := binary.LittleEndian
-	return trace.FileID(le.Uint32(b[:4])), int(int32(le.Uint32(b[4:8]))), nil
 }

@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"farmer/internal/bin"
 )
 
 // Text format: one record per line,
@@ -208,6 +210,30 @@ func ConsumeRecord(b []byte) (Record, []byte, error) {
 	}
 	r.Path = string(b[:n])
 	return r, b[n:], nil
+}
+
+// AppendFileIDs appends a FileID list — u32 count, then the ids — the one
+// encoding behind a Predict response, a MsgObs group's members and the
+// store's m/window record.
+func AppendFileIDs(dst []byte, files []FileID) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(files)))
+	for _, f := range files {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(f))
+	}
+	return dst
+}
+
+// ReadFileIDs reads an AppendFileIDs list (nil when empty).
+func ReadFileIDs(c *bin.Cursor) []FileID {
+	n := c.Count(4)
+	if n == 0 {
+		return nil
+	}
+	out := make([]FileID, n)
+	for i := range out {
+		out[i] = FileID(c.U32())
+	}
+	return out
 }
 
 // WriteBinary encodes the trace in the compact binary format.

@@ -13,7 +13,12 @@
 // from drowning out the other attributes.
 package vsm
 
-import "strings"
+import (
+	"encoding/binary"
+	"strings"
+
+	"farmer/internal/bin"
+)
 
 // Attr identifies one semantic attribute extracted from a file request.
 type Attr uint8
@@ -101,6 +106,34 @@ var AllFileIDMask = MaskOf(AttrUser, AttrProcess, AttrHost, AttrFileID)
 type Vector struct {
 	Scalars []string // discrete attribute items, e.g. "u:12", "p:344"
 	Path    string   // full path, or "" when the trace has no paths
+}
+
+// AppendVector appends a vector — u32 scalar count, (u32 len, bytes) per
+// scalar, u32 path length, path — the one encoding behind the store's v/
+// records and the vector a wire event ships.
+func AppendVector(dst []byte, v *Vector) []byte {
+	le := binary.LittleEndian
+	dst = le.AppendUint32(dst, uint32(len(v.Scalars)))
+	for _, sc := range v.Scalars {
+		dst = le.AppendUint32(dst, uint32(len(sc)))
+		dst = append(dst, sc...)
+	}
+	dst = le.AppendUint32(dst, uint32(len(v.Path)))
+	return append(dst, v.Path...)
+}
+
+// ReadVector reads an AppendVector encoding. String lengths are bounded only
+// by the bytes present; a caller facing the network bounds them further.
+func ReadVector(c *bin.Cursor) Vector {
+	var v Vector
+	if n := c.Count(4); n > 0 {
+		v.Scalars = make([]string, n)
+		for i := range v.Scalars {
+			v.Scalars[i] = c.Str(int(c.U32()))
+		}
+	}
+	v.Path = c.Str(int(c.U32()))
+	return v
 }
 
 // Len reports the number of vector items under the given path algorithm.
