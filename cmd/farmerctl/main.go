@@ -113,7 +113,7 @@ func runServe(args []string) int {
 	addr := fs.String("addr", "127.0.0.1:4727", "TCP listen address")
 	storePath := fs.String("store", "", "write-ahead log path for persistent mined state")
 	load := fs.Bool("load", false, "restore persisted state from -store at startup")
-	shards := fs.Int("shards", 0, "miner shards (0/1 = single-lock)")
+	shards := fs.Int("shards", 0, "miner shards (0/1 = one)")
 	partName := fs.String("partition", "stripe", "shard partitioner: stripe, hash or group")
 	checkpoint := fs.Duration("checkpoint", 0, "periodic checkpoint interval (needs -store)")
 	tlsCert := fs.String("tls-cert", "", "PEM certificate for serving over TLS (needs -tls-key)")
@@ -475,7 +475,7 @@ func runExperiments(args []string) int {
 	fs := newFlagSet("", "farmerctl regenerates the FARMER paper's evaluation artifacts.", "[flags] <experiment>...")
 	records := fs.Int("records", 30000, "records per generated trace")
 	parallelism := fs.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-	shards := fs.Int("shards", 0, "FARMER miner shards per MDS (0 = match MDS workers, 1 = single-lock)")
+	shards := fs.Int("shards", 0, "FARMER miner shards per MDS (0 = match MDS workers)")
 	servers := fs.Int("servers", 0, "metadata servers in the cluster experiment (0 = default 4)")
 	asyncPrefetch := fs.Bool("async-prefetch", false, "run every simulated MDS with mining/prediction off the demand path")
 	mineTime := fs.Duration("minetime", 0, "modeled per-record mining CPU cost inside each MDS (asynclat defaults to 1ms)")

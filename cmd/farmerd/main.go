@@ -9,7 +9,7 @@
 //	farmerd [-addr host:port] [-metrics-addr host:port]
 //	        [-store wal] [-load] [-repair]
 //	        [-shards N] [-partition stripe|hash|group]
-//	        [-checkpoint D] [-prefetch-k K]
+//	        [-checkpoint D] [-drain D] [-prefetch-k K]
 //	        [-weight P] [-strength S]
 //	        [-replicate-to addr,addr...] [-follow]
 //	        [-replica-token T] [-lease-ttl D] [-lease-peers addr,addr...]
@@ -24,7 +24,10 @@
 // first (otherwise a corrupt log refuses to open). With -prefetch-k, the
 // async prefetch pipeline is attached and its accounting is printed on
 // exit. SIGINT/SIGTERM drain gracefully: in-flight requests finish,
-// responses flush, the final checkpoint is written.
+// responses flush, the final checkpoint is written, all within -drain.
+// -shards stripes the miner for parallel batch ingest; mined state is
+// bit-identical at every count, and reads take the owning shard's lock
+// (there is no separate read path to configure).
 //
 // With -replicate-to, this farmerd is a replication PRIMARY: each listed
 // address must be a farmerd started with -follow, which is bootstrapped
@@ -112,8 +115,7 @@ func run() int {
 	storePath := fs.String("store", "", "write-ahead log path for persistent mined state (empty = volatile)")
 	load := fs.Bool("load", false, "restore persisted state from -store at startup")
 	repair := fs.Bool("repair", false, "truncate a corrupt -store log at its last intact record before opening")
-	shards := fs.Int("shards", 0, "miner shards (0/1 = paper-exact single-lock path)")
-	readStripes := fs.Int("read-stripes", 0, "striped Correlator-List read snapshot with this many lock stripes (0 = off)")
+	shards := fs.Int("shards", 0, "miner shards (0/1 = one; mined state is bit-identical at every count)")
 	partName := fs.String("partition", "stripe", "shard partitioner: stripe, hash or group")
 	checkpoint := fs.Duration("checkpoint", 0, "periodic checkpoint interval (0 = only on shutdown; needs -store)")
 	prefetchK := fs.Int("prefetch-k", 0, "attach the async prefetch pipeline with this prefetch degree (0 = off)")
@@ -154,7 +156,6 @@ func run() int {
 		Load:        *load,
 		Repair:      *repair,
 		Shards:      *shards,
-		ReadStripes: *readStripes,
 		Partition:   *partName,
 		Ckpt:        *checkpoint,
 		PrefetchK:   *prefetchK,

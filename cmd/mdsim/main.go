@@ -34,7 +34,7 @@ func main() {
 	prefetchK := flag.Int("k", 4, "prefetch degree")
 	weight := flag.Float64("p", 0.7, "FARMER weight p")
 	maxStrength := flag.Float64("strength", 0.4, "FARMER max_strength threshold")
-	shards := flag.Int("shards", 0, "FARMER miner shards (0 = match MDS workers, 1 = single-lock)")
+	shards := flag.Int("shards", 0, "FARMER miner shards (0 = match MDS workers)")
 	asyncPrefetch := flag.Bool("async-prefetch", false, "mine and predict off the demand path (shard-worker station)")
 	mineTime := flag.Duration("minetime", 0, "modeled per-record mining CPU cost (sync: on the demand path)")
 	pfQueue := flag.Int("pfqueue", 0, "bound on queued prefetches, drop-oldest beyond (0 = unbounded)")

@@ -96,9 +96,6 @@ type (
 	// ModelStats is a footprint snapshot used by the space-overhead
 	// experiments.
 	ModelStats = core.Stats
-	// ListCache is the striped materialized Correlator-List snapshot a
-	// miner opened WithReadStripes serves Predict/CorrelatorList from.
-	ListCache = core.ListCache
 )
 
 // Trace model types, re-exported.

@@ -183,7 +183,7 @@ func TestConservationProperty(t *testing.T) {
 			}
 		}
 		m := c.Finish()
-		return m.Prefetched == m.PrefetchUsed+m.PrefetchWasted
+		return m.Prefetched == m.PrefetchUsed+m.PrefetchWasted && m.PrefetchHits == m.PrefetchUsed
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -46,8 +46,8 @@ type Config struct {
 	// MaxCorrelators bounds each Correlator List; 0 means unbounded.
 	MaxCorrelators int
 	// Shards selects how many FileID-striped partitions NewSharded spreads
-	// the miner across. 0 or 1 keeps the single-lock Model behavior
-	// (paper-exact); Model itself ignores the knob.
+	// the miner across; 0 and 1 both mean one. The mined state is identical
+	// to Model's at every count, and Model itself ignores the knob.
 	Shards int
 }
 
@@ -100,8 +100,8 @@ type Model struct {
 
 	// listHook, when set, is invoked under m.mu after every Correlator-List
 	// mutation (insert, update, drop, checkpoint install) with the owning
-	// predecessor — the invalidation feed a read-side list cache subscribes
-	// to. Set it before the model is shared between goroutines.
+	// predecessor — how a caller counts or mirrors list changes. Set it
+	// before the model is shared between goroutines.
 	listHook func(trace.FileID)
 
 	mu      sync.RWMutex
@@ -449,18 +449,4 @@ func (m *Model) WindowTail() []trace.FileID {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return append([]trace.FileID(nil), m.window...)
-}
-
-// PrimeWindow replaces the lookahead window (model and graph, which track
-// the same content) without feeding — the restore half of WindowTail. A
-// model bootstrapped from a checkpoint plus a primed window mines every
-// subsequent record exactly as the checkpointed model would have.
-func (m *Model) PrimeWindow(w []trace.FileID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(w) > m.winSize {
-		w = w[len(w)-m.winSize:]
-	}
-	m.window = append(m.window[:0], w...)
-	m.g.SetWindow(w)
 }

@@ -403,7 +403,7 @@ func (s *ShardedModel) checkpointLocked(st *kvstore.Store, allowDelta bool) (inc
 				return err
 			}
 		}
-		return stageMeta(b, s.windowTailLocked(), s.cfg.Weight, s.cfg.MaxStrength, s.disp.Dispatched(), epoch+1)
+		return stageMeta(b, s.disp.Window(), s.cfg.Weight, s.cfg.MaxStrength, s.disp.Dispatched(), epoch+1)
 	})
 	if err != nil {
 		s.ckptStore = nil
@@ -413,37 +413,21 @@ func (s *ShardedModel) checkpointLocked(st *kvstore.Store, allowDelta bool) (inc
 	return incremental, nil
 }
 
-// windowTailLocked reads the ensemble's live lookahead window holding dmu:
-// the dispatcher's window when dispatch routes events, the lone Model's own
-// window on the single-shard fast path (which bypasses the dispatcher).
-func (s *ShardedModel) windowTailLocked() []trace.FileID {
-	if len(s.shards) == 1 {
-		return s.shards[0].WindowTail()
-	}
-	return s.disp.Window()
-}
-
 // WindowTail returns a copy of the ensemble's lookahead window, oldest
 // first.
 func (s *ShardedModel) WindowTail() []trace.FileID {
 	s.dmu.Lock()
 	defer s.dmu.Unlock()
-	return s.windowTailLocked()
+	return s.disp.Window()
 }
 
 // PrimeWindow replaces the ensemble's lookahead window without feeding — the
-// restore half of WindowTail (see Model.PrimeWindow).
+// restore half of WindowTail: an ensemble bootstrapped from a checkpoint
+// plus a primed window mines every subsequent record exactly as the
+// checkpointed one would have.
 func (s *ShardedModel) PrimeWindow(w []trace.FileID) {
 	s.dmu.Lock()
 	defer s.dmu.Unlock()
-	s.primeWindowLocked(w)
-}
-
-func (s *ShardedModel) primeWindowLocked(w []trace.FileID) {
-	if len(s.shards) == 1 {
-		s.shards[0].PrimeWindow(w)
-		return
-	}
 	s.disp.PrimeWindow(w)
 }
 
@@ -569,17 +553,12 @@ func (s *ShardedModel) LoadMerged(st *kvstore.Store) error {
 		for f, gn := range gnodes[i] {
 			m.g.RestoreNode(f, gn.total, gn.edges)
 		}
-		if n == 1 {
-			// Single-shard parity: the lone Model carries the ensemble's fed
-			// counter, exactly as if it had mined the stream itself.
-			m.fed = fed
-		}
 		// The shard now equals the store: start dirty tracking so the next
 		// SaveCheckpoint into this same store can be a delta.
 		m.resetDirtyLocked()
 		m.mu.Unlock()
 	}
-	s.primeWindowLocked(window)
+	s.disp.PrimeWindow(window)
 	s.disp.Advance(fed)
 	// (A catch-up install loads from a transient in-memory store; its
 	// binding simply never matches the daemon's real store, forcing the next

@@ -15,8 +15,8 @@ import (
 	"farmer/internal/vsm"
 )
 
-// minedHP mines the HP trace on a 1-shard ensemble — the lone Model fed
-// through its own lock, which is how a single Model persists.
+// minedHP mines the HP trace on a 1-shard ensemble, which is how a single
+// Model persists.
 func minedHP(t *testing.T, records int) *ShardedModel {
 	t.Helper()
 	tr := tracegen.HP(records).MustGenerate()
@@ -166,7 +166,7 @@ func assertSamePredictions(t *testing.T, tr *trace.Trace, want, got interface {
 // TestSaveMergedLoadMergedResize is the resize round trip: a 4-stripe
 // ensemble saves once, and ensembles at other stripe counts — and under
 // entirely different deployment partitioners — load the same record with
-// identical predictions. (One stripe is the lone Model behind its own lock.)
+// identical predictions.
 func TestSaveMergedLoadMergedResize(t *testing.T) {
 	tr, sm := minedShardedHP(t, 8000, 4)
 	st, err := kvstore.Open("")
@@ -607,6 +607,68 @@ func TestCheckpointIsCompleteMerged(t *testing.T) {
 		if got := StateFingerprint(sm2, tr.FileCount); got != want {
 			t.Fatalf("shards=%d: restored ensemble diverged: %#x != %#x", shards, got, want)
 		}
+	}
+}
+
+// TestCheckpointOneShardLoadsAtFour: a one-shard ensemble keeps its window
+// and record counter in the dispatcher like any other, so its checkpoint is
+// the same bytes as ever — the golden store, m/window included, which the
+// commit before the one-shard fork was removed wrote for this stream — and a
+// four-shard ensemble loads it and mines on to the sequential fingerprint.
+func TestCheckpointOneShardLoadsAtFour(t *testing.T) {
+	recs := goldenRecords()
+	one := NewSharded(goldenConfig())
+	for i := range recs {
+		one.Feed(&recs[i])
+	}
+	st, err := kvstore.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := one.SaveMerged(st); err != nil {
+		t.Fatal(err)
+	}
+	if got := storeContents(st); !reflect.DeepEqual(got, goldenStore) {
+		t.Fatalf("one-shard checkpoint differs from the golden store:\n got  %v\n want %v", got, goldenStore)
+	}
+
+	tr := tracegen.HP(6000).MustGenerate()
+	cfg := DefaultConfig()
+	cfg.Mask = vsm.DefaultMask(true)
+	ref := New(cfg)
+	ref.FeedTrace(tr)
+	cut := len(tr.Records) / 2
+	one = NewSharded(cfg)
+	for i := 0; i < cut; i++ {
+		one.Feed(&tr.Records[i])
+	}
+	big, err := kvstore.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer big.Close()
+	if err := one.SaveMerged(big); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Shards = 4
+	four := NewSharded(cfg)
+	if err := four.LoadMerged(big); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := four.WindowTail(), one.WindowTail(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("loaded window %v, saved %v", got, want)
+	}
+	mid := cut + (len(tr.Records)-cut)/2
+	for i := cut; i < mid; i++ {
+		four.Feed(&tr.Records[i])
+	}
+	four.FeedBatch(tr.Records[mid:])
+	if got, want := StateFingerprint(four, tr.FileCount), StateFingerprint(ref, tr.FileCount); got != want {
+		t.Fatalf("1 shard saved, 4 loaded and fed on: fingerprint %#x, sequential %#x", got, want)
+	}
+	if got, want := four.Fed(), ref.Fed(); got != want {
+		t.Fatalf("fed %d, sequential %d", got, want)
 	}
 }
 

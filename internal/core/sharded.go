@@ -72,9 +72,10 @@ func (m *Model) ApplyEvents(evs []partition.Event) {
 // read methods are safe concurrently with ingestion (mid-batch they observe
 // a consistent-per-shard but possibly staggered snapshot).
 //
-// With Config.Shards <= 1 the ensemble is a single Model fed through its
-// ordinary single-lock path, so results — including intermediate states —
-// are bit-identical to Model.
+// The partition.Dispatcher owns the lookahead window, the Stage-1 extractor
+// and the record counter at every shard count; the shards hold only the
+// mined state events install. A one-shard ensemble therefore runs the same
+// code as an N-shard one and is bit-identical to Model after every record.
 type ShardedModel struct {
 	cfg    Config
 	part   partition.Partitioner
@@ -82,7 +83,7 @@ type ShardedModel struct {
 
 	dmu  sync.Mutex            // serializes dispatch (window + emission order)
 	disp *partition.Dispatcher // owns the window and the global sequence
-	one  [1]partition.Event    // scratch for the streaming Feed path
+	evs  []partition.Event     // scratch: one streamed record's events
 
 	// Event taps (see tap.go). tapCount mirrors len(taps) so the hot path
 	// skips the lock when nobody listens.
@@ -136,14 +137,20 @@ func NewShardedPartitioned(cfg Config, owners int, part partition.Partitioner) *
 		slots[i].init(shardCfg)
 		s.shards[i] = &slots[i].Model
 	}
-	s.disp = partition.NewDispatcher(partition.Config{
-		Owners:      owners,
-		Partitioner: part,
-		Mask:        cfg.Mask,
-		PathAlg:     cfg.PathAlg,
-		Graph:       cfg.Graph,
-	})
+	s.disp = s.newDispatcher()
 	return s
+}
+
+// newDispatcher builds the ensemble's sequencer in its start state: empty
+// window, fresh extractor, zero records.
+func (s *ShardedModel) newDispatcher() *partition.Dispatcher {
+	return partition.NewDispatcher(partition.Config{
+		Owners:      len(s.shards),
+		Partitioner: s.part,
+		Mask:        s.cfg.Mask,
+		PathAlg:     s.cfg.PathAlg,
+		Graph:       s.cfg.Graph,
+	})
 }
 
 // shardOf stripes a FileID across n partitions (partition.Stripe — Fibonacci
@@ -169,30 +176,19 @@ func (s *ShardedModel) shardFor(f trace.FileID) *Model {
 
 // Feed ingests one record. Unlike Model.Feed it is safe to call from many
 // goroutines: dispatch is serialized, state updates take only the owning
-// shard's lock.
+// shard's lock. dmu keeps sequencing, application and tap publication atomic
+// per record, so concurrent callers keep the tap's single-publisher FIFO
+// invariant and a checkpoint taken under dmu sees state and counter at an
+// exact record boundary. The record's events (its access, then one edge per
+// window slot) are collected and applied a run of same-owner events at a
+// time: one shard-lock hold per run, not per event.
 func (s *ShardedModel) Feed(r *trace.Record) {
-	if len(s.shards) == 1 {
-		// dmu keeps seq assignment (and tap publication, when anyone
-		// listens) atomic with the feed, so concurrent callers keep the
-		// tap's single-publisher FIFO invariant and a checkpoint taken
-		// under dmu sees state and counter at an exact record boundary.
-		// (A feed racing tap registration may bypass publication — Tap
-		// only promises events for records ingested after it returns.)
-		s.dmu.Lock()
-		defer s.dmu.Unlock()
-		s.shards[0].Feed(r)
-		seq := s.disp.Advance(1)
-		if s.tapCount.Load() != 0 {
-			s.publish(0, TapEvent{Seq: seq, File: r.File, Shard: 0})
-		}
-		return
-	}
 	s.dmu.Lock()
 	defer s.dmu.Unlock()
-	seq := s.disp.Dispatch(r, func(shard int, ev partition.Event) {
-		s.one[0] = ev
-		s.shards[shard].ApplyEvents(s.one[:])
-	})
+	evs := s.evs[:0]
+	seq := s.disp.Dispatch(r, func(_ int, ev partition.Event) { evs = append(evs, ev) })
+	s.applyRouted(evs)
+	s.evs = evs // keep the grown scratch
 	home := s.ownerOf(r.File)
 	s.publish(home, TapEvent{Seq: seq, File: r.File, Shard: home})
 }
@@ -223,32 +219,30 @@ func (s *ShardedModel) DispatchExternal(r *trace.Record, emit func(owner int, ev
 // mined state to stay bit-identical to a locally fed ensemble. The local
 // dispatcher's window and sequence are not consulted or advanced — the
 // remote dispatcher owns both.
-func (s *ShardedModel) ApplyExternal(evs []partition.Event) {
-	if len(s.shards) == 1 {
-		s.shards[0].ApplyEvents(evs)
-		return
-	}
-	// Group per shard, preserving each shard's relative order.
+func (s *ShardedModel) ApplyExternal(evs []partition.Event) { s.applyRouted(evs) }
+
+// applyRouted applies events to the shards owning the state they touch, one
+// ApplyEvents call (one lock hold) per run of same-owner events, preserving
+// each shard's relative order.
+func (s *ShardedModel) applyRouted(evs []partition.Event) {
 	for lo := 0; lo < len(evs); {
-		key := evs[lo].Pred
-		if evs[lo].Access {
-			key = evs[lo].Succ
-		}
-		owner := s.ownerOf(key)
+		owner := s.eventOwner(&evs[lo])
 		hi := lo + 1
-		for hi < len(evs) {
-			k := evs[hi].Pred
-			if evs[hi].Access {
-				k = evs[hi].Succ
-			}
-			if s.ownerOf(k) != owner {
-				break
-			}
+		for hi < len(evs) && s.eventOwner(&evs[hi]) == owner {
 			hi++
 		}
 		s.shards[owner].ApplyEvents(evs[lo:hi])
 		lo = hi
 	}
+}
+
+// eventOwner is the shard holding the state ev touches: the accessed file's
+// for an access event, the predecessor's for an edge event.
+func (s *ShardedModel) eventOwner(ev *partition.Event) int {
+	if ev.Access {
+		return s.ownerOf(ev.Succ)
+	}
+	return s.ownerOf(ev.Pred)
 }
 
 // eventChunk sizes the batches of events shipped to a shard worker: large
@@ -271,71 +265,73 @@ func (s *ShardedModel) FeedBatch(records []trace.Record) {
 	if len(records) == 0 {
 		return
 	}
-	if len(s.shards) == 1 {
-		s.dmu.Lock()
-		defer s.dmu.Unlock()
-		if s.tapCount.Load() == 0 {
-			for i := range records {
-				s.shards[0].Feed(&records[i])
-			}
-			s.disp.Advance(uint64(len(records)))
-			return
-		}
-		for i := range records {
-			s.shards[0].Feed(&records[i])
-			seq := s.disp.Advance(1)
-			s.publish(0, TapEvent{Seq: seq, File: records[i].File, Shard: 0})
-		}
-		return
-	}
 	s.dmu.Lock()
 	defer s.dmu.Unlock()
 
-	n := len(s.shards)
-	chans := make([]chan []partition.Event, n)
+	// deliver hands a filled chunk to its shard: through a channel to the
+	// shard's worker, or — the one place the shard count picks a path — by
+	// applying it on this goroutine when there is one shard. A lone shard has
+	// nothing to run beside, and starting its worker costs more than a small
+	// batch takes to mine (a 1-record batch: 1.9 µs inline, 6.3 µs through a
+	// worker; EXPERIMENTS.md "One of each").
+	deliver := s.applyChunk
 	var wg sync.WaitGroup
-	for i := range chans {
-		chans[i] = make(chan []partition.Event, 8)
-		wg.Add(1)
-		go func(shard int, m *Model, ch <-chan []partition.Event) {
-			defer wg.Done()
-			for evs := range ch {
-				m.ApplyEvents(evs)
-				if s.tapCount.Load() != 0 {
-					// Post-ingest taps: one event per record this shard owns,
-					// published by the lone worker so delivery stays FIFO.
-					for i := range evs {
-						if evs[i].Access {
-							s.publish(shard, TapEvent{Seq: evs[i].Seq, File: evs[i].Succ, Shard: shard})
-						}
-					}
+	var chans []chan []partition.Event
+	if len(s.shards) > 1 {
+		chans = make([]chan []partition.Event, len(s.shards))
+		for i := range chans {
+			chans[i] = make(chan []partition.Event, 8)
+			wg.Add(1)
+			go func(shard int, ch <-chan []partition.Event) {
+				defer wg.Done()
+				for evs := range ch {
+					s.applyChunk(shard, evs)
 				}
-				chunkPool.Put((*[eventChunk]partition.Event)(evs[:eventChunk]))
-			}
-		}(i, s.shards[i], chans[i])
+			}(i, chans[i])
+		}
+		deliver = func(shard int, evs []partition.Event) { chans[shard] <- evs }
 	}
 
-	bufs := make([][]partition.Event, n)
+	bufs := make([][]partition.Event, len(s.shards))
 	emit := func(shard int, ev partition.Event) {
 		if bufs[shard] == nil {
 			bufs[shard] = chunkPool.Get().(*[eventChunk]partition.Event)[:0]
 		}
 		bufs[shard] = append(bufs[shard], ev)
 		if len(bufs[shard]) == eventChunk {
-			chans[shard] <- bufs[shard]
+			deliver(shard, bufs[shard])
 			bufs[shard] = nil
 		}
 	}
 	for i := range records {
 		s.disp.Dispatch(&records[i], emit)
 	}
-	for i := range chans {
-		if len(bufs[i]) > 0 {
-			chans[i] <- bufs[i]
+	for i, buf := range bufs {
+		if len(buf) > 0 {
+			deliver(i, buf)
 		}
-		close(chans[i])
+	}
+	for _, ch := range chans {
+		close(ch)
 	}
 	wg.Wait()
+}
+
+// applyChunk mines one chunk of a batch on its shard, publishes the
+// post-ingest tap events for the records that shard owns, and recycles the
+// chunk. One goroutine at a time runs it for a given shard (the shard's
+// worker, or the dispatching goroutine of a one-shard ensemble), which keeps
+// tap delivery FIFO.
+func (s *ShardedModel) applyChunk(shard int, evs []partition.Event) {
+	s.shards[shard].ApplyEvents(evs)
+	if s.tapCount.Load() != 0 {
+		for i := range evs {
+			if evs[i].Access {
+				s.publish(shard, TapEvent{Seq: evs[i].Seq, File: evs[i].Succ, Shard: shard})
+			}
+		}
+	}
+	chunkPool.Put((*[eventChunk]partition.Event)(evs[:eventChunk]))
 }
 
 // FeedTraceParallel is the batch-ingestion entry point for whole traces —
@@ -376,10 +372,6 @@ func (s *ShardedModel) Params() (weight, maxStrength float64) {
 // ResetWindow forgets the lookahead window (stream boundary) while keeping
 // all mined knowledge.
 func (s *ShardedModel) ResetWindow() {
-	if len(s.shards) == 1 {
-		s.shards[0].ResetWindow()
-		return
-	}
 	s.dmu.Lock()
 	defer s.dmu.Unlock()
 	s.disp.ResetWindow()
@@ -458,20 +450,13 @@ func (s *ShardedModel) Reset() {
 	for _, m := range s.shards {
 		m.reset()
 	}
-	s.disp = partition.NewDispatcher(partition.Config{
-		Owners:      len(s.shards),
-		Partitioner: s.part,
-		Mask:        s.cfg.Mask,
-		PathAlg:     s.cfg.PathAlg,
-		Graph:       s.cfg.Graph,
-	})
+	s.disp = s.newDispatcher()
 	s.ckptStore = nil
 	s.saveEpoch = 0
 }
 
 // reset clears one shard back to its post-init state, keeping the list hook
-// registration. Every dropped Correlator List is notified so a subscribed
-// read cache invalidates its snapshots.
+// registration. Every dropped Correlator List is notified to the hook.
 func (m *Model) reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"farmer/internal/partition"
@@ -58,8 +60,9 @@ func assertModelsEqual(t *testing.T, tr *trace.Trace, want *Model, got *ShardedM
 	}
 }
 
-// TestShardedSingleShardBitIdentical checks the Shards<=1 escape hatch: the
-// ensemble must reproduce the single-lock Model exactly (it IS one).
+// TestShardedSingleShardBitIdentical: Shards 0 and 1 both mean one shard,
+// and the batch path — which applies a lone shard's events inline, with no
+// worker — reproduces the sequential Model exactly.
 func TestShardedSingleShardBitIdentical(t *testing.T) {
 	tr := shardTrace(t, 4000)
 	for _, shards := range []int{0, 1} {
@@ -94,6 +97,112 @@ func TestShardedEquivalence(t *testing.T) {
 		}
 		assertModelsEqual(t, tr, single, stream, 0)
 	}
+}
+
+// TestShardedMatchesModelAfterEveryRecord: the streaming path is
+// bit-identical to the sequential Model at every record boundary, not only
+// at the end — lists and predictions of every file the record could have
+// touched, the record counter and the lookahead window. One shard runs the
+// same dispatcher as four; it has no private window or counter to drift.
+func TestShardedMatchesModelAfterEveryRecord(t *testing.T) {
+	tr := shardTrace(t, 3000)
+	for _, shards := range []int{1, 4} {
+		cfg := DefaultConfig()
+		cfg.Shards = shards
+		sm := NewSharded(cfg)
+		ref := New(DefaultConfig())
+		for i := range tr.Records {
+			touched := append(ref.WindowTail(), tr.Records[i].File)
+			ref.Feed(&tr.Records[i])
+			sm.Feed(&tr.Records[i])
+			if got, want := sm.Fed(), ref.Fed(); got != want {
+				t.Fatalf("shards=%d record %d: fed %d, sequential %d", shards, i, got, want)
+			}
+			if got, want := sm.WindowTail(), ref.WindowTail(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("shards=%d record %d: window %v, sequential %v", shards, i, got, want)
+			}
+			for _, f := range touched {
+				if got, want := sm.CorrelatorList(f), ref.CorrelatorList(f); !reflect.DeepEqual(got, want) {
+					t.Fatalf("shards=%d record %d file %d: list %v, sequential %v", shards, i, f, got, want)
+				}
+				if got, want := sm.Predict(f, 4), ref.Predict(f, 4); !reflect.DeepEqual(got, want) {
+					t.Fatalf("shards=%d record %d file %d: predict %v, sequential %v", shards, i, f, got, want)
+				}
+			}
+		}
+		assertModelsEqual(t, tr, ref, sm, 0)
+	}
+}
+
+// TestShardedListCopiesAreIndependent: mutating a returned list must not
+// reach the owning shard's stored list.
+func TestShardedListCopiesAreIndependent(t *testing.T) {
+	tr := shardTrace(t, 2000)
+	sm := NewSharded(DefaultConfig())
+	sm.FeedBatch(tr.Records)
+	for i := range tr.Records {
+		f := tr.Records[i].File
+		got := sm.CorrelatorList(f)
+		if len(got) == 0 {
+			continue
+		}
+		want := append([]Correlator(nil), got...)
+		got[0].File = 0xDEAD
+		got[0].Degree = -1
+		if again := sm.CorrelatorList(f); !reflect.DeepEqual(again, want) {
+			t.Fatalf("caller mutation leaked into the shard: %v", again)
+		}
+		return
+	}
+	t.Skip("trace mined no correlations")
+}
+
+// TestShardReadsRaceIngest drives readers straight at the shard locks while
+// batches mine, under -race. A read is never torn: every list it returns is
+// a whole, sorted Correlator List whose entries satisfy R = p·sim + (1−p)·F
+// above the threshold. After ingest, reads equal the sequential Model.
+func TestShardReadsRaceIngest(t *testing.T) {
+	tr := shardTrace(t, 20_000)
+	cfg := DefaultConfig()
+	cfg.Shards = 4
+	sm := NewSharded(cfg)
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(seed int) {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				f := tr.Records[(seed*7919+i)%len(tr.Records)].File
+				list := sm.CorrelatorList(f)
+				for j := range list {
+					c := &list[j]
+					if c.Degree <= cfg.MaxStrength || c.Degree != cfg.Weight*c.Sim+(1-cfg.Weight)*c.Freq {
+						t.Errorf("file %d: torn entry %+v", f, *c)
+						return
+					}
+					if j > 0 && !ranksBefore(&list[j-1], c) {
+						t.Errorf("file %d: list out of order at %d: %v", f, j, list)
+						return
+					}
+				}
+				if p := sm.Predict(f, 4); len(p) > 4 {
+					t.Errorf("file %d: predict returned %d > 4", f, len(p))
+					return
+				}
+			}
+		}(g)
+	}
+	for lo := 0; lo < len(tr.Records); lo += 1000 {
+		sm.FeedBatch(tr.Records[lo:min(lo+1000, len(tr.Records))])
+	}
+	stop.Store(true)
+	wg.Wait()
+
+	ref := New(cfg)
+	ref.FeedTrace(tr)
+	assertModelsEqual(t, tr, ref, sm, 0)
 }
 
 // TestShardedBatchSplitEquivalence checks that the lookahead window carries

@@ -12,8 +12,7 @@
 package core
 
 import (
-	"sync/atomic"
-
+	"farmer/internal/obs"
 	"farmer/internal/trace"
 )
 
@@ -30,24 +29,14 @@ type TapEvent struct {
 // with a non-positive buffer.
 const DefaultTapBuffer = 256
 
-// padCounter is an atomic counter padded out to its own cache line. A bare
-// []atomic.Uint64 packs 8 adjacent shards' counters into one 64-byte line,
-// so concurrent shard workers dropping events false-share the line and every
-// Add becomes a cross-core transfer; one counter per line keeps each shard's
-// drops core-local.
-type padCounter struct {
-	atomic.Uint64
-	_ [56]byte
-}
-
 // EventTap is a registered subscription to a ShardedModel's ingestion
 // stream. Consume each shard's events with Chan(i); the channels are closed
 // (after draining) by Close.
 type EventTap struct {
 	model   *ShardedModel
 	chans   []chan TapEvent
-	dropped []padCounter // per shard, one cache line each (see padCounter)
-	closed  bool         // guarded by model.tmu
+	dropped []obs.Counter // per shard, one cache line each
+	closed  bool          // guarded by model.tmu
 }
 
 // Tap registers a new event tap with the given per-shard buffer size
@@ -61,7 +50,7 @@ func (s *ShardedModel) Tap(buffer int) *EventTap {
 	t := &EventTap{
 		model:   s,
 		chans:   make([]chan TapEvent, n),
-		dropped: make([]padCounter, n),
+		dropped: make([]obs.Counter, n),
 	}
 	for i := range t.chans {
 		t.chans[i] = make(chan TapEvent, buffer)

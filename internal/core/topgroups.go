@@ -52,9 +52,6 @@ func (s *ShardedModel) TopGroups(k int) []CorrelatedGroup {
 	if k <= 0 {
 		return nil
 	}
-	if len(s.shards) == 1 {
-		return s.shards[0].TopGroups(k)
-	}
 	var all []CorrelatedGroup
 	for _, m := range s.shards {
 		all = append(all, m.TopGroups(k)...)

@@ -32,8 +32,7 @@ type Options struct {
 	StorePath   string        // WAL path; "" = volatile miner
 	Load        bool          // restore persisted state at startup (needs StorePath)
 	Repair      bool          // truncate a corrupt WAL before opening (needs StorePath)
-	Shards      int           // miner stripes (0/1 = single-lock)
-	ReadStripes int           // striped read-path snapshot stripes (0 = off)
+	Shards      int           // miner stripes (0/1 = one)
 	Partition   string        // "stripe", "hash" or "group" ("" = stripe)
 	Ckpt        time.Duration // periodic checkpoint interval (needs StorePath)
 	PrefetchK   int           // attach the async prefetch pipeline (0 = off)
@@ -213,9 +212,6 @@ func Run(ctx context.Context, o Options) error {
 	}
 
 	opts := []farmer.Option{farmer.WithShards(o.Shards), farmer.WithPartitioner(part)}
-	if o.ReadStripes > 0 {
-		opts = append(opts, farmer.WithReadStripes(o.ReadStripes))
-	}
 	if o.StorePath != "" {
 		opts = append(opts, farmer.WithStore(o.StorePath))
 		if o.Load {

@@ -31,9 +31,9 @@ type Options struct {
 	// Parallelism bounds concurrent simulations; 0 = GOMAXPROCS.
 	Parallelism int
 	// Shards stripes the FARMER miner inside each simulated MDS: 0 matches
-	// the MDS worker count, 1 forces the paper-exact single-lock model.
-	// Sharded and single-lock mining produce identical results (see
-	// core.ShardedModel); the knob exists to exercise and measure both.
+	// the MDS worker count, 1 mines on one shard. Every count produces
+	// identical results (see core.ShardedModel); the knob exists to exercise
+	// and measure them.
 	Shards int
 	// AsyncPrefetch moves mining and prediction off every simulated MDS
 	// demand path onto the shard-worker station (hust.MDSConfig), so the

@@ -287,22 +287,6 @@ func (g *Graph) RestoreNode(from trace.FileID, total float64, edges []Edge) {
 	g.nodes[from] = &node{total: total, edges: slices.Clone(edges)}
 }
 
-// Window returns a copy of the lookahead window, oldest first.
-func (g *Graph) Window() []trace.FileID {
-	return append([]trace.FileID(nil), g.window...)
-}
-
-// SetWindow replaces the lookahead window (trimmed to the configured width,
-// keeping the most recent entries) — the restore half of Window, so a
-// checkpointed miner resumes crediting exactly the predecessors a
-// continuously-fed one would.
-func (g *Graph) SetWindow(w []trace.FileID) {
-	if len(w) > g.cfg.Window {
-		w = w[len(w)-g.cfg.Window:]
-	}
-	g.window = append(g.window[:0], w...)
-}
-
 // Prune removes edges whose frequency F falls below minFreq, dropping nodes
 // that become edgeless. It returns the number of edges removed.
 func (g *Graph) Prune(minFreq float64) int {

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"farmer/internal/metrics"
+	"farmer/internal/obs"
 	"farmer/internal/sim"
 	"farmer/internal/trace"
 )
@@ -25,7 +25,7 @@ func DefaultOSDConfig() OSDConfig {
 type OSD struct {
 	cfg OSDConfig
 	srv *sim.Server
-	io  metrics.Counter
+	io  obs.Counter
 }
 
 // NewOSD attaches an OSD to the engine.
@@ -57,7 +57,7 @@ func (o *OSD) Read(size uint32, sequential bool, done func(time.Duration)) {
 	})
 }
 
-// IOs reports the number of reads submitted. Like the metrics.Counter it
+// IOs reports the number of reads submitted. Like the obs.Counter it
 // wraps, it is safe to read while other goroutines submit — the engine
 // itself is single-threaded, but OSDs are also reused by harnesses that
 // poll statistics from outside the simulation loop.

@@ -58,12 +58,6 @@ type MDSConfig struct {
 	// burst degrades prefetch coverage instead of demand latency.
 	// 0 = unbounded (legacy).
 	PrefetchQueue int
-	// CacheStripes selects the striped concurrent metadata cache
-	// (cache.StripedLRU) with this many lock stripes instead of the
-	// single-lock LRU. 0 keeps the single-lock cache — exact for the
-	// single-threaded DES; striping is for deployments driving one MDS
-	// cache from many goroutines.
-	CacheStripes int
 	// ExternalMiner marks mining as driven from outside the MDS — the
 	// cluster-level global dispatcher. Demand performs only cache/store
 	// service (no predictor Record, no prefetch issue); the external driver
@@ -103,10 +97,6 @@ func (c MDSConfig) Validate() error {
 		return fmt.Errorf("hust: negative miner workers")
 	case c.PrefetchQueue < 0:
 		return fmt.Errorf("hust: negative prefetch queue bound")
-	case c.CacheStripes < 0:
-		return fmt.Errorf("hust: negative cache stripes")
-	case c.CacheStripes > c.CacheCapacity:
-		return fmt.Errorf("hust: cache stripes %d exceed capacity %d", c.CacheStripes, c.CacheCapacity)
 	case c.ExternalMiner && !c.AsyncPrefetch:
 		return fmt.Errorf("hust: ExternalMiner requires AsyncPrefetch (the mining station)")
 	}
@@ -119,7 +109,7 @@ type MDS struct {
 	eng   *sim.Engine
 	srv   *sim.Server
 	miner *sim.Server // async mining station (nil in sync mode)
-	cache cache.Cache // single-lock LRU, or StripedLRU with CacheStripes > 0
+	cache *cache.LRU
 	store *kvstore.Store
 	pred  predictors.Predictor
 
@@ -142,15 +132,11 @@ func NewMDS(eng *sim.Engine, cfg MDSConfig, store *kvstore.Store, pred predictor
 			return nil, err
 		}
 	}
-	var mc cache.Cache = cache.NewLRU(cfg.CacheCapacity)
-	if cfg.CacheStripes > 0 {
-		mc = cache.NewStripedLRU(cfg.CacheCapacity, cfg.CacheStripes)
-	}
 	m := &MDS{
 		cfg:   cfg,
 		eng:   eng,
 		srv:   sim.NewServer(eng, cfg.Workers),
-		cache: mc,
+		cache: cache.NewLRU(cfg.CacheCapacity),
 		store: store,
 		pred:  pred,
 	}
@@ -172,9 +158,8 @@ func NewMDS(eng *sim.Engine, cfg MDSConfig, store *kvstore.Store, pred predictor
 // configuration a real deployment would run, where each metadata service
 // thread mines without contending on a single model lock. The simulator
 // itself is a single-goroutine discrete-event engine, so here the stripe
-// width is modeled configuration, not actual parallelism; sharded and
-// single-lock mining produce identical results either way (see
-// core.ShardedModel), and mc.Shards = 1 selects the single-lock miner.
+// width is modeled configuration, not actual parallelism; every stripe
+// count mines identical results (see core.ShardedModel).
 //
 // With cfg.AsyncPrefetch the demand path consults only the cache and the
 // miner's already-materialized Correlator-List snapshot; mining and
@@ -413,7 +398,7 @@ func (m *MDS) Finish() Stats {
 }
 
 // Cache exposes the metadata cache (tests).
-func (m *MDS) Cache() cache.Cache { return m.cache }
+func (m *MDS) Cache() *cache.LRU { return m.cache }
 
 // Predictor exposes the active predictor.
 func (m *MDS) Predictor() predictors.Predictor { return m.pred }

@@ -1,31 +1,17 @@
 // Package metrics provides the small statistics toolkit the experiment
 // harness uses: streaming mean/max, a log-bucketed latency histogram with
 // percentile estimation, and fixed-width table rendering for the paper's
-// figures and tables.
+// figures and tables. Nothing here is safe for concurrent use — the
+// harness is single-threaded; live counters shared between goroutines are
+// internal/obs's.
 package metrics
 
 import (
 	"fmt"
 	"math"
 	"strings"
-	"sync/atomic"
 	"time"
 )
-
-// Counter is a monotonically increasing event counter safe for concurrent
-// use — the accounting primitive shared by pipeline stages that run on
-// different goroutines (e.g. dropped-prefetch counts between the async
-// prediction workers and the stats reader). The zero value is ready to use.
-type Counter struct{ n atomic.Uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.n.Add(1) }
-
-// Add folds delta occurrences in.
-func (c *Counter) Add(delta uint64) { c.n.Add(delta) }
-
-// Load reports the current count.
-func (c *Counter) Load() uint64 { return c.n.Load() }
 
 // Welford accumulates mean and variance in one pass.
 type Welford struct {

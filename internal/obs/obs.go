@@ -33,8 +33,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
-
-	"farmer/internal/metrics"
+	"sync/atomic"
 )
 
 // Kind distinguishes how a sample should be interpreted (and rendered in
@@ -69,26 +68,29 @@ type Label struct {
 // L is shorthand for constructing a Label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
-// Counter is a monotone counter. The zero value is usable; a nil *Counter
-// is a no-op, so instrumented layers work unattached. The underlying
-// atomic is padded out to its own cache line: counters for adjacent shards
-// or connections never false-share.
+// Counter is a monotone counter safe for concurrent use — the one atomic
+// counter in the repository, held by instrumented layers and pipeline
+// stages alike (tap and queue drops, mailbox evictions, checkpoint counts).
+// The zero value is usable; a nil *Counter is a no-op, so instrumented
+// layers work unattached. The atomic is padded out to its own cache line:
+// a bare []atomic.Uint64 packs eight shards' counters into 64 bytes, and
+// every Add from a shard worker would become a cross-core transfer.
 type Counter struct {
-	c metrics.Counter
+	n atomic.Uint64
 	_ [56]byte
 }
 
 // Inc adds one.
 func (c *Counter) Inc() {
 	if c != nil {
-		c.c.Inc()
+		c.n.Add(1)
 	}
 }
 
 // Add adds delta.
 func (c *Counter) Add(delta uint64) {
 	if c != nil {
-		c.c.Add(delta)
+		c.n.Add(delta)
 	}
 }
 
@@ -97,7 +99,7 @@ func (c *Counter) Load() uint64 {
 	if c == nil {
 		return 0
 	}
-	return c.c.Load()
+	return c.n.Load()
 }
 
 // histBuckets is one bucket per power of two: bucket i counts observations
@@ -108,8 +110,8 @@ const histBuckets = 65
 // atomic add (bucket pick is two instructions); nil *Histogram is a no-op.
 // Rendered as a cumulative Prometheus histogram with le="2^i" bounds.
 type Histogram struct {
-	buckets [histBuckets]metrics.Counter
-	sum     metrics.Counter
+	buckets [histBuckets]atomic.Uint64
+	sum     atomic.Uint64
 }
 
 // Observe records one value.
@@ -117,7 +119,7 @@ func (h *Histogram) Observe(v uint64) {
 	if h == nil {
 		return
 	}
-	h.buckets[bits.Len64(v)].Inc()
+	h.buckets[bits.Len64(v)].Add(1)
 	h.sum.Add(v)
 }
 

@@ -89,10 +89,9 @@ func (d *Dispatcher) OwnerOf(f trace.FileID) int { return d.part(f, d.owners) }
 // concurrently with Dispatch.
 func (d *Dispatcher) Dispatched() uint64 { return d.seq.Load() }
 
-// Advance claims n sequence numbers without dispatching — the bookkeeping
-// hook for fast paths that bypass event routing (a single-owner ensemble
-// feeding its one Model directly) yet must keep the global counter exact.
-// It returns the last sequence number claimed.
+// Advance claims n sequence numbers without dispatching — how a checkpoint
+// load restores the counter of the stream it resumes. It returns the last
+// sequence number claimed.
 func (d *Dispatcher) Advance(n uint64) uint64 { return d.seq.Add(n) }
 
 // Dispatch sequences one record and emits its events: the access event to

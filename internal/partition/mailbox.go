@@ -3,7 +3,7 @@ package partition
 import (
 	"sync"
 
-	"farmer/internal/metrics"
+	"farmer/internal/obs"
 )
 
 // DefaultMailboxCap bounds a Mailbox when NewMailbox is given a
@@ -26,18 +26,18 @@ type Mailbox struct {
 	buf     []Event // ring buffer
 	head, n int
 	pushed  uint64
-	dropped *metrics.Counter
+	dropped *obs.Counter
 }
 
 // NewMailbox creates a mailbox holding up to capacity events
 // (DefaultMailboxCap when <= 0). Drops are counted on dropped; pass nil for
 // a private counter.
-func NewMailbox(capacity int, dropped *metrics.Counter) *Mailbox {
+func NewMailbox(capacity int, dropped *obs.Counter) *Mailbox {
 	if capacity <= 0 {
 		capacity = DefaultMailboxCap
 	}
 	if dropped == nil {
-		dropped = &metrics.Counter{}
+		dropped = new(obs.Counter)
 	}
 	return &Mailbox{buf: make([]Event, capacity), dropped: dropped}
 }

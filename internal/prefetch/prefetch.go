@@ -29,7 +29,7 @@ import (
 	"sync/atomic"
 
 	"farmer/internal/core"
-	"farmer/internal/metrics"
+	"farmer/internal/obs"
 	"farmer/internal/trace"
 )
 
@@ -67,18 +67,18 @@ type Queue struct {
 	head, n  int
 	closed   bool
 	pushed   uint64
-	dropped  *metrics.Counter
+	dropped  *obs.Counter
 }
 
 // NewQueue creates a queue holding up to capacity candidates
 // (DefaultQueueCap when <= 0). Drops are counted on dropped; pass nil for a
 // private counter.
-func NewQueue(capacity int, dropped *metrics.Counter) *Queue {
+func NewQueue(capacity int, dropped *obs.Counter) *Queue {
 	if capacity <= 0 {
 		capacity = DefaultQueueCap
 	}
 	if dropped == nil {
-		dropped = &metrics.Counter{}
+		dropped = new(obs.Counter)
 	}
 	q := &Queue{buf: make([]Candidate, capacity), dropped: dropped}
 	q.nonEmpty = sync.NewCond(&q.mu)

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"farmer/internal/core"
-	"farmer/internal/metrics"
+	"farmer/internal/obs"
 	"farmer/internal/trace"
 	"farmer/internal/tracegen"
 )
@@ -32,7 +32,7 @@ func TestQueueFIFO(t *testing.T) {
 }
 
 func TestQueueDropOldest(t *testing.T) {
-	var dropped metrics.Counter
+	var dropped obs.Counter
 	q := NewQueue(4, &dropped)
 	for i := uint64(0); i < 10; i++ {
 		q.Push(cand(i))

@@ -2,9 +2,8 @@ package replay
 
 // Windowed-ack wire proofs: a farmer.Dial client in WithAckWindow mode must
 // mine bit-identical state to sequential feeding — the window reorders ack
-// WAITS, never frames — while concurrent readers hammer the striped read
-// path of the serving miner, and the whole arrangement must be clean under
-// -race.
+// WAITS, never frames — while concurrent readers hammer the serving miner's
+// shards, and the whole arrangement must be clean under -race.
 
 import (
 	"context"
@@ -18,7 +17,7 @@ import (
 )
 
 // TestAckWindowWireBitIdentical: windowed writer + concurrent readers
-// against a loopback farmerd serving WithReadStripes; after the Flush
+// against a loopback farmerd; after the Flush
 // barrier the remote state fingerprints identical to the sequential
 // reference.
 func TestAckWindowWireBitIdentical(t *testing.T) {
@@ -26,8 +25,7 @@ func TestAckWindowWireBitIdentical(t *testing.T) {
 	mc := core.DefaultConfig()
 	ref := MineSequential(tr, mc)
 
-	served, err := farmer.Open(farmer.DefaultConfig(),
-		farmer.WithShards(4), farmer.WithReadStripes(8))
+	served, err := farmer.Open(farmer.DefaultConfig(), farmer.WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +45,7 @@ func TestAckWindowWireBitIdentical(t *testing.T) {
 	defer reader.Close()
 
 	// Readers: Predict and CorrelatorList through the wire — landing on the
-	// serving miner's striped list snapshot — while the windowed writer
-	// streams. Answers race ingestion, so only errors are asserted here; the
+	// serving miner's shard locks — while the windowed writer streams. Answers race ingestion, so only errors are asserted here; the
 	// data proof is the post-Flush fingerprint.
 	var stopReads atomic.Bool
 	var wg sync.WaitGroup

@@ -46,23 +46,23 @@ var ErrNoStore = errors.New("farmer: miner has no store configured (use WithStor
 
 // openConfig collects Open's option state.
 type openConfig struct {
-	shards      int
-	shardsSet   bool
-	part        Partitioner
-	storePath   string
-	loadStore   bool
-	prefetch    bool
-	pfSink      PrefetchSink
-	pfCfg       PrefetchConfig
-	readStripes int
-	obs         *obs.Registry
+	shards    int
+	shardsSet bool
+	part      Partitioner
+	storePath string
+	loadStore bool
+	prefetch  bool
+	pfSink    PrefetchSink
+	pfCfg     PrefetchConfig
+	obs       *obs.Registry
 }
 
 // Option configures Open.
 type Option func(*openConfig) error
 
 // WithShards stripes the miner across n concurrent partitions, overriding
-// Config.Shards (0 and 1 both mean the paper-exact single-lock path).
+// Config.Shards (0 and 1 both mean one partition; results are bit-identical
+// to the sequential core.Model at every count).
 func WithShards(n int) Option {
 	return func(oc *openConfig) error {
 		if n < 0 {
@@ -107,24 +107,6 @@ func WithLoad() Option {
 	}
 }
 
-// WithReadStripes fronts the miner's Predict/CorrelatorList read path with a
-// striped materialized Correlator-List snapshot spread over n lock stripes:
-// reads served from the snapshot never touch the shard locks mining holds,
-// and every list change invalidates its snapshot entry, so reads still see
-// either the current list or the owning shard — never stale data. n is
-// rounded up to a power of two; 0 (the default) disables the snapshot and
-// reads go straight to the shards, the right choice for single-threaded
-// replay. Negative n is an error.
-func WithReadStripes(n int) Option {
-	return func(oc *openConfig) error {
-		if n < 0 {
-			return fmt.Errorf("farmer: WithReadStripes(%d): negative stripe count", n)
-		}
-		oc.readStripes = n
-		return nil
-	}
-}
-
 // WithPrefetcher attaches the asynchronous Predict/prefetch pipeline at
 // open: post-ingest events flow through per-shard taps into a bounded
 // candidate queue feeding sink, and the pipeline drains on Close. A nil
@@ -161,7 +143,6 @@ func WithObs(reg *MetricsRegistry) Option {
 // Sharded) that servers and tests need.
 type LocalMiner struct {
 	sm    *ShardedModel
-	lc    *core.ListCache // nil without WithReadStripes
 	store *Store
 	pf    *Prefetcher
 
@@ -214,11 +195,6 @@ func Open(cfg Config, opts ...Option) (*LocalMiner, error) {
 		owners = 1
 	}
 	m := &LocalMiner{sm: core.NewShardedPartitioned(cfg, owners, oc.part)}
-	if oc.readStripes > 0 {
-		// Register before anything feeds or loads, so every list change —
-		// checkpoint installs included — reaches the snapshot's hook.
-		m.lc = core.NewListCache(m.sm, oc.readStripes)
-	}
 	if oc.storePath != "" {
 		store, err := OpenStore(oc.storePath)
 		if err != nil {
@@ -348,14 +324,10 @@ func (m *LocalMiner) FeedBatch(ctx context.Context, records []Record) error {
 	return nil
 }
 
-// Predict implements Miner, serving from the read-stripe snapshot when one
-// is attached (WithReadStripes) and from the owning shard otherwise.
+// Predict implements Miner, reading the shard that owns f's list.
 func (m *LocalMiner) Predict(ctx context.Context, f FileID, k int) ([]FileID, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if m.lc != nil {
-		return m.lc.Predict(f, k), nil
 	}
 	return m.sm.Predict(f, k), nil
 }
@@ -476,18 +448,9 @@ func (m *LocalMiner) Load(ctx context.Context) error {
 	return m.sm.LoadMerged(m.store)
 }
 
-// CorrelatorList returns a copy of f's sorted Correlator List, serving from
-// the read-stripe snapshot when one is attached.
-func (m *LocalMiner) CorrelatorList(f FileID) []Correlator {
-	if m.lc != nil {
-		return m.lc.CorrelatorList(f)
-	}
-	return m.sm.CorrelatorList(f)
-}
-
-// ListCache returns the attached read-stripe snapshot, nil without
-// WithReadStripes.
-func (m *LocalMiner) ListCache() *core.ListCache { return m.lc }
+// CorrelatorList returns a copy of f's sorted Correlator List from the shard
+// that owns it.
+func (m *LocalMiner) CorrelatorList(f FileID) []Correlator { return m.sm.CorrelatorList(f) }
 
 // Sharded exposes the underlying ensemble for compositions the interface
 // does not cover (event taps, DispatchExternal, merged persistence).

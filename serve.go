@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,7 +49,8 @@ type ServeConfig struct {
 	// follower's ack (default 30s). A follower that is connected but
 	// wedged — stopped process, stuck disk — would otherwise block every
 	// client write forever, since only a transport error detaches it;
-	// when the bound expires the follower is dropped like a dead one.
+	// when the bound expires the follower is dropped like a dead one. The
+	// same bound covers attaching a follower (dial, hello, catch-up verdict).
 	ReplicaAckTimeout time.Duration
 	// Follower starts the served miner without the write lease (every other
 	// daemon starts leading epoch 1): it accepts a primary's catch-up and
@@ -189,6 +191,57 @@ func newHolder(id string, ttl time.Duration, follower bool) *lease.Holder {
 	return h
 }
 
+// replicate makes b stream to addrs — the one place a backend becomes a
+// replicating primary, at daemon start, at a tenant's first touch and for a
+// live handoff alike. It installs b's Replicator if b has none, under the
+// write side of replGate: that waits out every in-flight direct-path feed,
+// so the stream starts at exactly the miner's record count. It then catches
+// up and attaches each address not yet on the stream and announces b's term
+// to the attached followers — TTL or not, so a follower always knows whose
+// epoch it mirrors, and now rather than at the first renewal tick: a leader
+// that dies inside that first TTL/4 would otherwise leave followers that
+// never observed any lease, and a follower that has seen no epoch refuses to
+// elect itself.
+//
+// Each attach (dial, hello, catch-up verdict) is bounded by replicaAck: a
+// follower that accepts and never answers must not hold the caller — which
+// may hold the registry lock every frame of every tenant takes — forever.
+// With must, the first failed attach is returned; without, it is logged and
+// skipped (a tenant opening on a daemon that already serves: availability
+// wins over replica count).
+func (ls *leaseState) replicate(ctx context.Context, b *serveBackend, addrs []string, must bool) error {
+	b.replGate.Lock()
+	if b.repl == nil {
+		b.repl = rpc.NewReplicator(b.m.sm.Fed(), ls.replicaAck, func(addr string, err error) {
+			b.logf("follower %s dropped from replication: %v", addr, err)
+		})
+		do := ls.dialOpts
+		do.Tenant = b.tenant
+		b.repl.SetDialOptions(do)
+		b.repl.EnableDeltaCatchup(defaultCatchupTail, b.m.catchupFingerprint)
+	}
+	rp := b.repl
+	b.replGate.Unlock()
+	for _, addr := range addrs {
+		if slices.Contains(rp.Followers(), addr) {
+			continue
+		}
+		actx, cancel := context.WithTimeout(ctx, ls.replicaAck)
+		err := rp.Attach(actx, addr, b.m.catchupCut)
+		cancel()
+		switch {
+		case err == nil:
+			b.logf("follower %s caught up and attached", addr)
+		case must:
+			return err
+		default:
+			b.logf("follower %s unreachable at open: %v", addr, err)
+		}
+	}
+	b.renewTick(ctx)
+	return nil
+}
+
 // replicator snapshots the replication handle under the gate (a live
 // handoff may install one on a standalone source mid-serve).
 func (b *serveBackend) replicator() *rpc.Replicator {
@@ -298,14 +351,8 @@ func (b *serveBackend) FeedBatch(recs []trace.Record) error {
 	})
 }
 
-// Reads go through the LocalMiner, not the raw ensemble, so a miner opened
-// WithReadStripes serves them from its striped list snapshot instead of
-// contending with mining on the shard locks.
-func (b *serveBackend) Predict(f FileID, k int) []FileID {
-	out, _ := b.m.Predict(context.Background(), f, k)
-	return out
-}
-func (b *serveBackend) CorrelatorList(f FileID) []Correlator { return b.m.CorrelatorList(f) }
+func (b *serveBackend) Predict(f FileID, k int) []FileID     { return b.m.sm.Predict(f, k) }
+func (b *serveBackend) CorrelatorList(f FileID) []Correlator { return b.m.sm.CorrelatorList(f) }
 func (b *serveBackend) Stats() core.Stats                    { return b.m.sm.Stats() }
 
 // TenantObs implements rpc.ObsBackend: the miner's observability row plus
@@ -329,6 +376,9 @@ func (b *serveBackend) TenantObs(topK int) rpc.TenantObs {
 
 func (b *serveBackend) ApplyEvents(evs []partition.Event) error {
 	if err := b.writable(); err != nil {
+		return err
+	}
+	if err := b.admit(len(evs)); err != nil { // events grow the model as records do
 		return err
 	}
 	if b.replicator() != nil {
@@ -472,21 +522,17 @@ func (b *serveBackend) Handoff(target string) error {
 		return err
 	}
 	start := time.Now()
-	rp := b.handoffReplicator()
-	attached := false
-	for _, addr := range rp.Followers() {
-		if addr == target {
-			attached = true
-		} else {
-			return fmt.Errorf("farmer: refusing handoff to %s while also replicating to %s (the stream cannot split leaders)", target, addr)
+	if rp := b.replicator(); rp != nil {
+		for _, addr := range rp.Followers() {
+			if addr != target {
+				return fmt.Errorf("farmer: refusing handoff to %s while also replicating to %s (the stream cannot split leaders)", target, addr)
+			}
 		}
 	}
-	if !attached {
-		if err := rp.Attach(context.Background(), target, b.m.catchupCut); err != nil {
-			return err
-		}
-		b.logf("handoff: target %s caught up and attached", target)
+	if err := b.lease.replicate(context.Background(), b, []string{target}, true); err != nil {
+		return err
 	}
+	rp := b.replicator()
 	term, _ := b.holder.Current()
 	next := lease.Term{Epoch: term.Epoch + 1, Leader: target}
 	info := rpc.LeaseInfo{Epoch: next.Epoch, Leader: target, TTLMS: uint64(b.holder.TTL() / time.Millisecond)}
@@ -504,26 +550,6 @@ func (b *serveBackend) Handoff(target string) error {
 	b.logf("handoff: lease transferred to %s at epoch %d in %v; this farmerd now refuses writes",
 		target, next.Epoch, time.Since(start).Round(time.Millisecond))
 	return nil
-}
-
-// handoffReplicator returns the backend's replicator, installing one on a
-// standalone source: the install takes the write side of replGate, waiting
-// out every in-flight direct-path feed, so the stream position is exactly
-// the miner's record count when the target's catch-up cut is taken.
-func (b *serveBackend) handoffReplicator() *rpc.Replicator {
-	if rp := b.replicator(); rp != nil {
-		return rp
-	}
-	b.replGate.Lock()
-	defer b.replGate.Unlock()
-	if b.repl == nil {
-		rp := rpc.NewReplicator(b.m.sm.Fed(), b.lease.replicaAck, func(addr string, err error) {
-			b.logf("handoff target %s dropped from replication: %v", addr, err)
-		})
-		rp.SetDialOptions(b.lease.dialOpts)
-		b.repl = rp
-	}
-	return b.repl
 }
 
 // ------------------------------------------------------- lease renewal loop
@@ -818,30 +844,18 @@ func Serve(ctx context.Context, lis net.Listener, m *LocalMiner, cfg ServeConfig
 	if !cfg.Follower {
 		cfg.Logf("lease: leading at epoch 1 (id %s, ttl %v)", id, leaseSt.holder.TTL())
 	}
+	reg := newRegistry(cfg, saveBudget, leaseSt)
+	reg.registerDefault(m, backend)
+	defer reg.closeReplicators()
 	if len(cfg.ReplicateTo) > 0 {
-		backend.repl = rpc.NewReplicator(m.sm.Fed(), cfg.ReplicaAckTimeout, func(addr string, err error) {
-			cfg.Logf("follower %s dropped from replication: %v", addr, err)
-		})
-		backend.repl.SetDialOptions(leaseSt.dialOpts)
-		backend.repl.EnableDeltaCatchup(defaultCatchupTail, m.catchupFingerprint)
-		defer backend.repl.Close()
-		for _, addr := range cfg.ReplicateTo {
-			if err := backend.repl.Attach(ctx, addr, m.catchupCut); err != nil {
-				return err
-			}
-			cfg.Logf("follower %s caught up and attached", addr)
+		// Followers must be reachable at startup.
+		if err := leaseSt.replicate(ctx, backend, cfg.ReplicateTo, true); err != nil {
+			return err
 		}
-		// Announce the lease term to the just-attached followers now, TTL or
-		// not, so a follower always knows whose epoch it mirrors — and, under
-		// a TTL, rather than at the first renewal tick: a leader that dies
-		// inside that first TTL/4 window would otherwise leave followers that
-		// never observed any lease, and a follower that has seen no epoch
-		// refuses to elect itself.
-		backend.renewTick(ctx)
 	}
 	if cfg.Obs != nil {
 		m.AttachMetrics(cfg.Obs)
-		if repl := backend.repl; repl != nil {
+		if repl := backend.replicator(); repl != nil {
 			cfg.Obs.GaugeEach("farmer_repl_lag_records", func(emit obs.EmitFunc) {
 				for _, l := range repl.Lags() {
 					emit([]obs.Label{obs.L("follower", l.Addr)}, float64(l.Lag))
@@ -856,9 +870,6 @@ func Serve(ctx context.Context, lis net.Listener, m *LocalMiner, cfg ServeConfig
 		leaseSt.handoffs = cfg.Obs.Counter("farmer_handoffs_total")
 		leaseSt.handoffNS = cfg.Obs.Histogram("farmer_handoff_duration_ns")
 	}
-	reg := newRegistry(cfg, saveBudget, leaseSt)
-	reg.registerDefault(m, backend)
-	defer reg.closeReplicators()
 	srv := rpc.NewResolverServer(reg, rpc.ServerOptions{AuthTokens: cfg.AuthTokens, Obs: cfg.Obs})
 	if cfg.TLS != nil {
 		lis = tls.NewListener(lis, cfg.TLS)

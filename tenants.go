@@ -64,7 +64,7 @@ type TenantsConfig struct {
 	// Config is the mining configuration for lazily opened tenants. A
 	// zero Weight and MaxStrength means DefaultConfig().
 	Config Config
-	// Shards stripes each tenant's miner (0/1 = the single-lock path).
+	// Shards stripes each tenant's miner (0/1 = one shard).
 	Shards int
 	// Prefetch, when non-nil, attaches the async predict pipeline to each
 	// tenant miner (candidates are discarded; the pipeline still predicts
@@ -161,7 +161,8 @@ func (g *Registry) BackendFor(tenant string) (rpc.Backend, error) {
 
 // openLocked admits and opens one named tenant under g.mu. Holding the
 // lock through the open serializes concurrent first touches of the same
-// tenant; the store open is local disk I/O, brief at this tier.
+// tenant; the store open is local disk I/O, brief at this tier, and the
+// follower attaches are bounded (leaseState.replicate).
 func (g *Registry) openLocked(tenant string) (*tenantEntry, error) {
 	if g.cfg.MaxTenants > 0 {
 		named := len(g.tenants)
@@ -222,25 +223,10 @@ func (g *Registry) openLocked(tenant string) (*tenantEntry, error) {
 	}
 	b.memPending.Store(budgetCheckStride) // first feed checks the footprint
 	if len(g.replicateTo) > 0 {
-		repl := rpc.NewReplicator(m.sm.Fed(), g.leaseSt.replicaAck, func(addr string, err error) {
-			g.logf("tenant %q: follower %s dropped from replication: %v", tenant, addr, err)
-		})
-		do := g.leaseSt.dialOpts
-		do.Tenant = tenant
-		repl.SetDialOptions(do)
-		repl.EnableDeltaCatchup(defaultCatchupTail, m.catchupFingerprint)
-		for _, addr := range g.replicateTo {
-			// Unlike the default tenant's startup attach, an unreachable
-			// follower here does not fail the open: the daemon is already
-			// serving, and availability wins over replica count.
-			if err := repl.Attach(context.Background(), addr, m.catchupCut); err != nil {
-				g.logf("tenant %q: follower %s unreachable at open: %v", tenant, addr, err)
-				continue
-			}
-			g.logf("tenant %q: follower %s caught up and attached", tenant, addr)
-		}
-		b.repl = repl
-		b.renewTick(context.Background()) // announce the term to the attached followers
+		// g.mu is held, and every frame of every tenant takes it: replicate
+		// bounds each attach, so one tenant's dead follower delays its
+		// neighbors by at most the ack timeout per address.
+		_ = g.leaseSt.replicate(context.Background(), b, g.replicateTo, false) // !must: failures are logged, not returned
 	}
 	e := &tenantEntry{name: tenant, m: m, backend: b, owned: true, lastUse: time.Now()}
 	g.tenants[tenant] = e
@@ -251,13 +237,7 @@ func (g *Registry) openLocked(tenant string) (*tenantEntry, error) {
 // Tenants implements rpc.Resolver: a stats snapshot of every live tenant,
 // default first then lexicographic — the body of `farmerctl tenants`.
 func (g *Registry) Tenants() []rpc.TenantInfo {
-	g.mu.Lock()
-	entries := make([]*tenantEntry, 0, len(g.tenants))
-	for _, e := range g.tenants {
-		entries = append(entries, e)
-	}
-	g.mu.Unlock()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
+	entries := g.snapshot()
 	infos := make([]rpc.TenantInfo, len(entries))
 	for i, e := range entries {
 		infos[i] = rpc.TenantInfo{Name: e.name, Stats: e.backend.Stats()}
@@ -273,13 +253,7 @@ var _ rpc.ObsResolver = (*Registry)(nil)
 // The wire layer stamps its own per-tenant feed accounting on top and
 // filters the rows to the connection's grants.
 func (g *Registry) TenantObs(topK int) []rpc.TenantObs {
-	g.mu.Lock()
-	entries := make([]*tenantEntry, 0, len(g.tenants))
-	for _, e := range g.tenants {
-		entries = append(entries, e)
-	}
-	g.mu.Unlock()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
+	entries := g.snapshot()
 	rows := make([]rpc.TenantObs, len(entries))
 	for i, e := range entries {
 		rows[i] = e.backend.TenantObs(topK)
@@ -367,12 +341,15 @@ func (g *Registry) drainAll(dctx context.Context) error {
 	return first
 }
 
+// snapshot returns the live tenants, default first then lexicographic — the
+// order every listing shows and every sweep walks.
 func (g *Registry) snapshot() []*tenantEntry {
 	g.mu.Lock()
-	defer g.mu.Unlock()
 	entries := make([]*tenantEntry, 0, len(g.tenants))
 	for _, e := range g.tenants {
 		entries = append(entries, e)
 	}
+	g.mu.Unlock()
+	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
 	return entries
 }
