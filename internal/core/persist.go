@@ -526,7 +526,10 @@ func (s *ShardedModel) LoadMerged(st *kvstore.Store) error {
 	}
 	if err := scanState(st,
 		func(f trace.FileID, list []Correlator) { lists[s.ownerOf(f)][f] = list },
-		func(f trace.FileID, vec vsm.Vector) { vecs[s.ownerOf(f)][f] = vec },
+		func(f trace.FileID, vec vsm.Vector) {
+			vec.Presplit()
+			vecs[s.ownerOf(f)][f] = vec
+		},
 		func(f trace.FileID, total float64, edges []graph.Edge) {
 			gnodes[s.ownerOf(f)][f] = gnode{total, edges}
 		},

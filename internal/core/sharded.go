@@ -55,7 +55,9 @@ func (m *Model) ApplyEvents(evs []partition.Event) {
 	for i := range evs {
 		ev := &evs[i]
 		if ev.Access {
-			m.vectors[ev.Succ] = ev.Vec
+			v := ev.Vec
+			v.Presplit() // a no-op on what this process extracted; a decoded vector becomes a stored one here
+			m.vectors[ev.Succ] = v
 			m.markDirty(ev.Succ, dirtyVec)
 			continue
 		}

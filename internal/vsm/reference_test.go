@@ -2,14 +2,16 @@ package vsm
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// The map-and-Split similarity this package shipped before the mining core
-// went allocation-free, kept as the oracle the in-place walk is held to: the
-// two must agree to the last bit, or a store mined by one build would not
-// continue bit-identically under the other.
+// The two similarities this package shipped before vectors were pre-split,
+// kept as the oracles Sim is held to: all three must agree to the last bit,
+// or a store mined by one build would not continue bit-identically under the
+// other. First the map-and-Split original; the in-place path walk that
+// replaced it follows.
 
 // SplitPath splits a slash path into its components: "/home/u/a" ->
 // ["home", "u", "a"]. Empty components are dropped.
@@ -86,15 +88,116 @@ func refSim(a, b *Vector, alg PathAlg) float64 {
 	return s
 }
 
+// Len reports the number of vector items under the given path algorithm.
+// Under DPA the path contributes one item per component; under IPA it
+// contributes a single item.
+func (v *Vector) Len(alg PathAlg) int {
+	n := len(v.Scalars)
+	if v.Path == "" {
+		return n
+	}
+	switch alg {
+	case DPA:
+		for c, rest := nextComponent(v.Path); c != ""; c, rest = nextComponent(rest) {
+			n++
+		}
+		return n
+	default: // IPA
+		return n + 1
+	}
+}
+
+// nextComponent returns the first non-empty component of a slash path and
+// the unread remainder: "/home/u/a" -> ("home", "/u/a"). Empty components
+// are skipped; comp is "" once the path is exhausted.
+func nextComponent(p string) (comp, rest string) {
+	for len(p) > 0 && p[0] == '/' {
+		p = p[1:]
+	}
+	if i := strings.IndexByte(p, '/'); i >= 0 {
+		return p[:i], p[i:]
+	}
+	return p, ""
+}
+
+// multisetIntersection counts the items two vectors share, each side's
+// items being its scalars followed by the components of its path ("" for no
+// path), and reports how many items each side has. Side B is staged once in
+// a scratch list; every item of A then claims — and removes — one equal
+// item of B, so a value occurring i times in A and j times in B counts
+// min(i, j) times, whatever the order.
+func multisetIntersection(sa []string, pa string, sb []string, pb string) (inter, la, lb int) {
+	var scratch [itemScratch]string
+	unclaimed := append(scratch[:0], sb...)
+	for c, rest := nextComponent(pb); c != ""; c, rest = nextComponent(rest) {
+		unclaimed = append(unclaimed, c)
+	}
+	lb = len(unclaimed)
+	claim := func(x string) {
+		la++
+		for i, y := range unclaimed {
+			if x == y {
+				last := len(unclaimed) - 1
+				unclaimed[i] = unclaimed[last]
+				unclaimed = unclaimed[:last]
+				inter++
+				return
+			}
+		}
+	}
+	for _, x := range sa {
+		claim(x)
+	}
+	for c, rest := nextComponent(pa); c != ""; c, rest = nextComponent(rest) {
+		claim(c)
+	}
+	return inter, la, lb
+}
+
+// walkSim is Sim as it walked both paths in place for every pair.
+func walkSim(a, b *Vector, alg PathAlg) float64 {
+	la, lb := a.Len(alg), b.Len(alg)
+	if la == 0 || lb == 0 {
+		return 0
+	}
+	var inter float64
+	switch alg {
+	case DPA:
+		n, _, _ := multisetIntersection(a.Scalars, a.Path, b.Scalars, b.Path)
+		inter = float64(n)
+	default: // IPA
+		n, _, _ := multisetIntersection(a.Scalars, "", b.Scalars, "")
+		inter = float64(n)
+		if pn, pla, plb := multisetIntersection(nil, a.Path, nil, b.Path); pla != 0 && plb != 0 {
+			inter += float64(pn) / float64(max(pla, plb))
+		}
+	}
+	s := inter / float64(max(la, lb))
+	if s > 1 {
+		s = 1
+	}
+	return s
+}
+
 // checkSimMatchesReference compares every similarity entry point with its
-// oracle on one pair of vectors, in both argument orders.
+// oracles on one pair of vectors, in both argument orders and however the
+// operands reach Sim: as written (their paths cut inside the call), cut
+// ahead as a stored vector is, and one of each.
 func checkSimMatchesReference(t *testing.T, a, b *Vector) {
 	t.Helper()
+	ca, cb := *a, *b
+	ca.Presplit()
+	cb.Presplit()
+	for _, v := range []*Vector{&ca, &cb} {
+		if len(v.comps) > MaxCached || (v.comps != nil && !slices.Equal(v.comps, SplitPath(v.Path))) {
+			t.Errorf("Presplit(%q) cached %d components %q", v.Path, len(v.comps), v.comps)
+		}
+	}
 	for _, alg := range []PathAlg{IPA, DPA} {
-		for _, p := range [][2]*Vector{{a, b}, {b, a}} {
-			got, want := Sim(p[0], p[1], alg), refSim(p[0], p[1], alg)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("Sim(%+v, %+v, %v) = %v, reference %v", *p[0], *p[1], alg, got, want)
+		for _, p := range [][2]*Vector{{a, b}, {b, a}, {&ca, &cb}, {&cb, &ca}, {&ca, b}, {a, &cb}} {
+			got, want, walk := Sim(p[0], p[1], alg), refSim(p[0], p[1], alg), walkSim(p[0], p[1], alg)
+			if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(got) != math.Float64bits(walk) {
+				t.Errorf("Sim(%+v, %+v, %v) = %v, reference %v, path walk %v", *p[0], *p[1], alg, got, want, walk)
 			}
 		}
 		if got, want := a.Len(alg), refLen(a, alg); got != want {
@@ -128,6 +231,12 @@ func FuzzSimMatchesReference(f *testing.F) {
 		{"", "", "", ""},                   // empty vectors
 		{"a,b", deep + "/x", "b,a", deep},  // > 64 components
 		{"d,d", deep, "d", "/d"},           // a scalar equal to a component
+		{"u:1", "/a//b", "u:1", "/a/b/"},   // "//" against a trailing "/"
+		{"u:1", "///", "", "/"},            // paths of only "/"
+		{"", "/a/b/a", "", "/a/a/b"},       // equal at position 0 only; the rest pairs off out of order
+		{"b,a", "/a/b", "a", "/b/b/a"},     // scalars equal to components, DPA pairs them across the two
+		{"u:1", strings.Repeat("/c", 65), "u:1", strings.Repeat("/c", 64) + "/x"}, // one past the cache, against the deepest cached
+		{"x", strings.Repeat("/e", 200), "x", strings.Repeat("/e/f", 100)},        // wider than the stack marks
 	} {
 		f.Add(seed[0], seed[1], seed[2], seed[3])
 	}

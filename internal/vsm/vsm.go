@@ -15,6 +15,8 @@ package vsm
 
 import (
 	"encoding/binary"
+	"math"
+	"slices"
 	"strings"
 
 	"farmer/internal/bin"
@@ -102,11 +104,24 @@ var AllFileIDMask = MaskOf(AttrUser, AttrProcess, AttrHost, AttrFileID)
 
 // Vector is a file's semantic vector. Scalar items (user, process, host,
 // file id, device) are discrete tokens; Path is kept separately because DPA
-// and IPA treat it differently.
+// and IPA treat it differently. A vector is not modified once it is built:
+// Extract and Presplit cut the path beside it, and Sim trusts the cut.
 type Vector struct {
 	Scalars []string // discrete attribute items, e.g. "u:12", "p:344"
 	Path    string   // full path, or "" when the trace has no paths
+
+	// comps caches Path's non-empty components (substrings of it), so that
+	// comparing stored vectors walks no path. Derived state: nil — Sim cuts
+	// the path itself — for a literal vector, a decoded one nobody stored,
+	// and a path of no or more than MaxCached components.
+	comps []string
 }
+
+// MaxCached bounds the components cached per vector. A path may be
+// trace.MaxPathLen (1 MiB) of two-byte components, whose string headers
+// would outweigh it eightfold and appear in no memory estimate; a deeper
+// path than this is cut inside every Sim and retains nothing.
+const MaxCached = 64
 
 // AppendVector appends a vector — u32 scalar count, (u32 len, bytes) per
 // scalar, u32 path length, path — the one encoding behind the store's v/
@@ -123,7 +138,9 @@ func AppendVector(dst []byte, v *Vector) []byte {
 }
 
 // ReadVector reads an AppendVector encoding. String lengths are bounded only
-// by the bytes present; a caller facing the network bounds them further.
+// by the bytes present; a caller facing the network bounds them further. The
+// path is not cut here: most decoded vectors are compared once, and whoever
+// stores one calls Presplit.
 func ReadVector(c *bin.Cursor) Vector {
 	var v Vector
 	if n := c.Count(4); n > 0 {
@@ -134,25 +151,6 @@ func ReadVector(c *bin.Cursor) Vector {
 	}
 	v.Path = c.Str(int(c.U32()))
 	return v
-}
-
-// Len reports the number of vector items under the given path algorithm.
-// Under DPA the path contributes one item per component; under IPA it
-// contributes a single item.
-func (v *Vector) Len(alg PathAlg) int {
-	n := len(v.Scalars)
-	if v.Path == "" {
-		return n
-	}
-	switch alg {
-	case DPA:
-		for c, rest := nextComponent(v.Path); c != ""; c, rest = nextComponent(rest) {
-			n++
-		}
-		return n
-	default: // IPA
-		return n + 1
-	}
 }
 
 // PathAlg selects the path treatment.
@@ -172,18 +170,75 @@ func (a PathAlg) String() string {
 	return "IPA"
 }
 
-// nextComponent returns the first non-empty component of a slash path and
-// the unread remainder: "/home/u/a" -> ("home", "/u/a"). Empty components
-// are skipped; comp is "" once the path is exhausted. Both results are
-// substrings of p, so walking a path allocates nothing.
-func nextComponent(p string) (comp, rest string) {
-	for len(p) > 0 && p[0] == '/' {
-		p = p[1:]
+// cut returns the non-empty components of a slash path, each a substring of
+// it: "/home//u/a/" -> home, u, a. They are appended to buf[:0]; past limit
+// components cut gives up and returns nil.
+func cut(buf []string, p string, limit int) []string {
+	buf = buf[:0]
+	for {
+		for len(p) > 0 && p[0] == '/' {
+			p = p[1:]
+		}
+		if p == "" {
+			return buf
+		}
+		if len(buf) == limit {
+			return nil
+		}
+		i := strings.IndexByte(p, '/')
+		if i < 0 {
+			return append(buf, p)
+		}
+		buf = append(buf, p[:i])
+		p = p[i:]
 	}
-	if i := strings.IndexByte(p, '/'); i >= 0 {
-		return p[:i], p[i:]
+}
+
+// Presplit caches the path's components in a vector that came out of a
+// decoder — for whoever stores it, to be compared many times.
+func (v *Vector) Presplit() {
+	if v.comps != nil || v.Path == "" {
+		return
 	}
-	return p, ""
+	var buf [MaxCached]string
+	if comps := cut(buf[:], v.Path, MaxCached); len(comps) > 0 {
+		v.comps = slices.Clone(comps)
+	}
+}
+
+// intersect counts the items two lists share as multisets: a value occurring
+// i times in a and j times in b counts min(i, j) times, whatever the order.
+// Items equal at equal positions pair off first — exact, since taking one x
+// from each side takes one from min(i, j), and nearly all there is to do
+// between sibling files, which share every directory. Each item a has left
+// then claims one unclaimed equal item of b.
+func intersect(a, b []string) int {
+	var few [2 * MaxCached]bool
+	marks := few[:]
+	if len(a)+len(b) > len(few) {
+		marks = make([]bool, len(a)+len(b))
+	}
+	paired, claimed := marks[:len(a)], marks[len(a):] // items of a paired off, items of b claimed
+	n := 0
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] == b[i] {
+			paired[i], claimed[i] = true, true
+			n++
+		}
+	}
+	for i, x := range a {
+		if paired[i] {
+			continue
+		}
+		for j, y := range b {
+			if !claimed[j] && x == y {
+				claimed[j] = true
+				n++
+				break
+			}
+		}
+	}
+	return n
 }
 
 // PathSimilarity is the component-wise similarity of two paths used by IPA:
@@ -191,50 +246,15 @@ func nextComponent(p string) (comp, rest string) {
 // intersection. The paper's Table 2 example: /home/user1/paper/a vs
 // /home/user1/paper/b -> 3/4 = 0.75.
 func PathSimilarity(a, b string) float64 {
-	inter, la, lb := multisetIntersection(nil, a, nil, b)
-	if la == 0 || lb == 0 {
-		return 0
-	}
-	return float64(inter) / float64(max(la, lb))
+	var bufA, bufB [MaxCached]string
+	return pathSim(cut(bufA[:], a, math.MaxInt), cut(bufB[:], b, math.MaxInt))
 }
 
-// itemScratch is how many items of one side multisetIntersection stages on
-// the stack. Three scalars plus a path 29 directories deep fit; a longer
-// vector spills to the heap through append and is counted the same way.
-const itemScratch = 32
-
-// multisetIntersection counts the items two vectors share, each side's
-// items being its scalars followed by the components of its path ("" for no
-// path), and reports how many items each side has. Side B is staged once in
-// a scratch list; every item of A then claims — and removes — one equal
-// item of B, so a value occurring i times in A and j times in B counts
-// min(i, j) times, whatever the order.
-func multisetIntersection(sa []string, pa string, sb []string, pb string) (inter, la, lb int) {
-	var scratch [itemScratch]string
-	unclaimed := append(scratch[:0], sb...)
-	for c, rest := nextComponent(pb); c != ""; c, rest = nextComponent(rest) {
-		unclaimed = append(unclaimed, c)
+func pathSim(a, b []string) float64 {
+	if len(a) == 0 || len(b) == 0 {
+		return 0
 	}
-	lb = len(unclaimed)
-	claim := func(x string) {
-		la++
-		for i, y := range unclaimed {
-			if x == y {
-				last := len(unclaimed) - 1
-				unclaimed[i] = unclaimed[last]
-				unclaimed = unclaimed[:last]
-				inter++
-				return
-			}
-		}
-	}
-	for _, x := range sa {
-		claim(x)
-	}
-	for c, rest := nextComponent(pa); c != ""; c, rest = nextComponent(rest) {
-		claim(c)
-	}
-	return inter, la, lb
+	return float64(intersect(a, b)) / float64(max(len(a), len(b)))
 }
 
 // Sim computes the semantic distance sim(A,B) between two vectors under the
@@ -248,25 +268,47 @@ func multisetIntersection(sa []string, pa string, sb []string, pb string) (inter
 // (|scalars(A)∩scalars(B)| + pathSim) / max(|A|,|B|) with |A| counting the
 // path as one item.
 func Sim(a, b *Vector, alg PathAlg) float64 {
-	la, lb := a.Len(alg), b.Len(alg)
+	if (a.comps == nil && a.Path != "") || (b.comps == nil && b.Path != "") {
+		// Nobody cut one of the paths: cut copies, on the stack up to
+		// MaxCached components, and compare those.
+		var bufA, bufB [MaxCached]string
+		ca, cb := *a, *b
+		if ca.comps == nil {
+			ca.comps = cut(bufA[:], a.Path, math.MaxInt)
+		}
+		if cb.comps == nil {
+			cb.comps = cut(bufB[:], b.Path, math.MaxInt)
+		}
+		return sim(&ca, &cb, alg)
+	}
+	return sim(a, b, alg)
+}
+
+// sim is Sim once both paths are cut.
+func sim(a, b *Vector, alg PathAlg) float64 {
+	la, lb := len(a.Scalars), len(b.Scalars)
+	var inter float64
+	if alg == DPA {
+		var bufA, bufB [itemScratch]string
+		ia := append(append(bufA[:0], a.Scalars...), a.comps...)
+		ib := append(append(bufB[:0], b.Scalars...), b.comps...)
+		la, lb = len(ia), len(ib)
+		inter = float64(intersect(ia, ib))
+	} else {
+		if a.Path != "" {
+			la++
+		}
+		if b.Path != "" {
+			lb++
+		}
+		inter = float64(intersect(a.Scalars, b.Scalars)) + pathSim(a.comps, b.comps)
+	}
 	if la == 0 || lb == 0 {
 		return 0
 	}
-	var inter float64
-	switch alg {
-	case DPA:
-		n, _, _ := multisetIntersection(a.Scalars, a.Path, b.Scalars, b.Path)
-		inter = float64(n)
-	default: // IPA
-		n, _, _ := multisetIntersection(a.Scalars, "", b.Scalars, "")
-		inter = float64(n)
-		if a.Path != "" && b.Path != "" {
-			inter += PathSimilarity(a.Path, b.Path)
-		}
-	}
-	s := inter / float64(max(la, lb))
-	if s > 1 {
-		s = 1
-	}
-	return s
+	return min(inter/float64(max(la, lb)), 1)
 }
+
+// itemScratch is how many DPA items of one side sim stages on the stack:
+// three scalars and a path 29 directories deep fit, more spill to the heap.
+const itemScratch = 32

@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -326,5 +327,71 @@ func TestExtractorTokenTable(t *testing.T) {
 	}
 	if v := ids.Extract(&trace.Record{File: 5}); !slices.Equal(v.Scalars, []string{"f:5"}) {
 		t.Errorf("after Reset: scalars = %v", v.Scalars)
+	}
+}
+
+// TestExtractCutsThePathOnce: what Extract caches is the path's components,
+// in the allocation the scalars already cost, out of reach of an append to
+// Scalars; and a vector it built compares exactly as the same vector written
+// out by hand.
+func TestExtractCutsThePathOnce(t *testing.T) {
+	for _, mask := range []Mask{AllPathMask, MaskOf(AttrPath), AllFileIDMask} {
+		e := NewExtractor(mask)
+		other := Vector{Scalars: []string{"u:7", "p:1", "h:3"}, Path: "/home/u7/g"}
+		for _, p := range []string{"/home/u7/f", "home//u7/f/", "/", "//", "", "f"} {
+			r := trace.Record{UID: 7, PID: 42, Host: 3, File: 11, Path: p}
+			e.Extract(&r) // intern the tokens
+			var v Vector
+			if n := testing.AllocsPerRun(10, func() { v = e.Extract(&r) }); n > 1 {
+				t.Errorf("mask %v path %q: Extract allocates %v times, want at most 1", mask, p, n)
+			}
+			want := SplitPath(v.Path)
+			if len(want) == 0 {
+				want = nil
+			}
+			if !slices.Equal(v.comps, want) || (v.comps == nil) != (want == nil) {
+				t.Errorf("mask %v path %q: cached %q, want %q", mask, p, v.comps, want)
+			}
+			if len(v.Scalars) != cap(v.Scalars) {
+				t.Errorf("mask %v path %q: Scalars has spare capacity %d over the components", mask, p, cap(v.Scalars)-len(v.Scalars))
+			}
+			literal := Vector{Scalars: v.Scalars, Path: v.Path}
+			decoded := literal
+			decoded.Presplit()
+			if !slices.Equal(decoded.comps, v.comps) || (decoded.comps == nil) != (v.comps == nil) {
+				t.Errorf("path %q: Presplit cached %q, Extract %q", p, decoded.comps, v.comps)
+			}
+			for _, alg := range []PathAlg{IPA, DPA} {
+				if got, want := Sim(&v, &other, alg), refSim(&literal, &other, alg); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("mask %v path %q %v: Sim of the extracted vector = %v, reference %v", mask, p, alg, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestDeepPathCachesNothing: the hostile-input bound. A 1 MiB path of
+// two-byte components would cache 8 MiB of string headers; past MaxCached
+// components a vector caches none and Sim cuts the path per call, to the
+// same result.
+func TestDeepPathCachesNothing(t *testing.T) {
+	hostile := strings.Repeat("a/", trace.MaxPathLen/2)
+	deepest := strings.Repeat("/a", MaxCached)
+	e := NewExtractor(AllPathMask)
+	for _, tc := range []struct {
+		path   string
+		cached int
+	}{{hostile, 0}, {deepest + "/a", 0}, {deepest, MaxCached}} {
+		v := e.Extract(&trace.Record{UID: 1, Path: tc.path})
+		d := Vector{Scalars: v.Scalars, Path: tc.path}
+		d.Presplit()
+		if len(v.comps) != tc.cached || len(d.comps) != tc.cached {
+			t.Fatalf("%d-byte path: Extract cached %d components, Presplit %d, want %d", len(tc.path), len(v.comps), len(d.comps), tc.cached)
+		}
+		for _, other := range []*Vector{&v, &d, &tabA, {Scalars: v.Scalars, Path: "/a/b"}} {
+			if got, want := Sim(&v, other, IPA), refSim(&d, other, IPA); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%d-byte path against %.20q: Sim = %v, reference %v", len(tc.path), other.Path, got, want)
+			}
+		}
 	}
 }
