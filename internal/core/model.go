@@ -4,8 +4,8 @@
 //	Stage 1 Extracting:  pull semantic attributes out of each file request
 //	                     (delegated to vsm.Extractor);
 //	Stage 2 Constructing: maintain the directed, weighted correlation graph
-//	                     over the access sequence (delegated to graph.Graph
-//	                     with Linear Decremented Assignment);
+//	                     over the access sequence (one graph.Node per file,
+//	                     credited by Linear Decremented Assignment);
 //	Stage 3 Mining & Evaluating (CoMiner): combine semantic distance and
 //	                     access frequency into the file correlation degree
 //	                     R(x,y) = p·sim(x,y) + (1−p)·F(x,y) and filter out
@@ -95,7 +95,7 @@ type Correlator struct {
 // concurrently with each other and with Feed.
 type Model struct {
 	cfg       Config
-	winSize   int // lookahead window, normalized like the graph's own
+	gcfg      graph.Config // cfg.Graph, normalized
 	extractor *vsm.Extractor
 
 	// listHook, when set, is invoked under m.mu after every Correlator-List
@@ -104,37 +104,70 @@ type Model struct {
 	// before the model is shared between goroutines.
 	listHook func(trace.FileID)
 
-	mu      sync.RWMutex
-	g       *graph.Graph
-	vectors map[trace.FileID]vsm.Vector
-	lists   map[trace.FileID][]Correlator
-	window  []trace.FileID // recent accesses, oldest first
-	fed     uint64
+	mu     sync.RWMutex
+	files  map[trace.FileID]*file
+	window []trace.FileID // recent accesses, oldest first
+	hits   []hit          // Feed's scratch, one per window slot
+	fed    uint64
 
 	// Incremental-checkpoint dirty tracking. Once a save or load has
 	// synchronized the model with a checkpoint store, every mutation marks
-	// the touched file so the next save can write only the delta. dirtyOn
-	// stays false (one branch per mutation, no map traffic) until the first
-	// save/load — a model that never checkpoints pays nothing. The owning
+	// the touched facet in its file's record, and the file's id joins
+	// dirtyIDs with its first mark: the next save writes only that delta.
+	// dirtyOn stays false (one branch per mutation) until then. The owning
 	// ensemble binds the dirty sets to the store (and its epoch) they are a
 	// delta against; see persist.go.
-	dirtyOn bool
-	dirty   map[trace.FileID]uint8 // dirtyList|dirtyVec|dirtyGraph bits
+	dirtyOn  bool
+	dirtyIDs []trace.FileID
 }
 
-// Dirty bits: which of a file's three persisted facets changed since the
-// last completed save. A set bit with the facet now absent from the model
-// is a deletion tombstone — the incremental save deletes the key.
+// file is everything the model holds for one file id — its last semantic
+// vector, its Correlator List and its correlation-graph node — so that an
+// edge event finds all of its predecessor's state with one lookup. A record
+// is created by the first event that names its file and stays until reset.
+type file struct {
+	vec  vsm.Vector
+	list []Correlator // sorted; nil once the validity filter empties it
+	node graph.Node
+
+	// have says which facets exist, dirty which changed since the last
+	// completed save. A dirty facet the file no longer has is a deletion
+	// tombstone — the incremental save deletes the key.
+	have, dirty uint8
+}
+
+// The three persisted facets of a file's record.
 const (
-	dirtyList uint8 = 1 << iota
-	dirtyVec
-	dirtyGraph
+	facetList uint8 = 1 << iota
+	facetVec
+	facetGraph
 )
 
-// markDirty records that a facet of f changed. Callers hold m.mu.
-func (m *Model) markDirty(f trace.FileID, bits uint8) {
+// hit is one window slot of the record being fed, between Stage 2 and
+// Stage 3: the predecessor's record and the slot of the edge just credited.
+type hit struct {
+	fp   *file
+	slot int
+}
+
+// file returns f's record, creating it on first sight. Callers hold m.mu.
+func (m *Model) file(f trace.FileID) *file {
+	fp := m.files[f]
+	if fp == nil {
+		fp = new(file)
+		m.files[f] = fp
+	}
+	return fp
+}
+
+// markDirty records that facets of f, whose record is fp, changed. Callers
+// hold m.mu.
+func (m *Model) markDirty(fp *file, f trace.FileID, facets uint8) {
 	if m.dirtyOn {
-		m.dirty[f] |= bits
+		if fp.dirty == 0 {
+			m.dirtyIDs = append(m.dirtyIDs, f)
+		}
+		fp.dirty |= facets
 	}
 }
 
@@ -143,11 +176,10 @@ func (m *Model) markDirty(f trace.FileID, bits uint8) {
 // the model with its checkpoint store.
 func (m *Model) resetDirtyLocked() {
 	m.dirtyOn = true
-	if m.dirty == nil {
-		m.dirty = make(map[trace.FileID]uint8)
-		return
+	for _, f := range m.dirtyIDs {
+		m.files[f].dirty = 0
 	}
-	clear(m.dirty)
+	m.dirtyIDs = m.dirtyIDs[:0]
 }
 
 // DirtyFiles reports how many files have pending dirty marks — the size of
@@ -155,7 +187,7 @@ func (m *Model) resetDirtyLocked() {
 func (m *Model) DirtyFiles() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return len(m.dirty)
+	return len(m.dirtyIDs)
 }
 
 // New creates a model; it panics on invalid configuration (programmer
@@ -176,11 +208,10 @@ func (m *Model) init(cfg Config) {
 	ex := vsm.NewExtractor(cfg.Mask)
 	ex.Alg = cfg.PathAlg
 	m.cfg = cfg
-	m.winSize = cfg.Graph.Normalized().Window
+	m.gcfg = cfg.Graph.Normalized()
 	m.extractor = ex
-	m.g = graph.New(cfg.Graph)
-	m.vectors = make(map[trace.FileID]vsm.Vector)
-	m.lists = make(map[trace.FileID][]Correlator)
+	m.files = make(map[trace.FileID]*file)
+	m.hits = make([]hit, m.gcfg.Window)
 }
 
 // SetListChangeHook registers fn to run (under the model lock) whenever a
@@ -195,8 +226,8 @@ func (m *Model) SetListChangeHook(fn func(trace.FileID)) {
 // notifyListChange invokes the registered hook, if any, and marks the list
 // dirty for the next incremental checkpoint — every Correlator-List mutation
 // (insert, update, drop, install) funnels through here. Callers hold m.mu.
-func (m *Model) notifyListChange(f trace.FileID) {
-	m.markDirty(f, dirtyList)
+func (m *Model) notifyListChange(fp *file, f trace.FileID) {
+	m.markDirty(fp, f, facetList)
 	if m.listHook != nil {
 		m.listHook(f)
 	}
@@ -212,54 +243,74 @@ func (m *Model) Feed(r *trace.Record) {
 
 	// Stage 1: Extracting.
 	v := m.extractor.Extract(r)
-	m.vectors[r.File] = v
-	m.markDirty(r.File, dirtyVec)
+	m.setVector(r.File, v)
 
-	// Stage 2: Constructing. Credit every file in the lookahead window.
-	m.g.Feed(r.File)
-
-	// Stage 3+4: Mining & Evaluating + Sorting, for each predecessor whose
-	// edge to r.File just changed.
-	for _, pred := range m.window {
-		if pred == r.File {
-			continue
+	// Stage 2: Constructing. Credit every file in the lookahead window, the
+	// newest first: the order LDA assigns in and a full node evicts by.
+	for i := len(m.window) - 1; i >= 0; i-- {
+		if pred := m.window[i]; pred != r.File {
+			fp := m.file(pred)
+			m.hits[i] = hit{fp, m.credit(fp, pred, r.File, m.gcfg.Credit(len(m.window)-i))}
 		}
-		m.markDirty(pred, dirtyGraph)
-		m.evaluate(pred, r.File)
 	}
 
-	// Trim to the same normalized window the graph credits: evaluating
-	// predecessors the graph no longer assigns credit to would only recompute
-	// unchanged degrees.
+	// Stage 3+4: Mining & Evaluating + Sorting, for each predecessor whose
+	// edge to r.File just changed — after all of Stage 2, so a predecessor
+	// in two window slots is evaluated twice on the credit of both. (Both of
+	// its hits name one slot: the two credits went to the same edge.)
+	for i, pred := range m.window {
+		if pred != r.File {
+			m.evaluate(m.hits[i].fp, pred, r.File, m.hits[i].slot, &v)
+		}
+	}
+
+	// The window is the normalized one LDA credits over: evaluating
+	// predecessors that no longer earn credit would only recompute unchanged
+	// degrees.
 	m.window = append(m.window, r.File)
-	if w := m.winSize; len(m.window) > w {
+	if w := m.gcfg.Window; len(m.window) > w {
 		copy(m.window, m.window[1:])
 		m.window = m.window[:w]
 	}
 	m.fed++
 }
 
-// evaluate recomputes R(pred, succ) and updates pred's Correlator List,
-// holding m.mu.
-func (m *Model) evaluate(pred, succ trace.FileID) {
-	vs, okS := m.vectors[succ]
-	m.evaluateVec(pred, succ, vs, okS)
+// setVector stores f's freshly extracted semantic vector. Callers hold m.mu.
+func (m *Model) setVector(f trace.FileID, v vsm.Vector) {
+	fp := m.file(f)
+	fp.vec = v
+	fp.have |= facetVec
+	m.markDirty(fp, f, facetVec)
 }
 
-// evaluateVec is evaluate with the successor's semantic vector supplied by
-// the caller. Sharded ingestion routes an edge event to the shard owning
-// pred, which stores pred's vector but not succ's, so the dispatcher ships
-// succ's freshly extracted vector along with the event.
-func (m *Model) evaluateVec(pred, succ trace.FileID, vs vsm.Vector, okS bool) {
-	vp, okP := m.vectors[pred]
-	var sim float64
-	if okP && okS {
-		sim = vsm.Sim(&vp, &vs, m.cfg.PathAlg)
+// credit is Stage 2 for one edge: it adds w LDA credit to the edge toward
+// succ of pred, whose record is fp, and returns the edge's slot in fp.node:
+// -1 when a full node kept its stronger edges. Callers hold m.mu.
+func (m *Model) credit(fp *file, pred, succ trace.FileID, w float64) int {
+	m.markDirty(fp, pred, facetGraph)
+	if !(w > 0) || pred == succ {
+		return fp.node.Find(succ) // nothing to add; the pair is re-evaluated all the same
 	}
-	freq := m.g.Frequency(pred, succ)
+	fp.have |= facetGraph
+	return fp.node.Add(succ, w, m.gcfg.MaxSuccessors)
+}
+
+// evaluate is Stages 3 and 4 for one edge: it recomputes R(pred, succ) from
+// pred's record fp — its stored vector against succ's, vs (shipped with the
+// event: the shard owning pred does not store it), and the edge credit just
+// returned the slot of — and moves succ to its rank in pred's Correlator
+// List. Callers hold m.mu.
+func (m *Model) evaluate(fp *file, pred, succ trace.FileID, slot int, vs *vsm.Vector) {
+	var sim, freq float64
+	if fp.have&facetVec != 0 {
+		sim = vsm.Sim(&fp.vec, vs, m.cfg.PathAlg)
+	}
+	if slot >= 0 && fp.node.Total != 0 {
+		freq = fp.node.Edges[slot].Weight / fp.node.Total // F = N_xy / N_x
+	}
 	degree := m.cfg.Weight*sim + (1-m.cfg.Weight)*freq
 
-	list := m.lists[pred]
+	list := fp.list
 	idx := -1
 	for i := range list {
 		if list[i].File == succ {
@@ -270,18 +321,18 @@ func (m *Model) evaluateVec(pred, succ trace.FileID, vs vsm.Vector, okS bool) {
 	if degree <= m.cfg.MaxStrength {
 		// Filtered out as invalid (paper §3.2.4); drop a stale entry.
 		if idx >= 0 {
-			list = append(list[:idx], list[idx+1:]...)
-			if len(list) == 0 {
-				delete(m.lists, pred)
-			} else {
-				m.lists[pred] = list
+			fp.list = append(list[:idx], list[idx+1:]...)
+			if len(fp.list) == 0 {
+				fp.list = nil
+				fp.have &^= facetList
 			}
-			m.notifyListChange(pred)
+			m.notifyListChange(fp, pred)
 		}
 		return
 	}
-	m.lists[pred] = placeCorrelator(list, idx, Correlator{File: succ, Degree: degree, Sim: sim, Freq: freq}, m.cfg.MaxCorrelators)
-	m.notifyListChange(pred)
+	fp.list = placeCorrelator(list, idx, Correlator{File: succ, Degree: degree, Sim: sim, Freq: freq}, m.cfg.MaxCorrelators)
+	fp.have |= facetList
+	m.notifyListChange(fp, pred)
 }
 
 // ranksBefore is the Correlator List order: decreasing degree, ties toward
@@ -328,11 +379,20 @@ func (m *Model) FeedTrace(t *trace.Trace) {
 func (m *Model) CorrelatorList(f trace.FileID) []Correlator {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	list := m.lists[f]
+	list := m.listLocked(f)
 	if len(list) == 0 {
 		return nil
 	}
 	return append([]Correlator(nil), list...)
+}
+
+// listLocked returns f's Correlator List itself, not a copy. Callers hold
+// m.mu.
+func (m *Model) listLocked(f trace.FileID) []Correlator {
+	if fp := m.files[f]; fp != nil {
+		return fp.list
+	}
+	return nil
 }
 
 // Predict returns up to k successor files of f in decreasing correlation
@@ -340,7 +400,7 @@ func (m *Model) CorrelatorList(f trace.FileID) []Correlator {
 func (m *Model) Predict(f trace.FileID, k int) []trace.FileID {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	list := m.lists[f]
+	list := m.listLocked(f)
 	if k > len(list) {
 		k = len(list)
 	}
@@ -359,7 +419,7 @@ func (m *Model) Predict(f trace.FileID, k int) []trace.FileID {
 func (m *Model) Degree(x, y trace.FileID) float64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	for _, c := range m.lists[x] {
+	for _, c := range m.listLocked(x) {
 		if c.File == y {
 			return c.Degree
 		}
@@ -398,31 +458,30 @@ type Stats struct {
 func (m *Model) Stats() Stats {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	s := Stats{
-		Fed:          m.fed,
-		TrackedFiles: len(m.vectors),
-		Lists:        len(m.lists),
-		GraphNodes:   m.g.Nodes(),
-		GraphEdges:   m.g.Edges(),
-	}
-	for _, l := range m.lists {
-		s.Correlators += len(l)
-	}
+	s := Stats{Fed: m.fed}
 	// Correlator list entries: File + Degree + Sim + Freq.
 	const corrBytes = 32
 	const listOverhead = 48
 	const vecOverhead = 48
-	var vecBytes int64
-	for _, v := range m.vectors {
-		vecBytes += vecOverhead + int64(len(v.Path))
-		for _, sc := range v.Scalars {
-			vecBytes += int64(len(sc)) + 16
+	for _, fp := range m.files {
+		if fp.have&facetList != 0 {
+			s.Lists++
+			s.Correlators += len(fp.list)
+		}
+		if fp.have&facetGraph != 0 {
+			s.GraphNodes++
+			s.GraphEdges += len(fp.node.Edges)
+			s.MemoryBytes += fp.node.MemoryBytes()
+		}
+		if fp.have&facetVec != 0 {
+			s.TrackedFiles++
+			s.MemoryBytes += vecOverhead + int64(len(fp.vec.Path))
+			for _, sc := range fp.vec.Scalars {
+				s.MemoryBytes += int64(len(sc)) + 16
+			}
 		}
 	}
-	s.MemoryBytes = m.g.MemoryBytes() +
-		int64(s.Correlators)*corrBytes +
-		int64(s.Lists)*listOverhead +
-		vecBytes
+	s.MemoryBytes += int64(s.Correlators)*corrBytes + int64(s.Lists)*listOverhead
 	return s
 }
 
@@ -431,8 +490,10 @@ func (m *Model) Stats() Stats {
 func (m *Model) Vector(f trace.FileID) (vsm.Vector, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	v, ok := m.vectors[f]
-	return v, ok
+	if fp := m.files[f]; fp != nil && fp.have&facetVec != 0 {
+		return fp.vec, true
+	}
+	return vsm.Vector{}, false
 }
 
 // ResetWindow forgets the current lookahead window (stream boundary) while
@@ -441,7 +502,6 @@ func (m *Model) ResetWindow() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.window = m.window[:0]
-	m.g.ResetWindow()
 }
 
 // WindowTail returns a copy of the current lookahead window, oldest first.

@@ -285,19 +285,21 @@ func (st *stager) stage(prefix string, f trace.FileID, present bool) {
 	}
 }
 
-func (st *stager) list(f trace.FileID, list []Correlator, present bool) {
-	st.scratch = AppendCorrelators(st.scratch[:0], list)
-	st.stage(keyPrefixList, f, present)
-}
-
-func (st *stager) vector(f trace.FileID, v *vsm.Vector, present bool) {
-	st.scratch = vsm.AppendVector(st.scratch[:0], v)
-	st.stage(keyPrefixVector, f, present)
-}
-
-func (st *stager) node(f trace.FileID, total float64, edges []graph.Edge, present bool) {
-	st.scratch = appendGraphValue(st.scratch[:0], total, edges)
-	st.stage(keyPrefixGraph, f, present)
+// file stages the named facets of f's record fp: a put for each it has, the
+// tombstone delete for each it no longer does.
+func (st *stager) file(f trace.FileID, fp *file, facets uint8) {
+	if facets&facetList != 0 {
+		st.scratch = AppendCorrelators(st.scratch[:0], fp.list)
+		st.stage(keyPrefixList, f, fp.have&facetList != 0)
+	}
+	if facets&facetVec != 0 {
+		st.scratch = vsm.AppendVector(st.scratch[:0], &fp.vec)
+		st.stage(keyPrefixVector, f, fp.have&facetVec != 0)
+	}
+	if facets&facetGraph != 0 {
+		st.scratch = appendGraphValue(st.scratch[:0], fp.node.Total, fp.node.SortedByID())
+		st.stage(keyPrefixGraph, f, fp.have&facetGraph != 0)
+	}
 }
 
 // stageLocked stages this shard's half of a checkpoint: with st.saved set,
@@ -305,32 +307,15 @@ func (st *stager) node(f trace.FileID, total float64, edges []graph.Edge, presen
 // since the last completed save. Callers hold m.mu.
 func (m *Model) stageLocked(st *stager) error {
 	if st.saved == nil {
-		for f, bits := range m.dirty {
-			if bits&dirtyList != 0 {
-				list, ok := m.lists[f]
-				st.list(f, list, ok)
-			}
-			if bits&dirtyVec != 0 {
-				v, ok := m.vectors[f]
-				st.vector(f, &v, ok)
-			}
-			if bits&dirtyGraph != 0 {
-				total, edges, ok := m.g.ExportNode(f)
-				st.node(f, total, edges, ok)
-			}
+		for _, f := range m.dirtyIDs {
+			fp := m.files[f]
+			st.file(f, fp, fp.dirty)
 		}
 		return st.err
 	}
-	for f, list := range m.lists {
-		st.list(f, list, true)
+	for f, fp := range m.files {
+		st.file(f, fp, fp.have)
 	}
-	for f, v := range m.vectors {
-		st.vector(f, &v, true)
-	}
-	m.g.Export(func(from trace.FileID, total float64, edges []graph.Edge) bool {
-		st.node(from, total, edges, true)
-		return st.err == nil
-	})
 	return st.err
 }
 
@@ -511,27 +496,24 @@ func (s *ShardedModel) LoadMerged(st *kvstore.Store) error {
 	if fedNow := s.disp.Dispatched(); fedNow > 0 {
 		return fmt.Errorf("core: cannot load into an ensemble that has already ingested %d records", fedNow)
 	}
-	n := len(s.shards)
-	lists := make([]map[trace.FileID][]Correlator, n)
-	vecs := make([]map[trace.FileID]vsm.Vector, n)
-	type gnode struct {
-		total float64
-		edges []graph.Edge
+	// One staged record per stored file, on the shard that will own it.
+	staged := make([]map[trace.FileID]*file, len(s.shards))
+	for i := range staged {
+		staged[i] = make(map[trace.FileID]*file)
 	}
-	gnodes := make([]map[trace.FileID]gnode, n)
-	for i := 0; i < n; i++ {
-		lists[i] = make(map[trace.FileID][]Correlator)
-		vecs[i] = make(map[trace.FileID]vsm.Vector)
-		gnodes[i] = make(map[trace.FileID]gnode)
+	stage := func(f trace.FileID, facet uint8) *file {
+		to := staged[s.ownerOf(f)]
+		if to[f] == nil {
+			to[f] = new(file)
+		}
+		to[f].have |= facet
+		return to[f]
 	}
 	if err := scanState(st,
-		func(f trace.FileID, list []Correlator) { lists[s.ownerOf(f)][f] = list },
-		func(f trace.FileID, vec vsm.Vector) {
-			vec.Presplit()
-			vecs[s.ownerOf(f)][f] = vec
-		},
+		func(f trace.FileID, list []Correlator) { stage(f, facetList).list = list },
+		func(f trace.FileID, vec vsm.Vector) { vec.Presplit(); stage(f, facetVec).vec = vec },
 		func(f trace.FileID, total float64, edges []graph.Edge) {
-			gnodes[s.ownerOf(f)][f] = gnode{total, edges}
+			stage(f, facetGraph).node = graph.Node{Total: total, Edges: edges}
 		},
 	); err != nil {
 		return err
@@ -546,15 +528,19 @@ func (s *ShardedModel) LoadMerged(st *kvstore.Store) error {
 	}
 	for i, m := range s.shards {
 		m.mu.Lock()
-		for f, list := range lists[i] {
-			m.lists[f] = list
-			m.notifyListChange(f)
-		}
-		for f, vec := range vecs[i] {
-			m.vectors[f] = vec
-		}
-		for f, gn := range gnodes[i] {
-			m.g.RestoreNode(f, gn.total, gn.edges)
+		for f, in := range staged[i] {
+			fp := m.file(f)
+			if in.have&facetList != 0 {
+				fp.list = in.list
+				m.notifyListChange(fp, f)
+			}
+			if in.have&facetVec != 0 {
+				fp.vec = in.vec
+			}
+			if in.have&facetGraph != 0 {
+				fp.node = in.node
+			}
+			fp.have |= in.have
 		}
 		// The shard now equals the store: start dirty tracking so the next
 		// SaveCheckpoint into this same store can be a delta.
@@ -629,27 +615,16 @@ func fingerprintLists(get func(trace.FileID) []Correlator, fileCount int) uint64
 }
 
 // trackedFileCount reports 1 + the highest FileID carrying any mined state
-// (list, vector or graph node), holding m.mu.
+// (list, vector or graph node).
 func (m *Model) trackedFileCount() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	max := -1
-	for f := range m.lists {
-		if int(f) > max {
+	for f, fp := range m.files {
+		if fp.have != 0 && int(f) > max {
 			max = int(f)
 		}
 	}
-	for f := range m.vectors {
-		if int(f) > max {
-			max = int(f)
-		}
-	}
-	m.g.Export(func(from trace.FileID, _ float64, _ []graph.Edge) bool {
-		if int(from) > max {
-			max = int(from)
-		}
-		return true
-	})
 	return max + 1
 }
 

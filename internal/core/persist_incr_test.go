@@ -329,8 +329,8 @@ func TestTombstoneNeverResurrects(t *testing.T) {
 	}
 	sh := sm.shardFor(victim)
 	sh.mu.Lock()
-	delete(sh.lists, victim)
-	sh.notifyListChange(victim)
+	sh.dropFacets(victim, facetList)
+	sh.notifyListChange(sh.files[victim], victim)
 	sh.mu.Unlock()
 
 	// Keep mining — but never refeed the victim, which would legitimately

@@ -399,12 +399,13 @@ func TestCheckpointPrunesStaleKeys(t *testing.T) {
 	var victim trace.FileID
 	sh := m.Shard(0)
 	sh.mu.Lock()
-	for f := range sh.lists {
-		victim = f
-		break
+	for f, fp := range sh.files {
+		if fp.have&facetList != 0 {
+			victim = f
+			break
+		}
 	}
-	delete(sh.lists, victim)
-	delete(sh.vectors, victim)
+	sh.dropFacets(victim, facetList|facetVec)
 	sh.mu.Unlock()
 
 	if err := m.SaveMerged(s); err != nil {
@@ -419,6 +420,16 @@ func TestCheckpointPrunesStaleKeys(t *testing.T) {
 	}
 	if _, ok := m2.Vector(victim); ok {
 		t.Fatalf("dropped vector %d resurrected from checkpoint", victim)
+	}
+}
+
+// dropFacets removes facets of f's record as the validity filter removes an
+// emptied list, telling nobody: no dirty mark, no hook. Callers hold m.mu.
+func (m *Model) dropFacets(f trace.FileID, facets uint8) {
+	fp := m.files[f]
+	fp.have &^= facets
+	if facets&facetList != 0 {
+		fp.list = nil
 	}
 }
 
@@ -450,7 +461,7 @@ func TestSaveMergedPrunesStaleKeys(t *testing.T) {
 	}
 	sh := sm.shardFor(victim)
 	sh.mu.Lock()
-	delete(sh.lists, victim)
+	sh.dropFacets(victim, facetList)
 	sh.mu.Unlock()
 
 	if err := sm.SaveMerged(s); err != nil {

@@ -28,7 +28,6 @@ import (
 	"sync/atomic"
 	"unsafe"
 
-	"farmer/internal/graph"
 	"farmer/internal/kvstore"
 	"farmer/internal/partition"
 	"farmer/internal/trace"
@@ -48,7 +47,8 @@ type paddedModel struct {
 // ApplyEvents replays ordered partition events against this model under its
 // lock — the Owner side of the partition layer. Access events install the
 // freshly extracted semantic vector; edge events add LDA credit and
-// re-evaluate R(pred, succ) with the successor's vector shipped inline.
+// re-evaluate R(pred, succ) with the successor's vector shipped inline, all
+// on one lookup of the predecessor's record.
 func (m *Model) ApplyEvents(evs []partition.Event) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -57,15 +57,11 @@ func (m *Model) ApplyEvents(evs []partition.Event) {
 		if ev.Access {
 			v := ev.Vec
 			v.Presplit() // a no-op on what this process extracted; a decoded vector becomes a stored one here
-			m.vectors[ev.Succ] = v
-			m.markDirty(ev.Succ, dirtyVec)
+			m.setVector(ev.Succ, v)
 			continue
 		}
-		if ev.Credit > 0 {
-			m.g.Add(ev.Pred, ev.Succ, ev.Credit)
-		}
-		m.markDirty(ev.Pred, dirtyGraph)
-		m.evaluateVec(ev.Pred, ev.Succ, ev.Vec, true)
+		fp := m.file(ev.Pred)
+		m.evaluate(fp, ev.Pred, ev.Succ, m.credit(fp, ev.Pred, ev.Succ, ev.Credit), &ev.Vec)
 	}
 }
 
@@ -462,15 +458,17 @@ func (s *ShardedModel) Reset() {
 func (m *Model) reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for f := range m.lists {
-		delete(m.lists, f)
-		m.notifyListChange(f)
+	if m.listHook != nil {
+		for f, fp := range m.files {
+			if fp.have&facetList != 0 {
+				m.listHook(f)
+			}
+		}
 	}
-	m.vectors = make(map[trace.FileID]vsm.Vector)
+	m.files = make(map[trace.FileID]*file)
 	m.extractor.Reset()
-	m.g = graph.New(m.cfg.Graph)
 	m.window = m.window[:0]
 	m.fed = 0
 	m.dirtyOn = false
-	m.dirty = nil
+	m.dirtyIDs = nil
 }

@@ -29,8 +29,9 @@ func (m *Model) TopGroups(k int) []CorrelatedGroup {
 		return nil
 	}
 	m.mu.RLock()
-	groups := make([]CorrelatedGroup, 0, len(m.lists))
-	for f, l := range m.lists {
+	var groups []CorrelatedGroup
+	for f, fp := range m.files {
+		l := fp.list
 		if len(l) == 0 {
 			continue
 		}

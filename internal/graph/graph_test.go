@@ -3,7 +3,6 @@ package graph
 import (
 	"math"
 	"math/rand/v2"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -129,30 +128,6 @@ func TestMaxSuccessorsEviction(t *testing.T) {
 	}
 }
 
-func TestPrune(t *testing.T) {
-	g := New(Config{Window: 1})
-	feedSeq(g, 0, 1, 0, 1, 0, 1, 0, 2) // F(0,1)=0.75 F(0,2)=0.25
-	removed := g.Prune(0.5)
-	if removed != 1 {
-		t.Fatalf("removed = %d, want 1", removed)
-	}
-	if g.Weight(0, 2) != 0 {
-		t.Fatal("weak edge survived prune")
-	}
-	if g.Weight(0, 1) == 0 {
-		t.Fatal("strong edge pruned")
-	}
-}
-
-func TestPruneDropsEmptyNodes(t *testing.T) {
-	g := New(Config{Window: 1})
-	feedSeq(g, 0, 1)
-	g.Prune(2.0) // everything below threshold
-	if g.Nodes() != 0 {
-		t.Fatalf("nodes = %d, want 0", g.Nodes())
-	}
-}
-
 func TestNodesEdgesCount(t *testing.T) {
 	g := New(Config{Window: 1})
 	feedSeq(g, 0, 1, 2, 0, 2)
@@ -165,13 +140,13 @@ func TestNodesEdgesCount(t *testing.T) {
 }
 
 func TestMemoryBytesGrowsWithEdges(t *testing.T) {
-	g := New(Config{Window: 1, MaxSuccessors: 0})
-	m0 := g.MemoryBytes()
+	var n Node
+	m0 := n.MemoryBytes()
 	for i := trace.FileID(0); i < 100; i++ {
-		g.Feed(i)
+		n.Add(i, 1, 0)
 	}
-	if g.MemoryBytes() <= m0 {
-		t.Fatal("MemoryBytes did not grow")
+	if m := n.MemoryBytes(); m != m0+100*16 {
+		t.Fatalf("MemoryBytes %d -> %d over 100 edges, want 16 more per edge", m0, m)
 	}
 }
 
@@ -223,27 +198,6 @@ func TestFrequencySumProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestLockedConcurrent(t *testing.T) {
-	l := NewLocked(DefaultConfig())
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(seed uint64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewPCG(seed, 3))
-			for i := 0; i < 500; i++ {
-				if rng.IntN(2) == 0 {
-					l.Feed(trace.FileID(rng.IntN(16)))
-				} else {
-					l.Successors(trace.FileID(rng.IntN(16)))
-					l.Frequency(trace.FileID(rng.IntN(16)), trace.FileID(rng.IntN(16)))
-				}
-			}
-		}(uint64(w))
-	}
-	wg.Wait()
 }
 
 func TestConfigNormalize(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 
 // refGraph is the map-per-node graph this package shipped before nodes
 // became edge slices, kept as the oracle the slice layout is held to: same
-// credits, same eviction victims, same survivors of a prune — to the bit.
+// credits, same eviction victims — to the bit.
 type refGraph struct {
 	cfg    Config
 	nodes  map[trace.FileID]*refNode
@@ -25,8 +25,7 @@ type refNode struct {
 }
 
 func newRefGraph(cfg Config) *refGraph {
-	cfg.normalize()
-	return &refGraph{cfg: cfg, nodes: make(map[trace.FileID]*refNode)}
+	return &refGraph{cfg: cfg.Normalized(), nodes: make(map[trace.FileID]*refNode)}
 }
 
 func (g *refGraph) Feed(f trace.FileID) {
@@ -81,26 +80,6 @@ func (g *refGraph) addEdge(from, to trace.FileID, w float64) {
 	n.edges[to] += w
 }
 
-func (g *refGraph) Prune(minFreq float64) int {
-	removed := 0
-	for id, nd := range g.nodes {
-		if nd.total <= 0 {
-			delete(g.nodes, id)
-			continue
-		}
-		for to, w := range nd.edges {
-			if w/nd.total < minFreq {
-				delete(nd.edges, to)
-				removed++
-			}
-		}
-		if len(nd.edges) == 0 {
-			delete(g.nodes, id)
-		}
-	}
-	return removed
-}
-
 // dump renders the complete state — every node's total and its edges in
 // ascending id order, floats as exact bits — so two graphs compare as strings.
 func (g *refGraph) dump() string {
@@ -127,33 +106,29 @@ func (g *refGraph) dump() string {
 }
 
 func (g *Graph) dump() string {
-	type row struct {
-		id   trace.FileID
-		line string
+	ids := make([]trace.FileID, 0, len(g.nodes))
+	for id := range g.nodes {
+		ids = append(ids, id)
 	}
-	var rows []row
-	g.Export(func(from trace.FileID, total float64, edges []Edge) bool {
-		line := fmt.Appendf(nil, "%d:%x", from, math.Float64bits(total))
-		for _, e := range edges {
-			line = fmt.Appendf(line, " %d=%x", e.To, math.Float64bits(e.Weight))
+	slices.Sort(ids)
+	var out []byte
+	for _, id := range ids {
+		nd := g.nodes[id]
+		out = fmt.Appendf(out, "%d:%x", id, math.Float64bits(nd.Total))
+		for _, e := range nd.SortedByID() {
+			out = fmt.Appendf(out, " %d=%x", e.To, math.Float64bits(e.Weight))
 		}
-		rows = append(rows, row{from, string(line) + "\n"})
-		return true
-	})
-	slices.SortFunc(rows, func(a, b row) int { return int(a.id) - int(b.id) })
-	var out string
-	for _, r := range rows {
-		out += r.line
+		out = append(out, '\n')
 	}
-	return out
+	return string(out)
 }
 
 // TestGraphMatchesReference drives the slice-backed graph and the map-backed
 // oracle with the same seeded random operations. With Decrement 0 every
 // credit is 1.0, so edge weights are small equal integers and a full node
 // almost always evicts among tied weakest edges — the tie-break toward the
-// lowest id is what keeps the two in step. Fractional Add credits and
-// Prune cover unequal weights and edge removal.
+// lowest id is what keeps the two in step. Fractional Add credits cover
+// unequal weights.
 func TestGraphMatchesReference(t *testing.T) {
 	for _, maxSucc := range []int{1, 3, 64} {
 		for _, decrement := range []float64{0, 0.1} {
@@ -169,16 +144,11 @@ func TestGraphMatchesReference(t *testing.T) {
 						f := trace.FileID(rng.IntN(files))
 						got.Feed(f)
 						want.Feed(f)
-					case k < 98:
+					default:
 						from, to := trace.FileID(rng.IntN(files)), trace.FileID(rng.IntN(files))
 						w := float64(rng.IntN(5)) / 2 // 0 and from == to exercise the refusals
 						got.Add(from, to, w)
 						want.Add(from, to, w)
-					default:
-						minFreq := rng.Float64() / float64(maxSucc+1)
-						if g, w := got.Prune(minFreq), want.Prune(minFreq); g != w {
-							t.Fatalf("%s op %d: Prune removed %d edges, reference %d", name, op, g, w)
-						}
 					}
 					if op%500 == 499 {
 						if g, w := got.dump(), want.dump(); g != w {

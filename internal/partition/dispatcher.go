@@ -110,11 +110,7 @@ func (d *Dispatcher) Dispatch(r *trace.Record, emit func(owner int, ev Event)) u
 		if pred == r.File {
 			continue
 		}
-		dist := len(d.window) - i // 1 = immediate predecessor
-		credit := 1.0 - float64(dist-1)*d.gcfg.Decrement
-		if credit < d.gcfg.MinAssign {
-			credit = d.gcfg.MinAssign
-		}
+		credit := d.gcfg.Credit(len(d.window) - i) // distance 1 = immediate predecessor
 		emit(d.part(pred, d.owners), Event{Pred: pred, Succ: r.File, Credit: credit, Vec: v, Seq: seq})
 	}
 	d.window = append(d.window, r.File)
@@ -123,18 +119,6 @@ func (d *Dispatcher) Dispatch(r *trace.Record, emit func(owner int, ev Event)) u
 		d.window = d.window[:d.gcfg.Window]
 	}
 	return seq
-}
-
-// Fan dispatches one record straight to a set of owners, one single-event
-// batch per emission. owners must have length Owners(). It is the simplest
-// composition — suitable for streaming ingestion where each owner applies
-// synchronously; batching callers use Dispatch with their own staging.
-func (d *Dispatcher) Fan(owners []Owner, r *trace.Record) uint64 {
-	var one [1]Event
-	return d.Dispatch(r, func(owner int, ev Event) {
-		one[0] = ev
-		owners[owner].ApplyEvents(one[:])
-	})
 }
 
 // ResetWindow forgets the lookahead window (stream boundary) while keeping

@@ -55,6 +55,11 @@ func newDispatcher(owners int, part Partitioner) *Dispatcher {
 	})
 }
 
+// fan dispatches one record to a single owner, one event per batch.
+func fan(d *Dispatcher, owner Owner, r *trace.Record) {
+	d.Dispatch(r, func(_ int, ev Event) { owner.ApplyEvents([]Event{ev}) })
+}
+
 // TestDispatchLDACredits: the edge events for one record must mirror
 // graph.Feed's linear decremented assignment — most recent predecessor
 // first at credit 1.0, decremented per step, floored at MinAssign, window
@@ -64,11 +69,11 @@ func TestDispatchLDACredits(t *testing.T) {
 	owner := &recorder{}
 	for _, f := range []trace.FileID{10, 11, 12} {
 		r := testRecord(f)
-		d.Fan([]Owner{owner}, &r)
+		fan(d, owner, &r)
 	}
 	owner.evs = nil
 	r := testRecord(13)
-	d.Fan([]Owner{owner}, &r)
+	fan(d, owner, &r)
 
 	if len(owner.evs) != 4 {
 		t.Fatalf("events = %d, want access + 3 edges", len(owner.evs))
@@ -90,7 +95,7 @@ func TestDispatchSkipsSelfAndTrimsWindow(t *testing.T) {
 	owner := &recorder{}
 	for _, f := range []trace.FileID{5, 5} {
 		r := testRecord(f)
-		d.Fan([]Owner{owner}, &r)
+		fan(d, owner, &r)
 	}
 	edges := 0
 	for _, ev := range owner.evs {
@@ -104,7 +109,7 @@ func TestDispatchSkipsSelfAndTrimsWindow(t *testing.T) {
 	// Window never exceeds the normalized graph window.
 	for f := trace.FileID(0); f < 20; f++ {
 		r := testRecord(f)
-		d.Fan([]Owner{owner}, &r)
+		fan(d, owner, &r)
 	}
 	if w := len(d.window); w != d.gcfg.Window {
 		t.Fatalf("window length %d, want %d", w, d.gcfg.Window)

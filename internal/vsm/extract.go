@@ -99,14 +99,6 @@ func (e *Extractor) Extract(r *trace.Record) Vector {
 	return v
 }
 
-// Similarity extracts both vectors and compares them under the extractor's
-// path algorithm.
-func (e *Extractor) Similarity(a, b *trace.Record) float64 {
-	va := e.Extract(a)
-	vb := e.Extract(b)
-	return Sim(&va, &vb, e.Alg)
-}
-
 // DefaultMask picks the natural full attribute combination for a trace:
 // {User, Process, Host, File Path} when the trace has paths,
 // {User, Process, Host, File ID} otherwise — matching how the paper treats

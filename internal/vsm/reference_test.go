@@ -127,7 +127,7 @@ func nextComponent(p string) (comp, rest string) {
 // item of B, so a value occurring i times in A and j times in B counts
 // min(i, j) times, whatever the order.
 func multisetIntersection(sa []string, pa string, sb []string, pb string) (inter, la, lb int) {
-	var scratch [itemScratch]string
+	var scratch [32]string
 	unclaimed := append(scratch[:0], sb...)
 	for c, rest := nextComponent(pb); c != ""; c, rest = nextComponent(rest) {
 		unclaimed = append(unclaimed, c)

@@ -289,7 +289,7 @@ func sim(a, b *Vector, alg PathAlg) float64 {
 	la, lb := len(a.Scalars), len(b.Scalars)
 	var inter float64
 	if alg == DPA {
-		var bufA, bufB [itemScratch]string
+		var bufA, bufB [MaxCached]string // past these the items spill to the heap
 		ia := append(append(bufA[:0], a.Scalars...), a.comps...)
 		ib := append(append(bufB[:0], b.Scalars...), b.comps...)
 		la, lb = len(ia), len(ib)
@@ -308,7 +308,3 @@ func sim(a, b *Vector, alg PathAlg) float64 {
 	}
 	return min(inter/float64(max(la, lb)), 1)
 }
-
-// itemScratch is how many DPA items of one side sim stages on the stack:
-// three scalars and a path 29 directories deep fit, more spill to the heap.
-const itemScratch = 32

@@ -243,12 +243,19 @@ func TestExtractor(t *testing.T) {
 	}
 }
 
+// similarity extracts both records' vectors and compares them under the
+// extractor's path algorithm.
+func similarity(e *Extractor, a, b *trace.Record) float64 {
+	va, vb := e.Extract(a), e.Extract(b)
+	return Sim(&va, &vb, e.Alg)
+}
+
 func TestExtractorNamespacing(t *testing.T) {
 	// User 5 must not collide with process 5.
 	a := trace.Record{UID: 5, PID: 1}
 	b := trace.Record{UID: 1, PID: 5}
 	e := NewExtractor(MaskOf(AttrUser, AttrProcess))
-	if got := e.Similarity(&a, &b); got != 0 {
+	if got := similarity(e, &a, &b); got != 0 {
 		t.Fatalf("cross-attribute collision: sim = %v, want 0", got)
 	}
 }
@@ -256,7 +263,7 @@ func TestExtractorNamespacing(t *testing.T) {
 func TestExtractorSimilarityFullMatch(t *testing.T) {
 	a := trace.Record{UID: 5, PID: 9, Host: 2, Path: "/h/u/f"}
 	e := NewExtractor(AllPathMask)
-	if got := e.Similarity(&a, &a); !almost(got, 1) {
+	if got := similarity(e, &a, &a); !almost(got, 1) {
 		t.Fatalf("self similarity = %v, want 1", got)
 	}
 }
