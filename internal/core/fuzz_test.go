@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"runtime/metrics"
 	"testing"
 
+	"farmer/internal/graph"
 	"farmer/internal/kvstore"
 	"farmer/internal/trace"
 	"farmer/internal/vsm"
@@ -51,6 +53,18 @@ func FuzzStoreValues(f *testing.F) {
 	}
 	f.Add(uint8(0), []byte{0xff, 0xff, 0xff, 0x7f})
 	f.Add(uint8(2), append(make([]byte, 8), 0, 0, 0, 0x40))
+	// Values no miner writes, which mined on would put a NaN in a list: a
+	// node whose total is +Inf, one lighter than its edge, a NaN weight, a
+	// negative one; and a list that already holds a NaN degree.
+	for _, node := range []graph.Node{
+		{Total: math.Inf(1), Edges: []graph.Edge{{To: 2, Weight: math.Inf(1)}}},
+		{Total: 5e-324, Edges: []graph.Edge{{To: 2, Weight: 1e308}}},
+		{Total: 1, Edges: []graph.Edge{{To: 2, Weight: math.NaN()}}},
+		{Total: 1, Edges: []graph.Edge{{To: 2, Weight: -1}}},
+	} {
+		f.Add(uint8(2), appendGraphValue(nil, node.Total, node.Edges))
+	}
+	f.Add(uint8(0), AppendCorrelators(nil, []Correlator{{File: 2, Degree: math.NaN(), Sim: 1, Freq: math.NaN()}}))
 
 	f.Fuzz(func(t *testing.T, kind uint8, val []byte) {
 		if list, err := decodeList(val); err == nil && !bytes.Equal(AppendCorrelators(nil, list), val) {
@@ -117,6 +131,17 @@ func FuzzStoreValues(f *testing.F) {
 		default:
 			if !bytes.Equal(got, val) {
 				t.Fatalf("%q = %x loaded, but the loaded model saves %x", k, val, got)
+			}
+		}
+		// Mining on over whatever was loaded keeps every list ranked.
+		sm.FeedBatch(goldenRecords())
+		for _, r := range goldenRecords() {
+			for _, c := range sm.CorrelatorList(r.File) {
+				for _, x := range [...]float64{c.Degree, c.Sim, c.Freq} {
+					if math.IsNaN(x) || math.IsInf(x, 0) {
+						t.Fatalf("%q = %x loaded and mined on: list of %d holds %+v", k, val, r.File, c)
+					}
+				}
 			}
 		}
 	})

@@ -104,6 +104,12 @@ func ReadCorrelators(c *bin.Cursor) []Correlator {
 	list := make([]Correlator, n)
 	for i := range list {
 		list[i] = Correlator{File: trace.FileID(c.U32()), Degree: c.F64(), Sim: c.F64(), Freq: c.F64()}
+		// A NaN degree has no rank: the list order would stop being total.
+		for _, x := range [...]float64{list[i].Degree, list[i].Sim, list[i].Freq} {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				c.Failf("entry %d: non-finite component %v", i, x)
+			}
+		}
 	}
 	return list
 }
@@ -135,10 +141,18 @@ func appendGraphValue(dst []byte, total float64, edges []graph.Edge) []byte {
 
 func decodeGraphNode(raw []byte) (total float64, edges []graph.Edge, err error) {
 	c := bin.Read("graph node", raw)
-	total = c.F64()
+	// N_x sums every credit the node ever gave, N_xy some of them: a mined
+	// node has 0 <= N_xy <= N_x < +Inf. Anything else would turn F = N_xy/N_x
+	// into a NaN or an Inf that the validity filter keeps.
+	if total = c.F64(); !(total >= 0 && total <= math.MaxFloat64) {
+		c.Failf("total %v", total)
+	}
 	edges = make([]graph.Edge, c.Count(12))
 	for i := range edges {
 		edges[i] = graph.Edge{To: trace.FileID(c.U32()), Weight: c.F64()}
+		if w := edges[i].Weight; !(w >= 0 && w <= total) {
+			c.Failf("edge %d weighs %v of a total %v", i, w, total)
+		}
 		// Every writer emits edges in ascending id order. A record that
 		// repeats (or reorders) a successor is refused: installed as it
 		// stands, the repeat would sit in the node's edge table and be

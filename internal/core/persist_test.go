@@ -3,11 +3,13 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"farmer/internal/graph"
 	"farmer/internal/kvstore"
 	"farmer/internal/partition"
 	"farmer/internal/trace"
@@ -845,5 +847,57 @@ func repeatFirstEdge(t *testing.T, st *kvstore.Store) {
 	copy(val[24:28], val[12:16]) // edge 1's To := edge 0's To
 	if err := st.Put(key, val); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUnminableValuesRefused: a graph node or a list no miner could have
+// written — a total that is not a finite sum of credits, an edge outweighing
+// it, a component that is not a number — is a decode error. Installed, the
+// first would make F = N_xy/N_x a NaN or an Inf that the validity filter
+// keeps (NaN <= max_strength is false), and the last is one already.
+func TestUnminableValuesRefused(t *testing.T) {
+	node := func(total float64, w float64) []byte {
+		return appendGraphValue(nil, total, []graph.Edge{{To: 2, Weight: w}})
+	}
+	list := func(c Correlator) []byte { return AppendCorrelators(nil, []Correlator{c}) }
+	inf, nan := math.Inf(1), math.NaN()
+	for _, tc := range []struct {
+		name   string
+		prefix string
+		val    []byte
+		ok     bool
+	}{
+		{"mined node", keyPrefixGraph, node(2.7, 1.9), true},
+		{"edge equal to the total", keyPrefixGraph, node(1, 1), true},
+		{"empty node", keyPrefixGraph, appendGraphValue(nil, 0, nil), true},
+		{"+Inf total", keyPrefixGraph, node(inf, inf), false},
+		{"NaN total", keyPrefixGraph, node(nan, 1), false},
+		{"negative total", keyPrefixGraph, node(-1, -2), false},
+		{"edge above the total", keyPrefixGraph, node(5e-324, 1e308), false},
+		{"NaN weight", keyPrefixGraph, node(1, nan), false},
+		{"negative weight", keyPrefixGraph, node(1, -0.5), false},
+		{"mined list", keyPrefixList, list(Correlator{File: 2, Degree: 0.8, Sim: 0.75, Freq: 0.9}), true},
+		{"NaN degree", keyPrefixList, list(Correlator{File: 2, Degree: nan, Sim: 1, Freq: nan}), false},
+		{"+Inf frequency", keyPrefixList, list(Correlator{File: 2, Degree: 0.8, Sim: 1, Freq: inf}), false},
+		{"-Inf similarity", keyPrefixList, list(Correlator{File: 2, Degree: 0.8, Sim: -inf, Freq: 0}), false},
+	} {
+		st, err := kvstore.Open("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kv := range goldenStore {
+			if err := st.Put(mustUnhex(t, kv[0]), mustUnhex(t, kv[1])); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Put(key(tc.prefix, 1), tc.val); err != nil {
+			t.Fatal(err)
+		}
+		_, ferr := StoreFingerprint(st, 0x0305)
+		lerr := NewSharded(goldenConfig()).LoadMerged(st)
+		if tc.ok != (lerr == nil) || (tc.prefix == keyPrefixList && tc.ok != (ferr == nil)) {
+			t.Errorf("%s: LoadMerged %v, StoreFingerprint %v, want accepted=%v", tc.name, lerr, ferr, tc.ok)
+		}
+		st.Close()
 	}
 }

@@ -556,6 +556,10 @@ func appendEvents(dst []byte, evs []partition.Event) []byte {
 	return dst
 }
 
+// maxCredit bounds the credit an event may carry: far above any LDA
+// assignment, far below what 2^64 events could sum to +Inf.
+const maxCredit = 1 << 30
+
 func consumeEvents(b []byte) ([]partition.Event, error) {
 	c := bin.Read("rpc: events", b)
 	// Minimum event size: flags + ids + credit + seq + empty vector (8).
@@ -565,7 +569,12 @@ func consumeEvents(b []byte) ([]partition.Event, error) {
 		ev.Access = c.Flags(1) != 0
 		ev.Pred = trace.FileID(c.U32())
 		ev.Succ = trace.FileID(c.U32())
-		ev.Credit = c.F64()
+		// LDA credit is max(1 − k·Decrement, MinAssign): never negative or NaN,
+		// and small. +Inf would make N_x = N_xy = +Inf and the degree Inf/Inf,
+		// a NaN the validity filter keeps; two huge credits would sum to it.
+		if ev.Credit = c.F64(); !(ev.Credit >= 0 && ev.Credit <= maxCredit) {
+			c.Failf("event %d: credit %v", i, ev.Credit)
+		}
 		ev.Seq = c.U64()
 		ev.Vec = vsm.ReadVector(&c)
 		// The wire refuses absurd strings even when the bytes are all there;
