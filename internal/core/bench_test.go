@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"farmer/internal/kvstore"
 	"farmer/internal/trace"
 	"farmer/internal/tracegen"
 )
@@ -14,6 +15,31 @@ import (
 func BenchmarkFeed(b *testing.B) {
 	tr := tracegen.HP(50000).MustGenerate()
 	m := New(DefaultConfig())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Feed(&tr.Records[i%len(tr.Records)])
+	}
+}
+
+// BenchmarkFeedDirty is BenchmarkFeed with dirty tracking on, as in every
+// farmerd that has checkpointed once: each record marks one vector and up to
+// a window of graph nodes and lists for the next delta. (Tracking starts
+// with a save, so this model has mined the trace once before the clock
+// starts.) The two should stay within a tenth of each other.
+func BenchmarkFeedDirty(b *testing.B) {
+	tr := tracegen.HP(50000).MustGenerate()
+	sm := NewSharded(DefaultConfig())
+	sm.FeedBatch(tr.Records)
+	st, err := kvstore.Open("")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	if err := sm.SaveMerged(st); err != nil { // a completed save turns dirty tracking on
+		b.Fatal(err)
+	}
+	m := sm.Shard(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

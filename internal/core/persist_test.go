@@ -901,3 +901,48 @@ func TestUnminableValuesRefused(t *testing.T) {
 		st.Close()
 	}
 }
+
+// TestDeepPathInstallsUncut: a stored vector may hold a 1 MiB path of
+// two-byte components. Cut ahead like any other, it would retain 8 MiB of
+// string headers that Stats.MemoryBytes does not charge; past vsm.MaxCached
+// components LoadMerged installs it uncut, and Sim cuts it per comparison to
+// the same result.
+func TestDeepPathInstallsUncut(t *testing.T) {
+	deep := vsm.Vector{Scalars: []string{"u:7"}, Path: strings.Repeat("a/", trace.MaxPathLen/2)}
+	st, err := kvstore.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for _, kv := range goldenStore {
+		if err := st.Put(mustUnhex(t, kv[0]), mustUnhex(t, kv[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Put(key(keyPrefixVector, 1), vsm.AppendVector(nil, &deep)); err != nil {
+		t.Fatal(err)
+	}
+	var sm *ShardedModel
+	// Decoding copies the path once; its components' headers would be 8 MiB.
+	const limit = 3 << 20
+	grew := allocatedBy(limit, func() {
+		sm = NewSharded(goldenConfig())
+		err = sm.LoadMerged(st)
+	})
+	if err != nil || grew > limit {
+		t.Fatalf("LoadMerged of a %d-byte path: %v, %d bytes allocated, want under %d", len(deep.Path), err, grew, limit)
+	}
+	stored, ok := sm.Vector(1)
+	if !ok || stored.Path != deep.Path {
+		t.Fatal("the deep vector did not install")
+	}
+	for _, other := range []vsm.Vector{deep, {Scalars: []string{"u:7"}, Path: "/a/b"}, {Path: "/p/a"}} {
+		if got, want := vsm.Sim(&stored, &other, vsm.IPA), vsm.Sim(&deep, &other, vsm.IPA); got != want {
+			t.Errorf("Sim of the installed vector against %.12q = %v, of the same vector never stored %v", other.Path, got, want)
+		}
+	}
+	sm.FeedBatch(goldenRecords()[1:3]) // file 1 is in the window's reach: it is compared, and mining goes on
+	if got := sm.Stats().TrackedFiles; got != 4 {
+		t.Fatalf("%d tracked files after mining on, want 4", got)
+	}
+}

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -392,5 +394,51 @@ func TestFeedBatchChunksOversizedBatches(t *testing.T) {
 	}
 	if _, err := c.Ping(context.Background()); err != nil {
 		t.Fatalf("connection poisoned by refused frame: %v", err)
+	}
+}
+
+// TestDeepPathEventInstallsUncut: the hostile-input bound on the event path.
+// An access event may carry a vector whose 1 MiB path has 512 Ki components;
+// the server stores it without their 8 MiB of string headers, and the stored
+// vector compares exactly as one that was never stored.
+func TestDeepPathEventInstallsUncut(t *testing.T) {
+	deep := vsm.Vector{Scalars: []string{"u:7"}, Path: strings.Repeat("a/", trace.MaxPathLen/2)}
+	b := newMinerBackend(2)
+	addr, _, stop := startServer(t, b)
+	defer stop()
+	c := dialT(t, addr)
+	defer c.Close()
+	owner := NewNetOwner(c, 4)
+	live := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := live()
+	owner.ApplyEvents([]partition.Event{
+		{Succ: 1, Vec: deep, Seq: 1, Access: true},
+		{Succ: 2, Vec: vsm.Vector{Scalars: []string{"u:7"}, Path: "/a/b"}, Seq: 2, Access: true},
+		{Pred: 1, Succ: 2, Credit: 1, Vec: vsm.Vector{Scalars: []string{"u:7"}, Path: "/a/b"}, Seq: 2},
+	})
+	if err := owner.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// The stored path is 1 MiB and the connection's buffers have grown to
+	// hold it; what Sim cut to compare it is garbage by now.
+	if kept := int64(live() - before); kept > 5<<20 {
+		t.Fatalf("a %d-byte path through MsgApplyEvents left %d bytes live, want under %d", len(deep.Path), kept, 5<<20)
+	}
+	stored, ok := b.sm.Vector(1)
+	if !ok || stored.Path != deep.Path {
+		t.Fatal("the deep vector did not install")
+	}
+	other := vsm.Vector{Scalars: []string{"u:7"}, Path: "/a/b"}
+	want := vsm.Sim(&deep, &other, vsm.IPA)
+	if got := vsm.Sim(&stored, &other, vsm.IPA); got != want {
+		t.Errorf("Sim of the installed vector = %v, of the same vector never stored %v", got, want)
+	}
+	if list := b.sm.CorrelatorList(1); len(list) != 1 || list[0].Sim != want {
+		t.Errorf("the server mined %+v from it, want one entry of similarity %v", list, want)
 	}
 }
