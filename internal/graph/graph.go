@@ -206,11 +206,12 @@ func (g *Graph) Total(from trace.FileID) float64 {
 // Frequency returns F(from,to) = N_xy / N_x (paper §3.2.2), or 0 when the
 // node is unknown.
 func (g *Graph) Frequency(from, to trace.FileID) float64 {
-	n := g.nodes[from]
-	if n == nil || n.Total == 0 {
-		return 0
+	if n := g.nodes[from]; n != nil && n.Total != 0 {
+		if i := n.Find(to); i >= 0 {
+			return n.Edges[i].Weight / n.Total
+		}
 	}
-	return g.Weight(from, to) / n.Total
+	return 0
 }
 
 // Successors returns all out-edges of a node sorted by decreasing weight
