@@ -239,4 +239,3 @@ func (g *Graph) Edges() int {
 	}
 	return n
 }
-
