@@ -10,7 +10,7 @@ var benchA = Vector{Scalars: []string{"u:1", "p:3", "h:2"}, Path: "/home/user1/p
 var benchB = Vector{Scalars: []string{"u:1", "p:4", "h:2"}, Path: "/home/user1/project/src/util.go"}
 
 // extracted returns the benchmark pair as the model stores and compares
-// them: built by Extract, their paths cut once.
+// them: built by Extract, their component ends noted once.
 func extracted() (a, b Vector) {
 	e := NewExtractor(AllPathMask)
 	return e.Extract(&trace.Record{UID: 1, PID: 3, Host: 2, Path: benchA.Path}),

@@ -2,7 +2,6 @@ package vsm
 
 import (
 	"strconv"
-	"strings"
 
 	"farmer/internal/trace"
 )
@@ -63,38 +62,22 @@ func (e *Extractor) token(i int, val uint32) string {
 // Extract builds the semantic vector for a record. Scalar tokens are
 // prefixed with their attribute tag so that, e.g., user 5 never collides
 // with process 5 — the paper's Table 1 shows attribute values as distinct
-// namespaced entries. The path is cut into its components here, once, and
-// they share the scalars' allocation: a record costs one.
+// namespaced entries. Where the path's components end is noted here, once,
+// inside the vector: a record still costs one allocation, the scalars.
 func (e *Extractor) Extract(r *trace.Record) Vector {
 	var v Vector
 	vals := [len(scalarAttrs)]uint32{r.UID, r.PID, r.Host, uint32(r.File), r.Dev}
-	n := e.Mask.Without(AttrPath).Count() // every attribute but the path is a scalar
-	k := 0                                // room for the path's components
-	if e.Mask.Has(AttrPath) && r.Path != "" {
-		v.Path = r.Path
-		// One more than the slashes bounds the components, exactly so for
-		// a/b/c; a leading slash starts none.
-		if k = strings.Count(r.Path, "/") + 1; r.Path[0] == '/' {
-			k--
-		}
-		if k > MaxCached {
-			k = 0
-		}
+	if n := e.Mask.Without(AttrPath).Count(); n > 0 { // every attribute but the path is a scalar
+		v.Scalars = make([]string, 0, n)
 	}
-	if n+k == 0 {
-		return v
-	}
-	buf := make([]string, 0, n+k)
 	for i, sa := range scalarAttrs {
 		if e.Mask.Has(sa.attr) {
-			buf = append(buf, e.token(i, vals[i]))
+			v.Scalars = append(v.Scalars, e.token(i, vals[i]))
 		}
 	}
-	if n > 0 {
-		v.Scalars = buf[:n:n] // an append to Scalars must not land on the components
-	}
-	if comps := cut(buf[n:n+k], r.Path, k); len(comps) > 0 {
-		v.comps = comps
+	if e.Mask.Has(AttrPath) && r.Path != "" {
+		v.Path = r.Path
+		v.Presplit()
 	}
 	return v
 }

@@ -189,8 +189,8 @@ func checkSimMatchesReference(t *testing.T, a, b *Vector) {
 	ca.Presplit()
 	cb.Presplit()
 	for _, v := range []*Vector{&ca, &cb} {
-		if len(v.comps) > MaxCached || (v.comps != nil && !slices.Equal(v.comps, SplitPath(v.Path))) {
-			t.Errorf("Presplit(%q) cached %d components %q", v.Path, len(v.comps), v.comps)
+		if want := SplitPath(v.Path); v.ends[0] != 0 && !slices.Equal(v.components(nil, 0), want) {
+			t.Errorf("Presplit(%q) cached ends %v: components %q, want %q", v.Path, v.ends, v.components(nil, 0), want)
 		}
 	}
 	for _, alg := range []PathAlg{IPA, DPA} {
@@ -235,8 +235,9 @@ func FuzzSimMatchesReference(f *testing.F) {
 		{"u:1", "///", "", "/"},            // paths of only "/"
 		{"", "/a/b/a", "", "/a/a/b"},       // equal at position 0 only; the rest pairs off out of order
 		{"b,a", "/a/b", "a", "/b/b/a"},     // scalars equal to components, DPA pairs them across the two
-		{"u:1", strings.Repeat("/c", 65), "u:1", strings.Repeat("/c", 64) + "/x"}, // one past the cache, against the deepest cached
-		{"x", strings.Repeat("/e", 200), "x", strings.Repeat("/e/f", 100)},        // wider than the stack marks
+		{"u:1", strings.Repeat("/c", MaxCached+1), "u:1", strings.Repeat("/c", MaxCached-1) + "/x"}, // one past the cache, against the deepest cached
+		{"u:1", strings.Repeat("/c", 65), "u:1", strings.Repeat("/c", 64) + "/x"},                   // 65 and 64 components
+		{"x", strings.Repeat("/e", 200), "x", strings.Repeat("/e/f", 100)},                          // wider than the stack marks
 	} {
 		f.Add(seed[0], seed[1], seed[2], seed[3])
 	}

@@ -16,7 +16,6 @@ package vsm
 import (
 	"encoding/binary"
 	"math"
-	"slices"
 	"strings"
 
 	"farmer/internal/bin"
@@ -110,18 +109,19 @@ type Vector struct {
 	Scalars []string // discrete attribute items, e.g. "u:12", "p:344"
 	Path    string   // full path, or "" when the trace has no paths
 
-	// comps caches Path's non-empty components (substrings of it), so that
-	// comparing stored vectors walks no path. Derived state: nil — Sim cuts
-	// the path itself — for a literal vector, a decoded one nobody stored,
-	// and a path of no or more than MaxCached components.
-	comps []string
+	// ends caches where Path's non-empty components end (component i lies
+	// between the slashes after ends[i-1] and ends[i]; unused slots hold 0),
+	// so that comparing stored vectors scans no path. Derived state, all
+	// zero — Sim cuts the path itself — for a literal or freshly decoded
+	// vector and a path of no or over MaxCached components or 64 KiB.
+	ends [MaxCached]uint16
 }
 
-// MaxCached bounds the components cached per vector. A path may be
-// trace.MaxPathLen (1 MiB) of two-byte components, whose string headers
-// would outweigh it eightfold and appear in no memory estimate; a deeper
-// path than this is cut inside every Sim and retains nothing.
-const MaxCached = 64
+// MaxCached bounds the components cached per vector — as offsets inside it,
+// not string headers on the heap: a 1 MiB path of two-byte components would
+// hold 8 MiB of those, in no memory estimate, and even twelve per record
+// raised a daemon's peak RSS by a sixth. Sim cuts a deeper path per call.
+const MaxCached = 12
 
 // AppendVector appends a vector — u32 scalar count, (u32 len, bytes) per
 // scalar, u32 path length, path — the one encoding behind the store's v/
@@ -170,48 +170,79 @@ func (a PathAlg) String() string {
 	return "IPA"
 }
 
-// cut returns the non-empty components of a slash path, each a substring of
-// it: "/home//u/a/" -> home, u, a. They are appended to buf[:0]; past limit
-// components cut gives up and returns nil.
-func cut(buf []string, p string, limit int) []string {
-	buf = buf[:0]
-	for {
-		for len(p) > 0 && p[0] == '/' {
-			p = p[1:]
+// component returns the bounds of p's first non-empty component at or after
+// i: "/home//u" from 5 -> (7, 8). start is len(p) when there is none.
+func component(p string, i int) (start, end int) {
+	for i < len(p) && p[i] == '/' {
+		i++
+	}
+	if j := strings.IndexByte(p[i:], '/'); j >= 0 {
+		return i, i + j
+	}
+	return i, len(p)
+}
+
+// Presplit caches where the path's components end, as Extract does, in a
+// decoded vector — for whoever stores it, to be compared many times.
+func (v *Vector) Presplit() {
+	var ends [MaxCached]uint16
+	if p := v.Path; len(p) <= math.MaxUint16 {
+		n := 0
+		for s, e := component(p, 0); s < len(p); s, e = component(p, e) {
+			if n == MaxCached {
+				return
+			}
+			ends[n] = uint16(e)
+			n++
 		}
-		if p == "" {
-			return buf
-		}
-		if len(buf) == limit {
-			return nil
-		}
-		i := strings.IndexByte(p, '/')
-		if i < 0 {
-			return append(buf, p)
-		}
-		buf = append(buf, p[:i])
-		p = p[i:]
+		v.ends = ends
 	}
 }
 
-// Presplit caches the path's components in a vector that came out of a
-// decoder — for whoever stores it, to be compared many times.
-func (v *Vector) Presplit() {
-	if v.comps != nil || v.Path == "" {
-		return
+// shared counts leading components a and b have in common, uncut: where both
+// cached ends that agree, the paths need only agree byte for byte that far.
+func shared(a, b *Vector) int {
+	k := 0
+	for k < MaxCached && a.ends[k] != 0 && a.ends[k] == b.ends[k] {
+		k++
 	}
-	var buf [MaxCached]string
-	if comps := cut(buf[:], v.Path, MaxCached); len(comps) > 0 {
-		v.comps = slices.Clone(comps)
+	for tries := 2; k > 0 && tries > 0; k, tries = k-1, tries-1 { // siblings differ in the last at most
+		if e := a.ends[k-1]; a.Path[:e] == b.Path[:e] {
+			return k
+		}
 	}
+	return 0
+}
+
+// components appends the path's components from the given one on to buf,
+// each a substring of the path ("/home//u/a/" -> home, u, a): read off the
+// cached ends, or cut from the path when nobody cached them (from is then 0).
+func (v *Vector) components(buf []string, from int) []string {
+	p := v.Path
+	if v.ends[0] == 0 {
+		for s, e := component(p, 0); s < len(p); s, e = component(p, e) {
+			buf = append(buf, p[s:e])
+		}
+		return buf
+	}
+	for i := from; i < MaxCached && v.ends[i] != 0; i++ {
+		start := 0
+		if i > 0 {
+			start = int(v.ends[i-1])
+		}
+		for p[start] == '/' {
+			start++
+		}
+		buf = append(buf, p[start:v.ends[i]])
+	}
+	return buf
 }
 
 // intersect counts the items two lists share as multisets: a value occurring
 // i times in a and j times in b counts min(i, j) times, whatever the order.
 // Items equal at equal positions pair off first — exact, since taking one x
-// from each side takes one from min(i, j), and nearly all there is to do
-// between sibling files, which share every directory. Each item a has left
-// then claims one unclaimed equal item of b.
+// from each side takes one from min(i, j) — and each item a has left then
+// claims one unclaimed equal item of b.
 func intersect(a, b []string) int {
 	var few [2 * MaxCached]bool
 	marks := few[:]
@@ -231,7 +262,7 @@ func intersect(a, b []string) int {
 			continue
 		}
 		for j, y := range b {
-			if !claimed[j] && x == y {
+			if j != i && !claimed[j] && x == y { // b[i] is known to differ
 				claimed[j] = true
 				n++
 				break
@@ -246,15 +277,30 @@ func intersect(a, b []string) int {
 // intersection. The paper's Table 2 example: /home/user1/paper/a vs
 // /home/user1/paper/b -> 3/4 = 0.75.
 func PathSimilarity(a, b string) float64 {
-	var bufA, bufB [MaxCached]string
-	return pathSim(cut(bufA[:], a, math.MaxInt), cut(bufB[:], b, math.MaxInt))
+	return share(pathIntersect(&Vector{Path: a}, &Vector{Path: b}, false))
 }
 
-func pathSim(a, b []string) float64 {
-	if len(a) == 0 || len(b) == 0 {
+// share is two item lists' similarity: shared over the longer one's length.
+func share(inter float64, la, lb int) float64 {
+	if la == 0 || lb == 0 {
 		return 0
 	}
-	return float64(intersect(a, b)) / float64(max(len(a), len(b)))
+	return inter / float64(max(la, lb))
+}
+
+// pathIntersect counts the items a and b share and the items each has: the
+// components of their paths, behind their scalars if those are asked for.
+// Components shared at the head of both pair off uncut; the rest is staged
+// on the stack (more than MaxCached + 4 a side spill to the heap).
+func pathIntersect(a, b *Vector, scalars bool) (inter float64, la, lb int) {
+	var bufA, bufB [MaxCached + 4]string
+	ia, ib := bufA[:0], bufB[:0]
+	if scalars {
+		ia, ib = append(ia, a.Scalars...), append(ib, b.Scalars...)
+	}
+	k := shared(a, b)
+	ia, ib = a.components(ia, k), b.components(ib, k)
+	return float64(k + intersect(ia, ib)), k + len(ia), k + len(ib)
 }
 
 // Sim computes the semantic distance sim(A,B) between two vectors under the
@@ -268,43 +314,15 @@ func pathSim(a, b []string) float64 {
 // (|scalars(A)∩scalars(B)| + pathSim) / max(|A|,|B|) with |A| counting the
 // path as one item.
 func Sim(a, b *Vector, alg PathAlg) float64 {
-	if (a.comps == nil && a.Path != "") || (b.comps == nil && b.Path != "") {
-		// Nobody cut one of the paths: cut copies, on the stack up to
-		// MaxCached components, and compare those.
-		var bufA, bufB [MaxCached]string
-		ca, cb := *a, *b
-		if ca.comps == nil {
-			ca.comps = cut(bufA[:], a.Path, math.MaxInt)
-		}
-		if cb.comps == nil {
-			cb.comps = cut(bufB[:], b.Path, math.MaxInt)
-		}
-		return sim(&ca, &cb, alg)
-	}
-	return sim(a, b, alg)
-}
-
-// sim is Sim once both paths are cut.
-func sim(a, b *Vector, alg PathAlg) float64 {
-	la, lb := len(a.Scalars), len(b.Scalars)
-	var inter float64
 	if alg == DPA {
-		var bufA, bufB [MaxCached]string // past these the items spill to the heap
-		ia := append(append(bufA[:0], a.Scalars...), a.comps...)
-		ib := append(append(bufB[:0], b.Scalars...), b.comps...)
-		la, lb = len(ia), len(ib)
-		inter = float64(intersect(ia, ib))
-	} else {
-		if a.Path != "" {
-			la++
-		}
-		if b.Path != "" {
-			lb++
-		}
-		inter = float64(intersect(a.Scalars, b.Scalars)) + pathSim(a.comps, b.comps)
+		return share(pathIntersect(a, b, true))
 	}
-	if la == 0 || lb == 0 {
-		return 0
+	la, lb := len(a.Scalars), len(b.Scalars)
+	if a.Path != "" {
+		la++
 	}
-	return min(inter/float64(max(la, lb)), 1)
+	if b.Path != "" {
+		lb++
+	}
+	return share(float64(intersect(a.Scalars, b.Scalars))+share(pathIntersect(a, b, false)), la, lb)
 }

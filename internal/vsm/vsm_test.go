@@ -337,36 +337,29 @@ func TestExtractorTokenTable(t *testing.T) {
 	}
 }
 
-// TestExtractCutsThePathOnce: what Extract caches is the path's components,
-// in the allocation the scalars already cost, out of reach of an append to
-// Scalars; and a vector it built compares exactly as the same vector written
-// out by hand.
+// TestExtractCutsThePathOnce: what Extract caches is where the path's
+// components end — inside the vector, so a record still costs the one
+// allocation of its scalars — exactly what Presplit caches in a decoded copy;
+// and a vector it built compares as the same vector written out by hand.
 func TestExtractCutsThePathOnce(t *testing.T) {
 	for _, mask := range []Mask{AllPathMask, MaskOf(AttrPath), AllFileIDMask} {
 		e := NewExtractor(mask)
 		other := Vector{Scalars: []string{"u:7", "p:1", "h:3"}, Path: "/home/u7/g"}
-		for _, p := range []string{"/home/u7/f", "home//u7/f/", "/", "//", "", "f"} {
+		for _, p := range []string{"/home/u7/f", "home//u7/f/", "/", "//", "", "f", "/a/a"} {
 			r := trace.Record{UID: 7, PID: 42, Host: 3, File: 11, Path: p}
 			e.Extract(&r) // intern the tokens
 			var v Vector
 			if n := testing.AllocsPerRun(10, func() { v = e.Extract(&r) }); n > 1 {
 				t.Errorf("mask %v path %q: Extract allocates %v times, want at most 1", mask, p, n)
 			}
-			want := SplitPath(v.Path)
-			if len(want) == 0 {
-				want = nil
-			}
-			if !slices.Equal(v.comps, want) || (v.comps == nil) != (want == nil) {
-				t.Errorf("mask %v path %q: cached %q, want %q", mask, p, v.comps, want)
-			}
-			if len(v.Scalars) != cap(v.Scalars) {
-				t.Errorf("mask %v path %q: Scalars has spare capacity %d over the components", mask, p, cap(v.Scalars)-len(v.Scalars))
+			if want := SplitPath(v.Path); !slices.Equal(v.components(nil, 0), want) || (v.ends[0] != 0) != (len(want) > 0) {
+				t.Errorf("mask %v path %q: cached ends %v, components %q, want %q", mask, p, v.ends, v.components(nil, 0), want)
 			}
 			literal := Vector{Scalars: v.Scalars, Path: v.Path}
 			decoded := literal
 			decoded.Presplit()
-			if !slices.Equal(decoded.comps, v.comps) || (decoded.comps == nil) != (v.comps == nil) {
-				t.Errorf("path %q: Presplit cached %q, Extract %q", p, decoded.comps, v.comps)
+			if decoded.ends != v.ends {
+				t.Errorf("path %q: Presplit cached %v, Extract %v", p, decoded.ends, v.ends)
 			}
 			for _, alg := range []PathAlg{IPA, DPA} {
 				if got, want := Sim(&v, &other, alg), refSim(&literal, &other, alg); math.Float64bits(got) != math.Float64bits(want) {
@@ -378,25 +371,31 @@ func TestExtractCutsThePathOnce(t *testing.T) {
 }
 
 // TestDeepPathCachesNothing: the hostile-input bound. A 1 MiB path of
-// two-byte components would cache 8 MiB of string headers; past MaxCached
-// components a vector caches none and Sim cuts the path per call, to the
-// same result.
+// two-byte components, cut ahead, would hold 8 MiB of string headers; a
+// vector caches offsets for at most MaxCached components of a path a uint16
+// can index, inside itself, and Sim cuts anything else per call, to the same
+// result.
 func TestDeepPathCachesNothing(t *testing.T) {
 	hostile := strings.Repeat("a/", trace.MaxPathLen/2)
 	deepest := strings.Repeat("/a", MaxCached)
+	long := "/" + strings.Repeat("x", math.MaxUint16) + "/a"
+	if size := unsafe.Sizeof(Vector{}); size > 64 {
+		t.Errorf("a Vector is %d bytes, want at most 64: every event carries one", size)
+	}
 	e := NewExtractor(AllPathMask)
 	for _, tc := range []struct {
 		path   string
-		cached int
-	}{{hostile, 0}, {deepest + "/a", 0}, {deepest, MaxCached}} {
+		cached bool
+	}{{hostile, false}, {deepest + "/a", false}, {long, false}, {deepest, true}, {long[3:], true}} {
 		v := e.Extract(&trace.Record{UID: 1, Path: tc.path})
 		d := Vector{Scalars: v.Scalars, Path: tc.path}
 		d.Presplit()
-		if len(v.comps) != tc.cached || len(d.comps) != tc.cached {
-			t.Fatalf("%d-byte path: Extract cached %d components, Presplit %d, want %d", len(tc.path), len(v.comps), len(d.comps), tc.cached)
+		if v.ends != d.ends || (v.ends[0] != 0) != tc.cached {
+			t.Fatalf("%d-byte path: Extract cached %v, Presplit %v, want cached=%v", len(tc.path), v.ends, d.ends, tc.cached)
 		}
-		for _, other := range []*Vector{&v, &d, &tabA, {Scalars: v.Scalars, Path: "/a/b"}} {
-			if got, want := Sim(&v, other, IPA), refSim(&d, other, IPA); math.Float64bits(got) != math.Float64bits(want) {
+		literal := Vector{Scalars: v.Scalars, Path: tc.path}
+		for _, other := range []*Vector{&v, &literal, &tabA, {Scalars: v.Scalars, Path: "/a/b"}} {
+			if got, want := Sim(&v, other, IPA), refSim(&literal, other, IPA); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%d-byte path against %.20q: Sim = %v, reference %v", len(tc.path), other.Path, got, want)
 			}
 		}
