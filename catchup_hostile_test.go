@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
+	"runtime/metrics"
 	"strings"
 	"testing"
 
 	"farmer/internal/kvstore"
+	"farmer/internal/rpc"
 )
 
 // TestCatchupRejectsRepeatedEdge: a catch-up snapshot whose graph node names
@@ -83,5 +86,37 @@ func TestCatchupRejectsRepeatedEdge(t *testing.T) {
 	}
 	if got, _ := follower.catchupFingerprint(); got != honest.Fingerprint {
 		t.Fatalf("installed fingerprint %#x, primary's %#x", got, honest.Fingerprint)
+	}
+}
+
+// TestCatchupSnapshotLengthNotBelieved: a MsgCatchup snapshot reaches the
+// kvstore frame reader straight off the network, and a frame header is 13
+// bytes. One claiming the reader's largest key and value made a follower
+// allocate 272 MiB before reading a payload byte; it is refused as corrupt
+// for next to nothing, the follower untouched.
+func TestCatchupSnapshotLengthNotBelieved(t *testing.T) {
+	follower, err := Open(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	hostile := make([]byte, 13)
+	hostile[4] = 1 // a put
+	binary.LittleEndian.PutUint32(hostile[5:9], 1<<24)
+	binary.LittleEndian.PutUint32(hostile[9:13], 1<<28)
+
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s)
+	before := s[0].Value.Uint64()
+	err = follower.applyCatchup(rpc.CatchupCut{Pos: 1, Snapshot: hostile})
+	metrics.Read(s)
+	if !errors.Is(err, kvstore.ErrCorruptWAL) {
+		t.Fatalf("applyCatchup of a bare hostile header: %v, want ErrCorruptWAL", err)
+	}
+	if grew := s[0].Value.Uint64() - before; grew > 1<<20 {
+		t.Fatalf("refusing a 13-byte snapshot allocated %d bytes", grew)
+	}
+	if fed := follower.sm.Fed(); fed != 0 {
+		t.Fatalf("refused catch-up left state behind: fed=%d", fed)
 	}
 }

@@ -15,8 +15,7 @@
 //	        [-replica-token T] [-lease-ttl D] [-lease-peers addr,addr...]
 //	        [-tls-cert cert.pem -tls-key key.pem]
 //	        [-auth token=tenant,tenant]... [-tenants-dir DIR]
-//	        [-max-tenants N] [-tenant-idle D]
-//	        [-tenant-max-shards N] [-tenant-max-mailbox N] [-tenant-max-memory B]
+//	        [-max-tenants N] [-tenant-idle D] [-tenant-max-memory B]
 //
 // With -store, mined state is checkpointed every -checkpoint interval and
 // once more on shutdown; -load restores the previous state at start, and
@@ -55,11 +54,11 @@
 // With -tenants-dir, the daemon is MULTI-TENANT: frames carrying a tenant
 // id lazily open one miner per tenant, persisted under DIR/<tenant>/, with
 // per-tenant budgets (-max-tenants, -tenant-idle eviction,
-// -tenant-max-shards/-tenant-max-mailbox/-tenant-max-memory). -tls-cert
-// and -tls-key serve the protocol over TLS; each repeatable -auth grant
-// maps a static bearer token to the tenants it may address ("*" = all),
-// and any -auth makes authentication mandatory. -replica-token is the
-// token this primary presents when its followers run with -auth.
+// -tenant-max-memory). -tls-cert and -tls-key serve the protocol over TLS;
+// each repeatable -auth grant maps a static bearer token to the tenants it
+// may address ("*" = all), and any -auth makes authentication mandatory.
+// -replica-token is the token this primary presents when its followers run
+// with -auth.
 //
 // With -metrics-addr, the daemon additionally serves live metrics over
 // plain HTTP on that address: GET /metrics is Prometheus text exposition
@@ -134,8 +133,6 @@ func run() int {
 	tenantsDir := fs.String("tenants-dir", "", "serve multiple tenants, each persisted under DIR/<tenant>/ (empty = single-tenant)")
 	maxTenants := fs.Int("max-tenants", 0, "cap on concurrently live named tenants (0 = unlimited; needs -tenants-dir)")
 	tenantIdle := fs.Duration("tenant-idle", 0, "evict a tenant idle this long, checkpointing it first (0 = never; needs -tenants-dir)")
-	tenantMaxShards := fs.Int("tenant-max-shards", 0, "per-tenant shard budget (0 = unlimited; needs -tenants-dir)")
-	tenantMaxMailbox := fs.Int("tenant-max-mailbox", 0, "per-tenant prefetch mailbox depth budget (0 = unlimited; needs -tenants-dir)")
 	tenantMaxMemory := fs.Int64("tenant-max-memory", 0, "per-tenant model footprint budget in bytes (0 = unlimited; needs -tenants-dir)")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "farmerd serves a FARMER miner over the wire protocol.\n\nusage: farmerd [flags]\n\nflags:\n")
@@ -172,12 +169,10 @@ func run() int {
 		Auth:         auth,
 		ReplicaToken: *replicaToken,
 
-		TenantsDir:       *tenantsDir,
-		MaxTenants:       *maxTenants,
-		TenantIdle:       *tenantIdle,
-		TenantMaxShards:  *tenantMaxShards,
-		TenantMaxMailbox: *tenantMaxMailbox,
-		TenantMaxMemory:  *tenantMaxMemory,
+		TenantsDir:      *tenantsDir,
+		MaxTenants:      *maxTenants,
+		TenantIdle:      *tenantIdle,
+		TenantMaxMemory: *tenantMaxMemory,
 
 		Logf: logger.Printf,
 	})

@@ -171,18 +171,10 @@ func Dial(ctx context.Context, addr string, opts ...DialOption) (*RemoteMiner, e
 		}
 	}
 	m := &RemoteMiner{addrs: dc.failover, opts: dc.opts, ackN: dc.ackWindow, ackAdaptive: dc.ackAdaptive}
-	var firstErr error
-	for i := range m.addrs {
-		c, err := rpc.DialWith(ctx, m.addrs[i], m.opts)
-		if err == nil {
-			m.c, m.cur = c, i
-			return m, nil
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
+	if _, err := m.connLocked(ctx); err != nil { // nobody else holds m yet
+		return nil, err
 	}
-	return nil, firstErr
+	return m, nil
 }
 
 // failoverable reports whether an error means "this connection or server is
@@ -219,21 +211,19 @@ func (m *RemoteMiner) connLocked(ctx context.Context) (*rpc.Client, error) {
 	if m.c != nil {
 		return m.c, nil
 	}
-	var lastErr error
-	for i := 0; i < len(m.addrs); i++ {
+	var firstErr error // the current address's: Dial's addr, or the one that just died
+	for i := range m.addrs {
 		idx := (m.cur + i) % len(m.addrs)
 		c, err := rpc.DialWith(ctx, m.addrs[idx], m.opts)
-		if err != nil {
-			lastErr = err
-			continue
+		if err == nil {
+			m.c, m.cur = c, idx
+			return c, nil
 		}
-		m.c, m.cur = c, idx
-		return c, nil
+		if firstErr == nil {
+			firstErr = err
+		}
 	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("%w: no address reachable", rpc.ErrDisconnected)
-	}
-	return nil, lastErr
+	return nil, firstErr
 }
 
 // seekWritableBound caps how long seekWritable keeps re-sweeping while the
@@ -367,13 +357,9 @@ func (m *RemoteMiner) ackWindow(ctx context.Context) (*rpc.AckWindow, *rpc.Clien
 }
 
 // windowed runs one windowed-feed operation and, on failure, settles the
-// window: the remaining in-flight acks are drained, the poisoned window is
-// discarded, a dead connection is dropped (the next call reconnects), and
-// — because ErrNotPrimary means the refused frames were definitely NOT
-// applied — a promotion sweep runs before the error surfaces, so the
-// caller's resume-from-Stats().Fed replay lands on a writable server. The
-// error itself always surfaces: frames acked before the failure may have
-// been applied, so the stream is in doubt and nothing is re-sent here.
+// window through flushWindow. The error always surfaces: frames acked before
+// the failure may have been applied, so the stream is in doubt and nothing
+// is re-sent here.
 func (m *RemoteMiner) windowed(ctx context.Context, fn func(w *rpc.AckWindow) error) error {
 	w, c, err := m.ackWindow(ctx)
 	if err != nil {
@@ -382,24 +368,37 @@ func (m *RemoteMiner) windowed(ctx context.Context, fn func(w *rpc.AckWindow) er
 	if err := fn(w); err == nil {
 		return nil
 	}
-	return m.settleWindow(ctx, w, c)
-}
-
-// settleWindow drains a failed window and runs the recovery described on
-// windowed. It returns the window's first failure.
-func (m *RemoteMiner) settleWindow(ctx context.Context, w *rpc.AckWindow, c *rpc.Client) error {
-	err := w.Flush(ctx)
-	m.forgetWindow(w)
-	if err == nil {
-		// The operation failed but the drain saw only clean acks — a ctx
-		// expiry inside the operation, typically. The stream is still in
-		// doubt (the expired wait abandoned its ack), so report it.
-		if err = ctx.Err(); err == nil {
-			err = rpc.ErrDisconnected
-		}
+	if err = m.flushWindow(ctx, w, c); err != nil {
 		return err
 	}
-	m.recoverAfterWindow(ctx, c, err)
+	// The operation failed but the drain saw only clean acks — a ctx expiry
+	// inside the operation, typically. The stream is still in doubt (the
+	// expired wait abandoned its ack), so report it.
+	m.forgetWindow(w)
+	if err = ctx.Err(); err == nil {
+		err = rpc.ErrDisconnected
+	}
+	return err
+}
+
+// flushWindow collects w's in-flight acks and returns its first failure,
+// after repositioning the client for the caller's resume-from-Stats().Fed
+// replay: the poisoned window is discarded, a dead connection is dropped
+// (the next call reconnects), and — because ErrNotPrimary or ErrStaleEpoch
+// means the refused frames were definitely NOT applied — a best-effort
+// promotion sweep runs so the replay lands on a writable server.
+func (m *RemoteMiner) flushWindow(ctx context.Context, w *rpc.AckWindow, c *rpc.Client) error {
+	err := w.Flush(ctx)
+	if err == nil {
+		return nil
+	}
+	m.forgetWindow(w)
+	if errors.Is(err, rpc.ErrDisconnected) {
+		m.drop(c)
+	}
+	if refusedUnapplied(err) {
+		_ = m.seekWritable(ctx)
+	}
 	return err
 }
 
@@ -411,21 +410,6 @@ func (m *RemoteMiner) forgetWindow(w *rpc.AckWindow) {
 		m.win, m.winC = nil, nil
 	}
 	m.mu.Unlock()
-}
-
-// recoverAfterWindow repositions the client after a windowed failure: a
-// dead connection is dropped (the next call reconnects), and ErrNotPrimary
-// triggers a best-effort promotion sweep — the refused frames were
-// definitely not applied, and a successful sweep means the caller's
-// resume-from-Stats().Fed replay lands on a writable server. The original
-// error still surfaces either way.
-func (m *RemoteMiner) recoverAfterWindow(ctx context.Context, c *rpc.Client, err error) {
-	if errors.Is(err, rpc.ErrDisconnected) {
-		m.drop(c)
-	}
-	if refusedUnapplied(err) {
-		_ = m.seekWritable(ctx)
-	}
 }
 
 // Flush is the windowed-ack barrier (WithAckWindow): it blocks until every
@@ -445,13 +429,7 @@ func (m *RemoteMiner) Flush(ctx context.Context) error {
 	if w == nil {
 		return nil
 	}
-	err := w.Flush(ctx)
-	if err == nil {
-		return nil
-	}
-	m.forgetWindow(w)
-	m.recoverAfterWindow(ctx, c, err)
-	return err
+	return m.flushWindow(ctx, w, c)
 }
 
 // do runs one call with reconnect-and-failover: at most one attempt per
@@ -500,16 +478,21 @@ func (m *RemoteMiner) do(ctx context.Context, retryDisconnected bool, fn func(c 
 	return lastErr
 }
 
+// read runs one call that returns a value and may be re-sent after a
+// connection loss (a read, or an idempotent command) through do.
+func read[T any](ctx context.Context, m *RemoteMiner, call func(c *rpc.Client) (T, error)) (T, error) {
+	var out T
+	err := m.do(ctx, true, func(c *rpc.Client) (err error) {
+		out, err = call(c)
+		return err
+	})
+	return out, err
+}
+
 // Ping round-trips an empty frame and reports the wall-clock latency — the
 // liveness probe behind `farmerctl ping`.
 func (m *RemoteMiner) Ping(ctx context.Context) (time.Duration, error) {
-	var rtt time.Duration
-	err := m.do(ctx, true, func(c *rpc.Client) error {
-		var err error
-		rtt, err = c.Ping(ctx)
-		return err
-	})
-	return rtt, err
+	return read(ctx, m, func(c *rpc.Client) (time.Duration, error) { return c.Ping(ctx) })
 }
 
 // Feed implements Miner: one record, one acked round trip. On a replicated
@@ -539,25 +522,13 @@ func (m *RemoteMiner) FeedBatch(ctx context.Context, records []Record) error {
 
 // Predict implements Miner.
 func (m *RemoteMiner) Predict(ctx context.Context, f FileID, k int) ([]FileID, error) {
-	var out []FileID
-	err := m.do(ctx, true, func(c *rpc.Client) error {
-		var err error
-		out, err = c.Predict(ctx, f, k)
-		return err
-	})
-	return out, err
+	return read(ctx, m, func(c *rpc.Client) ([]FileID, error) { return c.Predict(ctx, f, k) })
 }
 
 // Stats implements Miner. After a failover, Stats().Fed on the promoted
 // server is the exact-once resume point for callers replaying a journal.
 func (m *RemoteMiner) Stats(ctx context.Context) (ModelStats, error) {
-	var st ModelStats
-	err := m.do(ctx, true, func(c *rpc.Client) error {
-		var err error
-		st, err = c.Stats(ctx)
-		return err
-	})
-	return st, err
+	return read(ctx, m, func(c *rpc.Client) (ModelStats, error) { return c.Stats(ctx) })
 }
 
 // Save implements Miner: the server checkpoints into its own store.
@@ -573,13 +544,7 @@ func (m *RemoteMiner) Load(ctx context.Context) error {
 // CorrelatorList fetches f's full Correlator List with bit-exact degrees —
 // the read the cross-process fingerprint tests use.
 func (m *RemoteMiner) CorrelatorList(ctx context.Context, f FileID) ([]Correlator, error) {
-	var out []Correlator
-	err := m.do(ctx, true, func(c *rpc.Client) error {
-		var err error
-		out, err = c.CorrelatorList(ctx, f)
-		return err
-	})
-	return out, err
+	return read(ctx, m, func(c *rpc.Client) ([]Correlator, error) { return c.CorrelatorList(ctx, f) })
 }
 
 // BackupGroups asks the server to rebuild its replica groups over
@@ -599,16 +564,13 @@ func (m *RemoteMiner) ReplicaGroups(ctx context.Context) (ReplicaGroupsInfo, err
 }
 
 func (m *RemoteMiner) groups(ctx context.Context, req rpc.GroupsReq) (ReplicaGroupsInfo, error) {
-	var info ReplicaGroupsInfo
-	err := m.do(ctx, true, func(c *rpc.Client) error {
+	return read(ctx, m, func(c *rpc.Client) (ReplicaGroupsInfo, error) {
 		gi, err := c.Groups(ctx, req)
 		if err != nil {
-			return err
+			return ReplicaGroupsInfo{}, err
 		}
-		info = ReplicaGroupsInfo{Fingerprint: gi.Fingerprint, Groups: gi.Groups, Versions: gi.Versions}
-		return nil
+		return ReplicaGroupsInfo{Fingerprint: gi.Fingerprint, Groups: gi.Groups, Versions: gi.Versions}, nil
 	})
-	return info, err
 }
 
 // LeaseStatus reports the CURRENT server's view of the cluster lease: the
@@ -617,13 +579,7 @@ func (m *RemoteMiner) groups(ctx context.Context, req rpc.GroupsReq) (ReplicaGro
 // Unlike writes, this deliberately does not failover past a reachable
 // server — the point is to ask one server what it believes.
 func (m *RemoteMiner) LeaseStatus(ctx context.Context) (LeaseInfo, error) {
-	var info LeaseInfo
-	err := m.do(ctx, true, func(c *rpc.Client) error {
-		var err error
-		info, err = c.LeaseStatus(ctx)
-		return err
-	})
-	return info, err
+	return read(ctx, m, func(c *rpc.Client) (LeaseInfo, error) { return c.LeaseStatus(ctx) })
 }
 
 // Handoff asks the current server — which must hold the lease — to ship
@@ -651,13 +607,7 @@ func (m *RemoteMiner) Handoff(ctx context.Context, target string) error {
 // (count and summed nanoseconds per MsgType) — the read behind the
 // `farmerctl top` latency columns.
 func (m *RemoteMiner) WireStats(ctx context.Context) ([]WireStat, error) {
-	var out []WireStat
-	err := m.do(ctx, true, func(c *rpc.Client) error {
-		var err error
-		out, err = c.WireStats(ctx)
-		return err
-	})
-	return out, err
+	return read(ctx, m, func(c *rpc.Client) ([]WireStat, error) { return c.WireStats(ctx) })
 }
 
 // TenantStatus is one live tenant on a farmerd: its id (empty = the
@@ -671,19 +621,17 @@ type TenantStatus struct {
 // `farmerctl tenants`. Against a server with auth enabled, the listing is
 // filtered to the tenants this client's token is granted.
 func (m *RemoteMiner) Tenants(ctx context.Context) ([]TenantStatus, error) {
-	var out []TenantStatus
-	err := m.do(ctx, true, func(c *rpc.Client) error {
+	return read(ctx, m, func(c *rpc.Client) ([]TenantStatus, error) {
 		infos, err := c.Tenants(ctx)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		out = make([]TenantStatus, len(infos))
+		out := make([]TenantStatus, len(infos))
 		for i, ti := range infos {
 			out[i] = TenantStatus{Name: ti.Name, Stats: ti.Stats}
 		}
-		return nil
+		return out, nil
 	})
-	return out, err
 }
 
 // Obs fetches one observability row per tenant live on the server —
@@ -693,13 +641,7 @@ func (m *RemoteMiner) Tenants(ctx context.Context) ([]TenantStatus, error) {
 // Against a server with auth enabled, the rows are filtered to the tenants
 // this client's token is granted.
 func (m *RemoteMiner) Obs(ctx context.Context, topK int) ([]TenantObs, error) {
-	var out []TenantObs
-	err := m.do(ctx, true, func(c *rpc.Client) error {
-		var err error
-		out, err = c.Obs(ctx, topK)
-		return err
-	})
-	return out, err
+	return read(ctx, m, func(c *rpc.Client) ([]TenantObs, error) { return c.Obs(ctx, topK) })
 }
 
 // Close drains outstanding calls and closes the connection. Idempotent.

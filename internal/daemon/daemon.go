@@ -81,12 +81,9 @@ type Options struct {
 	// checkpointed to its store, closed, transparently reopened on the
 	// next frame.
 	TenantIdle time.Duration
-	// TenantMaxShards / TenantMaxMailbox / TenantMaxMemory are each
-	// tenant's admission budget: shard count, prefetch mailbox depth, and
-	// model footprint in bytes (0 = unlimited).
-	TenantMaxShards  int
-	TenantMaxMailbox int
-	TenantMaxMemory  int64
+	// TenantMaxMemory is each tenant's budget: its model's footprint in
+	// bytes (0 = unlimited).
+	TenantMaxMemory int64
 
 	Logf func(format string, args ...any)
 }
@@ -162,8 +159,8 @@ func Run(ctx context.Context, o Options) error {
 			return fmt.Errorf("%w: -max-tenants requires -tenants-dir", ErrUsage)
 		case o.TenantIdle != 0:
 			return fmt.Errorf("%w: -tenant-idle requires -tenants-dir", ErrUsage)
-		case o.TenantMaxShards != 0 || o.TenantMaxMailbox != 0 || o.TenantMaxMemory != 0:
-			return fmt.Errorf("%w: tenant budget flags require -tenants-dir", ErrUsage)
+		case o.TenantMaxMemory != 0:
+			return fmt.Errorf("%w: -tenant-max-memory requires -tenants-dir", ErrUsage)
 		}
 	}
 	authTokens := make(map[string][]string, len(o.Auth))
@@ -270,14 +267,10 @@ func Run(ctx context.Context, o Options) error {
 	var tenantsCfg *farmer.TenantsConfig
 	if o.TenantsDir != "" {
 		tenantsCfg = &farmer.TenantsConfig{
-			Dir:    o.TenantsDir,
-			Config: cfg,
-			Shards: o.Shards,
-			Budget: farmer.TenantBudget{
-				MaxShards:      o.TenantMaxShards,
-				MaxMailbox:     o.TenantMaxMailbox,
-				MaxMemoryBytes: o.TenantMaxMemory,
-			},
+			Dir:        o.TenantsDir,
+			Config:     cfg,
+			Shards:     o.Shards,
+			Budget:     farmer.TenantBudget{MaxMemoryBytes: o.TenantMaxMemory},
 			MaxTenants: o.MaxTenants,
 			IdleAfter:  o.TenantIdle,
 		}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 )
 
@@ -94,7 +95,6 @@ func (s *Store) recover() error {
 	// whole batch is discarded and the file truncated back to just before
 	// the walBegin, leaving the pre-batch state intact.
 	var (
-		inBatch  bool
 		batchOff int64
 		batch    []walRecord
 	)
@@ -105,7 +105,7 @@ func (s *Store) recover() error {
 		return f.Sync()
 	}
 	for {
-		prevOff := r.goodOff
+		prevOff, inBatch := r.goodOff, r.inBatch
 		rec, err := r.next()
 		if errors.Is(err, io.EOF) {
 			if inBatch {
@@ -113,46 +113,37 @@ func (s *Store) recover() error {
 			}
 			return nil
 		}
-		if errors.Is(err, errCorrupt) {
-			if inBatch {
-				return dropTorn()
-			}
-			return fmt.Errorf("kvstore: %s: record %d at offset %d: %w",
-				s.path, r.records, r.goodOff, ErrCorruptWAL)
+		if errors.Is(err, errCorrupt) && inBatch {
+			return dropTorn()
+		}
+		if errors.Is(err, ErrCorruptWAL) {
+			// A damaged frame, or an intact one out of place (errMisplaced):
+			// not what a crash leaves, so not Open's to cut — Repair's.
+			return fmt.Errorf("kvstore: %s: record %d at offset %d: %w", s.path, r.records, prevOff, err)
 		}
 		if err != nil {
 			return err
 		}
-		switch rec.op {
-		case walBegin:
-			if inBatch {
-				return fmt.Errorf("kvstore: %s: nested batch begin at offset %d: %w",
-					s.path, prevOff, ErrCorruptWAL)
-			}
-			inBatch, batchOff, batch = true, prevOff, batch[:0]
-		case walCommit:
-			if !inBatch {
-				return fmt.Errorf("kvstore: %s: stray batch commit at offset %d: %w",
-					s.path, prevOff, ErrCorruptWAL)
-			}
+		switch {
+		case rec.op == walBegin:
+			batchOff, batch = prevOff, batch[:0]
+		case rec.op == walCommit:
 			for _, br := range batch {
 				apply(br)
 			}
-			inBatch, batch = false, batch[:0]
+		case inBatch:
+			batch = append(batch, rec)
 		default:
-			if inBatch {
-				batch = append(batch, rec)
-			} else {
-				apply(rec)
-			}
+			apply(rec)
 		}
 	}
 }
 
 // Repair truncates the WAL at path after its last intact record, dropping
-// the corrupt or torn suffix Open refuses to load. It returns how many
-// records survive and how many bytes were cut. Repair of an intact (or
-// absent) WAL is a no-op.
+// the suffix Open refuses to load: from the first damaged frame, or the
+// first batch marker out of place, on. It returns how many records survive
+// and how many bytes were cut. Repair of an intact (or absent) WAL is a
+// no-op.
 func Repair(path string) (kept int, dropped int64, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if errors.Is(err, os.ErrNotExist) {
@@ -175,7 +166,7 @@ func Repair(path string) (kept int, dropped int64, err error) {
 		if errors.Is(err, io.EOF) {
 			return r.records, 0, nil
 		}
-		if errors.Is(err, errCorrupt) {
+		if errors.Is(err, ErrCorruptWAL) {
 			if err := f.Truncate(r.goodOff); err != nil {
 				return r.records, 0, fmt.Errorf("kvstore: truncating wal: %w", err)
 			}
@@ -526,6 +517,10 @@ type walRecord struct {
 // errors.Is(err, ErrCorruptWAL).
 var errCorrupt = fmt.Errorf("%w record", ErrCorruptWAL)
 
+// errMisplaced marks an intact batch marker where none may stand: a begin
+// inside a batch, or a commit outside one.
+var errMisplaced = fmt.Errorf("%w: batch marker out of place", ErrCorruptWAL)
+
 // Frame: u32 crc (of everything after), u8 op, u32 klen, u32 vlen, key, value.
 type walWriter struct {
 	w  io.WriteCloser
@@ -579,6 +574,7 @@ type walReader struct {
 	br      *bufio.Reader
 	goodOff int64 // offset just past the last fully verified record
 	records int   // records verified so far
+	inBatch bool  // past a walBegin, before its walCommit
 }
 
 func newWALReader(r io.Reader) *walReader { return &walReader{br: bufio.NewReader(r)} }
@@ -601,10 +597,18 @@ func (r *walReader) next() (walRecord, error) {
 	if klen > 1<<24 || vlen > 1<<28 {
 		return walRecord{}, errCorrupt
 	}
-	payload := make([]byte, 9+klen+vlen)
-	copy(payload, meta[:])
-	if _, err := io.ReadFull(r.br, payload[9:]); err != nil {
-		return walRecord{}, errCorrupt
+	// The payload grows as its bytes arrive, doubling: a header claiming
+	// 272 MiB — from a torn disk page, or a catch-up snapshot straight off the
+	// network — costs nothing until those bytes are actually there. A record
+	// under 4 KiB (every one a checkpoint writes) is still one exact allocation.
+	total := 9 + int(klen) + int(vlen)
+	payload := append(make([]byte, 0, min(total, 4<<10)), meta[:]...)
+	for len(payload) < total {
+		n := min(total-len(payload), max(len(payload), 4<<10))
+		payload = slices.Grow(payload, n)[:len(payload)+n]
+		if _, err := io.ReadFull(r.br, payload[len(payload)-n:]); err != nil {
+			return walRecord{}, errCorrupt
+		}
 	}
 	if crc32.ChecksumIEEE(payload) != wantCRC {
 		return walRecord{}, errCorrupt
@@ -620,6 +624,10 @@ func (r *walReader) next() (walRecord, error) {
 		if klen != 0 || vlen != 0 {
 			return walRecord{}, errCorrupt
 		}
+		if (rec.op == walBegin) == r.inBatch {
+			return walRecord{}, errMisplaced
+		}
+		r.inBatch = !r.inBatch
 	default:
 		return walRecord{}, errCorrupt
 	}

@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"time"
 
@@ -32,13 +31,10 @@ import (
 // the intended shape is one streaming writer plus any number of readers on
 // the same pipelined Client.
 type AckWindow struct {
-	c *Client
-
 	mu      sync.Mutex
-	n       int
-	q       []ackSlot // in-flight frames, oldest first
-	err     error     // first failed ack, sticky until Flush surfaces it
-	scratch []byte    // reused encode buffer (start copies the body)
+	n       int    // the in-flight bound (Window)
+	win     window // in-flight frames and the sticky first failure
+	scratch []byte // reused encode buffer (start copies the body)
 
 	// Adaptive mode (NewAdaptiveAckWindow): the window grows and shrinks
 	// between 1 and max from the observed reap RTT — additive increase while
@@ -48,14 +44,6 @@ type AckWindow struct {
 	adaptive bool
 	max      int
 	ewmaNS   float64 // smoothed reap RTT; 0 = no sample yet
-}
-
-// ackSlot is one in-flight frame plus when it was started — the reap RTT
-// (start→ack, which includes time queued behind the window) is the adaptive
-// window's control signal.
-type ackSlot struct {
-	p     *pending
-	start time.Time
 }
 
 // adaptiveDefaultMax bounds NewAdaptiveAckWindow's growth when the caller
@@ -72,7 +60,7 @@ func (c *Client) NewAckWindow(n int) *AckWindow {
 	if n < 1 {
 		n = 1
 	}
-	return &AckWindow{c: c, n: n, q: make([]ackSlot, 0, n)}
+	return &AckWindow{n: n, win: window{c: c, limit: n, q: make([]*pending, 0, n)}}
 }
 
 // NewAdaptiveAckWindow creates a self-tuning window: it starts at 1 frame
@@ -82,7 +70,9 @@ func (c *Client) NewAdaptiveAckWindow(max int) *AckWindow {
 	if max < 1 {
 		max = adaptiveDefaultMax
 	}
-	return &AckWindow{c: c, n: 1, adaptive: true, max: max, q: make([]ackSlot, 0, max)}
+	w := &AckWindow{n: 1, adaptive: true, max: max, win: window{c: c, limit: 1, q: make([]*pending, 0, max)}}
+	w.win.acked = func(rtt time.Duration) int { w.adapt(rtt); return w.n }
+	return w
 }
 
 // Window reports the current in-flight bound (fixed, or the adaptive
@@ -97,7 +87,7 @@ func (w *AckWindow) Window() int {
 func (w *AckWindow) InFlight() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return len(w.q)
+	return len(w.win.q)
 }
 
 // Feed streams one record: the frame is started immediately and its ack is
@@ -109,11 +99,8 @@ func (w *AckWindow) InFlight() int {
 func (w *AckWindow) Feed(ctx context.Context, r *trace.Record) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
-	}
 	w.scratch = trace.AppendRecord(w.scratch[:0], r)
-	return w.startLocked(ctx, MsgFeed, w.scratch)
+	return w.win.start(ctx, MsgFeed, w.scratch)
 }
 
 // FeedBatch streams a record batch, split into frames below the batch body
@@ -124,62 +111,10 @@ func (w *AckWindow) FeedBatch(ctx context.Context, recs []trace.Record) error {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
-	}
-	lo, size := 0, 4
-	for i := range recs {
-		sz := trace.RecordFixedLen + len(recs[i].Path)
-		if size+sz > maxBatchBody && i > lo {
-			w.scratch = appendRecords(w.scratch[:0], recs[lo:i])
-			if err := w.startLocked(ctx, MsgFeedBatch, w.scratch); err != nil {
-				return err
-			}
-			lo, size = i, 4
-		}
-		size += sz
-	}
-	w.scratch = appendRecords(w.scratch[:0], recs[lo:])
-	return w.startLocked(ctx, MsgFeedBatch, w.scratch)
-}
-
-// startLocked reaps the oldest ack while the window is full, then starts
-// one frame. Reaping holds w.mu — a second feeder simply queues behind the
-// wait, which is the same backpressure a full window applies anyway.
-func (w *AckWindow) startLocked(ctx context.Context, typ MsgType, body []byte) error {
-	for len(w.q) >= w.n {
-		if err := w.reapLocked(ctx); err != nil {
-			return err
-		}
-	}
-	p, err := w.c.start(typ, body)
-	if err != nil {
-		w.err = err
-		return err
-	}
-	var start time.Time
-	if w.adaptive {
-		start = time.Now()
-	}
-	w.q = append(w.q, ackSlot{p: p, start: start})
-	return nil
-}
-
-// reapLocked waits for the oldest in-flight ack. Any failure — a refused
-// frame, a dead connection, a ctx expiry that abandons the ack — poisons
-// the window: once one ack is unaccounted for, everything after it is in
-// doubt too.
-func (w *AckWindow) reapLocked(ctx context.Context) error {
-	s := w.q[0]
-	w.q = w.q[1:]
-	if _, err := w.c.wait(ctx, s.p); err != nil {
-		w.err = fmt.Errorf("rpc: windowed ack: %w", err)
-		return w.err
-	}
-	if w.adaptive {
-		w.adapt(time.Since(s.start))
-	}
-	return nil
+	return chunkRecords(recs, maxBatchBody, func(run []trace.Record, _ bool) error {
+		w.scratch = appendRecords(w.scratch[:0], run)
+		return w.win.start(ctx, MsgFeedBatch, w.scratch)
+	})
 }
 
 // adapt is the AIMD rule, run per reaped ack under w.mu: an RTT within 2×
@@ -215,15 +150,8 @@ func (w *AckWindow) adapt(rtt time.Duration) {
 func (w *AckWindow) Flush(ctx context.Context) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for len(w.q) > 0 {
-		s := w.q[0]
-		w.q = w.q[1:]
-		if _, err := w.c.wait(ctx, s.p); err != nil && w.err == nil {
-			w.err = fmt.Errorf("rpc: windowed ack: %w", err)
-		}
-	}
-	err := w.err
-	w.err = nil
+	err := w.win.flush(ctx)
+	w.win.err = nil
 	return err
 }
 
@@ -233,5 +161,5 @@ func (w *AckWindow) Flush(ctx context.Context) error {
 func (w *AckWindow) Err() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.err
+	return w.win.err
 }

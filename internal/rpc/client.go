@@ -38,6 +38,7 @@ type pending struct {
 	id  uint64
 	ch  chan Frame // buffered 1
 	buf *frameBuf  // response frame's read buffer (Body aliases it); owned by the waiter
+	at  time.Time  // when a window that measures ack round trips started it
 }
 
 // pendingPool recycles pending slots — and with them their one-buffered
@@ -384,6 +385,16 @@ func (c *Client) call(ctx context.Context, typ MsgType, body []byte) ([]byte, er
 	return c.wait(ctx, p)
 }
 
+// roundTrip is a call whose answer carries a body: send, wait, decode.
+func roundTrip[T any](ctx context.Context, c *Client, typ MsgType, req []byte, decode func([]byte) (T, error)) (T, error) {
+	body, err := c.call(ctx, typ, req)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return decode(body)
+}
+
 // Ping round-trips an empty frame and reports the wall-clock latency.
 func (c *Client) Ping(ctx context.Context) (time.Duration, error) {
 	t0 := time.Now()
@@ -410,72 +421,34 @@ func (c *Client) FeedBatch(ctx context.Context, recs []trace.Record) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	var pendings []*pending
-	// start copies the body into the frame buffer, so one pooled scratch
-	// serves every chunk — the hot feed path stops allocating per frame.
-	scratch := getFrameBuf()
-	defer putFrameBuf(scratch)
-	ship := func(chunk []trace.Record) error {
-		if len(chunk) == 0 {
-			return nil
-		}
-		scratch.b = appendRecords(scratch.b[:0], chunk)
-		p, err := c.start(MsgFeedBatch, scratch.b)
-		if err != nil {
-			return err
-		}
-		pendings = append(pendings, p)
+	if len(recs) == 0 {
 		return nil
 	}
-	lo, size := 0, 4
-	var shipErr error
-	for i := range recs {
-		sz := trace.RecordFixedLen + len(recs[i].Path)
-		if size+sz > maxBatchBody && i > lo {
-			if shipErr = ship(recs[lo:i]); shipErr != nil {
-				break
-			}
-			lo, size = i, 4
-		}
-		size += sz
-	}
-	if shipErr == nil {
-		shipErr = ship(recs[lo:])
-	}
-	// Collect every ack even after an error so no response leaks.
-	for _, p := range pendings {
-		if _, err := c.wait(ctx, p); err != nil && shipErr == nil {
-			shipErr = err
-		}
-	}
-	return shipErr
+	w := window{c: c}
+	// start copies the body into the frame buffer, so one pooled scratch
+	// serves every frame — the hot feed path stops allocating per frame.
+	scratch := getFrameBuf()
+	defer putFrameBuf(scratch)
+	_ = chunkRecords(recs, maxBatchBody, func(run []trace.Record, _ bool) error {
+		scratch.b = appendRecords(scratch.b[:0], run)
+		return w.start(ctx, MsgFeedBatch, scratch.b)
+	})
+	return w.flush(ctx) // every ack, then the first failure (a refused start included)
 }
 
 // Predict asks the remote miner for up to k successors of f.
 func (c *Client) Predict(ctx context.Context, f trace.FileID, k int) ([]trace.FileID, error) {
-	body, err := c.call(ctx, MsgPredict, appendPredictReq(nil, f, k))
-	if err != nil {
-		return nil, err
-	}
-	return decodePredictResp(body)
+	return roundTrip(ctx, c, MsgPredict, appendPredictReq(nil, f, k), decodePredictResp)
 }
 
 // CorrelatorList fetches f's full Correlator List with bit-exact degrees.
 func (c *Client) CorrelatorList(ctx context.Context, f trace.FileID) ([]core.Correlator, error) {
-	body, err := c.call(ctx, MsgList, binary.LittleEndian.AppendUint32(nil, uint32(f)))
-	if err != nil {
-		return nil, err
-	}
-	return decodeListResp(body)
+	return roundTrip(ctx, c, MsgList, binary.LittleEndian.AppendUint32(nil, uint32(f)), decodeListResp)
 }
 
 // Stats fetches the remote miner's footprint snapshot.
 func (c *Client) Stats(ctx context.Context) (core.Stats, error) {
-	body, err := c.call(ctx, MsgStats, nil)
-	if err != nil {
-		return core.Stats{}, err
-	}
-	return consumeStats(body)
+	return roundTrip(ctx, c, MsgStats, nil, consumeStats)
 }
 
 // Save checkpoints the remote miner into its server-side store.
@@ -513,22 +486,14 @@ func (c *Client) Catchup(ctx context.Context, cut *CatchupCut) error {
 // (on a replicating primary, the cut is forwarded to followers at the same
 // stream position).
 func (c *Client) Groups(ctx context.Context, req GroupsReq) (GroupsInfo, error) {
-	body, err := c.call(ctx, MsgGroups, appendGroupsReq(nil, &req))
-	if err != nil {
-		return GroupsInfo{}, err
-	}
-	return decodeGroupsInfo(body)
+	return roundTrip(ctx, c, MsgGroups, appendGroupsReq(nil, &req), decodeGroupsInfo)
 }
 
 // LeaseStatus asks the server for its current lease term (epoch 0: a
 // follower that has observed none yet; a daemon without -lease-ttl reports
 // its untimed term, TTLMS 0). A pre-lease server answers CodeUnsupported.
 func (c *Client) LeaseStatus(ctx context.Context) (LeaseInfo, error) {
-	body, err := c.call(ctx, MsgLeaseRequest, appendLeaseReq(nil, 0, ""))
-	if err != nil {
-		return LeaseInfo{}, err
-	}
-	return decodeLeaseInfo(body)
+	return roundTrip(ctx, c, MsgLeaseRequest, appendLeaseReq(nil, 0, ""), decodeLeaseInfo)
 }
 
 // LeaseVote asks the server to vote candidate into epoch. Granted = nil;
@@ -558,32 +523,20 @@ func (c *Client) Handoff(ctx context.Context, target string) error {
 // WireStats reads the server's per-request-type latency accounting.
 // Control-plane, like Obs.
 func (c *Client) WireStats(ctx context.Context) ([]WireStat, error) {
-	body, err := c.call(ctx, MsgWireStats, nil)
-	if err != nil {
-		return nil, err
-	}
-	return decodeWireStats(body)
+	return roundTrip(ctx, c, MsgWireStats, nil, decodeWireStats)
 }
 
 // Tenants lists the tenants live on the server with a stats snapshot each —
 // the wire half of `farmerctl tenants`.
 func (c *Client) Tenants(ctx context.Context) ([]TenantInfo, error) {
-	body, err := c.call(ctx, MsgTenants, nil)
-	if err != nil {
-		return nil, err
-	}
-	return decodeTenantInfos(body)
+	return roundTrip(ctx, c, MsgTenants, nil, decodeTenantInfos)
 }
 
 // Obs asks the server for its live observability rows — one per tenant the
 // connection may see, each with up to topK correlation groups (0 = rows
 // only). Control-plane, like Tenants.
 func (c *Client) Obs(ctx context.Context, topK int) ([]TenantObs, error) {
-	body, err := c.call(ctx, MsgObs, appendObsReq(nil, topK))
-	if err != nil {
-		return nil, err
-	}
-	return decodeTenantObs(body)
+	return roundTrip(ctx, c, MsgObs, appendObsReq(nil, topK), decodeTenantObs)
 }
 
 // Close drains gracefully: no new calls are accepted, outstanding responses

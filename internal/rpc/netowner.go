@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"context"
-	"sync"
 
 	"farmer/internal/partition"
 )
@@ -18,84 +17,39 @@ const DefaultNetOwnerWindow = 64
 // partition bit-identical to a locally fed shard.
 //
 // ApplyEvents never waits a round trip: up to window batches ride the wire
-// un-acked, and only when the window fills does the producer wait for the
+// un-acked, and only when the window is full does the producer wait for the
 // oldest ack (bounded memory, full pipelining). Errors are sticky and
-// surface on Flush, Err, or the first ApplyEvents after the failure — an
-// Owner cannot return one inline.
+// surface on Flush — an Owner cannot return one inline; batches
+// after a failure are dropped (the stream is already lost).
 //
 // Like the in-process shard owners, a NetOwner expects a single dispatching
-// goroutine; it is not safe for concurrent ApplyEvents calls.
+// goroutine; it is not safe for concurrent use.
 type NetOwner struct {
-	c      *Client
-	window int
-
-	inflight []*pending
-	err      error
-	body     []byte // encode scratch, reused across batches
-
-	mu sync.Mutex // guards err for the Err() side read
+	win  window
+	body []byte // encode scratch, reused across batches
 }
 
-// NewNetOwner wraps an established client. window <= 0 selects
+// NewNetOwner wraps an established client. limit <= 0 selects
 // DefaultNetOwnerWindow.
-func NewNetOwner(c *Client, window int) *NetOwner {
-	if window <= 0 {
-		window = DefaultNetOwnerWindow
+func NewNetOwner(c *Client, limit int) *NetOwner {
+	if limit <= 0 {
+		limit = DefaultNetOwnerWindow
 	}
-	return &NetOwner{c: c, window: window}
+	return &NetOwner{win: window{c: c, limit: limit}}
 }
 
 var _ partition.Owner = (*NetOwner)(nil)
 
-// ApplyEvents ships one batch. A transport or server error poisons the
-// owner: subsequent batches are dropped (counted against nothing — the
-// connection is already lost) and the error surfaces on Flush/Err.
+// ApplyEvents ships one batch.
 func (o *NetOwner) ApplyEvents(evs []partition.Event) {
-	if o.Err() != nil || len(evs) == 0 {
+	if len(evs) == 0 {
 		return
 	}
 	o.body = appendEvents(o.body[:0], evs)
-	p, err := o.c.start(MsgApplyEvents, o.body)
-	if err != nil {
-		o.setErr(err)
-		return
-	}
-	o.inflight = append(o.inflight, p)
-	if len(o.inflight) >= o.window {
-		o.awaitOldest()
-	}
-}
-
-// awaitOldest blocks for the oldest in-flight ack.
-func (o *NetOwner) awaitOldest() {
-	p := o.inflight[0]
-	o.inflight = o.inflight[1:]
-	if _, err := o.c.wait(context.Background(), p); err != nil {
-		o.setErr(err)
-	}
+	_ = o.win.start(context.Background(), MsgApplyEvents, o.body) // sticky: Flush reports it
 }
 
 // Flush waits until every shipped batch is acked (or failed) and returns
 // the first error. After a successful Flush the remote model has applied
 // everything this owner ever shipped.
-func (o *NetOwner) Flush() error {
-	for len(o.inflight) > 0 {
-		o.awaitOldest()
-	}
-	return o.Err()
-}
-
-// Err returns the sticky first error.
-func (o *NetOwner) Err() error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.err
-}
-
-func (o *NetOwner) setErr(err error) {
-	o.mu.Lock()
-	if o.err == nil {
-		o.err = err
-	}
-	o.mu.Unlock()
-}
+func (o *NetOwner) Flush() error { return o.win.flush(context.Background()) }

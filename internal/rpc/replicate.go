@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -178,9 +179,9 @@ func (r *Replicator) Attach(ctx context.Context, addr string, cut func() (Catchu
 		return fmt.Errorf("rpc: attaching follower %s: %w", addr, err)
 	}
 	if deltaOn {
-		done, sent, derr := r.attachDelta(ctx, addr, c)
+		done, sent := r.attachDelta(ctx, addr, c)
 		if done {
-			return derr
+			return nil
 		}
 		if sent {
 			// The follower refused the replay mid-delta (an old server
@@ -197,159 +198,106 @@ func (r *Replicator) Attach(ctx context.Context, addr string, cut func() (Catchu
 	}
 	r.mu.Lock()
 	cc, err := cut()
+	if err == nil && cc.Pos != r.pos {
+		// The miner was fed behind the replicator's back; refusing beats
+		// shipping a stream the follower will refuse at the first frame.
+		err = fmt.Errorf("checkpoint at position %d, stream at %d (miner fed outside the replicator?)", cc.Pos, r.pos)
+	}
 	if err != nil {
 		r.mu.Unlock()
 		c.Close()
 		return fmt.Errorf("rpc: attaching follower %s: cutting checkpoint: %w", addr, err)
 	}
-	if cc.Pos != r.pos {
-		// The miner was fed behind the replicator's back; refusing beats
-		// shipping a stream the follower will refuse at the first frame.
-		r.mu.Unlock()
-		c.Close()
-		return fmt.Errorf("rpc: attaching follower %s: checkpoint at position %d, stream at %d (miner fed outside the replicator?)",
-			addr, cc.Pos, r.pos)
-	}
 	// A snapshot bigger than one frame ships as MsgCatchupChunk frames plus
 	// a final MsgCatchup carrying the tail — the same FIFO connection
 	// reassembles them in order, so a model of any size can bootstrap a
 	// follower (MaxFrame bounds one frame, not the transfer).
-	var pendings []*pending
-	startErr := func() error {
-		snap := cc.Snapshot
-		for len(snap) > maxCatchupChunk {
-			p, err := c.start(MsgCatchupChunk, snap[:maxCatchupChunk])
-			if err != nil {
-				return err
-			}
-			pendings = append(pendings, p)
-			snap = snap[maxCatchupChunk:]
-		}
-		tail := cc
-		tail.Snapshot = snap
-		p, err := c.start(MsgCatchup, appendCatchup(nil, &tail))
-		if err != nil {
-			return err
-		}
-		pendings = append(pendings, p)
-		return nil
-	}()
-	if startErr != nil {
+	w := window{c: c}
+	tail := cc
+	for len(tail.Snapshot) > maxCatchupChunk {
+		_ = w.start(ctx, MsgCatchupChunk, tail.Snapshot[:maxCatchupChunk])
+		tail.Snapshot = tail.Snapshot[maxCatchupChunk:]
+	}
+	if err := w.start(ctx, MsgCatchup, appendCatchup(nil, &tail)); err != nil {
 		r.mu.Unlock()
 		c.Close()
-		return fmt.Errorf("rpc: attaching follower %s: %w", addr, startErr)
+		return fmt.Errorf("rpc: attaching follower %s: %w", addr, err)
 	}
-	f := &replFollower{addr: addr, c: c}
-	r.followers = append(r.followers, f)
-	r.mu.Unlock()
-
-	// Wait for the follower's verdicts outside the lock: later frames are
-	// already FIFO-ordered behind the catch-up, so the stream stays correct
-	// whether the acks arrive before or after them — but a refusal must
-	// detach the follower and surface to the caller.
-	for _, p := range pendings {
-		if _, err := c.wait(ctx, p); err != nil {
-			r.detach(f, err)
-			return fmt.Errorf("rpc: follower %s refused catch-up: %w", addr, err)
-		}
+	f, err := r.admitLocked(ctx, addr, &w)
+	if err != nil {
+		r.report(f, err)
+		return fmt.Errorf("rpc: follower %s refused catch-up: %w", addr, err)
 	}
-	// The verified cut is the follower's first acked position; stream
-	// frames enqueued behind the catch-up raise it from here.
-	f.ackTo(cc.Pos)
 	return nil
 }
 
-// maxCatchupChunk caps one catch-up frame's snapshot bytes, comfortably
-// under MaxFrame (mirroring the feed path's maxBatchBody). Variable only so
-// tests can force the chunked path on small snapshots.
+// maxCatchupChunk caps one catch-up frame's snapshot or record bytes,
+// comfortably under MaxFrame (mirroring the feed path's maxBatchBody).
+// Variable only so tests can force the chunked paths on small transfers.
 var maxCatchupChunk = 8 << 20
 
 // attachDelta offers a restarted follower a catch-up by record replay from
-// its own position. done=true means the attach completed and err is its
-// outcome; done=false means the offer did not apply and the caller should
-// fall back to the full cut — on a fresh connection when sent reports delta
-// frames already went out, on this same connection otherwise. The probe (the
-// follower's Stats) runs outside the stream lock — an idle, unattached
-// follower's position cannot move; the cut itself — position check,
-// fingerprint, frame starts, follower registration — is atomic under the
-// lock, exactly like the full path.
-func (r *Replicator) attachDelta(ctx context.Context, addr string, c *Client) (done, sent bool, err error) {
+// its own position. done means the follower is attached; otherwise the
+// caller falls back to the full cut — on a fresh connection when sent
+// reports delta frames already went out, on this same connection otherwise.
+// The probe (the follower's Stats) runs outside the stream lock — an idle,
+// unattached follower's position cannot move; the cut itself — position
+// check, fingerprint, frame starts, follower registration — is atomic under
+// the lock, exactly like the full path.
+func (r *Replicator) attachDelta(ctx context.Context, addr string, c *Client) (done, sent bool) {
 	st, err := c.Stats(ctx)
 	if err != nil || st.Fed == 0 {
-		return false, false, nil
+		return false, false
 	}
 	r.mu.Lock()
 	if st.Fed < r.tailBase || st.Fed > r.pos {
 		r.mu.Unlock()
-		return false, false, nil
+		return false, false
 	}
-	fp, fileCount := r.deltaFp()
-	recs := r.tail[st.Fed-r.tailBase:]
 	// A delta bigger than one frame ships as non-final MsgCatchupDelta
 	// frames (each at its own cumulative position, replayed in FIFO order)
 	// plus a final frame carrying the fingerprint the follower must match
 	// after the whole replay. Zero missed records still ship one final
 	// frame: the fingerprint check is the attach guarantee.
-	var pendings []*pending
-	startErr := func() error {
-		pos := st.Fed
-		for {
-			n, size := 0, 0
-			for n < len(recs) && size < maxCatchupChunk {
-				size += 24 + len(recs[n].Path)
-				n++
-			}
-			final := n == len(recs)
-			d := CatchupDelta{FromPos: pos, Records: recs[:n], Final: final}
-			if final {
-				d.Fingerprint, d.FileCount = fp, fileCount
-			}
-			p, err := c.start(MsgCatchupDelta, appendCatchupDelta(nil, &d))
-			if err != nil {
-				return err
-			}
-			pendings = append(pendings, p)
-			if final {
-				return nil
-			}
-			pos += uint64(n)
-			recs = recs[n:]
+	w := window{c: c}
+	pos := st.Fed
+	startErr := chunkRecords(r.tail[pos-r.tailBase:], maxCatchupChunk, func(run []trace.Record, last bool) error {
+		d := CatchupDelta{FromPos: pos, Records: run, Final: last}
+		if last {
+			d.Fingerprint, d.FileCount = r.deltaFp()
 		}
-	}()
+		pos += uint64(len(run))
+		return w.start(ctx, MsgCatchupDelta, appendCatchupDelta(nil, &d))
+	})
 	if startErr != nil {
 		r.mu.Unlock()
-		return false, true, nil
+		return false, true
 	}
-	f := &replFollower{addr: addr, c: c}
-	r.followers = append(r.followers, f)
-	endPos := r.pos
-	r.mu.Unlock()
-
-	for _, p := range pendings {
-		if _, werr := c.wait(ctx, p); werr != nil {
-			// Not a lost follower — the caller retries with a full cut —
-			// so detach without the lost callback.
-			r.detachQuiet(f)
-			return false, true, nil
-		}
-	}
-	// The replay the follower just verified ends at the cut position.
-	f.ackTo(endPos)
-	return true, true, nil
+	// A refusal is not a lost follower — the caller retries with a full cut
+	// — so it is removed without the lost callback.
+	_, err = r.admitLocked(ctx, addr, &w)
+	return err == nil, true
 }
 
-// detachQuiet removes a follower without closing its connection or invoking
-// the lost callback — used when a refused delta offer is about to be retried
-// as a full cut.
-func (r *Replicator) detachQuiet(f *replFollower) {
-	r.mu.Lock()
-	for i, g := range r.followers {
-		if g == f {
-			r.followers = append(r.followers[:i], r.followers[i+1:]...)
-			break
-		}
-	}
+// admitLocked adds the connection whose catch-up frames w has started to
+// the live stream and RELEASES r.mu, which the caller holds: registration
+// under the lock that started the frames is what puts the first replicated
+// frame FIFO behind them. The follower's verdicts are then awaited outside
+// the lock — the stream stays correct whether they arrive before or after
+// later frames — and a refusal takes the follower out of the stream again.
+func (r *Replicator) admitLocked(ctx context.Context, addr string, w *window) (*replFollower, error) {
+	f := &replFollower{addr: addr, c: w.c}
+	r.followers = append(r.followers, f)
+	pos := r.pos
 	r.mu.Unlock()
+	if err := w.flush(ctx); err != nil {
+		r.remove(f)
+		return f, err
+	}
+	// The verified catch-up is the follower's first acked position; stream
+	// frames enqueued behind it raise it from here.
+	f.ackTo(pos)
+	return f, nil
 }
 
 // Ingest replicates one record batch: mine runs the local ingestion under
@@ -366,13 +314,8 @@ func (r *Replicator) Ingest(ctx context.Context, recs []trace.Record, mine func(
 		r.mu.Unlock()
 		return err
 	}
-	var body []byte
-	waits := r.enqueueLocked(func() []byte {
-		if body == nil {
-			body = appendReplicateRecords(nil, r.pos, recs)
-		}
-		return body
-	}, r.pos+uint64(len(recs)))
+	post := r.pos + uint64(len(recs))
+	waits := r.broadcastLocked(MsgReplicate, func() []byte { return appendReplicateRecords(nil, r.pos, recs) })
 	if r.deltaFp != nil {
 		// Extend the catch-up tail. Trimming by reslice leaves the backing
 		// array to append's usual reallocation; memory stays within a small
@@ -383,9 +326,9 @@ func (r *Replicator) Ingest(ctx context.Context, recs []trace.Record, mine func(
 			r.tailBase += uint64(drop)
 		}
 	}
-	r.pos += uint64(len(recs))
+	r.pos = post
 	r.mu.Unlock()
-	r.await(ctx, waits)
+	r.collect(ctx, waits, post)
 	return nil
 }
 
@@ -399,13 +342,8 @@ func (r *Replicator) Groups(ctx context.Context, req GroupsReq, run func() error
 		r.mu.Unlock()
 		return err
 	}
-	var body []byte
-	waits := r.enqueueLocked(func() []byte {
-		if body == nil {
-			body = appendReplicateGroups(nil, r.pos, &req)
-		}
-		return body
-	}, r.pos)
+	post := r.pos
+	waits := r.broadcastLocked(MsgReplicate, func() []byte { return appendReplicateGroups(nil, r.pos, &req) })
 	if r.deltaFp != nil {
 		// A group cut is a command, not records: a follower resuming from
 		// before it would replay the records but silently miss the cut, so
@@ -414,65 +352,94 @@ func (r *Replicator) Groups(ctx context.Context, req GroupsReq, run func() error
 		r.tailBase = r.pos
 	}
 	r.mu.Unlock()
-	r.await(ctx, waits)
+	r.collect(ctx, waits, post)
 	return nil
 }
 
+// replWait is one follower's share of a broadcast: the frame started on its
+// connection, ack pending.
 type replWait struct {
-	f   *replFollower
-	p   *pending
-	pos uint64 // stream position after the frame applies (the ack's meaning)
+	f *replFollower
+	p *pending
 }
 
-// enqueueLocked starts one frame toward every follower, holding r.mu. post
-// is the stream position the frame's ack will attest to. Followers whose
-// connection refuses the enqueue are detached immediately.
-func (r *Replicator) enqueueLocked(body func() []byte, post uint64) []replWait {
+// broadcastLocked starts one frame toward every follower, holding r.mu —
+// which is what orders it on every follower connection exactly as the
+// primary ordered it locally. The body is encoded once, and only when there
+// is a follower to send it to. Followers whose connection refuses the frame
+// are detached immediately.
+func (r *Replicator) broadcastLocked(typ MsgType, encode func() []byte) []replWait {
+	if len(r.followers) == 0 {
+		return nil
+	}
+	body := encode()
 	waits := make([]replWait, 0, len(r.followers))
-	for i := 0; i < len(r.followers); i++ {
+	for i := 0; i < len(r.followers); {
 		f := r.followers[i]
-		p, err := f.c.start(MsgReplicate, body())
+		p, err := f.c.start(typ, body)
 		if err != nil {
-			r.followers = append(r.followers[:i], r.followers[i+1:]...)
-			i--
+			r.removeLocked(f)
 			go r.report(f, err)
 			continue
 		}
-		waits = append(waits, replWait{f, p, post})
+		waits = append(waits, replWait{f, p})
+		i++
 	}
 	return waits
 }
 
-// await collects acks; a failed — or ackTimeout-stuck — follower is
-// detached.
-func (r *Replicator) await(ctx context.Context, waits []replWait) {
+// awaitAck waits for one follower's ack of a started frame, at most
+// ackTimeout: a follower that is connected but wedged never produces a
+// transport error, only this bound.
+func (r *Replicator) awaitAck(ctx context.Context, f *replFollower, p *pending) error {
+	if r.ackTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, r.ackTimeout)
+		defer cancel()
+	}
+	_, err := f.c.wait(ctx, p)
+	if errors.Is(err, context.DeadlineExceeded) {
+		err = fmt.Errorf("no ack within %v (follower wedged?): %w", r.ackTimeout, err)
+	}
+	return err
+}
+
+// collect awaits a broadcast's acks, outside the lock so the pipeline stays
+// full. An ack raises the follower's acked position to post (0: the frame
+// attests no position). A stale-epoch refusal — only a lease grant is ever
+// refused so — is reported, not punished: the follower's link is healthy,
+// the leadership is what's wrong. Any other failure detaches the follower.
+func (r *Replicator) collect(ctx context.Context, waits []replWait, post uint64) (acked int, stale bool) {
 	for _, w := range waits {
-		wctx, cancel := ctx, context.CancelFunc(func() {})
-		if r.ackTimeout > 0 {
-			wctx, cancel = context.WithTimeout(ctx, r.ackTimeout)
-		}
-		_, err := w.f.c.wait(wctx, w.p)
-		cancel()
-		if err != nil {
-			if errors.Is(err, context.DeadlineExceeded) {
-				err = fmt.Errorf("no ack within %v (follower wedged?): %w", r.ackTimeout, err)
-			}
+		switch err := r.awaitAck(ctx, w.f, w.p); {
+		case err == nil:
+			w.f.ackTo(post)
+			acked++
+		case errors.Is(err, ErrStaleEpoch):
+			stale = true
+		default:
 			r.detach(w.f, err)
-			continue
 		}
-		w.f.ackTo(w.pos)
+	}
+	return acked, stale
+}
+
+// removeLocked takes f out of the live stream; r.mu is held.
+func (r *Replicator) removeLocked(f *replFollower) {
+	if i := slices.Index(r.followers, f); i >= 0 {
+		r.followers = slices.Delete(r.followers, i, i+1)
 	}
 }
 
-func (r *Replicator) detach(f *replFollower, err error) {
+func (r *Replicator) remove(f *replFollower) {
 	r.mu.Lock()
-	for i, g := range r.followers {
-		if g == f {
-			r.followers = append(r.followers[:i], r.followers[i+1:]...)
-			break
-		}
-	}
+	r.removeLocked(f)
 	r.mu.Unlock()
+}
+
+// detach removes a failed follower, closes its connection and reports it.
+func (r *Replicator) detach(f *replFollower, err error) {
+	r.remove(f)
 	r.report(f, err)
 }
 
@@ -487,49 +454,12 @@ func (r *Replicator) report(f *replFollower, err error) {
 // MsgLeaseGrant on the replication stream (FIFO behind any in-flight
 // records). It reports how many followers acked the renewal and whether any
 // refused it as stale — the leader's signal that a higher epoch exists and
-// it must depose itself. A stale refusal does NOT detach the follower (its
-// replication link is healthy; the leadership is what's wrong); transport
-// errors detach as usual.
+// it must depose itself.
 func (r *Replicator) RenewLease(ctx context.Context, info LeaseInfo) (acked int, stale bool) {
 	r.mu.Lock()
-	body := appendLeaseInfo(nil, &info)
-	type grantWait struct {
-		f *replFollower
-		p *pending
-	}
-	waits := make([]grantWait, 0, len(r.followers))
-	for i := 0; i < len(r.followers); i++ {
-		f := r.followers[i]
-		p, err := f.c.start(MsgLeaseGrant, body)
-		if err != nil {
-			r.followers = append(r.followers[:i], r.followers[i+1:]...)
-			i--
-			go r.report(f, err)
-			continue
-		}
-		waits = append(waits, grantWait{f, p})
-	}
+	waits := r.broadcastLocked(MsgLeaseGrant, func() []byte { return appendLeaseInfo(nil, &info) })
 	r.mu.Unlock()
-	for _, w := range waits {
-		wctx, cancel := ctx, context.CancelFunc(func() {})
-		if r.ackTimeout > 0 {
-			wctx, cancel = context.WithTimeout(ctx, r.ackTimeout)
-		}
-		_, err := w.f.c.wait(wctx, w.p)
-		cancel()
-		switch {
-		case err == nil:
-			acked++
-		case errors.Is(err, ErrStaleEpoch):
-			stale = true
-		default:
-			if errors.Is(err, context.DeadlineExceeded) {
-				err = fmt.Errorf("no lease ack within %v (follower wedged?): %w", r.ackTimeout, err)
-			}
-			r.detach(w.f, err)
-		}
-	}
-	return acked, stale
+	return r.collect(ctx, waits, 0)
 }
 
 // TransferLease hands the lease to the attached follower at addr: the
@@ -544,17 +474,12 @@ func (r *Replicator) RenewLease(ctx context.Context, info LeaseInfo) (acked int,
 func (r *Replicator) TransferLease(ctx context.Context, addr string, info LeaseInfo, commit func()) error {
 	info.Transfer = true
 	r.mu.Lock()
-	var target *replFollower
-	for _, f := range r.followers {
-		if f.addr == addr {
-			target = f
-			break
-		}
-	}
-	if target == nil {
+	i := slices.IndexFunc(r.followers, func(f *replFollower) bool { return f.addr == addr })
+	if i < 0 {
 		r.mu.Unlock()
 		return fmt.Errorf("rpc: lease transfer to %s: not an attached follower", addr)
 	}
+	target := r.followers[i]
 	p, err := target.c.start(MsgLeaseGrant, appendLeaseInfo(nil, &info))
 	if err != nil {
 		r.mu.Unlock()
@@ -563,14 +488,7 @@ func (r *Replicator) TransferLease(ctx context.Context, addr string, info LeaseI
 	}
 	commit()
 	r.mu.Unlock()
-
-	wctx, cancel := ctx, context.CancelFunc(func() {})
-	if r.ackTimeout > 0 {
-		wctx, cancel = context.WithTimeout(ctx, r.ackTimeout)
-	}
-	_, err = target.c.wait(wctx, p)
-	cancel()
-	if err != nil {
+	if err := r.awaitAck(ctx, target, p); err != nil {
 		return fmt.Errorf("rpc: lease transfer to %s: grant sent but not acked (source stays deposed): %w", addr, err)
 	}
 	return nil

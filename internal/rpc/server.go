@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"farmer/internal/bin"
 	"farmer/internal/core"
 	"farmer/internal/obs"
 	"farmer/internal/partition"
@@ -189,12 +188,11 @@ type Server struct {
 
 	// Wire-level observability. The three totals are nil-safe no-ops when no
 	// registry is attached; feeds (tenant -> *feedCounters) is always live.
-	obsFramesIn  *obs.Counter
-	obsBytesIn   *obs.Counter
-	obsBytesOut  *obs.Counter
-	obsConns     *obs.Counter
-	feeds        sync.Map
-	feedTenantMu sync.Mutex // serializes feedCounters creation (cold path)
+	obsFramesIn *obs.Counter
+	obsBytesIn  *obs.Counter
+	obsBytesOut *obs.Counter
+	obsConns    *obs.Counter
+	feeds       sync.Map
 
 	// Per-request-type wire latency: always maintained (MsgWireStats reads
 	// it whether or not a registry is attached); lat[t] indexes by request
@@ -244,18 +242,16 @@ func NewResolverServer(r Resolver, opts ServerOptions) *Server {
 		s.obsBytesIn = reg.Counter("farmer_rpc_bytes_read_total")
 		s.obsBytesOut = reg.Counter("farmer_rpc_bytes_written_total")
 		s.obsConns = reg.Counter("farmer_rpc_connections_total")
-		reg.CounterEach("farmer_rpc_tenant_feed_records_total", func(emit obs.EmitFunc) {
-			s.feeds.Range(func(k, v any) bool {
-				emit([]obs.Label{obs.L("tenant", tenantLabel(k.(string)))}, float64(v.(*feedCounters).records.Load()))
-				return true
+		perTenant := func(name string, pick func(*feedCounters) *obs.Counter) {
+			reg.CounterEach(name, func(emit obs.EmitFunc) {
+				s.feeds.Range(func(k, v any) bool {
+					emit([]obs.Label{obs.L("tenant", tenantLabel(k.(string)))}, float64(pick(v.(*feedCounters)).Load()))
+					return true
+				})
 			})
-		})
-		reg.CounterEach("farmer_rpc_tenant_feed_frames_total", func(emit obs.EmitFunc) {
-			s.feeds.Range(func(k, v any) bool {
-				emit([]obs.Label{obs.L("tenant", tenantLabel(k.(string)))}, float64(v.(*feedCounters).frames.Load()))
-				return true
-			})
-		})
+		}
+		perTenant("farmer_rpc_tenant_feed_records_total", func(fc *feedCounters) *obs.Counter { return &fc.records })
+		perTenant("farmer_rpc_tenant_feed_frames_total", func(fc *feedCounters) *obs.Counter { return &fc.frames })
 		for t := MsgType(1); t < MsgOK; t++ {
 			s.latHist[t] = reg.Histogram("farmer_rpc_latency_ns", obs.L("msg", t.String()))
 		}
@@ -284,21 +280,15 @@ func tenantLabel(t string) string {
 }
 
 // feedCountersFor returns the tenant's wire-level feed counters, creating
-// them on first use. The double-checked map keeps the steady state at one
-// lock-free sync.Map load; connState additionally caches the result per
-// connection, so a bound connection never re-resolves.
+// them on first use. The steady state is one lock-free sync.Map load, and
+// connState additionally caches the result per connection, so a bound
+// connection never re-resolves.
 func (s *Server) feedCountersFor(tenant string) *feedCounters {
-	if v, ok := s.feeds.Load(tenant); ok {
-		return v.(*feedCounters)
+	v, ok := s.feeds.Load(tenant)
+	if !ok {
+		v, _ = s.feeds.LoadOrStore(tenant, &feedCounters{})
 	}
-	s.feedTenantMu.Lock()
-	defer s.feedTenantMu.Unlock()
-	if v, ok := s.feeds.Load(tenant); ok {
-		return v.(*feedCounters)
-	}
-	fc := &feedCounters{}
-	s.feeds.Store(tenant, fc)
-	return fc
+	return v.(*feedCounters)
 }
 
 // Serve accepts connections on lis until Shutdown (or a listener error) and
@@ -387,10 +377,6 @@ func (s *Server) removeConn(conn net.Conn) {
 	s.handling.Done()
 }
 
-// serveConn is one connection's request loop: decode, handle, respond.
-// Handling is strictly in read order, which makes the connection a FIFO
-// event channel (the NetOwner invariant and the replication stream's
-// ordering guarantee) and responses naturally ordered.
 // MaxCatchupSnapshot bounds the per-connection accumulation of
 // MsgCatchupChunk bytes, so a hostile peer cannot demand unbounded memory.
 // A real snapshot of this size would not fit a follower's memory anyway
@@ -413,18 +399,19 @@ type connState struct {
 	// hot feed path resolves the sync.Map only when the tenant changes.
 	feedTenant string
 	feedCtrs   *feedCounters
+
+	req request // the frame being handled (see request)
 }
 
-// feedCtrsFor returns the frame's tenant's feed counters through the
-// connection-local cache.
-func (s *Server) feedCtrsFor(cs *connState, tenant string) *feedCounters {
-	if cs.feedCtrs == nil || cs.feedTenant != tenant {
-		cs.feedCtrs = s.feedCountersFor(tenant)
-		cs.feedTenant = tenant
-	}
-	return cs.feedCtrs
+// granted reports whether the connection's token may address tenant.
+func (cs *connState) granted(tenant string) bool {
+	return cs.all || cs.allowed == nil || cs.allowed[tenant]
 }
 
+// serveConn is one connection's request loop: decode, handle, respond.
+// Handling is strictly in read order, which makes the connection a FIFO
+// event channel (the NetOwner invariant and the replication stream's
+// ordering guarantee) and responses naturally ordered.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.removeConn(conn)
 	s.obsConns.Inc()
@@ -484,365 +471,72 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// handle executes one request and appends the response frame to dst. The
-// order of the gates is the protocol's security story: hello/auth first
-// (nothing dispatches unauthenticated), then the token's tenant grant, then
-// tenant resolution (admission control), then the request itself.
+// handle executes one request and appends the response frame to dst.
 func (s *Server) handle(dst []byte, cs *connState, f *Frame) []byte {
-	conn := cs.id
-	ok := func(body []byte) []byte { return AppendFrame(dst, MsgOK, f.ID, body) }
-	fail := func(code Code, err error) []byte {
-		return AppendFrame(dst, MsgErr, f.ID, appendWireError(nil, code, err.Error()))
+	body, err := s.dispatch(cs, f)
+	if err != nil {
+		return AppendFrame(dst, MsgErr, f.ID, appendWireError(nil, codeOf(err), err.Error()))
 	}
-	// backendErr maps a backend refusal to its wire code: a follower's
-	// not-primary refusal and a budget refusal keep their types across the
-	// wire so a failing-over (or over-budget) client can match them.
-	backendErr := func(err error) []byte {
-		switch {
-		case errors.Is(err, ErrStaleEpoch):
-			return fail(CodeStaleEpoch, err)
-		case errors.Is(err, ErrNotPrimary):
-			return fail(CodeNotPrimary, err)
-		case errors.Is(err, ErrTenantBudget):
-			return fail(CodeTenantBudget, err)
-		}
-		return fail(CodeInternal, err)
-	}
+	return AppendFrame(dst, MsgOK, f.ID, body)
+}
 
+// dispatch takes one frame through the gates and into its row's handler.
+// The order of the gates is the protocol's security story, stated here and
+// nowhere else: the hello (which is how a connection becomes authenticated)
+// → nothing else dispatches unauthenticated → the tenant id is well-formed →
+// control-plane rows answer, filtered to the token's grant → the token is
+// granted the frame's tenant → the tenant resolves (admission control; may
+// create it) → the backend has the surface the row needs → the body decodes
+// → the handler runs.
+func (s *Server) dispatch(cs *connState, f *Frame) ([]byte, error) {
+	var row msgRow // zero for a type this server does not know: no handler
+	if int(f.Type) < len(msgRows) {
+		row = msgRows[f.Type]
+	}
+	r := &cs.req
+	*r = request{s: s, cs: cs, tenant: f.Tenant, body: f.Body}
 	if f.Type == MsgHello {
-		token, err := decodeHello(f.Body)
-		if err != nil {
-			return fail(CodeBadRequest, err)
-		}
-		if s.auth != nil {
-			allowed, found := s.auth[token]
-			if !found {
-				return fail(CodeUnauthorized, errors.New("rpc: unknown bearer token"))
-			}
-			// A tenant-bound client stamps its tenant on the hello like any
-			// other frame; refusing an out-of-grant binding here fails the
-			// dial itself, before a single request dispatches.
-			if f.Tenant != "" && !s.authAll[token] && !allowed[f.Tenant] {
-				return fail(CodeUnauthorized, fmt.Errorf("rpc: token not authorized for tenant %q", f.Tenant))
-			}
-			cs.allowed = allowed
-			cs.all = s.authAll[token]
-		}
-		cs.authed = true
-		return ok([]byte{ProtocolVersion})
+		return row.handle(r)
 	}
 	if !cs.authed {
-		return fail(CodeUnauthorized, errors.New("rpc: authentication required (send a hello with a bearer token first)"))
+		return nil, refusal{CodeUnauthorized, errors.New("rpc: authentication required (send a hello with a bearer token first)")}
 	}
 	if err := ValidTenant(f.Tenant); err != nil {
-		return fail(CodeBadRequest, err)
+		return nil, refusal{CodeBadRequest, err}
 	}
-	if f.Type == MsgTenants {
-		// The listing is not tenant-addressed — any authenticated caller may
-		// ask, and a restricted token sees only its granted tenants.
-		infos := s.resolver.Tenants()
-		if cs.allowed != nil && !cs.all {
-			vis := infos[:0]
-			for _, ti := range infos {
-				if cs.allowed[ti.Name] {
-					vis = append(vis, ti)
-				}
-			}
-			infos = vis
-		}
-		return ok(appendTenantInfos(nil, infos))
+	if row.surface == surfaceControl {
+		return row.handle(r)
 	}
-	if f.Type == MsgObs {
-		// Control-plane like MsgTenants: not addressed to one tenant, and a
-		// restricted token's listing is filtered to its grant.
-		topK, err := decodeObsReq(f.Body)
-		if err != nil {
-			return fail(CodeBadRequest, err)
-		}
-		or, okObs := s.resolver.(ObsResolver)
-		if !okObs {
-			return fail(CodeUnsupported, errors.New("rpc: resolver does not support observability"))
-		}
-		rows := or.TenantObs(topK)
-		if cs.allowed != nil && !cs.all {
-			vis := rows[:0]
-			for _, r := range rows {
-				if cs.allowed[r.Name] {
-					vis = append(vis, r)
-				}
-			}
-			rows = vis
-		}
-		// The wire layer owns the feed-frame accounting: stamp it on the
-		// rows the resolver built.
-		for i := range rows {
-			if v, found := s.feeds.Load(rows[i].Name); found {
-				fc := v.(*feedCounters)
-				rows[i].FeedRecords = fc.records.Load()
-				rows[i].FeedFrames = fc.frames.Load()
-			}
-		}
-		return ok(appendTenantObs(nil, rows))
+	if !cs.granted(f.Tenant) {
+		return nil, refusal{CodeUnauthorized, fmt.Errorf("rpc: token not authorized for tenant %q", f.Tenant)}
 	}
-	if f.Type == MsgWireStats {
-		// Control-plane like MsgObs: the latency table is server-wide.
-		c := bin.Read("rpc: wire stats request", f.Body)
-		if err := c.Done(); err != nil {
-			return fail(CodeBadRequest, err)
-		}
-		return ok(appendWireStats(nil, s.WireStats()))
-	}
-	if !cs.all && cs.allowed != nil && !cs.allowed[f.Tenant] {
-		return fail(CodeUnauthorized, fmt.Errorf("rpc: token not authorized for tenant %q", f.Tenant))
-	}
-
 	b, err := s.resolver.BackendFor(f.Tenant)
 	if err != nil {
-		if errors.Is(err, ErrTenantBudget) {
-			return fail(CodeTenantBudget, err)
+		if !errors.Is(err, ErrTenantBudget) {
+			err = refusal{CodeBadRequest, err}
 		}
-		return fail(CodeBadRequest, err)
+		return nil, err
 	}
-	// replica is the tenant's replication surface; touching it pins this
-	// connection as a potential replication source for that tenant.
-	replica := func() ReplicaBackend {
-		rb, _ := b.(ReplicaBackend)
-		if rb != nil {
+	r.b = b
+	if row.handle == nil {
+		return nil, refusal{CodeUnsupported, fmt.Errorf("rpc: unknown request type %d", f.Type)}
+	}
+	has := true
+	switch row.surface {
+	case surfaceReplica:
+		if r.replica, has = b.(ReplicaBackend); has {
 			if cs.replicas == nil {
 				cs.replicas = make(map[string]ReplicaBackend)
 			}
-			cs.replicas[f.Tenant] = rb
+			cs.replicas[f.Tenant] = r.replica
 		}
-		return rb
+	case surfaceLease:
+		r.lease, has = b.(LeaseBackend)
+	case surfaceHandoff:
+		r.handoff, has = b.(HandoffBackend)
 	}
-
-	switch f.Type {
-	case MsgPing:
-		return ok(nil)
-	case MsgFeed:
-		c := bin.Read("rpc: feed", f.Body)
-		r := bin.Via(&c, trace.ConsumeRecord)
-		if err := c.Done(); err != nil {
-			return fail(CodeBadRequest, err)
-		}
-		if err := b.Feed(&r); err != nil {
-			return backendErr(err)
-		}
-		fc := s.feedCtrsFor(cs, f.Tenant)
-		fc.frames.Inc()
-		fc.records.Inc()
-		return ok(nil)
-	case MsgFeedBatch:
-		recs, err := consumeRecords(f.Body)
-		if err != nil {
-			return fail(CodeBadRequest, err)
-		}
-		if err := b.FeedBatch(recs); err != nil {
-			return backendErr(err)
-		}
-		fc := s.feedCtrsFor(cs, f.Tenant)
-		fc.frames.Inc()
-		fc.records.Add(uint64(len(recs)))
-		return ok(nil)
-	case MsgPredict:
-		file, k, err := decodePredictReq(f.Body)
-		if err != nil {
-			return fail(CodeBadRequest, err)
-		}
-		return ok(trace.AppendFileIDs(nil, b.Predict(file, k)))
-	case MsgList:
-		file, err := decodeListReq(f.Body)
-		if err != nil {
-			return fail(CodeBadRequest, err)
-		}
-		return ok(core.AppendCorrelators(nil, b.CorrelatorList(file)))
-	case MsgStats:
-		return ok(appendStats(nil, b.Stats()))
-	case MsgSave:
-		if err := b.Save(); err != nil {
-			return backendErr(err)
-		}
-		return ok(nil)
-	case MsgLoad:
-		if err := b.Load(); err != nil {
-			return backendErr(err)
-		}
-		return ok(nil)
-	case MsgApplyEvents:
-		evs, err := consumeEvents(f.Body)
-		if err != nil {
-			return fail(CodeBadRequest, err)
-		}
-		if err := b.ApplyEvents(evs); err != nil {
-			return backendErr(err)
-		}
-		return ok(nil)
-	case MsgPromote:
-		rb := replica()
-		if rb == nil {
-			return fail(CodeUnsupported, errReplicaUnsupported)
-		}
-		if err := rb.Promote(); err != nil {
-			return backendErr(err)
-		}
-		return ok(nil)
-	case MsgCatchupChunk:
-		if rb := replica(); rb == nil {
-			return fail(CodeUnsupported, errReplicaUnsupported)
-		}
-		if len(cs.catchup[f.Tenant])+len(f.Body) > MaxCatchupSnapshot {
-			delete(cs.catchup, f.Tenant)
-			return fail(CodeBadRequest, fmt.Errorf("rpc: catch-up snapshot exceeds %d bytes", MaxCatchupSnapshot))
-		}
-		if cs.catchup == nil {
-			cs.catchup = make(map[string][]byte)
-		}
-		cs.catchup[f.Tenant] = append(cs.catchup[f.Tenant], f.Body...)
-		return ok(nil)
-	case MsgCatchup:
-		rb := replica()
-		if rb == nil {
-			return fail(CodeUnsupported, errReplicaUnsupported)
-		}
-		cut, err := decodeCatchup(f.Body)
-		if err != nil {
-			return fail(CodeBadRequest, err)
-		}
-		if chunks := cs.catchup[f.Tenant]; len(chunks) > 0 {
-			// Chunked transfer: this frame carries the final piece; the
-			// rest arrived as MsgCatchupChunk frames on this connection,
-			// reassembled per tenant so interleaved streams cannot mix.
-			cut.Snapshot = append(chunks, cut.Snapshot...)
-			delete(cs.catchup, f.Tenant)
-		} else {
-			// The decoded snapshot aliases the connection's reused read
-			// buffer; the backend may hold it past this request (bootstrap
-			// is cold, the copy is cheap).
-			cut.Snapshot = append([]byte(nil), cut.Snapshot...)
-		}
-		if err := rb.Catchup(conn, cut); err != nil {
-			return backendErr(err)
-		}
-		return ok(nil)
-	case MsgCatchupDelta:
-		rb := replica()
-		if rb == nil {
-			return fail(CodeUnsupported, errReplicaUnsupported)
-		}
-		d, err := decodeCatchupDelta(f.Body)
-		if err != nil {
-			return fail(CodeBadRequest, err)
-		}
-		if err := rb.CatchupDelta(conn, d); err != nil {
-			return backendErr(err)
-		}
-		return ok(nil)
-	case MsgReplicate:
-		rb := replica()
-		if rb == nil {
-			return fail(CodeUnsupported, errReplicaUnsupported)
-		}
-		pos, kind, payload, err := decodeReplicate(f.Body)
-		if err != nil {
-			return fail(CodeBadRequest, err)
-		}
-		switch kind {
-		case replKindRecords:
-			recs, err := consumeRecords(payload)
-			if err != nil {
-				return fail(CodeBadRequest, err)
-			}
-			if err := rb.Replicate(conn, pos, recs); err != nil {
-				return backendErr(err)
-			}
-		case replKindGroups:
-			req, err := decodeGroupsReq(payload)
-			if err != nil {
-				return fail(CodeBadRequest, err)
-			}
-			if err := rb.ReplicateGroups(conn, pos, req); err != nil {
-				return backendErr(err)
-			}
-		default:
-			return fail(CodeBadRequest, fmt.Errorf("rpc: unknown replicate kind %d", kind))
-		}
-		return ok(nil)
-	case MsgGroups:
-		rb := replica()
-		if rb == nil {
-			return fail(CodeUnsupported, errReplicaUnsupported)
-		}
-		req, err := decodeGroupsReq(f.Body)
-		if err != nil {
-			return fail(CodeBadRequest, err)
-		}
-		info, err := rb.Groups(req)
-		if err != nil {
-			return backendErr(err)
-		}
-		return ok(appendGroupsInfo(nil, info))
-	case MsgLeaseRequest:
-		lb, _ := b.(LeaseBackend)
-		if lb == nil {
-			return fail(CodeUnsupported, errLeaseUnsupported)
-		}
-		epoch, candidate, err := decodeLeaseReq(f.Body)
-		if err != nil {
-			return fail(CodeBadRequest, err)
-		}
-		if epoch == 0 {
-			// Status query.
-			info := lb.LeaseStatus()
-			return ok(appendLeaseInfo(nil, &info))
-		}
-		if err := lb.LeaseVote(epoch, candidate); err != nil {
-			return backendErr(err)
-		}
-		return ok(nil)
-	case MsgLeaseGrant:
-		lb, _ := b.(LeaseBackend)
-		if lb == nil {
-			return fail(CodeUnsupported, errLeaseUnsupported)
-		}
-		info, err := decodeLeaseInfo(f.Body)
-		if err != nil {
-			return fail(CodeBadRequest, err)
-		}
-		if err := lb.LeaseGrant(conn, info); err != nil {
-			return backendErr(err)
-		}
-		return ok(nil)
-	case MsgHandoff:
-		hb, _ := b.(HandoffBackend)
-		if hb == nil {
-			return fail(CodeUnsupported, errors.New("rpc: backend does not support live handoff"))
-		}
-		target, err := decodeHandoffReq(f.Body)
-		if err != nil {
-			return fail(CodeBadRequest, err)
-		}
-		if err := hb.Handoff(target); err != nil {
-			return backendErr(err)
-		}
-		return ok(nil)
-	default:
-		return fail(CodeUnsupported, fmt.Errorf("rpc: unknown request type %d", f.Type))
+	if !has {
+		return nil, refusal{CodeUnsupported, fmt.Errorf("rpc: backend does not support %s", unsupported[row.surface])}
 	}
-}
-
-// errLeaseUnsupported answers lease frames sent to a server whose backend
-// has no lease surface (a pre-lease build).
-var errLeaseUnsupported = errors.New("rpc: backend does not support leases")
-
-// errReplicaUnsupported answers replication frames sent to a server whose
-// backend has no replication surface.
-var errReplicaUnsupported = errors.New("rpc: backend does not support replication")
-
-// ListenAndServe listens on addr (TCP) and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("rpc: listen %s: %w", addr, err)
-	}
-	return s.Serve(lis)
+	return row.handle(r)
 }

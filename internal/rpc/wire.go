@@ -180,57 +180,10 @@ const (
 )
 
 // String names a message type for metric labels and the `farmerctl top`
-// latency table.
+// latency table: the name in the type's msgRows row.
 func (t MsgType) String() string {
-	switch t {
-	case MsgPing:
-		return "ping"
-	case MsgFeed:
-		return "feed"
-	case MsgFeedBatch:
-		return "feed_batch"
-	case MsgPredict:
-		return "predict"
-	case MsgList:
-		return "list"
-	case MsgStats:
-		return "stats"
-	case MsgSave:
-		return "save"
-	case MsgLoad:
-		return "load"
-	case MsgApplyEvents:
-		return "apply_events"
-	case MsgPromote:
-		return "promote"
-	case MsgCatchup:
-		return "catchup"
-	case MsgReplicate:
-		return "replicate"
-	case MsgGroups:
-		return "groups"
-	case MsgCatchupChunk:
-		return "catchup_chunk"
-	case MsgHello:
-		return "hello"
-	case MsgTenants:
-		return "tenants"
-	case MsgCatchupDelta:
-		return "catchup_delta"
-	case MsgObs:
-		return "obs"
-	case MsgLeaseRequest:
-		return "lease_request"
-	case MsgLeaseGrant:
-		return "lease_grant"
-	case MsgHandoff:
-		return "handoff"
-	case MsgWireStats:
-		return "wire_stats"
-	case MsgOK:
-		return "ok"
-	case MsgErr:
-		return "err"
+	if int(t) < len(msgRows) && msgRows[t].name != "" {
+		return msgRows[t].name
 	}
 	return fmt.Sprintf("msg_%d", uint8(t))
 }

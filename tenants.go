@@ -36,16 +36,10 @@ var (
 	ErrBadVersion = rpc.ErrBadVersion
 )
 
-// TenantBudget caps one tenant's resource footprint. Zero fields are
-// unlimited. Shard and mailbox budgets are enforced at tenant open (the
-// tenant's mining configuration must fit), the memory budget continuously
-// on the feed path (throttled to every budgetCheckStride records).
+// TenantBudget caps one tenant's resource footprint, enforced continuously
+// on the feed path (throttled to every budgetCheckStride records). Zero is
+// unlimited.
 type TenantBudget struct {
-	// MaxShards caps TenantsConfig.Shards for lazily opened tenants.
-	MaxShards int
-	// MaxMailbox caps the prefetch pipeline's queue and tap depths
-	// (TenantsConfig.Prefetch) — the per-tenant mailbox bound.
-	MaxMailbox int
 	// MaxMemoryBytes caps the tenant model's estimated footprint
 	// (ModelStats.MemoryBytes); feeds are refused with ErrTenantBudget
 	// once it is exceeded.
@@ -174,17 +168,6 @@ func (g *Registry) openLocked(tenant string) (*tenantEntry, error) {
 				ErrTenantBudget, tenant, named, g.cfg.MaxTenants)
 		}
 	}
-	bud := g.cfg.Budget
-	if bud.MaxShards > 0 && g.cfg.Shards > bud.MaxShards {
-		return nil, fmt.Errorf("%w: tenant %q configured for %d shards, budget allows %d",
-			ErrTenantBudget, tenant, g.cfg.Shards, bud.MaxShards)
-	}
-	if pf := g.cfg.Prefetch; pf != nil && bud.MaxMailbox > 0 &&
-		(pf.QueueCap > bud.MaxMailbox || pf.TapBuffer > bud.MaxMailbox) {
-		return nil, fmt.Errorf("%w: tenant %q prefetch mailbox depth (queue %d, tap %d) exceeds budget %d",
-			ErrTenantBudget, tenant, pf.QueueCap, pf.TapBuffer, bud.MaxMailbox)
-	}
-
 	cfg := g.cfg.Config
 	if cfg.Weight == 0 && cfg.MaxStrength == 0 {
 		cfg = DefaultConfig()
@@ -218,7 +201,7 @@ func (g *Registry) openLocked(tenant string) (*tenantEntry, error) {
 	b := &serveBackend{
 		m: m, saveBudget: g.saveBudget,
 		logf:   func(format string, args ...any) { g.logf("tenant %q: "+format, append([]any{tenant}, args...)...) },
-		tenant: tenant, budget: bud,
+		tenant: tenant, budget: g.cfg.Budget,
 		holder: holder, lease: g.leaseSt,
 	}
 	b.memPending.Store(budgetCheckStride) // first feed checks the footprint
