@@ -6,7 +6,6 @@
 // Usage:
 //
 //	farmerctl [flags] <experiment>...   regenerate evaluation artifacts
-//	farmerctl serve [flags]             serve a miner on the wire (mini farmerd)
 //	farmerctl ping  [flags]             round-trip a live farmerd and report latency
 //	farmerctl tenants [flags]           list a multi-tenant farmerd's live tenants
 //	farmerctl top   [flags]             live top-k correlated groups and ingest rates
@@ -32,7 +31,6 @@ import (
 	"time"
 
 	"farmer"
-	"farmer/internal/daemon"
 	"farmer/internal/exp"
 )
 
@@ -40,8 +38,6 @@ func main() {
 	args := os.Args[1:]
 	var code int
 	switch {
-	case len(args) > 0 && args[0] == "serve":
-		code = runServe(args[1:])
 	case len(args) > 0 && args[0] == "ping":
 		code = runPing(args[1:])
 	case len(args) > 0 && args[0] == "tenants":
@@ -79,12 +75,6 @@ func newFlagSet(name, oneLiner, argsHint string) *flag.FlagSet {
 	return fs
 }
 
-// multiFlag collects a repeatable string flag (one -auth per token grant).
-type multiFlag []string
-
-func (m *multiFlag) String() string     { return strings.Join(*m, " ") }
-func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
-
 // dialFlags registers the client-side connection flags shared by ping and
 // tenants; the returned builder turns them into farmer.Dial options.
 func dialFlags(fs *flag.FlagSet) func() []farmer.DialOption {
@@ -104,50 +94,6 @@ func dialFlags(fs *flag.FlagSet) func() []farmer.DialOption {
 		}
 		return opts
 	}
-}
-
-// ------------------------------------------------------------------ serve
-
-func runServe(args []string) int {
-	fs := newFlagSet("serve", "serve a FARMER miner over the wire protocol (a minimal farmerd).", "[flags]")
-	addr := fs.String("addr", "127.0.0.1:4727", "TCP listen address")
-	storePath := fs.String("store", "", "write-ahead log path for persistent mined state")
-	load := fs.Bool("load", false, "restore persisted state from -store at startup")
-	shards := fs.Int("shards", 0, "miner shards (0/1 = one)")
-	partName := fs.String("partition", "stripe", "shard partitioner: stripe, hash or group")
-	checkpoint := fs.Duration("checkpoint", 0, "periodic checkpoint interval (needs -store)")
-	tlsCert := fs.String("tls-cert", "", "PEM certificate for serving over TLS (needs -tls-key)")
-	tlsKey := fs.String("tls-key", "", "PEM private key for serving over TLS (needs -tls-cert)")
-	var auth multiFlag
-	fs.Var(&auth, "auth", "bearer-token grant token=tenant,tenant or token=* (repeatable; any -auth makes auth mandatory)")
-	tenantsDir := fs.String("tenants-dir", "", "serve multiple tenants, each persisted under DIR/<tenant>/")
-	fs.Parse(args)
-	if fs.NArg() != 0 {
-		return usageErr(fs, "unexpected arguments %q", fs.Args())
-	}
-
-	err := daemon.Run(context.Background(), daemon.Options{
-		Addr:       *addr,
-		StorePath:  *storePath,
-		Load:       *load,
-		Shards:     *shards,
-		Partition:  *partName,
-		Ckpt:       *checkpoint,
-		TLSCert:    *tlsCert,
-		TLSKey:     *tlsKey,
-		Auth:       auth,
-		TenantsDir: *tenantsDir,
-		Logf: func(format string, a ...any) {
-			fmt.Fprintf(os.Stderr, "farmerctl serve: "+format+"\n", a...)
-		},
-	})
-	if errors.Is(err, daemon.ErrUsage) {
-		return usageErr(fs, "%v", err)
-	}
-	if err != nil {
-		return fail("serve", err)
-	}
-	return 0
 }
 
 // ------------------------------------------------------------------- ping
@@ -485,8 +431,10 @@ func runExperiments(args []string) int {
 and talks to a live farmerd.
 
 usage: farmerctl [flags] <experiment>...
-       farmerctl serve [flags]    (see farmerctl serve -h)
-       farmerctl ping [flags]     (see farmerctl ping -h)
+       farmerctl ping [flags]       (see farmerctl ping -h)
+       farmerctl tenants [flags]    (see farmerctl tenants -h)
+       farmerctl top [flags]        (see farmerctl top -h)
+       farmerctl rebalance [flags]  (see farmerctl rebalance -h)
 
 experiments:
   fig1     inter-file access probability per attribute (paper Fig. 1)

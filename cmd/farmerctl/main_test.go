@@ -1,10 +1,11 @@
 package main
 
 import (
-	"os"
-	"syscall"
+	"context"
 	"testing"
 	"time"
+
+	"farmer/internal/daemon"
 )
 
 func TestRunExperimentsExitCodes(t *testing.T) {
@@ -41,24 +42,6 @@ func TestPingExitCodes(t *testing.T) {
 	}
 }
 
-func TestServeExitCodes(t *testing.T) {
-	if c := runServe([]string{"stray"}); c != 2 {
-		t.Fatalf("stray argument: exit %d, want 2", c)
-	}
-	if c := runServe([]string{"-partition", "bogus"}); c != 2 {
-		t.Fatalf("bad partitioner: exit %d, want 2", c)
-	}
-	if c := runServe([]string{"-shards", "-1"}); c != 2 {
-		t.Fatalf("negative shards: exit %d, want 2", c)
-	}
-	if c := runServe([]string{"-load"}); c != 2 {
-		t.Fatalf("-load without -store: exit %d, want 2", c)
-	}
-	if c := runServe([]string{"-checkpoint", "1s"}); c != 2 {
-		t.Fatalf("-checkpoint without -store: exit %d, want 2", c)
-	}
-}
-
 func TestTenantsExitCodes(t *testing.T) {
 	if c := runTenants([]string{"stray"}); c != 2 {
 		t.Fatalf("stray argument: exit %d, want 2", c)
@@ -68,17 +51,35 @@ func TestTenantsExitCodes(t *testing.T) {
 	}
 }
 
+// serve runs the daemon in process (what a farmerd started with these
+// options does) and returns its stop: cancel, then the drain's outcome.
+func serve(t *testing.T, o daemon.Options) (stop func()) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- daemon.Run(ctx, o) }()
+	return func() {
+		t.Helper()
+		cancel()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("daemon exited with %v", err)
+			}
+		case <-time.After(15 * time.Second):
+			t.Fatal("daemon did not drain")
+		}
+	}
+}
+
 // TestServePingTenantsAuthLoopback wires the multi-tenant edge end to end
-// inside one binary: a serve with -tenants-dir and two -auth grants, pings
-// under good and bad tokens/tenants, a tenants listing, then a clean
-// SIGTERM drain.
+// inside one binary: a daemon with a tenants directory and two auth grants,
+// pings under good and bad tokens/tenants, a tenants listing, then a clean
+// drain.
 func TestServePingTenantsAuthLoopback(t *testing.T) {
 	const addr = "127.0.0.1:14736"
-	code := make(chan int, 1)
-	go func() {
-		code <- runServe([]string{"-addr", addr, "-tenants-dir", t.TempDir(),
-			"-auth", "root=*", "-auth", "alpha-token=alpha"})
-	}()
+	stop := serve(t, daemon.Options{Addr: addr, TenantsDir: t.TempDir(),
+		Auth: []string{"root=*", "alpha-token=alpha"}})
 
 	ping := func(extra ...string) int {
 		return runPing(append([]string{"-addr", addr, "-n", "1", "-timeout", "2s"}, extra...))
@@ -109,26 +110,14 @@ func TestServePingTenantsAuthLoopback(t *testing.T) {
 	if c := runTenants([]string{"-addr", addr, "-token", "root", "-timeout", "2s"}); c != 0 {
 		t.Fatalf("tenants listing: exit %d, want 0", c)
 	}
-
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case c := <-code:
-		if c != 0 {
-			t.Fatalf("serve exited %d", c)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("serve did not drain on SIGTERM")
-	}
+	stop()
 }
 
-// TestServePingLoopback wires the two subcommands together: serve in one
-// goroutine, ping it, SIGTERM the serve, assert both exit zero.
+// TestServePingLoopback wires the daemon and the ping subcommand together:
+// serve in one goroutine, ping it, stop it, assert both end clean.
 func TestServePingLoopback(t *testing.T) {
 	const addr = "127.0.0.1:14734"
-	code := make(chan int, 1)
-	go func() { code <- runServe([]string{"-addr", addr, "-shards", "2"}) }()
+	stop := serve(t, daemon.Options{Addr: addr, Shards: 2})
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -140,17 +129,5 @@ func TestServePingLoopback(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	// runServe registered NotifyContext before blocking, so the signal is
-	// intercepted rather than killing the test binary.
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case c := <-code:
-		if c != 0 {
-			t.Fatalf("serve exited %d", c)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("serve did not drain on SIGTERM")
-	}
+	stop()
 }

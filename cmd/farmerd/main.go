@@ -77,10 +77,7 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
-	"time"
 
-	"farmer"
 	"farmer/internal/daemon"
 )
 
@@ -88,56 +85,21 @@ func main() {
 	os.Exit(run())
 }
 
-// splitAddrs parses the -replicate-to list, dropping empty segments so a
-// trailing comma is not a usage error.
-func splitAddrs(s string) []string {
-	var out []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// multiFlag collects a repeatable string flag (-auth can be given once per
-// token grant, since tenant lists already use commas).
-type multiFlag []string
-
-func (m *multiFlag) String() string     { return strings.Join(*m, " ") }
-func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
-
-func run() int {
+// newFlags declares farmerd's command line: daemon.Options' flags under
+// the daemon's usage text.
+func newFlags() (*flag.FlagSet, *daemon.Options) {
 	fs := flag.NewFlagSet("farmerd", flag.ExitOnError)
-	addr := fs.String("addr", "127.0.0.1:4727", "TCP listen address")
-	metricsAddr := fs.String("metrics-addr", "", "HTTP listen address for the /metrics endpoint (empty = no endpoint)")
-	storePath := fs.String("store", "", "write-ahead log path for persistent mined state (empty = volatile)")
-	load := fs.Bool("load", false, "restore persisted state from -store at startup")
-	repair := fs.Bool("repair", false, "truncate a corrupt -store log at its last intact record before opening")
-	shards := fs.Int("shards", 0, "miner shards (0/1 = one; mined state is bit-identical at every count)")
-	partName := fs.String("partition", "stripe", "shard partitioner: stripe, hash or group")
-	checkpoint := fs.Duration("checkpoint", 0, "periodic checkpoint interval (0 = only on shutdown; needs -store)")
-	prefetchK := fs.Int("prefetch-k", 0, "attach the async prefetch pipeline with this prefetch degree (0 = off)")
-	weight := fs.Float64("weight", farmer.DefaultConfig().Weight, "correlation weight p")
-	strength := fs.Float64("strength", farmer.DefaultConfig().MaxStrength, "max_strength validity threshold")
-	drain := fs.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
-	replicateTo := fs.String("replicate-to", "", "comma-separated follower addresses to replicate to (serve as primary)")
-	follow := fs.Bool("follow", false, "start without the write lease, as a replication follower: reads only until promoted or elected")
-	leaseTTL := fs.Duration("lease-ttl", 0, "write lease TTL: renewal needs a follower quorum, expiry triggers follower self-election (0 = untimed: a follower's view of the lease ends with the primary's link)")
-	leasePeers := fs.String("lease-peers", "", "comma-separated peer farmerd addresses that vote in lease elections (needs -lease-ttl)")
-	replicaToken := fs.String("replica-token", "", "bearer token presented to -replicate-to followers running with -auth")
-	tlsCert := fs.String("tls-cert", "", "PEM certificate for serving over TLS (needs -tls-key)")
-	tlsKey := fs.String("tls-key", "", "PEM private key for serving over TLS (needs -tls-cert)")
-	var auth multiFlag
-	fs.Var(&auth, "auth", "bearer-token grant token=tenant,tenant or token=* (repeatable; any -auth makes auth mandatory)")
-	tenantsDir := fs.String("tenants-dir", "", "serve multiple tenants, each persisted under DIR/<tenant>/ (empty = single-tenant)")
-	maxTenants := fs.Int("max-tenants", 0, "cap on concurrently live named tenants (0 = unlimited; needs -tenants-dir)")
-	tenantIdle := fs.Duration("tenant-idle", 0, "evict a tenant idle this long, checkpointing it first (0 = never; needs -tenants-dir)")
-	tenantMaxMemory := fs.Int64("tenant-max-memory", 0, "per-tenant model footprint budget in bytes (0 = unlimited; needs -tenants-dir)")
+	o := new(daemon.Options)
+	o.Register(fs)
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "farmerd serves a FARMER miner over the wire protocol.\n\nusage: farmerd [flags]\n\nflags:\n")
 		fs.PrintDefaults()
 	}
+	return fs, o
+}
+
+func run() int {
+	fs, o := newFlags()
 	fs.Parse(os.Args[1:])
 	if fs.NArg() != 0 {
 		fmt.Fprintf(os.Stderr, "farmerd: unexpected arguments %q\n", fs.Args())
@@ -146,36 +108,8 @@ func run() int {
 	}
 
 	logger := log.New(os.Stderr, "farmerd: ", log.LstdFlags)
-	err := daemon.Run(context.Background(), daemon.Options{
-		Addr:        *addr,
-		MetricsAddr: *metricsAddr,
-		StorePath:   *storePath,
-		Load:        *load,
-		Repair:      *repair,
-		Shards:      *shards,
-		Partition:   *partName,
-		Ckpt:        *checkpoint,
-		PrefetchK:   *prefetchK,
-		Weight:      weight,
-		Strength:    strength,
-		Drain:       *drain,
-		ReplicateTo: splitAddrs(*replicateTo),
-		Follow:      *follow,
-		LeaseTTL:    *leaseTTL,
-		LeasePeers:  splitAddrs(*leasePeers),
-
-		TLSCert:      *tlsCert,
-		TLSKey:       *tlsKey,
-		Auth:         auth,
-		ReplicaToken: *replicaToken,
-
-		TenantsDir:      *tenantsDir,
-		MaxTenants:      *maxTenants,
-		TenantIdle:      *tenantIdle,
-		TenantMaxMemory: *tenantMaxMemory,
-
-		Logf: logger.Printf,
-	})
+	o.Logf = logger.Printf
+	err := daemon.Run(context.Background(), *o)
 	if errors.Is(err, daemon.ErrUsage) {
 		fmt.Fprintf(os.Stderr, "farmerd: %v\n", err)
 		fs.Usage()

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -93,6 +94,27 @@ func TestRunServeAndDrain(t *testing.T) {
 	}
 	if st.Fed != uint64(len(tr.Records)) {
 		t.Fatalf("checkpoint fed %d, want %d", st.Fed, len(tr.Records))
+	}
+}
+
+// TestHelpTextUnchanged pins `farmerd -h` byte for byte to the text the
+// daemon printed when its flags were still declared in this package
+// (testdata/help.txt, written by commit d78dc70): 24 flags, their
+// defaults and their help.
+func TestHelpTextUnchanged(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "help.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, _ := newFlags()
+	var got bytes.Buffer
+	fs.SetOutput(&got)
+	fs.Usage()
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("farmerd -h changed:\n%s\nwant:\n%s", got.Bytes(), want)
+	}
+	if n := bytes.Count(got.Bytes(), []byte("\n  -")); n != 24 {
+		t.Fatalf("farmerd declares %d flags, want 24", n)
 	}
 }
 

@@ -154,8 +154,7 @@ type (
 )
 
 // PartitionerByName maps a configuration name ("stripe", "hash", "group")
-// to the stock partitioner — the shared flag parser behind farmerd and
-// farmerctl serve.
+// to the stock partitioner — the parser behind farmerd -partition.
 func PartitionerByName(name string) (Partitioner, error) {
 	switch name {
 	case "stripe":

@@ -76,9 +76,6 @@ func NewLRU(capacity int) *LRU {
 	}
 }
 
-// Capacity returns the configured capacity.
-func (c *LRU) Capacity() int { return c.capacity }
-
 // Len returns the resident entry count.
 func (c *LRU) Len() int { return c.ll.Len() }
 
@@ -140,22 +137,6 @@ func (c *LRU) evictOldest() {
 	if e.source == SourcePrefetch && !e.used {
 		c.m.PrefetchWasted++
 	}
-}
-
-// Invalidate drops an entry (metadata update/unlink). It reports whether the
-// entry was resident.
-func (c *LRU) Invalidate(f trace.FileID) bool {
-	el, ok := c.items[f]
-	if !ok {
-		return false
-	}
-	e := el.Value.(*entry)
-	c.ll.Remove(el)
-	delete(c.items, f)
-	if e.source == SourcePrefetch && !e.used {
-		c.m.PrefetchWasted++
-	}
-	return true
 }
 
 // Finish folds still-resident never-used prefetched entries into the wasted

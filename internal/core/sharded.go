@@ -151,10 +151,6 @@ func (s *ShardedModel) newDispatcher() *partition.Dispatcher {
 	})
 }
 
-// shardOf stripes a FileID across n partitions (partition.Stripe — Fibonacci
-// hashing, so contiguously allocated correlation groups spread evenly).
-func shardOf(f trace.FileID, n int) int { return partition.Stripe(f, n) }
-
 // Config returns the ensemble's configuration (including Shards).
 func (s *ShardedModel) Config() Config { return s.cfg }
 

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"farmer/internal/partition"
 	"farmer/internal/trace"
 )
 
@@ -55,7 +56,7 @@ func TestTapOrderedDelivery(t *testing.T) {
 			want := make([][]TapEvent, shards)
 			for i := range tr.Records {
 				f := tr.Records[i].File
-				sh := shardOf(f, shards)
+				sh := partition.Stripe(f, shards)
 				want[sh] = append(want[sh], TapEvent{Seq: uint64(i + 1), File: f, Shard: sh})
 			}
 			for sh := 0; sh < shards; sh++ {
@@ -224,7 +225,7 @@ func TestTapConcurrentCloseUnderIngest(t *testing.T) {
 	r := tr.Records[0]
 	sm.Feed(&r)
 	tap2.Close()
-	if n := len(collectTap(tap2)[shardOf(r.File, 4)]); n != 1 {
+	if n := len(collectTap(tap2)[partition.Stripe(r.File, 4)]); n != 1 {
 		t.Fatalf("fresh tap delivered %d events, want 1", n)
 	}
 }

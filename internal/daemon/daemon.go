@@ -1,13 +1,14 @@
-// Package daemon is the shared serve bootstrap behind cmd/farmerd and
-// `farmerctl serve`: flag-level validation, store repair/open/load, the
-// listener, signal-driven graceful drain, and prefetch-pipeline accounting
-// live here once, so the two command-line entry points cannot drift.
+// Package daemon is farmerd behind its main: the flags, their validation,
+// store repair/open/load, the listener, signal-driven graceful drain and
+// prefetch-pipeline accounting, importable so tests run the daemon in
+// process.
 package daemon
 
 import (
 	"context"
 	"crypto/tls"
 	"errors"
+	"flag"
 	"fmt"
 	"net"
 	"net/http"
@@ -24,27 +25,29 @@ import (
 // ErrUsage marks option mistakes the commands report as exit code 2.
 var ErrUsage = errors.New("usage error")
 
-// Options parameterises one serving daemon. Zero values mean the feature is
-// off; Weight/Strength zero means the paper default.
+// Options parameterises one serving daemon. Register binds every field but
+// Logf to the farmerd flag that describes it; set directly, a zero value
+// means the feature is off (Weight/Strength nil: the paper default,
+// Drain 0: Serve's default, Partition "": stripe).
 type Options struct {
-	Addr        string        // TCP listen address (required)
-	MetricsAddr string        // HTTP metrics listen address ("" = no endpoint)
-	StorePath   string        // WAL path; "" = volatile miner
-	Load        bool          // restore persisted state at startup (needs StorePath)
-	Repair      bool          // truncate a corrupt WAL before opening (needs StorePath)
-	Shards      int           // miner stripes (0/1 = one)
-	Partition   string        // "stripe", "hash" or "group" ("" = stripe)
-	Ckpt        time.Duration // periodic checkpoint interval (needs StorePath)
-	PrefetchK   int           // attach the async prefetch pipeline (0 = off)
-	Weight      *float64      // correlation weight p (nil = paper default)
-	Strength    *float64      // max_strength threshold (nil = paper default)
-	Drain       time.Duration // graceful shutdown bound (0 = Serve default)
-	// ReplicateTo lists follower farmerd addresses this daemon replicates
-	// to (it serves as the replication primary). Follow starts the daemon
-	// as a promotable follower instead; the two are mutually exclusive.
-	// A follower started with Load resumes from its own checkpoint: the
-	// primary catches it up by replaying just the records it missed (delta
-	// catch-up) when it can, shipping a full cut otherwise.
+	Addr        string
+	MetricsAddr string
+	StorePath   string
+	Load        bool
+	Repair      bool
+	Shards      int
+	Partition   string
+	Ckpt        time.Duration
+	PrefetchK   int
+	Weight      *float64
+	Strength    *float64
+	Drain       time.Duration
+	// ReplicateTo makes the daemon the replication primary of the listed
+	// followers; Follow starts it as a promotable follower instead, and the
+	// two are mutually exclusive. A follower started with Load resumes from
+	// its own checkpoint: the primary catches it up by replaying just the
+	// records it missed (delta catch-up) when it can, shipping a full cut
+	// otherwise.
 	ReplicateTo []string
 	Follow      bool
 	// LeaseTTL puts a clock on the write lease: the leader renews it over
@@ -52,40 +55,83 @@ type Options struct {
 	// an election among LeasePeers instead of waiting for a manual promote.
 	// Zero leaves the lease untimed (availability wins: a follower's view
 	// of the leader's term ends with the replication link).
-	LeaseTTL time.Duration
-	// LeasePeers lists the other farmerd protocol addresses that vote in
-	// elections. Requires LeaseTTL.
+	LeaseTTL   time.Duration
 	LeasePeers []string
 
 	// TLSCert/TLSKey name a PEM certificate/key pair; both or neither.
-	// When set, the daemon serves the wire protocol over TLS.
 	TLSCert string
 	TLSKey  string
 	// Auth lists static bearer-token grants, each "token=tenant,tenant"
 	// ("*" grants every tenant). A non-empty list makes authentication
 	// mandatory: connections must open with a hello carrying a known token
-	// before any frame dispatches.
-	Auth []string
-	// ReplicaToken is presented when dialing ReplicateTo followers that
-	// themselves run with Auth (it must be granted "*" there).
+	// before any frame dispatches. ReplicaToken is what this daemon presents
+	// to ReplicateTo followers that run with Auth (granted "*" there).
+	Auth         []string
 	ReplicaToken string
 
 	// TenantsDir turns the daemon multi-tenant: frames carrying a tenant
 	// id lazily open one miner per tenant, persisted under
-	// TenantsDir/<tenant>/store.wal. The remaining Tenant* knobs only
-	// apply with TenantsDir set.
-	TenantsDir string
-	// MaxTenants caps concurrently live named tenants (0 = unlimited).
-	MaxTenants int
-	// TenantIdle evicts a named tenant untouched for this long (0 = never):
-	// checkpointed to its store, closed, transparently reopened on the
-	// next frame.
-	TenantIdle time.Duration
-	// TenantMaxMemory is each tenant's budget: its model's footprint in
-	// bytes (0 = unlimited).
+	// TenantsDir/<tenant>/store.wal. MaxTenants, TenantIdle (checkpointed,
+	// closed, transparently reopened on the next frame) and TenantMaxMemory
+	// only apply with it set.
+	TenantsDir      string
+	MaxTenants      int
+	TenantIdle      time.Duration
 	TenantMaxMemory int64
 
 	Logf func(format string, args ...any)
+
+	// The two comma-separated list flags as typed; Run splits them onto
+	// ReplicateTo and LeasePeers.
+	replicateTo, leasePeers string
+}
+
+// Register declares farmerd's flags on fs, each bound to its field of o:
+// the one place a flag's name, default and help are written.
+func (o *Options) Register(fs *flag.FlagSet) {
+	fs.StringVar(&o.Addr, "addr", "127.0.0.1:4727", "TCP listen address")
+	fs.StringVar(&o.MetricsAddr, "metrics-addr", "", "HTTP listen address for the /metrics endpoint (empty = no endpoint)")
+	fs.StringVar(&o.StorePath, "store", "", "write-ahead log path for persistent mined state (empty = volatile)")
+	fs.BoolVar(&o.Load, "load", false, "restore persisted state from -store at startup")
+	fs.BoolVar(&o.Repair, "repair", false, "truncate a corrupt -store log at its last intact record before opening")
+	fs.IntVar(&o.Shards, "shards", 0, "miner shards (0/1 = one; mined state is bit-identical at every count)")
+	fs.StringVar(&o.Partition, "partition", "stripe", "shard partitioner: stripe, hash or group")
+	fs.DurationVar(&o.Ckpt, "checkpoint", 0, "periodic checkpoint interval (0 = only on shutdown; needs -store)")
+	fs.IntVar(&o.PrefetchK, "prefetch-k", 0, "attach the async prefetch pipeline with this prefetch degree (0 = off)")
+	o.Weight = fs.Float64("weight", farmer.DefaultConfig().Weight, "correlation weight p")
+	o.Strength = fs.Float64("strength", farmer.DefaultConfig().MaxStrength, "max_strength validity threshold")
+	fs.DurationVar(&o.Drain, "drain", 10*time.Second, "graceful shutdown drain timeout")
+	fs.StringVar(&o.replicateTo, "replicate-to", "", "comma-separated follower addresses to replicate to (serve as primary)")
+	fs.BoolVar(&o.Follow, "follow", false, "start without the write lease, as a replication follower: reads only until promoted or elected")
+	fs.DurationVar(&o.LeaseTTL, "lease-ttl", 0, "write lease TTL: renewal needs a follower quorum, expiry triggers follower self-election (0 = untimed: a follower's view of the lease ends with the primary's link)")
+	fs.StringVar(&o.leasePeers, "lease-peers", "", "comma-separated peer farmerd addresses that vote in lease elections (needs -lease-ttl)")
+	fs.StringVar(&o.ReplicaToken, "replica-token", "", "bearer token presented to -replicate-to followers running with -auth")
+	fs.StringVar(&o.TLSCert, "tls-cert", "", "PEM certificate for serving over TLS (needs -tls-key)")
+	fs.StringVar(&o.TLSKey, "tls-key", "", "PEM private key for serving over TLS (needs -tls-cert)")
+	fs.Var((*multiFlag)(&o.Auth), "auth", "bearer-token grant token=tenant,tenant or token=* (repeatable; any -auth makes auth mandatory)")
+	fs.StringVar(&o.TenantsDir, "tenants-dir", "", "serve multiple tenants, each persisted under DIR/<tenant>/ (empty = single-tenant)")
+	fs.IntVar(&o.MaxTenants, "max-tenants", 0, "cap on concurrently live named tenants (0 = unlimited; needs -tenants-dir)")
+	fs.DurationVar(&o.TenantIdle, "tenant-idle", 0, "evict a tenant idle this long, checkpointing it first (0 = never; needs -tenants-dir)")
+	fs.Int64Var(&o.TenantMaxMemory, "tenant-max-memory", 0, "per-tenant model footprint budget in bytes (0 = unlimited; needs -tenants-dir)")
+}
+
+// multiFlag collects a repeatable string flag (-auth is given once per
+// token grant, since tenant lists already use commas).
+type multiFlag []string
+
+func (m *multiFlag) String() string     { return strings.Join(*m, " ") }
+func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
+
+// splitAddrs parses a comma-separated address list, dropping empty segments
+// so a trailing comma is not a usage error.
+func splitAddrs(s string) []string {
+	var out []string
+	for _, a := range strings.Split(s, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			out = append(out, a)
+		}
+	}
+	return out
 }
 
 // ParseAuthSpec splits one -auth grant "token=tenant,tenant" (or
@@ -121,6 +167,8 @@ func Run(ctx context.Context, o Options) error {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
+	o.ReplicateTo = append(o.ReplicateTo, splitAddrs(o.replicateTo)...)
+	o.LeasePeers = append(o.LeasePeers, splitAddrs(o.leasePeers)...)
 	if o.StorePath == "" {
 		switch {
 		case o.Load:

@@ -87,9 +87,7 @@ func TestFARMERMoreAccurateThanSequenceOnlyBaselines(t *testing.T) {
 	fq := Score(tr, fpaFor(tr), 4)
 	baselines := []predictors.Predictor{
 		predictors.NewLastSuccessor(),
-		predictors.NewFirstSuccessor(),
 		predictors.NewProbabilityGraph(2, 0.1),
-		predictors.NewSDGraph(4),
 	}
 	for _, b := range baselines {
 		bq := Score(tr, b, 4)

@@ -8,7 +8,6 @@ import (
 
 	"farmer/internal/metrics"
 	"farmer/internal/replay"
-	"farmer/internal/trace"
 )
 
 // AsyncRow is one (trace, pipeline) outcome of the sync-vs-async sweep.
@@ -87,12 +86,4 @@ func AsyncLatency(rows []AsyncRow) *metrics.Table {
 		tab.AddRow(r.Trace, r.Pipeline, r.HitRatio, r.AvgResponse, r.AvgDemandWait, r.MineAvgWait, r.PrefetchDrop)
 	}
 	return tab
-}
-
-// fingerprintReference recomputes the sequential single-lock fingerprint
-// for a trace — the exp tests cross-check SyncVsAsync rows against it.
-func fingerprintReference(tr *trace.Trace, shards int) uint64 {
-	mc := farmerConfig(tr, 0.7, 0.4)
-	mc.Shards = shards
-	return replay.MineSequential(tr, mc)
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"farmer/internal/hust"
+	"farmer/internal/replay"
 	"farmer/internal/trace"
 	"farmer/internal/tracegen"
 )
@@ -78,4 +79,12 @@ func TestOptionsPreserveAsyncKnobs(t *testing.T) {
 	if got.CacheCapacity == 0 || got.Workers == 0 {
 		t.Fatalf("defaults not applied: %+v", got)
 	}
+}
+
+// fingerprintReference recomputes the sequential single-lock fingerprint
+// for a trace — the exp tests cross-check SyncVsAsync rows against it.
+func fingerprintReference(tr *trace.Trace, shards int) uint64 {
+	mc := farmerConfig(tr, 0.7, 0.4)
+	mc.Shards = shards
+	return replay.MineSequential(tr, mc)
 }

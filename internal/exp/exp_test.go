@@ -8,14 +8,18 @@ import (
 // smallOpt keeps experiment tests fast; the benchmarks run full scale.
 func smallOpt() Options { return Options{Records: 6000} }
 
+// rows counts a rendered table's data rows: its lines less the header and
+// the rule under it.
+func rows(tab interface{ String() string }) int { return strings.Count(tab.String(), "\n") - 2 }
+
 func TestFig1ShapesHold(t *testing.T) {
 	tab := Fig1(smallOpt())
 	out := tab.String()
 	if !strings.Contains(out, "uid+pid") || !strings.Contains(out, "none") {
 		t.Fatalf("missing rows:\n%s", out)
 	}
-	if tab.Rows() != 6 {
-		t.Fatalf("rows = %d, want 6", tab.Rows())
+	if rows(tab) != 6 {
+		t.Fatalf("rows = %d, want 6", rows(tab))
 	}
 }
 
@@ -32,8 +36,8 @@ func TestTable2MatchesPaper(t *testing.T) {
 
 func TestFig3RunsAndHasSweep(t *testing.T) {
 	tab := Fig3(smallOpt(), "HP")
-	if tab.Rows() != 7 { // strengths 0.2..0.8
-		t.Fatalf("rows = %d", tab.Rows())
+	if rows(tab) != 7 { // strengths 0.2..0.8
+		t.Fatalf("rows = %d", rows(tab))
 	}
 	out := tab.String()
 	if !strings.Contains(out, "p=0.7") {
@@ -52,8 +56,8 @@ func TestFig3UnknownTracePanics(t *testing.T) {
 
 func TestFig5Has15Combinations(t *testing.T) {
 	tab := Fig5(smallOpt())
-	if tab.Rows() != 15 {
-		t.Fatalf("rows = %d, want 15", tab.Rows())
+	if rows(tab) != 15 {
+		t.Fatalf("rows = %d, want 15", rows(tab))
 	}
 	out := tab.String()
 	if !strings.Contains(out, "{User, Process, Host, File Path}") {
@@ -63,8 +67,8 @@ func TestFig5Has15Combinations(t *testing.T) {
 
 func TestFig6Sweep(t *testing.T) {
 	tab := Fig6(smallOpt())
-	if tab.Rows() != 11 {
-		t.Fatalf("rows = %d, want 11", tab.Rows())
+	if rows(tab) != 11 {
+		t.Fatalf("rows = %d, want 11", rows(tab))
 	}
 }
 
@@ -120,8 +124,8 @@ func TestFigureRenderers(t *testing.T) {
 
 func TestTable4SpaceBounded(t *testing.T) {
 	tab := Table4(smallOpt())
-	if tab.Rows() != 4 {
-		t.Fatalf("rows = %d", tab.Rows())
+	if rows(tab) != 4 {
+		t.Fatalf("rows = %d", rows(tab))
 	}
 }
 
@@ -135,8 +139,8 @@ func TestAblationFootprintFilteringWins(t *testing.T) {
 
 func TestMiningQualityTable(t *testing.T) {
 	tab := MiningQuality(Options{Records: 8000})
-	if tab.Rows() != 24 { // 4 traces x 6 policies
-		t.Fatalf("rows = %d, want 24", tab.Rows())
+	if rows(tab) != 24 { // 4 traces x 6 policies
+		t.Fatalf("rows = %d, want 24", rows(tab))
 	}
 	out := tab.String()
 	if !strings.Contains(out, "FARMER") || !strings.Contains(out, "Nexus") {

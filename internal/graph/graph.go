@@ -165,11 +165,6 @@ func (g *Graph) Feed(f trace.FileID) {
 	}
 }
 
-// ResetWindow clears the lookahead window without discarding accumulated
-// weights. Callers use this at stream boundaries (e.g. when interleaving
-// per-process sub-streams) so credit never crosses streams.
-func (g *Graph) ResetWindow() { g.window = g.window[:0] }
-
 // Add accumulates w credit on the edge from->to without touching the
 // graph's own lookahead window — the windowless primitive behind Feed.
 func (g *Graph) Add(from, to trace.FileID, w float64) {

@@ -71,16 +71,6 @@ func TestWindowSlide(t *testing.T) {
 	}
 }
 
-func TestResetWindow(t *testing.T) {
-	g := New(DefaultConfig())
-	feedSeq(g, 0, 1)
-	g.ResetWindow()
-	g.Feed(2)
-	if g.Weight(1, 2) != 0 || g.Weight(0, 2) != 0 {
-		t.Fatal("credit leaked across ResetWindow")
-	}
-}
-
 func TestSuccessorsSorted(t *testing.T) {
 	g := New(Config{Window: 3, Decrement: 0.1})
 	feedSeq(g, 0, 1, 2, 3)

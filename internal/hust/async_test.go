@@ -233,10 +233,11 @@ func TestSyncPrefetchIssueDelayedByMineTime(t *testing.T) {
 	}
 	// Demand miss: completes at StoreReadTime + MineTime = 12ms.
 	mds.Demand(&trace.Record{File: 1}, nil)
-	eng.RunUntil(11 * time.Millisecond)
-	if mds.prefetchSent != 0 {
-		t.Fatalf("prefetch issued %d at t=11ms, before the request (and its mining) completed", mds.prefetchSent)
-	}
+	eng.At(11*time.Millisecond, func() {
+		if mds.prefetchSent != 0 {
+			t.Errorf("prefetch issued %d at t=11ms, before the request (and its mining) completed", mds.prefetchSent)
+		}
+	})
 	eng.Run()
 	if mds.prefetchSent != 1 {
 		t.Fatalf("prefetch issued %d after drain, want 1", mds.prefetchSent)

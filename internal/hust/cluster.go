@@ -4,64 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"farmer/internal/obs"
 	"farmer/internal/sim"
 	"farmer/internal/trace"
 )
-
-// OSDConfig parameterises an object storage device.
-type OSDConfig struct {
-	Workers   int
-	SeekTime  time.Duration // per-request positioning cost
-	Bandwidth float64       // bytes per second of sequential transfer
-}
-
-// DefaultOSDConfig returns a commodity-disk OSD model.
-func DefaultOSDConfig() OSDConfig {
-	return OSDConfig{Workers: 1, SeekTime: 5 * time.Millisecond, Bandwidth: 80e6}
-}
-
-// OSD simulates one object storage device serving the data path.
-type OSD struct {
-	cfg OSDConfig
-	srv *sim.Server
-	io  obs.Counter
-}
-
-// NewOSD attaches an OSD to the engine.
-func NewOSD(eng *sim.Engine, cfg OSDConfig) *OSD {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
-	if cfg.Bandwidth <= 0 {
-		cfg.Bandwidth = 80e6
-	}
-	return &OSD{cfg: cfg, srv: sim.NewServer(eng, cfg.Workers)}
-}
-
-// Read submits an object read of size bytes; done runs with the I/O time.
-// Sequential reads (part of a batch) may skip the seek.
-func (o *OSD) Read(size uint32, sequential bool, done func(time.Duration)) {
-	service := time.Duration(float64(size) / o.cfg.Bandwidth * float64(time.Second))
-	if !sequential {
-		service += o.cfg.SeekTime
-	}
-	o.io.Inc()
-	o.srv.Submit(sim.PriorityDemand, &sim.Request{
-		Service: service,
-		Done: func(wait, total time.Duration) {
-			if done != nil {
-				done(total)
-			}
-		},
-	})
-}
-
-// IOs reports the number of reads submitted. Like the obs.Counter it
-// wraps, it is safe to read while other goroutines submit — the engine
-// itself is single-threaded, but OSDs are also reused by harnesses that
-// poll statistics from outside the simulation loop.
-func (o *OSD) IOs() uint64 { return o.io.Load() }
 
 // ReplayConfig drives a trace replay against a cluster.
 type ReplayConfig struct {

@@ -78,14 +78,12 @@ func TestMDSPrefetchInstallsIntoCache(t *testing.T) {
 	mk := func(f trace.FileID) *trace.Record {
 		return &trace.Record{File: f, UID: 1, PID: 1, Path: "/d/x"}
 	}
+	// The predictor alone sees file 1, so only a prefetch can cache it.
 	for i := 0; i < 5; i++ {
-		mds.Demand(mk(0), nil)
-		eng.Run()
-		mds.Demand(mk(1), nil)
-		eng.Run()
+		fpa.Record(mk(0))
+		fpa.Record(mk(1))
 	}
 	// A demand on 0 must now prefetch 1.
-	mds.Cache().Invalidate(1)
 	mds.Demand(mk(0), nil)
 	eng.Run()
 	if !mds.Cache().Contains(1) {
@@ -187,37 +185,6 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 	if a.Stats != b.Stats {
 		t.Fatalf("replay not deterministic:\n%+v\n%+v", a.Stats, b.Stats)
-	}
-}
-
-func TestOSDReadTimes(t *testing.T) {
-	eng := sim.New()
-	osd := NewOSD(eng, DefaultOSDConfig())
-	var seekRead, seqRead time.Duration
-	osd.Read(80_000_000, false, func(d time.Duration) { seekRead = d })
-	eng.Run()
-	osd.Read(80_000_000, true, func(d time.Duration) { seqRead = d })
-	eng.Run()
-	// 80MB at 80MB/s = 1s transfer; non-sequential adds a 5ms seek.
-	if seqRead != time.Second {
-		t.Fatalf("sequential read = %v, want 1s", seqRead)
-	}
-	if seekRead != time.Second+5*time.Millisecond {
-		t.Fatalf("random read = %v, want 1.005s", seekRead)
-	}
-	if osd.IOs() != 2 {
-		t.Fatalf("IOs = %d", osd.IOs())
-	}
-}
-
-func TestOSDDefaultsNormalised(t *testing.T) {
-	eng := sim.New()
-	osd := NewOSD(eng, OSDConfig{})
-	done := false
-	osd.Read(1024, true, func(time.Duration) { done = true })
-	eng.Run()
-	if !done {
-		t.Fatal("zero-config OSD did not serve")
 	}
 }
 

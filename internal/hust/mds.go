@@ -1,10 +1,11 @@
 // Package hust simulates the object-based storage system the paper
 // prototypes FARMER on (§5.1): clients issue file requests; a metadata
 // server (MDS) answers them from an LRU metadata cache backed by a
-// Berkeley-DB-style store; object storage devices (OSDs) serve the data
-// path. The MDS implements the paper's priority-based request scheduling —
-// demand requests are served ahead of queued prefetch requests — and hosts
-// the pluggable prefetch predictor (FARMER's FPA, Nexus, or none/LRU).
+// Berkeley-DB-style store (the data path is not modelled: every figure
+// the paper reports is a metadata figure). The MDS implements the paper's
+// priority-based request scheduling — demand requests are served ahead of
+// queued prefetch requests — and hosts the pluggable prefetch predictor
+// (FARMER's FPA, Nexus, or none/LRU).
 package hust
 
 import (
@@ -62,7 +63,7 @@ type MDSConfig struct {
 	// cluster-level global dispatcher. Demand performs only cache/store
 	// service (no predictor Record, no prefetch issue); the external driver
 	// applies mined state itself, prices mining CPU through SubmitMine and
-	// issues prefetches through IssuePrefetches. Requires AsyncPrefetch,
+	// issues prefetches through PrefetchFiles. Requires AsyncPrefetch,
 	// since the mining station carries the externally submitted work.
 	ExternalMiner bool
 }
@@ -254,7 +255,7 @@ func (m *MDS) Demand(r *trace.Record, done func(resp time.Duration)) {
 	if m.cfg.AsyncPrefetch {
 		if m.cfg.ExternalMiner {
 			// The cluster dispatcher mines this record and calls back via
-			// SubmitMine/IssuePrefetches; the demand path is already done.
+			// SubmitMine/PrefetchFiles; the demand path is already done.
 			return
 		}
 		m.miner.Submit(sim.PriorityDemand, &sim.Request{
@@ -291,11 +292,8 @@ func (m *MDS) SubmitMine(service time.Duration, done func()) {
 	})
 }
 
-// IssuePrefetches exposes the prefetch path to an external mining driver:
-// predict up to PrefetchK successors of f and queue prefetch requests for
-// the ones not already cached.
-func (m *MDS) IssuePrefetches(f trace.FileID) { m.issuePrefetches(f) }
-
+// issuePrefetches predicts up to PrefetchK successors of f and queues
+// prefetch requests for the ones not already cached.
 func (m *MDS) issuePrefetches(f trace.FileID) {
 	m.PrefetchFiles(m.pred.Predict(f, m.cfg.PrefetchK))
 }

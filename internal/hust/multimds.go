@@ -65,9 +65,6 @@ func NewCluster(eng *sim.Engine, n int, partition Partitioner, factory func(i in
 	return c, nil
 }
 
-// Servers reports the cluster size.
-func (c *Cluster) Servers() int { return len(c.servers) }
-
 // Server exposes one MDS (tests).
 func (c *Cluster) Server(i int) *MDS { return c.servers[i] }
 

@@ -267,9 +267,6 @@ func (b *Batch) Delete(key []byte) error {
 	return nil
 }
 
-// Len reports the number of staged records.
-func (b *Batch) Len() int { return len(b.recs) }
-
 // Batch runs fn to stage a set of mutations, then commits them atomically:
 // one walBegin frame, the staged records, one walCommit frame, a single
 // flush, and only then the tree application. fn runs WITHOUT the store lock

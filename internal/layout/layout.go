@@ -53,12 +53,6 @@ func (p *Plan) GroupOf(f trace.FileID) int {
 	return -1
 }
 
-// Colocated reports whether two files share a group.
-func (p *Plan) Colocated(a, b trace.FileID) bool {
-	ga, gb := p.GroupOf(a), p.GroupOf(b)
-	return ga >= 0 && ga == gb
-}
-
 // Build derives a placement plan from a mined FARMER model. sizes maps each
 // file to its byte size; files absent from sizes get singleton groups.
 // Greedy agglomeration: files are visited in decreasing total correlation

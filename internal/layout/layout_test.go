@@ -152,13 +152,13 @@ func TestColocated(t *testing.T) {
 		Groups: []Group{{Files: []trace.FileID{0, 1}}, {Files: []trace.FileID{2}}},
 		index:  map[trace.FileID]int{0: 0, 1: 0, 2: 1},
 	}
-	if !plan.Colocated(0, 1) {
+	if g := plan.GroupOf(0); g < 0 || g != plan.GroupOf(1) {
 		t.Fatal("0 and 1 should be colocated")
 	}
-	if plan.Colocated(0, 2) {
+	if plan.GroupOf(0) == plan.GroupOf(2) {
 		t.Fatal("0 and 2 should not be colocated")
 	}
-	if plan.Colocated(0, 99) {
-		t.Fatal("unknown file colocated")
+	if plan.GroupOf(99) != -1 {
+		t.Fatal("unknown file placed in a group")
 	}
 }

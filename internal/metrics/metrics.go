@@ -1,8 +1,8 @@
 // Package metrics provides the small statistics toolkit the experiment
-// harness uses: streaming mean/max, a log-bucketed latency histogram with
-// percentile estimation, and fixed-width table rendering for the paper's
-// figures and tables. Nothing here is safe for concurrent use — the
-// harness is single-threaded; live counters shared between goroutines are
+// harness uses: a log-bucketed latency histogram with percentile
+// estimation, and fixed-width table rendering for the paper's figures and
+// tables. Nothing here is safe for concurrent use — the harness is
+// single-threaded; live counters shared between goroutines are
 // internal/obs's.
 package metrics
 
@@ -12,38 +12,6 @@ import (
 	"strings"
 	"time"
 )
-
-// Welford accumulates mean and variance in one pass.
-type Welford struct {
-	n    uint64
-	mean float64
-	m2   float64
-}
-
-// Add folds one observation in.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N reports the observation count.
-func (w *Welford) N() uint64 { return w.n }
-
-// Mean reports the running mean (0 when empty).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance reports the sample variance (0 for < 2 observations).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// StdDev reports the sample standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
 // LatencyHist is a log2-bucketed duration histogram from 1µs to ~17min.
 type LatencyHist struct {
@@ -113,18 +81,6 @@ func (h *LatencyHist) Quantile(q float64) time.Duration {
 	return h.max
 }
 
-// Merge folds another histogram into h.
-func (h *LatencyHist) Merge(o *LatencyHist) {
-	for i := range h.buckets {
-		h.buckets[i] += o.buckets[i]
-	}
-	h.count += o.count
-	h.sum += o.sum
-	if o.max > h.max {
-		h.max = o.max
-	}
-}
-
 // Table renders aligned experiment tables.
 type Table struct {
 	header []string
@@ -149,9 +105,6 @@ func (t *Table) AddRow(cells ...interface{}) {
 	}
 	t.rows = append(t.rows, row)
 }
-
-// Rows reports the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
 
 // String renders the table with aligned columns.
 func (t *Table) String() string {

@@ -24,8 +24,8 @@ type Event struct {
 }
 
 // Owner is a sink consuming the ordered event stream of one partition: a
-// local core.Model shard, a Mailbox draining toward a remote metadata
-// server, or any other application target. Every batch an Owner receives is
+// local core.Model shard, a connection to a remote one (rpc.NetOwner), or
+// any other application target. Every batch an Owner receives is
 // FIFO in global stream order; applying batches in arrival order reproduces
 // the sequential mine exactly.
 type Owner interface {
@@ -77,13 +77,6 @@ func NewDispatcher(cfg Config) *Dispatcher {
 		ex:     ex,
 	}
 }
-
-// Owners reports the partition count.
-func (d *Dispatcher) Owners() int { return d.owners }
-
-// OwnerOf reports which owner serves a file's mined state: the file's
-// partition index (partition i is owner i).
-func (d *Dispatcher) OwnerOf(f trace.FileID) int { return d.part(f, d.owners) }
 
 // Dispatched reports how many records have been sequenced. Safe to read
 // concurrently with Dispatch.

@@ -15,17 +15,12 @@ const DefaultMailboxCap = 4096
 // never block: a full mailbox evicts its OLDEST undelivered event (counted
 // on the dropped Counter), so a mining burst degrades remote model fidelity
 // instead of stalling the dispatcher. Push order is preserved, which is
-// what keeps a drained remote bit-identical to the sequential mine while
-// nothing is dropped.
-//
-// Mailbox implements Owner (ApplyEvents = Push), so a Dispatcher can fan
-// out to a mix of local shards and remote mailboxes through one interface.
-// It is safe for concurrent use.
+// what keeps a remote that applies every popped event bit-identical to the
+// sequential mine while nothing is dropped. It is safe for concurrent use.
 type Mailbox struct {
 	mu      sync.Mutex
 	buf     []Event // ring buffer
 	head, n int
-	pushed  uint64
 	dropped *obs.Counter
 }
 
@@ -42,9 +37,6 @@ func NewMailbox(capacity int, dropped *obs.Counter) *Mailbox {
 	return &Mailbox{buf: make([]Event, capacity), dropped: dropped}
 }
 
-// ApplyEvents implements Owner by enqueueing the batch.
-func (b *Mailbox) ApplyEvents(evs []Event) { b.Push(evs...) }
-
 // Push appends events, evicting the oldest queued event for each one that
 // does not fit.
 func (b *Mailbox) Push(evs ...Event) {
@@ -57,14 +49,12 @@ func (b *Mailbox) Push(evs ...Event) {
 		}
 		b.buf[(b.head+b.n)%len(b.buf)] = ev
 		b.n++
-		b.pushed++
 	}
 	b.mu.Unlock()
 }
 
-// Pop removes and returns the oldest queued event. Callers metering
-// delivery (e.g. releasing only the events whose modeled network latency
-// has elapsed) pop selectively instead of Drain.
+// Pop removes and returns the oldest queued event; a caller metering
+// delivery pops only the events whose modeled network latency has elapsed.
 func (b *Mailbox) Pop() (Event, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -75,47 +65,6 @@ func (b *Mailbox) Pop() (Event, bool) {
 	b.head = (b.head + 1) % len(b.buf)
 	b.n--
 	return ev, true
-}
-
-// Drain removes every queued event in FIFO order and hands them to apply
-// as one batch. It returns the number of events delivered. apply runs with
-// the mailbox unlocked, so an owner may push from within it.
-func (b *Mailbox) Drain(apply func(evs []Event)) int {
-	b.mu.Lock()
-	n := b.n
-	if n == 0 {
-		b.mu.Unlock()
-		return 0
-	}
-	first := b.buf[b.head:min(b.head+n, len(b.buf))]
-	var second []Event
-	if rest := n - len(first); rest > 0 {
-		second = b.buf[:rest]
-	}
-	// Copy out so concurrent pushes cannot overwrite the slices while apply
-	// runs unlocked.
-	out := make([]Event, 0, n)
-	out = append(out, first...)
-	out = append(out, second...)
-	b.head = (b.head + n) % len(b.buf)
-	b.n = 0
-	b.mu.Unlock()
-	apply(out)
-	return n
-}
-
-// Len reports the queued event count.
-func (b *Mailbox) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.n
-}
-
-// Pushed reports how many events were accepted (including later drops).
-func (b *Mailbox) Pushed() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.pushed
 }
 
 // Dropped reports how many events overflow evicted before delivery.

@@ -156,31 +156,38 @@ func TestDispatcherPanicsOnZeroOwners(t *testing.T) {
 	NewDispatcher(Config{Owners: 0})
 }
 
+// popAll empties a mailbox through Pop, oldest first.
+func popAll(mb *Mailbox) []Event {
+	var got []Event
+	for ev, ok := mb.Pop(); ok; ev, ok = mb.Pop() {
+		got = append(got, ev)
+	}
+	return got
+}
+
+// TestMailboxFIFOAndDrain: events come back out in push order, a drained
+// mailbox is empty, and nothing is dropped below capacity.
 func TestMailboxFIFOAndDrain(t *testing.T) {
 	mb := NewMailbox(8, nil)
 	for i := 0; i < 5; i++ {
 		mb.Push(Event{Seq: uint64(i + 1)})
 	}
-	var got []Event
-	n := mb.Drain(func(evs []Event) { got = append(got, evs...) })
-	if n != 5 || len(got) != 5 {
-		t.Fatalf("drained %d/%d events", n, len(got))
+	got := popAll(mb)
+	if len(got) != 5 {
+		t.Fatalf("drained %d events, want 5", len(got))
 	}
 	for i, ev := range got {
 		if ev.Seq != uint64(i+1) {
 			t.Fatalf("event %d out of order: %+v", i, ev)
 		}
 	}
-	if mb.Len() != 0 || mb.Drain(func([]Event) { t.Fatal("apply on empty drain") }) != 0 {
-		t.Fatal("mailbox not empty after drain")
-	}
-	if mb.Pushed() != 5 || mb.Dropped() != 0 {
-		t.Fatalf("accounting: pushed %d dropped %d", mb.Pushed(), mb.Dropped())
+	if _, ok := mb.Pop(); ok || mb.Dropped() != 0 {
+		t.Fatalf("mailbox not empty after the drain, or dropped %d below capacity", mb.Dropped())
 	}
 }
 
-// TestMailboxPopReleasesInOrder: Pop hands out single events FIFO and
-// interoperates with Drain (metered delivery).
+// TestMailboxPopReleasesInOrder: Pop hands out single events FIFO (metered
+// delivery) and what it leaves stays in order.
 func TestMailboxPopReleasesInOrder(t *testing.T) {
 	mb := NewMailbox(8, nil)
 	if _, ok := mb.Pop(); ok {
@@ -190,8 +197,7 @@ func TestMailboxPopReleasesInOrder(t *testing.T) {
 	if ev, ok := mb.Pop(); !ok || ev.Seq != 1 {
 		t.Fatalf("first pop = %+v, %v", ev, ok)
 	}
-	var rest []Event
-	mb.Drain(func(evs []Event) { rest = append(rest, evs...) })
+	rest := popAll(mb)
 	if len(rest) != 2 || rest[0].Seq != 2 || rest[1].Seq != 3 {
 		t.Fatalf("drain after pop = %+v", rest)
 	}
@@ -204,8 +210,7 @@ func TestMailboxDropOldest(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		mb.Push(Event{Seq: uint64(i)})
 	}
-	var got []Event
-	mb.Drain(func(evs []Event) { got = append(got, evs...) })
+	got := popAll(mb)
 	if len(got) != 4 {
 		t.Fatalf("kept %d events, want 4", len(got))
 	}
@@ -219,18 +224,20 @@ func TestMailboxDropOldest(t *testing.T) {
 	}
 }
 
-// TestMailboxWrapAround: drain after the ring head has wrapped still
+// TestMailboxWrapAround: popping after the ring head has wrapped still
 // delivers FIFO.
 func TestMailboxWrapAround(t *testing.T) {
 	mb := NewMailbox(4, nil)
 	mb.Push(Event{Seq: 1}, Event{Seq: 2}, Event{Seq: 3})
-	mb.Drain(func([]Event) {})
+	popAll(mb)
 	mb.Push(Event{Seq: 4}, Event{Seq: 5}, Event{Seq: 6}) // wraps
-	var got []Event
-	mb.Drain(func(evs []Event) { got = append(got, evs...) })
+	got := popAll(mb)
+	if len(got) != 3 {
+		t.Fatalf("popped %d events after the wrap, want 3", len(got))
+	}
 	for i, ev := range got {
 		if ev.Seq != uint64(4+i) {
-			t.Fatalf("wrap drain out of order: %+v", got)
+			t.Fatalf("wrap pop out of order: %+v", got)
 		}
 	}
 }

@@ -1,9 +1,9 @@
 // Package predictors implements the file-access predictors the paper
-// compares against or cites (§6): Last Successor, First Successor, Recent
-// Popularity, Probability Graph (Griffioen & Appleton), SD Graph (SEER),
-// Nexus (Gu et al., CCGRID'06), the program/user-conditioned variants PBS
-// and PULS, and an adapter wrapping the FARMER model so every policy drives
-// the same prefetching cache in the storage simulator.
+// compares against or cites (§6) and an experiment or mdsim -policy names:
+// Last Successor, Probability Graph (Griffioen & Appleton), Nexus (Gu et
+// al., CCGRID'06), the program/user-conditioned variants PBS and PULS, and
+// an adapter wrapping the FARMER model so every policy drives the same
+// prefetching cache in the storage simulator.
 package predictors
 
 import (
@@ -65,127 +65,11 @@ func (p *LastSuccessor) Predict(f trace.FileID, k int) []trace.FileID {
 	return nil
 }
 
-// FirstSuccessor predicts the file that followed f the first time f was
-// accessed; it never changes its mind (stable but stale).
-type FirstSuccessor struct {
-	first map[trace.FileID]trace.FileID
-	prev  trace.FileID
-	warm  bool
-}
-
-// NewFirstSuccessor returns an empty First-Successor predictor.
-func NewFirstSuccessor() *FirstSuccessor {
-	return &FirstSuccessor{first: make(map[trace.FileID]trace.FileID)}
-}
-
-// Name implements Predictor.
-func (p *FirstSuccessor) Name() string { return "FS" }
-
-// Record implements Predictor.
-func (p *FirstSuccessor) Record(r *trace.Record) {
-	if p.warm && p.prev != r.File {
-		if _, ok := p.first[p.prev]; !ok {
-			p.first[p.prev] = r.File
-		}
-	}
-	p.prev = r.File
-	p.warm = true
-}
-
-// Predict implements Predictor.
-func (p *FirstSuccessor) Predict(f trace.FileID, k int) []trace.FileID {
-	if k < 1 {
-		return nil
-	}
-	if s, ok := p.first[f]; ok {
-		return []trace.FileID{s}
-	}
-	return nil
-}
-
-// RecentPopularity implements the "best j of last k successors" scheme
-// (Amer et al., IPCCC'02): it predicts the successor that appears at least j
-// times among f's last k observed successors.
-type RecentPopularity struct {
-	j, k    int
-	history map[trace.FileID][]trace.FileID
-	prev    trace.FileID
-	warm    bool
-}
-
-// NewRecentPopularity returns a best-j-of-k predictor; j=2, k=4 when
-// arguments are non-positive.
-func NewRecentPopularity(j, k int) *RecentPopularity {
-	if j <= 0 {
-		j = 2
-	}
-	if k < j {
-		k = 2 * j
-	}
-	return &RecentPopularity{j: j, k: k, history: make(map[trace.FileID][]trace.FileID)}
-}
-
-// Name implements Predictor.
-func (p *RecentPopularity) Name() string { return "RecentPopularity" }
-
-// Record implements Predictor.
-func (p *RecentPopularity) Record(r *trace.Record) {
-	if p.warm && p.prev != r.File {
-		h := append(p.history[p.prev], r.File)
-		if len(h) > p.k {
-			h = h[len(h)-p.k:]
-		}
-		p.history[p.prev] = h
-	}
-	p.prev = r.File
-	p.warm = true
-}
-
-// Predict implements Predictor.
-func (p *RecentPopularity) Predict(f trace.FileID, k int) []trace.FileID {
-	if k < 1 {
-		return nil
-	}
-	h := p.history[f]
-	if len(h) == 0 {
-		return nil
-	}
-	counts := make(map[trace.FileID]int, len(h))
-	for _, s := range h {
-		counts[s]++
-	}
-	type cand struct {
-		f trace.FileID
-		n int
-	}
-	cands := make([]cand, 0, len(counts))
-	for s, n := range counts {
-		if n >= p.j {
-			cands = append(cands, cand{s, n})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].n != cands[j].n {
-			return cands[i].n > cands[j].n
-		}
-		return cands[i].f < cands[j].f
-	})
-	if len(cands) > k {
-		cands = cands[:k]
-	}
-	out := make([]trace.FileID, len(cands))
-	for i, c := range cands {
-		out[i] = c.f
-	}
-	return out
-}
-
 // ---------------------------------------------------------- graph family
 
-// graphPredictor is the shared machinery of Probability Graph, SD Graph and
-// Nexus: a correlation graph fed with (optionally attribute-scoped) access
-// streams, predicting the top-k strongest successors above a frequency
-// floor.
+// graphPredictor is the shared machinery of Probability Graph and Nexus: a
+// correlation graph fed with (optionally attribute-scoped) access streams,
+// predicting the top-k strongest successors above a frequency floor.
 type graphPredictor struct {
 	name    string
 	g       *graph.Graph
@@ -224,18 +108,6 @@ func NewProbabilityGraph(window int, minChance float64) Predictor {
 		name:    "ProbGraph",
 		g:       graph.New(graph.Config{Window: window, Decrement: 0, MaxSuccessors: 64}),
 		minFreq: minChance,
-	}
-}
-
-// NewSDGraph builds SEER's semantic-distance graph: like the probability
-// graph but with a wider observation window and no cutoff (ranking only).
-func NewSDGraph(window int) Predictor {
-	if window <= 0 {
-		window = 4
-	}
-	return &graphPredictor{
-		name: "SDGraph",
-		g:    graph.New(graph.Config{Window: window, Decrement: 0, MaxSuccessors: 64}),
 	}
 }
 
@@ -381,13 +253,6 @@ func NewFPA(m Miner) *FPA { return &FPA{m: m} }
 
 // Miner exposes the underlying FARMER miner (for stats).
 func (p *FPA) Miner() Miner { return p.m }
-
-// Model exposes the underlying single-lock model, or nil when the FPA
-// drives a sharded miner.
-func (p *FPA) Model() *core.Model {
-	m, _ := p.m.(*core.Model)
-	return m
-}
 
 // Name implements Predictor.
 func (p *FPA) Name() string { return "FARMER" }

@@ -42,43 +42,6 @@ func TestLastSuccessorIgnoresSelfRepeat(t *testing.T) {
 	}
 }
 
-func TestFirstSuccessor(t *testing.T) {
-	p := NewFirstSuccessor()
-	feedSeq(p, 0, 1, 0, 2)
-	got := p.Predict(0, 1)
-	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("FS should stick with first successor 1, got %v", got)
-	}
-}
-
-func TestRecentPopularity(t *testing.T) {
-	p := NewRecentPopularity(2, 4)
-	// Successors of 0: 1, 2, 1, 1 -> 1 appears 3 times, 2 once; j=2 keeps 1.
-	feedSeq(p, 0, 1, 0, 2, 0, 1, 0, 1)
-	got := p.Predict(0, 2)
-	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("RecentPopularity = %v, want [1]", got)
-	}
-}
-
-func TestRecentPopularityWindowSlides(t *testing.T) {
-	p := NewRecentPopularity(2, 2)
-	// Last 2 successors of 0 become 3,3 after feeding; early 1s must age out.
-	feedSeq(p, 0, 1, 0, 1, 0, 3, 0, 3)
-	got := p.Predict(0, 1)
-	if len(got) != 1 || got[0] != 3 {
-		t.Fatalf("window did not slide: %v", got)
-	}
-}
-
-func TestRecentPopularityDefaults(t *testing.T) {
-	p := NewRecentPopularity(0, 0)
-	feedSeq(p, 0, 1, 0, 1)
-	if got := p.Predict(0, 1); len(got) != 1 {
-		t.Fatalf("default j-of-k broken: %v", got)
-	}
-}
-
 func TestNexusRanksByLDAWeight(t *testing.T) {
 	p := NewNexus(DefaultNexusConfig())
 	// 0,1,2 repeatedly: edge 0->1 gets 1.0 per round, 0->2 gets 0.9.
@@ -108,15 +71,6 @@ func TestProbabilityGraphCutoff(t *testing.T) {
 	got := p.Predict(0, 4)
 	if len(got) != 1 || got[0] != 1 {
 		t.Fatalf("ProbGraph = %v, want [1]", got)
-	}
-}
-
-func TestSDGraphRanksAll(t *testing.T) {
-	p := NewSDGraph(2)
-	feedSeq(p, 0, 1, 2)
-	got := p.Predict(0, 4)
-	if len(got) != 2 {
-		t.Fatalf("SDGraph = %v, want two candidates", got)
 	}
 }
 
@@ -181,8 +135,8 @@ func TestFPAAdapter(t *testing.T) {
 	if got := p.Predict(0, 1); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("FPA Predict = %v, want [1]", got)
 	}
-	if p.Model() != m {
-		t.Fatal("Model accessor broken")
+	if p.Miner() != Miner(m) {
+		t.Fatal("Miner accessor broken")
 	}
 }
 
@@ -205,10 +159,7 @@ func TestAllPredictorsRunOnRealWorkload(t *testing.T) {
 		cfg := core.DefaultConfig()
 		return []Predictor{
 			NewLastSuccessor(),
-			NewFirstSuccessor(),
-			NewRecentPopularity(2, 4),
 			NewProbabilityGraph(2, 0.1),
-			NewSDGraph(4),
 			NewNexus(DefaultNexusConfig()),
 			NewPBS(),
 			NewPULS(),

@@ -66,7 +66,6 @@ type Queue struct {
 	buf      []Candidate // ring buffer
 	head, n  int
 	closed   bool
-	pushed   uint64
 	dropped  *obs.Counter
 }
 
@@ -100,17 +99,9 @@ func (q *Queue) Push(c Candidate) bool {
 	}
 	q.buf[(q.head+q.n)%len(q.buf)] = c
 	q.n++
-	q.pushed++
 	q.nonEmpty.Signal()
 	q.mu.Unlock()
 	return true
-}
-
-// Pop removes the oldest candidate without blocking.
-func (q *Queue) Pop() (Candidate, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.popLocked()
 }
 
 // PopWait blocks until a candidate is available or the queue is closed and
@@ -121,10 +112,6 @@ func (q *Queue) PopWait() (Candidate, bool) {
 	for q.n == 0 && !q.closed {
 		q.nonEmpty.Wait()
 	}
-	return q.popLocked()
-}
-
-func (q *Queue) popLocked() (Candidate, bool) {
 	if q.n == 0 {
 		return Candidate{}, false
 	}
@@ -143,20 +130,6 @@ func (q *Queue) Close() {
 	q.mu.Unlock()
 }
 
-// Len reports the queued candidate count.
-func (q *Queue) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.n
-}
-
-// Pushed reports how many candidates were accepted (including later drops).
-func (q *Queue) Pushed() uint64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.pushed
-}
-
 // Dropped reports how many candidates were evicted by overflow.
 func (q *Queue) Dropped() uint64 { return q.dropped.Load() }
 
@@ -173,8 +146,8 @@ type Config struct {
 }
 
 // Stats is a snapshot of pipeline throughput and loss accounting. The
-// conservation law Predicted == Submitted + QueueDropped + queue.Len()
-// holds exactly after Stop.
+// conservation law Predicted == Submitted + QueueDropped holds exactly
+// after Stop, which drains the queue.
 type Stats struct {
 	Events       uint64 // tap events consumed
 	TapDropped   uint64 // tap notifications lost to consumer lag

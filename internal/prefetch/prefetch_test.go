@@ -21,12 +21,13 @@ func TestQueueFIFO(t *testing.T) {
 		q.Push(cand(i))
 	}
 	for i := uint64(0); i < 5; i++ {
-		c, ok := q.Pop()
+		c, ok := q.PopWait()
 		if !ok || c.Seq != i {
 			t.Fatalf("pop %d: got %+v ok=%v", i, c, ok)
 		}
 	}
-	if _, ok := q.Pop(); ok {
+	q.Close()
+	if _, ok := q.PopWait(); ok {
 		t.Fatal("pop on empty queue succeeded")
 	}
 }
@@ -43,12 +44,9 @@ func TestQueueDropOldest(t *testing.T) {
 	if got := q.Dropped(); got != 6 {
 		t.Fatalf("q.Dropped() = %d, want 6", got)
 	}
-	if got := q.Pushed(); got != 10 {
-		t.Fatalf("pushed = %d, want 10", got)
-	}
 	// The newest 4 candidates survive, in order.
 	for i := uint64(6); i < 10; i++ {
-		c, ok := q.Pop()
+		c, ok := q.PopWait()
 		if !ok || c.Seq != i {
 			t.Fatalf("retained candidate: got %+v ok=%v, want seq %d", c, ok, i)
 		}

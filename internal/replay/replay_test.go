@@ -7,6 +7,7 @@ import (
 	"farmer/internal/core"
 	"farmer/internal/hust"
 	"farmer/internal/prefetch"
+	"farmer/internal/trace"
 	"farmer/internal/tracegen"
 	"farmer/internal/vsm"
 )
@@ -175,4 +176,31 @@ func TestCompareIsDeterministic(t *testing.T) {
 		a.Baseline.Stats.AvgDemandWait != b.Baseline.Stats.AvgDemandWait {
 		t.Fatal("virtual-time latency figures differ between identical runs")
 	}
+}
+
+// PipelineOutcome is one RunPipeline execution: the mined-state fingerprint
+// after the concurrent ingest and the pipeline's loss accounting.
+type PipelineOutcome struct {
+	Fingerprint uint64
+	Stats       prefetch.Stats
+}
+
+// RunPipeline ingests the trace into a fresh sharded miner in batches while
+// a real prefetch.Pipeline (goroutine tap consumers, bounded queue, submit
+// loop) runs against it, delivering candidates to sink (discarded when
+// nil). It returns after the pipeline has fully drained, so the fingerprint
+// and stats are stable.
+func RunPipeline(tr *trace.Trace, mc core.Config, pcfg prefetch.Config, sink prefetch.Sink) PipelineOutcome {
+	sm := core.NewSharded(mc)
+	p := prefetch.Start(sm, sink, pcfg)
+	const chunk = 512
+	for lo := 0; lo < len(tr.Records); lo += chunk {
+		hi := lo + chunk
+		if hi > len(tr.Records) {
+			hi = len(tr.Records)
+		}
+		sm.FeedBatch(tr.Records[lo:hi])
+	}
+	p.Stop()
+	return PipelineOutcome{Fingerprint: Fingerprint(sm, tr.FileCount), Stats: p.Stats()}
 }

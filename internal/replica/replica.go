@@ -193,13 +193,6 @@ func (mgr *Manager) Recover(g GroupID, version uint64) ([]trace.FileID, error) {
 	return append([]trace.FileID(nil), snap...), nil
 }
 
-// Version reports a group's latest backup version (0 = never backed up).
-func (mgr *Manager) Version(g GroupID) uint64 {
-	mgr.mu.RLock()
-	defer mgr.mu.RUnlock()
-	return mgr.versions[g]
-}
-
 // BackupAll cuts a backup of EVERY group under one lock acquisition: the
 // whole cut observes a single consistent grouping (a concurrent Rebuild
 // lands entirely before or entirely after it, never inside), which is the

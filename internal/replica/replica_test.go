@@ -81,7 +81,7 @@ func TestBackupRecoverAtomicity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v1 != 1 || mgr.Version(g) != 1 {
+	if v1 != 1 || mgr.VersionTotal() != 1 {
 		t.Fatalf("version = %d", v1)
 	}
 	v2, _ := mgr.Backup(g)
@@ -129,8 +129,8 @@ func TestConcurrentBackups(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if mgr.Version(0) != 400 {
-		t.Fatalf("version = %d, want 400 (no lost updates)", mgr.Version(0))
+	if mgr.VersionTotal() != 400 {
+		t.Fatalf("version = %d, want 400 (no lost updates)", mgr.VersionTotal())
 	}
 }
 
@@ -213,11 +213,9 @@ func TestRegroupRacesBackup(t *testing.T) {
 				case 0:
 					mgr.BackupAll()
 				case 1:
-					if _, err := mgr.Backup(GroupID(i % 8)); err == nil {
-						if v := mgr.Version(GroupID(i % 8)); v == 0 {
-							t.Errorf("backup succeeded but version is 0")
-							return
-						}
+					if v, err := mgr.Backup(GroupID(i % 8)); err == nil && v == 0 {
+						t.Errorf("backup succeeded but version is 0")
+						return
 					}
 				case 2:
 					if g, ok := mgr.GroupOf(trace.FileID(i)); ok {

@@ -143,14 +143,6 @@ func (r *Replicator) EnableDeltaCatchup(tailCap int, fp func() (fingerprint uint
 	r.mu.Unlock()
 }
 
-// Pos reports the current stream position (records ingested through the
-// replicator plus the starting position).
-func (r *Replicator) Pos() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.pos
-}
-
 // Followers reports the attached follower addresses.
 func (r *Replicator) Followers() []string {
 	r.mu.Lock()

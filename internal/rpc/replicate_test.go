@@ -173,7 +173,10 @@ func TestReplicatorStreamOrdering(t *testing.T) {
 		}
 		pos += uint64(n)
 	}
-	if got := r.Pos(); got != pos {
+	r.mu.Lock()
+	got := r.pos
+	r.mu.Unlock()
+	if got != pos {
 		t.Fatalf("replicator position %d, want %d", got, pos)
 	}
 

@@ -171,13 +171,6 @@ func (m *Manager) Allowed(f trace.FileID, principal uint32, a Action) bool {
 	return allowed
 }
 
-// Rules returns a copy of a file's rule list.
-func (m *Manager) Rules(f trace.FileID) []Rule {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return append([]Rule(nil), m.rules[f]...)
-}
-
 // SecureDeleteSet returns the correlation closure that a secure delete of f
 // should scrub together (paper: "secured delete" over correlated files):
 // f plus every file reachable with path degree >= MinStrength.

@@ -93,11 +93,11 @@ func TestPropagatedMarkedAndWeaker(t *testing.T) {
 	if len(reached) == 0 {
 		t.Fatal("no propagation")
 	}
-	direct := mgr.Rules(0)
+	direct := mgr.rules[0]
 	if len(direct) != 1 || direct[0].Propagated || direct[0].Strength != 1.0 {
 		t.Fatalf("direct rule wrong: %+v", direct)
 	}
-	prop := mgr.Rules(reached[0])
+	prop := mgr.rules[reached[0]]
 	if len(prop) != 1 || !prop[0].Propagated || prop[0].Strength >= 1.0 {
 		t.Fatalf("propagated rule wrong: %+v", prop)
 	}
@@ -108,7 +108,7 @@ func TestDirectRuleDominatesPropagated(t *testing.T) {
 	mgr, _ := NewManager(m, DefaultConfig())
 	mgr.Install(0, Rule{Principal: 5, Action: ActionRead, Effect: Deny}) // propagates to 1
 	mgr.Install(1, Rule{Principal: 5, Action: ActionRead, Effect: Deny}) // direct install on 1
-	for _, r := range mgr.Rules(1) {
+	for _, r := range mgr.rules[1] {
 		if r.Principal == 5 && r.Propagated {
 			t.Fatal("direct rule did not replace propagated duplicate")
 		}

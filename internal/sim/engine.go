@@ -11,23 +11,15 @@ import (
 	"time"
 )
 
-// Event is a scheduled callback. The callback runs with the engine clock set
+// event is a scheduled callback. The callback runs with the engine clock set
 // to the event time.
-type Event struct {
-	at   time.Duration
-	seq  uint64 // FIFO tie-break for equal timestamps
-	fn   func()
-	dead bool
+type event struct {
+	at  time.Duration
+	seq uint64 // FIFO tie-break for equal timestamps
+	fn  func()
 }
 
-// Cancel marks the event so that its callback will not run. Cancelling an
-// already-executed event has no effect.
-func (e *Event) Cancel() { e.dead = true }
-
-// At reports the virtual time at which the event is scheduled.
-func (e *Event) At() time.Duration { return e.at }
-
-type eventHeap []*Event
+type eventHeap []*event
 
 func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
@@ -37,7 +29,7 @@ func (h eventHeap) Less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*Event)) }
+func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
@@ -54,7 +46,6 @@ type Engine struct {
 	now    time.Duration
 	next   uint64
 	events eventHeap
-	steps  uint64
 }
 
 // New returns a fresh engine with the clock at zero.
@@ -63,70 +54,29 @@ func New() *Engine { return &Engine{} }
 // Now reports the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// Steps reports how many events have executed.
-func (e *Engine) Steps() uint64 { return e.steps }
-
-// Pending reports how many scheduled (possibly cancelled) events remain.
-func (e *Engine) Pending() int { return len(e.events) }
-
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it would silently reorder causality.
-func (e *Engine) At(t time.Duration, fn func()) *Event {
+func (e *Engine) At(t time.Duration, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
 	}
-	ev := &Event{at: t, seq: e.next, fn: fn}
+	heap.Push(&e.events, &event{at: t, seq: e.next, fn: fn})
 	e.next++
-	heap.Push(&e.events, ev)
-	return ev
 }
 
 // After schedules fn to run d after the current virtual time.
-func (e *Engine) After(d time.Duration, fn func()) *Event {
+func (e *Engine) After(d time.Duration, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return e.At(e.now+d, fn)
-}
-
-// Step executes the single next event. It reports false when no runnable
-// events remain.
-func (e *Engine) Step() bool {
-	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*Event)
-		if ev.dead {
-			continue
-		}
-		e.now = ev.at
-		e.steps++
-		ev.fn()
-		return true
-	}
-	return false
+	e.At(e.now+d, fn)
 }
 
 // Run executes events until the queue drains.
 func (e *Engine) Run() {
-	for e.Step() {
-	}
-}
-
-// RunUntil executes events with timestamps <= deadline, leaving later events
-// queued, and advances the clock to deadline.
-func (e *Engine) RunUntil(deadline time.Duration) {
 	for len(e.events) > 0 {
-		// Peek.
-		ev := e.events[0]
-		if ev.dead {
-			heap.Pop(&e.events)
-			continue
-		}
-		if ev.at > deadline {
-			break
-		}
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
+		ev := heap.Pop(&e.events).(*event)
+		e.now = ev.at
+		ev.fn()
 	}
 }

@@ -40,7 +40,6 @@ type Server struct {
 	dropped   [numPriorities]uint64 // evicted from a bounded queue
 	waitSum   [numPriorities]time.Duration
 	busySum   time.Duration
-	maxDepth  int
 }
 
 // NewServer creates a server with the given worker count attached to eng.
@@ -71,9 +70,6 @@ func (s *Server) Submit(pri int, r *Request) {
 			s.dropped[pri]++
 		}
 	}
-	if d := s.depth(); d > s.maxDepth {
-		s.maxDepth = d
-	}
 	s.dispatch()
 }
 
@@ -84,14 +80,6 @@ func (s *Server) LimitQueue(pri, max int) {
 		return
 	}
 	s.limits[pri] = max
-}
-
-func (s *Server) depth() int {
-	n := 0
-	for i := range s.queues {
-		n += len(s.queues[i])
-	}
-	return n
 }
 
 func (s *Server) dispatch() {
@@ -132,13 +120,9 @@ func (s *Server) dispatch() {
 	}
 }
 
-// Served reports how many requests of the given priority completed service
-// entry (dispatched).
-func (s *Server) Served(pri int) uint64 { return s.served[pri] }
-
 // Completed reports how many requests of the given priority finished
-// service. It trails Served while requests are in flight and matches it
-// once the engine drains.
+// service; it trails the count that entered service while requests are in
+// flight.
 func (s *Server) Completed(pri int) uint64 { return s.completed[pri] }
 
 // Dropped reports how many requests of the given priority were evicted from
@@ -161,6 +145,3 @@ func (s *Server) Utilization() float64 {
 	}
 	return float64(s.busySum) / float64(s.eng.Now())
 }
-
-// MaxQueueDepth reports the deepest combined queue observed.
-func (s *Server) MaxQueueDepth() int { return s.maxDepth }

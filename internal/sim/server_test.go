@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// TestServerCompletionStats distinguishes dispatch (Served) from completion
-// (Completed): mid-service the two differ by exactly the in-flight count,
+// TestServerCompletionStats distinguishes dispatch (the served count AvgWait
+// divides by) from completion (Completed): mid-service the two differ by exactly the in-flight count,
 // and they converge when the engine drains.
 func TestServerCompletionStats(t *testing.T) {
 	e := New()
@@ -17,21 +17,22 @@ func TestServerCompletionStats(t *testing.T) {
 	s.Submit(PriorityPrefetch, &Request{Service: 10 * time.Millisecond})
 
 	// At t=0 two demands are in service, none complete.
-	if got := s.Served(PriorityDemand); got != 2 {
+	if got := s.served[PriorityDemand]; got != 2 {
 		t.Fatalf("served(demand) = %d at t=0, want 2", got)
 	}
 	if got := s.Completed(PriorityDemand); got != 0 {
 		t.Fatalf("completed(demand) = %d at t=0, want 0", got)
 	}
 
-	e.RunUntil(10 * time.Millisecond)
-	if got := s.Completed(PriorityDemand); got != 2 {
-		t.Fatalf("completed(demand) = %d at t=10ms, want 2", got)
-	}
-	if got := s.Completed(PriorityPrefetch); got != 0 {
-		t.Fatalf("completed(prefetch) = %d at t=10ms, want 0 (demand runs first)", got)
-	}
-
+	// Scheduled after the first two completions, so at t=10ms it runs after them.
+	e.At(10*time.Millisecond, func() {
+		if got := s.Completed(PriorityDemand); got != 2 {
+			t.Errorf("completed(demand) = %d at t=10ms, want 2", got)
+		}
+		if got := s.Completed(PriorityPrefetch); got != 0 {
+			t.Errorf("completed(prefetch) = %d at t=10ms, want 0 (demand runs first)", got)
+		}
+	})
 	e.Run()
 	if got := s.Completed(PriorityDemand); got != 4 {
 		t.Fatalf("completed(demand) = %d, want 4", got)
@@ -39,8 +40,7 @@ func TestServerCompletionStats(t *testing.T) {
 	if got := s.Completed(PriorityPrefetch); got != 1 {
 		t.Fatalf("completed(prefetch) = %d, want 1", got)
 	}
-	if s.Served(PriorityDemand) != s.Completed(PriorityDemand) ||
-		s.Served(PriorityPrefetch) != s.Completed(PriorityPrefetch) {
+	if s.served != s.completed {
 		t.Fatal("served and completed diverge after drain")
 	}
 }

@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Stats summarises a trace for reporting and for the Fig.-1 style analysis.
 type Stats struct {
@@ -136,36 +133,4 @@ func SuccessorProbability(t *Trace, key AttrKey) float64 {
 		return 0
 	}
 	return sum / float64(n)
-}
-
-// TopFiles returns the n most frequently accessed files with their counts,
-// sorted by decreasing count then increasing id.
-func TopFiles(t *Trace, n int) []struct {
-	File  FileID
-	Count int
-} {
-	counts := make(map[FileID]int)
-	for i := range t.Records {
-		counts[t.Records[i].File]++
-	}
-	out := make([]struct {
-		File  FileID
-		Count int
-	}, 0, len(counts))
-	for f, c := range counts {
-		out = append(out, struct {
-			File  FileID
-			Count int
-		}{f, c})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].File < out[j].File
-	})
-	if n < len(out) {
-		out = out[:n]
-	}
-	return out
 }

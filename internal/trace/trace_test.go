@@ -244,17 +244,6 @@ func TestSuccessorProbabilityEmpty(t *testing.T) {
 	}
 }
 
-func TestTopFiles(t *testing.T) {
-	tr := &Trace{Name: "top", FileCount: 3}
-	for i, f := range []FileID{0, 1, 1, 2, 2, 2} {
-		tr.Records = append(tr.Records, Record{Seq: uint64(i), File: f})
-	}
-	top := TopFiles(tr, 2)
-	if len(top) != 2 || top[0].File != 2 || top[0].Count != 3 || top[1].File != 1 {
-		t.Fatalf("TopFiles wrong: %+v", top)
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	tr := sampleTrace()
 	c := tr.Clone()

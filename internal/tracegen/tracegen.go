@@ -374,5 +374,3 @@ func sampleCDF(cdf []float64, rng *rand.Rand) int {
 	}
 	return lo
 }
-
-func newRNG(seed uint64) *rand.Rand { return rand.New(rand.NewPCG(seed, 1)) }

@@ -1,6 +1,7 @@
 package tracegen
 
 import (
+	"math/rand/v2"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -212,6 +213,8 @@ func TestByName(t *testing.T) {
 		t.Fatal("unknown profile found")
 	}
 }
+
+func newRNG(seed uint64) *rand.Rand { return rand.New(rand.NewPCG(seed, 1)) }
 
 func TestZipfCDFProperty(t *testing.T) {
 	f := func(seed uint64, n uint8, sSel uint8) bool {

@@ -170,10 +170,9 @@ type LocalMiner struct {
 
 var _ Miner = (*LocalMiner)(nil)
 
-// Open creates an in-process miner. Unlike the deprecated New/NewSharded it
-// returns errors — an invalid configuration, a bad option, or a store that
-// fails to open (including a corrupt write-ahead log) — instead of
-// panicking.
+// Open creates an in-process miner. It returns errors — an invalid
+// configuration, a bad option, or a store that fails to open (including a
+// corrupt write-ahead log) — and never panics on them.
 func Open(cfg Config, opts ...Option) (*LocalMiner, error) {
 	var oc openConfig
 	for _, opt := range opts {

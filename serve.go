@@ -808,7 +808,7 @@ func (b *serveBackend) ConnClosed(conn uint64) {
 // tenant on demand (m serves the default tenant either way). It blocks for
 // the duration and returns the first serve, checkpoint,
 // replication-bootstrap, or drain error. This is the serving loop behind
-// cmd/farmerd and `farmerctl serve`.
+// cmd/farmerd.
 func Serve(ctx context.Context, lis net.Listener, m *LocalMiner, cfg ServeConfig) error {
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 10 * time.Second

@@ -24,8 +24,7 @@ import (
 // layer so callers never import internal/rpc. Match with errors.Is.
 var (
 	// ErrTenantBudget reports a tenant refused by admission control: too
-	// many live tenants, a configuration over its shard/mailbox budget, or
-	// a model footprint past its MemoryBytes cap.
+	// many live tenants, or a model footprint past its MaxMemoryBytes cap.
 	ErrTenantBudget = rpc.ErrTenantBudget
 	// ErrUnauthorized reports a bearer token the server does not know, or
 	// one not granted the addressed tenant.
@@ -108,6 +107,11 @@ type tenantEntry struct {
 	backend *serveBackend
 	owned   bool
 	lastUse time.Time // guarded by Registry.mu
+	// closing is non-nil from the moment evictIdle claims the entry and is
+	// closed once the miner is: until then the entry stays in the map, so
+	// nothing opens a second miner on a store.wal still being written.
+	// Guarded by Registry.mu.
+	closing chan struct{}
 }
 
 func newRegistry(cfg ServeConfig, saveBudget time.Duration, leaseSt *leaseState) *Registry {
@@ -132,25 +136,31 @@ func (g *Registry) registerDefault(m *LocalMiner, b *serveBackend) {
 var _ rpc.Resolver = (*Registry)(nil)
 
 // BackendFor implements rpc.Resolver: resolve (or lazily open) the
-// tenant's serving backend. Admission refusals wrap ErrTenantBudget.
+// tenant's serving backend. Admission refusals wrap ErrTenantBudget. A
+// tenant met in the middle of its idle eviction is waited for outside g.mu
+// (no neighbour stalls behind the eviction's checkpoint) and then reopened
+// from the store that checkpoint went to.
 func (g *Registry) BackendFor(tenant string) (rpc.Backend, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if e := g.tenants[tenant]; e != nil {
-		e.lastUse = time.Now()
-		return e.backend, nil
+	for {
+		g.mu.Lock()
+		e := g.tenants[tenant]
+		if e == nil {
+			e, err := g.openLocked(tenant)
+			g.mu.Unlock()
+			if err != nil {
+				return nil, err
+			}
+			return e.backend, nil
+		}
+		closing := e.closing
+		if closing == nil {
+			e.lastUse = time.Now()
+			g.mu.Unlock()
+			return e.backend, nil
+		}
+		g.mu.Unlock()
+		<-closing
 	}
-	if g.closed {
-		return nil, errors.New("farmer: server is draining")
-	}
-	if g.cfg == nil {
-		return nil, fmt.Errorf("farmer: unknown tenant %q (multi-tenant serving not enabled; start farmerd with -tenants-dir)", tenant)
-	}
-	e, err := g.openLocked(tenant)
-	if err != nil {
-		return nil, err
-	}
-	return e.backend, nil
 }
 
 // openLocked admits and opens one named tenant under g.mu. Holding the
@@ -158,6 +168,12 @@ func (g *Registry) BackendFor(tenant string) (rpc.Backend, error) {
 // tenant; the store open is local disk I/O, brief at this tier, and the
 // follower attaches are bounded (leaseState.replicate).
 func (g *Registry) openLocked(tenant string) (*tenantEntry, error) {
+	if g.closed {
+		return nil, errors.New("farmer: server is draining")
+	}
+	if g.cfg == nil {
+		return nil, fmt.Errorf("farmer: unknown tenant %q (multi-tenant serving not enabled; start farmerd with -tenants-dir)", tenant)
+	}
 	if g.cfg.MaxTenants > 0 {
 		named := len(g.tenants)
 		if _, ok := g.tenants[""]; ok {
@@ -272,11 +288,11 @@ func (g *Registry) evictIdle() {
 	now := time.Now()
 	var evict []*tenantEntry
 	g.mu.Lock()
-	for name, e := range g.tenants {
+	for _, e := range g.tenants {
 		if !e.owned || now.Sub(e.lastUse) < g.cfg.IdleAfter {
 			continue
 		}
-		delete(g.tenants, name)
+		e.closing = make(chan struct{})
 		evict = append(evict, e)
 	}
 	g.mu.Unlock()
@@ -288,6 +304,10 @@ func (g *Registry) evictIdle() {
 			g.logf("tenant %q: eviction checkpoint failed (tenant closed anyway): %v", e.name, err)
 		}
 		e.m.Close()
+		g.mu.Lock()
+		delete(g.tenants, e.name)
+		g.mu.Unlock()
+		close(e.closing)
 		g.logf("tenant %q evicted after %v idle", e.name, g.cfg.IdleAfter)
 	}
 }
@@ -325,12 +345,15 @@ func (g *Registry) drainAll(dctx context.Context) error {
 }
 
 // snapshot returns the live tenants, default first then lexicographic — the
-// order every listing shows and every sweep walks.
+// order every listing shows and every sweep walks. A tenant being evicted is
+// not live: its miner may already be closed.
 func (g *Registry) snapshot() []*tenantEntry {
 	g.mu.Lock()
 	entries := make([]*tenantEntry, 0, len(g.tenants))
 	for _, e := range g.tenants {
-		entries = append(entries, e)
+		if e.closing == nil {
+			entries = append(entries, e)
+		}
 	}
 	g.mu.Unlock()
 	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
