@@ -66,13 +66,18 @@ type Edge struct {
 
 // Node is one file's out-edge table: a compact slice searched linearly, with
 // distinct To ids in no particular order. At the default MaxSuccessors it is
-// at most 64 entries (1 KiB), where a scan beats hashing and the eviction
-// victim is found without iterating a map. Graph keeps one per file, and so
-// does core.Model inside its per-file record: LDA credit-and-evict is Add,
-// written once.
+// at most 64 entries (1 KiB), where a scan beats hashing. Graph keeps one per
+// file, and so does core.Model inside its per-file record: LDA credit-and-
+// evict is Add, written once.
 type Node struct {
 	Total float64 // N_x: accumulated outbound credit (denominator of F)
 	Edges []Edge
+
+	// victim is one more than the slot a full node evicts from, 0 until a
+	// miss has looked (and in a node built from a checkpoint's Total and
+	// Edges). Weights only grow and a full node never shrinks, so the weakest
+	// edge stays the weakest until it is itself credited or replaced.
+	victim int32
 }
 
 // Find returns the slot of the edge to the given file, -1 when there is none.
@@ -93,6 +98,9 @@ func (n *Node) Add(to trace.FileID, w float64, maxSuccessors int) int {
 	n.Total += w
 	if i := n.Find(to); i >= 0 {
 		n.Edges[i].Weight += w
+		if int(n.victim) == i+1 {
+			n.victim = 0
+		}
 		return i
 	}
 	if maxSuccessors <= 0 || len(n.Edges) < maxSuccessors {
@@ -100,20 +108,26 @@ func (n *Node) Add(to trace.FileID, w float64, maxSuccessors int) int {
 			n.Edges = make([]Edge, 0, 4)
 		}
 		n.Edges = append(n.Edges, Edge{To: to, Weight: w})
+		n.victim = 0 // only a caller that raised maxSuccessors gets here with one remembered
 		return len(n.Edges) - 1
 	}
 	// Full: the weakest edge makes room, unless the new edge is no stronger.
 	// Ties break toward the lowest file id — a total order, so eviction, and
 	// therefore the whole mined state, does not depend on slot order.
-	victim := 0
-	for i := 1; i < len(n.Edges); i++ {
-		e, v := &n.Edges[i], &n.Edges[victim]
-		if e.Weight < v.Weight || (e.Weight == v.Weight && e.To < v.To) {
-			victim = i
+	if n.victim == 0 {
+		victim := 0
+		for i := 1; i < len(n.Edges); i++ {
+			e, v := &n.Edges[i], &n.Edges[victim]
+			if e.Weight < v.Weight || (e.Weight == v.Weight && e.To < v.To) {
+				victim = i
+			}
 		}
+		n.victim = int32(victim + 1)
 	}
+	victim := int(n.victim) - 1
 	if w > n.Edges[victim].Weight {
 		n.Edges[victim] = Edge{To: to, Weight: w}
+		n.victim = 0
 		return victim
 	}
 	return -1
