@@ -7,10 +7,11 @@ import (
 	"farmer/internal/tracegen"
 )
 
-// The allocation gate: the steady-state mining path is one allocation per
-// record (the stored vector's scalar slice) and a sharded batch allocates
-// per call, not per event. A change that puts a per-record allocation back
-// fails here instead of showing up later as a slower ledger row.
+// The allocation gate: the steady-state mining path allocates nothing per
+// record (a stored vector's scalars are its extractor's interned list) and a
+// sharded batch allocates per call, not per record or event. A change that
+// puts a per-record allocation back fails here instead of showing up later
+// as a slower ledger row.
 
 func TestFeedAllocsPerRecord(t *testing.T) {
 	tr := tracegen.HP(20000).MustGenerate()
@@ -34,8 +35,8 @@ func TestFeedAllocsPerRecord(t *testing.T) {
 			i++
 		})
 		t.Logf("dirty tracking %v: %.2f allocs/record", dirty, perRecord)
-		if perRecord > 1 {
-			t.Errorf("dirty tracking %v: Model.Feed allocates %.2f times per record at steady state, want <= 1", dirty, perRecord)
+		if perRecord > 0 {
+			t.Errorf("dirty tracking %v: Model.Feed allocates %.2f times per record at steady state, want 0", dirty, perRecord)
 		}
 	}
 }
@@ -52,11 +53,11 @@ func TestFeedBatchAllocsPerCall(t *testing.T) {
 		sm.FeedBatch(tr.Records[i*batch : (i+1)*batch])
 		i = (i + 1) % (len(tr.Records) / batch)
 	})
-	// One scalar slice per record is Stage 1's; what the batch machinery adds
-	// on top — goroutines, channels, closures, a chunk the pool had dropped —
-	// must not grow with the ~4 events each record fans out to.
+	// What the batch machinery allocates — goroutines, channels, closures, a
+	// chunk the pool had dropped — must not grow with the records or the ~4
+	// events each fans out to.
 	t.Logf("%.0f allocs per FeedBatch(%d)", perCall, batch)
-	if overhead := perCall - batch; overhead > 64 {
-		t.Errorf("FeedBatch(%d) at 2 shards allocates %.0f times per call, %.0f beyond one per record; want O(1) per call", batch, perCall, overhead)
+	if perCall > 64 {
+		t.Errorf("FeedBatch(%d) at 2 shards allocates %.0f times per call; want O(1) per call", batch, perCall)
 	}
 }

@@ -56,7 +56,7 @@ func (m *Model) ApplyEvents(evs []partition.Event) {
 		ev := &evs[i]
 		if ev.Access {
 			v := ev.Vec
-			v.Presplit() // a no-op on what this process extracted; a decoded vector becomes a stored one here
+			v.Presplit() // returns at once on what this process extracted; a decoded vector becomes a stored one here
 			m.setVector(ev.Succ, v)
 			continue
 		}

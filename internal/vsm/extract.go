@@ -1,6 +1,7 @@
 package vsm
 
 import (
+	"math/bits"
 	"strconv"
 
 	"farmer/internal/trace"
@@ -16,14 +17,16 @@ type Extractor struct {
 	Alg  PathAlg
 
 	// tokens interns the scalar tokens ("u:12") this extractor has built,
-	// keyed by attribute and value, so a steady stream reuses one string
-	// per distinct value instead of formatting a fresh one per record. It
-	// is a cache of derivable strings, not mined state: at most maxTokens
-	// entries, forgotten by Reset.
+	// keyed by attribute and value, and lists a record's whole scalar list,
+	// keyed by its enabled attribute values, so a steady stream reuses one
+	// list per distinct (user, process, host) instead of building one per
+	// record. Caches of derivable strings, not mined state: at most
+	// maxTokens entries each, forgotten by Reset.
 	tokens map[uint64]string
+	lists  map[[len(scalarAttrs)]uint32][]string
 }
 
-// maxTokens bounds an Extractor's intern table. Users, processes and hosts
+// maxTokens bounds an Extractor's intern tables. Users, processes and hosts
 // number far fewer; file ids do not, and past the bound their tokens are
 // simply built per record, as every token was before the table existed.
 const maxTokens = 1 << 14
@@ -34,8 +37,9 @@ func NewExtractor(mask Mask) *Extractor {
 	return &Extractor{Mask: mask, Alg: IPA}
 }
 
-// Reset forgets the interned tokens.
-func (e *Extractor) Reset() { e.tokens = nil }
+// Reset forgets the interned tokens and lists (a vector already out keeps
+// its own: nothing writes to one).
+func (e *Extractor) Reset() { e.tokens, e.lists = nil, nil }
 
 // scalarAttrs lists the discrete attributes in vector order with their tags.
 var scalarAttrs = [...]struct {
@@ -62,17 +66,31 @@ func (e *Extractor) token(i int, val uint32) string {
 // Extract builds the semantic vector for a record. Scalar tokens are
 // prefixed with their attribute tag so that, e.g., user 5 never collides
 // with process 5 — the paper's Table 1 shows attribute values as distinct
-// namespaced entries. Where the path's components end is noted here, once,
-// inside the vector: a record still costs one allocation, the scalars.
+// namespaced entries. Records that agree on every enabled value share one
+// interned list (cap == len: an append copies, never writes into it) — but
+// under a mask with the file id, where each file's list is its own, none is
+// kept and asking the nil table is free. Where the path's components end is
+// noted inside the vector: a record of a known tuple allocates nothing.
 func (e *Extractor) Extract(r *trace.Record) Vector {
-	var v Vector
 	vals := [len(scalarAttrs)]uint32{r.UID, r.PID, r.Host, uint32(r.File), r.Dev}
-	if n := e.Mask.Without(AttrPath).Count(); n > 0 { // every attribute but the path is a scalar
-		v.Scalars = make([]string, 0, n)
-	}
 	for i, sa := range scalarAttrs {
-		if e.Mask.Has(sa.attr) {
-			v.Scalars = append(v.Scalars, e.token(i, vals[i]))
+		if !e.Mask.Has(sa.attr) {
+			vals[i] = 0
+		}
+	}
+	v := Vector{Scalars: e.lists[vals]}
+	if n := e.Mask.Without(AttrPath).Count(); v.Scalars == nil && n > 0 { // every attribute but the path is a scalar
+		v.Scalars = make([]string, 0, n)
+		for i, sa := range scalarAttrs {
+			if e.Mask.Has(sa.attr) {
+				v.Scalars = append(v.Scalars, e.token(i, vals[i]))
+			}
+		}
+		if !e.Mask.Has(AttrFileID) && len(e.lists) < maxTokens {
+			if e.lists == nil {
+				e.lists = make(map[[len(scalarAttrs)]uint32][]string)
+			}
+			e.lists[vals] = v.Scalars
 		}
 	}
 	if e.Mask.Has(AttrPath) && r.Path != "" {
@@ -100,13 +118,13 @@ func Combinations(attrs []Attr) []Mask {
 	n := len(attrs)
 	var out []Mask
 	for size := 1; size <= n; size++ {
-		for bits := 1; bits < 1<<n; bits++ {
-			if popcount(bits) != size {
+		for set := 1; set < 1<<n; set++ {
+			if bits.OnesCount(uint(set)) != size {
 				continue
 			}
 			var m Mask
 			for i := 0; i < n; i++ {
-				if bits&(1<<i) != 0 {
+				if set&(1<<i) != 0 {
 					m = m.With(attrs[i])
 				}
 			}
@@ -114,13 +132,4 @@ func Combinations(attrs []Attr) []Mask {
 		}
 	}
 	return out
-}
-
-func popcount(x int) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }

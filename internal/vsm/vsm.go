@@ -183,10 +183,11 @@ func component(p string, i int) (start, end int) {
 }
 
 // Presplit caches where the path's components end, as Extract does, in a
-// decoded vector — for whoever stores it, to be compared many times.
+// decoded vector — for whoever stores it, to be compared many times. A
+// vector already cut is left alone.
 func (v *Vector) Presplit() {
 	var ends [MaxCached]uint16
-	if p := v.Path; len(p) <= math.MaxUint16 {
+	if p := v.Path; v.ends[0] == 0 && len(p) <= math.MaxUint16 {
 		n := 0
 		for s, e := component(p, 0); s < len(p); s, e = component(p, e) {
 			if n == MaxCached {
@@ -242,8 +243,12 @@ func (v *Vector) components(buf []string, from int) []string {
 // i times in a and j times in b counts min(i, j) times, whatever the order.
 // Items equal at equal positions pair off first — exact, since taking one x
 // from each side takes one from min(i, j) — and each item a has left then
-// claims one unclaimed equal item of b.
+// claims one unclaimed equal item of b. A list against itself (two vectors of
+// one Extractor's interned scalars) shares every item.
 func intersect(a, b []string) int {
+	if len(a) == len(b) && len(a) > 0 && &a[0] == &b[0] {
+		return len(a)
+	}
 	var few [2 * MaxCached]bool
 	marks := few[:]
 	if len(a)+len(b) > len(few) {

@@ -337,8 +337,57 @@ func TestExtractorTokenTable(t *testing.T) {
 	}
 }
 
+// TestExtractorListTable pins the interned scalar lists: records that agree
+// on every enabled value share one backing array nobody can append into, the
+// table stops at its bound, Reset forgets it without disturbing a vector
+// already out, and a mask with the file id — every file its own list — keeps
+// no table at all.
+func TestExtractorListTable(t *testing.T) {
+	e := NewExtractor(AllPathMask)
+	a := e.Extract(&trace.Record{UID: 7, PID: 42, Host: 3, File: 1, Dev: 9, Path: "/home/u7/f"})
+	b := e.Extract(&trace.Record{UID: 7, PID: 42, Host: 3, File: 2, Dev: 8, Path: "/home/u7/g"})
+	if &a.Scalars[0] != &b.Scalars[0] || cap(a.Scalars) != len(a.Scalars) || len(e.lists) != 1 {
+		t.Fatalf("one (user, process, host) built lists %p and %p (cap %d, len %d), table %d", a.Scalars, b.Scalars, cap(a.Scalars), len(a.Scalars), len(e.lists))
+	}
+	if n := testing.AllocsPerRun(10, func() { e.Extract(&trace.Record{UID: 7, PID: 42, Host: 3, Path: "/x/y"}) }); n != 0 {
+		t.Errorf("Extract of an interned tuple allocates %v times, want 0", n)
+	}
+	if got, want := Sim(&a, &b, IPA), refSim(&Vector{Scalars: a.Scalars, Path: a.Path}, &Vector{Scalars: slices.Clone(b.Scalars), Path: b.Path}, IPA); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("Sim of two vectors sharing a list = %v, reference %v", got, want)
+	}
+	for pid := 0; pid < maxTokens+100; pid++ {
+		v := e.Extract(&trace.Record{UID: 1, PID: uint32(pid), Host: 2})
+		if want := []string{"u:1", "p:" + strconv.Itoa(pid), "h:2"}; !slices.Equal(v.Scalars, want) || cap(v.Scalars) != 3 {
+			t.Fatalf("process %d: scalars = %v (cap %d), want %v", pid, v.Scalars, cap(v.Scalars), want)
+		}
+	}
+	if len(e.lists) != maxTokens {
+		t.Errorf("table holds %d lists, want the bound %d", len(e.lists), maxTokens)
+	}
+	e.Reset()
+	if len(e.lists) != 0 {
+		t.Errorf("Reset left %d lists", len(e.lists))
+	}
+	c := e.Extract(&trace.Record{UID: 7, PID: 42, Host: 3, Path: "/home/u7/h"})
+	if &c.Scalars[0] == &a.Scalars[0] {
+		t.Error("an extraction after Reset reused a forgotten list")
+	}
+	literal := Vector{Scalars: []string{"u:7", "p:42", "h:3"}, Path: a.Path}
+	for _, alg := range []PathAlg{IPA, DPA} {
+		if got, want := Sim(&a, &c, alg), refSim(&literal, &c, alg); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%v: Sim of a vector extracted before Reset = %v, reference %v", alg, got, want)
+		}
+	}
+
+	ids := NewExtractor(AllFileIDMask)
+	x, y := ids.Extract(&trace.Record{UID: 1, PID: 2, Host: 3, File: 4}), ids.Extract(&trace.Record{UID: 1, PID: 2, Host: 3, File: 4})
+	if ids.lists != nil || &x.Scalars[0] == &y.Scalars[0] || !slices.Equal(x.Scalars, []string{"u:1", "p:2", "h:3", "f:4"}) {
+		t.Errorf("a file-id mask interned %d lists (scalars %v)", len(ids.lists), x.Scalars)
+	}
+}
+
 // TestExtractCutsThePathOnce: what Extract caches is where the path's
-// components end — inside the vector, so a record still costs the one
+// components end — inside the vector, so a record costs at most the one
 // allocation of its scalars — exactly what Presplit caches in a decoded copy;
 // and a vector it built compares as the same vector written out by hand.
 func TestExtractCutsThePathOnce(t *testing.T) {
