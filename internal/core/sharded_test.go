@@ -225,6 +225,25 @@ func TestShardedBatchSplitEquivalence(t *testing.T) {
 	assertModelsEqual(t, tr, single, sm, 0)
 }
 
+// TestFeedBatchIsDoneWithItsRecords: FeedBatch returns after every shard has
+// drained, having kept nothing of the slice it was handed — what lets a
+// caller (an rpc connection) decode the next batch over the same records.
+// Under -race a shard still reading the slice fails here by itself.
+func TestFeedBatchIsDoneWithItsRecords(t *testing.T) {
+	tr := shardTrace(t, 4000)
+	single := New(DefaultConfig())
+	single.FeedTrace(tr)
+	cfg := DefaultConfig()
+	cfg.Shards = 4
+	sm := NewSharded(cfg)
+	scratch := make([]trace.Record, 500)
+	for lo := 0; lo < len(tr.Records); lo += len(scratch) {
+		sm.FeedBatch(scratch[:copy(scratch, tr.Records[lo:])])
+		clear(scratch)
+	}
+	assertModelsEqual(t, tr, single, sm, 0)
+}
+
 // TestShardedParallelFeed hammers one ensemble from many goroutines mixing
 // Feed, FeedBatch and reads — the -race exercise for the concurrency claim.
 // Interleaving order is nondeterministic, so it asserts only invariants:

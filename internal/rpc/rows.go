@@ -85,6 +85,29 @@ func row[Req any](name string, s surface, decode func([]byte) (Req, error), run 
 	}}
 }
 
+// feedRow builds the row of a frame that carries records to mine. They are
+// read into the connection's scratch (grown to the largest batch seen, up to
+// maxKeptRecords), not a slice per frame: a backend is done with the slice
+// once it returns — FeedBatch returns after every shard has drained, the
+// Replicator copies into its tail — and a Path is a string of its own.
+func feedRow(name, what string, read func(*bin.Cursor, []trace.Record) []trace.Record, feed func(Backend, []trace.Record) error) msgRow {
+	return msgRow{name, surfacePlain, func(r *request) ([]byte, error) {
+		c := bin.Read(what, r.body)
+		recs := read(&c, r.cs.recs)
+		if cap(recs) <= maxKeptRecords {
+			r.cs.recs = recs
+		}
+		if err := c.Done(); err != nil {
+			return nil, refusal{CodeBadRequest, err}
+		}
+		if err := feed(r.b, recs); err != nil {
+			return nil, err
+		}
+		r.fed(len(recs))
+		return nil, nil
+	}}
+}
+
 // refusal is an error that carries its own wire code: what the gates and
 // the decoders answer. A backend's error has none and is classified by the
 // sentinel it wraps.
@@ -148,7 +171,9 @@ func decodeReplicateReq(b []byte) (replicateReq, error) {
 	switch {
 	case err != nil:
 	case kind == replKindRecords:
-		q.recs, err = consumeRecords(payload)
+		c := bin.Read("rpc: records", payload)
+		q.recs = readRecords(&c, nil)
+		err = c.Done()
 	case kind == replKindGroups:
 		var g GroupsReq
 		g, err = decodeGroupsReq(payload)
@@ -170,27 +195,12 @@ var msgRows = [MsgErr + 1]msgRow{
 	MsgPing: row("ping", surfacePlain,
 		func([]byte) (struct{}, error) { return struct{}{}, nil },
 		acked(func(*request) error { return nil })),
-	MsgFeed: row("feed", surfacePlain,
-		func(b []byte) (trace.Record, error) {
-			c := bin.Read("rpc: feed", b)
-			rec := bin.Via(&c, trace.ConsumeRecord)
-			return rec, c.Done()
+	MsgFeed: feedRow("feed", "rpc: feed",
+		func(c *bin.Cursor, buf []trace.Record) []trace.Record {
+			return append(buf[:0], bin.Via(c, trace.ConsumeRecord))
 		},
-		func(r *request, rec trace.Record) ([]byte, error) {
-			if err := r.b.Feed(&rec); err != nil {
-				return nil, err
-			}
-			r.fed(1)
-			return nil, nil
-		}),
-	MsgFeedBatch: row("feed_batch", surfacePlain, consumeRecords,
-		func(r *request, recs []trace.Record) ([]byte, error) {
-			if err := r.b.FeedBatch(recs); err != nil {
-				return nil, err
-			}
-			r.fed(len(recs))
-			return nil, nil
-		}),
+		func(b Backend, recs []trace.Record) error { return b.Feed(&recs[0]) }),
+	MsgFeedBatch: feedRow("feed_batch", "rpc: records", readRecords, Backend.FeedBatch),
 	MsgPredict: row("predict", surfacePlain,
 		func(b []byte) (q predictReq, err error) { q.file, q.k, err = decodePredictReq(b); return },
 		func(r *request, q predictReq) ([]byte, error) {

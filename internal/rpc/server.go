@@ -400,8 +400,13 @@ type connState struct {
 	feedTenant string
 	feedCtrs   *feedCounters
 
-	req request // the frame being handled (see request)
+	recs []trace.Record // where feed frames decode their records (see feedRow)
+	req  request        // the frame being handled (see request)
 }
+
+// maxKeptRecords bounds the record scratch a connection keeps between frames
+// (a few hundred KiB); a larger batch decodes into a slice of its own.
+const maxKeptRecords = 4096
 
 // granted reports whether the connection's token may address tenant.
 func (cs *connState) granted(tenant string) bool {

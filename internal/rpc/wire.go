@@ -407,20 +407,19 @@ func appendRecords(dst []byte, recs []trace.Record) []byte {
 	return dst
 }
 
-func consumeRecords(b []byte) ([]trace.Record, error) {
-	c := bin.Read("rpc: records", b)
-	recs := readRecords(&c)
-	return recs, c.Done()
-}
-
-// readRecords reads an appendRecords run; each record is bounds-checked by
-// trace.ConsumeRecord, the codec it shares with trace files.
-func readRecords(c *bin.Cursor) []trace.Record {
-	recs := make([]trace.Record, c.Count(trace.RecordFixedLen))
-	for i := range recs {
-		recs[i] = bin.Via(c, trace.ConsumeRecord)
+// readRecords reads an appendRecords run, into buf when that is large enough
+// (every element is overwritten) and a fresh slice otherwise; each record is
+// bounds-checked by trace.ConsumeRecord, the codec it shares with trace files.
+func readRecords(c *bin.Cursor, buf []trace.Record) []trace.Record {
+	n := c.Count(trace.RecordFixedLen)
+	if n > cap(buf) {
+		buf = make([]trace.Record, n)
 	}
-	return recs
+	buf = buf[:n]
+	for i := range buf {
+		buf[i] = bin.Via(c, trace.ConsumeRecord)
+	}
+	return buf
 }
 
 // Predict request body: u32 file, u32 k.
@@ -612,7 +611,7 @@ func decodeCatchupDelta(b []byte) (CatchupDelta, error) {
 		Fingerprint: c.U64(),
 		FileCount:   int(c.U32()),
 		Final:       c.Flags(1) != 0,
-		Records:     readRecords(&c),
+		Records:     readRecords(&c, nil),
 	}
 	return d, c.Done()
 }
