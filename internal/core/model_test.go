@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand/v2"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -492,5 +493,29 @@ func TestVectorLookup(t *testing.T) {
 	}
 	if _, ok := m.Vector(99); ok {
 		t.Fatal("unknown file reported a vector")
+	}
+}
+
+// TestHostileDeepPathsFeedInSeconds: the two largest paths a record may carry
+// (trace.MaxPathLen each, half a million components with nothing in common)
+// fed one after the other. Comparing them is one Sim under the model lock;
+// when that was O(n·m) the pair stalled every feed and read of the shard for
+// minutes (15 s already at 128 KiB each).
+func TestHostileDeepPathsFeedInSeconds(t *testing.T) {
+	m := New(DefaultConfig())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		m.Feed(&trace.Record{File: 1, UID: 1, Path: strings.Repeat("a/", trace.MaxPathLen/2)})
+		m.Feed(&trace.Record{File: 2, UID: 1, Path: strings.Repeat("b/", trace.MaxPathLen/2)})
+		m.Feed(&trace.Record{File: 1, UID: 1, Path: strings.Repeat("a/", trace.MaxPathLen/2)})
+	}()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("two MaxPathLen paths are still being compared after 20 s")
+	}
+	if l := m.CorrelatorList(1); len(l) != 1 || l[0].File != 2 || l[0].Sim != 0.75 { // user, process and host of four items; the paths share nothing
+		t.Fatalf("list of file 1 = %+v, want file 2 at sim 0.75", l)
 	}
 }

@@ -240,34 +240,33 @@ func (v *Vector) components(buf []string, from int) []string {
 }
 
 // intersect counts the items two lists share as multisets: a value occurring
-// i times in a and j times in b counts min(i, j) times, whatever the order.
-// Items equal at equal positions pair off first — exact, since taking one x
-// from each side takes one from min(i, j) — and each item a has left then
-// claims one unclaimed equal item of b. A list against itself (two vectors of
-// one Extractor's interned scalars) shares every item.
+// i times in a and j times in b counts min(i, j) times, whatever the order —
+// each item of a claims one unclaimed equal item of b. A list against itself
+// (two vectors of one Extractor's interned scalars) shares every item; more
+// than the stack marks hold — a path deeper than any vector caches — goes
+// through a map, O(n + m) where claiming is O(n·m) under a shard lock.
 func intersect(a, b []string) int {
 	if len(a) == len(b) && len(a) > 0 && &a[0] == &b[0] {
 		return len(a)
 	}
-	var few [2 * MaxCached]bool
-	marks := few[:]
-	if len(a)+len(b) > len(few) {
-		marks = make([]bool, len(a)+len(b))
-	}
-	paired, claimed := marks[:len(a)], marks[len(a):] // items of a paired off, items of b claimed
 	n := 0
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] == b[i] {
-			paired[i], claimed[i] = true, true
-			n++
+	var claimed [2 * MaxCached]bool
+	if len(a)+len(b) > len(claimed) {
+		left := make(map[string]int, len(a))
+		for _, x := range a {
+			left[x]++
 		}
+		for _, y := range b {
+			if left[y] > 0 {
+				left[y]--
+				n++
+			}
+		}
+		return n
 	}
-	for i, x := range a {
-		if paired[i] {
-			continue
-		}
+	for _, x := range a {
 		for j, y := range b {
-			if j != i && !claimed[j] && x == y { // b[i] is known to differ
+			if !claimed[j] && x == y {
 				claimed[j] = true
 				n++
 				break

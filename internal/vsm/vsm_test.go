@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 	"unsafe"
 
 	"farmer/internal/trace"
@@ -448,5 +449,46 @@ func TestDeepPathCachesNothing(t *testing.T) {
 				t.Fatalf("%d-byte path against %.20q: Sim = %v, reference %v", len(tc.path), other.Path, got, want)
 			}
 		}
+	}
+}
+
+// TestDeepPathsIntersectInLinearTime: past what the stack marks hold the
+// multiset intersection is counted through a map — the number the pairwise
+// claims gave, to the bit, however the components repeat or overlap — so two
+// paths at trace.MaxPathLen cost milliseconds, not the minutes O(n·m) took
+// under a shard lock.
+func TestDeepPathsIntersectInLinearTime(t *testing.T) {
+	numbered := func(from, to int) string {
+		var sb strings.Builder
+		for i := from; i < to; i++ {
+			sb.WriteString("/c" + strconv.Itoa(i))
+		}
+		return sb.String()
+	}
+	for _, n := range []int{MaxCached + 1, 25, 300, 2000} {
+		as, bs := strings.Repeat("a/", n), strings.Repeat("b/", n)
+		for _, p := range [][2]string{
+			{as, bs},                               // distinct
+			{as, as},                               // equal
+			{numbered(0, n), numbered(n/2, n+n/2)}, // half overlapping
+			{as + bs, strings.Repeat("a/b/", n/2) + "a"}, // repeated components, unequal counts
+			{numbered(0, n), "/c0"},                      // deep against shallow
+		} {
+			a, b := Vector{Scalars: []string{"u:1", "c0"}, Path: p[0]}, Vector{Scalars: []string{"c0", "a"}, Path: p[1]}
+			for _, alg := range []PathAlg{IPA, DPA} {
+				if got, want := Sim(&a, &b, alg), refSim(&a, &b, alg); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("n=%d %v %.12q… against %.12q…: Sim = %v, reference %v", n, alg, p[0], p[1], got, want)
+				}
+			}
+		}
+	}
+	a := Vector{Path: strings.Repeat("a/", trace.MaxPathLen/2)}
+	b := Vector{Path: strings.Repeat("b/", trace.MaxPathLen/2)}
+	start := time.Now()
+	if got := Sim(&a, &b, IPA) + Sim(&a, &a, DPA); got != 1 {
+		t.Errorf("sims of the hostile pair sum to %v, want 0 + 1", got)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Errorf("two %d-byte paths took %v to compare", trace.MaxPathLen, d)
 	}
 }
