@@ -1,7 +1,6 @@
 package vsm
 
 import (
-	"math/bits"
 	"strconv"
 
 	"farmer/internal/trace"
@@ -79,8 +78,8 @@ func (e *Extractor) Extract(r *trace.Record) Vector {
 		}
 	}
 	v := Vector{Scalars: e.lists[vals]}
-	if n := e.Mask.Without(AttrPath).Count(); v.Scalars == nil && n > 0 { // every attribute but the path is a scalar
-		v.Scalars = make([]string, 0, n)
+	if scalars := e.Mask.Without(AttrPath); v.Scalars == nil && scalars != 0 { // every attribute but the path is a scalar
+		v.Scalars = make([]string, 0, scalars.Count())
 		for i, sa := range scalarAttrs {
 			if e.Mask.Has(sa.attr) {
 				v.Scalars = append(v.Scalars, e.token(i, vals[i]))
@@ -118,13 +117,13 @@ func Combinations(attrs []Attr) []Mask {
 	n := len(attrs)
 	var out []Mask
 	for size := 1; size <= n; size++ {
-		for set := 1; set < 1<<n; set++ {
-			if bits.OnesCount(uint(set)) != size {
+		for bits := 1; bits < 1<<n; bits++ {
+			if popcount(bits) != size {
 				continue
 			}
 			var m Mask
 			for i := 0; i < n; i++ {
-				if set&(1<<i) != 0 {
+				if bits&(1<<i) != 0 {
 					m = m.With(attrs[i])
 				}
 			}
@@ -132,4 +131,13 @@ func Combinations(attrs []Attr) []Mask {
 		}
 	}
 	return out
+}
+
+func popcount(x int) int {
+	n := 0
+	for x != 0 {
+		x &= x - 1
+		n++
+	}
+	return n
 }
