@@ -462,7 +462,7 @@ func (m *Model) Stats() Stats {
 	// Correlator list entries: File + Degree + Sim + Freq.
 	const corrBytes = 32
 	const listOverhead = 48
-	const vecOverhead = 48
+	const vecOverhead = 64 // of the 80 a Vector is: the tags and their count, beside what PR 16 charged
 	for _, fp := range m.files {
 		if fp.have&facetList != 0 {
 			s.Lists++

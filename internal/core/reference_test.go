@@ -302,7 +302,7 @@ func (m *refModel) stats() Stats {
 	}
 	s.MemoryBytes = int64(s.GraphNodes)*64 + int64(s.GraphEdges)*16 + int64(s.Correlators)*32 + int64(s.Lists)*48
 	for _, v := range m.vectors {
-		s.MemoryBytes += 48 + int64(len(v.Path))
+		s.MemoryBytes += 64 + int64(len(v.Path))
 		for _, sc := range v.Scalars {
 			s.MemoryBytes += int64(len(sc)) + 16
 		}

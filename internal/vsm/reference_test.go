@@ -179,6 +179,16 @@ func walkSim(a, b *Vector, alg PathAlg) float64 {
 	return s
 }
 
+// cutOf is everything Presplit derives from a path, comparable.
+func cutOf(v *Vector) (c struct {
+	ends [MaxCached]uint16
+	tags [MaxCached]uint8
+	n    uint8
+}) {
+	c.ends, c.tags, c.n = v.ends, v.tags, v.cut
+	return c
+}
+
 // checkSimMatchesReference compares every similarity entry point with its
 // oracles on one pair of vectors, in both argument orders and however the
 // operands reach Sim: as written (their paths cut inside the call), cut
@@ -189,8 +199,14 @@ func checkSimMatchesReference(t *testing.T, a, b *Vector) {
 	ca.Presplit()
 	cb.Presplit()
 	for _, v := range []*Vector{&ca, &cb} {
-		if want := SplitPath(v.Path); v.ends[0] != 0 && !slices.Equal(v.components(nil, 0), want) {
+		want := SplitPath(v.Path)
+		if v.cut != 0 && !slices.Equal(v.components(nil, 0), want) {
 			t.Errorf("Presplit(%q) cached ends %v: components %q, want %q", v.Path, v.ends, v.components(nil, 0), want)
+		}
+		for i := 0; i < int(v.cut); i++ { // a tag is a function of the component's bytes, wherever it sits
+			if v.tags[i] != tag(want[i]) {
+				t.Errorf("Presplit(%q) tagged component %d %#x, want tag(%q) = %#x", v.Path, i, v.tags[i], want[i], tag(want[i]))
+			}
 		}
 	}
 	for _, alg := range []PathAlg{IPA, DPA} {
@@ -219,6 +235,23 @@ func fuzzScalars(s string) []string {
 	return strings.Split(s, ",")
 }
 
+// twinA and twinB differ only in bytes tag does not sample: two components
+// the digest cannot tell apart, for the seeds that must reach the byte
+// compare behind an equal tag.
+const twinA, twinB = "abcdef", "aXcdef"
+
+func TestTagsOfTwinsAgree(t *testing.T) {
+	if tag(twinA) != tag(twinB) {
+		t.Fatalf("tag(%q) = %#x, tag(%q) = %#x: the fuzz seeds built on them no longer force a byte compare", twinA, tag(twinA), twinB, tag(twinB))
+	}
+	a, b := Vector{Path: "/x/" + twinA}, Vector{Path: "/x/" + twinB}
+	a.Presplit()
+	b.Presplit()
+	if got := Sim(&a, &b, IPA); got != 0.5 {
+		t.Errorf("Sim of cut paths whose last components share a tag and no more = %v, want 0.5", got)
+	}
+}
+
 func FuzzSimMatchesReference(f *testing.F) {
 	deep := strings.Repeat("/d", 70) // spills the stack scratch
 	for _, seed := range [][4]string{
@@ -235,9 +268,14 @@ func FuzzSimMatchesReference(f *testing.F) {
 		{"u:1", "///", "", "/"},            // paths of only "/"
 		{"", "/a/b/a", "", "/a/a/b"},       // equal at position 0 only; the rest pairs off out of order
 		{"b,a", "/a/b", "a", "/b/b/a"},     // scalars equal to components, DPA pairs them across the two
-		{"u:1", strings.Repeat("/c", MaxCached+1), "u:1", strings.Repeat("/c", MaxCached-1) + "/x"}, // one past the cache, against the deepest cached
-		{"u:1", strings.Repeat("/c", 65), "u:1", strings.Repeat("/c", 64) + "/x"},                   // 65 and 64 components
-		{"x", strings.Repeat("/e", 200), "x", strings.Repeat("/e/f", 100)},                          // wider than the stack marks
+		{"u:1", strings.Repeat("/c", MaxCached+1), "u:1", strings.Repeat("/c", MaxCached-1) + "/x"},                // one past the cache, against the deepest cached
+		{"u:1", strings.Repeat("/c", 65), "u:1", strings.Repeat("/c", 64) + "/x"},                                  // 65 and 64 components
+		{"x", strings.Repeat("/e", 200), "x", strings.Repeat("/e/f", 100)},                                         // wider than the stack marks
+		{"u:1", "/home/" + twinA, "u:1", "/home/" + twinB},                                                         // different components, equal tags
+		{"", "/" + twinA + "/" + twinB + "/" + twinA, "", "/" + twinB + "/" + twinA + "/" + twinA},                 // duplicates under one tag, claimed out of order
+		{"", "/" + twinA + "/" + twinA + "/" + twinB, "", "/" + twinA + "/" + twinB + "/" + twinB},                 // the head shared, then unequal counts under one tag
+		{"u:1", strings.Repeat("/"+twinA, MaxCached), "u:1", strings.Repeat("/"+twinB, MaxCached-1) + "/" + twinA}, // every tag and end equal, one component
+		{"u:1", strings.Repeat("/c", MaxCached), "u:2", strings.Repeat("/c", MaxCached+1)},                         // the deepest cut against one too deep to cut
 	} {
 		f.Add(seed[0], seed[1], seed[2], seed[3])
 	}

@@ -111,10 +111,14 @@ type Vector struct {
 
 	// ends caches where Path's non-empty components end (component i lies
 	// between the slashes after ends[i-1] and ends[i]; unused slots hold 0),
-	// so that comparing stored vectors scans no path. Derived state, all
-	// zero — Sim cuts the path itself — for a literal or freshly decoded
-	// vector and a path of no or over MaxCached components or 64 KiB.
+	// tags a digest of each and cut their number, so that comparing stored
+	// vectors scans no path and compares no bytes a digest tells apart.
+	// Derived state, all zero — Sim cuts the path itself — for a literal or
+	// freshly decoded vector and a path of no or over MaxCached components
+	// or 64 KiB.
 	ends [MaxCached]uint16
+	tags [MaxCached]uint8
+	cut  uint8
 }
 
 // MaxCached bounds the components cached per vector — as offsets inside it,
@@ -182,32 +186,45 @@ func component(p string, i int) (start, end int) {
 	return i, len(p)
 }
 
-// Presplit caches where the path's components end, as Extract does, in a
-// decoded vector — for whoever stores it, to be compared many times. A
-// vector already cut is left alone.
+// tag digests a component from its length and four of its bytes, in time
+// that does not grow with it: equal components have equal tags, so unequal
+// tags tell two components apart without reading them. Equal tags say
+// nothing — one in 256 of unrelated pairs, and whatever differs only between
+// the bytes sampled — and the bytes are compared.
+func tag(c string) uint8 {
+	n := len(c)
+	h := uint32(c[0]) | uint32(c[n/2])<<8 | uint32(c[max(n-2, 0)])<<16 | uint32(c[n-1])<<24
+	return uint8((h ^ uint32(n)*0x9E3779B1) * 0x85EBCA6B >> 24)
+}
+
+// Presplit caches where the path's components end and their tags, as Extract
+// does, in a decoded vector — for whoever stores it, to be compared many
+// times. A vector already cut is left alone.
 func (v *Vector) Presplit() {
 	var ends [MaxCached]uint16
-	if p := v.Path; v.ends[0] == 0 && len(p) <= math.MaxUint16 {
+	var tags [MaxCached]uint8
+	if p := v.Path; v.cut == 0 && len(p) <= math.MaxUint16 {
 		n := 0
 		for s, e := component(p, 0); s < len(p); s, e = component(p, e) {
 			if n == MaxCached {
 				return
 			}
-			ends[n] = uint16(e)
+			ends[n], tags[n] = uint16(e), tag(p[s:e])
 			n++
 		}
-		v.ends = ends
+		v.ends, v.tags, v.cut = ends, tags, uint8(n)
 	}
 }
 
 // shared counts leading components a and b have in common, uncut: where both
-// cached ends that agree, the paths need only agree byte for byte that far.
+// cached ends and tags that agree, the paths need only agree byte for byte
+// that far.
 func shared(a, b *Vector) int {
 	k := 0
-	for k < MaxCached && a.ends[k] != 0 && a.ends[k] == b.ends[k] {
+	for k < int(min(a.cut, b.cut)) && a.ends[k] == b.ends[k] && a.tags[k] == b.tags[k] {
 		k++
 	}
-	for tries := 2; k > 0 && tries > 0; k, tries = k-1, tries-1 { // siblings differ in the last at most
+	for tries := 2; k > 0 && tries > 0; k, tries = k-1, tries-1 { // equal tags over unequal bytes are rare, two in a row rarer
 		if e := a.ends[k-1]; a.Path[:e] == b.Path[:e] {
 			return k
 		}
@@ -215,28 +232,54 @@ func shared(a, b *Vector) int {
 	return 0
 }
 
+// component returns component i of a cut path.
+func (v *Vector) component(i int) string {
+	start := 0
+	if i > 0 {
+		start = int(v.ends[i-1])
+	}
+	for v.Path[start] == '/' {
+		start++
+	}
+	return v.Path[start:v.ends[i]]
+}
+
 // components appends the path's components from the given one on to buf,
 // each a substring of the path ("/home//u/a/" -> home, u, a): read off the
 // cached ends, or cut from the path when nobody cached them (from is then 0).
 func (v *Vector) components(buf []string, from int) []string {
-	p := v.Path
-	if v.ends[0] == 0 {
+	if v.cut == 0 {
+		p := v.Path
 		for s, e := component(p, 0); s < len(p); s, e = component(p, e) {
 			buf = append(buf, p[s:e])
 		}
 		return buf
 	}
-	for i := from; i < MaxCached && v.ends[i] != 0; i++ {
-		start := 0
-		if i > 0 {
-			start = int(v.ends[i-1])
-		}
-		for p[start] == '/' {
-			start++
-		}
-		buf = append(buf, p[start:v.ends[i]])
+	for i := from; i < int(v.cut); i++ {
+		buf = append(buf, v.component(i))
 	}
 	return buf
+}
+
+// claimCut is intersect over the components of two cut paths from k on, in
+// place: each of a's claims the first unclaimed one of b with its tag and
+// then its bytes, so bytes are compared only where tags agree and nothing is
+// staged. The count is intersect's — which equal item is claimed never
+// changes how many are.
+func claimCut(a, b *Vector, k int) int {
+	n := 0
+	var claimed uint16
+	const _ = uint(16 - MaxCached) // one bit of claimed per cached component
+	for i := k; i < int(a.cut); i++ {
+		for j := k; j < int(b.cut); j++ {
+			if a.tags[i] == b.tags[j] && claimed&(1<<j) == 0 && a.component(i) == b.component(j) {
+				claimed |= 1 << j
+				n++
+				break
+			}
+		}
+	}
+	return n
 }
 
 // intersect counts the items two lists share as multisets: a value occurring
@@ -294,15 +337,20 @@ func share(inter float64, la, lb int) float64 {
 
 // pathIntersect counts the items a and b share and the items each has: the
 // components of their paths, behind their scalars if those are asked for.
-// Components shared at the head of both pair off uncut; the rest is staged
-// on the stack (more than MaxCached + 4 a side spill to the heap).
+// Components shared at the head of both pair off uncut. Two cut paths alone
+// are then counted in place by their tags; anything else — an uncut side, or
+// DPA's scalars, which may equal components — is staged on the stack (more
+// than MaxCached + 4 a side spill to the heap).
 func pathIntersect(a, b *Vector, scalars bool) (inter float64, la, lb int) {
+	k := shared(a, b)
+	if a.cut != 0 && b.cut != 0 && !scalars {
+		return float64(k + claimCut(a, b, k)), int(a.cut), int(b.cut)
+	}
 	var bufA, bufB [MaxCached + 4]string
 	ia, ib := bufA[:0], bufB[:0]
 	if scalars {
 		ia, ib = append(ia, a.Scalars...), append(ib, b.Scalars...)
 	}
-	k := shared(a, b)
 	ia, ib = a.components(ia, k), b.components(ib, k)
 	return float64(k + intersect(ia, ib)), k + len(ia), k + len(ib)
 }

@@ -402,14 +402,14 @@ func TestExtractCutsThePathOnce(t *testing.T) {
 			if n := testing.AllocsPerRun(10, func() { v = e.Extract(&r) }); n > 1 {
 				t.Errorf("mask %v path %q: Extract allocates %v times, want at most 1", mask, p, n)
 			}
-			if want := SplitPath(v.Path); !slices.Equal(v.components(nil, 0), want) || (v.ends[0] != 0) != (len(want) > 0) {
-				t.Errorf("mask %v path %q: cached ends %v, components %q, want %q", mask, p, v.ends, v.components(nil, 0), want)
+			if want := SplitPath(v.Path); !slices.Equal(v.components(nil, 0), want) || int(v.cut) != len(want) {
+				t.Errorf("mask %v path %q: cached ends %v of %d, components %q, want %q", mask, p, v.ends, v.cut, v.components(nil, 0), want)
 			}
 			literal := Vector{Scalars: v.Scalars, Path: v.Path}
 			decoded := literal
 			decoded.Presplit()
-			if decoded.ends != v.ends {
-				t.Errorf("path %q: Presplit cached %v, Extract %v", p, decoded.ends, v.ends)
+			if cutOf(&decoded) != cutOf(&v) {
+				t.Errorf("path %q: Presplit cached %v, Extract %v", p, cutOf(&decoded), cutOf(&v))
 			}
 			for _, alg := range []PathAlg{IPA, DPA} {
 				if got, want := Sim(&v, &other, alg), refSim(&literal, &other, alg); math.Float64bits(got) != math.Float64bits(want) {
@@ -429,8 +429,8 @@ func TestDeepPathCachesNothing(t *testing.T) {
 	hostile := strings.Repeat("a/", trace.MaxPathLen/2)
 	deepest := strings.Repeat("/a", MaxCached)
 	long := "/" + strings.Repeat("x", math.MaxUint16) + "/a"
-	if size := unsafe.Sizeof(Vector{}); size > 64 {
-		t.Errorf("a Vector is %d bytes, want at most 64: every event carries one", size)
+	if size := unsafe.Sizeof(Vector{}); size > 80 {
+		t.Errorf("a Vector is %d bytes, want at most 80: every tracked file stores one", size)
 	}
 	e := NewExtractor(AllPathMask)
 	for _, tc := range []struct {
@@ -440,8 +440,8 @@ func TestDeepPathCachesNothing(t *testing.T) {
 		v := e.Extract(&trace.Record{UID: 1, Path: tc.path})
 		d := Vector{Scalars: v.Scalars, Path: tc.path}
 		d.Presplit()
-		if v.ends != d.ends || (v.ends[0] != 0) != tc.cached {
-			t.Fatalf("%d-byte path: Extract cached %v, Presplit %v, want cached=%v", len(tc.path), v.ends, d.ends, tc.cached)
+		if cutOf(&v) != cutOf(&d) || (v.cut != 0) != tc.cached {
+			t.Fatalf("%d-byte path: Extract cached %v, Presplit %v, want cached=%v", len(tc.path), cutOf(&v), cutOf(&d), tc.cached)
 		}
 		literal := Vector{Scalars: v.Scalars, Path: tc.path}
 		for _, other := range []*Vector{&v, &literal, &tabA, {Scalars: v.Scalars, Path: "/a/b"}} {
