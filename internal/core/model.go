@@ -242,8 +242,8 @@ func (m *Model) Feed(r *trace.Record) {
 	defer m.mu.Unlock()
 
 	// Stage 1: Extracting.
-	v := m.extractor.Extract(r)
-	m.setVector(r.File, v)
+	v := m.vectorOf(r.File)
+	m.extractor.ExtractInto(r, v)
 
 	// Stage 2: Constructing. Credit every file in the lookahead window, the
 	// newest first: the order LDA assigns in and a full node evicts by.
@@ -260,7 +260,7 @@ func (m *Model) Feed(r *trace.Record) {
 	// its hits name one slot: the two credits went to the same edge.)
 	for i, pred := range m.window {
 		if pred != r.File {
-			m.evaluate(m.hits[i].fp, pred, r.File, m.hits[i].slot, &v)
+			m.evaluate(m.hits[i].fp, pred, r.File, m.hits[i].slot, v)
 		}
 	}
 
@@ -275,12 +275,13 @@ func (m *Model) Feed(r *trace.Record) {
 	m.fed++
 }
 
-// setVector stores f's freshly extracted semantic vector. Callers hold m.mu.
-func (m *Model) setVector(f trace.FileID, v vsm.Vector) {
+// vectorOf returns where f's semantic vector is stored, for the caller to
+// write the freshly extracted one into. Callers hold m.mu.
+func (m *Model) vectorOf(f trace.FileID) *vsm.Vector {
 	fp := m.file(f)
-	fp.vec = v
 	fp.have |= facetVec
 	m.markDirty(fp, f, facetVec)
+	return &fp.vec
 }
 
 // credit is Stage 2 for one edge: it adds w LDA credit to the edge toward

@@ -187,7 +187,7 @@ func (m *refModel) ApplyEvents(evs []partition.Event) {
 	for i := range evs {
 		ev := &evs[i]
 		if ev.Access {
-			m.vectors[ev.Succ] = ev.Vec
+			m.vectors[ev.Succ] = *ev.Vec
 			m.markDirty(ev.Succ, facetVec)
 			continue
 		}
@@ -195,7 +195,7 @@ func (m *refModel) ApplyEvents(evs []partition.Event) {
 			m.g.Add(ev.Pred, ev.Succ, ev.Credit)
 		}
 		m.markDirty(ev.Pred, facetGraph)
-		m.evaluateVec(ev.Pred, ev.Succ, ev.Vec)
+		m.evaluateVec(ev.Pred, ev.Succ, *ev.Vec)
 	}
 }
 

@@ -52,16 +52,21 @@ type paddedModel struct {
 func (m *Model) ApplyEvents(evs []partition.Event) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	var empty vsm.Vector
 	for i := range evs {
 		ev := &evs[i]
+		vec := ev.Vec
+		if vec == nil {
+			vec = &empty
+		}
 		if ev.Access {
-			v := ev.Vec
-			v.Presplit() // returns at once on what this process extracted; a decoded vector becomes a stored one here
-			m.setVector(ev.Succ, v)
+			stored := m.vectorOf(ev.Succ)
+			*stored = *vec    // the one copy a record's vector is given: this one is state
+			stored.Presplit() // returns at once on what this process extracted; a decoded vector becomes a stored one here
 			continue
 		}
 		fp := m.file(ev.Pred)
-		m.evaluate(fp, ev.Pred, ev.Succ, m.credit(fp, ev.Pred, ev.Succ, ev.Credit), &ev.Vec)
+		m.evaluate(fp, ev.Pred, ev.Succ, m.credit(fp, ev.Pred, ev.Succ, ev.Credit), vec)
 	}
 }
 
@@ -82,6 +87,7 @@ type ShardedModel struct {
 	dmu  sync.Mutex            // serializes dispatch (window + emission order)
 	disp *partition.Dispatcher // owns the window and the global sequence
 	evs  []partition.Event     // scratch: one streamed record's events
+	vecs []vsm.Vector          // scratch: the vectors a batch's events point at, one a record (see maxKeptVectors)
 
 	// Event taps (see tap.go). tapCount mirrors len(taps) so the hot path
 	// skips the lock when nobody listens.
@@ -180,7 +186,7 @@ func (s *ShardedModel) Feed(r *trace.Record) {
 	s.dmu.Lock()
 	defer s.dmu.Unlock()
 	evs := s.evs[:0]
-	seq := s.disp.Dispatch(r, func(_ int, ev partition.Event) { evs = append(evs, ev) })
+	seq := s.disp.DispatchInto(r, &s.vectors(1)[0], func(_ int, ev partition.Event) { evs = append(evs, ev) })
 	s.applyRouted(evs)
 	s.evs = evs // keep the grown scratch
 	home := s.ownerOf(r.File)
@@ -237,6 +243,25 @@ func (s *ShardedModel) eventOwner(ev *partition.Event) int {
 		return s.ownerOf(ev.Succ)
 	}
 	return s.ownerOf(ev.Pred)
+}
+
+// maxKeptVectors bounds the vector scratch the ensemble keeps between calls
+// (320 KiB, and the Path strings of the last batch that used it), as
+// rpc.maxKeptRecords bounds the records it was decoded into; a larger batch
+// extracts into a slice of its own.
+const maxKeptVectors = 4096
+
+// vectors returns n vectors for the events of the next n records to point
+// at, out of the kept scratch when they fit. Callers hold dmu, and are done
+// with every event before they release it.
+func (s *ShardedModel) vectors(n int) []vsm.Vector {
+	if n > maxKeptVectors {
+		return make([]vsm.Vector, n)
+	}
+	if n > len(s.vecs) {
+		s.vecs = make([]vsm.Vector, n)
+	}
+	return s.vecs[:n]
 }
 
 // eventChunk sizes the batches of events shipped to a shard worker: large
@@ -297,8 +322,9 @@ func (s *ShardedModel) FeedBatch(records []trace.Record) {
 			bufs[shard] = nil
 		}
 	}
+	vecs := s.vectors(len(records)) // no slot is reused before wg.Wait: the workers read them
 	for i := range records {
-		s.disp.Dispatch(&records[i], emit)
+		s.disp.DispatchInto(&records[i], &vecs[i], emit)
 	}
 	for i, buf := range bufs {
 		if len(buf) > 0 {
@@ -325,6 +351,7 @@ func (s *ShardedModel) applyChunk(shard int, evs []partition.Event) {
 			}
 		}
 	}
+	clear(evs) // a pooled chunk must not keep a batch's vectors reachable
 	chunkPool.Put((*[eventChunk]partition.Event)(evs[:eventChunk]))
 }
 

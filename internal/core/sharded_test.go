@@ -7,10 +7,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"farmer/internal/partition"
 	"farmer/internal/trace"
 	"farmer/internal/tracegen"
+	"farmer/internal/vsm"
 )
 
 // shardTrace generates a mid-size HP-style trace for equivalence checks.
@@ -167,6 +169,22 @@ func TestShardReadsRaceIngest(t *testing.T) {
 	cfg.Shards = 4
 	sm := NewSharded(cfg)
 
+	stopReaders := raceReaders(t, tr, sm)
+	for lo := 0; lo < len(tr.Records); lo += 1000 {
+		sm.FeedBatch(tr.Records[lo:min(lo+1000, len(tr.Records))])
+	}
+	stopReaders()
+
+	ref := New(cfg)
+	ref.FeedTrace(tr)
+	assertModelsEqual(t, tr, ref, sm, 0)
+}
+
+// raceReaders starts four goroutines reading the files of tr straight off
+// sm's shard locks, failing t on a torn or unsorted list, until the returned
+// function is called; it returns once they have stopped.
+func raceReaders(t *testing.T, tr *trace.Trace, sm *ShardedModel) (stopAndWait func()) {
+	cfg := sm.Config()
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -194,15 +212,120 @@ func TestShardReadsRaceIngest(t *testing.T) {
 			}
 		}(g)
 	}
-	for lo := 0; lo < len(tr.Records); lo += 1000 {
-		sm.FeedBatch(tr.Records[lo:min(lo+1000, len(tr.Records))])
+	return func() {
+		stop.Store(true)
+		wg.Wait()
 	}
-	stop.Store(true)
-	wg.Wait()
+}
 
-	ref := New(cfg)
-	ref.FeedTrace(tr)
-	assertModelsEqual(t, tr, ref, sm, 0)
+// TestEventsOfOneRecordShareOneVector: FeedBatch points the events of each
+// record at a slot of a scratch the ensemble keeps and writes over in the
+// next call — batches of 1024, 3 and 5000 (past the bound: a slice of its
+// own) and single Feeds in between, shard workers reading the slots while
+// the dispatcher fills later ones and readers at the shard locks — and the
+// mined state is the sequential Model's. Under -race a slot reused before
+// its events were applied fails here by itself.
+func TestEventsOfOneRecordShareOneVector(t *testing.T) {
+	tr := shardTrace(t, 3*(1024+3+5000+2))
+	for _, shards := range []int{1, 2, 4} {
+		cfg := DefaultConfig()
+		cfg.Shards = shards
+		sm := NewSharded(cfg)
+		stopReaders := raceReaders(t, tr, sm)
+		recs := tr.Records
+		for len(recs) > 0 {
+			for _, n := range []int{1024, 3, 5000} {
+				sm.FeedBatch(recs[:n])
+				recs = recs[n:]
+			}
+			sm.Feed(&recs[0])
+			sm.Feed(&recs[1])
+			recs = recs[2:]
+		}
+		stopReaders()
+		if cap(sm.vecs) != 1024 {
+			t.Errorf("%d shards: the ensemble keeps %d vectors, want the 1024 of its largest batch under the bound", shards, cap(sm.vecs))
+		}
+		ref := New(cfg)
+		ref.FeedTrace(tr)
+		assertModelsEqual(t, tr, ref, sm, 0)
+	}
+}
+
+// TestApplyEventsReadsNilVectorAsEmpty: an event built without a vector — a
+// literal in a test, nothing a dispatcher or a decoder emits — is applied as
+// one carrying the empty vector: the access installs it, the edge is
+// evaluated against it.
+func TestApplyEventsReadsNilVectorAsEmpty(t *testing.T) {
+	known := &vsm.Vector{Scalars: []string{"u:1"}, Path: "/a/b"}
+	events := func(none *vsm.Vector) []partition.Event {
+		return []partition.Event{
+			{Succ: 1, Vec: known, Seq: 1, Access: true},
+			{Succ: 2, Vec: none, Seq: 2, Access: true},
+			{Pred: 1, Succ: 2, Credit: 1, Vec: none, Seq: 2},
+			{Succ: 1, Vec: known, Seq: 3, Access: true},
+			{Pred: 2, Succ: 1, Credit: 1, Vec: known, Seq: 3},
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.MaxStrength = 0.1 // frequency alone carries both edges over the threshold
+	got, want := New(cfg), New(cfg)
+	got.ApplyEvents(events(nil))
+	want.ApplyEvents(events(new(vsm.Vector)))
+	if v, ok := got.Vector(2); !ok || !reflect.DeepEqual(v, vsm.Vector{}) {
+		t.Errorf("an access event without a vector installed %+v, %v; want the empty vector", v, ok)
+	}
+	for f := trace.FileID(1); f <= 2; f++ {
+		if g, w := got.CorrelatorList(f), want.CorrelatorList(f); len(w) != 1 || !reflect.DeepEqual(g, w) {
+			t.Errorf("file %d: list %+v without a vector, %+v with the empty one", f, g, w)
+		}
+	}
+	if g, w := got.Stats(), want.Stats(); g != w {
+		t.Errorf("stats %+v without a vector, %+v with the empty one", g, w)
+	}
+}
+
+// TestVectorScratchIsBounded: what the ensemble keeps between calls is at
+// most maxKeptVectors vectors, whatever it was fed — the batch an 8 MiB frame
+// decodes to extracts into a slice of its own, and once it returns nothing
+// reaches that slice: not the scratch, not a pooled event chunk.
+func TestVectorScratchIsBounded(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Shards = 2
+	sm := NewSharded(cfg)
+	small := make([]trace.Record, maxKeptVectors)
+	huge := make([]trace.Record, (8<<20)/trace.RecordFixedLen)
+	for i := range huge {
+		huge[i].File = trace.FileID(i % 512)
+	}
+	live := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := live()
+	fed := 0
+	for _, recs := range [][]trace.Record{small[:3], huge, small[:3], small, huge[:maxKeptVectors+1]} {
+		sm.FeedBatch(recs)
+		if fed += len(recs); cap(sm.vecs) > maxKeptVectors {
+			t.Fatalf("after a %d-record batch the ensemble keeps a scratch of %d vectors, bound %d", len(recs), cap(sm.vecs), maxKeptVectors)
+		}
+		if len(recs) == 3 && fed > len(huge) {
+			// The huge batch's vectors, 80 bytes a record, are garbage by now;
+			// the chunks its events filled are back in the pool, three events
+			// into their next use.
+			if kept := int64(live() - before); kept > int64(len(huge))*int64(unsafe.Sizeof(vsm.Vector{}))/4 {
+				t.Fatalf("a %d-record batch left %d bytes live", len(huge), kept)
+			}
+		}
+	}
+	if sm.Fed() != uint64(fed) {
+		t.Fatalf("mined %d records, want %d", sm.Fed(), fed)
+	}
+	if cap(sm.vecs) != maxKeptVectors {
+		t.Errorf("scratch holds %d vectors, want the %d of the largest batch under the bound", cap(sm.vecs), maxKeptVectors)
+	}
 }
 
 // TestShardedBatchSplitEquivalence checks that the lookahead window carries

@@ -14,11 +14,16 @@ import (
 // Succ on owner(Succ); edge events add LDA credit to Pred->Succ and
 // re-evaluate R(Pred, Succ) on owner(Pred), carrying Succ's vector because
 // the owning partition does not store it.
+//
+// Vec points at the one vector extracted for the record: its access event
+// and its edge events share it, nobody writes through it, and whoever
+// dispatched the record says how long it stays as it is (see Dispatch and
+// DispatchInto). nil stands for the empty vector.
 type Event struct {
 	Pred   trace.FileID
 	Succ   trace.FileID
 	Credit float64
-	Vec    vsm.Vector
+	Vec    *vsm.Vector
 	Seq    uint64 // global ingest sequence of the record that produced it
 	Access bool
 }
@@ -93,10 +98,19 @@ func (d *Dispatcher) Advance(n uint64) uint64 { return d.seq.Add(n) }
 // occupying two slots emits two events, and slots holding the accessed
 // file itself are skipped), each to the owner of its predecessor. It
 // returns the record's global sequence number. Callers must serialize
-// Dispatch calls; emit runs synchronously on the caller's goroutine.
+// Dispatch calls; emit runs synchronously on the caller's goroutine. The
+// events point at a vector of their own, so they may outlive the call — in
+// a mailbox, on a wire, in a test's slice.
 func (d *Dispatcher) Dispatch(r *trace.Record, emit func(owner int, ev Event)) uint64 {
+	return d.DispatchInto(r, new(vsm.Vector), emit)
+}
+
+// DispatchInto is Dispatch with the record's vector extracted into v, which
+// the caller owns: every event emitted points at it, so v must stay as it
+// is until the last of them has been applied.
+func (d *Dispatcher) DispatchInto(r *trace.Record, v *vsm.Vector, emit func(owner int, ev Event)) uint64 {
 	seq := d.seq.Add(1)
-	v := d.ex.Extract(r)
+	d.ex.ExtractInto(r, v)
 	emit(d.part(r.File, d.owners), Event{Succ: r.File, Vec: v, Seq: seq, Access: true})
 	for i := len(d.window) - 1; i >= 0; i-- {
 		pred := d.window[i]

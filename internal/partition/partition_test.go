@@ -1,7 +1,10 @@
 package partition
 
 import (
+	"reflect"
+	"strconv"
 	"testing"
+	"unsafe"
 
 	"farmer/internal/graph"
 	"farmer/internal/trace"
@@ -113,6 +116,60 @@ func TestDispatchSkipsSelfAndTrimsWindow(t *testing.T) {
 	}
 	if w := len(d.window); w != d.gcfg.Window {
 		t.Fatalf("window length %d, want %d", w, d.gcfg.Window)
+	}
+}
+
+// TestEventsOfOneRecordShareOneVector: a record's access event and its edge
+// events point at one vector — a fresh one from Dispatch, so events kept past
+// the call (a mailbox, a test's slice) are unchanged by later dispatches; the
+// caller's own from DispatchInto, whatever it held before — and an event is
+// small enough to be passed around by value.
+func TestEventsOfOneRecordShareOneVector(t *testing.T) {
+	if size := unsafe.Sizeof(Event{}); size > 40 {
+		t.Errorf("an Event is %d bytes, want at most 40: four are built, passed and appended per record", size)
+	}
+	d := newDispatcher(2, nil)
+	paths := []string{"/u/a/b", "/u/a/c", "/v/x", "/u/a/b/deeper"}
+	var kept [][]Event
+	for i, p := range paths {
+		r := trace.Record{File: trace.FileID(i), Path: p, UID: uint32(i), PID: 2}
+		var evs []Event
+		d.Dispatch(&r, func(_ int, ev Event) { evs = append(evs, ev) })
+		kept = append(kept, evs)
+	}
+	var reused vsm.Vector
+	for i, p := range paths { // the same stream once more, every record into one vector
+		r := trace.Record{File: trace.FileID(i), Path: p, UID: uint32(i), PID: 2}
+		n := 0
+		d.DispatchInto(&r, &reused, func(_ int, ev Event) {
+			if n++; ev.Vec != &reused {
+				t.Errorf("record %d: DispatchInto emitted an event pointing at %p, not the caller's vector", i, ev.Vec)
+			}
+		})
+		if want := vsm.NewExtractor(vsm.AllPathMask).Extract(&r); !reflect.DeepEqual(reused, want) {
+			t.Errorf("record %d: DispatchInto left %+v in the caller's vector, want %+v", i, reused, want)
+		}
+		if n != 4 { // the window is full of other files this time round
+			t.Errorf("record %d: DispatchInto emitted %d events, want its access and 3 edges", i, n)
+		}
+	}
+	for i, evs := range kept {
+		if len(evs) != 1+min(i, 3) {
+			t.Fatalf("record %d emitted %d events, want its access and %d edges", i, len(evs), min(i, 3))
+		}
+		for _, ev := range evs {
+			if ev.Vec != evs[0].Vec {
+				t.Errorf("record %d: an event points at a vector of its own", i)
+			}
+		}
+		if evs[0].Vec.Path != paths[i] || evs[0].Vec.Scalars[0] != "u:"+strconv.Itoa(i) {
+			t.Errorf("record %d: its events now carry %+v: a later dispatch wrote into a vector handed out", i, *evs[0].Vec)
+		}
+		for _, other := range kept[:i] {
+			if other[0].Vec == evs[0].Vec {
+				t.Errorf("record %d shares its vector with an earlier record", i)
+			}
+		}
 	}
 }
 

@@ -27,7 +27,7 @@ func FuzzFrameCodec(f *testing.F) {
 	f.Add(AppendFrame(nil, MsgFeedBatch, 2, appendRecords(nil, []trace.Record{rec, rec})))
 	f.Add(AppendFrame(nil, MsgPredict, 3, appendPredictReq(nil, 9, 4)))
 	f.Add(AppendFrame(nil, MsgApplyEvents, 4, appendEvents(nil, []partition.Event{
-		{Succ: 7, Vec: vsm.Vector{Scalars: []string{"u:1"}, Path: "/x"}, Seq: 1, Access: true},
+		{Succ: 7, Vec: &vsm.Vector{Scalars: []string{"u:1"}, Path: "/x"}, Seq: 1, Access: true},
 		{Pred: 7, Succ: 9, Credit: 0.9, Seq: 2},
 	})))
 	f.Add(AppendFrame(nil, MsgErr, 5, appendWireError(nil, CodeInternal, "boom")))
@@ -215,10 +215,10 @@ func FuzzBodyDecoders(f *testing.F) {
 func hostileCredit(credit float64) []partition.Event {
 	v := vsm.Vector{Scalars: []string{"u:1"}, Path: "/a"}
 	return []partition.Event{
-		{Succ: 1, Vec: v, Seq: 1, Access: true},
-		{Succ: 2, Vec: v, Seq: 2, Access: true},
-		{Pred: 1, Succ: 2, Credit: credit, Vec: v, Seq: 2},
-		{Pred: 1, Succ: 2, Credit: credit, Vec: v, Seq: 3},
+		{Succ: 1, Vec: &v, Seq: 1, Access: true},
+		{Succ: 2, Vec: &v, Seq: 2, Access: true},
+		{Pred: 1, Succ: 2, Credit: credit, Vec: &v, Seq: 2},
+		{Pred: 1, Succ: 2, Credit: credit, Vec: &v, Seq: 3},
 	}
 }
 
@@ -312,7 +312,7 @@ func TestBodyDecodersAreExact(t *testing.T) {
 func TestEventsRefuseOversizedStrings(t *testing.T) {
 	long := string(make([]byte, trace.MaxPathLen+1))
 	for _, vec := range []vsm.Vector{{Path: long}, {Scalars: []string{long}}, {Path: long[1:]}} {
-		body := appendEvents(nil, []partition.Event{{Succ: 1, Vec: vec, Access: true}})
+		body := appendEvents(nil, []partition.Event{{Succ: 1, Vec: &vec, Access: true}})
 		_, err := consumeEvents(body)
 		if wantErr := len(vec.Path) > trace.MaxPathLen || len(vec.Scalars) > 0; (err != nil) != wantErr {
 			t.Fatalf("consumeEvents with a %d-byte path, %d scalars: %v", len(vec.Path), len(vec.Scalars), err)

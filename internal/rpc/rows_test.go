@@ -40,7 +40,7 @@ func rowBodies() map[MsgType][]byte {
 		MsgStats:        nil,
 		MsgSave:         nil,
 		MsgLoad:         nil,
-		MsgApplyEvents:  appendEvents(nil, []partition.Event{{Succ: 1, Vec: vsm.Vector{Path: "/a"}, Seq: 1, Access: true}}),
+		MsgApplyEvents:  appendEvents(nil, []partition.Event{{Succ: 1, Vec: &vsm.Vector{Path: "/a"}, Seq: 1, Access: true}}),
 		MsgPromote:      nil,
 		MsgCatchup:      appendCatchup(nil, &CatchupCut{Pos: 1, Snapshot: []byte("snap")}),
 		MsgReplicate:    appendReplicateRecords(nil, 0, []trace.Record{rec}),

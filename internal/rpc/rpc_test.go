@@ -114,16 +114,27 @@ func TestFrameRejectsVersionAndSize(t *testing.T) {
 
 func TestEventBodyRoundTrip(t *testing.T) {
 	evs := []partition.Event{
-		{Succ: 7, Vec: vsm.Vector{Scalars: []string{"u:1", "p:2"}, Path: "/a/b"}, Seq: 1, Access: true},
-		{Pred: 7, Succ: 9, Credit: 0.9, Vec: vsm.Vector{Scalars: []string{"u:1"}}, Seq: 2},
-		{Pred: 3, Succ: 9, Credit: 1, Seq: 2},
+		{Succ: 7, Vec: &vsm.Vector{Scalars: []string{"u:1", "p:2"}, Path: "/a/b"}, Seq: 1, Access: true},
+		{Pred: 7, Succ: 9, Credit: 0.9, Vec: &vsm.Vector{Scalars: []string{"u:1"}}, Seq: 2},
+		{Pred: 3, Succ: 9, Credit: 1, Seq: 2}, // no vector: ships as the empty one
 	}
-	got, err := consumeEvents(appendEvents(nil, evs))
+	body := appendEvents(nil, evs)
+	got, err := consumeEvents(body)
 	if err != nil {
 		t.Fatal(err)
 	}
+	evs[2].Vec = new(vsm.Vector) // and a decoded event always has one
 	if !reflect.DeepEqual(evs, got) {
 		t.Fatalf("events round trip:\n want %+v\n got  %+v", evs, got)
+	}
+	if !bytes.Equal(body, appendEvents(nil, evs)) {
+		t.Error("an event without a vector and one with the empty vector encode differently")
+	}
+	// The vectors of a frame are one arena beside the events, not one
+	// allocation an event: what else a body allocates is its strings.
+	bare := appendEvents(nil, make([]partition.Event, 64))
+	if n := testing.AllocsPerRun(10, func() { _, _ = consumeEvents(bare) }); n > 2 {
+		t.Errorf("decoding 64 events without strings allocates %v times, want the events and their vectors", n)
 	}
 }
 
@@ -417,9 +428,9 @@ func TestDeepPathEventInstallsUncut(t *testing.T) {
 	}
 	before := live()
 	owner.ApplyEvents([]partition.Event{
-		{Succ: 1, Vec: deep, Seq: 1, Access: true},
-		{Succ: 2, Vec: vsm.Vector{Scalars: []string{"u:7"}, Path: "/a/b"}, Seq: 2, Access: true},
-		{Pred: 1, Succ: 2, Credit: 1, Vec: vsm.Vector{Scalars: []string{"u:7"}, Path: "/a/b"}, Seq: 2},
+		{Succ: 1, Vec: &deep, Seq: 1, Access: true},
+		{Succ: 2, Vec: &vsm.Vector{Scalars: []string{"u:7"}, Path: "/a/b"}, Seq: 2, Access: true},
+		{Pred: 1, Succ: 2, Credit: 1, Vec: &vsm.Vector{Scalars: []string{"u:7"}, Path: "/a/b"}, Seq: 2},
 	})
 	if err := owner.Flush(); err != nil {
 		t.Fatal(err)

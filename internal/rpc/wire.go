@@ -492,6 +492,7 @@ func readStats(c *bin.Cursor) core.Stats {
 func appendEvents(dst []byte, evs []partition.Event) []byte {
 	le := binary.LittleEndian
 	dst = le.AppendUint32(dst, uint32(len(evs)))
+	var empty vsm.Vector // what an event without a vector ships
 	for i := range evs {
 		ev := &evs[i]
 		var flags byte
@@ -503,7 +504,11 @@ func appendEvents(dst []byte, evs []partition.Event) []byte {
 		dst = le.AppendUint32(dst, uint32(ev.Succ))
 		dst = le.AppendUint64(dst, math.Float64bits(ev.Credit))
 		dst = le.AppendUint64(dst, ev.Seq)
-		dst = vsm.AppendVector(dst, &ev.Vec)
+		vec := ev.Vec
+		if vec == nil {
+			vec = &empty
+		}
+		dst = vsm.AppendVector(dst, vec)
 	}
 	return dst
 }
@@ -516,6 +521,7 @@ func consumeEvents(b []byte) ([]partition.Event, error) {
 	c := bin.Read("rpc: events", b)
 	// Minimum event size: flags + ids + credit + seq + empty vector (8).
 	evs := make([]partition.Event, c.Count(1+4+4+8+8+8))
+	vecs := make([]vsm.Vector, len(evs)) // every event gets one: one arena a frame
 	for i := range evs {
 		ev := &evs[i]
 		ev.Access = c.Flags(1) != 0
@@ -528,7 +534,8 @@ func consumeEvents(b []byte) ([]partition.Event, error) {
 			c.Failf("event %d: credit %v", i, ev.Credit)
 		}
 		ev.Seq = c.U64()
-		ev.Vec = vsm.ReadVector(&c)
+		ev.Vec = &vecs[i]
+		*ev.Vec = vsm.ReadVector(&c)
 		// The wire refuses absurd strings even when the bytes are all there;
 		// the store does not (an in-process Feed may have stored a longer
 		// path), so the bound lives here and not in the shared read.

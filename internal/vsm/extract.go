@@ -71,13 +71,21 @@ func (e *Extractor) token(i int, val uint32) string {
 // kept and asking the nil table is free. Where the path's components end is
 // noted inside the vector: a record of a known tuple allocates nothing.
 func (e *Extractor) Extract(r *trace.Record) Vector {
+	var v Vector
+	e.ExtractInto(r, &v)
+	return v
+}
+
+// ExtractInto is Extract building the vector in place of whatever v held: for
+// a caller that extracts record after record into vectors it keeps.
+func (e *Extractor) ExtractInto(r *trace.Record, v *Vector) {
 	vals := [len(scalarAttrs)]uint32{r.UID, r.PID, r.Host, uint32(r.File), r.Dev}
 	for i, sa := range scalarAttrs {
 		if !e.Mask.Has(sa.attr) {
 			vals[i] = 0
 		}
 	}
-	v := Vector{Scalars: e.lists[vals]}
+	*v = Vector{Scalars: e.lists[vals]}
 	if scalars := e.Mask.Without(AttrPath); v.Scalars == nil && scalars != 0 { // every attribute but the path is a scalar
 		v.Scalars = make([]string, 0, scalars.Count())
 		for i, sa := range scalarAttrs {
@@ -96,7 +104,6 @@ func (e *Extractor) Extract(r *trace.Record) Vector {
 		v.Path = r.Path
 		v.Presplit()
 	}
-	return v
 }
 
 // DefaultMask picks the natural full attribute combination for a trace:
