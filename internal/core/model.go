@@ -275,8 +275,7 @@ func (m *Model) Feed(r *trace.Record) {
 	m.fed++
 }
 
-// vectorOf returns where f's semantic vector is stored, for the caller to
-// write the freshly extracted one into. Callers hold m.mu.
+// vectorOf returns where f's vector is stored, for a fresh one. Callers hold m.mu.
 func (m *Model) vectorOf(f trace.FileID) *vsm.Vector {
 	fp := m.file(f)
 	fp.have |= facetVec

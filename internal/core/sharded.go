@@ -45,23 +45,19 @@ type paddedModel struct {
 }
 
 // ApplyEvents replays ordered partition events against this model under its
-// lock — the Owner side of the partition layer. Access events install the
-// freshly extracted semantic vector; edge events add LDA credit and
-// re-evaluate R(pred, succ) with the successor's vector shipped inline, all
+// lock — the Owner side of the partition layer. Access events install a copy
+// of the freshly extracted semantic vector; edge events add LDA credit and
+// re-evaluate R(pred, succ) against the successor's vector they point at, all
 // on one lookup of the predecessor's record.
 func (m *Model) ApplyEvents(evs []partition.Event) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var empty vsm.Vector
 	for i := range evs {
 		ev := &evs[i]
-		vec := ev.Vec
-		if vec == nil {
-			vec = &empty
-		}
+		vec := ev.Vector()
 		if ev.Access {
 			stored := m.vectorOf(ev.Succ)
-			*stored = *vec    // the one copy a record's vector is given: this one is state
+			*stored = *vec    // the one copy a record's vector is given: state
 			stored.Presplit() // returns at once on what this process extracted; a decoded vector becomes a stored one here
 			continue
 		}
@@ -246,14 +242,12 @@ func (s *ShardedModel) eventOwner(ev *partition.Event) int {
 }
 
 // maxKeptVectors bounds the vector scratch the ensemble keeps between calls
-// (320 KiB, and the Path strings of the last batch that used it), as
-// rpc.maxKeptRecords bounds the records it was decoded into; a larger batch
-// extracts into a slice of its own.
+// (320 KiB, and the last batch's Path strings), as rpc.maxKeptRecords bounds
+// the records they were decoded into; a larger batch gets a slice of its own.
 const maxKeptVectors = 4096
 
-// vectors returns n vectors for the events of the next n records to point
-// at, out of the kept scratch when they fit. Callers hold dmu, and are done
-// with every event before they release it.
+// vectors returns n vectors for the events of the next n records to point at.
+// Callers hold dmu and are done with every event before they release it.
 func (s *ShardedModel) vectors(n int) []vsm.Vector {
 	if n > maxKeptVectors {
 		return make([]vsm.Vector, n)

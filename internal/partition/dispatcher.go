@@ -15,10 +15,9 @@ import (
 // re-evaluate R(Pred, Succ) on owner(Pred), carrying Succ's vector because
 // the owning partition does not store it.
 //
-// Vec points at the one vector extracted for the record: its access event
-// and its edge events share it, nobody writes through it, and whoever
-// dispatched the record says how long it stays as it is (see Dispatch and
-// DispatchInto). nil stands for the empty vector.
+// Vec points at the one vector extracted for the record, shared by its access
+// and edge events and never written through; whoever dispatched the record
+// says until when it stays as it is. nil stands for the empty vector.
 type Event struct {
 	Pred   trace.FileID
 	Succ   trace.FileID
@@ -26,6 +25,14 @@ type Event struct {
 	Vec    *vsm.Vector
 	Seq    uint64 // global ingest sequence of the record that produced it
 	Access bool
+}
+
+// Vector returns the vector ev carries: the empty one for none.
+func (ev *Event) Vector() *vsm.Vector {
+	if ev.Vec == nil {
+		return new(vsm.Vector)
+	}
+	return ev.Vec
 }
 
 // Owner is a sink consuming the ordered event stream of one partition: a
@@ -99,15 +106,13 @@ func (d *Dispatcher) Advance(n uint64) uint64 { return d.seq.Add(n) }
 // file itself are skipped), each to the owner of its predecessor. It
 // returns the record's global sequence number. Callers must serialize
 // Dispatch calls; emit runs synchronously on the caller's goroutine. The
-// events point at a vector of their own, so they may outlive the call — in
-// a mailbox, on a wire, in a test's slice.
+// events point at a vector of their own: they may outlive the call (a mailbox).
 func (d *Dispatcher) Dispatch(r *trace.Record, emit func(owner int, ev Event)) uint64 {
 	return d.DispatchInto(r, new(vsm.Vector), emit)
 }
 
-// DispatchInto is Dispatch with the record's vector extracted into v, which
-// the caller owns: every event emitted points at it, so v must stay as it
-// is until the last of them has been applied.
+// DispatchInto is Dispatch extracting into v, which the caller owns: every
+// event points at it, so v stays as it is until the last has been applied.
 func (d *Dispatcher) DispatchInto(r *trace.Record, v *vsm.Vector, emit func(owner int, ev Event)) uint64 {
 	seq := d.seq.Add(1)
 	d.ex.ExtractInto(r, v)

@@ -492,7 +492,6 @@ func readStats(c *bin.Cursor) core.Stats {
 func appendEvents(dst []byte, evs []partition.Event) []byte {
 	le := binary.LittleEndian
 	dst = le.AppendUint32(dst, uint32(len(evs)))
-	var empty vsm.Vector // what an event without a vector ships
 	for i := range evs {
 		ev := &evs[i]
 		var flags byte
@@ -504,11 +503,7 @@ func appendEvents(dst []byte, evs []partition.Event) []byte {
 		dst = le.AppendUint32(dst, uint32(ev.Succ))
 		dst = le.AppendUint64(dst, math.Float64bits(ev.Credit))
 		dst = le.AppendUint64(dst, ev.Seq)
-		vec := ev.Vec
-		if vec == nil {
-			vec = &empty
-		}
-		dst = vsm.AppendVector(dst, vec)
+		dst = vsm.AppendVector(dst, ev.Vector())
 	}
 	return dst
 }

@@ -70,14 +70,12 @@ func (e *Extractor) token(i int, val uint32) string {
 // under a mask with the file id, where each file's list is its own, none is
 // kept and asking the nil table is free. Where the path's components end is
 // noted inside the vector: a record of a known tuple allocates nothing.
-func (e *Extractor) Extract(r *trace.Record) Vector {
-	var v Vector
+func (e *Extractor) Extract(r *trace.Record) (v Vector) {
 	e.ExtractInto(r, &v)
 	return v
 }
 
-// ExtractInto is Extract building the vector in place of whatever v held: for
-// a caller that extracts record after record into vectors it keeps.
+// ExtractInto is Extract in place of whatever v held, for a caller that keeps it.
 func (e *Extractor) ExtractInto(r *trace.Record, v *Vector) {
 	vals := [len(scalarAttrs)]uint32{r.UID, r.PID, r.Host, uint32(r.File), r.Dev}
 	for i, sa := range scalarAttrs {

@@ -112,10 +112,9 @@ type Vector struct {
 	// ends caches where Path's non-empty components end (component i lies
 	// between the slashes after ends[i-1] and ends[i]; unused slots hold 0),
 	// tags a digest of each and cut their number, so that comparing stored
-	// vectors scans no path and compares no bytes a digest tells apart.
-	// Derived state, all zero — Sim cuts the path itself — for a literal or
-	// freshly decoded vector and a path of no or over MaxCached components
-	// or 64 KiB.
+	// vectors scans no path and reads no bytes a digest tells apart. Derived
+	// state, all zero — Sim cuts the path itself — for a literal or decoded
+	// vector and a path of no or over MaxCached components or 64 KiB.
 	ends [MaxCached]uint16
 	tags [MaxCached]uint8
 	cut  uint8
@@ -186,11 +185,9 @@ func component(p string, i int) (start, end int) {
 	return i, len(p)
 }
 
-// tag digests a component from its length and four of its bytes, in time
-// that does not grow with it: equal components have equal tags, so unequal
-// tags tell two components apart without reading them. Equal tags say
-// nothing — one in 256 of unrelated pairs, and whatever differs only between
-// the bytes sampled — and the bytes are compared.
+// tag digests a component from its length and four of its bytes: equal
+// components have equal tags, so unequal tags tell two apart unread. Equal
+// tags (1 in 256, and whatever differs between the bytes sampled) say nothing.
 func tag(c string) uint8 {
 	n := len(c)
 	h := uint32(c[0]) | uint32(c[n/2])<<8 | uint32(c[max(n-2, 0)])<<16 | uint32(c[n-1])<<24
@@ -201,24 +198,20 @@ func tag(c string) uint8 {
 // does, in a decoded vector — for whoever stores it, to be compared many
 // times. A vector already cut is left alone.
 func (v *Vector) Presplit() {
-	var ends [MaxCached]uint16
-	var tags [MaxCached]uint8
 	if p := v.Path; v.cut == 0 && len(p) <= math.MaxUint16 {
-		n := 0
 		for s, e := component(p, 0); s < len(p); s, e = component(p, e) {
-			if n == MaxCached {
+			if v.cut == MaxCached {
+				v.ends, v.tags, v.cut = [MaxCached]uint16{}, [MaxCached]uint8{}, 0 // too deep to cache
 				return
 			}
-			ends[n], tags[n] = uint16(e), tag(p[s:e])
-			n++
+			v.ends[v.cut], v.tags[v.cut] = uint16(e), tag(p[s:e])
+			v.cut++
 		}
-		v.ends, v.tags, v.cut = ends, tags, uint8(n)
 	}
 }
 
 // shared counts leading components a and b have in common, uncut: where both
-// cached ends and tags that agree, the paths need only agree byte for byte
-// that far.
+// cached ends and tags that agree, the paths need only agree bytewise that far.
 func shared(a, b *Vector) int {
 	k := 0
 	for k < int(min(a.cut, b.cut)) && a.ends[k] == b.ends[k] && a.tags[k] == b.tags[k] {
@@ -259,27 +252,6 @@ func (v *Vector) components(buf []string, from int) []string {
 		buf = append(buf, v.component(i))
 	}
 	return buf
-}
-
-// claimCut is intersect over the components of two cut paths from k on, in
-// place: each of a's claims the first unclaimed one of b with its tag and
-// then its bytes, so bytes are compared only where tags agree and nothing is
-// staged. The count is intersect's — which equal item is claimed never
-// changes how many are.
-func claimCut(a, b *Vector, k int) int {
-	n := 0
-	var claimed uint16
-	const _ = uint(16 - MaxCached) // one bit of claimed per cached component
-	for i := k; i < int(a.cut); i++ {
-		for j := k; j < int(b.cut); j++ {
-			if a.tags[i] == b.tags[j] && claimed&(1<<j) == 0 && a.component(i) == b.component(j) {
-				claimed |= 1 << j
-				n++
-				break
-			}
-		}
-	}
-	return n
 }
 
 // intersect counts the items two lists share as multisets: a value occurring
@@ -338,13 +310,26 @@ func share(inter float64, la, lb int) float64 {
 // pathIntersect counts the items a and b share and the items each has: the
 // components of their paths, behind their scalars if those are asked for.
 // Components shared at the head of both pair off uncut. Two cut paths alone
-// are then counted in place by their tags; anything else — an uncut side, or
-// DPA's scalars, which may equal components — is staged on the stack (more
-// than MaxCached + 4 a side spill to the heap).
+// are then counted in place, as intersect would: each component of a claims
+// the first unclaimed one of b with its tag and then its bytes (which equal
+// item is claimed never changes how many are). An uncut side, or DPA's scalars
+// (which may equal components), is staged on the stack (over MaxCached + 4 a
+// side: the heap).
 func pathIntersect(a, b *Vector, scalars bool) (inter float64, la, lb int) {
 	k := shared(a, b)
 	if a.cut != 0 && b.cut != 0 && !scalars {
-		return float64(k + claimCut(a, b, k)), int(a.cut), int(b.cut)
+		n := k
+		var claimed [MaxCached]bool
+		for i := k; i < int(a.cut); i++ {
+			for j := k; j < int(b.cut); j++ {
+				if a.tags[i] == b.tags[j] && !claimed[j] && a.component(i) == b.component(j) {
+					claimed[j] = true
+					n++
+					break
+				}
+			}
+		}
+		return float64(n), int(a.cut), int(b.cut)
 	}
 	var bufA, bufB [MaxCached + 4]string
 	ia, ib := bufA[:0], bufB[:0]
