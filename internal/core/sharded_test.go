@@ -227,6 +227,8 @@ func raceReaders(t *testing.T, tr *trace.Trace, sm *ShardedModel) (stopAndWait f
 // its events were applied fails here by itself.
 func TestEventsOfOneRecordShareOneVector(t *testing.T) {
 	tr := shardTrace(t, 3*(1024+3+5000+2))
+	ref := New(DefaultConfig())
+	ref.FeedTrace(tr)
 	for _, shards := range []int{1, 2, 4} {
 		cfg := DefaultConfig()
 		cfg.Shards = shards
@@ -246,8 +248,6 @@ func TestEventsOfOneRecordShareOneVector(t *testing.T) {
 		if cap(sm.vecs) != 1024 {
 			t.Errorf("%d shards: the ensemble keeps %d vectors, want the 1024 of its largest batch under the bound", shards, cap(sm.vecs))
 		}
-		ref := New(cfg)
-		ref.FeedTrace(tr)
 		assertModelsEqual(t, tr, ref, sm, 0)
 	}
 }
