@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"farmer/internal/kvstore"
+	"farmer/internal/partition"
 	"farmer/internal/tracegen"
 )
 
@@ -59,5 +60,29 @@ func TestFeedBatchAllocsPerCall(t *testing.T) {
 	t.Logf("%.0f allocs per FeedBatch(%d)", perCall, batch)
 	if perCall > 64 {
 		t.Errorf("FeedBatch(%d) at 2 shards allocates %.0f times per call; want O(1) per call", batch, perCall)
+	}
+}
+
+// TestApplyEventsAllocsPerCall: what ApplyEvents works in is a block on its
+// stack, whatever it is handed — a 512-event chunk of FeedBatch's or the
+// 100 000 events one MsgApplyEvents frame may carry — so a call on a warmed
+// model allocates nothing. (At max_strength 0 no list is filtered empty and
+// grown again, so the state allocates nothing either and the count is exact.)
+func TestApplyEventsAllocsPerCall(t *testing.T) {
+	tr := tracegen.HP(30000).MustGenerate()
+	cfg := DefaultConfig()
+	cfg.MaxStrength = 0
+	disp := partition.NewDispatcher(partition.Config{Owners: 1, Mask: cfg.Mask, PathAlg: cfg.PathAlg, Graph: cfg.Graph})
+	for _, n := range []int{eventChunk, 100_000} {
+		var evs []partition.Event
+		for i := 0; len(evs) < n; i++ {
+			disp.Dispatch(&tr.Records[i], func(_ int, ev partition.Event) { evs = append(evs, ev) })
+		}
+		evs = evs[:n]
+		m := New(cfg)
+		m.ApplyEvents(evs) // warm: every file tracked, every list and edge table grown
+		if perCall := testing.AllocsPerRun(10, func() { m.ApplyEvents(evs) }); perCall > 0 {
+			t.Errorf("ApplyEvents of %d events allocates %.0f times a call at steady state, want 0", n, perCall)
+		}
 	}
 }

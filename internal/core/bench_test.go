@@ -112,3 +112,43 @@ func BenchmarkFeedNoSemantics(b *testing.B) {
 		m.Feed(&tr.Records[i%len(tr.Records)])
 	}
 }
+
+// BenchmarkFeedBatchWorkingSet is the batch path at the working set the
+// contract workload has: the trace bench/workload.go's ingest_batch generates
+// (HP with ten times the groups and noise files: ~39k tracked files, 16 MB of
+// mined state), 2 shards, 1 024-record FeedBatches, warmed one pass. Every
+// other benchmark in internal/ mines HP(50000) — 5.4k files, which fit in
+// cache: on it the misses an event walks through (map group, record, edge
+// table, list, stored path) cost nothing, which hid PR 23's whole subject and
+// is why PR 21's last-tuple cache and PR 22's digest key read as noise. The
+// tuples metric is the distinct (uid, pid, host) count against vsm.maxTokens
+// (16 384): past that bound every record of a new tuple allocates its scalar
+// list, and a profile that crosses it is measuring something else.
+func BenchmarkFeedBatchWorkingSet(b *testing.B) {
+	const batch = 1024
+	p := tracegen.HP(192 * batch)
+	p.Groups *= 10
+	p.NoiseFiles *= 10
+	p.Seed = 7
+	tr := p.MustGenerate()
+	tuples := make(map[[3]uint32]struct{})
+	for i := range tr.Records {
+		r := &tr.Records[i]
+		tuples[[3]uint32{r.UID, r.PID, r.Host}] = struct{}{}
+	}
+	cfg := DefaultConfig()
+	cfg.Shards = 2
+	sm := NewSharded(cfg)
+	for lo := 0; lo < len(tr.Records); lo += batch { // warm: every file tracked, every list and edge table grown
+		sm.FeedBatch(tr.Records[lo : lo+batch])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += batch {
+		lo := i % len(tr.Records)
+		sm.FeedBatch(tr.Records[lo:min(lo+batch, lo+b.N-i)])
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(sm.Stats().TrackedFiles), "files")
+	b.ReportMetric(float64(len(tuples)), "tuples")
+}

@@ -109,6 +109,9 @@ type Model struct {
 	window []trace.FileID // recent accesses, oldest first
 	hits   []hit          // Feed's scratch, one per window slot
 	fed    uint64
+	// touched sums what ApplyEvents' first pass loads ahead of its second, so
+	// that the loads are kept; nothing reads it.
+	touched uint64
 
 	// Incremental-checkpoint dirty tracking. Once a save or load has
 	// synchronized the model with a checkpoint store, every mutation marks
@@ -242,7 +245,7 @@ func (m *Model) Feed(r *trace.Record) {
 	defer m.mu.Unlock()
 
 	// Stage 1: Extracting.
-	v := m.vectorOf(r.File)
+	v := m.vectorOf(m.file(r.File), r.File)
 	m.extractor.ExtractInto(r, v)
 
 	// Stage 2: Constructing. Credit every file in the lookahead window, the
@@ -275,9 +278,9 @@ func (m *Model) Feed(r *trace.Record) {
 	m.fed++
 }
 
-// vectorOf returns where f's vector is stored, for a fresh one. Callers hold m.mu.
-func (m *Model) vectorOf(f trace.FileID) *vsm.Vector {
-	fp := m.file(f)
+// vectorOf returns where the vector of f, whose record is fp, is stored, for a
+// fresh one. Callers hold m.mu.
+func (m *Model) vectorOf(fp *file, f trace.FileID) *vsm.Vector {
 	fp.have |= facetVec
 	m.markDirty(fp, f, facetVec)
 	return &fp.vec

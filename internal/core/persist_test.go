@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -753,6 +754,56 @@ func TestTrackedFileCount(t *testing.T) {
 	}
 	if got := sm.TrackedFileCount(); got != 104 {
 		t.Fatalf("tracked %d, want 104", got)
+	}
+
+	// A record with no facets — what an edge event that credits nothing leaves
+	// of a predecessor it is the first to name, and what ApplyEvents' first
+	// pass creates ahead of the event that fills it — is absent to every
+	// reader: the counts, Vector, CorrelatorList and both checkpoint writers.
+	st, err := kvstore.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	mined := func() (out [][2]string) { // every stored key but the m/ records
+		for _, kv := range storeContents(st) {
+			if !strings.HasPrefix(kv[0], hex.EncodeToString([]byte("m/"))) {
+				out = append(out, kv)
+			}
+		}
+		return out
+	}
+	if err := sm.SaveMerged(st); err != nil {
+		t.Fatal(err)
+	}
+	stats, stored := sm.Stats(), mined()
+	sm.ApplyExternal([]partition.Event{{Pred: 500, Succ: 100, Vec: &vsm.Vector{Path: "/shared/file"}, Seq: 5}})
+	if fp := sm.shardFor(500).files[500]; fp == nil || fp.have != 0 {
+		t.Fatalf("an edge event crediting nothing left the record %+v of its predecessor, want one with no facets", fp)
+	}
+	if got := sm.TrackedFileCount(); got != 104 {
+		t.Errorf("a record with no facets raised the tracked count to %d", got)
+	}
+	if got := sm.Stats(); got != stats {
+		t.Errorf("a record with no facets moved the stats: %+v, were %+v", got, stats)
+	}
+	if v, ok := sm.Vector(500); ok {
+		t.Errorf("a record with no facets has the vector %+v", v)
+	}
+	if list := sm.CorrelatorList(500); list != nil {
+		t.Errorf("a record with no facets has the list %+v", list)
+	}
+	if delta, err := sm.SaveCheckpoint(st); err != nil || !delta {
+		t.Fatalf("SaveCheckpoint wrote a delta: %v, %v", delta, err)
+	}
+	if got := mined(); !reflect.DeepEqual(got, stored) {
+		t.Errorf("a record with no facets reached the store in a delta:\n got  %v\n want %v", got, stored)
+	}
+	if err := sm.SaveMerged(st); err != nil {
+		t.Fatal(err)
+	}
+	if got := mined(); !reflect.DeepEqual(got, stored) {
+		t.Errorf("a record with no facets reached the store in a full save:\n got  %v\n want %v", got, stored)
 	}
 }
 

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"reflect"
 	"runtime"
 	"sync"
@@ -221,12 +223,18 @@ func raceReaders(t *testing.T, tr *trace.Trace, sm *ShardedModel) (stopAndWait f
 // TestEventsOfOneRecordShareOneVector: FeedBatch points the events of each
 // record at a slot of a scratch the ensemble keeps and writes over in the
 // next call — batches of 1024, 3 and 5000 (past the bound: a slice of its
-// own) and single Feeds in between, shard workers reading the slots while
-// the dispatcher fills later ones and readers at the shard locks — and the
-// mined state is the sequential Model's. Under -race a slot reused before
-// its events were applied fails here by itself.
+// own), of 63, 64, 65 and 129 (chunks that end just short of, on and just past
+// the block ApplyEvents mines at a time) and single Feeds in between, shard
+// workers reading the slots while the dispatcher fills later ones and readers
+// at the shard locks — and the mined state is the sequential Model's. Under
+// -race a slot reused before its events were applied fails here by itself.
 func TestEventsOfOneRecordShareOneVector(t *testing.T) {
-	tr := shardTrace(t, 3*(1024+3+5000+2))
+	sizes := []int{1024, 3, 5000, applyBlock - 1, applyBlock, applyBlock + 1, 2*applyBlock + 1}
+	round := 2 // the single Feeds
+	for _, n := range sizes {
+		round += n
+	}
+	tr := shardTrace(t, 3*round)
 	ref := New(DefaultConfig())
 	ref.FeedTrace(tr)
 	for _, shards := range []int{1, 2, 4} {
@@ -236,7 +244,7 @@ func TestEventsOfOneRecordShareOneVector(t *testing.T) {
 		stopReaders := raceReaders(t, tr, sm)
 		recs := tr.Records
 		for len(recs) > 0 {
-			for _, n := range []int{1024, 3, 5000} {
+			for _, n := range sizes {
 				sm.FeedBatch(recs[:n])
 				recs = recs[n:]
 			}
@@ -282,6 +290,141 @@ func TestApplyEventsReadsNilVectorAsEmpty(t *testing.T) {
 	}
 	if g, w := got.Stats(), want.Stats(); g != w {
 		t.Errorf("stats %+v without a vector, %+v with the empty one", g, w)
+	}
+}
+
+// applied is everything a run of ApplyEvents calls leaves behind and tells
+// anybody: the lists' fingerprint, every record whole (facets, dirty marks and
+// a full node's remembered victim included), the dirty ids in the order they
+// were first marked, and the list hook's calls in order.
+type applied struct {
+	fingerprint uint64
+	files       map[trace.FileID]file
+	dirty       []trace.FileID
+	hooked      []trace.FileID
+}
+
+// applyCalls applies each of calls with one ApplyEvents to a fresh model that
+// tracks dirty facets, as one that has checkpointed does.
+func applyCalls(cfg Config, fileCount int, calls ...[]partition.Event) applied {
+	m := New(cfg)
+	m.resetDirtyLocked()
+	a := applied{files: make(map[trace.FileID]file)}
+	m.SetListChangeHook(func(f trace.FileID) { a.hooked = append(a.hooked, f) })
+	for _, evs := range calls {
+		m.ApplyEvents(evs)
+	}
+	a.fingerprint = StateFingerprint(m, fileCount)
+	for f, fp := range m.files {
+		a.files[f] = *fp
+	}
+	a.dirty = m.dirtyIDs
+	return a
+}
+
+// TestApplyEventsIsSplitInvariant: ApplyEvents resolves a block of events to
+// their records before it mines the first of them, and where a stream is cut
+// — into blocks inside a call, into calls — shows nowhere. The streams come
+// off a dispatcher fed a few dozen files at random, new ones turning up all
+// the way through: files first named in the middle of a block, an access with
+// the edges that name its file as predecessor a few events behind it (they
+// compare against the vector that access installed), one file in two window
+// slots, full edge tables and lists, and a record's worth of events that
+// carry no vector. Applied whole, cut in two at every k, and one event a
+// call, a stream leaves one state, one dirty order and one hook sequence.
+func TestApplyEventsIsSplitInvariant(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxStrength = 0.3
+	cfg.MaxCorrelators = 3
+	cfg.Graph.MaxSuccessors = 4
+	rng := rand.New(rand.NewPCG(23, 64))
+	for round := 0; round < 8; round++ {
+		disp := partition.NewDispatcher(partition.Config{Owners: 1, Mask: cfg.Mask, PathAlg: cfg.PathAlg, Graph: cfg.Graph})
+		var evs []partition.Event
+		var files []trace.FileID
+		records, fileCount, twice := 30+rng.IntN(60), 6, false
+		for i := 0; i < records; i++ {
+			if rng.IntN(4) == 0 {
+				fileCount++ // the next draw may be a file nobody has named
+			}
+			f := trace.FileID(rng.IntN(fileCount))
+			if i%7 == 2 {
+				f = files[i-2] // A B A: the next record finds A in two slots
+			}
+			files = append(files, f)
+			r := trace.Record{File: f, UID: uint32(f % 3), PID: uint32(f % 2), Path: fmt.Sprintf("/home/u%d/d%d/f%d", f%3, f%5, f)}
+			first := len(evs)
+			disp.Dispatch(&r, func(_ int, ev partition.Event) { evs = append(evs, ev) })
+			for j := first; j < len(evs); j++ {
+				twice = twice || j > first+1 && evs[j].Pred == evs[j-1].Pred || j > first+2 && evs[j].Pred == evs[j-2].Pred
+				if i%11 == 5 {
+					evs[j].Vec = nil
+				}
+			}
+		}
+		if !twice {
+			t.Fatalf("round %d: no record found a file in two window slots", round)
+		}
+		if len(evs) <= 2*applyBlock {
+			t.Fatalf("round %d: %d events do not span three blocks", round, len(evs))
+		}
+
+		whole := applyCalls(cfg, fileCount, evs)
+		if len(whole.hooked) == 0 || len(whole.dirty) == 0 || whole.fingerprint == StateFingerprint(New(cfg), fileCount) {
+			t.Fatalf("round %d: %d events mined nothing to compare", round, len(evs))
+		}
+		same := func(how string, got applied) {
+			t.Helper()
+			if got.fingerprint != whole.fingerprint {
+				t.Errorf("round %d, %s: fingerprint %#x, applied whole %#x", round, how, got.fingerprint, whole.fingerprint)
+			}
+			if !reflect.DeepEqual(got.files, whole.files) {
+				t.Errorf("round %d, %s: the records differ from those of the stream applied whole", round, how)
+			}
+			if !reflect.DeepEqual(got.dirty, whole.dirty) {
+				t.Errorf("round %d, %s: dirty ids %v, applied whole %v", round, how, got.dirty, whole.dirty)
+			}
+			if !reflect.DeepEqual(got.hooked, whole.hooked) {
+				t.Errorf("round %d, %s: list hook saw %v, applied whole %v", round, how, got.hooked, whole.hooked)
+			}
+		}
+		for k := 0; k <= len(evs) && !t.Failed(); k++ {
+			same(fmt.Sprintf("cut at %d of %d", k, len(evs)), applyCalls(cfg, fileCount, evs[:k], evs[k:]))
+		}
+		single := make([][]partition.Event, len(evs))
+		for i := range evs {
+			single[i] = evs[i : i+1]
+		}
+		same("one event a call", applyCalls(cfg, fileCount, single...))
+	}
+}
+
+// TestResetKeepsNoRecord: a Model points at file records from its map and,
+// between Feeds, from the window-slot scratch of the last one (ApplyEvents
+// keeps its block on the stack); Reset replaces the map and must not leave the
+// scratch holding the old one's records.
+func TestResetKeepsNoRecord(t *testing.T) {
+	tr := shardTrace(t, 500)
+	sm := NewSharded(DefaultConfig())
+	m := sm.Shard(0)
+	m.FeedTrace(tr)
+	kept := 0
+	for _, h := range m.hits {
+		if h.fp != nil {
+			kept++
+		}
+	}
+	if kept == 0 {
+		t.Fatal("Feed left no record in its scratch: nothing to check")
+	}
+	sm.Reset()
+	if len(m.files) != 0 {
+		t.Errorf("%d records in the map after Reset", len(m.files))
+	}
+	for i, h := range m.hits {
+		if h != (hit{}) {
+			t.Errorf("window slot %d of Feed's scratch still holds %+v after Reset", i, h)
+		}
 	}
 }
 
