@@ -72,11 +72,11 @@ func TestApplyEventsAllocsPerCall(t *testing.T) {
 	tr := tracegen.HP(30000).MustGenerate()
 	cfg := DefaultConfig()
 	cfg.MaxStrength = 0
-	disp := partition.NewDispatcher(partition.Config{Owners: 1, Mask: cfg.Mask, PathAlg: cfg.PathAlg, Graph: cfg.Graph})
+	seq := NewSharded(cfg) // sequences only: its events go to the Model below
 	for _, n := range []int{eventChunk, 100_000} {
 		var evs []partition.Event
 		for i := 0; len(evs) < n; i++ {
-			disp.Dispatch(&tr.Records[i], func(_ int, ev partition.Event) { evs = append(evs, ev) })
+			seq.DispatchExternal(&tr.Records[i], func(_ int, ev partition.Event) { evs = append(evs, ev) })
 		}
 		evs = evs[:n]
 		m := New(cfg)

@@ -339,7 +339,7 @@ func TestApplyEventsIsSplitInvariant(t *testing.T) {
 	cfg.Graph.MaxSuccessors = 4
 	rng := rand.New(rand.NewPCG(23, 64))
 	for round := 0; round < 8; round++ {
-		disp := partition.NewDispatcher(partition.Config{Owners: 1, Mask: cfg.Mask, PathAlg: cfg.PathAlg, Graph: cfg.Graph})
+		seq := NewSharded(cfg) // sequences only: its events go to fresh Models
 		var evs []partition.Event
 		var files []trace.FileID
 		records, fileCount, twice := 30+rng.IntN(60), 6, false
@@ -354,7 +354,7 @@ func TestApplyEventsIsSplitInvariant(t *testing.T) {
 			files = append(files, f)
 			r := trace.Record{File: f, UID: uint32(f % 3), PID: uint32(f % 2), Path: fmt.Sprintf("/home/u%d/d%d/f%d", f%3, f%5, f)}
 			first := len(evs)
-			disp.Dispatch(&r, func(_ int, ev partition.Event) { evs = append(evs, ev) })
+			seq.DispatchExternal(&r, func(_ int, ev partition.Event) { evs = append(evs, ev) })
 			for j := first; j < len(evs); j++ {
 				twice = twice || j > first+1 && evs[j].Pred == evs[j-1].Pred || j > first+2 && evs[j].Pred == evs[j-2].Pred
 				if i%11 == 5 {
