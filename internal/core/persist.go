@@ -348,8 +348,6 @@ func (m *Model) stageLocked(st *stager) error {
 // atomic kvstore batch (a crash mid-save leaves the previous checkpoint
 // intact), and a completed save (re)binds the ensemble's dirty tracking to
 // the store so the next SaveCheckpoint can write just the delta.
-// (Events applied through ApplyExternal bypass the local dispatcher; a
-// server mined remotely should quiesce its owner before checkpointing.)
 func (s *ShardedModel) SaveMerged(st *kvstore.Store) error {
 	s.dmu.Lock()
 	defer s.dmu.Unlock()

@@ -777,7 +777,7 @@ func TestTrackedFileCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats, stored := sm.Stats(), mined()
-	sm.ApplyExternal([]partition.Event{{Pred: 500, Succ: 100, Vec: &vsm.Vector{Path: "/shared/file"}, Seq: 5}})
+	sm.shardFor(500).ApplyEvents([]partition.Event{{Pred: 500, Succ: 100, Vec: &vsm.Vector{Path: "/shared/file"}, Seq: 5}})
 	if fp := sm.shardFor(500).files[500]; fp == nil || fp.have != 0 {
 		t.Fatalf("an edge event crediting nothing left the record %+v of its predecessor, want one with no facets", fp)
 	}

@@ -240,19 +240,6 @@ func (s *ShardedModel) DispatchExternal(r *trace.Record, emit func(owner int, ev
 	return s.disp.Dispatch(r, emit)
 }
 
-// ApplyExternal applies events produced by another process's dispatcher
-// (its DispatchExternal hook, shipped over a transport) to this ensemble —
-// the receiving half of a cross-process deployment. Each event is routed to
-// the shard owning the state it touches: access events by Succ, edge events
-// by Pred, so a server may stripe internally however it likes while the
-// remote dispatcher sees it as one owner. Relative order is preserved per
-// shard within and across calls from one goroutine; callers must deliver
-// batches in emission order (one rpc connection's FIFO suffices) for the
-// mined state to stay bit-identical to a locally fed ensemble. The local
-// dispatcher's window and sequence are not consulted or advanced — the
-// remote dispatcher owns both.
-func (s *ShardedModel) ApplyExternal(evs []partition.Event) { s.applyRouted(evs) }
-
 // applyRouted applies events to the shards owning the state they touch, one
 // ApplyEvents call (one lock hold) per run of same-owner events, preserving
 // each shard's relative order.

@@ -35,15 +35,6 @@ func (ev *Event) Vector() *vsm.Vector {
 	return ev.Vec
 }
 
-// Owner is a sink consuming the ordered event stream of one partition: a
-// local core.Model shard, a connection to a remote one (rpc.NetOwner), or
-// any other application target. Every batch an Owner receives is
-// FIFO in global stream order; applying batches in arrival order reproduces
-// the sequential mine exactly.
-type Owner interface {
-	ApplyEvents(evs []Event)
-}
-
 // Config parameterises a Dispatcher. Owners must be >= 1; a nil Partitioner
 // defaults to Stripe.
 type Config struct {

@@ -43,10 +43,8 @@ func testRecord(f trace.FileID) trace.Record {
 	return trace.Record{File: f, Path: "/u/a/b", UID: 1, PID: 2}
 }
 
-// recorder captures every emitted event per owner.
+// recorder captures every emitted event.
 type recorder struct{ evs []Event }
-
-func (r *recorder) ApplyEvents(evs []Event) { r.evs = append(r.evs, evs...) }
 
 func newDispatcher(owners int, part Partitioner) *Dispatcher {
 	return NewDispatcher(Config{
@@ -58,9 +56,9 @@ func newDispatcher(owners int, part Partitioner) *Dispatcher {
 	})
 }
 
-// fan dispatches one record to a single owner, one event per batch.
-func fan(d *Dispatcher, owner Owner, r *trace.Record) {
-	d.Dispatch(r, func(_ int, ev Event) { owner.ApplyEvents([]Event{ev}) })
+// fan dispatches one record to a single owner.
+func fan(d *Dispatcher, owner *recorder, r *trace.Record) {
+	d.Dispatch(r, func(_ int, ev Event) { owner.evs = append(owner.evs, ev) })
 }
 
 // TestDispatchLDACredits: the edge events for one record must mirror

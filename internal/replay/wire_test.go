@@ -3,9 +3,7 @@ package replay
 // The wire-transport half of the replay harness's correctness claims: a
 // miner served by a live farmerd over loopback TCP must mine bit-identical
 // state to the in-process ShardedModel and to the paper-exact sequential
-// Model, whether the trace arrives through farmer.Dial (client feeding) or
-// through rpc.NetOwner (a dispatcher in one process routing mining events
-// to servers in others — hust.NewGlobalCluster's topology as real sockets).
+// Model when the trace arrives through farmer.Dial.
 
 import (
 	"context"
@@ -15,8 +13,6 @@ import (
 
 	"farmer"
 	"farmer/internal/core"
-	"farmer/internal/partition"
-	"farmer/internal/rpc"
 	"farmer/internal/trace"
 	"farmer/internal/tracegen"
 )
@@ -119,100 +115,6 @@ func TestWireLoopbackBitIdentical(t *testing.T) {
 	if got := Fingerprint(remoteLister{t, client}, tr.FileCount); got != ref {
 		t.Fatalf("remote fingerprint %#x != sequential %#x", got, ref)
 	}
-}
-
-// TestWireTwoProcessTopology runs hust.NewGlobalCluster's shape over real
-// sockets: one dispatcher sequences the stream and routes each partition's
-// mining events through rpc.NetOwner to its own farmerd, so two servers
-// collectively mine one global model — bit-identical to the sequential
-// mine.
-func TestWireTwoProcessTopology(t *testing.T) {
-	tr := tracegen.HP(6000).MustGenerate()
-	mc := core.DefaultConfig()
-	ref := MineSequential(tr, mc)
-	const servers = 2
-
-	miners := make([]*farmer.LocalMiner, servers)
-	clients := make([]*rpc.Client, servers)
-	owners := make([]*rpc.NetOwner, servers)
-	for i := range miners {
-		m, err := farmer.Open(farmer.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		miners[i] = m
-		addr, stop := startFarmerd(t, m)
-		defer stop()
-		c, err := rpc.Dial(context.Background(), addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		clients[i] = c
-		owners[i] = rpc.NewNetOwner(c, 0)
-	}
-
-	d := partition.NewDispatcher(partition.Config{
-		Owners:      servers,
-		Partitioner: partition.Hash,
-		Mask:        mc.Mask,
-		PathAlg:     mc.PathAlg,
-		Graph:       mc.Graph,
-	})
-	// Stage per-owner batches like ShardedModel.FeedBatch, shipping a frame
-	// whenever a batch fills.
-	const chunk = 256
-	bufs := make([][]partition.Event, servers)
-	emit := func(owner int, ev partition.Event) {
-		bufs[owner] = append(bufs[owner], ev)
-		if len(bufs[owner]) >= chunk {
-			owners[owner].ApplyEvents(bufs[owner])
-			bufs[owner] = bufs[owner][:0]
-		}
-	}
-	for i := range tr.Records {
-		d.Dispatch(&tr.Records[i], emit)
-	}
-	for i := range owners {
-		owners[i].ApplyEvents(bufs[i])
-		if err := owners[i].Flush(); err != nil {
-			t.Fatalf("owner %d: %v", i, err)
-		}
-	}
-
-	// Each file's list lives on the server the partitioner routes it to;
-	// the union of the two remote models is the global model.
-	routed := routedLister{
-		t:    t,
-		part: partition.Hash,
-		ms:   clients,
-	}
-	if got := Fingerprint(routed, tr.FileCount); got != ref {
-		t.Fatalf("two-process fingerprint %#x != sequential %#x", got, ref)
-	}
-	// Sanity: state really is partitioned, not mirrored — both servers hold
-	// a strict subset.
-	for i, m := range miners {
-		st := m.Sharded().Stats()
-		if st.Lists == 0 {
-			t.Fatalf("server %d mined nothing", i)
-		}
-	}
-}
-
-// routedLister reads each file's list from the server owning its partition.
-type routedLister struct {
-	t    testing.TB
-	part partition.Partitioner
-	ms   []*rpc.Client
-}
-
-func (l routedLister) CorrelatorList(f trace.FileID) []core.Correlator {
-	list, err := l.ms[l.part(f, len(l.ms))].CorrelatorList(context.Background(), f)
-	if err != nil {
-		l.t.Fatalf("remote list %d: %v", f, err)
-	}
-	return list
 }
 
 // BenchmarkLoopbackFeed measures the serving path's unit cost: one Feed

@@ -42,9 +42,9 @@ type pending struct {
 }
 
 // pendingPool recycles pending slots — and with them their one-buffered
-// channels — so a windowed ack stream (AckWindow, NetOwner, FeedBatch
-// pipelining) stops paying two allocations per request. Slots return to the
-// pool only from the receive path in wait: a slot whose channel was closed
+// channels — so a windowed ack stream (AckWindow, FeedBatch pipelining)
+// stops paying two allocations per request. Slots return to the pool only
+// from the receive path in wait: a slot whose channel was closed
 // by fail, or whose response was abandoned on ctx expiry (the reader may
 // still send into it), is simply dropped for the GC. Together with the
 // pooled response-read buffer in readLoop, measured on

@@ -5,16 +5,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"math"
 	"runtime/metrics"
 	"strings"
 	"testing"
 
 	"farmer/internal/bin"
 	"farmer/internal/core"
-	"farmer/internal/partition"
 	"farmer/internal/trace"
-	"farmer/internal/vsm"
 )
 
 // FuzzFrameCodec feeds arbitrary bytes through the frame reader. Nothing may
@@ -26,10 +23,6 @@ func FuzzFrameCodec(f *testing.F) {
 	f.Add(AppendFrame(nil, MsgFeed, 1, trace.AppendRecord(nil, &rec)))
 	f.Add(AppendFrame(nil, MsgFeedBatch, 2, appendRecords(nil, []trace.Record{rec, rec})))
 	f.Add(AppendFrame(nil, MsgPredict, 3, appendPredictReq(nil, 9, 4)))
-	f.Add(AppendFrame(nil, MsgApplyEvents, 4, appendEvents(nil, []partition.Event{
-		{Succ: 7, Vec: &vsm.Vector{Scalars: []string{"u:1"}, Path: "/x"}, Seq: 1, Access: true},
-		{Pred: 7, Succ: 9, Credit: 0.9, Seq: 2},
-	})))
 	f.Add(AppendFrame(nil, MsgErr, 5, appendWireError(nil, CodeInternal, "boom")))
 	f.Add(AppendFrameTenant(nil, MsgFeed, 6, "tenant-a", trace.AppendRecord(nil, &rec)))
 	f.Add(AppendFrameTenant(nil, MsgHello, 7, "t.0", appendHello(nil, "secret")))
@@ -89,10 +82,6 @@ var bodyCodecs = []struct {
 	{"stats", func(b []byte) ([]byte, error) {
 		st, err := consumeStats(b)
 		return appendStats(nil, st), err
-	}},
-	{"events", func(b []byte) ([]byte, error) {
-		evs, err := consumeEvents(b)
-		return appendEvents(nil, evs), err
 	}},
 	{"catchup", func(b []byte) ([]byte, error) {
 		cut, err := decodeCatchup(b)
@@ -182,9 +171,6 @@ func FuzzBodyDecoders(f *testing.F) {
 	rec := trace.Record{Seq: 1, File: 7, UID: 2, PID: 3, Host: 4, Dev: 5, Size: 6, Group: -1, Path: "/a/b"}
 	f.Add(trace.AppendRecord(nil, &rec))
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 1, 2, 3, 4, 5, 6, 7, 8, 9})
-	for _, credit := range []float64{math.Inf(1), math.NaN(), -1, 1e308} {
-		f.Add(appendEvents(nil, hostileCredit(credit)))
-	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Decoded values are a few times their encoding (a 4-byte id list entry
@@ -200,66 +186,7 @@ func FuzzBodyDecoders(f *testing.F) {
 				t.Fatalf("%s accepted\n  %x but re-encodes it as\n  %x", bc.name, data, out)
 			}
 		}
-		// Events the wire accepts leave every list they touch ranked. (Small
-		// bodies only: comparing two long hostile paths is quadratic.)
-		if evs, err := consumeEvents(data); err == nil && len(data) <= 4096 {
-			if c, bad := unrankedAfter(evs); bad {
-				t.Fatalf("events %x applied: a list holds %+v", data, c)
-			}
-		}
 	})
-}
-
-// hostileCredit is a well-formed event batch — two accesses, then an edge
-// between them — whose edge carries the given credit.
-func hostileCredit(credit float64) []partition.Event {
-	v := vsm.Vector{Scalars: []string{"u:1"}, Path: "/a"}
-	return []partition.Event{
-		{Succ: 1, Vec: &v, Seq: 1, Access: true},
-		{Succ: 2, Vec: &v, Seq: 2, Access: true},
-		{Pred: 1, Succ: 2, Credit: credit, Vec: &v, Seq: 2},
-		{Pred: 1, Succ: 2, Credit: credit, Vec: &v, Seq: 3},
-	}
-}
-
-// unrankedAfter applies events to a fresh miner and reports a list entry
-// with a non-finite component, if any predecessor's list now holds one.
-func unrankedAfter(evs []partition.Event) (core.Correlator, bool) {
-	sm := core.NewSharded(core.DefaultConfig())
-	sm.ApplyExternal(evs)
-	for i := range evs {
-		for _, c := range sm.CorrelatorList(evs[i].Pred) {
-			for _, x := range [...]float64{c.Degree, c.Sim, c.Freq} {
-				if math.IsNaN(x) || math.IsInf(x, 0) {
-					return c, true
-				}
-			}
-		}
-	}
-	return core.Correlator{}, false
-}
-
-// TestHostileCreditRefused: +Inf credit made N_x = N_xy = +Inf, the frequency
-// Inf/Inf and the degree a NaN, which is not <= max_strength, so the entry
-// was kept, checkpointed and replicated. The wire refuses any credit LDA
-// cannot assign; applied in process, those events show what it keeps out.
-func TestHostileCreditRefused(t *testing.T) {
-	for _, credit := range []float64{math.Inf(1), math.NaN(), -0.5, 1e308, maxCredit * 2} {
-		if _, err := consumeEvents(appendEvents(nil, hostileCredit(credit))); err == nil {
-			t.Errorf("credit %v accepted off the wire", credit)
-		}
-	}
-	if c, bad := unrankedAfter(hostileCredit(math.Inf(1))); !bad || !math.IsNaN(c.Degree) {
-		t.Errorf("+Inf credit applied in process left %+v; this test no longer shows what the refusal prevents", c)
-	}
-	for _, credit := range []float64{0, 0.8, 1, maxCredit} {
-		evs, err := consumeEvents(appendEvents(nil, hostileCredit(credit)))
-		if err != nil {
-			t.Errorf("credit %v refused: %v", credit, err)
-		} else if c, bad := unrankedAfter(evs); bad {
-			t.Errorf("credit %v left %+v", credit, c)
-		}
-	}
 }
 
 // TestBodyDecodersAreExact states the wire's strictness, one row per decoder
@@ -302,24 +229,6 @@ func TestBodyDecodersAreExact(t *testing.T) {
 		}
 		if rows == 0 {
 			t.Errorf("%s has no golden body", bc.name)
-		}
-	}
-}
-
-// TestEventsRefuseOversizedStrings: the wire bounds a vector's strings by
-// trace.MaxPathLen even when the bytes are all present; the shared
-// vsm.ReadVector (the store's v/ decoder) does not.
-func TestEventsRefuseOversizedStrings(t *testing.T) {
-	long := string(make([]byte, trace.MaxPathLen+1))
-	for _, vec := range []vsm.Vector{{Path: long}, {Scalars: []string{long}}, {Path: long[1:]}} {
-		body := appendEvents(nil, []partition.Event{{Succ: 1, Vec: &vec, Access: true}})
-		_, err := consumeEvents(body)
-		if wantErr := len(vec.Path) > trace.MaxPathLen || len(vec.Scalars) > 0; (err != nil) != wantErr {
-			t.Fatalf("consumeEvents with a %d-byte path, %d scalars: %v", len(vec.Path), len(vec.Scalars), err)
-		}
-		c := bin.Read("vector", vsm.AppendVector(nil, &vec))
-		if vsm.ReadVector(&c); c.Done() != nil {
-			t.Fatalf("the shared vector read refused a long string: %v", c.Done())
 		}
 	}
 }

@@ -9,9 +9,7 @@ import (
 	"testing"
 
 	"farmer/internal/core"
-	"farmer/internal/partition"
 	"farmer/internal/trace"
-	"farmer/internal/vsm"
 )
 
 // The wire is frozen at ProtocolVersion 2: one fixed hex literal per message
@@ -50,11 +48,6 @@ var (
 		{Seq: 1, Time: 5, File: 7, Op: 2, UID: 2, PID: 3, Host: 4, Dev: 5, Size: 6, Group: -1, Path: "/a/b"},
 		{Seq: 2, File: 0x0304, UID: 2, PID: 3},
 	}
-	goldenEvents = []partition.Event{
-		{Succ: 7, Vec: &vsm.Vector{Scalars: []string{"u:1", "p:2"}, Path: "/a/b"}, Seq: 1, Access: true},
-		{Pred: 7, Succ: 9, Credit: 0.9, Vec: &vsm.Vector{Scalars: []string{"u:1"}}, Seq: 2},
-		{Pred: 3, Succ: 9, Credit: 1, Seq: 2}, // no vector: the bytes of an empty one
-	}
 	goldenStats     = core.Stats{Fed: 1, TrackedFiles: 2, Lists: 3, Correlators: 4, GraphNodes: 5, GraphEdges: 6, MemoryBytes: 7}
 	goldenGroupsReq = GroupsReq{FileCount: 300, MinDegree: 0.45, Read: true}
 	goldenLease     = LeaseInfo{Epoch: 3, Leader: "10.0.0.1:4727", TTLMS: 1500, Self: true, Transfer: true}
@@ -89,10 +82,6 @@ var goldenBodies = []goldenBody{
 		func() []byte { return appendStats(nil, goldenStats) },
 		func(b []byte) (any, error) { return consumeStats(b) },
 		goldenStats},
-	{"events", "03000000010000000007000000000000000000000001000000000000000200000003000000753a3103000000703a32040000002f612f62000700000009000000cdccccccccccec3f02000000000000000100000003000000753a3100000000000300000009000000000000000000f03f02000000000000000000000000000000",
-		func() []byte { return appendEvents(nil, goldenEvents) },
-		func(b []byte) (any, error) { return consumeEvents(b) },
-		append(goldenEvents[:2:2], partition.Event{Pred: 3, Succ: 9, Credit: 1, Vec: new(vsm.Vector), Seq: 2})}, // off the wire every event has a vector
 	{"catchup", "2800000000000000cefaedfe000000000c000000736e6170",
 		func() []byte {
 			return appendCatchup(nil, &CatchupCut{Pos: 40, Fingerprint: 0xfeedface, FileCount: 12, Snapshot: []byte("snap")})

@@ -6,7 +6,6 @@ import (
 
 	"farmer/internal/bin"
 	"farmer/internal/core"
-	"farmer/internal/partition"
 	"farmer/internal/trace"
 )
 
@@ -214,8 +213,6 @@ var msgRows = [MsgErr + 1]msgRow{
 		func(r *request, _ struct{}) ([]byte, error) { return appendStats(nil, r.b.Stats()), nil }),
 	MsgSave: row("save", surfacePlain, empty, acked(func(r *request) error { return r.b.Save() })),
 	MsgLoad: row("load", surfacePlain, empty, acked(func(r *request) error { return r.b.Load() })),
-	MsgApplyEvents: row("apply_events", surfacePlain, consumeEvents,
-		func(r *request, evs []partition.Event) ([]byte, error) { return nil, r.b.ApplyEvents(evs) }),
 
 	MsgPromote: row("promote", surfaceReplica, empty, acked(func(r *request) error { return r.replica.Promote() })),
 	// MsgCatchupChunk: raw snapshot bytes, accumulated per connection and

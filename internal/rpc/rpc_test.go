@@ -8,17 +8,14 @@ import (
 	"fmt"
 	"net"
 	"reflect"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"farmer/internal/core"
-	"farmer/internal/partition"
 	"farmer/internal/trace"
 	"farmer/internal/tracegen"
-	"farmer/internal/vsm"
 )
 
 // minerBackend is the test backend: a real sharded miner, plus knobs for
@@ -50,10 +47,9 @@ func (b *minerBackend) Predict(f trace.FileID, k int) []trace.FileID { return b.
 func (b *minerBackend) CorrelatorList(f trace.FileID) []core.Correlator {
 	return b.sm.CorrelatorList(f)
 }
-func (b *minerBackend) Stats() core.Stats                       { return b.sm.Stats() }
-func (b *minerBackend) ApplyEvents(evs []partition.Event) error { b.sm.ApplyExternal(evs); return nil }
-func (b *minerBackend) Save() error                             { b.saves++; return b.saveErr }
-func (b *minerBackend) Load() error                             { return nil }
+func (b *minerBackend) Stats() core.Stats { return b.sm.Stats() }
+func (b *minerBackend) Save() error       { b.saves++; return b.saveErr }
+func (b *minerBackend) Load() error       { return nil }
 
 // startServer runs a server on a loopback listener and returns its address
 // plus a stop function that asserts a clean drain.
@@ -109,32 +105,6 @@ func TestFrameRejectsVersionAndSize(t *testing.T) {
 	huge := []byte{0xff, 0xff, 0xff, 0xff}
 	if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(huge))); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("want ErrFrameTooLarge, got %v", err)
-	}
-}
-
-func TestEventBodyRoundTrip(t *testing.T) {
-	evs := []partition.Event{
-		{Succ: 7, Vec: &vsm.Vector{Scalars: []string{"u:1", "p:2"}, Path: "/a/b"}, Seq: 1, Access: true},
-		{Pred: 7, Succ: 9, Credit: 0.9, Vec: &vsm.Vector{Scalars: []string{"u:1"}}, Seq: 2},
-		{Pred: 3, Succ: 9, Credit: 1, Seq: 2}, // no vector: ships as the empty one
-	}
-	body := appendEvents(nil, evs)
-	got, err := consumeEvents(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs[2].Vec = new(vsm.Vector) // and a decoded event always has one
-	if !reflect.DeepEqual(evs, got) {
-		t.Fatalf("events round trip:\n want %+v\n got  %+v", evs, got)
-	}
-	if !bytes.Equal(body, appendEvents(nil, evs)) {
-		t.Error("an event without a vector and one with the empty vector encode differently")
-	}
-	// The vectors of a frame are one arena beside the events, not one
-	// allocation an event: what else a body allocates is its strings.
-	bare := appendEvents(nil, make([]partition.Event, 64))
-	if n := testing.AllocsPerRun(10, func() { _, _ = consumeEvents(bare) }); n > 2 {
-		t.Errorf("decoding 64 events without strings allocates %v times, want the events and their vectors", n)
 	}
 }
 
@@ -234,6 +204,31 @@ func TestServerRejectsMalformedBody(t *testing.T) {
 	}
 }
 
+// TestRetiredSlotAnswersUnsupported: type 9 carried mining events between
+// processes until PR 24 retired it. A frame of that type — here with the
+// body an old sender would put in it — is an unknown request type like any
+// other, not a decoder, and costs the connection nothing.
+func TestRetiredSlotAnswersUnsupported(t *testing.T) {
+	b := newMinerBackend(1)
+	addr, _, stop := startServer(t, b)
+	defer stop()
+	c := dialT(t, addr)
+	defer c.Close()
+
+	oneAccessEvent := unhex(t, "01000000"+"01"+"00000000"+"07000000"+"0000000000000000"+"0100000000000000"+"00000000"+"00000000")
+	_, err := c.call(context.Background(), MsgType(9), oneAccessEvent)
+	var we *WireError
+	if !errors.As(err, &we) || we.Code != CodeUnsupported || !strings.Contains(we.Msg, "unknown request type 9") {
+		t.Fatalf("a type-9 frame answered %v, want CodeUnsupported: unknown request type 9", err)
+	}
+	if st := b.sm.Stats(); st.TrackedFiles != 0 {
+		t.Fatalf("a type-9 frame reached the miner: %+v", st)
+	}
+	if _, err := c.Ping(context.Background()); err != nil {
+		t.Fatalf("the connection did not survive a type-9 frame: %v", err)
+	}
+}
+
 // TestPipelining issues a burst of concurrent calls over one connection and
 // checks they all complete (matched by id, not by order).
 func TestPipelining(t *testing.T) {
@@ -317,52 +312,6 @@ func TestClientContextCancel(t *testing.T) {
 	}
 }
 
-// TestNetOwnerBitIdentical routes a dispatcher's events to a remote miner
-// over the wire and checks the remote mined state equals a locally fed
-// model, bit for bit.
-func TestNetOwnerBitIdentical(t *testing.T) {
-	tr, err := tracegen.HP(3000).Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc := core.DefaultConfig()
-
-	// Reference: plain sequential model.
-	ref := core.New(mc)
-	ref.FeedTrace(tr)
-
-	b := newMinerBackend(2) // remote server stripes internally
-	addr, _, stop := startServer(t, b)
-	defer stop()
-	c := dialT(t, addr)
-	defer c.Close()
-	owner := NewNetOwner(c, 16)
-
-	d := partition.NewDispatcher(partition.Config{
-		Owners:      1,
-		Partitioner: partition.Hash,
-		Mask:        mc.Mask,
-		PathAlg:     mc.PathAlg,
-		Graph:       mc.Graph,
-	})
-	var batch []partition.Event
-	for i := range tr.Records {
-		batch = batch[:0]
-		d.Dispatch(&tr.Records[i], func(_ int, ev partition.Event) { batch = append(batch, ev) })
-		owner.ApplyEvents(batch)
-	}
-	if err := owner.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for f := 0; f < tr.FileCount; f++ {
-		want := ref.CorrelatorList(trace.FileID(f))
-		got := b.sm.CorrelatorList(trace.FileID(f))
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("file %d: remote mined state differs from sequential reference", f)
-		}
-	}
-}
-
 // TestFeedBatchChunksOversizedBatches: a batch bigger than one frame's
 // budget splits into pipelined frames; the remote still mines everything in
 // order, and a single absurd body is refused client-side instead of
@@ -405,51 +354,5 @@ func TestFeedBatchChunksOversizedBatches(t *testing.T) {
 	}
 	if _, err := c.Ping(context.Background()); err != nil {
 		t.Fatalf("connection poisoned by refused frame: %v", err)
-	}
-}
-
-// TestDeepPathEventInstallsUncut: the hostile-input bound on the event path.
-// An access event may carry a vector whose 1 MiB path has 512 Ki components;
-// the server stores it without their 8 MiB of string headers, and the stored
-// vector compares exactly as one that was never stored.
-func TestDeepPathEventInstallsUncut(t *testing.T) {
-	deep := vsm.Vector{Scalars: []string{"u:7"}, Path: strings.Repeat("a/", trace.MaxPathLen/2)}
-	b := newMinerBackend(2)
-	addr, _, stop := startServer(t, b)
-	defer stop()
-	c := dialT(t, addr)
-	defer c.Close()
-	owner := NewNetOwner(c, 4)
-	live := func() uint64 {
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-	before := live()
-	owner.ApplyEvents([]partition.Event{
-		{Succ: 1, Vec: &deep, Seq: 1, Access: true},
-		{Succ: 2, Vec: &vsm.Vector{Scalars: []string{"u:7"}, Path: "/a/b"}, Seq: 2, Access: true},
-		{Pred: 1, Succ: 2, Credit: 1, Vec: &vsm.Vector{Scalars: []string{"u:7"}, Path: "/a/b"}, Seq: 2},
-	})
-	if err := owner.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// The stored path is 1 MiB and the connection's buffers have grown to
-	// hold it; what Sim cut to compare it is garbage by now.
-	if kept := int64(live() - before); kept > 5<<20 {
-		t.Fatalf("a %d-byte path through MsgApplyEvents left %d bytes live, want under %d", len(deep.Path), kept, 5<<20)
-	}
-	stored, ok := b.sm.Vector(1)
-	if !ok || stored.Path != deep.Path {
-		t.Fatal("the deep vector did not install")
-	}
-	other := vsm.Vector{Scalars: []string{"u:7"}, Path: "/a/b"}
-	want := vsm.Sim(&deep, &other, vsm.IPA)
-	if got := vsm.Sim(&stored, &other, vsm.IPA); got != want {
-		t.Errorf("Sim of the installed vector = %v, of the same vector never stored %v", got, want)
-	}
-	if list := b.sm.CorrelatorList(1); len(list) != 1 || list[0].Sim != want {
-		t.Errorf("the server mined %+v from it, want one entry of similarity %v", list, want)
 	}
 }

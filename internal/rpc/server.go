@@ -12,7 +12,6 @@ import (
 
 	"farmer/internal/core"
 	"farmer/internal/obs"
-	"farmer/internal/partition"
 	"farmer/internal/trace"
 )
 
@@ -29,7 +28,6 @@ type Backend interface {
 	Predict(f trace.FileID, k int) []trace.FileID
 	CorrelatorList(f trace.FileID) []core.Correlator
 	Stats() core.Stats
-	ApplyEvents(evs []partition.Event) error
 	Save() error
 	Load() error
 }
@@ -415,8 +413,8 @@ func (cs *connState) granted(tenant string) bool {
 
 // serveConn is one connection's request loop: decode, handle, respond.
 // Handling is strictly in read order, which makes the connection a FIFO
-// event channel (the NetOwner invariant and the replication stream's
-// ordering guarantee) and responses naturally ordered.
+// channel (the replication stream's ordering guarantee) and responses
+// naturally ordered.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.removeConn(conn)
 	s.obsConns.Inc()

@@ -9,9 +9,9 @@ import (
 
 // window is the one way this package keeps several frames in flight on a
 // connection: a FIFO of started requests whose acks are collected later, in
-// order. AckWindow and NetOwner bound it (a full window reaps its oldest ack
-// before the next start); Client.FeedBatch and the Replicator's catch-up
-// leave it unbounded and flush at the end. The first failure — a start the
+// order. AckWindow bounds it (a full window reaps its oldest ack before the
+// next start); Client.FeedBatch and the Replicator's catch-up leave it
+// unbounded and flush at the end. The first failure — a start the
 // client refused, a refused or lost ack, a ctx expiry that abandons one — is
 // sticky: once one frame is unaccounted for everything after it is in doubt,
 // so later starts send nothing and return that error. Not safe for

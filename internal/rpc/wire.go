@@ -1,8 +1,6 @@
 // Package rpc puts the FARMER miner on the wire: a length-prefixed binary
 // framing (reusing internal/trace's record codec), a pipelined client with
-// per-connection write batching, a graceful-drain server, and a NetOwner
-// adapter so a partition.Dispatcher can route mining events to a remote
-// process.
+// per-connection write batching, and a graceful-drain server.
 //
 // Frame layout (little-endian, like every codec in this repository):
 //
@@ -17,8 +15,8 @@
 // Responses reuse the same frame: MsgOK carries the per-request result
 // body, MsgErr carries `u16 code, u32 len, msg`. Requests on one
 // connection are handled in arrival order and answered in that order, so a
-// connection is a FIFO channel — the property NetOwner's bit-identical
-// mining rests on. The tenant field namespaces every request: one farmerd
+// connection is a FIFO channel — the property the replication stream's
+// ordering rests on. The tenant field namespaces every request: one farmerd
 // hosts many independent miners, and a frame addresses exactly one of them
 // (the empty tenant keeps single-miner deployments and `farmerctl ping`
 // trivial).
@@ -36,9 +34,7 @@ import (
 	"farmer/internal/bin"
 	"farmer/internal/core"
 	"farmer/internal/lease"
-	"farmer/internal/partition"
 	"farmer/internal/trace"
-	"farmer/internal/vsm"
 )
 
 // ProtocolVersion is the framing version byte. Bump it on any incompatible
@@ -95,7 +91,6 @@ type MsgType uint8
 //	MsgStats       (empty)                      → MsgOK stats body
 //	MsgSave        (empty)                      → MsgOK (empty)
 //	MsgLoad        (empty)                      → MsgOK (empty)
-//	MsgApplyEvents u32 count, events            → MsgOK (empty)
 //	MsgPromote     (empty)                      → MsgOK (empty)
 //	MsgCatchup     catch-up cut                 → MsgOK (empty)
 //	MsgReplicate   u64 pos, u8 kind, payload    → MsgOK (empty)
@@ -109,7 +104,7 @@ const (
 	MsgStats
 	MsgSave
 	MsgLoad
-	MsgApplyEvents
+	_ // 9 carried mining events between processes until PR 24: retired, never reused
 
 	// Replication frames (see replicate.go and DESIGN.md "Replication &
 	// failover"). MsgCatchup bootstraps a follower from the primary's
@@ -484,66 +479,6 @@ func readStats(c *bin.Cursor) core.Stats {
 		GraphEdges:   int(c.U64()),
 		MemoryBytes:  int64(c.U64()),
 	}
-}
-
-// Event body: u32 count, then per event
-//
-//	u8 flags (bit 0: access), u32 pred, u32 succ, u64 credit, u64 seq, vector
-func appendEvents(dst []byte, evs []partition.Event) []byte {
-	le := binary.LittleEndian
-	dst = le.AppendUint32(dst, uint32(len(evs)))
-	for i := range evs {
-		ev := &evs[i]
-		var flags byte
-		if ev.Access {
-			flags |= 1
-		}
-		dst = append(dst, flags)
-		dst = le.AppendUint32(dst, uint32(ev.Pred))
-		dst = le.AppendUint32(dst, uint32(ev.Succ))
-		dst = le.AppendUint64(dst, math.Float64bits(ev.Credit))
-		dst = le.AppendUint64(dst, ev.Seq)
-		dst = vsm.AppendVector(dst, ev.Vector())
-	}
-	return dst
-}
-
-// maxCredit bounds the credit an event may carry: far above any LDA
-// assignment, far below what 2^64 events could sum to +Inf.
-const maxCredit = 1 << 30
-
-func consumeEvents(b []byte) ([]partition.Event, error) {
-	c := bin.Read("rpc: events", b)
-	// Minimum event size: flags + ids + credit + seq + empty vector (8).
-	evs := make([]partition.Event, c.Count(1+4+4+8+8+8))
-	vecs := make([]vsm.Vector, len(evs)) // every event gets one: one arena a frame
-	for i := range evs {
-		ev := &evs[i]
-		ev.Access = c.Flags(1) != 0
-		ev.Pred = trace.FileID(c.U32())
-		ev.Succ = trace.FileID(c.U32())
-		// LDA credit is max(1 − k·Decrement, MinAssign): never negative or NaN,
-		// and small. +Inf would make N_x = N_xy = +Inf and the degree Inf/Inf,
-		// a NaN the validity filter keeps; two huge credits would sum to it.
-		if ev.Credit = c.F64(); !(ev.Credit >= 0 && ev.Credit <= maxCredit) {
-			c.Failf("event %d: credit %v", i, ev.Credit)
-		}
-		ev.Seq = c.U64()
-		ev.Vec = &vecs[i]
-		*ev.Vec = vsm.ReadVector(&c)
-		// The wire refuses absurd strings even when the bytes are all there;
-		// the store does not (an in-process Feed may have stored a longer
-		// path), so the bound lives here and not in the shared read.
-		for _, sc := range ev.Vec.Scalars {
-			if len(sc) > trace.MaxPathLen {
-				c.Failf("event %d: unreasonable string length %d", i, len(sc))
-			}
-		}
-		if len(ev.Vec.Path) > trace.MaxPathLen {
-			c.Failf("event %d: unreasonable path length %d", i, len(ev.Vec.Path))
-		}
-	}
-	return evs, c.Done()
 }
 
 // ------------------------------------------------------- replication bodies

@@ -7,7 +7,9 @@
 // milliseconds, and it reads two modules' source trees, hence the build tag
 // and its own CI step) and fails listing every top-level func, method, type or var in internal/ that
 // is not reachable from a program the repo builds (cmd/*, examples/*,
-// bench/) or from the root package.
+// bench/) or from the root package — and, since PR 24, every request type
+// with a row in rpc/rows.go that no such code names: a frame the server
+// answers and no program sends.
 //
 //	go test -tags reach -run TestInternalReachable .
 package farmer_test
@@ -61,8 +63,6 @@ var reachAllow = map[string]string{
 
 	// What a remaining test observes reachable behaviour through, or
 	// compares it against.
-	"rpc.NewNetOwner":        "test oracle: NetOwner is the only client of MsgApplyEvents, a frame the server still answers",
-	"rpc.NetOwner.Flush":     "test oracle: the ack barrier of the NetOwner tests",
 	"rpc.NewClient":          "TestWireGoldenBytesLive, a fixed point, builds its client over a pipe through it",
 	"rpc.Client.Catchup":     "test oracle: the typed sender of MsgCatchup for replay's hostile-snapshot tests and TestWritabilityContract (the Replicator writes the frame itself)",
 	"rpc.Client.LeaseGrant":  "test oracle: the typed sender of MsgLeaseGrant for TestWritabilityContract and the lease wire tests (the Replicator writes the frame itself)",
@@ -243,12 +243,18 @@ func TestInternalReachable(t *testing.T) {
 		}
 		return out
 	}
+	// namers[c] are the declarations whose text names the MsgType constant c.
+	namers := map[*types.Const][]*reachDecl{}
 	for id, obj := range l.info.Uses {
 		switch o := obj.(type) {
 		case *types.Func:
 			obj = o.Origin()
 		case *types.Var:
 			obj = o.Origin()
+		case *types.Const:
+			if o.Type().String() == "farmer/internal/rpc.MsgType" {
+				namers[o] = append(namers[o], enclosing(id.Pos())...)
+			}
 		}
 		if byObj[obj] == nil {
 			continue
@@ -283,8 +289,9 @@ func TestInternalReachable(t *testing.T) {
 		stdIfaces = append(stdIfaces, obj.Type().Underlying().(*types.Interface))
 	}
 
-	// Roots: everything outside internal/, what runs unasked (init, var _ =),
-	// and the allowlist.
+	// Roots: everything outside internal/ and what runs unasked (init); then
+	// the var _ = assertions, which run nothing but are not dead; then the
+	// allowlist.
 	live := map[*reachDecl]bool{}
 	var queue []*reachDecl
 	mark := func(d *reachDecl) {
@@ -294,12 +301,16 @@ func TestInternalReachable(t *testing.T) {
 		}
 	}
 	allowed := map[string]*reachDecl{}
+	var asserts []*reachDecl
 	for _, d := range decls {
 		if _, ok := reachAllow[d.name]; ok {
 			allowed[d.name] = d
 			continue
 		}
-		if n := d.obj.Name(); !d.internal || n == "init" || n == "_" {
+		switch n := d.obj.Name(); {
+		case n == "_":
+			asserts = append(asserts, d)
+		case !d.internal || n == "init":
 			mark(d)
 		}
 	}
@@ -348,6 +359,29 @@ func TestInternalReachable(t *testing.T) {
 				return
 			}
 		}
+	}
+	reach()
+
+	// Frames (PR 24): a request type the server has a row for is named by
+	// something a program runs besides the table and MsgType.String — a
+	// sender. A type kept alive by an interface assertion or as an
+	// allowlisted test oracle is not one, so neither is live yet.
+	for c, ds := range namers {
+		row, sent := false, false
+		for _, d := range ds {
+			switch {
+			case d.name == "rpc.msgRows":
+				row = true
+			case d.name != "rpc.MsgType.String" && live[d]:
+				sent = true
+			}
+		}
+		if row && !sent {
+			t.Errorf("rpc.%s has a row in rpc/rows.go and no program names it: delete the frame, or give it a sender", c.Name())
+		}
+	}
+	for _, d := range asserts {
+		mark(d)
 	}
 	reach()
 

@@ -12,8 +12,6 @@ import (
 	"time"
 
 	"farmer"
-	"farmer/internal/partition"
-	"farmer/internal/rpc"
 )
 
 // startServe runs farmer.Serve on a loopback listener and returns the
@@ -408,39 +406,6 @@ func TestReplicatedGroupBackups(t *testing.T) {
 	// The mutating form is refused on the follower.
 	if _, err := fclient.BackupGroups(ctx, tr.FileCount, 0.4); !errors.Is(err, farmer.ErrNotPrimary) {
 		t.Fatalf("follower accepted a mutating groups op: %v", err)
-	}
-}
-
-// TestPrimaryRejectsExternalEvents: a replicating primary refuses
-// rpc.NetOwner event streams — they would bypass the record stream its
-// followers mirror.
-func TestPrimaryRejectsExternalEvents(t *testing.T) {
-	ctx := context.Background()
-	follower, err := farmer.Open(farmer.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer follower.Close()
-	fAddr, fStop := startServe(t, follower, farmer.ServeConfig{Follower: true})
-	defer fStop()
-	primary, err := farmer.Open(farmer.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer primary.Close()
-	pAddr, pStop := startServe(t, primary, farmer.ServeConfig{ReplicateTo: []string{fAddr}})
-	defer pStop()
-
-	c, err := rpc.Dial(ctx, pAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	owner := rpc.NewNetOwner(c, 1)
-	owner.ApplyEvents([]partition.Event{{Succ: 1, Access: true, Seq: 1}})
-	err = owner.Flush()
-	if err == nil || !strings.Contains(err.Error(), "external event streams") {
-		t.Fatalf("replicated primary accepted external events: %v", err)
 	}
 }
 

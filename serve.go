@@ -14,7 +14,6 @@ import (
 	"farmer/internal/core"
 	"farmer/internal/lease"
 	"farmer/internal/obs"
-	"farmer/internal/partition"
 	"farmer/internal/rpc"
 	"farmer/internal/trace"
 )
@@ -120,9 +119,6 @@ type ServeConfig struct {
 // takes writes (routing every mutation through the rpc.Replicator, if any,
 // so followers see the exact acked stream); one that does not refuses them
 // and, while it has never led, applies a primary's stream instead.
-// ApplyEvents hands a remote dispatcher's event batches to the ensemble
-// (rpc.NetOwner's server side); it is unavailable on replicated
-// deployments, whose single source of mining truth is the record stream.
 type serveBackend struct {
 	m          *LocalMiner
 	saveBudget time.Duration // routine-checkpoint bound (>= the drain timeout)
@@ -372,22 +368,6 @@ func (b *serveBackend) TenantObs(topK int) rpc.TenantObs {
 		}
 	}
 	return row
-}
-
-func (b *serveBackend) ApplyEvents(evs []partition.Event) error {
-	if err := b.writable(); err != nil {
-		return err
-	}
-	if err := b.admit(len(evs)); err != nil { // events grow the model as records do
-		return err
-	}
-	if b.replicator() != nil {
-		// Event batches bypass the record stream the followers mirror;
-		// accepting them would silently fork primary and follower state.
-		return errors.New("farmer: a replicating primary does not accept external event streams (feed records instead)")
-	}
-	b.m.sm.ApplyExternal(evs)
-	return nil
 }
 
 // saveCtx bounds a routine checkpoint. The budget is generous (see

@@ -1,11 +1,10 @@
 package farmer_test
 
-// Multi-tenant edge cases of Serve's Registry: admission control on the
-// event path, and a first touch that must not stall the daemon.
+// Multi-tenant edge cases of Serve's Registry: a first touch that must not
+// stall the daemon.
 
 import (
 	"context"
-	"errors"
 	"io"
 	"net"
 	"sync"
@@ -14,86 +13,7 @@ import (
 	"time"
 
 	"farmer"
-	"farmer/internal/partition"
-	"farmer/internal/rpc"
 )
-
-// TestTenantBudgetCoversApplyEvents: an over-budget named tenant's
-// MsgApplyEvents batches are refused with ErrTenantBudget like its record
-// feeds — the model stops growing through event frames too — while its
-// neighbour keeps feeding.
-func TestTenantBudgetCoversApplyEvents(t *testing.T) {
-	ctx := context.Background()
-	def, err := farmer.Open(farmer.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer def.Close()
-	addr, stop := startServe(t, def, farmer.ServeConfig{
-		Tenants: &farmer.TenantsConfig{Budget: farmer.TenantBudget{MaxMemoryBytes: 1}}, // any mined state is over
-	})
-	defer stop()
-
-	tr, err := farmer.Generate(farmer.HP(6000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := farmer.DefaultConfig()
-	disp := partition.NewDispatcher(partition.Config{Owners: 1, Mask: cfg.Mask, PathAlg: cfg.PathAlg, Graph: cfg.Graph})
-	var evs []partition.Event
-	for i := range tr.Records {
-		disp.Dispatch(&tr.Records[i], func(_ int, ev partition.Event) { evs = append(evs, ev) })
-	}
-
-	c, err := rpc.DialWith(ctx, addr, rpc.DialOptions{Tenant: "piggy"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	piggy := rpc.NewNetOwner(c, 1)
-	// The tenant is admitted while empty; the footprint is rechecked every
-	// 4096 events, and this stream is several times that.
-	var budgetErr error
-	for lo := 0; lo < len(evs) && budgetErr == nil; lo += 512 {
-		piggy.ApplyEvents(evs[lo:min(lo+512, len(evs))])
-		budgetErr = piggy.Flush()
-	}
-	if !errors.Is(budgetErr, farmer.ErrTenantBudget) {
-		t.Fatalf("over-budget tenant's event stream: err %v, want ErrTenantBudget", budgetErr)
-	}
-	// Once over, every further batch is refused and mines nothing.
-	before, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := rpc.DialWith(ctx, addr, rpc.DialOptions{Tenant: "piggy"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	again := rpc.NewNetOwner(c2, 1)
-	again.ApplyEvents(evs[:512])
-	if err := again.Flush(); !errors.Is(err, farmer.ErrTenantBudget) {
-		t.Fatalf("second event stream of the over-budget tenant: err %v, want ErrTenantBudget", err)
-	}
-	if after, err := c2.Stats(ctx); err != nil || after.MemoryBytes != before.MemoryBytes {
-		t.Fatalf("refused events still grew the model: %d -> %d bytes (%v)", before.MemoryBytes, after.MemoryBytes, err)
-	}
-
-	// The neighbour is undisturbed (one small batch stays under its own
-	// recheck stride, as in TestMultiTenantAuthAndBudgetTyped).
-	alpha, err := farmer.Dial(ctx, addr, farmer.WithTenant("alpha"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer alpha.Close()
-	if err := alpha.FeedBatch(ctx, tr.Records[:64]); err != nil {
-		t.Fatalf("neighbour tenant disturbed: %v", err)
-	}
-	if st, err := alpha.Stats(ctx); err != nil || st.Fed != 64 {
-		t.Fatalf("neighbour tenant fed %d (%v), want 64", st.Fed, err)
-	}
-}
 
 // blackholeProxy forwards TCP connections to a backend until told to stop
 // answering: after hang(), it still accepts, and never reads or writes.
