@@ -1,8 +1,8 @@
 // Command farmerd serves a FARMER miner on the wire: a daemon speaking the
-// internal/rpc protocol that farmer.Dial clients, rpc.NetOwner dispatchers
-// and `farmerctl ping` talk to. It is the process boundary the paper's
-// in-MDS prototype never had — the miner runs here, the metadata service
-// (or a replay harness, or another farmerd's dispatcher) runs elsewhere.
+// internal/rpc protocol that farmer.Dial clients, other farmerds'
+// replicators and `farmerctl` talk to. It is the process boundary the
+// paper's in-MDS prototype never had — the miner runs here, the metadata
+// service (or a replay harness) runs elsewhere.
 //
 // Usage:
 //

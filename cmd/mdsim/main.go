@@ -76,17 +76,22 @@ func main() {
 	mc.Mask = vsm.DefaultMask(t.HasPaths)
 	mc.Shards = *shards
 
-	if *servers > 1 {
-		runCluster(t, cfg, mc, *policy, *servers, *global, *partName, *netDelay, *mailbox)
-		return
-	}
-	if *global {
-		fmt.Fprintln(os.Stderr, "mdsim: -global requires -servers > 1")
+	var part hust.Partitioner
+	switch strings.ToLower(*partName) {
+	case "hash":
+		part = hust.HashPartitioner
+	case "group":
+		part = hust.GroupPartitioner
+	default:
+		fmt.Fprintf(os.Stderr, "mdsim: unknown partitioner %q (hash or group)\n", *partName)
 		os.Exit(2)
 	}
 
-	factory := func(e *sim.Engine) (*hust.MDS, error) {
-		if strings.EqualFold(*policy, "farmer") {
+	// A lone MDS is a cluster of one; per-partition miners are the default
+	// configuration, the cluster-level global miner comes with -global.
+	farmer := strings.EqualFold(*policy, "farmer")
+	top := hust.Topology{Servers: *servers, Partition: part, Factory: func(e *sim.Engine) (*hust.MDS, error) {
+		if farmer {
 			return hust.NewFARMERMDS(e, cfg.MDS, nil, mc)
 		}
 		p, err := buildPredictor(*policy)
@@ -94,86 +99,55 @@ func main() {
 			return nil, err
 		}
 		return hust.NewMDS(e, cfg.MDS, nil, p)
-	}
-	start := time.Now()
-	res, err := hust.Replay(t, cfg, factory)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mdsim: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("trace=%s policy=%s records=%d wall=%v\n", res.Trace, res.Policy, res.Stats.Demand, time.Since(start).Round(time.Millisecond))
-	fmt.Printf("  hit ratio          %.4f\n", res.Stats.Cache.HitRatio())
-	fmt.Printf("  prefetch accuracy  %.4f (%d issued)\n", res.Stats.Cache.PrefetchAccuracy(), res.Stats.PrefetchIssued)
-	fmt.Printf("  avg response       %v\n", res.Stats.AvgResponse)
-	fmt.Printf("  p95 response       %v\n", res.Stats.P95Response)
-	fmt.Printf("  avg demand wait    %v\n", res.Stats.AvgDemandWait)
-	fmt.Printf("  MDS utilisation    %.3f\n", res.Stats.Utilization)
-	fmt.Printf("  store reads        %d\n", res.Stats.StoreReads)
-	fmt.Printf("  prefetch dropped   %d (of %d issued)\n", res.Stats.PrefetchDropped, res.Stats.PrefetchIssued)
-	if *asyncPrefetch {
-		fmt.Printf("  mining avg wait    %v (off the demand path)\n", res.Stats.MineAvgWait)
-		fmt.Printf("  miner utilisation  %.3f (excluded from MDS utilisation)\n", res.Stats.MineUtilization)
-	}
-	fmt.Printf("  client avg (RTT)   %v\n", res.ClientAvg)
-}
-
-// runCluster replays the trace through a multi-MDS cluster — per-partition
-// miners by default, the cluster-level global miner with -global — and
-// prints the aggregate stats.
-func runCluster(t *trace.Trace, cfg hust.ReplayConfig, mc core.Config,
-	policy string, servers int, global bool, partName string, netDelay time.Duration, mailbox int) {
-	var part hust.Partitioner
-	switch strings.ToLower(partName) {
-	case "hash":
-		part = hust.HashPartitioner
-	case "group":
-		part = hust.GroupPartitioner
-	default:
-		fmt.Fprintf(os.Stderr, "mdsim: unknown partitioner %q (hash or group)\n", partName)
-		os.Exit(2)
-	}
-
-	start := time.Now()
-	var cs hust.ClusterStats
-	var err error
-	switch {
-	case global:
-		if !strings.EqualFold(policy, "farmer") {
-			err = fmt.Errorf("global mining requires -policy farmer, got %q", policy)
-			break
-		}
-		gcfg := hust.DefaultGlobalConfig()
-		gcfg.NetDelay = netDelay
-		gcfg.MailboxCap = mailbox
-		cs, _, err = hust.ReplayGlobalCluster(t, cfg, servers, part, mc, gcfg)
-	default:
-		cs, err = hust.ReplayCluster(t, cfg, servers, part, func(i int, e *sim.Engine) (*hust.MDS, error) {
-			if strings.EqualFold(policy, "farmer") {
-				return hust.NewFARMERMDS(e, cfg.MDS, nil, mc)
-			}
-			p, perr := buildPredictor(policy)
-			if perr != nil {
-				return nil, perr
-			}
-			return hust.NewMDS(e, cfg.MDS, nil, p)
-		})
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mdsim: %v\n", err)
-		os.Exit(1)
-	}
-
+	}}
 	mode := "per-partition"
-	if global {
+	if *global {
+		if *servers == 1 {
+			fmt.Fprintln(os.Stderr, "mdsim: -global requires -servers > 1")
+			os.Exit(2)
+		}
+		if !farmer {
+			fmt.Fprintf(os.Stderr, "mdsim: global mining requires -policy farmer, got %q\n", *policy)
+			os.Exit(1)
+		}
 		mode = "global"
+		top.Global = &hust.GlobalConfig{Miner: mc, NetDelay: *netDelay, MailboxCap: *mailbox}
 	}
-	fmt.Printf("trace=%s servers=%d partition=%s mining=%s records=%d wall=%v\n",
-		t.Name, servers, strings.ToLower(partName), mode, cs.Demand, time.Since(start).Round(time.Millisecond))
+
+	start := time.Now()
+	cs, c, err := hust.Replay(t, cfg, top)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mdsim: %v\n", err)
+		os.Exit(1)
+	}
+	wall := time.Since(start).Round(time.Millisecond)
+	lone := *servers == 1
+	if lone {
+		fmt.Printf("trace=%s policy=%s records=%d wall=%v\n", t.Name, c.Server(0).Predictor().Name(), cs.Demand, wall)
+	} else {
+		fmt.Printf("trace=%s servers=%d partition=%s mining=%s records=%d wall=%v\n",
+			t.Name, *servers, strings.ToLower(*partName), mode, cs.Demand, wall)
+	}
 	fmt.Printf("  hit ratio          %.4f\n", cs.HitRatio)
+	if lone {
+		fmt.Printf("  prefetch accuracy  %.4f (%d issued)\n", cs.PerServer[0].Cache.PrefetchAccuracy(), cs.PerServer[0].PrefetchIssued)
+	}
 	fmt.Printf("  avg response       %v\n", cs.AvgResponse)
 	fmt.Printf("  p95 response       %v\n", cs.P95Response)
 	fmt.Printf("  avg demand wait    %v\n", cs.AvgDemandWait)
-	fmt.Printf("  load imbalance     %.3f\n", cs.Imbalance)
+	if lone {
+		st := cs.PerServer[0]
+		fmt.Printf("  MDS utilisation    %.3f\n", st.Utilization)
+		fmt.Printf("  store reads        %d\n", st.StoreReads)
+		fmt.Printf("  prefetch dropped   %d (of %d issued)\n", st.PrefetchDropped, st.PrefetchIssued)
+		if *asyncPrefetch {
+			fmt.Printf("  mining avg wait    %v (off the demand path)\n", st.MineAvgWait)
+			fmt.Printf("  miner utilisation  %.3f (excluded from MDS utilisation)\n", st.MineUtilization)
+		}
+		fmt.Printf("  client avg (RTT)   %v\n", cs.ClientAvg)
+	} else {
+		fmt.Printf("  load imbalance     %.3f\n", cs.Imbalance)
+	}
 	if g := cs.Global; g != nil {
 		fmt.Printf("  mined records      %d (cluster dispatcher)\n", g.Fed)
 		fmt.Printf("  mining events      %d (%.1f%% cross-MDS)\n", g.Events, 100*g.CrossRatio)

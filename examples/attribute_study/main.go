@@ -28,15 +28,15 @@ func main() {
 	bestHit := -1.0
 	for _, mask := range combos {
 		mask := mask
-		res, err := hust.Replay(workload, cfg, func(e *sim.Engine) (*hust.MDS, error) {
+		res, _, err := hust.Replay(workload, cfg, hust.Topology{Servers: 1, Factory: func(e *sim.Engine) (*hust.MDS, error) {
 			mc := core.DefaultConfig()
 			mc.Mask = mask
 			return hust.NewMDS(e, cfg.MDS, nil, predictors.NewFPA(core.New(mc)))
-		})
+		}})
 		if err != nil {
 			log.Fatal(err)
 		}
-		hit := res.Stats.Cache.HitRatio()
+		hit := res.HitRatio
 		fmt.Printf("  %-44s %.4f\n", mask, hit)
 		if hit > bestHit {
 			bestHit, bestMask = hit, mask

@@ -40,21 +40,21 @@ func main() {
 	fmt.Printf("%-8s %10s %10s %14s %12s\n", "policy", "hit ratio", "accuracy", "avg response", "p95")
 	var lruResp, farmerResp float64
 	for _, p := range policies {
-		res, err := hust.Replay(workload, cfg, p.factory)
+		res, _, err := hust.Replay(workload, cfg, hust.Topology{Servers: 1, Factory: p.factory})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-8s %10.4f %10.4f %14v %12v\n",
 			p.name,
-			res.Stats.Cache.HitRatio(),
-			res.Stats.Cache.PrefetchAccuracy(),
-			res.Stats.AvgResponse,
-			res.Stats.P95Response)
+			res.HitRatio,
+			res.PerServer[0].Cache.PrefetchAccuracy(),
+			res.AvgResponse,
+			res.P95Response)
 		switch p.name {
 		case "FARMER":
-			farmerResp = float64(res.Stats.AvgResponse)
+			farmerResp = float64(res.AvgResponse)
 		case "LRU":
-			lruResp = float64(res.Stats.AvgResponse)
+			lruResp = float64(res.AvgResponse)
 		}
 	}
 	if lruResp > 0 {

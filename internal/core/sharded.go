@@ -18,9 +18,9 @@
 // order — not merely "within tolerance". The only divergence window is
 // mid-batch reads, which may observe one shard ahead of another.
 //
-// The same dispatcher serves deployments beyond one process: see
+// The same dispatcher serves the simulated multi-MDS cluster: see
 // internal/partition for the generic layer and internal/hust for the
-// multi-MDS cluster that mines the global model across server boundaries.
+// servers that mine the global model across their (virtual) boundaries.
 package core
 
 import (
@@ -227,10 +227,10 @@ func (s *ShardedModel) Feed(r *trace.Record) {
 
 // DispatchExternal sequences one record through the ensemble's dispatcher
 // but hands the emitted events to the caller instead of applying them — the
-// hook a multi-server deployment uses to route events through its own
-// transport (inter-MDS mailboxes) while this ensemble remains the single
-// source of truth for the window, the global sequence and persistence. The
-// caller owns delivery: each shard's events must reach
+// hook internal/hust's simulated multi-MDS cluster uses to route events
+// through its own delivery (bounded in-flight queues, virtual network
+// delay) while this ensemble remains the single source of truth for the
+// window, the global sequence and persistence. The caller owns delivery: each shard's events must reach
 // Shard(owner).ApplyEvents in emission order for the ensemble to stay
 // bit-identical to a locally fed one. Taps do not observe externally
 // dispatched records.

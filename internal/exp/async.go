@@ -50,11 +50,11 @@ func SyncVsAsync(opt Options) []AsyncRow {
 				return AsyncRow{
 					Trace:         tr.Name,
 					Pipeline:      name,
-					HitRatio:      o.Result.Stats.Cache.HitRatio(),
-					AvgResponse:   o.Result.Stats.AvgResponse,
-					AvgDemandWait: o.Result.Stats.AvgDemandWait,
-					MineAvgWait:   o.Result.Stats.MineAvgWait,
-					PrefetchDrop:  o.Result.Stats.PrefetchDropped,
+					HitRatio:      o.Stats.HitRatio,
+					AvgResponse:   o.Stats.AvgResponse,
+					AvgDemandWait: o.Stats.AvgDemandWait,
+					MineAvgWait:   o.Stats.PerServer[0].MineAvgWait,
+					PrefetchDrop:  o.Stats.PerServer[0].PrefetchDropped,
 					Fingerprint:   o.Fingerprint,
 				}
 			}
@@ -62,9 +62,9 @@ func SyncVsAsync(opt Options) []AsyncRow {
 				{
 					Trace:         tr.Name,
 					Pipeline:      "baseline",
-					HitRatio:      cmp.Baseline.Stats.Cache.HitRatio(),
-					AvgResponse:   cmp.Baseline.Stats.AvgResponse,
-					AvgDemandWait: cmp.Baseline.Stats.AvgDemandWait,
+					HitRatio:      cmp.Baseline.HitRatio,
+					AvgResponse:   cmp.Baseline.AvgResponse,
+					AvgDemandWait: cmp.Baseline.AvgDemandWait,
 				},
 				row("sync", cmp.Sync),
 				row("async", cmp.Async),

@@ -66,7 +66,7 @@ func ClusterGlobalVsLocal(opt Options) []ClusterRow {
 				if err != nil {
 					panic(err)
 				}
-				row := func(mode string, o replay.ClusterOutcome) ClusterRow {
+				row := func(mode string, o replay.Outcome) ClusterRow {
 					r := ClusterRow{
 						Trace:         tr.Name,
 						Partition:     p.name,

@@ -98,6 +98,16 @@ func parallel(limit int, jobs []func()) {
 	wg.Wait()
 }
 
+// replayLone replays tr through a lone MDS built by factory. A replay fails
+// only on a configuration the drivers themselves built, so it panics.
+func replayLone(tr *trace.Trace, cfg hust.ReplayConfig, factory func(*sim.Engine) (*hust.MDS, error)) hust.ClusterStats {
+	cs, _, err := hust.Replay(tr, cfg, hust.Topology{Servers: 1, Factory: factory})
+	if err != nil {
+		panic(err)
+	}
+	return cs
+}
+
 // farmerFactory builds an FPA-driven MDS for a trace; shards follows
 // Options.Shards semantics.
 func farmerFactory(cfg hust.MDSConfig, mc core.Config, shards int) func(*sim.Engine) (*hust.MDS, error) {

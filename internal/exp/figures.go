@@ -94,11 +94,7 @@ func Fig3(opt Options, traceName string) *metrics.Table {
 			wi, si, w, s := wi, si, w, s
 			jobs = append(jobs, func() {
 				mc := farmerConfig(tr, w, s)
-				res, err := hust.Replay(tr, opt.Replay, farmerFactory(opt.Replay.MDS, mc, opt.Shards))
-				if err != nil {
-					panic(err)
-				}
-				results[wi][si] = res.Stats.Cache.HitRatio()
+				results[wi][si] = replayLone(tr, opt.Replay, farmerFactory(opt.Replay.MDS, mc, opt.Shards)).HitRatio
 			})
 		}
 	}
@@ -135,11 +131,7 @@ func Fig5(opt Options) *metrics.Table {
 	hitRatio := func(tr *trace.Trace, mask vsm.Mask) float64 {
 		mc := core.DefaultConfig()
 		mc.Mask = mask
-		res, err := hust.Replay(tr, opt.Replay, farmerFactory(opt.Replay.MDS, mc, opt.Shards))
-		if err != nil {
-			panic(err)
-		}
-		return res.Stats.Cache.HitRatio()
+		return replayLone(tr, opt.Replay, farmerFactory(opt.Replay.MDS, mc, opt.Shards)).HitRatio
 	}
 
 	hpRatios := make([]float64, len(pathCombos))
@@ -173,11 +165,8 @@ func Fig6(opt Options) *metrics.Table {
 		i, s := i, s
 		jobs = append(jobs, func() {
 			mc := farmerConfig(tr, 0.7, s)
-			r, err := hust.Replay(tr, opt.Replay, farmerFactory(opt.Replay.MDS, mc, opt.Shards))
-			if err != nil {
-				panic(err)
-			}
-			resp[i] = float64(r.Stats.AvgResponse.Microseconds()) / 1000
+			r := replayLone(tr, opt.Replay, farmerFactory(opt.Replay.MDS, mc, opt.Shards))
+			resp[i] = float64(r.AvgResponse.Microseconds()) / 1000
 		})
 	}
 	parallel(opt.Parallelism, jobs)
@@ -222,16 +211,13 @@ func ComparePolicies(opt Options) []PolicyRun {
 	for i, js := range jobsSpec {
 		i, js := i, js
 		jobs[i] = func() {
-			res, err := hust.Replay(js.tr, opt.Replay, js.factory)
-			if err != nil {
-				panic(err)
-			}
+			res := replayLone(js.tr, opt.Replay, js.factory)
 			out[i] = PolicyRun{
 				Trace:    js.tr.Name,
 				Policy:   js.policy,
-				HitRatio: res.Stats.Cache.HitRatio(),
-				Accuracy: res.Stats.Cache.PrefetchAccuracy(),
-				AvgResp:  float64(res.Stats.AvgResponse.Microseconds()) / 1000,
+				HitRatio: res.HitRatio,
+				Accuracy: res.PerServer[0].Cache.PrefetchAccuracy(),
+				AvgResp:  float64(res.AvgResponse.Microseconds()) / 1000,
 			}
 		}
 	}

@@ -56,16 +56,13 @@ func TestAsyncMinesInArrivalOrderIdenticalState(t *testing.T) {
 		cfg := DefaultReplayConfig()
 		cfg.MDS.MineTime = 300 * time.Microsecond
 		cfg.MDS.AsyncPrefetch = async
-		var mds *MDS
-		_, err := Replay(tr, cfg, func(e *sim.Engine) (*MDS, error) {
-			m, err := NewFARMERMDS(e, cfg.MDS, nil, mc)
-			mds = m
-			return m, err
+		res, err := replayLone(tr, cfg, func(e *sim.Engine) (*MDS, error) {
+			return NewFARMERMDS(e, cfg.MDS, nil, mc)
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fpa, ok := mds.Predictor().(*predictors.FPA)
+		fpa, ok := res.MDS.Predictor().(*predictors.FPA)
 		if !ok {
 			t.Fatal("predictor is not an FPA")
 		}
@@ -105,7 +102,7 @@ func TestAsyncPrefetchStillPrefetches(t *testing.T) {
 	cfg.MDS.MineTime = 100 * time.Microsecond
 	mc := core.DefaultConfig()
 	mc.Mask = vsm.DefaultMask(tr.HasPaths)
-	res, err := Replay(tr, cfg, func(e *sim.Engine) (*MDS, error) {
+	res, err := replayLone(tr, cfg, func(e *sim.Engine) (*MDS, error) {
 		return NewFARMERMDS(e, cfg.MDS, nil, mc)
 	})
 	if err != nil {
@@ -140,7 +137,7 @@ func TestPrefetchQueueBoundDropsOldest(t *testing.T) {
 	cfg.ArrivalGap = 50 * time.Microsecond // overload: arrivals outpace service
 	mc := core.DefaultConfig()
 	mc.Mask = vsm.DefaultMask(tr.HasPaths)
-	res, err := Replay(tr, cfg, func(e *sim.Engine) (*MDS, error) {
+	res, err := replayLone(tr, cfg, func(e *sim.Engine) (*MDS, error) {
 		return NewFARMERMDS(e, cfg.MDS, nil, mc)
 	})
 	if err != nil {

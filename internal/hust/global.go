@@ -1,6 +1,6 @@
 // Global mining across the multi-MDS cluster: instead of each server mining
 // only the request sub-stream it observes (the pessimistic per-partition
-// deployment the multimds.go comment admits), a cluster-level
+// deployment the cluster.go comment admits), a cluster-level
 // partition.Dispatcher sequences every demand access once and fans the
 // Stage-3/4 edge events out to the servers owning the affected state. The
 // partitions of one core.ShardedModel ARE the servers' local miners —
@@ -11,34 +11,34 @@
 //
 // Cross-server event traffic is modeled, not assumed free: events whose
 // owner differs from the record's home server travel through a bounded,
-// drop-oldest partition.Mailbox and arrive after GlobalConfig.NetDelay of
-// virtual time; each record's mining CPU is priced on the owning server's
-// mining station (MDSConfig.MineTime), which also times the prefetch issue.
+// drop-oldest queue and arrive after GlobalConfig.NetDelay of virtual time;
+// each record's mining CPU is priced on the owning server's mining station
+// (MDSConfig.MineTime), which also times the prefetch issue.
 // Overload therefore degrades remote-model freshness (counted drops) and
 // prefetch coverage — never demand latency, which stays on the pure
 // cache/store path (MDSConfig.ExternalMiner).
 package hust
 
 import (
-	"fmt"
 	"time"
 
 	"farmer/internal/core"
 	"farmer/internal/partition"
 	"farmer/internal/predictors"
-	"farmer/internal/sim"
 	"farmer/internal/trace"
 )
 
-// GlobalConfig tunes the cluster-level global miner.
+// GlobalConfig describes the cluster-level global miner.
 type GlobalConfig struct {
+	// Miner configures the collective miner (Shards is ignored: the ensemble
+	// is striped by server).
+	Miner core.Config
 	// NetDelay is the one-way virtual-time latency of an inter-MDS event
 	// delivery. Events bound for the record's home server apply immediately
 	// (they never leave the machine).
 	NetDelay time.Duration
-	// MailboxCap bounds each server's in-flight event mailbox; beyond it
-	// the oldest undelivered event is dropped and counted
-	// (partition.DefaultMailboxCap when 0).
+	// MailboxCap bounds each server's queue of in-flight events; beyond it
+	// the oldest undelivered event is dropped and counted (4096 when 0).
 	MailboxCap int
 }
 
@@ -48,8 +48,44 @@ func DefaultGlobalConfig() GlobalConfig {
 	return GlobalConfig{NetDelay: 100 * time.Microsecond}
 }
 
+// inFlight is one event on its way to the server owning the state it
+// touches, with the virtual time it arrives at.
+type inFlight struct {
+	ev  partition.Event
+	due time.Duration
+}
+
+// eventQueue holds the events in flight toward one server, oldest first. A
+// producer never blocks: a full queue sheds its oldest event (counted), so a
+// mining burst degrades remote model fidelity instead of stalling the
+// dispatcher. The simulator is one goroutine; nothing here is locked.
+type eventQueue struct {
+	q       []inFlight
+	dropped uint64
+}
+
+// push queues ev, first shedding the oldest event of a queue already
+// holding bound.
+func (b *eventQueue) push(bound int, ev partition.Event, due time.Duration) {
+	if len(b.q) == bound {
+		b.q = b.q[1:]
+		b.dropped++
+	}
+	b.q = append(b.q, inFlight{ev, due})
+}
+
+// popDue removes and returns the events that have arrived by now: the
+// longest prefix of due ones, never one from behind an event still in flight.
+func (b *eventQueue) popDue(now time.Duration) (evs []partition.Event) {
+	for len(b.q) > 0 && b.q[0].due <= now {
+		evs = append(evs, b.q[0].ev)
+		b.q = b.q[1:]
+	}
+	return evs
+}
+
 // globalMiner is the cluster-side mining state: the collective ensemble,
-// one mailbox per server, and traffic accounting.
+// one queue per server, and traffic accounting.
 //
 // Delivery is strictly in order per server — the invariant bit-identical
 // mining rests on — AND honestly priced: every event carries a due time
@@ -60,12 +96,11 @@ func DefaultGlobalConfig() GlobalConfig {
 // in-order delivery over a network costs), rather than the remote event
 // jumping its latency.
 type globalMiner struct {
-	cfg   GlobalConfig
-	ens   *core.ShardedModel
-	boxes []*partition.Mailbox
-	// due[i] holds the delivery deadlines of boxes[i]'s queued events, in
-	// the same FIFO order (kept aligned through overflow drops).
-	due [][]time.Duration
+	cfg GlobalConfig
+	ens *core.ShardedModel
+	// queues[i] holds the events in flight toward server i, at most
+	// cfg.MailboxCap of them.
+	queues []eventQueue
 	// pending[i] marks a scheduled wake-up for server i, so a burst of
 	// remote events costs one virtual-time event, not one per record.
 	pending       []bool
@@ -74,15 +109,16 @@ type globalMiner struct {
 	crossPrefetch uint64
 }
 
-// push enqueues one event for owner with its delivery deadline, keeping the
-// due deque aligned when the bounded mailbox sheds its oldest entries.
-func (g *globalMiner) push(owner int, ev partition.Event, dueAt time.Duration) {
-	before := g.boxes[owner].Dropped()
-	g.boxes[owner].Push(ev)
-	if d := g.boxes[owner].Dropped() - before; d > 0 {
-		g.due[owner] = g.due[owner][d:]
+func newGlobalMiner(cfg GlobalConfig, servers int, part Partitioner) *globalMiner {
+	if cfg.MailboxCap <= 0 {
+		cfg.MailboxCap = 4096
 	}
-	g.due[owner] = append(g.due[owner], dueAt)
+	return &globalMiner{
+		cfg:     cfg,
+		ens:     core.NewShardedPartitioned(cfg.Miner, servers, part),
+		queues:  make([]eventQueue, servers),
+		pending: make([]bool, servers),
+	}
 }
 
 // globalPredictor serves Predict from the server's partition of the
@@ -96,66 +132,23 @@ func (p globalPredictor) Predict(f trace.FileID, k int) []trace.FileID { return 
 
 var _ predictors.Predictor = globalPredictor{}
 
-// NewGlobalCluster builds an n-server cluster that mines the global
-// correlation model. part routes both demand requests and mined state
-// (nil = HashPartitioner); mdsCfg parameterises every server (AsyncPrefetch
-// and ExternalMiner are forced on — global mining is asynchronous by
-// construction); mc configures the collective miner (mc.Shards is ignored:
-// the ensemble is striped by server).
-func NewGlobalCluster(eng *sim.Engine, n int, part Partitioner, mdsCfg MDSConfig,
-	mc core.Config, gcfg GlobalConfig) (*Cluster, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("hust: cluster size %d", n)
-	}
-	if part == nil {
-		part = HashPartitioner
-	}
-	if err := mc.Validate(); err != nil {
-		return nil, err
-	}
-	mdsCfg.AsyncPrefetch = true
-	mdsCfg.ExternalMiner = true
-	if mdsCfg.MinerWorkers == 0 {
-		mdsCfg.MinerWorkers = mdsCfg.Workers
-	}
-	ens := core.NewShardedPartitioned(mc, n, part)
-	g := &globalMiner{
-		cfg:     gcfg,
-		ens:     ens,
-		boxes:   make([]*partition.Mailbox, n),
-		due:     make([][]time.Duration, n),
-		pending: make([]bool, n),
-	}
-	for i := range g.boxes {
-		g.boxes[i] = partition.NewMailbox(gcfg.MailboxCap, nil)
-	}
-	c, err := NewCluster(eng, n, part, func(i int, e *sim.Engine) (*MDS, error) {
-		return NewMDS(e, mdsCfg, nil, globalPredictor{m: ens.Shard(i)})
-	})
-	if err != nil {
-		return nil, err
-	}
-	c.global = g
-	return c, nil
-}
-
 // mineGlobal sequences one record through the cluster dispatcher and routes
 // its events: the home server's share is due immediately, remote shares
 // after NetDelay. Per-server application order equals global dispatch order
-// — each mailbox is FIFO and deliverGlobal releases only its due prefix —
+// — each queue is FIFO and deliverGlobal releases only its due prefix —
 // which is the invariant keeping the ensemble bit-identical to a single
 // locally fed ShardedModel while nothing drops.
 func (c *Cluster) mineGlobal(home int, r *trace.Record) {
 	g := c.global
 	now := c.eng.Now()
-	c.global.ens.DispatchExternal(r, func(owner int, ev partition.Event) {
+	g.ens.DispatchExternal(r, func(owner int, ev partition.Event) {
 		g.events++
-		dueAt := now
+		due := now
 		if owner != home {
 			g.cross++
-			dueAt += g.cfg.NetDelay
+			due += g.cfg.NetDelay
 		}
-		g.push(owner, ev, dueAt)
+		g.queues[owner].push(g.cfg.MailboxCap, ev, due)
 		c.deliverGlobal(owner)
 	})
 }
@@ -170,19 +163,7 @@ func (c *Cluster) deliverGlobal(owner int) {
 	g := c.global
 	srv := c.servers[owner]
 	now := c.eng.Now()
-	var evs []partition.Event
-	for len(g.due[owner]) > 0 && g.due[owner][0] <= now {
-		ev, ok := g.boxes[owner].Pop()
-		if !ok {
-			// Overflow shed more events than due deadlines were consumed;
-			// resynchronize (the drops are already counted).
-			g.due[owner] = g.due[owner][:0]
-			break
-		}
-		g.due[owner] = g.due[owner][1:]
-		evs = append(evs, ev)
-	}
-	if len(evs) > 0 {
+	if evs := g.queues[owner].popDue(now); len(evs) > 0 {
 		g.ens.Shard(owner).ApplyEvents(evs)
 		for i := range evs {
 			if !evs[i].Access {
@@ -192,12 +173,11 @@ func (c *Cluster) deliverGlobal(owner int) {
 			srv.SubmitMine(srv.cfg.MineTime, func() { c.issueGlobalPrefetches(owner, f) })
 		}
 	}
-	if len(g.due[owner]) > 0 && !g.pending[owner] {
+	if q := g.queues[owner].q; len(q) > 0 && !g.pending[owner] {
 		g.pending[owner] = true
-		dst := owner
-		c.eng.After(g.due[owner][0]-now, func() {
-			g.pending[dst] = false
-			c.deliverGlobal(dst)
+		c.eng.After(q[0].due-now, func() {
+			g.pending[owner] = false
+			c.deliverGlobal(owner)
 		})
 	}
 }
@@ -261,8 +241,8 @@ func (g *globalMiner) stats() *GlobalMiningStats {
 		CrossEvents:     g.cross,
 		CrossPrefetches: g.crossPrefetch,
 	}
-	for _, b := range g.boxes {
-		s.MailboxDropped += b.Dropped()
+	for i := range g.queues {
+		s.MailboxDropped += g.queues[i].dropped
 	}
 	if g.events > 0 {
 		s.CrossRatio = float64(g.cross) / float64(g.events)
@@ -272,46 +252,10 @@ func (g *globalMiner) stats() *GlobalMiningStats {
 
 // GlobalMiner exposes the cluster's collective ensemble (nil for
 // per-partition clusters): fingerprinting, merged persistence, direct
-// reads. Server i's partition is Miner().Shard(i).
+// reads. Server i's partition is GlobalMiner().Shard(i).
 func (c *Cluster) GlobalMiner() *core.ShardedModel {
 	if c.global == nil {
 		return nil
 	}
 	return c.global.ens
-}
-
-// CorrelatorList reads a file's list from the owning server's partition of
-// the global model — with internal/replay's Fingerprint, the cluster's
-// merged mined state hashes exactly like a single miner's.
-func (c *Cluster) CorrelatorList(f trace.FileID) []core.Correlator {
-	if c.global == nil {
-		return nil
-	}
-	return c.global.ens.CorrelatorList(f)
-}
-
-// Predict proposes up to k successors of f from the global model.
-func (c *Cluster) Predict(f trace.FileID, k int) []trace.FileID {
-	if c.global == nil {
-		return nil
-	}
-	return c.global.ens.Predict(f, k)
-}
-
-// ReplayGlobalCluster drives a whole trace through an n-server
-// global-mining cluster with evenly spaced arrivals. The returned cluster
-// carries the mined ensemble (GlobalMiner) for fingerprinting or merged
-// persistence after the run.
-func ReplayGlobalCluster(t *trace.Trace, cfg ReplayConfig, n int, part Partitioner,
-	mc core.Config, gcfg GlobalConfig) (ClusterStats, *Cluster, error) {
-	eng := sim.New()
-	c, err := NewGlobalCluster(eng, n, part, cfg.MDS, mc, gcfg)
-	if err != nil {
-		return ClusterStats{}, nil, err
-	}
-	cs, err := c.replay(t, cfg)
-	if err != nil {
-		return ClusterStats{}, nil, err
-	}
-	return cs, c, nil
 }

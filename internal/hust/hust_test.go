@@ -1,6 +1,7 @@
 package hust
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -11,6 +12,26 @@ import (
 	"farmer/internal/tracegen"
 	"farmer/internal/vsm"
 )
+
+// lone is what the tests of a single MDS read off a cluster of one.
+type lone struct {
+	Stats     Stats // the server's own
+	ClientAvg time.Duration
+	Policy    string
+	MDS       *MDS
+}
+
+// replayLone replays tr through one MDS built by factory.
+func replayLone(tr *trace.Trace, cfg ReplayConfig, factory func(*sim.Engine) (*MDS, error)) (lone, error) {
+	cs, c, err := Replay(tr, cfg, Topology{Servers: 1, Factory: factory})
+	if err != nil {
+		return lone{}, err
+	}
+	if len(cs.PerServer) != 1 || cs.AvgResponse != cs.PerServer[0].AvgResponse || cs.Demand != cs.PerServer[0].Demand {
+		return lone{}, fmt.Errorf("a cluster of one reports %+v beside its server's %+v", cs, cs.PerServer[0])
+	}
+	return lone{cs.PerServer[0], cs.ClientAvg, c.Server(0).Predictor().Name(), c.Server(0)}, nil
+}
 
 func lruMDS(cfg MDSConfig) func(*sim.Engine) (*MDS, error) {
 	return func(e *sim.Engine) (*MDS, error) { return NewMDS(e, cfg, nil, predictors.NewNone()) }
@@ -97,7 +118,7 @@ func TestMDSPrefetchInstallsIntoCache(t *testing.T) {
 func TestReplaySmallTraceRuns(t *testing.T) {
 	tr := tracegen.HP(3000).MustGenerate()
 	cfg := DefaultReplayConfig()
-	res, err := Replay(tr, cfg, lruMDS(cfg.MDS))
+	res, err := replayLone(tr, cfg, lruMDS(cfg.MDS))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,14 +128,17 @@ func TestReplaySmallTraceRuns(t *testing.T) {
 	if res.Stats.AvgResponse <= 0 || res.ClientAvg <= res.Stats.AvgResponse {
 		t.Fatalf("latencies wrong: %+v clientAvg=%v", res.Stats, res.ClientAvg)
 	}
-	if res.Policy != "LRU" || res.Trace != "HP" {
-		t.Fatalf("labels wrong: %+v", res)
+	if res.ClientAvg != res.Stats.AvgResponse+cfg.NetworkRTT {
+		t.Fatalf("client average %v is not the response %v plus the RTT", res.ClientAvg, res.Stats.AvgResponse)
+	}
+	if res.Policy != "LRU" {
+		t.Fatalf("policy %q", res.Policy)
 	}
 }
 
 func TestReplayEmptyTraceErrors(t *testing.T) {
 	cfg := DefaultReplayConfig()
-	if _, err := Replay(&trace.Trace{Name: "empty"}, cfg, lruMDS(cfg.MDS)); err == nil {
+	if _, err := replayLone(&trace.Trace{Name: "empty"}, cfg, lruMDS(cfg.MDS)); err == nil {
 		t.Fatal("empty trace accepted")
 	}
 }
@@ -123,29 +147,12 @@ func TestReplayMaxRecords(t *testing.T) {
 	tr := tracegen.INS(5000).MustGenerate()
 	cfg := DefaultReplayConfig()
 	cfg.MaxRecords = 1000
-	res, err := Replay(tr, cfg, lruMDS(cfg.MDS))
+	res, err := replayLone(tr, cfg, lruMDS(cfg.MDS))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.Demand != 1000 {
 		t.Fatalf("served %d, want 1000", res.Stats.Demand)
-	}
-}
-
-func TestReplayTraceTimestamps(t *testing.T) {
-	tr := tracegen.INS(2000).MustGenerate()
-	cfg := DefaultReplayConfig()
-	cfg.ArrivalGap = 0
-	cfg.TimeScale = 10 // stretch to keep the queue stable
-	res, err := Replay(tr, cfg, lruMDS(cfg.MDS))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Demand != 2000 {
-		t.Fatalf("served %d", res.Stats.Demand)
-	}
-	if res.SimTime < time.Duration(float64(tr.Records[1999].Time)*10) {
-		t.Fatalf("sim time %v shorter than scaled trace span", res.SimTime)
 	}
 }
 
@@ -155,11 +162,11 @@ func TestReplayTraceTimestamps(t *testing.T) {
 func TestFARMERBeatsLRUOnRegularTrace(t *testing.T) {
 	tr := tracegen.HP(12000).MustGenerate()
 	cfg := DefaultReplayConfig()
-	lru, err := Replay(tr, cfg, lruMDS(cfg.MDS))
+	lru, err := replayLone(tr, cfg, lruMDS(cfg.MDS))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fpa, err := Replay(tr, cfg, farmerMDS(cfg.MDS, true))
+	fpa, err := replayLone(tr, cfg, farmerMDS(cfg.MDS, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +182,11 @@ func TestFARMERBeatsLRUOnRegularTrace(t *testing.T) {
 func TestDeterministicReplay(t *testing.T) {
 	tr := tracegen.RES(4000).MustGenerate()
 	cfg := DefaultReplayConfig()
-	a, err := Replay(tr, cfg, farmerMDS(cfg.MDS, false))
+	a, err := replayLone(tr, cfg, farmerMDS(cfg.MDS, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Replay(tr, cfg, farmerMDS(cfg.MDS, false))
+	b, err := replayLone(tr, cfg, farmerMDS(cfg.MDS, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,13 +198,13 @@ func TestDeterministicReplay(t *testing.T) {
 func TestPrefetchBatchCheaper(t *testing.T) {
 	tr := tracegen.HP(6000).MustGenerate()
 	cfg := DefaultReplayConfig()
-	single, err := Replay(tr, cfg, farmerMDS(cfg.MDS, true))
+	single, err := replayLone(tr, cfg, farmerMDS(cfg.MDS, true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	bcfg := cfg
 	bcfg.MDS.PrefetchBatch = true
-	batched, err := Replay(tr, bcfg, farmerMDS(bcfg.MDS, true))
+	batched, err := replayLone(tr, bcfg, farmerMDS(bcfg.MDS, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +232,7 @@ func TestMDSUnknownFileCreationPath(t *testing.T) {
 func TestMDSStatsCoherence(t *testing.T) {
 	tr := tracegen.RES(5000).MustGenerate()
 	cfg := DefaultReplayConfig()
-	res, err := Replay(tr, cfg, farmerMDS(cfg.MDS, false))
+	res, err := replayLone(tr, cfg, farmerMDS(cfg.MDS, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +267,7 @@ func TestPrefetchDoesNotStarveDemand(t *testing.T) {
 	aggressive := cfg
 	aggressive.MDS.PrefetchK = 16
 	aggressive.MDS.PrefetchBatch = false
-	res, err := Replay(tr, aggressive, farmerMDS(aggressive.MDS, true))
+	res, err := replayLone(tr, aggressive, farmerMDS(aggressive.MDS, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +284,7 @@ func TestFARMERMDSShardedMatchesSingleLock(t *testing.T) {
 	tr := tracegen.HP(6000).MustGenerate()
 	replay := func(shards int) Stats {
 		cfg := DefaultReplayConfig()
-		res, err := Replay(tr, cfg, func(e *sim.Engine) (*MDS, error) {
+		res, err := replayLone(tr, cfg, func(e *sim.Engine) (*MDS, error) {
 			mc := core.DefaultConfig()
 			mc.Mask = vsm.DefaultMask(tr.HasPaths)
 			mc.Shards = shards

@@ -12,8 +12,8 @@ import (
 	"farmer/internal/vsm"
 )
 
-func clusterFactory(cfg MDSConfig, hasPaths bool) func(int, *sim.Engine) (*MDS, error) {
-	return func(i int, e *sim.Engine) (*MDS, error) {
+func clusterFactory(cfg MDSConfig, hasPaths bool) func(*sim.Engine) (*MDS, error) {
+	return func(e *sim.Engine) (*MDS, error) {
 		mc := core.DefaultConfig()
 		mc.Mask = vsm.DefaultMask(hasPaths)
 		return NewMDS(e, cfg, nil, predictors.NewFPA(core.New(mc)))
@@ -21,8 +21,7 @@ func clusterFactory(cfg MDSConfig, hasPaths bool) func(int, *sim.Engine) (*MDS, 
 }
 
 func TestClusterValidation(t *testing.T) {
-	eng := sim.New()
-	if _, err := NewCluster(eng, 0, nil, nil); err == nil {
+	if _, err := newCluster(sim.New(), DefaultMDSConfig(), Topology{}); err == nil {
 		t.Fatal("zero servers accepted")
 	}
 }
@@ -30,7 +29,7 @@ func TestClusterValidation(t *testing.T) {
 func TestClusterBalancesLoad(t *testing.T) {
 	tr := tracegen.HP(12000).MustGenerate()
 	cfg := DefaultReplayConfig()
-	cs, err := ReplayCluster(tr, cfg, 4, HashPartitioner, clusterFactory(cfg.MDS, true))
+	cs, _, err := Replay(tr, cfg, Topology{Servers: 4, Partition: HashPartitioner, Factory: clusterFactory(cfg.MDS, true)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +51,11 @@ func TestClusterScalesThroughput(t *testing.T) {
 	cfg := DefaultReplayConfig()
 	cfg.ArrivalGap = 300 * time.Microsecond // saturates one 4-worker MDS
 
-	single, err := ReplayCluster(tr, cfg, 1, HashPartitioner, clusterFactory(cfg.MDS, true))
+	single, _, err := Replay(tr, cfg, Topology{Servers: 1, Partition: HashPartitioner, Factory: clusterFactory(cfg.MDS, true)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	quad, err := ReplayCluster(tr, cfg, 4, HashPartitioner, clusterFactory(cfg.MDS, true))
+	quad, _, err := Replay(tr, cfg, Topology{Servers: 4, Partition: HashPartitioner, Factory: clusterFactory(cfg.MDS, true)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +73,11 @@ func TestClusterScalesThroughput(t *testing.T) {
 func TestGroupPartitionerPreservesPrefetching(t *testing.T) {
 	tr := tracegen.HP(12000).MustGenerate()
 	cfg := DefaultReplayConfig()
-	hash, err := ReplayCluster(tr, cfg, 4, HashPartitioner, clusterFactory(cfg.MDS, true))
+	hash, _, err := Replay(tr, cfg, Topology{Servers: 4, Partition: HashPartitioner, Factory: clusterFactory(cfg.MDS, true)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	grouped, err := ReplayCluster(tr, cfg, 4, GroupPartitioner, clusterFactory(cfg.MDS, true))
+	grouped, _, err := Replay(tr, cfg, Topology{Servers: 4, Partition: GroupPartitioner, Factory: clusterFactory(cfg.MDS, true)})
 	if err != nil {
 		t.Fatal(err)
 	}

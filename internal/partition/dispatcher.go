@@ -97,7 +97,8 @@ func (d *Dispatcher) Advance(n uint64) uint64 { return d.seq.Add(n) }
 // file itself are skipped), each to the owner of its predecessor. It
 // returns the record's global sequence number. Callers must serialize
 // Dispatch calls; emit runs synchronously on the caller's goroutine. The
-// events point at a vector of their own: they may outlive the call (a mailbox).
+// events point at a vector of their own: they may outlive the call (hust's
+// in-flight queues).
 func (d *Dispatcher) Dispatch(r *trace.Record, emit func(owner int, ev Event)) uint64 {
 	return d.DispatchInto(r, new(vsm.Vector), emit)
 }

@@ -2,8 +2,8 @@
 // FARMER deployment: one sequenced replay of the global access stream fans
 // the expensive per-file mining work out to the owners of the affected
 // state, whatever those owners are — the in-process shards of a
-// core.ShardedModel, or the metadata servers of a multi-MDS cluster
-// exchanging events over bounded mailboxes.
+// core.ShardedModel, or the simulated metadata servers of internal/hust's
+// multi-MDS cluster. Events never leave the process that dispatched them.
 //
 // The layer exists because all FARMER mined state is keyed by the
 // predecessor FileID: file x's Correlator List, its graph node (N_x and
@@ -11,7 +11,7 @@
 // Dispatcher therefore needs to run only Stage 1 (attribute extraction) and
 // the lookahead-window bookkeeping in global stream order; Stages 2-4 —
 // edge credit, degree re-evaluation, list resorting — become Events routed
-// to the Owner of the predecessor's partition. Per-owner FIFO delivery in
+// to the owner of the predecessor's partition. Per-owner FIFO delivery in
 // global stream order plus disjoint per-owner state make an N-way
 // partitioned mine produce exactly the state a single sequential Model
 // reaches on the same stream.

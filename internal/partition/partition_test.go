@@ -210,89 +210,3 @@ func TestDispatcherPanicsOnZeroOwners(t *testing.T) {
 	}()
 	NewDispatcher(Config{Owners: 0})
 }
-
-// popAll empties a mailbox through Pop, oldest first.
-func popAll(mb *Mailbox) []Event {
-	var got []Event
-	for ev, ok := mb.Pop(); ok; ev, ok = mb.Pop() {
-		got = append(got, ev)
-	}
-	return got
-}
-
-// TestMailboxFIFOAndDrain: events come back out in push order, a drained
-// mailbox is empty, and nothing is dropped below capacity.
-func TestMailboxFIFOAndDrain(t *testing.T) {
-	mb := NewMailbox(8, nil)
-	for i := 0; i < 5; i++ {
-		mb.Push(Event{Seq: uint64(i + 1)})
-	}
-	got := popAll(mb)
-	if len(got) != 5 {
-		t.Fatalf("drained %d events, want 5", len(got))
-	}
-	for i, ev := range got {
-		if ev.Seq != uint64(i+1) {
-			t.Fatalf("event %d out of order: %+v", i, ev)
-		}
-	}
-	if _, ok := mb.Pop(); ok || mb.Dropped() != 0 {
-		t.Fatalf("mailbox not empty after the drain, or dropped %d below capacity", mb.Dropped())
-	}
-}
-
-// TestMailboxPopReleasesInOrder: Pop hands out single events FIFO (metered
-// delivery) and what it leaves stays in order.
-func TestMailboxPopReleasesInOrder(t *testing.T) {
-	mb := NewMailbox(8, nil)
-	if _, ok := mb.Pop(); ok {
-		t.Fatal("Pop from empty mailbox succeeded")
-	}
-	mb.Push(Event{Seq: 1}, Event{Seq: 2}, Event{Seq: 3})
-	if ev, ok := mb.Pop(); !ok || ev.Seq != 1 {
-		t.Fatalf("first pop = %+v, %v", ev, ok)
-	}
-	rest := popAll(mb)
-	if len(rest) != 2 || rest[0].Seq != 2 || rest[1].Seq != 3 {
-		t.Fatalf("drain after pop = %+v", rest)
-	}
-}
-
-// TestMailboxDropOldest: overflow evicts the head, keeps push order, and
-// counts every loss.
-func TestMailboxDropOldest(t *testing.T) {
-	mb := NewMailbox(4, nil)
-	for i := 1; i <= 10; i++ {
-		mb.Push(Event{Seq: uint64(i)})
-	}
-	got := popAll(mb)
-	if len(got) != 4 {
-		t.Fatalf("kept %d events, want 4", len(got))
-	}
-	for i, ev := range got {
-		if want := uint64(7 + i); ev.Seq != want {
-			t.Fatalf("slot %d seq %d, want %d (newest survive)", i, ev.Seq, want)
-		}
-	}
-	if mb.Dropped() != 6 {
-		t.Fatalf("dropped %d, want 6", mb.Dropped())
-	}
-}
-
-// TestMailboxWrapAround: popping after the ring head has wrapped still
-// delivers FIFO.
-func TestMailboxWrapAround(t *testing.T) {
-	mb := NewMailbox(4, nil)
-	mb.Push(Event{Seq: 1}, Event{Seq: 2}, Event{Seq: 3})
-	popAll(mb)
-	mb.Push(Event{Seq: 4}, Event{Seq: 5}, Event{Seq: 6}) // wraps
-	got := popAll(mb)
-	if len(got) != 3 {
-		t.Fatalf("popped %d events after the wrap, want 3", len(got))
-	}
-	for i, ev := range got {
-		if ev.Seq != uint64(4+i) {
-			t.Fatalf("wrap pop out of order: %+v", got)
-		}
-	}
-}

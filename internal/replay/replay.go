@@ -54,30 +54,34 @@ func MineSequential(tr *trace.Trace, mc core.Config) uint64 {
 	return Fingerprint(m, tr.FileCount)
 }
 
-// Outcome is one FARMER replay: the simulation result plus the miner's
-// mined-state fingerprint.
+// Outcome is one replay: the simulation's aggregate stats, the mined-state
+// fingerprint (0 for a per-partition cluster, whose servers mine disjoint
+// local models), and the cluster itself for follow-on persistence or
+// prediction checks.
 type Outcome struct {
-	Result      hust.Result
+	Stats       hust.ClusterStats
 	Fingerprint uint64
+	Cluster     *hust.Cluster
 }
 
-// FARMER replays tr through a FARMER MDS built from cfg/mc and fingerprints
-// the mined state afterwards.
+// farmerMDS is the Topology factory of servers that each run their own
+// FARMER miner.
+func farmerMDS(cfg hust.MDSConfig, mc core.Config) func(*sim.Engine) (*hust.MDS, error) {
+	return func(e *sim.Engine) (*hust.MDS, error) { return hust.NewFARMERMDS(e, cfg, nil, mc) }
+}
+
+// FARMER replays tr through a lone FARMER MDS built from cfg/mc and
+// fingerprints the mined state afterwards.
 func FARMER(tr *trace.Trace, cfg hust.ReplayConfig, mc core.Config) (Outcome, error) {
-	var mds *hust.MDS
-	res, err := hust.Replay(tr, cfg, func(e *sim.Engine) (*hust.MDS, error) {
-		m, err := hust.NewFARMERMDS(e, cfg.MDS, nil, mc)
-		mds = m
-		return m, err
-	})
+	stats, c, err := hust.Replay(tr, cfg, hust.Topology{Servers: 1, Factory: farmerMDS(cfg.MDS, mc)})
 	if err != nil {
 		return Outcome{}, err
 	}
-	miner, err := minerOf(mds)
+	miner, err := minerOf(c.Server(0))
 	if err != nil {
 		return Outcome{}, err
 	}
-	return Outcome{Result: res, Fingerprint: Fingerprint(miner, tr.FileCount)}, nil
+	return Outcome{Stats: stats, Fingerprint: Fingerprint(miner, tr.FileCount), Cluster: c}, nil
 }
 
 func minerOf(m *hust.MDS) (*core.ShardedModel, error) {
@@ -97,7 +101,7 @@ func minerOf(m *hust.MDS) (*core.ShardedModel, error) {
 // FARMER pipeline (mining on the demand path), and the asynchronous one
 // (mining on the shard-worker station).
 type Comparison struct {
-	Baseline hust.Result
+	Baseline hust.ClusterStats
 	Sync     Outcome
 	Async    Outcome
 }
@@ -113,9 +117,9 @@ func Compare(tr *trace.Trace, cfg hust.ReplayConfig, mc core.Config) (Comparison
 	base.MDS.MineTime = 0
 	base.MDS.AsyncPrefetch = false
 	base.MDS.PrefetchK = 0
-	res, err := hust.Replay(tr, base, func(e *sim.Engine) (*hust.MDS, error) {
+	res, _, err := hust.Replay(tr, base, hust.Topology{Servers: 1, Factory: func(e *sim.Engine) (*hust.MDS, error) {
 		return hust.NewMDS(e, base.MDS, nil, predictors.NewNone())
-	})
+	}})
 	if err != nil {
 		return out, err
 	}
@@ -135,44 +139,27 @@ func Compare(tr *trace.Trace, cfg hust.ReplayConfig, mc core.Config) (Comparison
 	return out, nil
 }
 
-// ClusterOutcome is one multi-MDS cluster replay: the aggregate simulation
-// stats, the merged mined-state fingerprint (0 for per-partition clusters,
-// whose servers mine disjoint local models), and the cluster itself for
-// follow-on persistence or prediction checks.
-type ClusterOutcome struct {
-	Stats       hust.ClusterStats
-	Fingerprint uint64
-	Cluster     *hust.Cluster
-}
-
 // GlobalCluster replays tr through an n-server global-mining cluster
-// (cluster-level dispatcher, inter-MDS mailboxes) and fingerprints the
-// merged model — directly comparable against MineSequential, because a
-// drop-free global cluster mines bit-identical state.
+// (cluster-level dispatcher, bounded inter-MDS event queues) and
+// fingerprints the merged model — directly comparable against
+// MineSequential, because a drop-free global cluster mines bit-identical
+// state.
 func GlobalCluster(tr *trace.Trace, cfg hust.ReplayConfig, n int, part hust.Partitioner,
-	mc core.Config, gcfg hust.GlobalConfig) (ClusterOutcome, error) {
-	stats, c, err := hust.ReplayGlobalCluster(tr, cfg, n, part, mc, gcfg)
+	mc core.Config, gcfg hust.GlobalConfig) (Outcome, error) {
+	gcfg.Miner = mc
+	stats, c, err := hust.Replay(tr, cfg, hust.Topology{Servers: n, Partition: part, Global: &gcfg})
 	if err != nil {
-		return ClusterOutcome{}, err
+		return Outcome{}, err
 	}
-	return ClusterOutcome{
-		Stats:       stats,
-		Fingerprint: Fingerprint(c.GlobalMiner(), tr.FileCount),
-		Cluster:     c,
-	}, nil
+	return Outcome{Stats: stats, Fingerprint: Fingerprint(c.GlobalMiner(), tr.FileCount), Cluster: c}, nil
 }
 
 // LocalCluster replays tr through the per-partition baseline: every server
 // runs its own FARMER miner over only the sub-stream it observes (mining on
 // the demand path, as the paper's prototype does).
 func LocalCluster(tr *trace.Trace, cfg hust.ReplayConfig, n int, part hust.Partitioner,
-	mc core.Config) (ClusterOutcome, error) {
+	mc core.Config) (Outcome, error) {
 	mc.Shards = 1
-	stats, err := hust.ReplayCluster(tr, cfg, n, part, func(i int, e *sim.Engine) (*hust.MDS, error) {
-		return hust.NewFARMERMDS(e, cfg.MDS, nil, mc)
-	})
-	if err != nil {
-		return ClusterOutcome{}, err
-	}
-	return ClusterOutcome{Stats: stats}, nil
+	stats, c, err := hust.Replay(tr, cfg, hust.Topology{Servers: n, Partition: part, Factory: farmerMDS(cfg.MDS, mc)})
+	return Outcome{Stats: stats, Cluster: c}, err
 }

@@ -60,12 +60,12 @@ func TestAsyncNoDemandLatencyRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := cmp.Baseline.Stats.AvgDemandWait
-	syncW := cmp.Sync.Result.Stats.AvgDemandWait
-	asyncW := cmp.Async.Result.Stats.AvgDemandWait
+	base := cmp.Baseline.AvgDemandWait
+	syncW := cmp.Sync.Stats.AvgDemandWait
+	asyncW := cmp.Async.Stats.AvgDemandWait
 	t.Logf("demand AvgWait: baseline=%v sync=%v async=%v", base, syncW, asyncW)
 	t.Logf("avg response: baseline=%v sync=%v async=%v",
-		cmp.Baseline.Stats.AvgResponse, cmp.Sync.Result.Stats.AvgResponse, cmp.Async.Result.Stats.AvgResponse)
+		cmp.Baseline.AvgResponse, cmp.Sync.Stats.AvgResponse, cmp.Async.Stats.AvgResponse)
 	if asyncW > base {
 		t.Fatalf("async demand wait %v regressed past the no-prefetch baseline %v", asyncW, base)
 	}
@@ -73,7 +73,7 @@ func TestAsyncNoDemandLatencyRegression(t *testing.T) {
 		t.Fatalf("mining-heavy sync wait %v should exceed async wait %v", syncW, asyncW)
 	}
 	// Prefetching must still be alive and accounted in async mode.
-	st := cmp.Async.Result.Stats
+	st := cmp.Async.Stats.PerServer[0]
 	if st.PrefetchIssued == 0 {
 		t.Fatal("async pipeline issued no prefetches")
 	}
@@ -82,9 +82,9 @@ func TestAsyncNoDemandLatencyRegression(t *testing.T) {
 			st.PrefetchIssued, st.PrefetchDone, st.PrefetchDropped)
 	}
 	// The async run must beat the synchronous one end-to-end as well.
-	if cmp.Async.Result.Stats.AvgResponse >= cmp.Sync.Result.Stats.AvgResponse {
+	if cmp.Async.Stats.AvgResponse >= cmp.Sync.Stats.AvgResponse {
 		t.Fatalf("async avg response %v not better than sync %v",
-			cmp.Async.Result.Stats.AvgResponse, cmp.Sync.Result.Stats.AvgResponse)
+			cmp.Async.Stats.AvgResponse, cmp.Sync.Stats.AvgResponse)
 	}
 }
 
@@ -107,7 +107,7 @@ func TestBoundedQueueDegradesCoverageNotLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := cmp.Async.Result.Stats
+	st := cmp.Async.Stats.PerServer[0]
 	if st.PrefetchDropped == 0 {
 		t.Fatal("1-slot prefetch queue under overload dropped nothing")
 	}
@@ -171,9 +171,9 @@ func TestCompareIsDeterministic(t *testing.T) {
 	if a.Sync.Fingerprint != b.Sync.Fingerprint || a.Async.Fingerprint != b.Async.Fingerprint {
 		t.Fatal("fingerprints differ between identical runs")
 	}
-	if a.Async.Result.Stats.AvgDemandWait != b.Async.Result.Stats.AvgDemandWait ||
-		a.Sync.Result.Stats.AvgResponse != b.Sync.Result.Stats.AvgResponse ||
-		a.Baseline.Stats.AvgDemandWait != b.Baseline.Stats.AvgDemandWait {
+	if a.Async.Stats.AvgDemandWait != b.Async.Stats.AvgDemandWait ||
+		a.Sync.Stats.AvgResponse != b.Sync.Stats.AvgResponse ||
+		a.Baseline.AvgDemandWait != b.Baseline.AvgDemandWait {
 		t.Fatal("virtual-time latency figures differ between identical runs")
 	}
 }

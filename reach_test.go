@@ -74,7 +74,6 @@ var reachAllow = map[string]string{
 	"vsm.PathSimilarity":     "test oracle: the paper's Table 2 3/4 example and FuzzSimMatchesReference read the IPA path term alone through it",
 	"cache.LRU.Len":          "test oracle: the capacity bound is only observable through the resident count",
 	"hust.MDS.Cache":         "test oracle: what a prefetch installed is read from the server's cache",
-	"hust.Cluster.Server":    "test oracle: the per-server predictor and cache of a global cluster",
 
 	// Called by the errors package through interfaces it does not name.
 	"rpc.refusal.Unwrap": "errors.Is and errors.As unwrap a refusal to its cause",
