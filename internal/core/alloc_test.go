@@ -64,9 +64,8 @@ func TestFeedBatchAllocsPerCall(t *testing.T) {
 }
 
 // TestApplyEventsAllocsPerCall: what ApplyEvents works in is a block on its
-// stack, whatever it is handed — a 512-event chunk of FeedBatch's or the
-// 100 000 events one MsgApplyEvents frame may carry — so a call on a warmed
-// model allocates nothing. (At max_strength 0 no list is filtered empty and
+// stack, whatever it is handed — a 512-event chunk of FeedBatch's or
+// 100 000 events at once — so a call on a warmed model allocates nothing. (At max_strength 0 no list is filtered empty and
 // grown again, so the state allocates nothing either and the count is exact.)
 func TestApplyEventsAllocsPerCall(t *testing.T) {
 	tr := tracegen.HP(30000).MustGenerate()

@@ -17,7 +17,6 @@ import (
 type lone struct {
 	Stats     Stats // the server's own
 	ClientAvg time.Duration
-	Policy    string
 	MDS       *MDS
 }
 
@@ -30,7 +29,7 @@ func replayLone(tr *trace.Trace, cfg ReplayConfig, factory func(*sim.Engine) (*M
 	if len(cs.PerServer) != 1 || cs.AvgResponse != cs.PerServer[0].AvgResponse || cs.Demand != cs.PerServer[0].Demand {
 		return lone{}, fmt.Errorf("a cluster of one reports %+v beside its server's %+v", cs, cs.PerServer[0])
 	}
-	return lone{cs.PerServer[0], cs.ClientAvg, c.Server(0).Predictor().Name(), c.Server(0)}, nil
+	return lone{cs.PerServer[0], cs.ClientAvg, c.Server(0)}, nil
 }
 
 func lruMDS(cfg MDSConfig) func(*sim.Engine) (*MDS, error) {
@@ -131,8 +130,8 @@ func TestReplaySmallTraceRuns(t *testing.T) {
 	if res.ClientAvg != res.Stats.AvgResponse+cfg.NetworkRTT {
 		t.Fatalf("client average %v is not the response %v plus the RTT", res.ClientAvg, res.Stats.AvgResponse)
 	}
-	if res.Policy != "LRU" {
-		t.Fatalf("policy %q", res.Policy)
+	if name := res.MDS.Predictor().Name(); name != "LRU" {
+		t.Fatalf("policy %q", name)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"runtime/metrics"
 	"strings"
 	"testing"
@@ -23,6 +24,7 @@ func FuzzFrameCodec(f *testing.F) {
 	f.Add(AppendFrame(nil, MsgFeed, 1, trace.AppendRecord(nil, &rec)))
 	f.Add(AppendFrame(nil, MsgFeedBatch, 2, appendRecords(nil, []trace.Record{rec, rec})))
 	f.Add(AppendFrame(nil, MsgPredict, 3, appendPredictReq(nil, 9, 4)))
+	f.Add(AppendFrame(nil, MsgType(9), 4, unhex(f, retiredEventsHex))) // a retired type still frames
 	f.Add(AppendFrame(nil, MsgErr, 5, appendWireError(nil, CodeInternal, "boom")))
 	f.Add(AppendFrameTenant(nil, MsgFeed, 6, "tenant-a", trace.AppendRecord(nil, &rec)))
 	f.Add(AppendFrameTenant(nil, MsgHello, 7, "t.0", appendHello(nil, "secret")))
@@ -171,10 +173,17 @@ func FuzzBodyDecoders(f *testing.F) {
 	rec := trace.Record{Seq: 1, File: 7, UID: 2, PID: 3, Host: 4, Dev: 5, Size: 6, Group: -1, Path: "/a/b"}
 	f.Add(trace.AppendRecord(nil, &rec))
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	// What an old sender put in a type-9 frame, and the hostile floats its
+	// decoder was seeded with, aimed at the one that still takes floats off
+	// the wire: a Correlator List.
+	f.Add(unhex(f, retiredEventsHex))
+	for _, degree := range []float64{math.Inf(1), math.NaN(), -1, 1e308} {
+		f.Add(core.AppendCorrelators(nil, []core.Correlator{{File: 9, Degree: degree, Sim: 0.5, Freq: 0.5}}))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Decoded values are a few times their encoding (a 4-byte id list entry
-		// is 4 bytes, a 33-byte event ~90).
+		// is 4 bytes, a 28-byte list entry 32).
 		limit := 64*uint64(len(data)) + 1<<20
 		for _, bc := range bodyCodecs {
 			var out []byte

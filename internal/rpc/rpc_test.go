@@ -204,6 +204,10 @@ func TestServerRejectsMalformedBody(t *testing.T) {
 	}
 }
 
+// retiredEventsHex is the golden body of the events frame as it stood when
+// the frame was retired: three events, one without a vector.
+const retiredEventsHex = "03000000010000000007000000000000000000000001000000000000000200000003000000753a3103000000703a32040000002f612f62000700000009000000cdccccccccccec3f02000000000000000100000003000000753a3100000000000300000009000000000000000000f03f02000000000000000000000000000000"
+
 // TestRetiredSlotAnswersUnsupported: type 9 carried mining events between
 // processes until PR 24 retired it. A frame of that type — here with the
 // body an old sender would put in it — is an unknown request type like any
@@ -215,8 +219,7 @@ func TestRetiredSlotAnswersUnsupported(t *testing.T) {
 	c := dialT(t, addr)
 	defer c.Close()
 
-	oneAccessEvent := unhex(t, "01000000"+"01"+"00000000"+"07000000"+"0000000000000000"+"0100000000000000"+"00000000"+"00000000")
-	_, err := c.call(context.Background(), MsgType(9), oneAccessEvent)
+	_, err := c.call(context.Background(), MsgType(9), unhex(t, retiredEventsHex))
 	var we *WireError
 	if !errors.As(err, &we) || we.Code != CodeUnsupported || !strings.Contains(we.Msg, "unknown request type 9") {
 		t.Fatalf("a type-9 frame answered %v, want CodeUnsupported: unknown request type 9", err)
