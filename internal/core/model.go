@@ -465,7 +465,8 @@ func (m *Model) Stats() Stats {
 	// Correlator list entries: File + Degree + Sim + Freq.
 	const corrBytes = 32
 	const listOverhead = 48
-	const vecOverhead = 64 // of the 80 a Vector is: the tags and their count, beside what PR 16 charged
+	const vecOverhead = 64 // the tags and their count, beside what PR 16 charged
+	var tok [16]byte       // a token's bytes, spelled to be counted: Table 4 charges every vector its token list
 	for _, fp := range m.files {
 		if fp.have&facetList != 0 {
 			s.Lists++
@@ -479,8 +480,8 @@ func (m *Model) Stats() Stats {
 		if fp.have&facetVec != 0 {
 			s.TrackedFiles++
 			s.MemoryBytes += vecOverhead + int64(len(fp.vec.Path))
-			for _, sc := range fp.vec.Scalars {
-				s.MemoryBytes += int64(len(sc)) + 16
+			for i := range fp.vec.NumScalars() {
+				s.MemoryBytes += int64(len(fp.vec.AppendScalar(tok[:0], i))) + 16
 			}
 		}
 	}

@@ -271,12 +271,13 @@ func (sk savedKeys) prune(s *kvstore.Store, b *kvstore.Batch) error {
 }
 
 // stager stages one shard's per-file records into a checkpoint batch.
-// Encoding is direct appends on one reused scratch slice (the batch copies
-// what it stages). saved is nil for a delta; the first error sticks.
+// Encoding appends to reused scratch (the batch copies what it stages; a
+// node's edges sort in their own). saved is nil for a delta; errors stick.
 type stager struct {
 	b       *kvstore.Batch
 	saved   savedKeys
 	scratch []byte
+	edges   []graph.Edge
 	err     error
 }
 
@@ -311,7 +312,8 @@ func (st *stager) file(f trace.FileID, fp *file, facets uint8) {
 		st.stage(keyPrefixVector, f, fp.have&facetVec != 0)
 	}
 	if facets&facetGraph != 0 {
-		st.scratch = appendGraphValue(st.scratch[:0], fp.node.Total, fp.node.SortedByID())
+		st.edges = fp.node.SortedByID(st.edges)
+		st.scratch = appendGraphValue(st.scratch[:0], fp.node.Total, st.edges)
 		st.stage(keyPrefixGraph, f, fp.have&facetGraph != 0)
 	}
 }

@@ -507,7 +507,6 @@ func (m *Model) reset() {
 	}
 	m.files = make(map[trace.FileID]*file)
 	clear(m.hits) // the last Feed's records, of the map just replaced
-	m.extractor.Reset()
 	m.window = m.window[:0]
 	m.fed = 0
 	m.dirtyOn = false

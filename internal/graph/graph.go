@@ -133,10 +133,10 @@ func (n *Node) Add(to trace.FileID, w float64, maxSuccessors int) int {
 	return -1
 }
 
-// SortedByID returns a copy of the out-edges in ascending file id order —
-// the order a checkpoint writes them in.
-func (n *Node) SortedByID() []Edge {
-	out := slices.Clone(n.Edges)
+// SortedByID copies the out-edges into dst's storage (grown when short) in
+// ascending file id order — the order a checkpoint writes them in.
+func (n *Node) SortedByID(dst []Edge) []Edge {
+	out := append(dst[:0], n.Edges...)
 	slices.SortFunc(out, func(a, b Edge) int { return cmp.Compare(a.To, b.To) })
 	return out
 }

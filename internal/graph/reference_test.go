@@ -115,7 +115,7 @@ func (g *Graph) dump() string {
 	for _, id := range ids {
 		nd := g.nodes[id]
 		out = fmt.Appendf(out, "%d:%x", id, math.Float64bits(nd.Total))
-		for _, e := range nd.SortedByID() {
+		for _, e := range nd.SortedByID(nil) {
 			out = fmt.Appendf(out, " %d=%x", e.To, math.Float64bits(e.Weight))
 		}
 		out = append(out, '\n')

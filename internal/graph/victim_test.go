@@ -40,7 +40,7 @@ func refAdd(n *Node, to trace.FileID, w float64, maxSuccessors int) int {
 // the edges in id order, floats to the bit.
 func sameNode(a, b *Node) bool {
 	return math.Float64bits(a.Total) == math.Float64bits(b.Total) &&
-		slices.EqualFunc(a.SortedByID(), b.SortedByID(), func(x, y Edge) bool {
+		slices.EqualFunc(a.SortedByID(nil), b.SortedByID(nil), func(x, y Edge) bool {
 			return x.To == y.To && math.Float64bits(x.Weight) == math.Float64bits(y.Weight)
 		})
 }
@@ -71,8 +71,8 @@ func FuzzNodeAddMatchesReference(f *testing.F) {
 		var got, want Node
 		for op := 1; op+1 < len(data); op += 2 {
 			if data[op] == 0xff {
-				got = Node{Total: got.Total, Edges: got.SortedByID()}
-				want = Node{Total: want.Total, Edges: want.SortedByID()}
+				got = Node{Total: got.Total, Edges: got.SortedByID(nil)}
+				want = Node{Total: want.Total, Edges: want.SortedByID(nil)}
 				continue
 			}
 			to, w := trace.FileID(int(data[op])%ids), float64(1+data[op+1]%6)/2

@@ -160,7 +160,7 @@ func TestEventsOfOneRecordShareOneVector(t *testing.T) {
 				t.Errorf("record %d: an event points at a vector of its own", i)
 			}
 		}
-		if evs[0].Vec.Path != paths[i] || evs[0].Vec.Scalars[0] != "u:"+strconv.Itoa(i) {
+		if evs[0].Vec.Path != paths[i] || string(evs[0].Vec.AppendScalar(nil, 0)) != "u:"+strconv.Itoa(i) {
 			t.Errorf("record %d: its events now carry %+v: a later dispatch wrote into a vector handed out", i, *evs[0].Vec)
 		}
 		for _, other := range kept[:i] {

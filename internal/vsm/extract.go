@@ -1,7 +1,7 @@
 package vsm
 
 import (
-	"strconv"
+	"math/bits"
 
 	"farmer/internal/trace"
 )
@@ -9,26 +9,11 @@ import (
 // Extractor is FARMER's Stage-1 component (paper §3.1): it turns a file
 // request into the semantic vector for the requested file, restricted to the
 // attributes enabled in the mask. The HUSt prototype calls this the
-// "extractor" filter. Extract is single-writer: callers serialize around an
-// Extractor, as every miner already does around its window.
+// "extractor" filter.
 type Extractor struct {
 	Mask Mask
 	Alg  PathAlg
-
-	// tokens interns the scalar tokens ("u:12") this extractor has built,
-	// keyed by attribute and value, and lists a record's whole scalar list,
-	// keyed by its enabled attribute values, so a steady stream reuses one
-	// list per distinct (user, process, host) instead of building one per
-	// record. Caches of derivable strings, not mined state: at most
-	// maxTokens entries each, forgotten by Reset.
-	tokens map[uint64]string
-	lists  map[[len(scalarAttrs)]uint32][]string
 }
-
-// maxTokens bounds an Extractor's intern tables. Users, processes and hosts
-// number far fewer; file ids do not, and past the bound their tokens are
-// simply built per record, as every token was before the table existed.
-const maxTokens = 1 << 14
 
 // NewExtractor returns an extractor for the given attribute combination
 // using the paper's preferred IPA path handling.
@@ -36,40 +21,11 @@ func NewExtractor(mask Mask) *Extractor {
 	return &Extractor{Mask: mask, Alg: IPA}
 }
 
-// Reset forgets the interned tokens and lists (a vector already out keeps
-// its own: nothing writes to one).
-func (e *Extractor) Reset() { e.tokens, e.lists = nil, nil }
-
-// scalarAttrs lists the discrete attributes in vector order with their tags.
-var scalarAttrs = [...]struct {
-	attr Attr
-	tag  string
-}{{AttrUser, "u:"}, {AttrProcess, "p:"}, {AttrHost, "h:"}, {AttrFileID, "f:"}, {AttrDevice, "d:"}}
-
-// token returns the namespaced token for one attribute value.
-func (e *Extractor) token(i int, val uint32) string {
-	key := uint64(i)<<32 | uint64(val)
-	if s, ok := e.tokens[key]; ok {
-		return s
-	}
-	s := scalarAttrs[i].tag + strconv.FormatUint(uint64(val), 10)
-	if len(e.tokens) < maxTokens {
-		if e.tokens == nil {
-			e.tokens = make(map[uint64]string)
-		}
-		e.tokens[key] = s
-	}
-	return s
-}
-
-// Extract builds the semantic vector for a record. Scalar tokens are
-// prefixed with their attribute tag so that, e.g., user 5 never collides
-// with process 5 — the paper's Table 1 shows attribute values as distinct
-// namespaced entries. Records that agree on every enabled value share one
-// interned list (cap == len: an append copies, never writes into it) — but
-// under a mask with the file id, where each file's list is its own, none is
-// kept and asking the nil table is free. Where the path's components end is
-// noted inside the vector: a record of a known tuple allocates nothing.
+// Extract builds the semantic vector for a record: the values of its enabled
+// scalar attributes, each an (attribute, value) item so that user 5 never
+// equals process 5 — the paper's Table 1 shows attribute values as distinct
+// namespaced entries — and the path, where its components end noted inside
+// the vector. It allocates nothing.
 func (e *Extractor) Extract(r *trace.Record) (v Vector) {
 	e.ExtractInto(r, &v)
 	return v
@@ -78,24 +34,10 @@ func (e *Extractor) Extract(r *trace.Record) (v Vector) {
 // ExtractInto is Extract in place of whatever v held, for a caller that keeps it.
 func (e *Extractor) ExtractInto(r *trace.Record, v *Vector) {
 	vals := [len(scalarAttrs)]uint32{r.UID, r.PID, r.Host, uint32(r.File), r.Dev}
+	*v = Vector{}
 	for i, sa := range scalarAttrs {
-		if !e.Mask.Has(sa.attr) {
-			vals[i] = 0
-		}
-	}
-	*v = Vector{Scalars: e.lists[vals]}
-	if scalars := e.Mask.Without(AttrPath); v.Scalars == nil && scalars != 0 { // every attribute but the path is a scalar
-		v.Scalars = make([]string, 0, scalars.Count())
-		for i, sa := range scalarAttrs {
-			if e.Mask.Has(sa.attr) {
-				v.Scalars = append(v.Scalars, e.token(i, vals[i]))
-			}
-		}
-		if !e.Mask.Has(AttrFileID) && len(e.lists) < maxTokens {
-			if e.lists == nil {
-				e.lists = make(map[[len(scalarAttrs)]uint32][]string)
-			}
-			e.lists[vals] = v.Scalars
+		if e.Mask.Has(sa.attr) {
+			v.vals[i], v.has = vals[i], v.has|1<<i
 		}
 	}
 	if e.Mask.Has(AttrPath) && r.Path != "" {
@@ -122,13 +64,13 @@ func Combinations(attrs []Attr) []Mask {
 	n := len(attrs)
 	var out []Mask
 	for size := 1; size <= n; size++ {
-		for bits := 1; bits < 1<<n; bits++ {
-			if popcount(bits) != size {
+		for set := uint(1); set < 1<<n; set++ {
+			if bits.OnesCount(set) != size {
 				continue
 			}
 			var m Mask
 			for i := 0; i < n; i++ {
-				if bits&(1<<i) != 0 {
+				if set&(1<<i) != 0 {
 					m = m.With(attrs[i])
 				}
 			}
@@ -136,13 +78,4 @@ func Combinations(attrs []Attr) []Mask {
 		}
 	}
 	return out
-}
-
-func popcount(x int) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }

@@ -5,6 +5,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"farmer/internal/bin"
+	"farmer/internal/trace"
 )
 
 // The two similarities this package shipped before vectors were pre-split,
@@ -53,14 +56,24 @@ func refPathSimilarity(a, b string) float64 {
 	return float64(refMultisetIntersection(ca, cb)) / float64(max(len(ca), len(cb)))
 }
 
+// items spells a vector's scalar items, the strings the oracles compare:
+// whatever form the vector holds them in, these are its tokens.
+func items(v *Vector) []string {
+	var out []string
+	for i := range v.NumScalars() {
+		out = append(out, string(v.AppendScalar(nil, i)))
+	}
+	return out
+}
+
 func refLen(v *Vector, alg PathAlg) int {
 	switch {
 	case v.Path == "":
-		return len(v.Scalars)
+		return len(items(v))
 	case alg == DPA:
-		return len(v.Scalars) + len(SplitPath(v.Path))
+		return len(items(v)) + len(SplitPath(v.Path))
 	default:
-		return len(v.Scalars) + 1
+		return len(items(v)) + 1
 	}
 }
 
@@ -72,11 +85,11 @@ func refSim(a, b *Vector, alg PathAlg) float64 {
 	var inter float64
 	switch alg {
 	case DPA:
-		itemsA := append(append([]string(nil), a.Scalars...), SplitPath(a.Path)...)
-		itemsB := append(append([]string(nil), b.Scalars...), SplitPath(b.Path)...)
+		itemsA := append(items(a), SplitPath(a.Path)...)
+		itemsB := append(items(b), SplitPath(b.Path)...)
 		inter = float64(refMultisetIntersection(itemsA, itemsB))
 	default: // IPA
-		inter = float64(refMultisetIntersection(a.Scalars, b.Scalars))
+		inter = float64(refMultisetIntersection(items(a), items(b)))
 		if a.Path != "" && b.Path != "" {
 			inter += refPathSimilarity(a.Path, b.Path)
 		}
@@ -92,7 +105,7 @@ func refSim(a, b *Vector, alg PathAlg) float64 {
 // Under DPA the path contributes one item per component; under IPA it
 // contributes a single item.
 func (v *Vector) Len(alg PathAlg) int {
-	n := len(v.Scalars)
+	n := v.NumScalars()
 	if v.Path == "" {
 		return n
 	}
@@ -163,10 +176,10 @@ func walkSim(a, b *Vector, alg PathAlg) float64 {
 	var inter float64
 	switch alg {
 	case DPA:
-		n, _, _ := multisetIntersection(a.Scalars, a.Path, b.Scalars, b.Path)
+		n, _, _ := multisetIntersection(items(a), a.Path, items(b), b.Path)
 		inter = float64(n)
 	default: // IPA
-		n, _, _ := multisetIntersection(a.Scalars, "", b.Scalars, "")
+		n, _, _ := multisetIntersection(items(a), "", items(b), "")
 		inter = float64(n)
 		if pn, pla, plb := multisetIntersection(nil, a.Path, nil, b.Path); pla != 0 && plb != 0 {
 			inter += float64(pn) / float64(max(pla, plb))
@@ -189,16 +202,42 @@ func cutOf(v *Vector) (c struct {
 	return c
 }
 
+// forms returns the ways a vector written as v (its scalars literal strings)
+// can reach Sim: as written, its path cut inside the call; cut ahead as a
+// stored vector is; decoded from its AppendVector bytes (values where its
+// tokens are as Extract writes them, its strings where not); and, where they
+// are, extracted from the record they spell.
+func forms(t *testing.T, v *Vector) []*Vector {
+	t.Helper()
+	cut := *v
+	cut.Presplit()
+	c := bin.Read("vector", AppendVector(nil, v))
+	decoded := ReadVector(&c)
+	if err := c.Done(); err != nil || !slices.Equal(items(&decoded), v.Scalars) {
+		t.Fatalf("%q decoded to %q (%v)", v.Scalars, items(&decoded), err)
+	}
+	out := []*Vector{v, &cut, &decoded}
+	if decoded.Scalars == nil {
+		mask := MaskOf(AttrPath)
+		for i, sa := range scalarAttrs {
+			if decoded.has&(1<<i) != 0 {
+				mask = mask.With(sa.attr)
+			}
+		}
+		vals := decoded.vals
+		x := NewExtractor(mask).Extract(&trace.Record{UID: vals[0], PID: vals[1], Host: vals[2], File: trace.FileID(vals[3]), Dev: vals[4], Path: v.Path})
+		out = append(out, &x)
+	}
+	return out
+}
+
 // checkSimMatchesReference compares every similarity entry point with its
-// oracles on one pair of vectors, in both argument orders and however the
-// operands reach Sim: as written (their paths cut inside the call), cut
-// ahead as a stored vector is, and one of each.
+// oracles on one pair of vectors written with literal scalars, in both
+// argument orders and every pairing of the forms each can reach Sim in.
 func checkSimMatchesReference(t *testing.T, a, b *Vector) {
 	t.Helper()
-	ca, cb := *a, *b
-	ca.Presplit()
-	cb.Presplit()
-	for _, v := range []*Vector{&ca, &cb} {
+	fa, fb := forms(t, a), forms(t, b)
+	for _, v := range []*Vector{fa[1], fb[1]} {
 		want := SplitPath(v.Path)
 		if v.cut != 0 && !slices.Equal(v.components(nil, 0), want) {
 			t.Errorf("Presplit(%q) cached ends %v: components %q, want %q", v.Path, v.ends, v.components(nil, 0), want)
@@ -210,14 +249,23 @@ func checkSimMatchesReference(t *testing.T, a, b *Vector) {
 		}
 	}
 	for _, alg := range []PathAlg{IPA, DPA} {
-		for _, p := range [][2]*Vector{{a, b}, {b, a}, {&ca, &cb}, {&cb, &ca}, {&ca, b}, {a, &cb}} {
-			got, want, walk := Sim(p[0], p[1], alg), refSim(p[0], p[1], alg), walkSim(p[0], p[1], alg)
-			if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(got) != math.Float64bits(walk) {
-				t.Errorf("Sim(%+v, %+v, %v) = %v, reference %v, path walk %v", *p[0], *p[1], alg, got, want, walk)
+		for _, p := range [][2][]*Vector{{fa, fb}, {fb, fa}} {
+			want, walk := refSim(p[0][0], p[1][0], alg), walkSim(p[0][0], p[1][0], alg)
+			if math.Float64bits(walk) != math.Float64bits(want) {
+				t.Errorf("%v: path walk of %+v and %+v = %v, reference %v", alg, *p[0][0], *p[1][0], walk, want)
+			}
+			for _, x := range p[0] {
+				for _, y := range p[1] {
+					if got := Sim(x, y, alg); math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("Sim(%+v, %+v, %v) = %v, reference %v", *x, *y, alg, got, want)
+					}
+				}
 			}
 		}
-		if got, want := a.Len(alg), refLen(a, alg); got != want {
-			t.Errorf("(%+v).Len(%v) = %d, reference %d", *a, alg, got, want)
+		for _, x := range fa {
+			if got, want := x.Len(alg), refLen(a, alg); got != want {
+				t.Errorf("(%+v).Len(%v) = %d, reference %d", *x, alg, got, want)
+			}
 		}
 	}
 	got, want := PathSimilarity(a.Path, b.Path), refPathSimilarity(a.Path, b.Path)
@@ -276,6 +324,16 @@ func FuzzSimMatchesReference(f *testing.F) {
 		{"", "/" + twinA + "/" + twinA + "/" + twinB, "", "/" + twinA + "/" + twinB + "/" + twinB},                 // the head shared, then unequal counts under one tag
 		{"u:1", strings.Repeat("/"+twinA, MaxCached), "u:1", strings.Repeat("/"+twinB, MaxCached-1) + "/" + twinA}, // every tag and end equal, one component
 		{"u:1", strings.Repeat("/c", MaxCached), "u:2", strings.Repeat("/c", MaxCached+1)},                         // the deepest cut against one too deep to cut
+		// Tokens that keep their strings, each against the values it resembles.
+		{"u:012", "/a", "u:12", "/a"},                      // a leading zero
+		{"u:7,u:7", "", "u:7,p:1", ""},                     // an attribute twice
+		{"h:2,u:7", "", "u:7,h:2", ""},                     // out of attribute order
+		{"x:1", "", "u:1", ""},                             // no such tag
+		{"u:", "", "u:0", ""},                              // no digits
+		{"u:-1", "", "u:1", ""},                            // a sign
+		{"u:4294967296", "", "u:4294967295", ""},           // past 2³²
+		{"p:3", "/home/u:1/a", "u:1,p:3", "/home/x/a"},     // DPA: a component equal to the other side's user token
+		{"u:1,p:3", "/u:1/p:3", "u:1,p:3", "/p:3/u:1/u:1"}, // DPA: values against components equal to them, on both sides
 	} {
 		f.Add(seed[0], seed[1], seed[2], seed[3])
 	}

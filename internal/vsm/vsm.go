@@ -16,6 +16,8 @@ package vsm
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
+	"strconv"
 	"strings"
 
 	"farmer/internal/bin"
@@ -57,20 +59,6 @@ func (m Mask) Has(a Attr) bool { return m&(1<<a) != 0 }
 // With returns a copy of the mask with the attribute enabled.
 func (m Mask) With(a Attr) Mask { return m | (1 << a) }
 
-// Without returns a copy of the mask with the attribute disabled.
-func (m Mask) Without(a Attr) Mask { return m &^ (1 << a) }
-
-// Count reports how many attributes are enabled.
-func (m Mask) Count() int {
-	n := 0
-	for a := Attr(0); a < NumAttrs; a++ {
-		if m.Has(a) {
-			n++
-		}
-	}
-	return n
-}
-
 // String renders the mask as the paper writes combinations, e.g.
 // "{User, Process, File Path}".
 func (m Mask) String() string {
@@ -101,13 +89,21 @@ var AllPathMask = MaskOf(AttrUser, AttrProcess, AttrHost, AttrPath)
 // AllFileIDMask is the full INS/RES combination {User, Process, Host, File ID}.
 var AllFileIDMask = MaskOf(AttrUser, AttrProcess, AttrHost, AttrFileID)
 
-// Vector is a file's semantic vector. Scalar items (user, process, host,
-// file id, device) are discrete tokens; Path is kept separately because DPA
-// and IPA treat it differently. A vector is not modified once it is built:
-// Extract and Presplit cut the path beside it, and Sim trusts the cut.
+// Vector is a file's semantic vector: scalar items (user, process, host, file
+// id, device) — (attribute, value) pairs, "u:12" only their spelling — and the
+// path, kept apart because DPA and IPA treat it differently. A vector is not
+// modified once it is built: Extract and Presplit cut the path beside it, and
+// Sim trusts the cut.
 type Vector struct {
-	Scalars []string // discrete attribute items, e.g. "u:12", "p:344"
-	Path    string   // full path, or "" when the trace has no paths
+	// Scalars holds scalar items as strings where they are not values: a
+	// literal vector's (the paper's "user1"), or a decoded one's that Extract
+	// would not have written. nil on every vector Extract builds.
+	Scalars []string
+	Path    string // full path, or "" when the trace has no paths
+
+	// vals holds the scalar attributes' values in scalarAttrs order, has which
+	// of them the vector has (bit i for vals[i]; the others hold 0).
+	vals [len(scalarAttrs)]uint32
 
 	// ends caches where Path's non-empty components end (component i lies
 	// between the slashes after ends[i-1] and ends[i]; unused slots hold 0),
@@ -118,6 +114,48 @@ type Vector struct {
 	ends [MaxCached]uint16
 	tags [MaxCached]uint8
 	cut  uint8
+	has  uint8
+}
+
+// scalarAttrs lists the scalar attributes in vector order with the tags their
+// tokens are spelled with.
+var scalarAttrs = [...]struct {
+	attr Attr
+	tag  string
+}{{AttrUser, "u:"}, {AttrProcess, "p:"}, {AttrHost, "h:"}, {AttrFileID, "f:"}, {AttrDevice, "d:"}}
+
+// spelling reads a string as a token, the inverse of AppendScalar's
+// spelling of a value: ok when it is a tag then canonical decimal below 2³²
+// (no sign, no leading zero), the one string that spells that value.
+func spelling(s string) (i int, val uint32, ok bool) {
+	if len(s) < 3 || s[1] != ':' {
+		return 0, 0, false
+	}
+	for i := range scalarAttrs {
+		if s[0] == scalarAttrs[i].tag[0] {
+			d := s[2:]
+			x, err := strconv.ParseUint(d, 10, 32)
+			return i, uint32(x), err == nil && (d[0] != '0' || len(d) == 1)
+		}
+	}
+	return 0, 0, false
+}
+
+// NumScalars counts the vector's scalar items.
+func (v *Vector) NumScalars() int { return len(v.Scalars) + bits.OnesCount8(v.has) }
+
+// AppendScalar appends scalar item i (of NumScalars) to dst as the token it
+// spells: a string of Scalars as it is, then the values in attribute order.
+func (v *Vector) AppendScalar(dst []byte, i int) []byte {
+	if i < len(v.Scalars) {
+		return append(dst, v.Scalars[i]...)
+	}
+	has := v.has
+	for range i - len(v.Scalars) {
+		has &= has - 1 // past the values before item i
+	}
+	a := bits.TrailingZeros8(has)
+	return strconv.AppendUint(append(dst, scalarAttrs[a].tag...), uint64(v.vals[a]), 10)
 }
 
 // MaxCached bounds the components cached per vector — as offsets inside it,
@@ -126,24 +164,26 @@ type Vector struct {
 // raised a daemon's peak RSS by a sixth. Sim cuts a deeper path per call.
 const MaxCached = 12
 
-// AppendVector appends a vector — u32 scalar count, (u32 len, bytes) per
-// scalar, u32 path length, path — the one encoding behind the store's v/
-// records and the vector a wire event ships.
+// AppendVector appends a vector — u32 scalar count, (u32 len, token) per
+// scalar item, u32 path length, path — the encoding of the store's v/
+// records. Values are spelled straight into dst.
 func AppendVector(dst []byte, v *Vector) []byte {
 	le := binary.LittleEndian
-	dst = le.AppendUint32(dst, uint32(len(v.Scalars)))
-	for _, sc := range v.Scalars {
-		dst = le.AppendUint32(dst, uint32(len(sc)))
-		dst = append(dst, sc...)
+	n := v.NumScalars()
+	dst = le.AppendUint32(dst, uint32(n))
+	for i := range n {
+		at := len(dst)
+		dst = v.AppendScalar(le.AppendUint32(dst, 0), i)
+		le.PutUint32(dst[at:], uint32(len(dst)-at-4))
 	}
 	dst = le.AppendUint32(dst, uint32(len(v.Path)))
 	return append(dst, v.Path...)
 }
 
 // ReadVector reads an AppendVector encoding. String lengths are bounded only
-// by the bytes present; a caller facing the network bounds them further. The
-// path is not cut here: most decoded vectors are compared once, and whoever
-// stores one calls Presplit.
+// by the bytes present; a caller facing the network bounds them further.
+// Tokens as Extract writes them become values (see values). The path is not
+// cut here: whoever stores a decoded vector calls Presplit.
 func ReadVector(c *bin.Cursor) Vector {
 	var v Vector
 	if n := c.Count(4); n > 0 {
@@ -151,9 +191,27 @@ func ReadVector(c *bin.Cursor) Vector {
 		for i := range v.Scalars {
 			v.Scalars[i] = c.Str(int(c.U32()))
 		}
+		v.values()
 	}
 	v.Path = c.Str(int(c.U32()))
 	return v
+}
+
+// values turns Scalars into values when they are a token list as Extract
+// writes one — tags in scalarAttrs order, each at most once, canonical
+// decimal below 2³² — the only lists that spell back to the same bytes. Any
+// other list ("u:012", "u:7,u:7", "h:2,u:7", "x:1") keeps its strings.
+func (v *Vector) values() {
+	var vals [len(scalarAttrs)]uint32
+	var has uint8
+	for _, s := range v.Scalars {
+		i, val, ok := spelling(s)
+		if !ok || has>>i != 0 { // not a token, or not past the last one
+			return
+		}
+		vals[i], has = val, has|1<<i
+	}
+	v.Scalars, v.vals, v.has = nil, vals, has
 }
 
 // PathAlg selects the path treatment.
@@ -256,14 +314,10 @@ func (v *Vector) components(buf []string, from int) []string {
 
 // intersect counts the items two lists share as multisets: a value occurring
 // i times in a and j times in b counts min(i, j) times, whatever the order —
-// each item of a claims one unclaimed equal item of b. A list against itself
-// (two vectors of one Extractor's interned scalars) shares every item; more
-// than the stack marks hold — a path deeper than any vector caches — goes
-// through a map, O(n + m) where claiming is O(n·m) under a shard lock.
+// each item of a claims one unclaimed equal item of b. More than the stack
+// marks hold — a path deeper than any vector caches — goes through a map,
+// O(n + m) where claiming is O(n·m) under a shard lock.
 func intersect(a, b []string) int {
-	if len(a) == len(b) && len(a) > 0 && &a[0] == &b[0] {
-		return len(a)
-	}
 	n := 0
 	var claimed [2 * MaxCached]bool
 	if len(a)+len(b) > len(claimed) {
@@ -291,6 +345,52 @@ func intersect(a, b []string) int {
 	return n
 }
 
+// tokens counts what a's and b's values add to the items their strings ia
+// and ib share as multisets, a value being the one item its token spells: a
+// value both sides hold adds one whatever the strings (min(1+s, 1+t) −
+// min(s, t)); one only one side holds adds one when the other side's strings
+// spell it more often than its own (min(s, 1+t) − min(s, t)). With no
+// strings only equal values count, and with no values nothing does.
+func tokens(a, b *Vector, ia, ib []string) int {
+	n := 0
+	if a.has|b.has == 0 {
+		return 0
+	}
+	if len(ia)+len(ib) == 0 {
+		for i := range scalarAttrs {
+			if a.has&b.has&(1<<i) != 0 && a.vals[i] == b.vals[i] {
+				n++
+			}
+		}
+		return n
+	}
+	vs := [2]*Vector{a, b}
+	var spelled [2][2][len(scalarAttrs)]int // [side of the strings][side of the value][attribute]
+	for x, strs := range [2][]string{ia, ib} {
+		for _, s := range strs {
+			if i, val, ok := spelling(s); ok {
+				for y, v := range vs {
+					if v.has&(1<<i) != 0 && v.vals[i] == val {
+						spelled[x][y][i]++
+					}
+				}
+			}
+		}
+	}
+	for i := range scalarAttrs {
+		if a.has&b.has&(1<<i) != 0 && a.vals[i] == b.vals[i] {
+			n++
+			continue
+		}
+		for y, v := range vs {
+			if v.has&(1<<i) != 0 && spelled[1-y][y][i] > spelled[y][y][i] {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // PathSimilarity is the component-wise similarity of two paths used by IPA:
 // |components(A) ∩ components(B)| / max component count, counting multiset
 // intersection. The paper's Table 2 example: /home/user1/paper/a vs
@@ -312,9 +412,9 @@ func share(inter float64, la, lb int) float64 {
 // Components shared at the head of both pair off uncut. Two cut paths alone
 // are then counted in place, as intersect would: each component of a claims
 // the first unclaimed one of b with its tag and then its bytes (which equal
-// item is claimed never changes how many are). An uncut side, or DPA's scalars
-// (which may equal components), is staged on the stack (over MaxCached + 4 a
-// side: the heap).
+// item is claimed never changes how many are). An uncut side, or DPA's scalar
+// strings (which may equal components), is staged on the stack (over
+// MaxCached + 4 a side: the heap), and DPA's values counted against it.
 func pathIntersect(a, b *Vector, scalars bool) (inter float64, la, lb int) {
 	k := shared(a, b)
 	if a.cut != 0 && b.cut != 0 && !scalars {
@@ -337,7 +437,11 @@ func pathIntersect(a, b *Vector, scalars bool) (inter float64, la, lb int) {
 		ia, ib = append(ia, a.Scalars...), append(ib, b.Scalars...)
 	}
 	ia, ib = a.components(ia, k), b.components(ib, k)
-	return float64(k + intersect(ia, ib)), k + len(ia), k + len(ib)
+	n, la, lb := k+intersect(ia, ib), k+len(ia), k+len(ib)
+	if scalars { // the shared head cancels: min(h+s, h+t) = h + min(s, t)
+		n, la, lb = n+tokens(a, b, ia, ib), la+bits.OnesCount8(a.has), lb+bits.OnesCount8(b.has)
+	}
+	return float64(n), la, lb
 }
 
 // Sim computes the semantic distance sim(A,B) between two vectors under the
@@ -354,12 +458,13 @@ func Sim(a, b *Vector, alg PathAlg) float64 {
 	if alg == DPA {
 		return share(pathIntersect(a, b, true))
 	}
-	la, lb := len(a.Scalars), len(b.Scalars)
+	la, lb := a.NumScalars(), b.NumScalars()
 	if a.Path != "" {
 		la++
 	}
 	if b.Path != "" {
 		lb++
 	}
-	return share(float64(intersect(a.Scalars, b.Scalars))+share(pathIntersect(a, b, false)), la, lb)
+	scalars := intersect(a.Scalars, b.Scalars) + tokens(a, b, a.Scalars, b.Scalars)
+	return share(float64(scalars)+share(pathIntersect(a, b, false)), la, lb)
 }

@@ -1,7 +1,10 @@
 package vsm
 
 import (
+	"bytes"
 	"math"
+	"math/bits"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -10,6 +13,7 @@ import (
 	"time"
 	"unsafe"
 
+	"farmer/internal/bin"
 	"farmer/internal/trace"
 )
 
@@ -189,12 +193,6 @@ func TestMaskOps(t *testing.T) {
 	if !m.Has(AttrUser) || !m.Has(AttrPath) || m.Has(AttrProcess) {
 		t.Fatalf("mask membership wrong: %v", m)
 	}
-	if m.Count() != 2 {
-		t.Fatalf("Count = %d, want 2", m.Count())
-	}
-	if got := m.Without(AttrUser); got.Has(AttrUser) {
-		t.Fatal("Without failed")
-	}
 	if got := m.String(); got != "{User, File Path}" {
 		t.Fatalf("String = %q", got)
 	}
@@ -215,13 +213,13 @@ func TestCombinations(t *testing.T) {
 			t.Fatalf("duplicate combination %v", m)
 		}
 		seen[m] = true
-		if m.Count() == 0 {
+		if m == 0 {
 			t.Fatal("empty combination emitted")
 		}
 	}
 	// Sizes must be non-decreasing (paper's table orders singletons first).
 	for i := 1; i < len(combos); i++ {
-		if combos[i].Count() < combos[i-1].Count() {
+		if bits.OnesCount8(uint8(combos[i])) < bits.OnesCount8(uint8(combos[i-1])) {
 			t.Fatalf("combinations not ordered by size at %d", i)
 		}
 	}
@@ -231,16 +229,78 @@ func TestExtractor(t *testing.T) {
 	r := trace.Record{UID: 7, PID: 42, Host: 3, File: 11, Dev: 2, Path: "/home/u7/f"}
 	e := NewExtractor(AllPathMask)
 	v := e.Extract(&r)
-	if len(v.Scalars) != 3 {
-		t.Fatalf("scalars = %v, want 3 items (user, process, host)", v.Scalars)
+	if got := items(&v); !slices.Equal(got, []string{"u:7", "p:42", "h:3"}) || v.Scalars != nil {
+		t.Fatalf("scalars = %v (strings %v), want the values of user, process, host", got, v.Scalars)
 	}
 	if v.Path != "/home/u7/f" {
 		t.Fatalf("path = %q", v.Path)
 	}
 	e2 := NewExtractor(MaskOf(AttrFileID, AttrDevice))
 	v2 := e2.Extract(&r)
-	if len(v2.Scalars) != 2 || v2.Path != "" {
+	if !slices.Equal(items(&v2), []string{"f:11", "d:2"}) || v2.Path != "" {
 		t.Fatalf("file-id extraction wrong: %+v", v2)
+	}
+	all := NewExtractor(MaskOf(AttrUser, AttrProcess, AttrHost, AttrFileID, AttrDevice, AttrPath))
+	if n := testing.AllocsPerRun(10, func() { v = all.Extract(&r) }); n != 0 {
+		t.Errorf("Extract allocates %v times, want 0", n)
+	}
+	if v := NewExtractor(0).Extract(&r); v.NumScalars() != 0 {
+		t.Error("an empty mask produced scalar items")
+	}
+}
+
+// TestVectorRoundTrip: a token list exactly as Extract writes one decodes to
+// the values Extract would hold; any other keeps its strings; both re-encode
+// to the bytes they came from.
+func TestVectorRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		scalars []string
+		values  bool
+	}{
+		{nil, true},
+		{[]string{"u:7"}, true},
+		{[]string{"u:0", "p:42", "h:3", "f:11", "d:2"}, true},
+		{[]string{"p:4294967295", "d:0"}, true},
+		{[]string{"u:012"}, false},
+		{[]string{"u:7", "u:7"}, false},
+		{[]string{"h:2", "u:7"}, false},
+		{[]string{"x:1"}, false},
+		{[]string{"u:"}, false},
+		{[]string{"u:-1"}, false},
+		{[]string{"u:+1"}, false},
+		{[]string{"u:4294967296"}, false},
+		{[]string{"u:1", "p:2 "}, false},
+		{[]string{"U:1"}, false},
+		{[]string{""}, false},
+		{[]string{"user1", "p1", "host1"}, false},
+	} {
+		for _, path := range []string{"", "/a/b"} {
+			raw := AppendVector(nil, &Vector{Scalars: tc.scalars, Path: path})
+			c := bin.Read("vector", raw)
+			v := ReadVector(&c)
+			if err := c.Done(); err != nil {
+				t.Fatalf("%q: %v", tc.scalars, err)
+			}
+			if (v.Scalars == nil) != tc.values || !slices.Equal(items(&v), tc.scalars) || v.Path != path {
+				t.Errorf("%q %q decoded to strings %q, items %q, path %q; want values=%v", tc.scalars, path, v.Scalars, items(&v), v.Path, tc.values)
+			}
+			if again := AppendVector(nil, &v); !bytes.Equal(again, raw) {
+				t.Errorf("%q %q re-encodes as %x, want %x", tc.scalars, path, again, raw)
+			}
+		}
+	}
+	// A canonical list decodes to the very vector Extract builds, once cut.
+	r := trace.Record{UID: 7, PID: 42, Host: 3, File: 11, Dev: 2, Path: "/home/u7/f"}
+	x := NewExtractor(MaskOf(AttrUser, AttrHost, AttrDevice, AttrPath)).Extract(&r)
+	c := bin.Read("vector", AppendVector(nil, &x))
+	v := ReadVector(&c)
+	v.Presplit()
+	if !reflect.DeepEqual(v, x) {
+		t.Errorf("decoded %+v, extracted %+v", v, x)
+	}
+	buf := make([]byte, 0, 256)
+	if n := testing.AllocsPerRun(10, func() { buf = AppendVector(buf[:0], &x) }); n != 0 {
+		t.Errorf("AppendVector into a buffer with room allocates %v times, want 0", n)
 	}
 }
 
@@ -298,114 +358,24 @@ func TestPathAlgString(t *testing.T) {
 	}
 }
 
-// TestExtractorTokenTable: interning changes where a token's bytes live,
-// never what they are — with a warm table, past its bound and after Reset
-// the vector is the one a fresh extractor builds.
-func TestExtractorTokenTable(t *testing.T) {
-	all := MaskOf(AttrUser, AttrProcess, AttrHost, AttrFileID, AttrDevice)
-	r := trace.Record{UID: 7, PID: 42, Host: 3, File: 11, Dev: 2}
-	want := []string{"u:7", "p:42", "h:3", "f:11", "d:2"}
-	e := NewExtractor(all)
-	first, second := e.Extract(&r), e.Extract(&r)
-	if !slices.Equal(first.Scalars, want) || !slices.Equal(second.Scalars, want) {
-		t.Fatalf("scalars = %v then %v, want %v", first.Scalars, second.Scalars, want)
-	}
-	if unsafe.StringData(first.Scalars[0]) != unsafe.StringData(second.Scalars[0]) {
-		t.Error("the second extraction built a new token instead of reusing the interned one")
-	}
-	if NewExtractor(0).Extract(&r).Scalars != nil {
-		t.Error("an empty mask produced a non-nil scalar slice")
-	}
-
-	// More distinct file ids than the table holds: every token still right,
-	// the table no larger than its bound.
-	ids := NewExtractor(MaskOf(AttrFileID))
-	for f := 0; f < maxTokens+100; f++ {
-		v := ids.Extract(&trace.Record{File: trace.FileID(f)})
-		if want := "f:" + strconv.Itoa(f); len(v.Scalars) != 1 || v.Scalars[0] != want {
-			t.Fatalf("file %d: scalars = %v, want [%s]", f, v.Scalars, want)
-		}
-	}
-	if len(ids.tokens) != maxTokens {
-		t.Errorf("table holds %d tokens, want the bound %d", len(ids.tokens), maxTokens)
-	}
-	ids.Reset()
-	if len(ids.tokens) != 0 {
-		t.Errorf("Reset left %d tokens", len(ids.tokens))
-	}
-	if v := ids.Extract(&trace.Record{File: 5}); !slices.Equal(v.Scalars, []string{"f:5"}) {
-		t.Errorf("after Reset: scalars = %v", v.Scalars)
-	}
-}
-
-// TestExtractorListTable pins the interned scalar lists: records that agree
-// on every enabled value share one backing array nobody can append into, the
-// table stops at its bound, Reset forgets it without disturbing a vector
-// already out, and a mask with the file id — every file its own list — keeps
-// no table at all.
-func TestExtractorListTable(t *testing.T) {
-	e := NewExtractor(AllPathMask)
-	a := e.Extract(&trace.Record{UID: 7, PID: 42, Host: 3, File: 1, Dev: 9, Path: "/home/u7/f"})
-	b := e.Extract(&trace.Record{UID: 7, PID: 42, Host: 3, File: 2, Dev: 8, Path: "/home/u7/g"})
-	if &a.Scalars[0] != &b.Scalars[0] || cap(a.Scalars) != len(a.Scalars) || len(e.lists) != 1 {
-		t.Fatalf("one (user, process, host) built lists %p and %p (cap %d, len %d), table %d", a.Scalars, b.Scalars, cap(a.Scalars), len(a.Scalars), len(e.lists))
-	}
-	if n := testing.AllocsPerRun(10, func() { e.Extract(&trace.Record{UID: 7, PID: 42, Host: 3, Path: "/x/y"}) }); n != 0 {
-		t.Errorf("Extract of an interned tuple allocates %v times, want 0", n)
-	}
-	if got, want := Sim(&a, &b, IPA), refSim(&Vector{Scalars: a.Scalars, Path: a.Path}, &Vector{Scalars: slices.Clone(b.Scalars), Path: b.Path}, IPA); math.Float64bits(got) != math.Float64bits(want) {
-		t.Errorf("Sim of two vectors sharing a list = %v, reference %v", got, want)
-	}
-	for pid := 0; pid < maxTokens+100; pid++ {
-		v := e.Extract(&trace.Record{UID: 1, PID: uint32(pid), Host: 2})
-		if want := []string{"u:1", "p:" + strconv.Itoa(pid), "h:2"}; !slices.Equal(v.Scalars, want) || cap(v.Scalars) != 3 {
-			t.Fatalf("process %d: scalars = %v (cap %d), want %v", pid, v.Scalars, cap(v.Scalars), want)
-		}
-	}
-	if len(e.lists) != maxTokens {
-		t.Errorf("table holds %d lists, want the bound %d", len(e.lists), maxTokens)
-	}
-	e.Reset()
-	if len(e.lists) != 0 {
-		t.Errorf("Reset left %d lists", len(e.lists))
-	}
-	c := e.Extract(&trace.Record{UID: 7, PID: 42, Host: 3, Path: "/home/u7/h"})
-	if &c.Scalars[0] == &a.Scalars[0] {
-		t.Error("an extraction after Reset reused a forgotten list")
-	}
-	literal := Vector{Scalars: []string{"u:7", "p:42", "h:3"}, Path: a.Path}
-	for _, alg := range []PathAlg{IPA, DPA} {
-		if got, want := Sim(&a, &c, alg), refSim(&literal, &c, alg); math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("%v: Sim of a vector extracted before Reset = %v, reference %v", alg, got, want)
-		}
-	}
-
-	ids := NewExtractor(AllFileIDMask)
-	x, y := ids.Extract(&trace.Record{UID: 1, PID: 2, Host: 3, File: 4}), ids.Extract(&trace.Record{UID: 1, PID: 2, Host: 3, File: 4})
-	if ids.lists != nil || &x.Scalars[0] == &y.Scalars[0] || !slices.Equal(x.Scalars, []string{"u:1", "p:2", "h:3", "f:4"}) {
-		t.Errorf("a file-id mask interned %d lists (scalars %v)", len(ids.lists), x.Scalars)
-	}
-}
-
 // TestExtractCutsThePathOnce: what Extract caches is where the path's
-// components end — inside the vector, so a record costs at most the one
-// allocation of its scalars — exactly what Presplit caches in a decoded copy;
-// and a vector it built compares as the same vector written out by hand.
+// components end — inside the vector, so a record allocates nothing —
+// exactly what Presplit caches in a decoded copy; and a vector it built
+// compares as the same vector written out by hand.
 func TestExtractCutsThePathOnce(t *testing.T) {
 	for _, mask := range []Mask{AllPathMask, MaskOf(AttrPath), AllFileIDMask} {
 		e := NewExtractor(mask)
 		other := Vector{Scalars: []string{"u:7", "p:1", "h:3"}, Path: "/home/u7/g"}
 		for _, p := range []string{"/home/u7/f", "home//u7/f/", "/", "//", "", "f", "/a/a"} {
 			r := trace.Record{UID: 7, PID: 42, Host: 3, File: 11, Path: p}
-			e.Extract(&r) // intern the tokens
 			var v Vector
-			if n := testing.AllocsPerRun(10, func() { v = e.Extract(&r) }); n > 1 {
-				t.Errorf("mask %v path %q: Extract allocates %v times, want at most 1", mask, p, n)
+			if n := testing.AllocsPerRun(10, func() { v = e.Extract(&r) }); n != 0 {
+				t.Errorf("mask %v path %q: Extract allocates %v times, want 0", mask, p, n)
 			}
 			if want := SplitPath(v.Path); !slices.Equal(v.components(nil, 0), want) || int(v.cut) != len(want) {
 				t.Errorf("mask %v path %q: cached ends %v of %d, components %q, want %q", mask, p, v.ends, v.cut, v.components(nil, 0), want)
 			}
-			literal := Vector{Scalars: v.Scalars, Path: v.Path}
+			literal := Vector{Scalars: items(&v), Path: v.Path}
 			decoded := literal
 			decoded.Presplit()
 			if cutOf(&decoded) != cutOf(&v) {
@@ -429,8 +399,8 @@ func TestDeepPathCachesNothing(t *testing.T) {
 	hostile := strings.Repeat("a/", trace.MaxPathLen/2)
 	deepest := strings.Repeat("/a", MaxCached)
 	long := "/" + strings.Repeat("x", math.MaxUint16) + "/a"
-	if size := unsafe.Sizeof(Vector{}); size > 80 {
-		t.Errorf("a Vector is %d bytes, want at most 80: every tracked file stores one", size)
+	if size := unsafe.Sizeof(Vector{}); size > 104 {
+		t.Errorf("a Vector is %d bytes, want at most 104: every tracked file stores one", size)
 	}
 	e := NewExtractor(AllPathMask)
 	for _, tc := range []struct {
@@ -438,13 +408,13 @@ func TestDeepPathCachesNothing(t *testing.T) {
 		cached bool
 	}{{hostile, false}, {deepest + "/a", false}, {long, false}, {deepest, true}, {long[3:], true}} {
 		v := e.Extract(&trace.Record{UID: 1, Path: tc.path})
-		d := Vector{Scalars: v.Scalars, Path: tc.path}
+		d := Vector{Scalars: items(&v), Path: tc.path}
 		d.Presplit()
 		if cutOf(&v) != cutOf(&d) || (v.cut != 0) != tc.cached {
 			t.Fatalf("%d-byte path: Extract cached %v, Presplit %v, want cached=%v", len(tc.path), cutOf(&v), cutOf(&d), tc.cached)
 		}
-		literal := Vector{Scalars: v.Scalars, Path: tc.path}
-		for _, other := range []*Vector{&v, &literal, &tabA, {Scalars: v.Scalars, Path: "/a/b"}} {
+		literal := Vector{Scalars: items(&v), Path: tc.path}
+		for _, other := range []*Vector{&v, &literal, &tabA, {Scalars: items(&v), Path: "/a/b"}} {
 			if got, want := Sim(&v, other, IPA), refSim(&literal, other, IPA); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%d-byte path against %.20q: Sim = %v, reference %v", len(tc.path), other.Path, got, want)
 			}
