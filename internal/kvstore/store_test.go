@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -522,6 +523,66 @@ func TestCompactFailureRefusesSilentVolatility(t *testing.T) {
 	}
 	if err := s.Compact(); err == nil {
 		t.Fatal("Compact reported success with no durable log")
+	}
+}
+
+// TestWALGoldenBytes pins the log a file-backed store writes, frame by frame:
+// a Put, a Delete, a Batch of put, overwrite and delete, and an empty Batch.
+// The hex was written by the frame encoder as it stood before batches staged
+// frames; a red run means the format moved, not that the hex needs renewing.
+func TestWALGoldenBytes(t *testing.T) {
+	const want = "" +
+		"96941e56" + "01" + "03000000" + "04000000" + "632f31" + "6c697374" + // put c/1=list
+		"df735f07" + "02" + "03000000" + "00000000" + "632f31" + // delete c/1
+		"6b2884df" + "03" + "00000000" + "00000000" + // begin
+		"169bfba1" + "01" + "03000000" + "03000000" + "762f32" + "766563" + // put v/2=vec
+		"d36a894d" + "01" + "03000000" + "06000000" + "762f32" + "766563746f72" + // put v/2=vector
+		"2fba58ee" + "02" + "03000000" + "00000000" + "672f33" + // delete g/3
+		"a245e5bb" + "04" + "00000000" + "00000000" + // commit
+		"6b2884df" + "03" + "00000000" + "00000000" + // begin
+		"a245e5bb" + "04" + "00000000" + "00000000" // commit
+	path := filepath.Join(t.TempDir(), "golden.wal")
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put([]byte("c/1"), []byte("list")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Delete([]byte("c/1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Batch(func(b *Batch) error {
+		return errors.Join(
+			b.Put([]byte("v/2"), []byte("vec")),
+			b.Put([]byte("v/2"), []byte("vector")),
+			b.Delete([]byte("g/3")))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Batch(func(*Batch) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if got := contents(s); len(got) != 1 || got[0] != [2]string{"v/2", "vector"} {
+		t.Fatalf("store holds %q, want v/2=vector alone", got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(data); got != want {
+		t.Fatalf("wal bytes\n got %s\nwant %s", got, want)
+	}
+	s, err = Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := contents(s); len(got) != 1 || got[0] != [2]string{"v/2", "vector"} {
+		t.Fatalf("reopened store holds %q, want v/2=vector alone", got)
 	}
 }
 
