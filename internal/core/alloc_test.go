@@ -1,6 +1,7 @@
 package core
 
 import (
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -84,6 +85,44 @@ func mallocsPerRun(runs int, f func()) float64 {
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.Mallocs-before.Mallocs) / float64(runs)
+}
+
+// TestCheckpointDeltaAllocsPerPut: a delta checkpoint at the working set,
+// into a WAL on disk, allocates about once per record it stages — the value
+// the store's tree keeps, and a key when it is new — not once per copy of
+// each on its way to the log. Mallocs are counted exactly, over three saves.
+func TestCheckpointDeltaAllocsPerPut(t *testing.T) {
+	sm, tr := workingSet()
+	st, err := kvstore.Open(filepath.Join(t.TempDir(), "store.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := sm.SaveMerged(st); err != nil { // a completed save turns dirty tracking on
+		t.Fatal(err)
+	}
+	var mallocs, puts uint64
+	for save, next := 0, 0; save < 3; save++ {
+		for range deltaChunks {
+			sm.FeedBatch(tr.Records[next : next+workingSetBatch])
+			next += workingSetBatch
+		}
+		pre := st.WriteStats()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		inc, err := sm.SaveCheckpoint(st)
+		runtime.ReadMemStats(&after)
+		if err != nil || !inc {
+			t.Fatalf("save %d: incremental=%v, %v", save, inc, err)
+		}
+		mallocs += after.Mallocs - before.Mallocs
+		puts += uint64(st.WriteStats().Puts - pre.Puts)
+	}
+	perPut := float64(mallocs) / float64(puts)
+	t.Logf("%d mallocs for %d staged puts: %.2f per put", mallocs, puts, perPut)
+	if perPut > 1.5 {
+		t.Errorf("a delta checkpoint allocates %.2f times per staged put, want at most 1.5", perPut)
+	}
 }
 
 func TestFeedBatchAllocsPerCall(t *testing.T) {

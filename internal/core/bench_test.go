@@ -129,6 +129,28 @@ func BenchmarkFeedNoSemantics(b *testing.B) {
 	}
 }
 
+// workingSetBatch is the contract workload's FeedBatch size.
+const workingSetBatch = 1024
+
+// workingSet returns the trace bench/workload.go's ingest_batch generates (HP
+// with ten times the groups and noise files, seed 7) and a 2-shard ensemble
+// that has mined it once in workingSetBatch-record batches: every file
+// tracked, every list and edge table grown.
+func workingSet() (*ShardedModel, *trace.Trace) {
+	p := tracegen.HP(192 * workingSetBatch)
+	p.Groups *= 10
+	p.NoiseFiles *= 10
+	p.Seed = 7
+	tr := p.MustGenerate()
+	cfg := DefaultConfig()
+	cfg.Shards = 2
+	sm := NewSharded(cfg)
+	for lo := 0; lo < len(tr.Records); lo += workingSetBatch {
+		sm.FeedBatch(tr.Records[lo : lo+workingSetBatch])
+	}
+	return sm, tr
+}
+
 // BenchmarkFeedBatchWorkingSet is the batch path at the working set the
 // contract workload has: the trace bench/workload.go's ingest_batch generates
 // (HP with ten times the groups and noise files: ~39k tracked files, 16 MB of
@@ -142,22 +164,12 @@ func BenchmarkFeedNoSemantics(b *testing.B) {
 // count said how close the profile ran to that bound. Vectors hold values
 // now: it is reported for comparison with earlier runs and bounds nothing.
 func BenchmarkFeedBatchWorkingSet(b *testing.B) {
-	const batch = 1024
-	p := tracegen.HP(192 * batch)
-	p.Groups *= 10
-	p.NoiseFiles *= 10
-	p.Seed = 7
-	tr := p.MustGenerate()
+	const batch = workingSetBatch
+	sm, tr := workingSet()
 	tuples := make(map[[3]uint32]struct{})
 	for i := range tr.Records {
 		r := &tr.Records[i]
 		tuples[[3]uint32{r.UID, r.PID, r.Host}] = struct{}{}
-	}
-	cfg := DefaultConfig()
-	cfg.Shards = 2
-	sm := NewSharded(cfg)
-	for lo := 0; lo < len(tr.Records); lo += batch { // warm: every file tracked, every list and edge table grown
-		sm.FeedBatch(tr.Records[lo : lo+batch])
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -53,14 +53,13 @@ const (
 // statePrefixes are the per-file key spaces, in load order.
 var statePrefixes = [...]string{keyPrefixList, keyPrefixVector, keyPrefixGraph}
 
-// key builds a per-file key: the prefix, then the id big-endian so a scan
-// visits files in id order.
-func key(prefix string, f trace.FileID) []byte {
-	k := append(make([]byte, 0, len(prefix)+4), prefix...)
-	return binary.BigEndian.AppendUint32(k, uint32(f))
+// appendKey appends a per-file key: the prefix, then the id big-endian so a
+// scan visits files in id order.
+func appendKey(dst []byte, prefix string, f trace.FileID) []byte {
+	return binary.BigEndian.AppendUint32(append(dst, prefix...), uint32(f))
 }
 
-// fileOfKey is key's inverse; ok=false for a key of any other shape.
+// fileOfKey is appendKey's inverse; ok=false for a key of any other shape.
 func fileOfKey(prefix string, k []byte) (f trace.FileID, ok bool) {
 	if len(k) != len(prefix)+4 {
 		return 0, false
@@ -271,27 +270,30 @@ func (sk savedKeys) prune(s *kvstore.Store, b *kvstore.Batch) error {
 }
 
 // stager stages one shard's per-file records into a checkpoint batch.
-// Encoding appends to reused scratch (the batch copies what it stages; a
-// node's edges sort in their own). saved is nil for a delta; errors stick.
+// Keys and values are encoded in reused scratch (the batch copies what it
+// stages; a node's edges sort in their own). saved is nil for a delta; errors
+// stick.
 type stager struct {
 	b       *kvstore.Batch
 	saved   savedKeys
+	key     []byte
 	scratch []byte
 	edges   []graph.Edge
 	err     error
 }
 
-// stage puts the scratch encoding under key(prefix, f) — or, when the model
-// no longer holds the facet a dirty mark named, stages the tombstone delete
-// (a list the validity filter emptied must not resurrect on reload).
+// stage puts the scratch encoding under f's key in prefix — or, when the
+// model no longer holds the facet a dirty mark named, stages the tombstone
+// delete (a list the validity filter emptied must not resurrect on reload).
 func (st *stager) stage(prefix string, f trace.FileID, present bool) {
-	switch {
-	case st.err != nil:
+	if st.err != nil {
 		return
-	case present:
-		st.err = st.b.Put(key(prefix, f), st.scratch)
-	default:
-		st.err = st.b.Delete(key(prefix, f))
+	}
+	st.key = appendKey(st.key[:0], prefix, f)
+	if present {
+		st.err = st.b.Put(st.key, st.scratch)
+	} else {
+		st.err = st.b.Delete(st.key)
 	}
 	if st.err != nil {
 		st.err = fmt.Errorf("core: staging %s%d: %w", prefix, f, st.err)

@@ -18,6 +18,9 @@ import (
 	"farmer/internal/vsm"
 )
 
+// key is f's key in prefix, in a slice of its own.
+func key(prefix string, f trace.FileID) []byte { return appendKey(nil, prefix, f) }
+
 // minedHP mines the HP trace on a 1-shard ensemble, which is how a single
 // Model persists.
 func minedHP(t *testing.T, records int) *ShardedModel {

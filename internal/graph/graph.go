@@ -134,10 +134,20 @@ func (n *Node) Add(to trace.FileID, w float64, maxSuccessors int) int {
 }
 
 // SortedByID copies the out-edges into dst's storage (grown when short) in
-// ascending file id order — the order a checkpoint writes them in.
+// ascending file id order — the order a checkpoint writes them in. It sorts
+// each edge as one integer, its id above its slot: ids in a node are
+// distinct, so that is id order.
 func (n *Node) SortedByID(dst []Edge) []Edge {
-	out := append(dst[:0], n.Edges...)
-	slices.SortFunc(out, func(a, b Edge) int { return cmp.Compare(a.To, b.To) })
+	var keep [64]uint64 // the default MaxSuccessors: no allocation
+	keys := keep[:0]
+	for i, e := range n.Edges {
+		keys = append(keys, uint64(e.To)<<32|uint64(i))
+	}
+	slices.Sort(keys)
+	out := dst[:0]
+	for _, k := range keys {
+		out = append(out, n.Edges[uint32(k)])
+	}
 	return out
 }
 

@@ -6,10 +6,7 @@
 // Berkeley DB behaviour the experiments depend on.
 package kvstore
 
-import (
-	"bytes"
-	"sort"
-)
+import "bytes"
 
 // btree is a classic in-memory B-tree over []byte keys with copy-on-insert
 // leaves. Degree t: every node except the root holds between t-1 and 2t-1
@@ -42,42 +39,60 @@ func (n *bnode) leaf() bool { return len(n.children) == 0 }
 // find returns the index of the first item >= key and whether it is an exact
 // match.
 func (n *bnode) find(key []byte) (int, bool) {
-	i := sort.Search(len(n.items), func(i int) bool {
-		return bytes.Compare(n.items[i].key, key) >= 0
-	})
-	if i < len(n.items) && bytes.Equal(n.items[i].key, key) {
-		return i, true
+	lo, hi := 0, len(n.items)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		switch c := bytes.Compare(n.items[mid].key, key); {
+		case c < 0:
+			lo = mid + 1
+		case c > 0:
+			hi = mid
+		default:
+			return mid, true // keys in a node are distinct
+		}
 	}
-	return i, false
+	return lo, false
 }
 
-// Get returns the value for key, or nil, false.
-func (t *btree) Get(key []byte) ([]byte, bool) {
+// lookup returns key's item, or nil.
+func (t *btree) lookup(key []byte) *item {
 	n := t.root
 	for {
 		i, ok := n.find(key)
 		if ok {
-			return n.items[i].value, true
+			return &n.items[i]
 		}
 		if n.leaf() {
-			return nil, false
+			return nil
 		}
 		n = n.children[i]
 	}
 }
 
-// Put inserts or replaces. It reports whether the key was new.
+// Get returns the value for key, or nil, false.
+func (t *btree) Get(key []byte) ([]byte, bool) {
+	if it := t.lookup(key); it != nil {
+		return it.value, true
+	}
+	return nil, false
+}
+
+// Put inserts or replaces. It reports whether the key was new. A
+// replacement swaps the value in place: only an insert splits nodes, and
+// only an insert copies the key.
 func (t *btree) Put(key, value []byte) bool {
+	if it := t.lookup(key); it != nil {
+		it.value = value
+		return false
+	}
 	if len(t.root.items) == 2*t.t-1 {
 		old := t.root
 		t.root = &bnode{children: []*bnode{old}}
 		t.root.split(0, t.t)
 	}
-	inserted := t.root.insertNonFull(key, value, t.t)
-	if inserted {
-		t.size++
-	}
-	return inserted
+	t.root.insert(key, value, t.t)
+	t.size++
+	return true
 }
 
 // split divides child i of n around its median.
@@ -99,27 +114,20 @@ func (n *bnode) split(i, t int) {
 	n.children[i+1] = right
 }
 
-func (n *bnode) insertNonFull(key, value []byte, t int) bool {
+// insert adds key, which the tree does not hold, below n, which is not
+// full, splitting each full child on the way down.
+func (n *bnode) insert(key, value []byte, t int) {
 	for {
-		i, ok := n.find(key)
-		if ok {
-			n.items[i].value = value
-			return false
-		}
+		i, _ := n.find(key)
 		if n.leaf() {
 			n.items = append(n.items, item{})
 			copy(n.items[i+1:], n.items[i:])
 			n.items[i] = item{key: append([]byte(nil), key...), value: value}
-			return true
+			return
 		}
 		if len(n.children[i].items) == 2*t-1 {
 			n.split(i, t)
-			cmp := bytes.Compare(key, n.items[i].key)
-			if cmp == 0 {
-				n.items[i].value = value
-				return false
-			}
-			if cmp > 0 {
+			if bytes.Compare(key, n.items[i].key) > 0 {
 				i++
 			}
 		}

@@ -22,7 +22,7 @@ func hostileHeader() []byte {
 	return b
 }
 
-// frame encodes one WAL frame the way walWriter.stage does.
+// frame encodes one WAL frame on its own, apart from appendFrame.
 func frame(op walOp, key, value string) []byte {
 	p := []byte{byte(op), 0, 0, 0, 0, 0, 0, 0, 0}
 	binary.LittleEndian.PutUint32(p[1:5], uint32(len(key)))

@@ -13,8 +13,9 @@ import (
 	"sync"
 )
 
-// Store is a durable ordered key-value store: an in-memory B-tree fronted by
-// a CRC-framed write-ahead log. It is safe for concurrent use.
+// Store is an ordered key-value store: an in-memory B-tree fronted by a
+// CRC-framed write-ahead log whose writes outlive the process, not the
+// machine (see Put). It is safe for concurrent use.
 type Store struct {
 	mu     sync.RWMutex
 	tree   *btree
@@ -189,10 +190,12 @@ func (s *Store) Get(key []byte) ([]byte, bool) {
 	return append([]byte(nil), v...), true
 }
 
-// Put stores key=value durably (WAL first, then the tree).
+// Put stores key=value: its WAL frame is handed to the OS, then the tree is
+// updated. Nothing calls fsync, so a Put survives a process crash but not a
+// power loss (DESIGN.md, "What a written record survives").
 func (s *Store) Put(key, value []byte) error {
-	if len(key) == 0 {
-		return errors.New("kvstore: empty key")
+	if err := checkRecord(key, value); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -202,7 +205,7 @@ func (s *Store) Put(key, value []byte) error {
 		return fmt.Errorf("kvstore: wal unavailable: %w", err)
 	}
 	if s.wal != nil {
-		if err := s.wal.append(walRecord{op: walPut, key: key, value: value}); err != nil {
+		if err := s.wal.append(walPut, key, value); err != nil {
 			return err
 		}
 	}
@@ -214,13 +217,16 @@ func (s *Store) Put(key, value []byte) error {
 
 // Delete removes key. Deleting an absent key is not an error.
 func (s *Store) Delete(key []byte) error {
+	if err := checkRecord(key, nil); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.walErr; err != nil {
 		return fmt.Errorf("kvstore: wal unavailable: %w", err)
 	}
 	if s.wal != nil {
-		if err := s.wal.append(walRecord{op: walDelete, key: key}); err != nil {
+		if err := s.wal.append(walDelete, key, nil); err != nil {
 			return err
 		}
 	}
@@ -230,52 +236,73 @@ func (s *Store) Delete(key []byte) error {
 	return nil
 }
 
-// Batch stages puts and deletes that commit atomically. The staged records
-// are framed between walBegin/walCommit markers and applied to the tree only
-// after the commit marker is written, so recovery after a crash mid-batch
-// discards the half-written batch wholesale (a checkpoint is either entirely
-// present or entirely absent — never torn). Keys and values are copied when
-// staged; callers may reuse their buffers.
-type Batch struct {
-	recs []walRecord
-	st   WriteStats
+// checkRecord refuses a record the WAL reader would refuse to load back.
+func checkRecord(key, value []byte) error {
+	switch {
+	case len(key) == 0:
+		return errors.New("kvstore: empty key")
+	case len(key) > maxKey:
+		return fmt.Errorf("kvstore: %d-byte key, the log holds at most %d", len(key), maxKey)
+	case len(value) > maxValue:
+		return fmt.Errorf("kvstore: %d-byte value, the log holds at most %d", len(value), maxValue)
+	}
+	return nil
 }
+
+// Batch stages puts and deletes that commit atomically. Each staged record
+// is encoded, CRC and all, as the WAL frame it will be, into one buffer that
+// opens with the walBegin frame; the commit appends walCommit and writes the
+// buffer whole, then applies the frames to the tree, which copies each value
+// and each new key out of them. Recovery after a crash mid-batch discards the
+// half-written batch wholesale (a checkpoint is either entirely present or
+// entirely absent — never torn). Callers may reuse their buffers.
+type Batch struct {
+	buf           []byte
+	puts, deletes int64
+}
+
+// batchBufs recycles batch buffers across commits. One over batchBufKeep,
+// such as a full checkpoint's, is left to the collector.
+var batchBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const batchBufKeep = 4 << 20
 
 // Put stages key=value.
 func (b *Batch) Put(key, value []byte) error {
-	if len(key) == 0 {
-		return errors.New("kvstore: empty key")
+	if err := checkRecord(key, value); err != nil {
+		return err
 	}
-	b.recs = append(b.recs, walRecord{
-		op:    walPut,
-		key:   append([]byte(nil), key...),
-		value: append([]byte(nil), value...),
-	})
-	b.st.Puts++
-	b.st.Bytes += walFrameSize(len(key), len(value))
+	b.buf = appendFrame(b.buf, walPut, key, value)
+	b.puts++
 	return nil
 }
 
 // Delete stages removal of key. Deleting an absent key is not an error.
 func (b *Batch) Delete(key []byte) error {
-	if len(key) == 0 {
-		return errors.New("kvstore: empty key")
+	if err := checkRecord(key, nil); err != nil {
+		return err
 	}
-	b.recs = append(b.recs, walRecord{op: walDelete, key: append([]byte(nil), key...)})
-	b.st.Deletes++
-	b.st.Bytes += walFrameSize(len(key), 0)
+	b.buf = appendFrame(b.buf, walDelete, key, nil)
+	b.deletes++
 	return nil
 }
 
 // Batch runs fn to stage a set of mutations, then commits them atomically:
-// one walBegin frame, the staged records, one walCommit frame, a single
-// flush, and only then the tree application. fn runs WITHOUT the store lock
-// (so it may read the model under the model's own locks); an error from fn
-// abandons the batch untouched. A write error mid-commit poisons the WAL
-// (walErr) — a later append could otherwise land inside the unterminated
-// batch and be silently discarded by recovery.
+// the walBegin frame, the staged frames and the walCommit frame in one write,
+// and only then the tree application. fn runs WITHOUT the store lock (so it
+// may read the model under the model's own locks); an error from fn abandons
+// the batch untouched. A write error mid-commit poisons the WAL (walErr) — a
+// later append could otherwise land inside the unterminated batch and be
+// silently discarded by recovery.
 func (s *Store) Batch(fn func(*Batch) error) error {
-	var b Batch
+	bp := batchBufs.Get().(*[]byte)
+	b := Batch{buf: appendFrame((*bp)[:0], walBegin, nil, nil)}
+	defer func() {
+		if cap(b.buf) <= batchBufKeep {
+			*bp = b.buf
+			batchBufs.Put(bp)
+		}
+	}()
 	if err := fn(&b); err != nil {
 		return err
 	}
@@ -284,33 +311,29 @@ func (s *Store) Batch(fn func(*Batch) error) error {
 	if err := s.walErr; err != nil {
 		return fmt.Errorf("kvstore: wal unavailable: %w", err)
 	}
+	frames := b.buf[frameHeader:]
 	if s.wal != nil {
-		werr := s.wal.stage(walRecord{op: walBegin})
-		for i := 0; werr == nil && i < len(b.recs); i++ {
-			werr = s.wal.stage(b.recs[i])
-		}
-		if werr == nil {
-			werr = s.wal.stage(walRecord{op: walCommit})
-		}
-		if werr == nil {
-			werr = s.wal.flush()
-		}
-		if werr != nil {
-			s.walErr = werr
-			return fmt.Errorf("kvstore: batch commit: %w", werr)
+		b.buf = appendFrame(b.buf, walCommit, nil, nil)
+		if _, err := s.wal.w.Write(b.buf); err != nil {
+			s.walErr = err
+			return fmt.Errorf("kvstore: batch commit: %w", err)
 		}
 	}
-	for _, rec := range b.recs {
-		switch rec.op {
+	s.stats.Puts += b.puts
+	s.stats.Deletes += b.deletes
+	s.stats.Bytes += int64(len(frames))
+	for len(frames) > 0 {
+		klen := binary.LittleEndian.Uint32(frames[5:9])
+		vlen := binary.LittleEndian.Uint32(frames[9:13])
+		key, value := frames[frameHeader:frameHeader+klen], frames[frameHeader+klen:frameHeader+klen+vlen]
+		switch walOp(frames[4]) {
 		case walPut:
-			s.tree.Put(rec.key, rec.value)
+			s.tree.Put(key, append([]byte(nil), value...))
 		case walDelete:
-			s.tree.Delete(rec.key)
+			s.tree.Delete(key)
 		}
+		frames = frames[frameHeader+klen+vlen:]
 	}
-	s.stats.Puts += b.st.Puts
-	s.stats.Deletes += b.st.Deletes
-	s.stats.Bytes += b.st.Bytes
 	return nil
 }
 
@@ -337,13 +360,10 @@ func (s *Store) Snapshot(w io.Writer) error {
 	sw := newWALWriter(nopCloser{w})
 	var err error
 	s.tree.Ascend(nil, nil, func(k, v []byte) bool {
-		err = sw.append(walRecord{op: walPut, key: k, value: v})
+		err = sw.append(walPut, k, v)
 		return err == nil
 	})
-	if err != nil {
-		return err
-	}
-	return sw.flush()
+	return err
 }
 
 // LoadSnapshot replaces the store contents with a snapshot produced by
@@ -367,7 +387,7 @@ func (s *Store) LoadSnapshot(r io.Reader) error {
 		}
 		tree.Put(rec.key, rec.value)
 		if s.wal != nil {
-			if err := s.wal.append(rec); err != nil {
+			if err := s.wal.append(walPut, rec.key, rec.value); err != nil {
 				return err
 			}
 		}
@@ -402,12 +422,9 @@ func (s *Store) Compact() error {
 	w := newWALWriter(f)
 	var werr error
 	s.tree.Ascend(nil, nil, func(k, v []byte) bool {
-		werr = w.append(walRecord{op: walPut, key: k, value: v})
+		werr = w.append(walPut, k, v)
 		return werr == nil
 	})
-	if werr == nil {
-		werr = w.flush()
-	}
 	if werr == nil {
 		werr = f.Sync()
 	}
@@ -499,9 +516,29 @@ const (
 	walCommit
 )
 
-// walFrameSize is the on-disk size of one WAL frame: u32 crc + u8 op +
-// u32 klen + u32 vlen + key + value.
-func walFrameSize(klen, vlen int) int64 { return int64(4 + 9 + klen + vlen) }
+// A frame is u32 crc (of everything after it), u8 op, u32 klen, u32 vlen,
+// key, value. The reader refuses a key over maxKey or a value over maxValue
+// bytes as corruption, so no writer writes one.
+const (
+	frameHeader = 4 + 1 + 4 + 4
+	maxKey      = 1 << 24
+	maxValue    = 1 << 28
+)
+
+// walFrameSize is the on-disk size of one WAL frame.
+func walFrameSize(klen, vlen int) int64 { return int64(frameHeader + klen + vlen) }
+
+// appendFrame appends one WAL frame to dst — the one encoder behind every
+// record a store writes.
+func appendFrame(dst []byte, op walOp, key, value []byte) []byte {
+	off := len(dst)
+	dst = append(dst, 0, 0, 0, 0, byte(op))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(key)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(value)))
+	dst = append(append(dst, key...), value...)
+	binary.LittleEndian.PutUint32(dst[off:], crc32.ChecksumIEEE(dst[off+4:]))
+	return dst
+}
 
 type walRecord struct {
 	op    walOp
@@ -518,54 +555,27 @@ var errCorrupt = fmt.Errorf("%w record", ErrCorruptWAL)
 // inside a batch, or a commit outside one.
 var errMisplaced = fmt.Errorf("%w: batch marker out of place", ErrCorruptWAL)
 
-// Frame: u32 crc (of everything after), u8 op, u32 klen, u32 vlen, key, value.
+// walWriter writes frames straight to the OS, one write per frame or batch;
+// frame is the scratch a lone record is encoded in.
 type walWriter struct {
-	w  io.WriteCloser
-	bw *bufio.Writer
+	w     io.WriteCloser
+	frame []byte
 }
 
 type nopCloser struct{ io.Writer }
 
 func (nopCloser) Close() error { return nil }
 
-func newWALWriter(w io.WriteCloser) *walWriter {
-	return &walWriter{w: w, bw: bufio.NewWriter(w)}
-}
+func newWALWriter(w io.WriteCloser) *walWriter { return &walWriter{w: w} }
 
-// stage writes one frame into the buffered writer without flushing — the
-// building block batch commits use to pay one flush for many records.
-func (w *walWriter) stage(rec walRecord) error {
-	payload := make([]byte, 1+4+4+len(rec.key)+len(rec.value))
-	payload[0] = byte(rec.op)
-	binary.LittleEndian.PutUint32(payload[1:5], uint32(len(rec.key)))
-	binary.LittleEndian.PutUint32(payload[5:9], uint32(len(rec.value)))
-	copy(payload[9:], rec.key)
-	copy(payload[9+len(rec.key):], rec.value)
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], crc32.ChecksumIEEE(payload))
-	if _, err := w.bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.bw.Write(payload)
+// append writes one frame.
+func (w *walWriter) append(op walOp, key, value []byte) error {
+	w.frame = appendFrame(w.frame[:0], op, key, value)
+	_, err := w.w.Write(w.frame)
 	return err
 }
 
-func (w *walWriter) append(rec walRecord) error {
-	if err := w.stage(rec); err != nil {
-		return err
-	}
-	return w.bw.Flush()
-}
-
-func (w *walWriter) flush() error { return w.bw.Flush() }
-
-func (w *walWriter) close() error {
-	if err := w.bw.Flush(); err != nil {
-		w.w.Close()
-		return err
-	}
-	return w.w.Close()
-}
+func (w *walWriter) close() error { return w.w.Close() }
 
 type walReader struct {
 	br      *bufio.Reader
@@ -591,7 +601,7 @@ func (r *walReader) next() (walRecord, error) {
 	}
 	klen := binary.LittleEndian.Uint32(meta[1:5])
 	vlen := binary.LittleEndian.Uint32(meta[5:9])
-	if klen > 1<<24 || vlen > 1<<28 {
+	if klen > maxKey || vlen > maxValue {
 		return walRecord{}, errCorrupt
 	}
 	// The payload grows as its bytes arrive, doubling: a header claiming

@@ -586,6 +586,54 @@ func TestWALGoldenBytes(t *testing.T) {
 	}
 }
 
+// TestWriterRefusesWhatReaderRefuses: the reader takes a key over maxKey or a
+// value over maxValue bytes for corruption, so Put, Delete and a Batch's
+// staging refuse them instead of writing a log Open would refuse. A key at
+// the bound is written and read back.
+func TestWriterRefusesWhatReaderRefuses(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "meta.wal")
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	longKey := make([]byte, maxKey+1)
+	longValue := make([]byte, maxValue+1) // never touched: address space, not memory
+	if err := s.Put(longKey, nil); err == nil {
+		t.Error("Put took a key over the bound")
+	}
+	if err := s.Put([]byte("k"), longValue); err == nil {
+		t.Error("Put took a value over the bound")
+	}
+	if err := s.Delete(longKey); err == nil {
+		t.Error("Delete took a key over the bound")
+	}
+	if err := s.Batch(func(b *Batch) error {
+		if b.Put(longKey, nil) == nil || b.Put([]byte("k"), longValue) == nil || b.Delete(longKey) == nil {
+			t.Error("a Batch staged a record over the bound")
+		}
+		return b.Put([]byte("k"), []byte("v"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(longKey[:maxKey], []byte("edge")); err != nil {
+		t.Fatalf("Put refused a key at the bound: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(path)
+	if err != nil {
+		t.Fatalf("the log the writer left does not open: %v", err)
+	}
+	defer s.Close()
+	if v, ok := s.Get([]byte("k")); !ok || string(v) != "v" {
+		t.Errorf("k = %q, %v; want v", v, ok)
+	}
+	if v, ok := s.Get(longKey[:maxKey]); !ok || string(v) != "edge" {
+		t.Errorf("the key at the bound = %q, %v; want edge", v, ok)
+	}
+}
+
 // TestCompactSurvivesReopen: after Compact the store must recover from the
 // renamed log alone — the path a crash immediately after compaction takes.
 // (The parent-directory fsync Compact performs cannot be asserted from user
