@@ -230,10 +230,11 @@ func BenchmarkIngestShardedObs(b *testing.B) {
 			}()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m, err := farmer.Open(cfg, farmer.WithShards(shards), farmer.WithObs(reg))
+				m, err := farmer.Open(cfg, farmer.WithShards(shards))
 				if err != nil {
 					b.Fatal(err)
 				}
+				m.AttachMetrics(reg)
 				m.Sharded().FeedTraceParallel(tr)
 				m.Close()
 			}

@@ -319,8 +319,8 @@ func runTop(args []string) int {
 }
 
 // renderTop formats one refresh of the top view: a per-tenant status table
-// (ingest position and rate, footprint, tap and checkpoint health,
-// replication lag, prediction accuracy) followed by every tenant's top-k
+// (ingest position and rate, footprint, prefetch queue (TAP) and checkpoint
+// health, replication lag, prediction accuracy) followed by every tenant's top-k
 // correlated groups by strength. prev is the previous sample (nil on the
 // first refresh) and elapsed the time since it — together they turn the
 // monotone counters into rates.

@@ -62,7 +62,7 @@
 //
 // With -metrics-addr, the daemon additionally serves live metrics over
 // plain HTTP on that address: GET /metrics is Prometheus text exposition
-// (ingest rate, per-shard mailbox depth and drops, per-follower replication
+// (ingest rate, prefetch queue depth and drops, per-follower replication
 // lag, checkpoint age, prediction accuracy), GET /metrics.json the same
 // samples as JSON. The same numbers travel the wire protocol as the MsgObs
 // frame behind `farmerctl top`.

@@ -123,7 +123,7 @@ func WithDialTLS(cfg *tls.Config) DialOption {
 // connection and their acks are resolved asynchronously, so a streaming
 // feeder pays pipeline throughput instead of one round trip per acked call
 // (the replication stream's ack-window machinery, applied client-side).
-// n <= 1 keeps the default synchronous acked path.
+// n == 1 keeps the default synchronous acked path.
 //
 // The acked-feed contract is preserved at a coarser barrier: a nil Feed
 // means the record was handed to the window, and Flush is the barrier that
@@ -635,7 +635,7 @@ func (m *RemoteMiner) Tenants(ctx context.Context) ([]TenantStatus, error) {
 }
 
 // Obs fetches one observability row per tenant live on the server —
-// footprint, tap and checkpoint health, replication lag, prediction
+// footprint, prefetch queue and checkpoint health, replication lag, prediction
 // accuracy, and each tenant's topK strongest correlated groups — the read
 // behind `farmerctl top` and the extended `farmerctl tenants` columns.
 // Against a server with auth enabled, the rows are filtered to the tenants

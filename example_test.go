@@ -306,7 +306,8 @@ func ExampleMiner() {
 // at scrape time from state the miner already maintains, so the ingest hot
 // path pays nothing for the instrumentation.
 func ExampleServe_metrics() {
-	server, err := farmer.Open(farmer.DefaultConfig(), farmer.WithShards(2))
+	server, err := farmer.Open(farmer.DefaultConfig(), farmer.WithShards(2),
+		farmer.WithPrefetcher(nil, farmer.PrefetchConfig{K: 2}))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -338,7 +339,7 @@ func ExampleServe_metrics() {
 	}
 	for _, line := range strings.Split(b.String(), "\n") {
 		if strings.HasPrefix(line, "farmer_ingest_records_total ") ||
-			strings.HasPrefix(line, "farmer_shard_mailbox_depth") {
+			strings.HasPrefix(line, "farmer_prefetch_dropped_total ") {
 			fmt.Println(line)
 		}
 	}
@@ -350,6 +351,5 @@ func ExampleServe_metrics() {
 	server.Close()
 	// Output:
 	// farmer_ingest_records_total 36
-	// farmer_shard_mailbox_depth{shard="0"} 0
-	// farmer_shard_mailbox_depth{shard="1"} 0
+	// farmer_prefetch_dropped_total 0
 }

@@ -110,16 +110,11 @@ type (
 	WorkloadProfile = tracegen.Profile
 )
 
-// Async prefetch pipeline, re-exported. A ShardedModel exposes ordered,
-// bounded post-ingest event taps (Tap); StartPrefetcher hangs the async
-// Predict/prefetch pipeline off them so ingestion — the demand path of a
-// metadata server — never waits on prediction or prefetch I/O.
+// Async prefetch pipeline, re-exported. StartPrefetcher hangs the async
+// Predict/prefetch pipeline off a ShardedModel's post-ingest hook so
+// ingestion — the demand path of a metadata server — never waits on
+// prediction or prefetch I/O.
 type (
-	// TapEvent is one post-ingest notification from a ShardedModel tap.
-	TapEvent = core.TapEvent
-	// EventTap is an ordered, bounded, drop-oldest subscription to a
-	// ShardedModel's ingestion stream.
-	EventTap = core.EventTap
 	// PrefetchCandidate is one prefetch the async pipeline wants issued.
 	PrefetchCandidate = prefetch.Candidate
 	// PrefetchSink receives the pipeline's prefetch submissions.
@@ -134,12 +129,12 @@ type (
 	PrefetcherStats = prefetch.Stats
 )
 
-// StartPrefetcher taps the sharded miner and launches the asynchronous
-// Predict/prefetch pipeline: per-shard consumers, a bounded drop-oldest
-// candidate queue, and a submit loop feeding sink. Backpressure sheds
-// prefetch coverage, never ingestion latency. Stop the returned pipeline
-// to drain and detach it. New code can attach the pipeline at Open with
-// WithPrefetcher instead.
+// StartPrefetcher launches the asynchronous Predict/prefetch pipeline on the
+// sharded miner: every ingested record enters a bounded drop-oldest queue,
+// and one goroutine predicts from each and feeds sink. Backpressure sheds
+// prefetch coverage, never ingestion latency. A miner feeds one pipeline at
+// a time. Stop the returned pipeline to drain and detach it. New code can
+// attach the pipeline at Open with WithPrefetcher instead.
 func StartPrefetcher(m *ShardedModel, sink PrefetchSink, cfg PrefetchConfig) *Prefetcher {
 	return prefetch.Start(m, sink, cfg)
 }
@@ -199,9 +194,9 @@ func OpenStore(path string) (*Store, error) { return kvstore.Open(path) }
 func RepairStore(path string) (kept int, dropped int64, err error) { return kvstore.Repair(path) }
 
 // Observability layer, re-exported. A MetricsRegistry collects live
-// counters, gauges and histograms from every hot layer (ingest, taps,
+// counters, gauges and histograms from every hot layer (ingest, prefetch,
 // replication, checkpoints, prediction) at zero hot-path cost; attach one
-// to a miner with WithObs (or AttachMetrics) and to a server with
+// to a miner with LocalMiner.AttachMetrics and to a server with
 // ServeConfig.Obs, then render it with WritePrometheus/WriteJSON — the
 // body of farmerd's -metrics-addr endpoint.
 type (
@@ -214,7 +209,7 @@ type (
 	// CorrelatedGroup is one correlated file group: a seed, its Correlator
 	// List members, and the group strength (sum of degrees).
 	CorrelatedGroup = core.CorrelatedGroup
-	// TenantObs is one tenant's row of a MsgObs response: footprint, tap
+	// TenantObs is one tenant's row of a MsgObs response: footprint, prefetch
 	// and checkpoint health, replication lag, prediction accuracy, and the
 	// top-k correlated groups. Collected remotely with RemoteMiner.Obs and
 	// rendered by farmerctl top / tenants.

@@ -136,20 +136,17 @@ func TestPublicAPIAsyncPrefetcher(t *testing.T) {
 		got = append(got, c)
 		mu.Unlock()
 	})
-	p := farmer.StartPrefetcher(model, sink, farmer.PrefetchConfig{K: 4, QueueCap: 1 << 16, TapBuffer: len(tr.Records)})
+	p := farmer.StartPrefetcher(model, sink, farmer.PrefetchConfig{K: 4, QueueCap: len(tr.Records)})
 	model.FeedTraceParallel(tr)
 	p.Stop()
 
 	st := p.Stats()
-	if st.Events != uint64(len(tr.Records)) {
-		t.Fatalf("pipeline consumed %d events, want %d", st.Events, len(tr.Records))
+	if st.Events != uint64(len(tr.Records)) || st.Dropped != 0 {
+		t.Fatalf("pipeline predicted from %d records and dropped %d, want %d and 0",
+			st.Events, st.Dropped, len(tr.Records))
 	}
-	if st.Submitted == 0 || uint64(len(got)) != st.Submitted {
-		t.Fatalf("sink saw %d candidates, stats say %d", len(got), st.Submitted)
-	}
-	if st.Predicted != st.Submitted+st.QueueDropped {
-		t.Fatalf("accounting: predicted %d != submitted %d + dropped %d",
-			st.Predicted, st.Submitted, st.QueueDropped)
+	if st.Predicted == 0 || uint64(len(got)) != st.Predicted {
+		t.Fatalf("sink saw %d candidates, stats say %d", len(got), st.Predicted)
 	}
 	// The async pipeline must not have perturbed mining.
 	ref := openModel(t, farmer.ConfigFor(tr))

@@ -438,13 +438,6 @@ func (m *Model) Fed() uint64 {
 }
 
 // Stats summarises model state for the space-overhead experiment.
-//
-// TapDepth and TapDropped are live tap-mailbox observability (sharded
-// ensembles only; always zero on a bare Model, which has no taps). They are
-// Go-side additions: the fixed 56-byte wire encoding of Stats (appendStats
-// in internal/rpc) intentionally carries only the original seven fields so
-// v2 MsgStats bodies stay byte-compatible — remote consumers get the tap
-// numbers from the MsgObs frame instead.
 type Stats struct {
 	Fed          uint64
 	TrackedFiles int // files with a stored semantic vector
@@ -452,9 +445,7 @@ type Stats struct {
 	Correlators  int // total list entries
 	GraphNodes   int
 	GraphEdges   int
-	MemoryBytes  int64  // estimated footprint of correlation state
-	TapDepth     int    // events queued on tap mailboxes right now
-	TapDropped   uint64 // tap events dropped to lagging consumers
+	MemoryBytes  int64 // estimated footprint of correlation state
 }
 
 // Stats returns a snapshot of the model's footprint.

@@ -25,7 +25,6 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"farmer/internal/kvstore"
@@ -121,11 +120,7 @@ type ShardedModel struct {
 	evs  []partition.Event     // scratch: one streamed record's events
 	vecs []vsm.Vector          // scratch: the vectors a batch's events point at, one a record (see maxKeptVectors)
 
-	// Event taps (see tap.go). tapCount mirrors len(taps) so the hot path
-	// skips the lock when nobody listens.
-	tmu      sync.RWMutex
-	taps     []*EventTap
-	tapCount atomic.Int32
+	hook func(seq uint64, f trace.FileID) // see SetIngestHook; guarded by dmu
 
 	// Checkpoint binding (guarded by dmu): the store the last full save or
 	// load synchronized the ensemble with, and the epoch that pass wrote or
@@ -208,12 +203,12 @@ func (s *ShardedModel) shardFor(f trace.FileID) *Model {
 
 // Feed ingests one record. Unlike Model.Feed it is safe to call from many
 // goroutines: dispatch is serialized, state updates take only the owning
-// shard's lock. dmu keeps sequencing, application and tap publication atomic
-// per record, so concurrent callers keep the tap's single-publisher FIFO
-// invariant and a checkpoint taken under dmu sees state and counter at an
-// exact record boundary. The record's events (its access, then one edge per
-// window slot) are collected and applied a run of same-owner events at a
-// time: one shard-lock hold per run, not per event.
+// shard's lock. dmu keeps sequencing, application and the ingest hook atomic
+// per record, so the hook sees concurrent callers' records in stream order
+// and a checkpoint taken under dmu sees state and counter at an exact record
+// boundary. The record's events (its access, then one edge per window slot)
+// are collected and applied a run of same-owner events at a time: one
+// shard-lock hold per run, not per event.
 func (s *ShardedModel) Feed(r *trace.Record) {
 	s.dmu.Lock()
 	defer s.dmu.Unlock()
@@ -221,8 +216,24 @@ func (s *ShardedModel) Feed(r *trace.Record) {
 	seq := s.disp.DispatchInto(r, &s.vectors(1)[0], func(_ int, ev partition.Event) { evs = append(evs, ev) })
 	s.applyRouted(evs)
 	s.evs = evs // keep the grown scratch
-	home := s.ownerOf(r.File)
-	s.publish(home, TapEvent{Seq: seq, File: r.File, Shard: home})
+	if s.hook != nil {
+		s.hook(seq, r.File)
+	}
+}
+
+// SetIngestHook registers fn to run once for every record the ensemble mines
+// through Feed or FeedBatch, after the shard owning the record's file has
+// installed its access: seq is the record's 1-based global sequence, f its
+// file. At most one hook; nil unregisters. fn runs on the ingesting
+// goroutine — during FeedBatch on the shard workers, concurrently across
+// shards and in stream order within one — while the ingesting call holds
+// dmu, so it must be safe for concurrent use, must not block, and must not
+// feed the ensemble or set its hook. Records sequenced by DispatchExternal
+// are not seen.
+func (s *ShardedModel) SetIngestHook(fn func(seq uint64, f trace.FileID)) {
+	s.dmu.Lock()
+	s.hook = fn
+	s.dmu.Unlock()
 }
 
 // DispatchExternal sequences one record through the ensemble's dispatcher
@@ -232,7 +243,7 @@ func (s *ShardedModel) Feed(r *trace.Record) {
 // delay) while this ensemble remains the single source of truth for the
 // window, the global sequence and persistence. The caller owns delivery: each shard's events must reach
 // Shard(owner).ApplyEvents in emission order for the ensemble to stay
-// bit-identical to a locally fed one. Taps do not observe externally
+// bit-identical to a locally fed one. The ingest hook does not see externally
 // dispatched records.
 func (s *ShardedModel) DispatchExternal(r *trace.Record, emit func(owner int, ev partition.Event)) uint64 {
 	s.dmu.Lock()
@@ -289,7 +300,7 @@ const eventChunk = 512
 // chunkPool recycles FeedBatch's event chunks across calls and ensembles.
 // A chunk has one owner at a time: the dispatching goroutine while it fills,
 // then the shard worker it was sent to, which returns it to the pool only
-// after ApplyEvents and tap publication are done with its events.
+// after ApplyEvents and the ingest hook are done with its events.
 var chunkPool = sync.Pool{New: func() any { return new([eventChunk]partition.Event) }}
 
 // FeedBatch ingests a batch of records with all shards mining in parallel.
@@ -354,17 +365,17 @@ func (s *ShardedModel) FeedBatch(records []trace.Record) {
 	wg.Wait()
 }
 
-// applyChunk mines one chunk of a batch on its shard, publishes the
-// post-ingest tap events for the records that shard owns, and recycles the
-// chunk. One goroutine at a time runs it for a given shard (the shard's
-// worker, or the dispatching goroutine of a one-shard ensemble), which keeps
-// tap delivery FIFO.
+// applyChunk mines one chunk of a batch on its shard, runs the ingest hook
+// for the records that shard owns, and recycles the chunk. One goroutine at
+// a time runs it for a given shard (the shard's worker, or the dispatching
+// goroutine of a one-shard ensemble), which keeps the hook's calls for one
+// shard in stream order. FeedBatch holds dmu throughout, so hook is stable.
 func (s *ShardedModel) applyChunk(shard int, evs []partition.Event) {
 	s.shards[shard].ApplyEvents(evs)
-	if s.tapCount.Load() != 0 {
+	if s.hook != nil {
 		for i := range evs {
 			if evs[i].Access {
-				s.publish(shard, TapEvent{Seq: evs[i].Seq, File: evs[i].Succ, Shard: shard})
+				s.hook(evs[i].Seq, evs[i].Succ)
 			}
 		}
 	}
@@ -429,38 +440,6 @@ func (s *ShardedModel) Stats() Stats {
 		out.MemoryBytes += st.MemoryBytes
 	}
 	out.Fed = s.disp.Dispatched()
-	for _, sh := range s.ShardObs() {
-		out.TapDepth += sh.MailboxDepth
-		out.TapDropped += sh.Dropped
-	}
-	return out
-}
-
-// ShardStat is one shard's live observability sample: how deep its tap
-// mailboxes currently are and how many tap events it has dropped, summed
-// over every registered tap.
-type ShardStat struct {
-	MailboxDepth int    // events queued on this shard's tap channels right now
-	Dropped      uint64 // tap events discarded because consumers lagged
-}
-
-// ShardObs samples every shard's tap mailbox depth and drop count — the
-// public view of the padded per-shard counters. With no taps registered
-// all samples are zero. Values are individually atomic snapshots; the
-// slice as a whole is not a consistent cut (that is fine for monitoring).
-func (s *ShardedModel) ShardObs() []ShardStat {
-	out := make([]ShardStat, len(s.shards))
-	if s.tapCount.Load() == 0 {
-		return out
-	}
-	s.tmu.RLock()
-	for _, t := range s.taps {
-		for i := range out {
-			out[i].MailboxDepth += len(t.chans[i])
-			out[i].Dropped += t.dropped[i].Load()
-		}
-	}
-	s.tmu.RUnlock()
 	return out
 }
 
@@ -478,7 +457,7 @@ func (s *ShardedModel) Shard(i int) *Model { return s.shards[i] }
 
 // Reset returns the ensemble to its freshly-constructed state — mined
 // knowledge, lookahead window, sequence counter, and checkpoint binding all
-// cleared — while preserving registered list hooks and event taps. It exists
+// cleared — while preserving registered list hooks and the ingest hook. It exists
 // for the one consumer that must install state over a non-fresh miner: a
 // replication follower whose delta catch-up was refused and who now needs
 // the primary's full cut (LoadMerged requires a fresh ensemble).

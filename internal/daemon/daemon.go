@@ -346,8 +346,7 @@ func Run(ctx context.Context, o Options) error {
 	if pf := miner.Prefetcher(); pf != nil {
 		pf.Stop()
 		st := pf.Stats()
-		logf("prefetch pipeline: %d events, %d predicted, %d submitted, %d dropped",
-			st.Events, st.Predicted, st.Submitted, st.TapDropped+st.QueueDropped)
+		logf("prefetch pipeline: %d events, %d predicted, %d dropped", st.Events, st.Predicted, st.Dropped)
 	}
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)

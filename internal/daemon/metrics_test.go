@@ -3,7 +3,6 @@ package daemon
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -101,7 +100,7 @@ func TestMetricsEndpointLiveScrape(t *testing.T) {
 		"farmer_ingest_records_total",
 		"farmer_rpc_frames_total",
 		"farmer_rpc_bytes_read_total",
-		"farmer_tap_dropped_total",
+		"farmer_prefetch_dropped_total",
 		"farmer_predict_predictions_total",
 	}
 	last := make(map[string]float64, len(monotone))
@@ -129,7 +128,7 @@ func TestMetricsEndpointLiveScrape(t *testing.T) {
 	}
 
 	// Final state: the ingest counter matches the trace exactly, the wire
-	// accounting saw traffic, and the per-shard series are all present.
+	// accounting saw traffic, and the prefetch queue gauge is present.
 	body := scrape(t, "http://"+mAddr+"/metrics")
 	if v, _ := metricValue(body, "farmer_ingest_records_total"); v != float64(len(tr.Records)) {
 		t.Fatalf("farmer_ingest_records_total = %v, want %d", v, len(tr.Records))
@@ -137,11 +136,8 @@ func TestMetricsEndpointLiveScrape(t *testing.T) {
 	if v, _ := metricValue(body, "farmer_rpc_frames_total"); v < float64(len(tr.Records))/512 {
 		t.Fatalf("farmer_rpc_frames_total = %v, too low for the fed chunks", v)
 	}
-	for shard := 0; shard < 2; shard++ {
-		series := fmt.Sprintf("farmer_shard_mailbox_depth{shard=%q}", strconv.Itoa(shard))
-		if !strings.Contains(body, series) {
-			t.Fatalf("per-shard series %s missing:\n%s", series, body)
-		}
+	if _, ok := metricValue(body, "farmer_prefetch_queue_depth"); !ok {
+		t.Fatalf("prefetch queue gauge missing:\n%s", body)
 	}
 	if !strings.Contains(body, "farmer_checkpoint_age_seconds") {
 		t.Fatalf("checkpoint age gauge missing:\n%s", body)

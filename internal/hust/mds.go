@@ -49,8 +49,8 @@ type MDSConfig struct {
 	// demand service consults only the metadata cache and the miner's
 	// already-materialized Correlator-List snapshot, while mining and
 	// prediction run on a separate mining station modeling the shard
-	// workers (see core.ShardedModel.Tap and internal/prefetch for the
-	// real concurrent pipeline this virtual-time model mirrors).
+	// workers (see core.ShardedModel.SetIngestHook and internal/prefetch for
+	// the real concurrent pipeline this virtual-time model mirrors).
 	AsyncPrefetch bool
 	// MinerWorkers sizes the async mining station; 0 matches Workers.
 	MinerWorkers int
@@ -211,7 +211,7 @@ func (m *MDS) PopulateStore(t *trace.Trace) error {
 // stream) and MineTime inflates the demand service time. With AsyncPrefetch
 // the demand request carries only the cache/store cost, and the record is
 // handed to the mining station: its completion callback — the virtual-time
-// mirror of a prefetch.Pipeline tap event — feeds the miner and issues the
+// mirror of a prefetch.Pipeline queued record — feeds the miner and issues the
 // prefetches. The station is FIFO with uniform service times, so records are
 // mined in demand-arrival order and the mined state stays bit-identical to
 // the synchronous path; only prefetch timing (coverage) differs.

@@ -16,8 +16,8 @@
 //     some layer already maintains (dispatcher position, model memory,
 //     checkpoint age). They add literally zero work to the hot path.
 //   - GaugeEach / CounterEach: callbacks that emit a dynamic label set per
-//     scrape (per-shard mailbox depth, per-follower replication lag,
-//     per-tenant feeds) without pre-registering one series per member.
+//     scrape (per-follower replication lag, per-tenant feeds) without
+//     pre-registering one series per member.
 //
 // Snapshot flattens the registry into samples; WritePrometheus and
 // WriteJSON render them in Prometheus text exposition format and a JSON
@@ -69,8 +69,8 @@ type Label struct {
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
 // Counter is a monotone counter safe for concurrent use — the one atomic
-// counter in the repository, held by instrumented layers and pipeline
-// stages alike (tap and queue drops, mailbox evictions, checkpoint counts).
+// counter in the repository, held by instrumented layers (wire frames and
+// bytes, per-tenant feeds, checkpoint and handoff counts).
 // The zero value is usable; a nil *Counter is a no-op, so instrumented
 // layers work unattached. The atomic is padded out to its own cache line:
 // a bare []atomic.Uint64 packs eight shards' counters into 64 bytes, and

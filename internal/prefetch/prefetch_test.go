@@ -6,89 +6,111 @@ import (
 	"time"
 
 	"farmer/internal/core"
-	"farmer/internal/obs"
 	"farmer/internal/trace"
 	"farmer/internal/tracegen"
 )
 
-func cand(n uint64) Candidate {
-	return Candidate{Trigger: trace.FileID(n), File: trace.FileID(n + 1), Seq: n}
-}
-
 func TestQueueFIFO(t *testing.T) {
-	q := NewQueue(8, nil)
+	q := NewQueue(8)
 	for i := uint64(0); i < 5; i++ {
-		q.Push(cand(i))
+		q.Push(i, trace.FileID(i))
 	}
 	for i := uint64(0); i < 5; i++ {
-		c, ok := q.PopWait()
-		if !ok || c.Seq != i {
-			t.Fatalf("pop %d: got %+v ok=%v", i, c, ok)
+		seq, f, ok := q.PopWait()
+		if !ok || seq != i || f != trace.FileID(i) {
+			t.Fatalf("pop %d: got (%d, %d) ok=%v", i, seq, f, ok)
 		}
 	}
 	q.Close()
-	if _, ok := q.PopWait(); ok {
+	if _, _, ok := q.PopWait(); ok {
 		t.Fatal("pop on empty queue succeeded")
 	}
 }
 
 func TestQueueDropOldest(t *testing.T) {
-	var dropped obs.Counter
-	q := NewQueue(4, &dropped)
+	q := NewQueue(4)
 	for i := uint64(0); i < 10; i++ {
-		q.Push(cand(i))
-	}
-	if got := dropped.Load(); got != 6 {
-		t.Fatalf("dropped = %d, want 6", got)
+		q.Push(i, 1)
 	}
 	if got := q.Dropped(); got != 6 {
-		t.Fatalf("q.Dropped() = %d, want 6", got)
+		t.Fatalf("Dropped() = %d, want 6", got)
 	}
-	// The newest 4 candidates survive, in order.
+	if got := q.Len(); got != 4 {
+		t.Fatalf("Len() = %d, want 4", got)
+	}
+	// The newest 4 records survive, in order.
 	for i := uint64(6); i < 10; i++ {
-		c, ok := q.PopWait()
-		if !ok || c.Seq != i {
-			t.Fatalf("retained candidate: got %+v ok=%v, want seq %d", c, ok, i)
+		seq, _, ok := q.PopWait()
+		if !ok || seq != i {
+			t.Fatalf("retained record: got seq %d ok=%v, want seq %d", seq, ok, i)
 		}
 	}
 }
 
 func TestQueueCloseDrains(t *testing.T) {
-	q := NewQueue(8, nil)
-	q.Push(cand(1))
-	q.Push(cand(2))
+	q := NewQueue(8)
+	q.Push(1, 1)
+	q.Push(2, 2)
 	q.Close()
-	if ok := q.Push(cand(3)); ok {
-		t.Fatal("push after close succeeded")
+	q.Push(3, 3) // discarded uncounted
+	for _, want := range []uint64{1, 2} {
+		if seq, _, ok := q.PopWait(); !ok || seq != want {
+			t.Fatalf("PopWait after close: seq %d ok=%v, want %d", seq, ok, want)
+		}
 	}
-	if c, ok := q.PopWait(); !ok || c.Seq != 1 {
-		t.Fatalf("PopWait after close lost queued candidate: %+v ok=%v", c, ok)
+	if _, _, ok := q.PopWait(); ok {
+		t.Fatal("PopWait on closed empty queue returned a record")
 	}
-	if c, ok := q.PopWait(); !ok || c.Seq != 2 {
-		t.Fatalf("PopWait after close lost queued candidate: %+v ok=%v", c, ok)
-	}
-	if _, ok := q.PopWait(); ok {
-		t.Fatal("PopWait on closed empty queue returned a candidate")
+	if q.Dropped() != 0 {
+		t.Fatalf("a push after Close counted as a drop: %d", q.Dropped())
 	}
 	q.Close() // idempotent
 }
 
 func TestQueuePopWaitBlocks(t *testing.T) {
-	q := NewQueue(4, nil)
-	got := make(chan Candidate, 1)
+	q := NewQueue(4)
+	got := make(chan uint64, 1)
 	go func() {
-		c, _ := q.PopWait()
-		got <- c
+		seq, _, _ := q.PopWait()
+		got <- seq
 	}()
 	time.Sleep(5 * time.Millisecond) // let the popper block
-	q.Push(cand(7))
+	q.Push(7, 7)
 	select {
-	case c := <-got:
-		if c.Seq != 7 {
-			t.Fatalf("PopWait returned %+v, want seq 7", c)
+	case seq := <-got:
+		if seq != 7 {
+			t.Fatalf("PopWait returned seq %d, want 7", seq)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("PopWait never woke up")
+	}
+}
+
+// TestHitTrackerKeepsRepredictedFile: a file predicted, hit, and predicted
+// again owns its second ring slot. Evicting the stale first slot must not
+// take the fresh prediction with it.
+func TestHitTrackerKeepsRepredictedFile(t *testing.T) {
+	var h hitTracker
+	h.add(7)
+	if !h.take(7) {
+		t.Fatal("a fresh prediction was not a hit")
+	}
+	h.add(7)
+	for i := 0; i < hitWindow-1; i++ {
+		h.add(trace.FileID(100 + i)) // the last of these reuses 7's first slot
+	}
+	if !h.take(7) {
+		t.Fatal("the re-prediction left the window early, with its stale first slot")
+	}
+	// The window still holds the last hitWindow predictions: the next add
+	// reuses the hit re-prediction's slot, the one after evicts 100.
+	h.add(1)
+	h.add(2)
+	if h.take(100) {
+		t.Fatal("a prediction survived hitWindow newer ones")
+	}
+	if !h.take(101) || !h.take(1) || !h.take(2) {
+		t.Fatal("a prediction inside the window was evicted")
 	}
 }
 
@@ -106,7 +128,7 @@ func (s *collectSink) Prefetch(c Candidate) {
 
 // TestPipelineEndToEnd runs the full async pipeline over a real sharded
 // miner while it ingests a trace, then checks the accounting conservation
-// laws and that the mined state was untouched by concurrent prediction.
+// law and that every candidate is well formed.
 func TestPipelineEndToEnd(t *testing.T) {
 	tr, err := tracegen.HP(4000).Generate()
 	if err != nil {
@@ -116,27 +138,21 @@ func TestPipelineEndToEnd(t *testing.T) {
 	cfg.Shards = 4
 	sm := core.NewSharded(cfg)
 	sink := &collectSink{}
-	p := Start(sm, sink, Config{K: 4, QueueCap: 1 << 16, TapBuffer: len(tr.Records)})
+	p := Start(sm, sink, Config{K: 4, QueueCap: len(tr.Records)})
 	sm.FeedTraceParallel(tr)
 	p.Stop()
 	p.Stop() // idempotent
 
 	st := p.Stats()
-	if st.Events != uint64(len(tr.Records)) {
-		t.Fatalf("events = %d, want %d (oversized tap must not drop)", st.Events, len(tr.Records))
+	if st.Events != uint64(len(tr.Records)) || st.Dropped != 0 {
+		t.Fatalf("events %d dropped %d, want %d and 0 (an oversized queue must not drop)",
+			st.Events, st.Dropped, len(tr.Records))
 	}
-	if st.TapDropped != 0 {
-		t.Fatalf("tap dropped %d events with oversized buffer", st.TapDropped)
+	if uint64(len(sink.cands)) != st.Predicted {
+		t.Fatalf("sink saw %d candidates, stats say %d", len(sink.cands), st.Predicted)
 	}
-	if st.Predicted != st.Submitted+st.QueueDropped {
-		t.Fatalf("conservation violated: predicted %d != submitted %d + dropped %d",
-			st.Predicted, st.Submitted, st.QueueDropped)
-	}
-	if uint64(len(sink.cands)) != st.Submitted {
-		t.Fatalf("sink saw %d candidates, stats say %d", len(sink.cands), st.Submitted)
-	}
-	if st.Submitted == 0 {
-		t.Fatal("pipeline submitted nothing on a correlated trace")
+	if st.Predicted == 0 {
+		t.Fatal("pipeline predicted nothing on a correlated trace")
 	}
 	for _, c := range sink.cands {
 		if c.File == c.Trigger {
@@ -145,6 +161,11 @@ func TestPipelineEndToEnd(t *testing.T) {
 		if c.Seq == 0 || c.Seq > uint64(len(tr.Records)) {
 			t.Fatalf("candidate with out-of-range seq: %+v", c)
 		}
+	}
+	// Detached: later ingestion reaches no queue.
+	sm.Feed(&tr.Records[0])
+	if st2 := p.Stats(); st2 != st {
+		t.Fatalf("a stopped pipeline moved: %+v -> %+v", st, st2)
 	}
 }
 
@@ -160,9 +181,9 @@ func (s *gateSink) Prefetch(Candidate) {
 	s.n++
 }
 
-// TestPipelineBackpressure checks that a slow sink never blocks ingestion:
-// the bounded queue absorbs the burst, drops the oldest candidates, and the
-// drop counter plus the conservation law account for every prediction.
+// TestPipelineBackpressure checks that a stalled sink never blocks
+// ingestion: the bounded queue absorbs the burst, drops the oldest records,
+// and the drop count plus the conservation law account for every record.
 func TestPipelineBackpressure(t *testing.T) {
 	tr, err := tracegen.HP(3000).Generate()
 	if err != nil {
@@ -173,7 +194,7 @@ func TestPipelineBackpressure(t *testing.T) {
 	sm := core.NewSharded(cfg)
 	gate := make(chan struct{})
 	sink := &gateSink{gate: gate}
-	p := Start(sm, sink, Config{K: 4, QueueCap: 16, TapBuffer: len(tr.Records)})
+	p := Start(sm, sink, Config{K: 4, QueueCap: 16})
 
 	done := make(chan struct{})
 	go func() {
@@ -189,15 +210,15 @@ func TestPipelineBackpressure(t *testing.T) {
 	p.Stop()
 
 	st := p.Stats()
-	if st.QueueDropped == 0 {
-		t.Fatalf("no drops with a 16-slot queue against %d predictions", st.Predicted)
+	if st.Dropped == 0 {
+		t.Fatalf("no drops with a 16-slot queue against %d records", len(tr.Records))
 	}
-	if st.Predicted != st.Submitted+st.QueueDropped {
-		t.Fatalf("conservation violated: predicted %d != submitted %d + dropped %d",
-			st.Predicted, st.Submitted, st.QueueDropped)
+	if st.Events+st.Dropped != uint64(len(tr.Records)) {
+		t.Fatalf("conservation violated: events %d + dropped %d != %d records",
+			st.Events, st.Dropped, len(tr.Records))
 	}
-	if uint64(sink.n) != st.Submitted {
-		t.Fatalf("sink served %d, stats say %d", sink.n, st.Submitted)
+	if uint64(sink.n) != st.Predicted {
+		t.Fatalf("sink served %d, stats say %d", sink.n, st.Predicted)
 	}
 }
 
@@ -211,12 +232,11 @@ func TestPipelineNilSinkDiscards(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Shards = 2
 	sm := core.NewSharded(cfg)
-	p := Start(sm, nil, Config{K: 4, TapBuffer: len(tr.Records)})
+	p := Start(sm, nil, Config{K: 4})
 	sm.FeedTraceParallel(tr)
 	p.Stop()
 	st := p.Stats()
-	if st.Predicted == 0 || st.Predicted != st.Submitted+st.QueueDropped {
-		t.Fatalf("nil-sink accounting: predicted %d submitted %d dropped %d",
-			st.Predicted, st.Submitted, st.QueueDropped)
+	if st.Predicted == 0 || st.Events+st.Dropped != uint64(len(tr.Records)) {
+		t.Fatalf("nil-sink accounting: %+v over %d records", st, len(tr.Records))
 	}
 }

@@ -8,11 +8,12 @@
 //     state" is one uint64 comparison;
 //   - a Comparison bundling the no-prefetch baseline with the sync and
 //     async FARMER replays of one trace, so demand-latency regressions are
-//     directly visible;
-//   - RunPipeline, which drives the real goroutine-based prefetch.Pipeline
-//     (tap consumers, bounded queue, submit loop) over the same trace so
-//     the concurrent path is exercised under -race and cross-checked
-//     against the sequential mine.
+//     directly visible.
+//
+// The package's tests also drive the real goroutine-based prefetch.Pipeline
+// over the same trace (RunPipeline in replay_test.go), so the concurrent
+// path is exercised under -race and cross-checked against the sequential
+// mine.
 //
 // Everything here is virtual-time or barrier-synchronized, so results are
 // reproducible run-to-run.

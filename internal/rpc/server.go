@@ -125,8 +125,6 @@ func (s singleResolver) TenantObs(topK int) []TenantObs {
 	return []TenantObs{{
 		Fed:         st.Fed,
 		MemoryBytes: uint64(st.MemoryBytes),
-		TapDepth:    uint64(st.TapDepth),
-		TapDropped:  st.TapDropped,
 		CkptAgeMS:   NeverCheckpointed,
 	}}
 }

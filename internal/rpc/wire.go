@@ -799,8 +799,8 @@ type TenantObs struct {
 	Name          string
 	Fed           uint64 // records mined (the model's stream position)
 	MemoryBytes   uint64 // estimated correlation-state footprint
-	TapDepth      uint64 // events queued on tap mailboxes right now
-	TapDropped    uint64 // tap events dropped to lagging consumers
+	TapDepth      uint64 // ingested records queued for the prefetch pipeline right now
+	TapDropped    uint64 // ingested records the full prefetch queue dropped unpredicted
 	FeedRecords   uint64 // records arrived via Feed/FeedBatch frames
 	FeedFrames    uint64 // Feed/FeedBatch frames handled
 	ReplLagMax    uint64 // worst follower lag in records (0 = caught up or none)

@@ -54,7 +54,6 @@ type openConfig struct {
 	prefetch  bool
 	pfSink    PrefetchSink
 	pfCfg     PrefetchConfig
-	obs       *obs.Registry
 }
 
 // Option configures Open.
@@ -108,31 +107,17 @@ func WithLoad() Option {
 }
 
 // WithPrefetcher attaches the asynchronous Predict/prefetch pipeline at
-// open: post-ingest events flow through per-shard taps into a bounded
-// candidate queue feeding sink, and the pipeline drains on Close. A nil
+// open: every ingested record enters a bounded queue that one goroutine
+// drains into predictions for sink, and the pipeline drains on Close. A nil
 // sink discards candidates (the pipeline still predicts and accounts).
 func WithPrefetcher(sink PrefetchSink, cfg PrefetchConfig) Option {
 	return func(oc *openConfig) error {
-		if cfg.K < 0 || cfg.QueueCap < 0 || cfg.TapBuffer < 0 {
-			return fmt.Errorf("farmer: WithPrefetcher: negative tuning (K=%d, QueueCap=%d, TapBuffer=%d)",
-				cfg.K, cfg.QueueCap, cfg.TapBuffer)
+		if cfg.K < 0 || cfg.QueueCap < 0 {
+			return fmt.Errorf("farmer: WithPrefetcher: negative tuning (K=%d, QueueCap=%d)", cfg.K, cfg.QueueCap)
 		}
 		oc.prefetch = true
 		oc.pfSink = sink
 		oc.pfCfg = cfg
-		return nil
-	}
-}
-
-// WithObs registers the miner's live metrics into reg: ingest position,
-// model footprint, per-shard tap mailbox depth and drops, checkpoint
-// age/epoch and full-vs-delta counts, and (with WithPrefetcher) prediction
-// hit/accuracy. Metric updates on the hot path are free — everything the
-// registry reads is an atomic or a callback sampled only at scrape time.
-// A nil registry is allowed and equivalent to omitting the option.
-func WithObs(reg *MetricsRegistry) Option {
-	return func(oc *openConfig) error {
-		oc.obs = reg
 		return nil
 	}
 }
@@ -156,13 +141,13 @@ type LocalMiner struct {
 	// numbers whether or not a registry is attached); the padded counters
 	// cost one uncontended add per checkpoint. lastCkptMS is the unix-ms
 	// completion time of the last checkpoint (0 = never). ckptDur is nil
-	// without WithObs.
+	// until AttachMetrics.
 	ckptFull   obs.Counter
 	ckptDelta  obs.Counter
 	lastCkptMS atomic.Int64
 	ckptDur    *obs.Histogram
 
-	obsReg *obs.Registry // nil unless WithObs / AttachMetrics
+	obsReg *obs.Registry // nil until AttachMetrics
 
 	closeOnce sync.Once
 	closeErr  error
@@ -210,15 +195,16 @@ func Open(cfg Config, opts ...Option) (*LocalMiner, error) {
 	if oc.prefetch {
 		m.pf = StartPrefetcher(m.sm, oc.pfSink, oc.pfCfg)
 	}
-	if oc.obs != nil {
-		m.AttachMetrics(oc.obs)
-	}
 	return m, nil
 }
 
-// AttachMetrics registers the miner's live metrics into reg — the body of
-// WithObs, callable after Open for compositions (like Serve) that build
-// the registry later. Attaching twice, or attaching nil, is a no-op.
+// AttachMetrics registers the miner's live metrics into reg: ingest
+// position, model footprint, checkpoint age/epoch and full-vs-delta counts,
+// and (with WithPrefetcher) the pipeline's queue depth, drops and prediction
+// hit/accuracy. Metric updates on the hot path are free — everything the
+// registry reads is an atomic or a callback sampled only at scrape time.
+// Serve calls it with ServeConfig.Obs. Attaching twice, or attaching nil,
+// is a no-op.
 func (m *LocalMiner) AttachMetrics(reg *MetricsRegistry) {
 	if reg == nil || m.obsReg != nil {
 		return
@@ -242,16 +228,6 @@ func (m *LocalMiner) AttachMetrics(reg *MetricsRegistry) {
 		}
 		return memVal
 	})
-	reg.GaugeEach("farmer_shard_mailbox_depth", func(emit obs.EmitFunc) {
-		for i, sh := range m.sm.ShardObs() {
-			emit([]obs.Label{obs.L("shard", fmt.Sprint(i))}, float64(sh.MailboxDepth))
-		}
-	})
-	reg.CounterEach("farmer_tap_dropped_total", func(emit obs.EmitFunc) {
-		for i, sh := range m.sm.ShardObs() {
-			emit([]obs.Label{obs.L("shard", fmt.Sprint(i))}, float64(sh.Dropped))
-		}
-	})
 	reg.CounterFunc("farmer_checkpoint_full_total", func() float64 { return float64(m.ckptFull.Load()) })
 	reg.CounterFunc("farmer_checkpoint_delta_total", func() float64 { return float64(m.ckptDelta.Load()) })
 	reg.GaugeFunc("farmer_checkpoint_epoch", func() float64 { return float64(m.sm.SaveEpoch()) })
@@ -266,25 +242,23 @@ func (m *LocalMiner) AttachMetrics(reg *MetricsRegistry) {
 		reg.CounterFunc("farmer_predict_predictions_total", func() float64 { return float64(m.pf.Stats().Predicted) })
 		reg.CounterFunc("farmer_predict_hits_total", func() float64 { return float64(m.pf.Stats().Hits) })
 		reg.GaugeFunc("farmer_predict_accuracy", func() float64 { return m.pf.Stats().Accuracy() })
-		reg.CounterFunc("farmer_prefetch_submitted_total", func() float64 { return float64(m.pf.Stats().Submitted) })
-		reg.CounterFunc("farmer_prefetch_queue_dropped_total", func() float64 { return float64(m.pf.Stats().QueueDropped) })
+		reg.GaugeFunc("farmer_prefetch_queue_depth", func() float64 { return float64(m.pf.Depth()) })
+		reg.CounterFunc("farmer_prefetch_dropped_total", func() float64 { return float64(m.pf.Stats().Dropped) })
 	}
 }
 
-// Metrics returns the attached registry, nil without WithObs.
+// Metrics returns the attached registry, nil until AttachMetrics.
 func (m *LocalMiner) Metrics() *MetricsRegistry { return m.obsReg }
 
-// obsRow builds the miner's slice of a MsgObs response: footprint, tap
-// health, checkpoint history, prediction accuracy, and the top-k correlated
-// groups by strength. The rpc layer stamps wire-level fields (feed counts,
-// replication lag) on top.
+// obsRow builds the miner's slice of a MsgObs response: footprint, prefetch
+// queue health, checkpoint history, prediction accuracy, and the top-k
+// correlated groups by strength. The rpc layer stamps wire-level fields
+// (feed counts, replication lag) on top.
 func (m *LocalMiner) obsRow(topK int) rpc.TenantObs {
 	st := m.sm.Stats()
 	row := rpc.TenantObs{
 		Fed:         st.Fed,
 		MemoryBytes: uint64(st.MemoryBytes),
-		TapDepth:    uint64(st.TapDepth),
-		TapDropped:  st.TapDropped,
 		CkptEpoch:   m.sm.SaveEpoch(),
 		CkptFull:    m.ckptFull.Load(),
 		CkptDelta:   m.ckptDelta.Load(),
@@ -297,6 +271,7 @@ func (m *LocalMiner) obsRow(topK int) rpc.TenantObs {
 	}
 	if m.pf != nil {
 		ps := m.pf.Stats()
+		row.TapDepth, row.TapDropped = uint64(m.pf.Depth()), ps.Dropped
 		row.PredPredicted, row.PredHits = ps.Predicted, ps.Hits
 	}
 	for _, g := range m.sm.TopGroups(topK) {
@@ -452,7 +427,7 @@ func (m *LocalMiner) Load(ctx context.Context) error {
 func (m *LocalMiner) CorrelatorList(f FileID) []Correlator { return m.sm.CorrelatorList(f) }
 
 // Sharded exposes the underlying ensemble for compositions the interface
-// does not cover (event taps, DispatchExternal, merged persistence).
+// does not cover (the ingest hook, DispatchExternal, merged persistence).
 func (m *LocalMiner) Sharded() *ShardedModel { return m.sm }
 
 // Prefetcher returns the attached pipeline, nil without WithPrefetcher.

@@ -9,7 +9,7 @@ import (
 )
 
 // TestObsReplicatedEndToEnd drives the whole observability surface through
-// the public API on a replicated pair: WithObs registers the miner series,
+// the public API on a replicated pair: AttachMetrics registers the miner series,
 // Serve adds the replication gauges, MsgObs carries the row to a remote
 // client, and after a fully-acked feed the follower lag reads zero.
 func TestObsReplicatedEndToEnd(t *testing.T) {
@@ -31,12 +31,12 @@ func TestObsReplicatedEndToEnd(t *testing.T) {
 	reg := farmer.NewMetricsRegistry()
 	primary, err := farmer.Open(cfg,
 		farmer.WithShards(2),
-		farmer.WithObs(reg),
 		farmer.WithPrefetcher(nil, farmer.PrefetchConfig{K: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer primary.Close()
+	primary.AttachMetrics(reg)
 	if primary.Metrics() != reg {
 		t.Fatal("Metrics() did not return the attached registry")
 	}
@@ -112,6 +112,8 @@ func TestObsReplicatedEndToEnd(t *testing.T) {
 		`farmer_repl_lag_records{follower="` + fAddr + `"} 0`,
 		"farmer_rpc_connections_total",
 		"farmer_predict_accuracy",
+		"farmer_prefetch_queue_depth",
+		"farmer_prefetch_dropped_total",
 	} {
 		if !strings.Contains(scrape, series) {
 			t.Fatalf("scrape missing %q:\n%s", series, scrape)

@@ -286,8 +286,11 @@ func TestOpenWithPrefetcher(t *testing.T) {
 	if st.Events == 0 || st.Predicted == 0 {
 		t.Fatalf("pipeline saw no traffic: %+v", st)
 	}
-	if uint64(len(got)) != st.Submitted {
-		t.Fatalf("sink got %d candidates, pipeline submitted %d", len(got), st.Submitted)
+	if uint64(len(got)) != st.Predicted {
+		t.Fatalf("sink got %d candidates, pipeline predicted %d", len(got), st.Predicted)
+	}
+	if st.Events+st.Dropped != uint64(len(tr.Records)) {
+		t.Fatalf("accounting: predicted from %d + dropped %d != %d records", st.Events, st.Dropped, len(tr.Records))
 	}
 }
 

@@ -51,9 +51,6 @@ var reachAllow = map[string]string{
 	"core.ShardedModel.Degree":            "public API: farmer.ShardedModel",
 	"core.ShardedModel.Vector":            "public API: farmer.ShardedModel",
 	"core.ShardedModel.ResetWindow":       "public API: farmer.ShardedModel",
-	"core.EventTap.DroppedShard":          "public API: farmer.EventTap",
-	"core.EventTap.Depth":                 "public API: farmer.EventTap",
-	"core.EventTap.Depths":                "public API: farmer.EventTap",
 	"trace.Record.HasPath":                "public API: farmer.Record",
 	"trace.Record.Base":                   "public API: farmer.Record",
 	"trace.Trace.Validate":                "public API: farmer.Trace",

@@ -75,10 +75,6 @@ type ServeConfig struct {
 	// availability-wins: the leader holds its epoch until the process ends,
 	// and a follower's view of it ends with the replication link.
 	LeaseTTL time.Duration
-	// LeaseID names this daemon in lease terms and election votes. It
-	// defaults to the listener address, which is what makes the client's
-	// failover sweep able to match a LeaseStatus answer to a dial address.
-	LeaseID string
 	// LeasePeers are the other farmerds asked to vote when this follower
 	// elects itself (typically the sibling followers of one primary). An
 	// election needs (1+len(LeasePeers))/2 granted votes; with no peers a
@@ -90,7 +86,7 @@ type ServeConfig struct {
 	Logf func(format string, args ...any)
 
 	// Obs, when non-nil, receives the server's live metrics: the miner's
-	// ingest/tap/checkpoint/prediction series (AttachMetrics), the wire
+	// ingest/prefetch/checkpoint/prediction series (AttachMetrics), the wire
 	// layer's frame/byte/per-tenant-feed counters, and — on a replicating
 	// primary — per-follower replication lag. Render it with
 	// WritePrometheus/WriteJSON; farmerd's -metrics-addr endpoint is exactly
@@ -471,7 +467,8 @@ func (b *serveBackend) LeaseGrant(conn uint64, info rpc.LeaseInfo) error {
 		return errors.New("farmer: lease transfer to a farmerd without a lease TTL (start the target with -lease-ttl)")
 	}
 	// Adopt the transferred epoch with SELF as leader (the source's name for
-	// this node is its dial address, which may not match LeaseID textually).
+	// this node is its dial address, which may not match the listener
+	// address this node names itself by textually).
 	// The epoch is strictly above everything observed on this link, so the
 	// Observe cannot fail.
 	if err := b.holder.Observe(lease.Term{Epoch: info.Epoch, Leader: b.holder.Self()}); err != nil {
@@ -809,10 +806,10 @@ func Serve(ctx context.Context, lis net.Listener, m *LocalMiner, cfg ServeConfig
 	if saveBudget <= 0 {
 		saveBudget = max(cfg.DrainTimeout, cfg.Checkpoint, time.Minute)
 	}
-	id := cfg.LeaseID
-	if id == "" {
-		id = lis.Addr().String()
-	}
+	// A daemon names itself in lease terms and election votes by its
+	// listener address: that is what lets the client's failover sweep match
+	// a LeaseStatus leader to a dial address.
+	id := lis.Addr().String()
 	leaseSt := &leaseState{
 		holder:      newHolder(id, max(cfg.LeaseTTL, 0), cfg.Follower),
 		peers:       cfg.LeasePeers,
