@@ -62,7 +62,7 @@ func BenchmarkCatchupFull(b *testing.B) {
 			b.Fatal(err)
 		}
 		addr, stop := benchServeFollower(b, f)
-		r := rpc.NewReplicator(primary.sm.Fed(), 0, nil)
+		r := rpc.NewReplicator(primary.sm.Fed(), time.Minute, rpc.DialOptions{}, primary.catchupFingerprint, nil)
 		b.StartTimer()
 		if err := r.Attach(ctx, addr, primary.catchupCut); err != nil {
 			b.Fatal(err)
@@ -140,8 +140,7 @@ func BenchmarkCatchupDelta(b *testing.B) {
 		// position at the stream head with the last tailN records resumable.
 		// The no-op mine skips local ingestion — the primary's model already
 		// holds the whole stream.
-		r := rpc.NewReplicator(uint64(len(base)), 0, nil)
-		r.EnableDeltaCatchup(tailN*2, primary.catchupFingerprint)
+		r := rpc.NewReplicator(uint64(len(base)), time.Minute, rpc.DialOptions{}, primary.catchupFingerprint, nil)
 		if err := r.Ingest(ctx, tail, func() error { return nil }); err != nil {
 			b.Fatal(err)
 		}

@@ -45,10 +45,9 @@ import (
 // definitely not applied, so that one IS retried internally after the
 // promotion sweep. Reads always retry.
 type RemoteMiner struct {
-	addrs       []string
-	opts        rpc.DialOptions // tenant binding, token, TLS — re-applied on every redial
-	ackN        int             // WithAckWindow: in-flight feed frames (<= 1 = synchronous)
-	ackAdaptive bool            // WithAckWindow(0): self-tuning window, 1..adaptive max
+	addrs []string
+	opts  rpc.DialOptions // tenant binding, token, TLS — re-applied on every redial
+	ackN  int             // WithAckWindow: in-flight feed frames (<= 1 = synchronous)
 
 	mu     sync.Mutex
 	c      *rpc.Client // current connection, nil after a drop
@@ -68,10 +67,9 @@ var _ Miner = (*RemoteMiner)(nil)
 type DialOption func(*dialConfig) error
 
 type dialConfig struct {
-	failover    []string
-	opts        rpc.DialOptions
-	ackWindow   int
-	ackAdaptive bool
+	failover  []string
+	opts      rpc.DialOptions
+	ackWindow int
 }
 
 // WithTenant binds the client to one tenant: every frame it sends carries
@@ -123,7 +121,8 @@ func WithDialTLS(cfg *tls.Config) DialOption {
 // connection and their acks are resolved asynchronously, so a streaming
 // feeder pays pipeline throughput instead of one round trip per acked call
 // (the replication stream's ack-window machinery, applied client-side).
-// n == 1 keeps the default synchronous acked path.
+// n <= 1 keeps the default synchronous acked path, where a server's error
+// surfaces from the Feed that caused it.
 //
 // The acked-feed contract is preserved at a coarser barrier: a nil Feed
 // means the record was handed to the window, and Flush is the barrier that
@@ -135,18 +134,10 @@ func WithDialTLS(cfg *tls.Config) DialOption {
 // failed Feed) surfaces the first error, Stats().Fed on the recovered
 // server is the exact resume point, and the stream is re-sent from there.
 // Call Flush before Close to observe the final acks.
-//
-// WithAckWindow(0) selects the ADAPTIVE window: it starts at one frame in
-// flight and grows toward an internal cap while reap round trips stay near
-// the smoothed baseline, halving when one spikes past it — the right
-// choice when the link's bandwidth-delay product is unknown.
 func WithAckWindow(n int) DialOption {
 	return func(dc *dialConfig) error {
 		if n < 0 {
 			return fmt.Errorf("farmer: WithAckWindow(%d): negative window", n)
-		}
-		if n == 0 {
-			dc.ackAdaptive = true
 		}
 		dc.ackWindow = n
 		return nil
@@ -170,7 +161,7 @@ func Dial(ctx context.Context, addr string, opts ...DialOption) (*RemoteMiner, e
 			return nil, err
 		}
 	}
-	m := &RemoteMiner{addrs: dc.failover, opts: dc.opts, ackN: dc.ackWindow, ackAdaptive: dc.ackAdaptive}
+	m := &RemoteMiner{addrs: dc.failover, opts: dc.opts, ackN: dc.ackWindow}
 	if _, err := m.connLocked(ctx); err != nil { // nobody else holds m yet
 		return nil, err
 	}
@@ -337,23 +328,29 @@ func (m *RemoteMiner) drop(c *rpc.Client) {
 
 // ackWindow returns the current connection's ack window, connecting first
 // if the last connection died. The window is recreated whenever the
-// connection changed underneath it.
+// connection changed underneath it — a concurrent reader may have redialed.
+// The replaced window is settled outside m.mu like a Flush, and its first
+// failure returned: the frames it held are in doubt, so the caller resumes
+// from Stats().Fed.
 func (m *RemoteMiner) ackWindow(ctx context.Context) (*rpc.AckWindow, *rpc.Client, error) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	c, err := m.connLocked(ctx)
 	if err != nil {
+		m.mu.Unlock()
 		return nil, nil, err
 	}
-	if m.win == nil || m.winC != c {
-		if m.ackAdaptive {
-			m.win = c.NewAdaptiveAckWindow(m.ackN)
-		} else {
-			m.win = c.NewAckWindow(m.ackN)
-		}
-		m.winC = c
+	old, oldC := m.win, m.winC
+	if old == nil || oldC != c {
+		m.win, m.winC = c.NewAckWindow(m.ackN), c
 	}
-	return m.win, c, nil
+	w := m.win
+	m.mu.Unlock()
+	if old != nil && old != w {
+		if err := m.flushWindow(ctx, old, oldC); err != nil {
+			return nil, nil, err
+		}
+	}
+	return w, c, nil
 }
 
 // windowed runs one windowed-feed operation and, on failure, settles the
@@ -503,7 +500,7 @@ func (m *RemoteMiner) Ping(ctx context.Context) (time.Duration, error) {
 // window — up to n frames stay in flight and a nil return means "accepted
 // into the window"; Flush is the barrier that makes it mean "acked".
 func (m *RemoteMiner) Feed(ctx context.Context, r *Record) error {
-	if m.ackN > 1 || m.ackAdaptive {
+	if m.ackN > 1 {
 		return m.windowed(ctx, func(w *rpc.AckWindow) error { return w.Feed(ctx, r) })
 	}
 	return m.do(ctx, false, func(c *rpc.Client) error { return c.Feed(ctx, r) })
@@ -514,7 +511,7 @@ func (m *RemoteMiner) Feed(ctx context.Context, r *Record) error {
 // parallel before acking. Dialed WithAckWindow(n >= 2), the batch's frames
 // ride the ack window like Feed's (see Flush).
 func (m *RemoteMiner) FeedBatch(ctx context.Context, records []Record) error {
-	if m.ackN > 1 || m.ackAdaptive {
+	if m.ackN > 1 {
 		return m.windowed(ctx, func(w *rpc.AckWindow) error { return w.FeedBatch(ctx, records) })
 	}
 	return m.do(ctx, false, func(c *rpc.Client) error { return c.FeedBatch(ctx, records) })

@@ -2,10 +2,13 @@ package farmer_test
 
 import (
 	"context"
+	"errors"
+	"io"
 	"net"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -179,5 +182,171 @@ func TestServeCheckpointTicker(t *testing.T) {
 	}
 	if st.Fed != uint64(len(tr.Records)) {
 		t.Fatalf("checkpointed fed %d, want %d", st.Fed, len(tr.Records))
+	}
+}
+
+// TestAckWindowAtMostOneIsSynchronous: WithAckWindow(0) and WithAckWindow(1)
+// are the synchronous path — an error the server returns surfaces from the
+// Feed that caused it, not from a later Flush.
+func TestAckWindowAtMostOneIsSynchronous(t *testing.T) {
+	tr, err := farmer.Generate(farmer.HP(9000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err := farmer.Open(farmer.ConfigFor(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	addr, stop := serveLoopback(t, server, farmer.ServeConfig{
+		Tenants: &farmer.TenantsConfig{Budget: farmer.TenantBudget{MaxMemoryBytes: 1}},
+	})
+	defer stop()
+	ctx := context.Background()
+
+	// Put tenant "t" over its budget: the first batch is admitted against an
+	// empty model, the next one is checked against what the first mined.
+	fill, err := farmer.Dial(ctx, addr, farmer.WithTenant("t"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fill.Close()
+	if err := fill.FeedBatch(ctx, tr.Records[:4096]); err != nil {
+		t.Fatal(err)
+	}
+	if err := fill.FeedBatch(ctx, tr.Records[4096:8192]); !errors.Is(err, farmer.ErrTenantBudget) {
+		t.Fatalf("second batch: %v, want ErrTenantBudget", err)
+	}
+
+	for _, n := range []int{0, 1} {
+		m, err := farmer.Dial(ctx, addr, farmer.WithTenant("t"), farmer.WithAckWindow(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Feed(ctx, &tr.Records[8192]); !errors.Is(err, farmer.ErrTenantBudget) {
+			t.Errorf("WithAckWindow(%d): Feed = %v, want the server's ErrTenantBudget from Feed itself", n, err)
+		}
+		if err := m.Flush(ctx); err != nil {
+			t.Errorf("WithAckWindow(%d): Flush = %v, want nil (nothing in flight)", n, err)
+		}
+		m.Close()
+	}
+}
+
+// swallowProxy forwards TCP connections to a backend. The first one it
+// accepts carries requests but discards every answer until sever closes it;
+// every later one is forwarded both ways.
+type swallowProxy struct {
+	lis     net.Listener
+	backend string
+
+	first chan []net.Conn // the swallowing connection's two ends, once accepted
+
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func newSwallowProxy(t *testing.T, backend string) *swallowProxy {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &swallowProxy{lis: lis, backend: backend, first: make(chan []net.Conn, 1)}
+	go p.accept()
+	t.Cleanup(func() {
+		lis.Close()
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		for _, c := range p.conns {
+			c.Close()
+		}
+	})
+	return p
+}
+
+func (p *swallowProxy) accept() {
+	for {
+		c, err := p.lis.Accept()
+		if err != nil {
+			return
+		}
+		up, err := net.Dial("tcp", p.backend)
+		if err != nil {
+			c.Close()
+			continue
+		}
+		p.mu.Lock()
+		back := io.Writer(c)
+		if len(p.conns) == 0 {
+			back = io.Discard
+			p.first <- []net.Conn{c, up}
+		}
+		p.conns = append(p.conns, c, up)
+		p.mu.Unlock()
+		go func() { _, _ = io.Copy(up, c); up.Close() }()
+		go func() { _, _ = io.Copy(back, up); c.Close() }()
+	}
+}
+
+// sever closes the swallowing connection.
+func (p *swallowProxy) sever() {
+	for _, c := range <-p.first {
+		c.Close()
+	}
+}
+
+// TestReplacedAckWindowReportsItsFrames: a windowed writer's connection dies
+// with frames in flight and a concurrent read redials before the writer's
+// next call. That call must not start a fresh window as if nothing were in
+// doubt: it reports the old window's failure (ErrDisconnected), and the
+// writer resumes from Stats().Fed to a complete stream.
+func TestReplacedAckWindowReportsItsFrames(t *testing.T) {
+	tr, err := farmer.Generate(farmer.HP(300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err := farmer.Open(farmer.ConfigFor(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	addr, stop := serveLoopback(t, server, farmer.ServeConfig{})
+	defer stop()
+	proxy := newSwallowProxy(t, addr)
+	ctx := context.Background()
+	m, err := farmer.Dial(ctx, proxy.lis.Addr().String(), farmer.WithAckWindow(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+
+	for i := 0; i < 3; i++ { // in the window; their acks are swallowed
+		if err := m.Feed(ctx, &tr.Records[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	proxy.sever()
+	if _, err := m.Stats(ctx); err != nil { // the read redials
+		t.Fatalf("read did not reconnect: %v", err)
+	}
+	if err := m.Feed(ctx, &tr.Records[3]); !errors.Is(err, farmer.ErrDisconnected) {
+		t.Fatalf("Feed after a reader replaced the window's connection = %v, want ErrDisconnected for the unacked frames", err)
+	}
+
+	st, err := m.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := st.Fed; i < uint64(len(tr.Records)); i++ {
+		if err := m.Feed(ctx, &tr.Records[i]); err != nil {
+			t.Fatalf("resumed record %d: %v", i, err)
+		}
+	}
+	if err := m.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := m.Stats(ctx); err != nil || st.Fed != uint64(len(tr.Records)) {
+		t.Fatalf("resumed stream fed %d (%v), want %d", st.Fed, err, len(tr.Records))
 	}
 }

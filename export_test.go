@@ -1,17 +1,31 @@
 package farmer
 
-import "context"
+import (
+	"context"
+	"time"
+)
 
-// Test seams for the farmer package's external (farmer_test) tests.
+// Test seams for the farmer package's external (farmer_test) tests. Each
+// setter replaces a package value and returns the function that restores it.
 
-// SetSaveToStore replaces the checkpoint body behind LocalMiner.Save and
-// returns a restore function — how the drain tests stand in a store write
-// that hangs.
-func SetSaveToStore(fn func(sm *ShardedModel, st *Store) error) (restore func()) {
-	old := saveToStore
-	saveToStore = fn
-	return func() { saveToStore = old }
+func swap[T any](p *T, v T) (restore func()) {
+	old := *p
+	*p = v
+	return func() { *p = old }
 }
+
+// SetSaveToStore replaces the checkpoint body behind LocalMiner.Save — how
+// the drain tests stand in a store write that hangs.
+func SetSaveToStore(fn func(sm *ShardedModel, st *Store) error) (restore func()) {
+	return swap(&saveToStore, fn)
+}
+
+// SetSaveBudgetFloor lowers the one-minute floor of the routine-checkpoint
+// bound, so a hung client-requested Save is abandoned at DrainTimeout.
+func SetSaveBudgetFloor(d time.Duration) (restore func()) { return swap(&saveBudgetFloor, d) }
+
+// SetReplicaAckTimeout shortens the follower ack and attach bound.
+func SetReplicaAckTimeout(d time.Duration) (restore func()) { return swap(&replicaAckTimeout, d) }
 
 // SeekWritable exposes the failover promotion sweep for the regression
 // tests around its never-nil-without-a-Promote invariant.

@@ -123,6 +123,15 @@ func (h *Histogram) Observe(v uint64) {
 	h.sum.Add(v)
 }
 
+// Totals returns how many values were observed and their sum — the
+// _count and _sum a scrape renders.
+func (h *Histogram) Totals() (count, sum uint64) {
+	for i := range h.buckets {
+		count += h.buckets[i].Load()
+	}
+	return count, h.sum.Load()
+}
+
 // BucketCount is one cumulative histogram bucket in a Sample.
 type BucketCount struct {
 	LE    float64 `json:"-"` // upper bound, +Inf for the last

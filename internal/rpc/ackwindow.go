@@ -3,7 +3,6 @@ package rpc
 import (
 	"context"
 	"sync"
-	"time"
 
 	"farmer/internal/trace"
 )
@@ -32,55 +31,17 @@ import (
 // the same pipelined Client.
 type AckWindow struct {
 	mu      sync.Mutex
-	n       int    // the in-flight bound (Window)
 	win     window // in-flight frames and the sticky first failure
 	scratch []byte // reused encode buffer (start copies the body)
-
-	// Adaptive mode (NewAdaptiveAckWindow): the window grows and shrinks
-	// between 1 and max from the observed reap RTT — additive increase while
-	// acks come back near the smoothed RTT, multiplicative decrease when one
-	// blows past it (the server or the pipe is backing up, and more frames
-	// in flight only deepen the queue).
-	adaptive bool
-	max      int
-	ewmaNS   float64 // smoothed reap RTT; 0 = no sample yet
 }
-
-// adaptiveDefaultMax bounds NewAdaptiveAckWindow's growth when the caller
-// gives no cap of its own — the measured knee of the windowed feed path
-// (ROADMAP item 2: gains flatten past w32; 64 leaves headroom for slower
-// links without letting a burst queue unbounded frames).
-const adaptiveDefaultMax = 64
 
 // NewAckWindow creates a window keeping up to n frames in flight on this
 // client's connection; n < 1 is normalized to 1 (every Feed reaps the
 // previous frame's ack — still one round trip ahead of the synchronous
 // path).
 func (c *Client) NewAckWindow(n int) *AckWindow {
-	if n < 1 {
-		n = 1
-	}
-	return &AckWindow{n: n, win: window{c: c, limit: n, q: make([]*pending, 0, n)}}
-}
-
-// NewAdaptiveAckWindow creates a self-tuning window: it starts at 1 frame
-// in flight and grows toward max while reap RTTs stay near the smoothed
-// baseline, halving when one spikes past it. max < 1 means the default cap.
-func (c *Client) NewAdaptiveAckWindow(max int) *AckWindow {
-	if max < 1 {
-		max = adaptiveDefaultMax
-	}
-	w := &AckWindow{n: 1, adaptive: true, max: max, win: window{c: c, limit: 1, q: make([]*pending, 0, max)}}
-	w.win.acked = func(rtt time.Duration) int { w.adapt(rtt); return w.n }
-	return w
-}
-
-// Window reports the current in-flight bound (fixed, or the adaptive
-// window's present size).
-func (w *AckWindow) Window() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.n
+	n = max(n, 1)
+	return &AckWindow{win: window{c: c, limit: n, q: make([]*pending, 0, n)}}
 }
 
 // InFlight reports how many frames currently await their ack.
@@ -115,30 +76,6 @@ func (w *AckWindow) FeedBatch(ctx context.Context, recs []trace.Record) error {
 		w.scratch = appendRecords(w.scratch[:0], run)
 		return w.win.start(ctx, MsgFeedBatch, w.scratch)
 	})
-}
-
-// adapt is the AIMD rule, run per reaped ack under w.mu: an RTT within 2×
-// the smoothed baseline grows the window by one (toward max); an RTT past
-// 4× halves it and restarts the baseline at the spike, so a congested
-// server is not judged against its idle latency forever.
-func (w *AckWindow) adapt(rtt time.Duration) {
-	ns := float64(rtt)
-	if w.ewmaNS == 0 {
-		w.ewmaNS = ns
-		if w.n < w.max {
-			w.n++
-		}
-		return
-	}
-	switch {
-	case ns > 4*w.ewmaNS:
-		w.n = max(1, w.n/2)
-		w.ewmaNS = ns
-		return
-	case ns <= 2*w.ewmaNS && w.n < w.max:
-		w.n++
-	}
-	w.ewmaNS += 0.2 * (ns - w.ewmaNS)
 }
 
 // Flush is the barrier: it blocks until every in-flight frame is acked and

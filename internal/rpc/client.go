@@ -38,7 +38,6 @@ type pending struct {
 	id  uint64
 	ch  chan Frame // buffered 1
 	buf *frameBuf  // response frame's read buffer (Body aliases it); owned by the waiter
-	at  time.Time  // when a window that measures ack round trips started it
 }
 
 // pendingPool recycles pending slots — and with them their one-buffered

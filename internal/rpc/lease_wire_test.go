@@ -6,9 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
-
-	"farmer/internal/tracegen"
 )
 
 func TestLeaseInfoCodec(t *testing.T) {
@@ -277,93 +274,5 @@ func TestWireStatsEndToEnd(t *testing.T) {
 	}
 	if ping.SumNS == 0 {
 		t.Fatal("ping latency sum is zero")
-	}
-}
-
-// TestAdaptiveAckWindowGrows: against a fast local server the adaptive
-// window leaves its initial size of 1 and stays within its cap.
-func TestAdaptiveAckWindowGrows(t *testing.T) {
-	tr, err := tracegen.HP(3000).Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := newMinerBackend(2)
-	addr, _, stop := startServer(t, b)
-	defer stop()
-	c := dialT(t, addr)
-	defer c.Close()
-	ctx := context.Background()
-
-	const cap = 32
-	w := c.NewAdaptiveAckWindow(cap)
-	if w.Window() != 1 {
-		t.Fatalf("adaptive window starts at %d, want 1", w.Window())
-	}
-	maxSeen := 1
-	for i := range tr.Records {
-		if err := w.Feed(ctx, &tr.Records[i]); err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if n := w.Window(); n > maxSeen {
-			maxSeen = n
-		}
-		if n := w.Window(); n > cap {
-			t.Fatalf("window %d exceeds cap %d", n, cap)
-		}
-	}
-	if err := w.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if maxSeen < 2 {
-		t.Fatalf("adaptive window never grew past %d against an idle local server", maxSeen)
-	}
-	if got := b.sm.Fed(); got != uint64(len(tr.Records)) {
-		t.Fatalf("backend fed %d of %d", got, len(tr.Records))
-	}
-}
-
-// TestAdaptiveAIMDRule pins the control law itself: additive growth near
-// the smoothed RTT, halving on a spike (which also resets the baseline),
-// floor of 1, ceiling of max.
-func TestAdaptiveAIMDRule(t *testing.T) {
-	w := &AckWindow{adaptive: true, n: 1, max: 8}
-
-	// First sample: baseline set, one step of growth.
-	w.adapt(time.Millisecond)
-	if w.n != 2 || w.ewmaNS != float64(time.Millisecond) {
-		t.Fatalf("after first sample n=%d ewma=%v", w.n, w.ewmaNS)
-	}
-
-	// Steady RTTs grow additively to the cap and no further.
-	for i := 0; i < 20; i++ {
-		w.adapt(time.Millisecond)
-	}
-	if w.n != w.max {
-		t.Fatalf("steady RTTs grew window to %d, want cap %d", w.n, w.max)
-	}
-
-	// A spike past 4x the baseline halves the window and restarts the
-	// baseline at the spike.
-	w.adapt(10 * time.Millisecond)
-	if w.n != w.max/2 {
-		t.Fatalf("spike halved window to %d, want %d", w.n, w.max/2)
-	}
-	if w.ewmaNS != float64(10*time.Millisecond) {
-		t.Fatalf("spike did not reset baseline: ewma=%v", w.ewmaNS)
-	}
-
-	// RTTs between 2x and 4x the baseline neither grow nor shrink.
-	before := w.n
-	w.adapt(25 * time.Millisecond)
-	if w.n != before {
-		t.Fatalf("3x-baseline RTT moved window %d -> %d", before, w.n)
-	}
-
-	// Repeated spikes floor at 1, never 0.
-	for i := 0; i < 10; i++ {
-		w.adapt(time.Duration(1<<uint(i)) * 100 * time.Millisecond)
-	}
-	if w.n < 1 {
-		t.Fatalf("window collapsed to %d", w.n)
 	}
 }

@@ -7,8 +7,10 @@ package rpc
 import (
 	"context"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"farmer/internal/obs"
 	"farmer/internal/trace"
@@ -167,7 +169,7 @@ func TestReplicatorLags(t *testing.T) {
 	addr, _, stop := startServer(t, rec)
 	defer stop()
 
-	r := NewReplicator(0, 0, nil)
+	r := NewReplicator(0, time.Minute, DialOptions{}, noFingerprint, nil)
 	defer r.Close()
 	if err := r.Attach(context.Background(), addr, func() (CatchupCut, error) {
 		return CatchupCut{FileCount: 1, Snapshot: []byte("snap")}, nil
@@ -187,5 +189,58 @@ func TestReplicatorLags(t *testing.T) {
 	}
 	if lags[0].Addr != addr || lags[0].Acked != 2 || lags[0].Lag != 0 {
 		t.Fatalf("lags[0] = %+v, want addr=%s acked=2 lag=0", lags[0], addr)
+	}
+}
+
+// TestWireStatsReadsTheMetricsHistogram: MsgWireStats and /metrics read one
+// instrument — after N pings the ping row's Count and SumNS are exactly the
+// farmer_rpc_latency_ns{msg="ping"} histogram's _count and _sum.
+func TestWireStatsReadsTheMetricsHistogram(t *testing.T) {
+	reg := obs.New()
+	addr, stop := startResolverServer(t, mapResolver{"": newMinerBackend(1)}, ServerOptions{Obs: reg})
+	defer stop()
+	c := dialT(t, addr)
+	defer c.Close()
+	ctx := context.Background()
+
+	const pings = 5
+	for i := 0; i < pings; i++ {
+		if _, err := c.Ping(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats, err := c.WireStats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ping WireStat
+	for _, s := range stats {
+		if s.Type == MsgPing {
+			ping = s
+		}
+	}
+	if ping.Count != pings || ping.SumNS == 0 {
+		t.Fatalf("WireStats ping row %+v, want %d pings with a nonzero sum", ping, pings)
+	}
+
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	series := func(suffix string) string {
+		prefix := `farmer_rpc_latency_ns_` + suffix + `{msg="ping"} `
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, prefix); ok {
+				return v
+			}
+		}
+		t.Fatalf("no %q series in the scrape:\n%s", prefix, sb.String())
+		return ""
+	}
+	if got, want := series("count"), strconv.FormatUint(ping.Count, 10); got != want {
+		t.Errorf("/metrics ping _count %s, WireStats %s", got, want)
+	}
+	if got, want := series("sum"), strconv.FormatUint(ping.SumNS, 10); got != want {
+		t.Errorf("/metrics ping _sum %s, WireStats %s", got, want)
 	}
 }

@@ -41,17 +41,19 @@ type Replicator struct {
 	ackTimeout time.Duration
 	lost       func(addr string, err error)
 	dialOpts   DialOptions
+	fp         func() (fingerprint uint64, fileCount int)
 
-	// Delta catch-up (EnableDeltaCatchup): the tail ring retains the last
-	// tailCap ingested records — positions [tailBase, pos) — so a follower
-	// restarting from its own on-disk checkpoint can be caught up by
-	// replaying just the records it missed instead of shipping a full
-	// snapshot. deltaFp non-nil is the armed flag.
-	tailCap  int
+	// The catch-up tail: the last catchupTail ingested records, positions
+	// [tailBase, pos).
 	tail     []trace.Record
 	tailBase uint64
-	deltaFp  func() (fingerprint uint64, fileCount int)
 }
+
+// catchupTail is how many recent records a Replicator retains for delta
+// catch-up: a follower that restarts holding its own on-disk checkpoint
+// inside that tail is caught up by replaying just the records it missed
+// (MsgCatchupDelta) — O(missed records), not O(model).
+const catchupTail = 65536
 
 type replFollower struct {
 	addr string
@@ -100,47 +102,24 @@ func (r *Replicator) Lags() []FollowerLag {
 }
 
 // NewReplicator creates a replicator whose stream starts at pos (the
-// primary miner's current record count). ackTimeout bounds the wait for one
-// follower's ack (<= 0 means unbounded): a follower that is connected but
-// wedged — its process stopped, its disk stuck — never produces a transport
-// error, and without the bound it would block every Ingest (and therefore
-// every client write on the primary) forever; when the bound expires the
-// follower is detached like a dead one. lost, if non-nil, is called once
-// for each follower dropped after a replication failure.
-func NewReplicator(pos uint64, ackTimeout time.Duration, lost func(addr string, err error)) *Replicator {
-	return &Replicator{pos: pos, ackTimeout: ackTimeout, lost: lost}
-}
-
-// SetDialOptions sets the options every later Attach dials followers with:
-// a tenant-bound replicator stamps its tenant id on every catch-up and
+// primary miner's current record count). ackTimeout (> 0) bounds the wait
+// for one follower's ack: a follower that is connected but wedged — its
+// process stopped, its disk stuck — never produces a transport error, and
+// without the bound it would block every Ingest (and therefore every client
+// write on the primary) forever; when the bound expires the follower is
+// detached like a dead one. opts dial every follower Attach adds: a
+// tenant-bound replicator stamps its tenant id on every catch-up and
 // replication frame (the follower reassembles per-tenant streams from
-// per-tenant connections), and the token/TLS half authenticates against a
-// follower running with -auth or -tls-cert. Call before the first Attach.
-func (r *Replicator) SetDialOptions(opts DialOptions) {
-	r.mu.Lock()
-	r.dialOpts = opts
-	r.mu.Unlock()
-}
-
-// EnableDeltaCatchup arms the delta catch-up path: the replicator retains
-// the most recent tailCap ingested records, and Attach first offers a
-// restarted follower — one whose Stats place its position inside that tail —
-// a MsgCatchupDelta replay from its own position instead of a full snapshot.
-// fp is consulted under the stream lock (the stream is quiescent) and must
-// return the primary's current state fingerprint and tracked-file bound; the
-// follower verifies the fingerprint after replaying the delta, so a delta
-// attach ends with the same state guarantee as a full one. tailCap <= 0 is a
-// no-op. Call before the first Attach.
-func (r *Replicator) EnableDeltaCatchup(tailCap int, fp func() (fingerprint uint64, fileCount int)) {
-	if tailCap <= 0 || fp == nil {
-		return
-	}
-	r.mu.Lock()
-	r.tailCap = tailCap
-	r.deltaFp = fp
-	r.tail = r.tail[:0]
-	r.tailBase = r.pos
-	r.mu.Unlock()
+// per-tenant connections), and the token authenticates against a follower
+// running with -auth. fp is consulted under the stream lock when a
+// restarted follower is offered a delta catch-up (the stream is quiescent)
+// and returns the primary's current state fingerprint and tracked-file
+// bound; the follower verifies the fingerprint after replaying the delta, so
+// a delta attach ends with the same state guarantee as a full one. lost, if
+// non-nil, is called once for each follower dropped after a replication
+// failure.
+func NewReplicator(pos uint64, ackTimeout time.Duration, opts DialOptions, fp func() (fingerprint uint64, fileCount int), lost func(addr string, err error)) *Replicator {
+	return &Replicator{pos: pos, tailBase: pos, ackTimeout: ackTimeout, dialOpts: opts, fp: fp, lost: lost}
 }
 
 // Followers reports the attached follower addresses.
@@ -154,40 +133,35 @@ func (r *Replicator) Followers() []string {
 	return addrs
 }
 
-// Attach dials a follower, cuts a checkpoint of the primary's state and
-// ships it as a MsgCatchup frame, then adds the follower to the live
-// stream. cut runs under the replicator's lock — the stream is quiescent
-// while the checkpoint is taken, so the cut and the attach are atomic: no
-// record can slip between the snapshot and the first replicated frame. The
-// returned error covers dialing, cutting and the follower's verification of
-// the cut.
+// Attach dials a follower, catches it up and adds it to the live stream. A
+// follower whose position lies inside the catch-up tail is offered a delta
+// replay first; any other, or one that refuses the delta, gets a checkpoint
+// of the primary's state cut and shipped as MsgCatchup. cut runs under the
+// replicator's lock — the stream is quiescent while the checkpoint is
+// taken, so the cut and the attach are atomic: no record can slip between
+// the snapshot and the first replicated frame. The returned error covers
+// dialing, cutting and the follower's verification of the cut.
 func (r *Replicator) Attach(ctx context.Context, addr string, cut func() (CatchupCut, error)) error {
-	r.mu.Lock()
-	opts := r.dialOpts
-	deltaOn := r.deltaFp != nil
-	r.mu.Unlock()
-	c, err := DialWith(ctx, addr, opts)
+	c, err := DialWith(ctx, addr, r.dialOpts)
 	if err != nil {
 		return fmt.Errorf("rpc: attaching follower %s: %w", addr, err)
 	}
-	if deltaOn {
-		done, sent := r.attachDelta(ctx, addr, c)
-		if done {
-			return nil
-		}
-		if sent {
-			// The follower refused the replay mid-delta (an old server
-			// answers CodeUnsupported here): fall back to the full cut on a
-			// fresh connection — the refused transfer may have left frames
-			// in flight on this one.
-			c.Close()
-			if c, err = DialWith(ctx, addr, opts); err != nil {
-				return fmt.Errorf("rpc: attaching follower %s: %w", addr, err)
-			}
-		}
-		// Offer inapplicable (no resumable position, or outside the tail):
-		// nothing was sent, the same connection carries the full cut.
+	done, sent := r.attachDelta(ctx, addr, c)
+	if done {
+		return nil
 	}
+	if sent {
+		// The follower refused the replay mid-delta (an old server answers
+		// CodeUnsupported here): fall back to the full cut on a fresh
+		// connection — the refused transfer may have left frames in flight
+		// on this one.
+		c.Close()
+		if c, err = DialWith(ctx, addr, r.dialOpts); err != nil {
+			return fmt.Errorf("rpc: attaching follower %s: %w", addr, err)
+		}
+	}
+	// Offer inapplicable (no resumable position, or outside the tail):
+	// nothing was sent, the same connection carries the full cut.
 	r.mu.Lock()
 	cc, err := cut()
 	if err == nil && cc.Pos != r.pos {
@@ -256,7 +230,7 @@ func (r *Replicator) attachDelta(ctx context.Context, addr string, c *Client) (d
 	startErr := chunkRecords(r.tail[pos-r.tailBase:], maxCatchupChunk, func(run []trace.Record, last bool) error {
 		d := CatchupDelta{FromPos: pos, Records: run, Final: last}
 		if last {
-			d.Fingerprint, d.FileCount = r.deltaFp()
+			d.Fingerprint, d.FileCount = r.fp()
 		}
 		pos += uint64(len(run))
 		return w.start(ctx, MsgCatchupDelta, appendCatchupDelta(nil, &d))
@@ -308,15 +282,13 @@ func (r *Replicator) Ingest(ctx context.Context, recs []trace.Record, mine func(
 	}
 	post := r.pos + uint64(len(recs))
 	waits := r.broadcastLocked(MsgReplicate, func() []byte { return appendReplicateRecords(nil, r.pos, recs) })
-	if r.deltaFp != nil {
-		// Extend the catch-up tail. Trimming by reslice leaves the backing
-		// array to append's usual reallocation; memory stays within a small
-		// constant of tailCap records.
-		r.tail = append(r.tail, recs...)
-		if drop := len(r.tail) - r.tailCap; drop > 0 {
-			r.tail = r.tail[drop:]
-			r.tailBase += uint64(drop)
-		}
+	// Extend the catch-up tail. Trimming by reslice leaves the backing array
+	// to append's usual reallocation; memory stays within a small constant
+	// of catchupTail records.
+	r.tail = append(r.tail, recs...)
+	if drop := len(r.tail) - catchupTail; drop > 0 {
+		r.tail = r.tail[drop:]
+		r.tailBase += uint64(drop)
 	}
 	r.pos = post
 	r.mu.Unlock()
@@ -336,13 +308,11 @@ func (r *Replicator) Groups(ctx context.Context, req GroupsReq, run func() error
 	}
 	post := r.pos
 	waits := r.broadcastLocked(MsgReplicate, func() []byte { return appendReplicateGroups(nil, r.pos, &req) })
-	if r.deltaFp != nil {
-		// A group cut is a command, not records: a follower resuming from
-		// before it would replay the records but silently miss the cut, so
-		// the resumable tail restarts at the current position.
-		r.tail = r.tail[:0]
-		r.tailBase = r.pos
-	}
+	// A group cut is a command, not records: a follower resuming from before
+	// it would replay the records but silently miss the cut, so the
+	// resumable tail restarts at the current position.
+	r.tail = r.tail[:0]
+	r.tailBase = r.pos
 	r.mu.Unlock()
 	r.collect(ctx, waits, post)
 	return nil
@@ -384,11 +354,8 @@ func (r *Replicator) broadcastLocked(typ MsgType, encode func() []byte) []replWa
 // ackTimeout: a follower that is connected but wedged never produces a
 // transport error, only this bound.
 func (r *Replicator) awaitAck(ctx context.Context, f *replFollower, p *pending) error {
-	if r.ackTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, r.ackTimeout)
-		defer cancel()
-	}
+	ctx, cancel := context.WithTimeout(ctx, r.ackTimeout)
+	defer cancel()
 	_, err := f.c.wait(ctx, p)
 	if errors.Is(err, context.DeadlineExceeded) {
 		err = fmt.Errorf("no ack within %v (follower wedged?): %w", r.ackTimeout, err)

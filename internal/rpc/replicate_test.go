@@ -145,6 +145,10 @@ func (b *replicaRecorder) ReplicateGroups(conn uint64, pos uint64, req GroupsReq
 func (b *replicaRecorder) Groups(req GroupsReq) (GroupsInfo, error) { return GroupsInfo{}, nil }
 func (b *replicaRecorder) ConnClosed(conn uint64)                   {}
 
+// noFingerprint is the state fingerprint of a primary whose delta offers
+// these tests' followers never take.
+func noFingerprint() (uint64, int) { return 0, 0 }
+
 // TestReplicatorStreamOrdering: the Replicator ships catch-up first, then
 // every batch at a strictly contiguous position, whatever the interleaving
 // of Ingest calls.
@@ -154,7 +158,7 @@ func TestReplicatorStreamOrdering(t *testing.T) {
 	defer stop()
 
 	const startPos = 7
-	r := NewReplicator(startPos, 0, nil)
+	r := NewReplicator(startPos, time.Minute, DialOptions{}, noFingerprint, nil)
 	defer r.Close()
 	cut := CatchupCut{Pos: startPos, FileCount: 1, Snapshot: []byte("snap")}
 	if err := r.Attach(context.Background(), addr, func() (CatchupCut, error) { return cut, nil }); err != nil {
@@ -204,7 +208,7 @@ func TestReplicatorDetachesDeadFollower(t *testing.T) {
 	addr, srv, _ := startServer(t, rec)
 
 	lost := make(chan string, 1)
-	r := NewReplicator(0, 0, func(addr string, err error) { lost <- addr })
+	r := NewReplicator(0, time.Minute, DialOptions{}, noFingerprint, func(addr string, err error) { lost <- addr })
 	defer r.Close()
 	if err := r.Attach(context.Background(), addr, func() (CatchupCut, error) {
 		return CatchupCut{}, nil
@@ -265,7 +269,7 @@ func TestGroupsAndLoadOverTheWire(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := NewReplicator(3, 0, nil)
+	r := NewReplicator(3, time.Minute, DialOptions{}, noFingerprint, nil)
 	defer r.Close()
 	if err := r.Attach(ctx, addr, func() (CatchupCut, error) { return CatchupCut{Pos: 3}, nil }); err != nil {
 		t.Fatal(err)
@@ -354,7 +358,7 @@ func TestCatchupChunked(t *testing.T) {
 	for i := range snap {
 		snap[i] = byte(i * 31)
 	}
-	r := NewReplicator(5, 0, nil)
+	r := NewReplicator(5, time.Minute, DialOptions{}, noFingerprint, nil)
 	defer r.Close()
 	cut := CatchupCut{Pos: 5, Fingerprint: 9, FileCount: 3, Snapshot: snap}
 	if err := r.Attach(context.Background(), addr, func() (CatchupCut, error) { return cut, nil }); err != nil {
@@ -398,7 +402,7 @@ func TestReplicatorDetachesWedgedFollower(t *testing.T) {
 	defer close(rec.release) // unwedge the handler so the test binary exits
 
 	lost := make(chan string, 1)
-	r := NewReplicator(0, 50*time.Millisecond, func(addr string, err error) {
+	r := NewReplicator(0, 50*time.Millisecond, DialOptions{}, noFingerprint, func(addr string, err error) {
 		if !strings.Contains(err.Error(), "wedged") {
 			t.Errorf("lost reason %v, want the wedged hint", err)
 		}

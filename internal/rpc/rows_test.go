@@ -289,9 +289,8 @@ func TestRecordChunksHoldTheLimit(t *testing.T) {
 
 	// A follower that says it holds the first record is inside the tail: the
 	// other 499 reach it as delta chunks.
-	r := NewReplicator(0, time.Second, nil)
+	r := NewReplicator(0, time.Second, DialOptions{}, func() (uint64, int) { return 0xfeed, 17 }, nil)
 	defer r.Close()
-	r.EnableDeltaCatchup(len(recs), func() (uint64, int) { return 0xfeed, 17 })
 	if err := r.Ingest(ctx, recs, func() error { return nil }); err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"farmer/internal/bin"
 	"farmer/internal/core"
@@ -130,11 +131,11 @@ func (f *replayingFollower) CatchupDelta(conn uint64, d CatchupDelta) error {
 func TestCatchupTailSurvivesScratchReuse(t *testing.T) {
 	const batch = 1024
 	tr := tracegen.HP(6 * batch).MustGenerate()
-	primary := &replicatingBackend{newMinerBackend(2), NewReplicator(0, 0, nil)}
+	b := newMinerBackend(2)
+	primary := &replicatingBackend{b, NewReplicator(0, time.Minute, DialOptions{}, func() (uint64, int) {
+		return core.StateFingerprint(b.sm, tr.FileCount), tr.FileCount
+	}, nil)}
 	defer primary.repl.Close()
-	primary.repl.EnableDeltaCatchup(len(tr.Records), func() (uint64, int) {
-		return core.StateFingerprint(primary.sm, tr.FileCount), tr.FileCount
-	})
 	s, cs := NewServer(primary), &connState{id: 1, authed: true}
 	for i, body := range feedFrames(tr.Records, batch) {
 		if code := answer(t, s, cs, MsgFeedBatch, body); code != 0 {

@@ -160,14 +160,6 @@ type feedCounters struct {
 	records obs.Counter
 }
 
-// latCounter is one request type's latency accounting: frames handled and
-// their summed handling time. Padded atomics — always on, two uncontended
-// adds plus two clock reads per request (cheap next to a frame decode).
-type latCounter struct {
-	count obs.Counter
-	sumNS obs.Counter
-}
-
 // latSlots covers every request type (responses 0x40+ never dispatch).
 const latSlots = 64
 
@@ -190,13 +182,13 @@ type Server struct {
 	obsConns    *obs.Counter
 	feeds       sync.Map
 
-	// Per-request-type wire latency: always maintained (MsgWireStats reads
-	// it whether or not a registry is attached); lat[t] indexes by request
-	// MsgType. latHist mirrors the sums into labeled registry histograms
-	// (farmer_rpc_latency_ns{msg=...}) when a registry is attached — ns, not
-	// seconds, because obs histograms bucket integers by power of two.
-	lat     [latSlots]latCounter
-	latHist [latSlots]*obs.Histogram
+	// Per-request-type wire latency, one histogram per request MsgType:
+	// registered as farmer_rpc_latency_ns{msg=...} when a registry is
+	// attached, standalone otherwise — MsgWireStats reads its count and sum
+	// either way. Always on: one clock read pair and one atomic add per
+	// request, cheap next to a frame decode. ns, not seconds, because obs
+	// histograms bucket integers by power of two.
+	lat [latSlots]*obs.Histogram
 
 	mu       sync.Mutex
 	lis      net.Listener
@@ -248,8 +240,13 @@ func NewResolverServer(r Resolver, opts ServerOptions) *Server {
 		}
 		perTenant("farmer_rpc_tenant_feed_records_total", func(fc *feedCounters) *obs.Counter { return &fc.records })
 		perTenant("farmer_rpc_tenant_feed_frames_total", func(fc *feedCounters) *obs.Counter { return &fc.frames })
-		for t := MsgType(1); t < MsgOK; t++ {
-			s.latHist[t] = reg.Histogram("farmer_rpc_latency_ns", obs.L("msg", t.String()))
+	}
+	for t := range s.lat {
+		if t > 0 { // type 0 names no request, so it gets no series
+			s.lat[t] = opts.Obs.Histogram("farmer_rpc_latency_ns", obs.L("msg", MsgType(t).String()))
+		}
+		if s.lat[t] == nil { // no registry
+			s.lat[t] = new(obs.Histogram)
 		}
 	}
 	return s
@@ -259,9 +256,9 @@ func NewResolverServer(r Resolver, opts ServerOptions) *Server {
 // per type that handled at least one frame, in type order.
 func (s *Server) WireStats() []WireStat {
 	var out []WireStat
-	for t := 0; t < latSlots; t++ {
-		if n := s.lat[t].count.Load(); n > 0 {
-			out = append(out, WireStat{Type: MsgType(t), Count: n, SumNS: s.lat[t].sumNS.Load()})
+	for t, h := range s.lat {
+		if n, sum := h.Totals(); n > 0 {
+			out = append(out, WireStat{Type: MsgType(t), Count: n, SumNS: sum})
 		}
 	}
 	return out
@@ -453,10 +450,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		t0 := time.Now()
 		out = s.handle(out[:0], cs, &f)
 		if t := f.Type; t < latSlots {
-			ns := uint64(time.Since(t0))
-			s.lat[t].count.Inc()
-			s.lat[t].sumNS.Add(ns)
-			s.latHist[t].Observe(ns)
+			s.lat[t].Observe(uint64(time.Since(t0)))
 		}
 		s.obsBytesOut.Add(uint64(len(out)))
 		if _, err := bw.Write(out); err != nil {

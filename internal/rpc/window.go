@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"context"
-	"time"
 
 	"farmer/internal/trace"
 )
@@ -19,11 +18,6 @@ import (
 type window struct {
 	c     *Client
 	limit int // frames in flight before start reaps the oldest; 0 = no bound
-	// acked, if set, is told the start→ack time (which includes time queued
-	// behind the window) of every ack a full window reaps, and returns the
-	// limit from then on: the seam AckWindow's AIMD rule plugs into. flush
-	// does not report — a barrier is not evidence about the link.
-	acked func(rtt time.Duration) (limit int)
 
 	q   []*pending // in flight, oldest first
 	err error      // first failure, sticky until the owner clears it
@@ -33,9 +27,7 @@ type window struct {
 // full. The body is copied, so the caller may reuse it.
 func (w *window) start(ctx context.Context, typ MsgType, body []byte) error {
 	for w.err == nil && w.limit > 0 && len(w.q) >= w.limit {
-		if at, ok := w.reap(ctx); ok && w.acked != nil {
-			w.limit = w.acked(time.Since(at))
-		}
+		w.reap(ctx)
 	}
 	if w.err != nil {
 		return w.err
@@ -45,24 +37,17 @@ func (w *window) start(ctx context.Context, typ MsgType, body []byte) error {
 		w.err = err
 		return err
 	}
-	if w.acked != nil {
-		p.at = time.Now()
-	}
 	w.q = append(w.q, p)
 	return nil
 }
 
-// reap waits for the oldest in-flight ack; it reports when that frame was
-// started and whether the ack came.
-func (w *window) reap(ctx context.Context) (at time.Time, ok bool) {
+// reap waits for the oldest in-flight ack.
+func (w *window) reap(ctx context.Context) {
 	p := w.q[0]
 	w.q = w.q[:copy(w.q, w.q[1:])]
-	at = p.at // wait recycles p
-	_, err := w.c.wait(ctx, p)
-	if err != nil && w.err == nil {
+	if _, err := w.c.wait(ctx, p); err != nil && w.err == nil {
 		w.err = err
 	}
-	return at, err == nil
 }
 
 // flush collects every in-flight ack — all of them even after a failure, so

@@ -11,7 +11,12 @@
 // with a row in rpc/rows.go that no such code names: a frame the server
 // answers and no program sends.
 //
-//	go test -tags reach -run TestInternalReachable .
+// TestOptionsHaveCallers, on the same loader, holds the public surface to
+// the same rule: every option constructor and every field of the root
+// package's options structs is set by a program, or names the CI job whose
+// test sets it.
+//
+//	go test -tags reach -run 'TestInternalReachable|TestOptionsHaveCallers' .
 package farmer_test
 
 import (
@@ -23,9 +28,14 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"maps"
+	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -63,7 +73,6 @@ var reachAllow = map[string]string{
 	"rpc.NewClient":          "TestWireGoldenBytesLive, a fixed point, builds its client over a pipe through it",
 	"rpc.Client.Catchup":     "test oracle: the typed sender of MsgCatchup for replay's hostile-snapshot tests and TestWritabilityContract (the Replicator writes the frame itself)",
 	"rpc.Client.LeaseGrant":  "test oracle: the typed sender of MsgLeaseGrant for TestWritabilityContract and the lease wire tests (the Replicator writes the frame itself)",
-	"rpc.AckWindow.Window":   "test oracle: the AIMD rule is only visible through the current window",
 	"rpc.AckWindow.InFlight": "test oracle: the window bound is asserted through it",
 	"rpc.AckWindow.Err":      "test oracle: the sticky first failure is asserted through it",
 	"graph.Graph.Weight":     "test oracle: N_xy under core's refModel and the paper's LDA examples",
@@ -146,7 +155,9 @@ func (l *reachLoader) Import(path string) (*types.Package, error) {
 	return p, nil
 }
 
-func TestInternalReachable(t *testing.T) {
+// reachLoad type-checks every non-test package of the module and of bench/,
+// once per test binary.
+var reachLoad = sync.OnceValues(func() (*reachLoader, error) {
 	build.Default.CgoEnabled = false // the source importer would shell out to cgo for net and os/user
 	fset := token.NewFileSet()
 	l := &reachLoader{
@@ -174,18 +185,32 @@ func TestInternalReachable(t *testing.T) {
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
+	for _, p := range l.paths() {
+		if _, err := l.Import(p); err != nil {
+			return nil, fmt.Errorf("type-check %s: %v", p, err)
+		}
+	}
+	return l, nil
+})
+
+// paths lists the loaded import paths, sorted.
+func (l *reachLoader) paths() []string {
 	paths := make([]string, 0, len(l.dirs))
 	for p := range l.dirs {
 		paths = append(paths, p)
 	}
 	sort.Strings(paths)
-	for _, p := range paths {
-		if _, err := l.Import(p); err != nil {
-			t.Fatalf("type-check %s: %v", p, err)
-		}
+	return paths
+}
+
+func TestInternalReachable(t *testing.T) {
+	l, err := reachLoad()
+	if err != nil {
+		t.Fatal(err)
 	}
+	fset, paths := l.fset, l.paths()
 
 	// One node per top-level func, method, type and var of the module.
 	var decls []*reachDecl
@@ -427,4 +452,184 @@ func reachRecvName(e ast.Expr) string {
 		return e.Name
 	}
 	return "?"
+}
+
+// optionsAllow names an option constructor, or a field of an options struct
+// (Struct.Field), that no program outside the root package sets, with the CI
+// job and the test in it that does. An entry that a program sets now, that
+// no longer exists, whose job does not run its test, or whose test does not
+// name it fails the check.
+var optionsAllow = map[string]struct{ job, test string }{
+	"WithFailover":  {"failover-smoke", "TestFailoverSIGKILL"},
+	"WithAckWindow": {"bench-smoke", "BenchmarkAckWindowFeed"},
+}
+
+// TestOptionsHaveCallers: a knob nobody turns is a bug. The option
+// constructors are the exported root funcs returning the func type that an
+// exported func takes variadically (Open's Option, Dial's DialOption); the
+// options structs are the structs the root package declares that an
+// exported func or method takes, and those their fields hold. Each
+// constructor must be named, and each exported field written — a keyed
+// literal, an assignment, or its address taken — by non-test code outside
+// the root package (cmd/, examples/, bench/, internal/), or be in
+// optionsAllow.
+func TestOptionsHaveCallers(t *testing.T) {
+	l, err := reachLoad()
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := l.pkgs["farmer"]
+	knobs := map[types.Object]string{} // constructor or field -> its name
+	var addStruct func(typ types.Type)
+	addStruct = func(typ types.Type) {
+		switch t := typ.(type) {
+		case *types.Pointer:
+			addStruct(t.Elem())
+			return
+		case *types.Slice:
+			addStruct(t.Elem())
+			return
+		}
+		n, ok := typ.(*types.Named)
+		if !ok || n.Obj().Pkg() != root {
+			return
+		}
+		st, ok := n.Underlying().(*types.Struct)
+		for i := 0; ok && i < st.NumFields(); i++ {
+			if f := st.Field(i); f.Exported() && knobs[f] == "" {
+				knobs[f] = n.Obj().Name() + "." + f.Name()
+				addStruct(f.Type())
+			}
+		}
+	}
+	var funcs []*types.Func // exported funcs, and exported methods of exported types
+	for _, name := range root.Scope().Names() {
+		switch o := root.Scope().Lookup(name).(type) {
+		case *types.Func:
+			funcs = append(funcs, o)
+		case *types.TypeName:
+			if n, ok := o.Type().(*types.Named); ok && o.Exported() && !o.IsAlias() {
+				for i := 0; i < n.NumMethods(); i++ {
+					funcs = append(funcs, n.Method(i))
+				}
+			}
+		}
+	}
+	optTypes := map[types.Type]bool{}
+	for _, f := range funcs {
+		sig := f.Type().(*types.Signature)
+		if !f.Exported() {
+			continue
+		}
+		for i := 0; i < sig.Params().Len(); i++ {
+			addStruct(sig.Params().At(i).Type())
+		}
+		if sig.Variadic() {
+			elem := sig.Params().At(sig.Params().Len() - 1).Type().(*types.Slice).Elem()
+			if n, ok := elem.(*types.Named); ok && n.Obj().Pkg() == root {
+				_, optTypes[n] = n.Underlying().(*types.Signature)
+			}
+		}
+	}
+	for _, f := range funcs {
+		sig := f.Type().(*types.Signature)
+		if f.Exported() && sig.Recv() == nil && sig.Results().Len() == 1 && optTypes[sig.Results().At(0).Type()] {
+			knobs[f] = f.Name()
+		}
+	}
+
+	set := map[types.Object]bool{}
+	written := func(e ast.Expr) {
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			set[l.info.Uses[sel.Sel]] = true
+		}
+	}
+	for _, path := range l.paths() {
+		if path == "farmer" {
+			continue
+		}
+		for _, f := range l.file[path] {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.Ident:
+					if o, ok := l.info.Uses[n].(*types.Func); ok {
+						set[o] = true
+					}
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						set[l.info.Uses[id]] = true
+					}
+				case *ast.AssignStmt:
+					for _, e := range n.Lhs {
+						written(e)
+					}
+				case *ast.IncDecStmt:
+					written(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						written(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	byName := map[string]types.Object{}
+	for o, name := range knobs {
+		byName[name] = o
+	}
+	for _, name := range slices.Sorted(maps.Keys(byName)) {
+		o := byName[name]
+		_, allowed := optionsAllow[name]
+		switch {
+		case set[o] && allowed:
+			t.Errorf("optionsAllow[%q] is stale: a program sets it now", name)
+		case !set[o] && !allowed:
+			t.Errorf("farmer.%s is set by no program in cmd/, examples/, bench/ or internal/: give it a caller, delete it, or list it in optionsAllow with the CI job whose test sets it", name)
+		}
+	}
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := map[string]string{} // top-level key of ci.yml -> its text
+	locs := regexp.MustCompile(`(?m)^  ([\w-]+):$`).FindAllSubmatchIndex(ci, -1)
+	for i, m := range locs {
+		end := len(ci)
+		if i+1 < len(locs) {
+			end = locs[i+1][0]
+		}
+		jobs[string(ci[m[2]:m[3]])] = string(ci[m[0]:end])
+	}
+	for name, a := range optionsAllow {
+		switch {
+		case byName[name] == nil:
+			t.Errorf("optionsAllow[%q] is stale: no such option or field", name)
+		case !strings.Contains(jobs[a.job], a.test):
+			t.Errorf("optionsAllow[%q]: CI job %q does not run %s", name, a.job, a.test)
+		case !strings.Contains(reachTestBody(t, a.test), name[strings.LastIndex(name, ".")+1:]):
+			t.Errorf("optionsAllow[%q]: %s does not name it", name, a.test)
+		}
+	}
+}
+
+// reachTestBody returns the text of the test or benchmark func called name
+// from whichever _test.go file of the module declares it ("" if none does).
+func reachTestBody(t *testing.T, name string) string {
+	var body string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || body != "" || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		if i := strings.Index(string(src), "\nfunc "+name+"("); err == nil && i >= 0 {
+			body, _, _ = strings.Cut(string(src[i+1:]), "\n}\n")
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
 }

@@ -294,7 +294,9 @@ func TestServeDrainBoundsHungCheckpoint(t *testing.T) {
 
 // TestRemoteSaveBoundedByCheckpointTimeout: a client-requested Save against
 // a hung store returns the abandoned-checkpoint error over the wire instead
-// of stalling the connection forever.
+// of stalling the connection forever. The routine-save bound is
+// max(DrainTimeout, Checkpoint, a one-minute floor); the test lowers the
+// floor so the bound is the 200ms DrainTimeout.
 func TestRemoteSaveBoundedByCheckpointTimeout(t *testing.T) {
 	dir := t.TempDir()
 	block := make(chan struct{})
@@ -304,16 +306,14 @@ func TestRemoteSaveBoundedByCheckpointTimeout(t *testing.T) {
 	})
 	defer restore()
 	defer close(block)
+	defer farmer.SetSaveBudgetFloor(0)()
 
 	m, err := farmer.Open(farmer.DefaultConfig(), farmer.WithStore(filepath.Join(dir, "hung2.wal")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	addr, stop := startServe(t, m, farmer.ServeConfig{
-		DrainTimeout:      200 * time.Millisecond,
-		CheckpointTimeout: 200 * time.Millisecond,
-	})
+	addr, stop := startServe(t, m, farmer.ServeConfig{DrainTimeout: 200 * time.Millisecond})
 
 	ctx := context.Background()
 	client, err := farmer.Dial(ctx, addr)

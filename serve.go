@@ -27,30 +27,21 @@ type ServeConfig struct {
 	// DrainTimeout bounds the graceful shutdown (default 10s): connections
 	// get that long to finish in-flight requests before being cut, and the
 	// final checkpoint gets the same bound (a hung store write cannot wedge
-	// the drain).
-	DrainTimeout time.Duration
-	// CheckpointTimeout bounds routine checkpoints (ticker and
-	// client-requested saves). They must be bounded — they run on the
+	// the drain). Routine checkpoints (ticker and client-requested saves)
+	// are bounded by max(DrainTimeout, Checkpoint, 1m): they run on the
 	// serve loop, so an unbounded hang there would also make the eventual
-	// drain unreachable — but the default is deliberately generous,
-	// max(DrainTimeout, Checkpoint, 1m): a save that is merely slow keeps
-	// succeeding; only a genuinely wedged write is abandoned.
-	CheckpointTimeout time.Duration
+	// drain unreachable, but a save that is merely slow keeps succeeding;
+	// only a genuinely wedged write is abandoned.
+	DrainTimeout time.Duration
 
 	// ReplicateTo makes the served miner a replication PRIMARY: at startup
 	// it dials each address (a farmerd started with Follower/-follow),
 	// bootstraps it with a catch-up checkpoint, and thereafter streams every
 	// acked record batch — and every group-backup cut — to it before acking
 	// the client. Followers must be reachable at startup; one that fails
-	// mid-serve is dropped (logged via Logf) and the primary keeps serving.
+	// mid-serve — or that does not ack a frame within 30s — is dropped
+	// (logged via Logf) and the primary keeps serving.
 	ReplicateTo []string
-	// ReplicaAckTimeout bounds how long the primary waits for one
-	// follower's ack (default 30s). A follower that is connected but
-	// wedged — stopped process, stuck disk — would otherwise block every
-	// client write forever, since only a transport error detaches it;
-	// when the bound expires the follower is dropped like a dead one. The
-	// same bound covers attaching a follower (dial, hello, catch-up verdict).
-	ReplicaAckTimeout time.Duration
 	// Follower starts the served miner without the write lease (every other
 	// daemon starts leading epoch 1): it accepts a primary's catch-up and
 	// replication stream, serves reads, and refuses writes (ErrNotPrimary on
@@ -59,12 +50,11 @@ type ServeConfig struct {
 	// live primary can never be contradicted (the split-brain guard), or,
 	// with LeaseTTL, by electing itself. Mutually exclusive with ReplicateTo.
 	Follower bool
-	// ReplicaToken is the bearer token presented when dialing followers —
-	// required when the followers run with AuthTokens (it must be granted
-	// every tenant there, i.e. mapped to "*").
+	// ReplicaToken is the bearer token presented when dialing followers and
+	// election peers — required when they run with AuthTokens (it must be
+	// granted every tenant there, i.e. mapped to "*"). These dials are
+	// plain TCP: a follower serving TLS cannot be replicated to.
 	ReplicaToken string
-	// ReplicaTLS, when non-nil, dials followers over TLS.
-	ReplicaTLS *tls.Config
 	// LeaseTTL puts a clock on the write lease (internal/lease): the leader
 	// renews it every TTL/4 — through the replication stream when followers
 	// are configured, so a renewal needs a follower quorum and a partitioned
@@ -117,7 +107,7 @@ type ServeConfig struct {
 // and, while it has never led, applies a primary's stream instead.
 type serveBackend struct {
 	m          *LocalMiner
-	saveBudget time.Duration // routine-checkpoint bound (>= the drain timeout)
+	saveBudget time.Duration // routine-checkpoint bound (see ServeConfig.DrainTimeout)
 	logf       func(format string, args ...any)
 
 	// repl is non-nil on a replicating primary. It is guarded by replGate
@@ -166,7 +156,6 @@ type leaseState struct {
 	// count: a primary partitioned from its followers must lapse, not
 	// quietly renew against an empty room.
 	renewQuorum int
-	replicaAck  time.Duration
 
 	handoffs  *obs.Counter   // farmer_handoffs_total
 	handoffNS *obs.Histogram // farmer_handoff_duration_ns
@@ -195,22 +184,21 @@ func newHolder(id string, ttl time.Duration, follower bool) *lease.Holder {
 // never observed any lease, and a follower that has seen no epoch refuses to
 // elect itself.
 //
-// Each attach (dial, hello, catch-up verdict) is bounded by replicaAck: a
-// follower that accepts and never answers must not hold the caller — which
-// may hold the registry lock every frame of every tenant takes — forever.
+// Each attach (dial, hello, catch-up verdict) is bounded by
+// replicaAckTimeout, like each ack on the stream: a follower that accepts
+// and never answers must not hold the caller — which may hold the registry
+// lock every frame of every tenant takes — forever.
 // With must, the first failed attach is returned; without, it is logged and
 // skipped (a tenant opening on a daemon that already serves: availability
 // wins over replica count).
 func (ls *leaseState) replicate(ctx context.Context, b *serveBackend, addrs []string, must bool) error {
 	b.replGate.Lock()
 	if b.repl == nil {
-		b.repl = rpc.NewReplicator(b.m.sm.Fed(), ls.replicaAck, func(addr string, err error) {
-			b.logf("follower %s dropped from replication: %v", addr, err)
-		})
 		do := ls.dialOpts
 		do.Tenant = b.tenant
-		b.repl.SetDialOptions(do)
-		b.repl.EnableDeltaCatchup(defaultCatchupTail, b.m.catchupFingerprint)
+		b.repl = rpc.NewReplicator(b.m.sm.Fed(), replicaAckTimeout, do, b.m.catchupFingerprint, func(addr string, err error) {
+			b.logf("follower %s dropped from replication: %v", addr, err)
+		})
 	}
 	rp := b.repl
 	b.replGate.Unlock()
@@ -218,7 +206,7 @@ func (ls *leaseState) replicate(ctx context.Context, b *serveBackend, addrs []st
 		if slices.Contains(rp.Followers(), addr) {
 			continue
 		}
-		actx, cancel := context.WithTimeout(ctx, ls.replicaAck)
+		actx, cancel := context.WithTimeout(ctx, replicaAckTimeout)
 		err := rp.Attach(actx, addr, b.m.catchupCut)
 		cancel()
 		switch {
@@ -267,6 +255,18 @@ func (b *serveBackend) writable() error {
 	}
 	return fmt.Errorf("%w: this farmerd's lease lapsed at epoch %d (renewal quorum lost?)", rpc.ErrStaleEpoch, term.Epoch)
 }
+
+// replicaAckTimeout bounds one follower's ack on the replication stream and
+// each attach of a follower (dial, hello, catch-up verdict). A follower that
+// is connected but wedged — stopped process, stuck disk — would otherwise
+// block every client write forever, since only a transport error detaches
+// it; when the bound expires the follower is dropped like a dead one. A
+// variable only so tests can shorten it.
+var replicaAckTimeout = 30 * time.Second
+
+// saveBudgetFloor is the least a routine checkpoint is given (see
+// ServeConfig.DrainTimeout). A variable only so tests can shorten it.
+var saveBudgetFloor = time.Minute
 
 // budgetCheckStride is how many ingested records a tenant goes between
 // memory-budget rechecks: Stats walks every tracked file, so a per-feed
@@ -763,13 +763,6 @@ func groupsInfo(gi ReplicaGroupsInfo) rpc.GroupsInfo {
 	return rpc.GroupsInfo{Fingerprint: gi.Fingerprint, Groups: gi.Groups, Versions: gi.Versions}
 }
 
-// defaultCatchupTail is how many recent records a primary retains for delta
-// catch-up: a follower that restarts holding its own on-disk checkpoint
-// inside that tail is caught up by replaying just the records it missed
-// (MsgCatchupDelta) instead of shipping a full snapshot — O(missed
-// records), not O(model).
-const defaultCatchupTail = 65536
-
 func (b *serveBackend) ConnClosed(conn uint64) {
 	if b.unpinSource(conn) {
 		b.logf("primary replication link lost; this follower is now promotable")
@@ -799,13 +792,7 @@ func Serve(ctx context.Context, lis net.Listener, m *LocalMiner, cfg ServeConfig
 	if cfg.LeaseTTL <= 0 && len(cfg.LeasePeers) > 0 {
 		return errors.New("farmer: LeasePeers without LeaseTTL (enable leases with -lease-ttl)")
 	}
-	if cfg.ReplicaAckTimeout <= 0 {
-		cfg.ReplicaAckTimeout = 30 * time.Second
-	}
-	saveBudget := cfg.CheckpointTimeout
-	if saveBudget <= 0 {
-		saveBudget = max(cfg.DrainTimeout, cfg.Checkpoint, time.Minute)
-	}
+	saveBudget := max(cfg.DrainTimeout, cfg.Checkpoint, saveBudgetFloor)
 	// A daemon names itself in lease terms and election votes by its
 	// listener address: that is what lets the client's failover sweep match
 	// a LeaseStatus leader to a dial address.
@@ -813,9 +800,8 @@ func Serve(ctx context.Context, lis net.Listener, m *LocalMiner, cfg ServeConfig
 	leaseSt := &leaseState{
 		holder:      newHolder(id, max(cfg.LeaseTTL, 0), cfg.Follower),
 		peers:       cfg.LeasePeers,
-		dialOpts:    rpc.DialOptions{Token: cfg.ReplicaToken, TLS: cfg.ReplicaTLS},
+		dialOpts:    rpc.DialOptions{Token: cfg.ReplicaToken},
 		renewQuorum: (1 + len(cfg.ReplicateTo)) / 2,
-		replicaAck:  cfg.ReplicaAckTimeout,
 	}
 	backend := &serveBackend{m: m, saveBudget: saveBudget, logf: cfg.Logf, holder: leaseSt.holder, lease: leaseSt}
 	if !cfg.Follower {

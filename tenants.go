@@ -89,8 +89,8 @@ type Registry struct {
 	saveBudget time.Duration
 
 	replicateTo []string
-	// leaseSt is shared by every tenant backend; its replicaAck and dialOpts
-	// (Tenant is stamped per tenant) also dial each tenant's stream.
+	// leaseSt is shared by every tenant backend; its dialOpts (Tenant is
+	// stamped per tenant) also dial each tenant's stream.
 	leaseSt *leaseState
 
 	mu      sync.Mutex

@@ -82,8 +82,8 @@ func (p *blackholeProxy) close() {
 // its replication stream while holding the registry lock every frame takes.
 // A follower address that accepts and never answers used to hold that lock —
 // and with it every tenant, the default one included — forever; each attach
-// is now bounded by ReplicaAckTimeout, after which the tenant opens without
-// the follower and says so.
+// is now bounded by the replica ack timeout (30s, shortened here), after
+// which the tenant opens without the follower and says so.
 func TestTenantOpenDoesNotStallDaemon(t *testing.T) {
 	ctx := context.Background()
 	follower, err := farmer.Open(farmer.DefaultConfig())
@@ -102,13 +102,13 @@ func TestTenantOpenDoesNotStallDaemon(t *testing.T) {
 	}
 	defer primary.Close()
 	const bound = 500 * time.Millisecond
+	defer farmer.SetReplicaAckTimeout(bound)()
 	var plog serveLog
 	pAddr, pStop := startServe(t, primary, farmer.ServeConfig{
-		ReplicateTo:       []string{proxy.addr()},
-		ReplicaAckTimeout: bound,
-		Tenants:           &farmer.TenantsConfig{},
-		Logf:              plog.logf,
-		DrainTimeout:      time.Second,
+		ReplicateTo:  []string{proxy.addr()},
+		Tenants:      &farmer.TenantsConfig{},
+		Logf:         plog.logf,
+		DrainTimeout: time.Second,
 	})
 	defer pStop()
 	def, err := farmer.Dial(ctx, pAddr)
