@@ -178,7 +178,7 @@ var (
 
 // Store is the Berkeley-DB-style persistent ordered key-value store backing
 // model persistence (ShardedModel.SaveMerged/SaveCheckpoint/LoadMerged): an
-// in-memory B-tree fronted by a CRC-framed write-ahead log.
+// in-memory hash index fronted by a CRC-framed write-ahead log.
 type Store = kvstore.Store
 
 // OpenStore creates or recovers a store whose write-ahead log lives at

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"path/filepath"
 	"testing"
 
@@ -103,7 +104,7 @@ const deltaChunks = 8
 // contract workload's save segment takes one: the working set's ensemble
 // (HP×10, 2 shards, ~39k files), deltaChunks batches fed off the clock
 // between saves, a WAL on disk. puts/op and ckpt-B/op average every save;
-// CI fails the run when allocs/op exceeds 1.5 × puts/op.
+// CI fails the run when allocs/op exceeds 0.05 × puts/op.
 func BenchmarkCheckpointSaveDeltaWorkingSet(b *testing.B) {
 	sm, tr := workingSet()
 	s := benchStore(b)
@@ -136,4 +137,28 @@ func BenchmarkCheckpointSaveDeltaWorkingSet(b *testing.B) {
 	}
 	b.ReportMetric(float64(cost.Bytes)/float64(b.N), "ckpt-B/op")
 	b.ReportMetric(float64(cost.Puts)/float64(b.N), "puts/op")
+}
+
+// BenchmarkCheckpointOpenWorkingSet is a restart's first step at the contract
+// workload's working set: Open recovering a compacted full checkpoint (~116k
+// records) from its WAL.
+func BenchmarkCheckpointOpenWorkingSet(b *testing.B) {
+	sm, _ := workingSet()
+	path := filepath.Join(b.TempDir(), "store.wal")
+	s, err := kvstore.Open(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := errors.Join(sm.SaveMerged(s), s.Compact(), s.Close()); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if s, err = kvstore.Open(path); err != nil {
+			b.Fatal(err)
+		}
+		s.Close()
+	}
+	b.ReportMetric(float64(s.Len()), "keys")
 }

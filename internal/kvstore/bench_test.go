@@ -27,19 +27,3 @@ func BenchmarkPutGet(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkBTreeGet isolates index lookups.
-func BenchmarkBTreeGet(b *testing.B) {
-	bt := newBTree(32)
-	key := make([]byte, 8)
-	for i := 0; i < 65536; i++ {
-		binary.LittleEndian.PutUint64(key, uint64(i))
-		bt.Put(key, nil)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		binary.LittleEndian.PutUint64(key, uint64(i%65536))
-		bt.Get(key)
-	}
-}

@@ -112,8 +112,8 @@ func FuzzWAL(f *testing.F) {
 	f.Add(hostileHeader())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// A loaded record is held about three times (the frame, the reader's
-		// copies, the tree's or the batch's).
+		// A loaded record is held once (the reader's payload, which the index
+		// or a pending batch keeps), plus its share of the index.
 		limit := 64*uint64(len(data)) + 1<<20
 		var err error
 

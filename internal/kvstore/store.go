@@ -1,3 +1,10 @@
+// Package kvstore is the metadata store behind the simulated MDS — the role
+// Berkeley DB plays in the HUSt prototype (paper §5.1: "The metadata
+// information of files and objects are stored in the Berkeley DB"). It
+// offers an ordered key space (a hash index with the key order built when a
+// scan asks for it), a write-ahead log with CRC framing for durability, and
+// point-in-time snapshots, which is the slice of Berkeley DB behaviour the
+// experiments depend on.
 package kvstore
 
 import (
@@ -13,17 +20,21 @@ import (
 	"sync"
 )
 
-// Store is an ordered key-value store: an in-memory B-tree fronted by a
+// Store is an ordered key-value store: an in-memory hash index fronted by a
 // CRC-framed write-ahead log whose writes outlive the process, not the
 // machine (see Put). It is safe for concurrent use.
 type Store struct {
 	mu     sync.RWMutex
-	tree   *btree
-	wal    *walWriter // nil for a purely in-memory store
-	walErr error      // set when the WAL was lost (failed compaction); mutations refuse
+	idx    *index
+	wal    *os.File // nil for a purely in-memory store
+	walErr error    // set when the WAL was lost (failed compaction) or closed; mutations refuse
+	frame  []byte   // scratch a lone Put or Delete is encoded in
 	path   string
 	stats  WriteStats
 }
+
+// errClosed is the walErr of a file-backed store after Close.
+var errClosed = errors.New("kvstore: store closed")
 
 // WriteStats counts the mutations a store has accepted — Puts, Deletes and
 // the WAL frame bytes they encode (counted even for in-memory stores, where
@@ -55,7 +66,7 @@ var ErrCorruptWAL = errors.New("kvstore: corrupt or truncated wal")
 // anywhere — truncated tail included — returns an error wrapping
 // ErrCorruptWAL and leaves no file descriptor open; it never half-loads.
 func Open(path string) (*Store, error) {
-	s := &Store{tree: newBTree(32), path: path}
+	s := &Store{idx: newIndex(), path: path}
 	if path == "" {
 		return s, nil
 	}
@@ -66,7 +77,7 @@ func Open(path string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: opening wal: %w", err)
 	}
-	s.wal = newWALWriter(f)
+	s.wal = f
 	return s, nil
 }
 
@@ -82,14 +93,7 @@ func (s *Store) recover() error {
 	}
 	defer f.Close()
 	r := newWALReader(f)
-	apply := func(rec walRecord) {
-		switch rec.op {
-		case walPut:
-			s.tree.Put(rec.key, rec.value)
-		case walDelete:
-			s.tree.Delete(rec.key)
-		}
-	}
+	apply := func(rec walRecord) { s.idx.apply(rec.op, rec.key, rec.value, true) }
 	// A walBegin opens a batch: its records are buffered and only applied
 	// when the walCommit marker arrives. A log that ends inside a batch —
 	// clean EOF or a torn record — is a crash mid-atomic-checkpoint: the
@@ -154,14 +158,11 @@ func Repair(path string) (kept int, dropped int64, err error) {
 		return 0, 0, fmt.Errorf("kvstore: repairing: %w", err)
 	}
 	defer f.Close()
-	size, err := f.Seek(0, io.SeekEnd)
+	fi, err := f.Stat()
 	if err != nil {
 		return 0, 0, err
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, 0, err
-	}
-	r := newWALReader(f)
+	size, r := fi.Size(), newWALReader(f)
 	for {
 		_, err := r.next()
 		if errors.Is(err, io.EOF) {
@@ -183,57 +184,53 @@ func Repair(path string) (kept int, dropped int64, err error) {
 func (s *Store) Get(key []byte) ([]byte, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	v, ok := s.tree.Get(key)
+	i, ok := s.idx.slots[string(key)]
 	if !ok {
 		return nil, false
 	}
-	return append([]byte(nil), v...), true
+	return append([]byte(nil), s.idx.vals[i]...), true
 }
 
-// Put stores key=value: its WAL frame is handed to the OS, then the tree is
+// Put stores key=value: its WAL frame is handed to the OS, then the index is
 // updated. Nothing calls fsync, so a Put survives a process crash but not a
 // power loss (DESIGN.md, "What a written record survives").
-func (s *Store) Put(key, value []byte) error {
+func (s *Store) Put(key, value []byte) error { return s.write(walPut, key, value) }
+
+// Delete removes key. Deleting an absent key is not an error.
+func (s *Store) Delete(key []byte) error { return s.write(walDelete, key, nil) }
+
+// write logs one walPut or walDelete frame, then applies it.
+func (s *Store) write(op walOp, key, value []byte) error {
 	if err := checkRecord(key, value); err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.walErr; err != nil {
-		// The durable log is gone (failed compaction); refusing beats
-		// silently succeeding in memory only.
+		// The durable log is gone (failed compaction) or closed; refusing
+		// beats silently succeeding in memory only.
 		return fmt.Errorf("kvstore: wal unavailable: %w", err)
 	}
 	if s.wal != nil {
-		if err := s.wal.append(walPut, key, value); err != nil {
+		s.frame = appendFrame(s.frame[:0], op, key, value)
+		if _, err := s.wal.Write(s.frame); err != nil {
 			return err
 		}
 	}
-	s.tree.Put(key, append([]byte(nil), value...))
-	s.stats.Puts++
-	s.stats.Bytes += walFrameSize(len(key), len(value))
+	s.applyLocked(op, key, value)
 	return nil
 }
 
-// Delete removes key. Deleting an absent key is not an error.
-func (s *Store) Delete(key []byte) error {
-	if err := checkRecord(key, nil); err != nil {
-		return err
+// applyLocked applies an accepted walPut or walDelete record to the index and
+// counts it in the write stats. Callers hold s.mu.
+func (s *Store) applyLocked(op walOp, key, value []byte) {
+	s.idx.apply(op, key, value, false)
+	if op == walPut {
+		s.stats.Puts++
+	} else {
+		s.stats.Deletes++
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.walErr; err != nil {
-		return fmt.Errorf("kvstore: wal unavailable: %w", err)
-	}
-	if s.wal != nil {
-		if err := s.wal.append(walDelete, key, nil); err != nil {
-			return err
-		}
-	}
-	s.tree.Delete(key)
-	s.stats.Deletes++
-	s.stats.Bytes += walFrameSize(len(key), 0)
-	return nil
+	s.stats.Bytes += int64(frameHeader + len(key) + len(value))
 }
 
 // checkRecord refuses a record the WAL reader would refuse to load back.
@@ -252,14 +249,12 @@ func checkRecord(key, value []byte) error {
 // Batch stages puts and deletes that commit atomically. Each staged record
 // is encoded, CRC and all, as the WAL frame it will be, into one buffer that
 // opens with the walBegin frame; the commit appends walCommit and writes the
-// buffer whole, then applies the frames to the tree, which copies each value
-// and each new key out of them. Recovery after a crash mid-batch discards the
-// half-written batch wholesale (a checkpoint is either entirely present or
-// entirely absent — never torn). Callers may reuse their buffers.
-type Batch struct {
-	buf           []byte
-	puts, deletes int64
-}
+// buffer whole, then applies the frames to the index, which copies each value
+// (over the old value's bytes when they fit) and each new key out of them.
+// Recovery after a crash mid-batch discards the half-written batch wholesale
+// (a checkpoint is either entirely present or entirely absent — never torn).
+// Callers may reuse their buffers.
+type Batch struct{ buf []byte }
 
 // batchBufs recycles batch buffers across commits. One over batchBufKeep,
 // such as a full checkpoint's, is left to the collector.
@@ -268,28 +263,22 @@ var batchBufs = sync.Pool{New: func() any { return new([]byte) }}
 const batchBufKeep = 4 << 20
 
 // Put stages key=value.
-func (b *Batch) Put(key, value []byte) error {
-	if err := checkRecord(key, value); err != nil {
-		return err
-	}
-	b.buf = appendFrame(b.buf, walPut, key, value)
-	b.puts++
-	return nil
-}
+func (b *Batch) Put(key, value []byte) error { return b.stage(walPut, key, value) }
 
 // Delete stages removal of key. Deleting an absent key is not an error.
-func (b *Batch) Delete(key []byte) error {
-	if err := checkRecord(key, nil); err != nil {
-		return err
+func (b *Batch) Delete(key []byte) error { return b.stage(walDelete, key, nil) }
+
+func (b *Batch) stage(op walOp, key, value []byte) error {
+	err := checkRecord(key, value)
+	if err == nil {
+		b.buf = appendFrame(b.buf, op, key, value)
 	}
-	b.buf = appendFrame(b.buf, walDelete, key, nil)
-	b.deletes++
-	return nil
+	return err
 }
 
 // Batch runs fn to stage a set of mutations, then commits them atomically:
 // the walBegin frame, the staged frames and the walCommit frame in one write,
-// and only then the tree application. fn runs WITHOUT the store lock (so it
+// and only then the index application. fn runs WITHOUT the store lock (so it
 // may read the model under the model's own locks); an error from fn abandons
 // the batch untouched. A write error mid-commit poisons the WAL (walErr) — a
 // later append could otherwise land inside the unterminated batch and be
@@ -312,27 +301,30 @@ func (s *Store) Batch(fn func(*Batch) error) error {
 		return fmt.Errorf("kvstore: wal unavailable: %w", err)
 	}
 	frames := b.buf[frameHeader:]
-	if s.wal != nil {
-		b.buf = appendFrame(b.buf, walCommit, nil, nil)
-		if _, err := s.wal.w.Write(b.buf); err != nil {
-			s.walErr = err
-			return fmt.Errorf("kvstore: batch commit: %w", err)
-		}
+	if err := s.commitLocked(&b.buf); err != nil {
+		return err
 	}
-	s.stats.Puts += b.puts
-	s.stats.Deletes += b.deletes
-	s.stats.Bytes += int64(len(frames))
 	for len(frames) > 0 {
 		klen := binary.LittleEndian.Uint32(frames[5:9])
 		vlen := binary.LittleEndian.Uint32(frames[9:13])
 		key, value := frames[frameHeader:frameHeader+klen], frames[frameHeader+klen:frameHeader+klen+vlen]
-		switch walOp(frames[4]) {
-		case walPut:
-			s.tree.Put(key, append([]byte(nil), value...))
-		case walDelete:
-			s.tree.Delete(key)
-		}
+		s.applyLocked(walOp(frames[4]), key, value)
 		frames = frames[frameHeader+klen+vlen:]
+	}
+	return nil
+}
+
+// commitLocked appends the walCommit frame to buf, which opens with walBegin,
+// and writes it whole; a failed write poisons the WAL (see Batch). A no-op
+// for an in-memory store. Callers hold s.mu.
+func (s *Store) commitLocked(buf *[]byte) error {
+	if s.wal == nil {
+		return nil
+	}
+	*buf = appendFrame(*buf, walCommit, nil, nil)
+	if _, err := s.wal.Write(*buf); err != nil {
+		s.walErr = err
+		return fmt.Errorf("kvstore: batch commit: %w", err)
 	}
 	return nil
 }
@@ -341,38 +333,64 @@ func (s *Store) Batch(fn func(*Batch) error) error {
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.tree.Len()
+	return len(s.idx.slots)
 }
 
 // Scan visits keys in [from, to) in order; nil bounds are open. fn must not
-// mutate the store.
+// mutate the store, and must not keep key or value after it returns: a later
+// write reuses their bytes.
 func (s *Store) Scan(from, to []byte, fn func(key, value []byte) bool) {
-	s.mu.RLock()
+	s.rlockSorted()
 	defer s.mu.RUnlock()
-	s.tree.Ascend(from, to, fn)
+	s.idx.ascend(from, to, fn)
+}
+
+// rlockSorted read-locks s with the index's key order fresh. A stale order is
+// rebuilt under the write lock first, so two concurrent scans never race on
+// it.
+func (s *Store) rlockSorted() {
+	s.mu.RLock()
+	for s.idx.sorted == nil {
+		s.mu.RUnlock()
+		s.mu.Lock()
+		s.idx.sort()
+		s.mu.Unlock()
+		s.mu.RLock()
+	}
 }
 
 // Snapshot writes a point-in-time copy of the store to w (length-prefixed
 // key/value pairs, CRC-framed like the WAL).
 func (s *Store) Snapshot(w io.Writer) error {
-	s.mu.RLock()
+	s.rlockSorted()
 	defer s.mu.RUnlock()
-	sw := newWALWriter(nopCloser{w})
+	return s.writeAll(w)
+}
+
+// writeAll writes a walPut frame for every key to w, in key order. Callers
+// hold s.mu with the order fresh.
+func (s *Store) writeAll(w io.Writer) error {
+	bw := bufio.NewWriterSize(w, 64<<10)
+	var frame []byte
 	var err error
-	s.tree.Ascend(nil, nil, func(k, v []byte) bool {
-		err = sw.append(walPut, k, v)
+	s.idx.ascend(nil, nil, func(k, v []byte) bool {
+		frame = appendFrame(frame[:0], walPut, k, v)
+		_, err = bw.Write(frame)
 		return err == nil
 	})
-	return err
+	if err != nil {
+		return err
+	}
+	return bw.Flush()
 }
 
 // LoadSnapshot replaces the store contents with a snapshot produced by
-// Snapshot. The WAL (if any) is appended with the loaded state so recovery
-// stays consistent.
+// Snapshot. A file-backed store logs the replacement as one atomic batch —
+// a delete for each key the snapshot lacks, then its puts — so a reopen
+// finds exactly the snapshot, or, after a crash mid-write, the old state.
+// A snapshot that does not read back whole changes nothing.
 func (s *Store) LoadSnapshot(r io.Reader) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	tree := newBTree(32)
+	idx := newIndex()
 	wr := newWALReader(r)
 	for {
 		rec, err := wr.next()
@@ -385,14 +403,31 @@ func (s *Store) LoadSnapshot(r io.Reader) error {
 		if rec.op != walPut {
 			return fmt.Errorf("kvstore: snapshot contains op %d: %w", rec.op, ErrCorruptWAL)
 		}
-		tree.Put(rec.key, rec.value)
-		if s.wal != nil {
-			if err := s.wal.append(walPut, rec.key, rec.value); err != nil {
-				return err
+		idx.apply(walPut, rec.key, rec.value, true)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.walErr; err != nil {
+		return fmt.Errorf("kvstore: wal unavailable: %w", err)
+	}
+	if s.wal != nil {
+		s.idx.sort()
+		idx.sort()
+		buf := appendFrame(nil, walBegin, nil, nil)
+		for _, e := range s.idx.sorted {
+			if _, ok := idx.slots[e.key]; !ok {
+				buf = appendFrame(buf, walDelete, []byte(e.key), nil)
 			}
 		}
+		idx.ascend(nil, nil, func(k, v []byte) bool {
+			buf = appendFrame(buf, walPut, k, v)
+			return true
+		})
+		if err := s.commitLocked(&buf); err != nil {
+			return err
+		}
 	}
-	s.tree = tree
+	s.idx = idx
 	return nil
 }
 
@@ -411,20 +446,13 @@ func (s *Store) Compact() error {
 	if err := s.walErr; err != nil {
 		return fmt.Errorf("kvstore: wal unavailable: %w", err)
 	}
-	if s.wal == nil {
-		return errors.New("kvstore: compacting a closed store")
-	}
 	tmp := s.path + ".compact"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("kvstore: compacting: %w", err)
 	}
-	w := newWALWriter(f)
-	var werr error
-	s.tree.Ascend(nil, nil, func(k, v []byte) bool {
-		werr = w.append(walPut, k, v)
-		return werr == nil
-	})
+	s.idx.sort()
+	werr := s.writeAll(f)
 	if werr == nil {
 		werr = f.Sync()
 	}
@@ -435,7 +463,7 @@ func (s *Store) Compact() error {
 		os.Remove(tmp)
 		return fmt.Errorf("kvstore: compacting: %w", werr)
 	}
-	if err := s.wal.close(); err != nil {
+	if err := s.wal.Close(); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("kvstore: compacting: closing old wal: %w", err)
 	}
@@ -484,19 +512,20 @@ func (s *Store) reattachWAL(cause error) error {
 		}
 		return fmt.Errorf("kvstore: compacting: reopening wal: %w", err)
 	}
-	s.wal = newWALWriter(f)
+	s.wal = f
 	return cause
 }
 
-// Close flushes and closes the WAL.
+// Close flushes and closes the WAL. A closed file-backed store refuses every
+// later mutation rather than accept it in memory only.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.wal == nil {
 		return nil
 	}
-	err := s.wal.close()
-	s.wal = nil
+	err := s.wal.Close()
+	s.wal, s.walErr = nil, errClosed
 	return err
 }
 
@@ -525,9 +554,6 @@ const (
 	maxValue    = 1 << 28
 )
 
-// walFrameSize is the on-disk size of one WAL frame.
-func walFrameSize(klen, vlen int) int64 { return int64(frameHeader + klen + vlen) }
-
 // appendFrame appends one WAL frame to dst — the one encoder behind every
 // record a store writes.
 func appendFrame(dst []byte, op walOp, key, value []byte) []byte {
@@ -555,48 +581,26 @@ var errCorrupt = fmt.Errorf("%w record", ErrCorruptWAL)
 // inside a batch, or a commit outside one.
 var errMisplaced = fmt.Errorf("%w: batch marker out of place", ErrCorruptWAL)
 
-// walWriter writes frames straight to the OS, one write per frame or batch;
-// frame is the scratch a lone record is encoded in.
-type walWriter struct {
-	w     io.WriteCloser
-	frame []byte
-}
-
-type nopCloser struct{ io.Writer }
-
-func (nopCloser) Close() error { return nil }
-
-func newWALWriter(w io.WriteCloser) *walWriter { return &walWriter{w: w} }
-
-// append writes one frame.
-func (w *walWriter) append(op walOp, key, value []byte) error {
-	w.frame = appendFrame(w.frame[:0], op, key, value)
-	_, err := w.w.Write(w.frame)
-	return err
-}
-
-func (w *walWriter) close() error { return w.w.Close() }
-
 type walReader struct {
 	br      *bufio.Reader
 	goodOff int64 // offset just past the last fully verified record
 	records int   // records verified so far
 	inBatch bool  // past a walBegin, before its walCommit
+	hdr     [frameHeader]byte
 }
 
 func newWALReader(r io.Reader) *walReader { return &walReader{br: bufio.NewReader(r)} }
 
 func (r *walReader) next() (walRecord, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
+	hdr, meta := r.hdr[:4], r.hdr[4:]
+	if _, err := io.ReadFull(r.br, hdr); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
 			return walRecord{}, errCorrupt
 		}
 		return walRecord{}, err
 	}
-	wantCRC := binary.LittleEndian.Uint32(hdr[:])
-	var meta [9]byte
-	if _, err := io.ReadFull(r.br, meta[:]); err != nil {
+	wantCRC := binary.LittleEndian.Uint32(hdr)
+	if _, err := io.ReadFull(r.br, meta); err != nil {
 		return walRecord{}, errCorrupt
 	}
 	klen := binary.LittleEndian.Uint32(meta[1:5])
@@ -609,7 +613,7 @@ func (r *walReader) next() (walRecord, error) {
 	// network — costs nothing until those bytes are actually there. A record
 	// under 4 KiB (every one a checkpoint writes) is still one exact allocation.
 	total := 9 + int(klen) + int(vlen)
-	payload := append(make([]byte, 0, min(total, 4<<10)), meta[:]...)
+	payload := append(make([]byte, 0, min(total, 4<<10)), meta...)
 	for len(payload) < total {
 		n := min(total-len(payload), max(len(payload), 4<<10))
 		payload = slices.Grow(payload, n)[:len(payload)+n]
@@ -620,10 +624,11 @@ func (r *walReader) next() (walRecord, error) {
 	if crc32.ChecksumIEEE(payload) != wantCRC {
 		return walRecord{}, errCorrupt
 	}
+	// The record owns its payload: key and value are slices of it.
 	rec := walRecord{
 		op:    walOp(payload[0]),
-		key:   append([]byte(nil), payload[9:9+klen]...),
-		value: append([]byte(nil), payload[9+klen:]...),
+		key:   payload[9 : 9+klen : 9+klen],
+		value: payload[9+klen:],
 	}
 	switch rec.op {
 	case walPut, walDelete:

@@ -8,150 +8,282 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
 )
 
-func TestBTreeBasic(t *testing.T) {
-	bt := newBTree(2) // tiny degree to force splits
-	for i := 0; i < 100; i++ {
-		bt.Put([]byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%d", i)))
-	}
-	if bt.Len() != 100 {
-		t.Fatalf("len = %d", bt.Len())
-	}
-	for i := 0; i < 100; i++ {
-		v, ok := bt.Get([]byte(fmt.Sprintf("k%03d", i)))
-		if !ok || string(v) != fmt.Sprintf("v%d", i) {
-			t.Fatalf("get k%03d = %q ok=%v", i, v, ok)
+// TestIndexMatchesMapProperty: the store agrees with a sorted reference under
+// seeded puts, overwrites, deletes and batches, and every Scan(from, to),
+// stopped early or not, visits the reference's keys in order. Values change
+// length both ways (an overwrite in place must leave no stale tail), a batch's
+// caller scribbles over its buffers once the batch returns, and deleted keys'
+// slots are handed to new ones. The store reopens to the same state from its
+// log as written, and again once compacted (a log in key order).
+func TestIndexMatchesMapProperty(t *testing.T) {
+	f := func(seed uint64) bool {
+		rng := rand.New(rand.NewPCG(seed, 9))
+		path := filepath.Join(t.TempDir(), "meta.wal")
+		s, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, ok := bt.Get([]byte("missing")); ok {
-		t.Fatal("phantom key")
-	}
-}
-
-func TestBTreeOverwrite(t *testing.T) {
-	bt := newBTree(2)
-	bt.Put([]byte("a"), []byte("1"))
-	if bt.Put([]byte("a"), []byte("2")) {
-		t.Fatal("overwrite reported as insert")
-	}
-	if bt.Len() != 1 {
-		t.Fatalf("len = %d", bt.Len())
-	}
-	v, _ := bt.Get([]byte("a"))
-	if string(v) != "2" {
-		t.Fatalf("value = %q", v)
-	}
-}
-
-func TestBTreeDelete(t *testing.T) {
-	bt := newBTree(2)
-	keys := []string{}
-	for i := 0; i < 200; i++ {
-		k := fmt.Sprintf("k%03d", i)
-		keys = append(keys, k)
-		bt.Put([]byte(k), []byte("v"))
-	}
-	rng := rand.New(rand.NewPCG(1, 1))
-	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
-	for i, k := range keys {
-		if !bt.Delete([]byte(k)) {
-			t.Fatalf("delete %q failed", k)
-		}
-		if bt.Delete([]byte(k)) {
-			t.Fatalf("double delete %q succeeded", k)
-		}
-		if bt.Len() != len(keys)-i-1 {
-			t.Fatalf("len = %d after %d deletes", bt.Len(), i+1)
-		}
-		// Remaining keys stay reachable.
-		if i%37 == 0 {
-			for _, rest := range keys[i+1:] {
-				if _, ok := bt.Get([]byte(rest)); !ok {
-					t.Fatalf("key %q lost after deleting %q", rest, k)
+		ref := map[string]string{}
+		value := func(i int) string { return strings.Repeat(string(rune('a'+i%26)), rng.IntN(40)) }
+		key := func() string { return fmt.Sprintf("k%02d", rng.IntN(60)) }
+		var buf []byte
+		for i := 0; i < 400; i++ {
+			switch k := key(); rng.IntN(5) {
+			case 0, 1:
+				v := value(i)
+				s.Put([]byte(k), []byte(v))
+				ref[k] = v
+			case 2:
+				s.Delete([]byte(k))
+				delete(ref, k)
+			case 3:
+				err := s.Batch(func(b *Batch) error {
+					for j := rng.IntN(6); j >= 0; j-- {
+						k, v := key(), value(i+j)
+						buf = append(append(buf[:0], k...), v...)
+						if rng.IntN(4) == 0 {
+							b.Delete(buf[:len(k)])
+							delete(ref, k)
+						} else {
+							b.Put(buf[:len(k)], buf[len(k):])
+							ref[k] = v
+						}
+					}
+					return nil
+				})
+				for j := range buf {
+					buf[j] = '!'
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			case 4:
+				if !scanMatches(s, ref, key(), key(), rng.IntN(8)) {
+					return false
 				}
 			}
 		}
-	}
-}
-
-func TestBTreeAscendRange(t *testing.T) {
-	bt := newBTree(2)
-	for i := 0; i < 50; i++ {
-		bt.Put([]byte(fmt.Sprintf("k%02d", i)), nil)
-	}
-	var got []string
-	bt.Ascend([]byte("k10"), []byte("k15"), func(k, v []byte) bool {
-		got = append(got, string(k))
-		return true
-	})
-	want := []string{"k10", "k11", "k12", "k13", "k14"}
-	if len(got) != len(want) {
-		t.Fatalf("range scan = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("range scan = %v", got)
-		}
-	}
-}
-
-func TestBTreeAscendEarlyStop(t *testing.T) {
-	bt := newBTree(2)
-	for i := 0; i < 50; i++ {
-		bt.Put([]byte(fmt.Sprintf("k%02d", i)), nil)
-	}
-	n := 0
-	bt.Ascend(nil, nil, func(k, v []byte) bool {
-		n++
-		return n < 7
-	})
-	if n != 7 {
-		t.Fatalf("early stop visited %d", n)
-	}
-}
-
-// Property: the tree agrees with a reference map under random puts/deletes,
-// and Ascend yields sorted keys.
-func TestBTreeMatchesMapProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 9))
-		bt := newBTree(2)
-		ref := map[string]string{}
-		for i := 0; i < 400; i++ {
-			k := fmt.Sprintf("k%02d", rng.IntN(60))
-			switch rng.IntN(3) {
-			case 0, 1:
-				v := fmt.Sprintf("v%d", i)
-				bt.Put([]byte(k), []byte(v))
-				ref[k] = v
-			case 2:
-				bt.Delete([]byte(k))
-				delete(ref, k)
-			}
-		}
-		if bt.Len() != len(ref) {
-			return false
-		}
-		for k, v := range ref {
-			got, ok := bt.Get([]byte(k))
-			if !ok || string(got) != v {
+		for _, compact := range []bool{false, true} {
+			if s.Len() != len(ref) || len(s.idx.vals)-len(s.idx.free) != len(ref) {
 				return false
 			}
+			for k, v := range ref {
+				if got, ok := s.Get([]byte(k)); !ok || string(got) != v {
+					return false
+				}
+			}
+			if !scanMatches(s, ref, "", "", 0) {
+				return false
+			}
+			if compact && s.Compact() != nil {
+				return false
+			}
+			if s.Close() != nil {
+				return false
+			}
+			if s, err = Open(path); err != nil {
+				t.Fatal(err)
+			}
 		}
-		var keys []string
-		bt.Ascend(nil, nil, func(k, v []byte) bool {
-			keys = append(keys, string(k))
-			return true
-		})
-		return sort.StringsAreSorted(keys) && len(keys) == len(ref)
+		defer s.Close()
+		return scanMatches(s, ref, "", "", 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+
+	s, _ := Open("")
+	s.Put([]byte("a"), []byte("longer"))
+	s.Put([]byte("a"), []byte("sh"))
+	if v, _ := s.Get([]byte("a")); string(v) != "sh" {
+		t.Fatalf("a shorter value over a longer one reads %q", v)
+	}
+	s.Put([]byte("a"), []byte("longest of all"))
+	if v, _ := s.Get([]byte("a")); string(v) != "longest of all" {
+		t.Fatalf("a longer value over a shorter one reads %q", v)
+	}
+	s.Delete([]byte("a"))
+	s.Put([]byte("b"), []byte("1"))
+	if len(s.idx.vals) != 1 || len(s.idx.free) != 0 {
+		t.Fatalf("a new key took slot %d of %d, want the freed one", s.idx.slots["b"], len(s.idx.vals))
+	}
+	if got := contents(s); len(got) != 1 || got[0] != [2]string{"b", "1"} {
+		t.Fatalf("store holds %q, want b=1 alone", got)
+	}
+}
+
+// scanMatches reports whether s.Scan over [from, to) ("" is an open bound)
+// visits ref's keys and values in order, stopping after stop of them when
+// stop > 0.
+func scanMatches(s *Store, ref map[string]string, from, to string, stop int) bool {
+	var want [][2]string
+	for k, v := range ref {
+		if (from == "" || k >= from) && (to == "" || k < to) {
+			want = append(want, [2]string{k, v})
+		}
+	}
+	sort.Slice(want, func(i, j int) bool { return want[i][0] < want[j][0] })
+	if stop > 0 && stop < len(want) {
+		want = want[:stop]
+	}
+	bound := func(b string) []byte {
+		if b == "" {
+			return nil
+		}
+		return []byte(b)
+	}
+	var got [][2]string
+	s.Scan(bound(from), bound(to), func(k, v []byte) bool {
+		got = append(got, [2]string{string(k), string(v)})
+		return stop <= 0 || len(got) < stop
+	})
+	return slices.Equal(got, want)
+}
+
+// TestIndexConcurrentScansAndBatch: scans and gets run while batches add and
+// remove keys, so every scan may find the key order stale and rebuild it; run
+// under -race.
+func TestIndexConcurrentScansAndBatch(t *testing.T) {
+	s, _ := Open("")
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				prev := ""
+				s.Scan(nil, nil, func(k, v []byte) bool {
+					if string(k) <= prev {
+						t.Errorf("scan visited %q after %q", k, prev)
+						return false
+					}
+					prev = string(k)
+					return true
+				})
+				s.Get([]byte(fmt.Sprintf("k%03d", i)))
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		err := s.Batch(func(b *Batch) error {
+			b.Put([]byte(fmt.Sprintf("k%03d", (i*37)%200)), []byte("v"))
+			return b.Delete([]byte(fmt.Sprintf("k%03d", (i*91)%200)))
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+}
+
+// TestClosedStoreRefusesWrites: a closed file-backed store has no log to
+// write, so Put, Delete and Batch refuse instead of succeeding in memory
+// only.
+func TestClosedStoreRefusesWrites(t *testing.T) {
+	s, err := Open(filepath.Join(t.TempDir(), "meta.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put([]byte("a"), []byte("1"))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put([]byte("b"), []byte("2")); err == nil {
+		t.Error("Put on a closed store succeeded")
+	}
+	if err := s.Delete([]byte("a")); err == nil {
+		t.Error("Delete on a closed store succeeded")
+	}
+	if err := s.Batch(func(b *Batch) error { return b.Put([]byte("c"), []byte("3")) }); err == nil {
+		t.Error("Batch on a closed store succeeded")
+	}
+	if got := contents(s); len(got) != 1 || got[0] != [2]string{"a", "1"} {
+		t.Errorf("closed store holds %q, want a=1 alone", got)
+	}
+}
+
+// loadSnapshotOver writes {a, b} to a file-backed store at path, closes it,
+// and returns the log's size then; then it reopens the store, loads a
+// snapshot of {b=2', c=3} into it and closes it again.
+func loadSnapshotOver(t *testing.T, path string) int64 {
+	t.Helper()
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put([]byte("a"), []byte("1"))
+	s.Put([]byte("b"), []byte("2"))
+	s.Close()
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem, _ := Open("")
+	mem.Put([]byte("b"), []byte("2'"))
+	mem.Put([]byte("c"), []byte("3"))
+	var snap bytes.Buffer
+	if err := mem.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.LoadSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return before.Size()
+}
+
+// TestLoadSnapshotReopensToSnapshot: a store loaded from a snapshot reopens
+// to exactly the snapshot's keys — none of the keys it held before.
+func TestLoadSnapshotReopensToSnapshot(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "meta.wal")
+	loadSnapshotOver(t, path)
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := contents(s); !slices.Equal(got, [][2]string{{"b", "2'"}, {"c", "3"}}) {
+		t.Fatalf("reopened store holds %q, want b=2', c=3", got)
+	}
+}
+
+// TestLoadSnapshotTornRecoversOldState: a log cut anywhere inside the load's
+// batch, from just past its walBegin frame to just short of its walCommit
+// frame's end, reopens to the state before the load.
+func TestLoadSnapshotTornRecoversOldState(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "meta.wal")
+	before := loadSnapshotOver(t, path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := before + frameHeader; cut < int64(len(data)); cut++ {
+		torn := filepath.Join(t.TempDir(), "torn.wal")
+		if err := os.WriteFile(torn, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(torn)
+		if err != nil {
+			t.Fatalf("cut at %d of %d: %v", cut, len(data), err)
+		}
+		got := contents(s)
+		s.Close()
+		if !slices.Equal(got, [][2]string{{"a", "1"}, {"b", "2"}}) {
+			t.Fatalf("cut at %d of %d: reopened to %q, want a=1, b=2", cut, len(data), got)
+		}
 	}
 }
 
@@ -510,7 +642,7 @@ func TestCompactFailureRefusesSilentVolatility(t *testing.T) {
 	// Simulate the terminal failure mode directly: WAL lost, not
 	// reattachable.
 	s.mu.Lock()
-	s.wal.close()
+	s.wal.Close()
 	s.wal = nil
 	s.walErr = errors.New("simulated reattach failure")
 	s.mu.Unlock()
