@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"farmer/internal/rpc"
@@ -39,11 +40,16 @@ import (
 // primary may have mined and replicated it without acking), so re-sending
 // it could double-mine those records on the survivor. The call fails with
 // the typed error while the client recovers the connection underneath;
-// the caller resumes exactly by reading Stats().Fed — the survivor's record
-// count, exact because a server acks nothing it has not mined — and
-// re-sending from that record. A write refused with ErrNotPrimary was
-// definitely not applied, so that one IS retried internally after the
-// promotion sweep. Reads always retry.
+// the caller resumes exactly by reading Stats().Fed and re-sending from that
+// record. After an in-doubt write, Stats reads only from a server that takes
+// writes, found by the same promotion sweep a write uses: a follower
+// promotes only once its primary's link has closed, after the last frame it
+// will ever be sent, so that server's Fed is final — no replicated frame can
+// still raise it under the caller. While no server is writable (the old
+// primary's link is still open), Stats returns an error, never a number;
+// call it again. A write refused with ErrNotPrimary was definitely not
+// applied, so that one IS retried internally after the promotion sweep.
+// Reads always retry.
 type RemoteMiner struct {
 	addrs []string
 	opts  rpc.DialOptions // tenant binding, token, TLS — re-applied on every redial
@@ -53,6 +59,8 @@ type RemoteMiner struct {
 	c      *rpc.Client // current connection, nil after a drop
 	cur    int         // index into addrs of the current connection
 	closed bool
+
+	inDoubt atomic.Bool // a write failed in doubt: Stats finds a writable server first
 
 	// The windowed-feed state (WithAckWindow): one ack window per
 	// connection, recreated whenever the connection changes so a stale
@@ -131,8 +139,9 @@ func WithDialTLS(cfg *tls.Config) DialOption {
 // failure the window poisons — the first failed ack is sticky, later Feeds
 // fail fast without sending, and nothing is silently re-sent. The caller
 // recovers exactly as from a synchronous in-doubt write: Flush (or the
-// failed Feed) surfaces the first error, Stats().Fed on the recovered
-// server is the exact resume point, and the stream is re-sent from there.
+// failed Feed) surfaces the first error, Stats().Fed — read from a writable
+// server, so final — is the exact resume point, and the stream is re-sent
+// from there.
 // Call Flush before Close to observe the final acks.
 func WithAckWindow(n int) DialOption {
 	return func(dc *dialConfig) error {
@@ -399,14 +408,16 @@ func (m *RemoteMiner) flushWindow(ctx context.Context, w *rpc.AckWindow, c *rpc.
 	return err
 }
 
-// forgetWindow discards a poisoned window (if still current); the next
-// windowed call builds a fresh one on whatever connection is current then.
+// forgetWindow discards a poisoned window (if still current) and marks the
+// stream in doubt; the next windowed call builds a fresh window on whatever
+// connection is current then.
 func (m *RemoteMiner) forgetWindow(w *rpc.AckWindow) {
 	m.mu.Lock()
 	if m.win == w {
 		m.win, m.winC = nil, nil
 	}
 	m.mu.Unlock()
+	m.inDoubt.Store(true)
 }
 
 // Flush is the windowed-ack barrier (WithAckWindow): it blocks until every
@@ -469,6 +480,7 @@ func (m *RemoteMiner) do(ctx context.Context, retryDisconnected bool, fn func(c 
 			// In doubt: reconnect happens on the caller's next call; this
 			// one reports the loss so the caller can resume from
 			// Stats().Fed instead of risking a double-mine.
+			m.inDoubt.Store(true)
 			return err
 		}
 	}
@@ -522,9 +534,17 @@ func (m *RemoteMiner) Predict(ctx context.Context, f FileID, k int) ([]FileID, e
 	return read(ctx, m, func(c *rpc.Client) ([]FileID, error) { return c.Predict(ctx, f, k) })
 }
 
-// Stats implements Miner. After a failover, Stats().Fed on the promoted
-// server is the exact-once resume point for callers replaying a journal.
+// Stats implements Miner. After a write failed in doubt, it first finds a
+// writable server (seekWritable) and reads there, so Fed is the exact-once
+// resume point for callers replaying a journal; with no writable server it
+// fails instead (see RemoteMiner's failover contract).
 func (m *RemoteMiner) Stats(ctx context.Context) (ModelStats, error) {
+	if m.inDoubt.Load() {
+		if err := m.seekWritable(ctx); err != nil {
+			return ModelStats{}, fmt.Errorf("farmer: no writable server to read a final resume point from: %w", err)
+		}
+		m.inDoubt.Store(false)
+	}
 	return read(ctx, m, func(c *rpc.Client) (ModelStats, error) { return c.Stats(ctx) })
 }
 
@@ -542,32 +562,6 @@ func (m *RemoteMiner) Load(ctx context.Context) error {
 // the read the cross-process fingerprint tests use.
 func (m *RemoteMiner) CorrelatorList(ctx context.Context, f FileID) ([]Correlator, error) {
 	return read(ctx, m, func(c *rpc.Client) ([]Correlator, error) { return c.CorrelatorList(ctx, f) })
-}
-
-// BackupGroups asks the server to rebuild its replica groups over
-// [0, fileCount) at the given correlation threshold and cut a group-atomic
-// backup of every group (paper §4.3). On a replicating primary the cut is
-// streamed to every follower at the same record boundary, so the returned
-// fingerprint must match each follower's ReplicaGroups read.
-func (m *RemoteMiner) BackupGroups(ctx context.Context, fileCount int, minDegree float64) (ReplicaGroupsInfo, error) {
-	return m.groups(ctx, rpc.GroupsReq{FileCount: fileCount, MinDegree: minDegree})
-}
-
-// ReplicaGroups reads the server's current replica-group state without
-// rebuilding or cutting — works against followers, which refuse the
-// mutating BackupGroups.
-func (m *RemoteMiner) ReplicaGroups(ctx context.Context) (ReplicaGroupsInfo, error) {
-	return m.groups(ctx, rpc.GroupsReq{Read: true})
-}
-
-func (m *RemoteMiner) groups(ctx context.Context, req rpc.GroupsReq) (ReplicaGroupsInfo, error) {
-	return read(ctx, m, func(c *rpc.Client) (ReplicaGroupsInfo, error) {
-		gi, err := c.Groups(ctx, req)
-		if err != nil {
-			return ReplicaGroupsInfo{}, err
-		}
-		return ReplicaGroupsInfo{Fingerprint: gi.Fingerprint, Groups: gi.Groups, Versions: gi.Versions}, nil
-	})
 }
 
 // LeaseStatus reports the CURRENT server's view of the cluster lease: the

@@ -182,8 +182,10 @@ func ExampleDial_failover() {
 	stopPrimary() // the primary dies; every acked record is on the follower
 
 	// Reads fail over transparently. (A Feed/FeedBatch interrupted by the
-	// crash itself would return farmer.ErrDisconnected; resume from
-	// Stats().Fed — see RemoteMiner's doc.)
+	// crash itself would return farmer.ErrDisconnected. The next Stats then
+	// reads only from a server that takes writes — a follower promotes once
+	// its primary's link is closed, so its Fed is final — and the caller
+	// resumes from Stats().Fed; see RemoteMiner's doc.)
 	st, err := miner.Stats(ctx)
 	if err != nil {
 		log.Fatal(err)

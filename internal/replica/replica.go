@@ -5,10 +5,8 @@
 package replica
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 
@@ -20,9 +18,10 @@ import (
 type GroupID int
 
 // Source is the mined-state read surface grouping needs; core.Model and
-// core.ShardedModel both satisfy it, so groups can be built from a
-// single-lock miner, a sharded ensemble, or a replication follower's
-// replica of either.
+// core.ShardedModel both satisfy it. Groups are a function of mined state
+// alone: any miner holding the same state — a replication follower at the
+// primary's position, a store reopened from a checkpoint — builds the same
+// groups, so they are derived where they are needed, never shipped.
 type Source interface {
 	CorrelatorList(f trace.FileID) []core.Correlator
 }
@@ -50,9 +49,9 @@ func NewManager() *Manager {
 
 // BuildGroups derives replica groups from a mined model: files whose mutual
 // correlation degree clears minDegree land in one group (greedy, strongest
-// lists first), everything else gets a singleton group. It is the one-shot
-// form — a manager that already holds groups refuses; use Rebuild to
-// regroup as the mined model evolves.
+// lists first), everything else gets a singleton group. A manager groups
+// once: one that already holds groups refuses, and regrouping evolved mined
+// state takes a new manager.
 func (mgr *Manager) BuildGroups(m Source, fileCount int, minDegree float64) error {
 	if fileCount <= 0 {
 		return fmt.Errorf("replica: fileCount %d", fileCount)
@@ -62,26 +61,6 @@ func (mgr *Manager) BuildGroups(m Source, fileCount int, minDegree float64) erro
 	if len(mgr.groups) > 0 {
 		return errors.New("replica: groups already built")
 	}
-	mgr.rebuildLocked(m, fileCount, minDegree)
-	return nil
-}
-
-// Rebuild regroups from the model's CURRENT mined state, replacing the
-// previous grouping atomically — readers and Backup never observe a partial
-// regroup. Backup versions and retained backup snapshots survive (they are
-// keyed by group id, which stays stable for the strongest seeds and is the
-// monotonic counter the replication fingerprint compares), so a regroup
-// racing a backup is safe under -race and a replicated pair that executes
-// the same (rebuild, backup) sequence at the same stream position reaches
-// the same fingerprint.
-func (mgr *Manager) Rebuild(m Source, fileCount int, minDegree float64) error {
-	if fileCount <= 0 {
-		return fmt.Errorf("replica: fileCount %d", fileCount)
-	}
-	mgr.mu.Lock()
-	defer mgr.mu.Unlock()
-	mgr.groups = make(map[GroupID][]trace.FileID)
-	mgr.ofFile = make(map[trace.FileID]GroupID)
 	mgr.rebuildLocked(m, fileCount, minDegree)
 	return nil
 }
@@ -191,70 +170,4 @@ func (mgr *Manager) Recover(g GroupID, version uint64) ([]trace.FileID, error) {
 		return nil, fmt.Errorf("replica: group %d has no version %d", g, version)
 	}
 	return append([]trace.FileID(nil), snap...), nil
-}
-
-// BackupAll cuts a backup of EVERY group under one lock acquisition: the
-// whole cut observes a single consistent grouping (a concurrent Rebuild
-// lands entirely before or entirely after it, never inside), which is the
-// "backup of a replica group is an atomic operation" rule of paper §4.3
-// promoted to the full group set. It returns the number of groups cut.
-func (mgr *Manager) BackupAll() int {
-	mgr.mu.Lock()
-	defer mgr.mu.Unlock()
-	for g, members := range mgr.groups {
-		v := mgr.versions[g] + 1
-		byVer := mgr.backups[g]
-		if byVer == nil {
-			byVer = make(map[uint64][]trace.FileID)
-			mgr.backups[g] = byVer
-		}
-		byVer[v] = append([]trace.FileID(nil), members...)
-		mgr.versions[g] = v
-	}
-	return len(mgr.groups)
-}
-
-// Fingerprint hashes the manager's observable replication state — every
-// group's id, membership (in stored order, which Rebuild makes
-// deterministic) and backup version. A primary and a follower that executed
-// the same (rebuild, backup) commands over bit-identical mined state agree
-// on the fingerprint; any divergence in grouping or in cut history shows up
-// as a mismatch.
-func (mgr *Manager) Fingerprint() uint64 {
-	mgr.mu.RLock()
-	defer mgr.mu.RUnlock()
-	ids := make([]GroupID, 0, len(mgr.groups))
-	for g := range mgr.groups {
-		ids = append(ids, g)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	h := fnv.New64a()
-	var buf [8]byte
-	wr := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	wr(uint64(len(ids)))
-	for _, g := range ids {
-		wr(uint64(g))
-		wr(mgr.versions[g])
-		members := mgr.groups[g]
-		wr(uint64(len(members)))
-		for _, f := range members {
-			wr(uint64(f))
-		}
-	}
-	return h.Sum64()
-}
-
-// VersionTotal reports the sum of every group's backup version — a cheap
-// monotonic cut counter the wire's GroupsInfo carries.
-func (mgr *Manager) VersionTotal() uint64 {
-	mgr.mu.RLock()
-	defer mgr.mu.RUnlock()
-	var total uint64
-	for _, v := range mgr.versions {
-		total += v
-	}
-	return total
 }

@@ -1,9 +1,10 @@
 package replica
 
 import (
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"farmer/internal/core"
 	"farmer/internal/trace"
@@ -81,7 +82,7 @@ func TestBackupRecoverAtomicity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v1 != 1 || mgr.VersionTotal() != 1 {
+	if v1 != 1 || mgr.versions[g] != 1 {
 		t.Fatalf("version = %d", v1)
 	}
 	v2, _ := mgr.Backup(g)
@@ -129,121 +130,82 @@ func TestConcurrentBackups(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if mgr.VersionTotal() != 400 {
-		t.Fatalf("version = %d, want 400 (no lost updates)", mgr.VersionTotal())
+	if mgr.versions[0] != 400 {
+		t.Fatalf("version = %d, want 400 (no lost updates)", mgr.versions[0])
 	}
 }
 
-// TestRebuildReplacesGroups: a regroup over evolved mined state replaces
-// the grouping atomically and deterministically (two managers rebuilt from
-// the same model fingerprint identically), and backup versions survive.
+// TestRebuildReplacesGroups: grouping is a function of mined state alone —
+// two managers over one model build identical groups (rebuildLocked orders
+// seeds by total degree, ties toward the lowest id). This is what lets any
+// miner holding the state, a follower or a reopened store, derive the same
+// groups instead of being sent them.
 func TestRebuildReplacesGroups(t *testing.T) {
 	m, files := minedModel(t)
-	mgr := NewManager()
-	if err := mgr.BuildGroups(m, files, 0.4); err != nil {
-		t.Fatal(err)
+	a, b := NewManager(), NewManager()
+	for _, mgr := range []*Manager{a, b} {
+		if err := mgr.BuildGroups(m, files, 0.5); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if mgr.BackupAll() != mgr.Groups() {
-		t.Fatal("BackupAll did not cut every group")
+	if a.Groups() == 0 || a.Groups() >= files {
+		t.Fatalf("%d groups over %d files", a.Groups(), files)
 	}
-	cuts := mgr.VersionTotal()
-	if cuts == 0 {
-		t.Fatal("no versions after BackupAll")
-	}
-	if err := mgr.Rebuild(m, files, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if mgr.Groups() == 0 {
-		t.Fatal("rebuild produced no groups")
-	}
-	if got := mgr.VersionTotal(); got != cuts {
-		t.Fatalf("rebuild disturbed backup versions: %d != %d", got, cuts)
-	}
-
-	other := NewManager()
-	if err := other.Rebuild(m, files, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	other.BackupAll()
-	mgr2 := NewManager()
-	if err := mgr2.Rebuild(m, files, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	mgr2.BackupAll()
-	if other.Fingerprint() != mgr2.Fingerprint() {
-		t.Fatal("deterministic rebuild fingerprints differ")
+	if !reflect.DeepEqual(a.groups, b.groups) || !reflect.DeepEqual(a.ofFile, b.ofFile) {
+		t.Fatal("two managers over one model built different groups")
 	}
 }
 
-// TestRegroupRacesBackup drives Rebuild against Backup/BackupAll/readers
-// from many goroutines — the -race coverage for the replication path, where
-// a primary's periodic regroup can race a client-commanded group backup.
-// Every observation must be of a complete grouping: a Backup that wins a
-// group id mid-race still captures that group's full member set.
+// TestRegroupRacesBackup drives Backup against Recover, GroupOf and Members
+// from many goroutines — the -race coverage for a group cut that readers
+// observe mid-flight. A Recover that finds a version sees the group's whole
+// member set, never a part of it.
 func TestRegroupRacesBackup(t *testing.T) {
 	m, files := minedModel(t)
 	mgr := NewManager()
 	if err := mgr.BuildGroups(m, files, 0.4); err != nil {
 		t.Fatal(err)
 	}
+	const groups = 8
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		degrees := []float64{0.4, 0.45, 0.5, 0.55}
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := mgr.Rebuild(m, files, degrees[i%len(degrees)]); err != nil {
-				t.Errorf("rebuild: %v", err)
-				return
-			}
-		}
-	}()
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
+				g := GroupID((i + w) % groups)
 				switch i % 4 {
 				case 0:
-					mgr.BackupAll()
+					if v, err := mgr.Backup(g); err != nil || v == 0 {
+						t.Errorf("backup of group %d: version %d, %v", g, v, err)
+						return
+					}
 				case 1:
-					if v, err := mgr.Backup(GroupID(i % 8)); err == nil && v == 0 {
-						t.Errorf("backup succeeded but version is 0")
+					if snap, err := mgr.Recover(g, 1); err == nil && len(snap) != len(mgr.Members(g)) {
+						t.Errorf("group %d recovered %d of %d members", g, len(snap), len(mgr.Members(g)))
 						return
 					}
 				case 2:
-					if g, ok := mgr.GroupOf(trace.FileID(i)); ok {
-						members := mgr.Members(g)
-						found := false
-						for _, f := range members {
-							if f == trace.FileID(i) {
-								found = true
-								break
-							}
-						}
-						// A Rebuild between GroupOf and Members may have
-						// reassigned the file; what must never happen is an
-						// empty group.
-						if len(members) == 0 {
-							t.Errorf("group %d empty", g)
-							return
-						}
-						_ = found
+					f := trace.FileID(i)
+					if g, ok := mgr.GroupOf(f); !ok || !slices.Contains(mgr.Members(g), f) {
+						t.Errorf("file %d: group %d (%v) does not list it", f, g, ok)
+						return
 					}
 				case 3:
-					mgr.Fingerprint()
-					mgr.VersionTotal()
+					if len(mgr.Members(g)) == 0 {
+						t.Errorf("group %d empty", g)
+						return
+					}
 				}
 			}
 		}(w)
 	}
-	time.Sleep(50 * time.Millisecond) // let rebuilds overlap the workers
-	close(stop)
 	wg.Wait()
+	var cuts uint64
+	for g := GroupID(0); g < groups; g++ {
+		cuts += mgr.versions[g]
+	}
+	if cuts != 4*50 {
+		t.Fatalf("%d backup versions, want %d (no lost updates)", cuts, 4*50)
+	}
 }

@@ -479,15 +479,6 @@ func (c *Client) Catchup(ctx context.Context, cut *CatchupCut) error {
 	return err
 }
 
-// Groups runs a replica-group operation on the server: with req.Read it
-// reports the manager's current fingerprint; otherwise the server rebuilds
-// groups from its mined state and cuts a group-atomic backup of every group
-// (on a replicating primary, the cut is forwarded to followers at the same
-// stream position).
-func (c *Client) Groups(ctx context.Context, req GroupsReq) (GroupsInfo, error) {
-	return roundTrip(ctx, c, MsgGroups, appendGroupsReq(nil, &req), decodeGroupsInfo)
-}
-
 // LeaseStatus asks the server for its current lease term (epoch 0: a
 // follower that has observed none yet; a daemon without -lease-ttl reports
 // its untimed term, TTLMS 0). A pre-lease server answers CodeUnsupported.

@@ -28,6 +28,7 @@ func FuzzFrameCodec(f *testing.F) {
 	f.Add(AppendFrame(nil, MsgErr, 5, appendWireError(nil, CodeInternal, "boom")))
 	f.Add(AppendFrameTenant(nil, MsgFeed, 6, "tenant-a", trace.AppendRecord(nil, &rec)))
 	f.Add(AppendFrameTenant(nil, MsgHello, 7, "t.0", appendHello(nil, "secret")))
+	f.Add(AppendFrame(nil, MsgType(13), 8, unhex(f, retiredGroupsReqHex)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := ReadFrame(bufio.NewReader(bytes.NewReader(data)))
@@ -97,14 +98,6 @@ var bodyCodecs = []struct {
 		pos, kind, payload, err := decodeReplicate(b)
 		out := append(binary.LittleEndian.AppendUint64(nil, pos), kind)
 		return append(out, payload...), err
-	}},
-	{"groups_req", func(b []byte) ([]byte, error) {
-		req, err := decodeGroupsReq(b)
-		return appendGroupsReq(nil, &req), err
-	}},
-	{"groups_info", func(b []byte) ([]byte, error) {
-		info, err := decodeGroupsInfo(b)
-		return appendGroupsInfo(nil, info), err
 	}},
 	{"hello", func(b []byte) ([]byte, error) {
 		token, err := decodeHello(b)
@@ -177,6 +170,10 @@ func FuzzBodyDecoders(f *testing.F) {
 	// decoder was seeded with, aimed at the one that still takes floats off
 	// the wire: a Correlator List.
 	f.Add(unhex(f, retiredEventsHex))
+	// What an old sender put in the retired replica-group frames.
+	for _, h := range []string{retiredReplicateGroupsHex, retiredGroupsReqHex, retiredGroupsInfoHex} {
+		f.Add(unhex(f, h))
+	}
 	for _, degree := range []float64{math.Inf(1), math.NaN(), -1, 1e308} {
 		f.Add(core.AppendCorrelators(nil, []core.Correlator{{File: 9, Degree: degree, Sim: 0.5, Freq: 0.5}}))
 	}
@@ -203,8 +200,8 @@ func FuzzBodyDecoders(f *testing.F) {
 // on the end — the client's predict and list response decoders included —
 // and with its last byte cut off. The two bodies that end in "the rest" (a
 // catch-up snapshot, a replicate payload) take any tail by design and are
-// only held to their fixed header; their payloads are decoded exactly by the
-// rows for records and groups_req.
+// only held to their fixed header; a replicate payload is decoded exactly by
+// the records row.
 func TestBodyDecodersAreExact(t *testing.T) {
 	rec := goldenRecs[0]
 	bodies := map[string][]byte{

@@ -48,10 +48,9 @@ var (
 		{Seq: 1, Time: 5, File: 7, Op: 2, UID: 2, PID: 3, Host: 4, Dev: 5, Size: 6, Group: -1, Path: "/a/b"},
 		{Seq: 2, File: 0x0304, UID: 2, PID: 3},
 	}
-	goldenStats     = core.Stats{Fed: 1, TrackedFiles: 2, Lists: 3, Correlators: 4, GraphNodes: 5, GraphEdges: 6, MemoryBytes: 7}
-	goldenGroupsReq = GroupsReq{FileCount: 300, MinDegree: 0.45, Read: true}
-	goldenLease     = LeaseInfo{Epoch: 3, Leader: "10.0.0.1:4727", TTLMS: 1500, Self: true, Transfer: true}
-	goldenObs       = []TenantObs{
+	goldenStats = core.Stats{Fed: 1, TrackedFiles: 2, Lists: 3, Correlators: 4, GraphNodes: 5, GraphEdges: 6, MemoryBytes: 7}
+	goldenLease = LeaseInfo{Epoch: 3, Leader: "10.0.0.1:4727", TTLMS: 1500, Self: true, Transfer: true}
+	goldenObs   = []TenantObs{
 		{Name: "alpha", Fed: 1, MemoryBytes: 2, TapDepth: 3, TapDropped: 4, FeedRecords: 5, FeedFrames: 6,
 			ReplLagMax: 7, Followers: 8, CkptAgeMS: NeverCheckpointed, CkptEpoch: 10, CkptFull: 11, CkptDelta: 12,
 			PredPredicted: 13, PredHits: 14, LeaseEpoch: 15,
@@ -105,23 +104,6 @@ var goldenBodies = []goldenBody{
 			return replicateBody{pos, kind, payload}, err
 		},
 		replicateBody{40, replKindRecords, appendRecords(nil, goldenRecs[1:])}},
-	{"replicate_groups", "2900000000000000012c010000cdccccccccccdc3f01",
-		func() []byte { return appendReplicateGroups(nil, 41, &goldenGroupsReq) },
-		func(b []byte) (any, error) {
-			pos, kind, payload, err := decodeReplicate(b)
-			return replicateBody{pos, kind, payload}, err
-		},
-		replicateBody{41, replKindGroups, appendGroupsReq(nil, &goldenGroupsReq)}},
-	{"groups_req", "2c010000cdccccccccccdc3f01",
-		func() []byte { return appendGroupsReq(nil, &goldenGroupsReq) },
-		func(b []byte) (any, error) { return decodeGroupsReq(b) },
-		goldenGroupsReq},
-	{"groups_info", "cefaedfe00000000050000000900000000000000",
-		func() []byte {
-			return appendGroupsInfo(nil, GroupsInfo{Fingerprint: 0xfeedface, Groups: 5, Versions: 9})
-		},
-		func(b []byte) (any, error) { return decodeGroupsInfo(b) },
-		GroupsInfo{Fingerprint: 0xfeedface, Groups: 5, Versions: 9}},
 	{"hello", "06000000736563726574",
 		func() []byte { return appendHello(nil, "secret") },
 		func(b []byte) (any, error) { return decodeHello(b) },

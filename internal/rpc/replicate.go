@@ -17,11 +17,13 @@ import (
 // stream-position counter both ends agree on.
 //
 // The contract with the serving layer is that EVERY mutation of the mined
-// stream goes through Ingest (records) or Groups (group-backup cuts): the
-// mutation runs under the replicator's lock, so the local mine, the position
-// assignment and the enqueue onto each follower connection are one atomic
-// step, and each follower connection — a FIFO channel, like every rpc
-// connection — carries the exact stream the primary mined, in order.
+// stream goes through Ingest, and a follower's state is that stream and
+// nothing else: the mine runs under the replicator's lock, so the local
+// mine, the position assignment and the enqueue onto each follower
+// connection are one atomic step, and each follower connection — a FIFO
+// channel, like every rpc connection — carries the exact stream the primary
+// mined, in order. Whatever is derived from mined state (replica groups,
+// predictions) is derived on each end, never shipped.
 // Acks are awaited OUTSIDE the lock, so followers add latency but the
 // pipeline stays full.
 //
@@ -291,28 +293,6 @@ func (r *Replicator) Ingest(ctx context.Context, recs []trace.Record, mine func(
 		r.tailBase += uint64(drop)
 	}
 	r.pos = post
-	r.mu.Unlock()
-	r.collect(ctx, waits, post)
-	return nil
-}
-
-// Groups replicates a group-backup command: run executes the cut locally
-// under the stream lock (at a definite position), and every follower
-// receives the same command at the same position. run's error aborts the
-// step before anything is shipped.
-func (r *Replicator) Groups(ctx context.Context, req GroupsReq, run func() error) error {
-	r.mu.Lock()
-	if err := run(); err != nil {
-		r.mu.Unlock()
-		return err
-	}
-	post := r.pos
-	waits := r.broadcastLocked(MsgReplicate, func() []byte { return appendReplicateGroups(nil, r.pos, &req) })
-	// A group cut is a command, not records: a follower resuming from before
-	// it would replay the records but silently miss the cut, so the
-	// resumable tail restarts at the current position.
-	r.tail = r.tail[:0]
-	r.tailBase = r.pos
 	r.mu.Unlock()
 	r.collect(ctx, waits, post)
 	return nil

@@ -96,9 +96,6 @@ func TestReplicaFramesUnsupported(t *testing.T) {
 	if err := client.Promote(ctx); !errors.As(err, &we) || we.Code != CodeUnsupported {
 		t.Fatalf("Promote on a plain backend: %v", err)
 	}
-	if _, err := client.Groups(ctx, GroupsReq{FileCount: 1}); !errors.As(err, &we) || we.Code != CodeUnsupported {
-		t.Fatalf("Groups on a plain backend: %v", err)
-	}
 	if _, err := client.Ping(ctx); err != nil {
 		t.Fatalf("connection dead after unsupported frames: %v", err)
 	}
@@ -136,14 +133,7 @@ func (b *replicaRecorder) Replicate(conn uint64, pos uint64, recs []trace.Record
 	b.batches = append(b.batches, recs)
 	return nil
 }
-func (b *replicaRecorder) ReplicateGroups(conn uint64, pos uint64, req GroupsReq) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.poss = append(b.poss, pos)
-	return nil
-}
-func (b *replicaRecorder) Groups(req GroupsReq) (GroupsInfo, error) { return GroupsInfo{}, nil }
-func (b *replicaRecorder) ConnClosed(conn uint64)                   {}
+func (b *replicaRecorder) ConnClosed(conn uint64) {}
 
 // noFingerprint is the state fingerprint of a primary whose delta offers
 // these tests' followers never take.
@@ -245,8 +235,10 @@ func TestReplicatorDetachesDeadFollower(t *testing.T) {
 }
 
 // TestGroupsAndLoadOverTheWire covers the remaining request surface against
-// a replica-capable backend: MsgGroups (read flag round trip), MsgLoad and
-// a kind-1 (group command) replicate frame, plus the MsgErr formatting.
+// a replica-capable backend — MsgLoad, MsgPromote and the MsgErr formatting
+// — and the retired MsgType 13, which carried replica-group commands: it is
+// answered as a type the server does not know, and the connection keeps
+// serving.
 func TestGroupsAndLoadOverTheWire(t *testing.T) {
 	rec := &replicaRecorder{minerBackend: newMinerBackend(1)}
 	addr, _, stop := startServer(t, rec)
@@ -255,12 +247,10 @@ func TestGroupsAndLoadOverTheWire(t *testing.T) {
 	defer client.Close()
 	ctx := context.Background()
 
-	info, err := client.Groups(ctx, GroupsReq{FileCount: 9, MinDegree: 0.5, Read: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info != (GroupsInfo{}) {
-		t.Fatalf("recorder backend returned %+v", info)
+	var we *WireError
+	_, err := client.call(ctx, MsgType(13), unhex(t, retiredGroupsReqHex))
+	if !errors.As(err, &we) || we.Code != CodeUnsupported || !strings.Contains(we.Msg, "unknown request type 13") {
+		t.Fatalf("a type-13 frame answered %v, want CodeUnsupported: unknown request type 13", err)
 	}
 	if err := client.Load(ctx); err != nil {
 		t.Fatal(err)
@@ -268,77 +258,36 @@ func TestGroupsAndLoadOverTheWire(t *testing.T) {
 	if err := client.Promote(ctx); err != nil {
 		t.Fatal(err)
 	}
-
-	r := NewReplicator(3, time.Minute, DialOptions{}, noFingerprint, nil)
-	defer r.Close()
-	if err := r.Attach(ctx, addr, func() (CatchupCut, error) { return CatchupCut{Pos: 3}, nil }); err != nil {
-		t.Fatal(err)
-	}
-	req := GroupsReq{FileCount: 7, MinDegree: 0.25}
-	if err := r.Groups(ctx, req, func() error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	// The command landed at the stream position.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		rec.mu.Lock()
-		n := len(rec.poss)
-		rec.mu.Unlock()
-		if n == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("group command never arrived")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	rec.mu.Lock()
-	if rec.poss[0] != 3 {
-		t.Fatalf("group command at position %d, want 3", rec.poss[0])
-	}
-	rec.mu.Unlock()
-
-	// A local run error aborts before shipping.
-	boom := errors.New("boom")
-	if err := r.Groups(ctx, req, func() error { return boom }); !errors.Is(err, boom) {
-		t.Fatalf("Groups run error: %v", err)
+	if _, err := client.Ping(ctx); err != nil {
+		t.Fatalf("connection dead after the retired type: %v", err)
 	}
 
-	we := &WireError{Code: CodeInternal, Msg: "hello"}
+	we = &WireError{Code: CodeInternal, Msg: "hello"}
 	if s := we.Error(); !strings.Contains(s, "hello") {
 		t.Fatalf("WireError.Error() = %q", s)
 	}
 }
 
-// TestGroupsReqCodec pins the request/response body round trips.
+// TestGroupsReqCodec: a MsgReplicate carrying the retired kind 1 (a
+// replica-group command, here in the bytes its last sender wrote) is refused
+// as a bad request before the follower sees it — its position does not
+// move — while a kind-0 frame at the same position is taken.
 func TestGroupsReqCodec(t *testing.T) {
-	for _, req := range []GroupsReq{
-		{FileCount: 0, MinDegree: 0, Read: false},
-		{FileCount: 12345, MinDegree: 0.4, Read: true},
-	} {
-		got, err := decodeGroupsReq(appendGroupsReq(nil, &req))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != req {
-			t.Fatalf("round trip %+v != %+v", got, req)
-		}
+	kind1 := unhex(t, retiredReplicateGroupsHex)
+	if _, err := decodeReplicateReq(kind1); err == nil {
+		t.Fatal("the kind-1 replicate body decoded")
 	}
-	if _, err := decodeGroupsReq([]byte{1, 2}); err == nil {
-		t.Fatal("short groups request accepted")
+	rec := &replicaRecorder{minerBackend: newMinerBackend(1), src: 1}
+	s, cs := NewServer(rec), &connState{id: 1, authed: true}
+	fed := rec.sm.Fed()
+	if code := answer(t, s, cs, MsgReplicate, kind1); code != CodeBadRequest {
+		t.Fatalf("kind-1 replicate answered code %d, want CodeBadRequest", code)
 	}
-	bad := appendGroupsReq(nil, &GroupsReq{})
-	bad[12] = 0xFF
-	if _, err := decodeGroupsReq(bad); err == nil {
-		t.Fatal("unknown flag bits accepted")
+	if len(rec.poss) != 0 || rec.sm.Fed() != fed {
+		t.Fatalf("the refused frame reached the follower: positions %v, fed %d → %d", rec.poss, fed, rec.sm.Fed())
 	}
-	info := GroupsInfo{Fingerprint: 7, Groups: 3, Versions: 9}
-	got, err := decodeGroupsInfo(appendGroupsInfo(nil, info))
-	if err != nil || got != info {
-		t.Fatalf("info round trip: %+v, %v", got, err)
-	}
-	if _, err := decodeGroupsInfo([]byte{1}); err == nil {
-		t.Fatal("short groups info accepted")
+	if code := answer(t, s, cs, MsgReplicate, appendReplicateRecords(nil, 41, goldenRecs[1:])); code != 0 || len(rec.poss) != 1 {
+		t.Fatalf("kind-0 replicate at the same position answered code %d, positions %v", code, rec.poss)
 	}
 }
 

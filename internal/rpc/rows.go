@@ -156,12 +156,10 @@ type leaseReq struct {
 	candidate string
 }
 
-// replicateReq is a MsgReplicate body with its payload decoded: records, or
-// a group-backup command.
+// replicateReq is a MsgReplicate body with its records decoded.
 type replicateReq struct {
-	pos    uint64
-	recs   []trace.Record
-	groups *GroupsReq
+	pos  uint64
+	recs []trace.Record
 }
 
 func decodeReplicateReq(b []byte) (replicateReq, error) {
@@ -173,10 +171,6 @@ func decodeReplicateReq(b []byte) (replicateReq, error) {
 		c := bin.Read("rpc: records", payload)
 		q.recs = readRecords(&c, nil)
 		err = c.Done()
-	case kind == replKindGroups:
-		var g GroupsReq
-		g, err = decodeGroupsReq(payload)
-		q.groups = &g
 	default:
 		err = fmt.Errorf("rpc: unknown replicate kind %d", kind)
 	}
@@ -245,18 +239,7 @@ var msgRows = [MsgErr + 1]msgRow{
 		func(r *request, d CatchupDelta) ([]byte, error) { return nil, r.replica.CatchupDelta(r.cs.id, d) }),
 	MsgReplicate: row("replicate", surfaceReplica, decodeReplicateReq,
 		func(r *request, q replicateReq) ([]byte, error) {
-			if q.groups != nil {
-				return nil, r.replica.ReplicateGroups(r.cs.id, q.pos, *q.groups)
-			}
 			return nil, r.replica.Replicate(r.cs.id, q.pos, q.recs)
-		}),
-	MsgGroups: row("groups", surfaceReplica, decodeGroupsReq,
-		func(r *request, req GroupsReq) ([]byte, error) {
-			info, err := r.replica.Groups(req)
-			if err != nil {
-				return nil, err
-			}
-			return appendGroupsInfo(nil, info), nil
 		}),
 
 	MsgLeaseRequest: row("lease_request", surfaceLease,

@@ -20,21 +20,21 @@ import (
 var msgNames = map[MsgType]string{
 	MsgPing: "ping", MsgFeed: "feed", MsgFeedBatch: "feed_batch", MsgPredict: "predict", MsgList: "list",
 	MsgStats: "stats", MsgSave: "save", MsgLoad: "load", MsgPromote: "promote",
-	MsgCatchup: "catchup", MsgReplicate: "replicate", MsgGroups: "groups", MsgCatchupChunk: "catchup_chunk",
+	MsgCatchup: "catchup", MsgReplicate: "replicate", MsgCatchupChunk: "catchup_chunk",
 	MsgHello: "hello", MsgTenants: "tenants", MsgCatchupDelta: "catchup_delta", MsgObs: "obs",
 	MsgLeaseRequest: "lease_request", MsgLeaseGrant: "lease_grant", MsgHandoff: "handoff",
 	MsgWireStats: "wire_stats", MsgOK: "ok", MsgErr: "err",
 }
 
 // TestMsgTypeValues pins the number every message type goes by on the wire.
-// Slot 9 is retired (it carried mining events between processes until PR
-// 24), not free: a type that took it, or a renumbering of the types after
-// it, would make one build's frames mean something else to another under
-// the same ProtocolVersion.
+// Slots 9 and 13 are retired (9 carried mining events between processes
+// until PR 24, 13 replica-group commands and reads), not free: a type that
+// took one, or a renumbering of the types after it, would make one build's
+// frames mean something else to another under the same ProtocolVersion.
 func TestMsgTypeValues(t *testing.T) {
 	values := map[MsgType]uint8{
 		MsgPing: 1, MsgFeed: 2, MsgFeedBatch: 3, MsgPredict: 4, MsgList: 5, MsgStats: 6, MsgSave: 7, MsgLoad: 8,
-		MsgPromote: 10, MsgCatchup: 11, MsgReplicate: 12, MsgGroups: 13, MsgCatchupChunk: 14,
+		MsgPromote: 10, MsgCatchup: 11, MsgReplicate: 12, MsgCatchupChunk: 14,
 		MsgHello: 15, MsgTenants: 16, MsgCatchupDelta: 17, MsgObs: 18,
 		MsgLeaseRequest: 19, MsgLeaseGrant: 20, MsgHandoff: 21, MsgWireStats: 22,
 		MsgOK: 0x40, MsgErr: 0x41,
@@ -47,8 +47,10 @@ func TestMsgTypeValues(t *testing.T) {
 	if len(values) != len(msgNames) {
 		t.Errorf("%d values pinned for %d named types", len(values), len(msgNames))
 	}
-	if row := msgRows[9]; row.handle != nil || row.name != "" {
-		t.Errorf("the retired slot 9 has a row again: %q", row.name)
+	for _, slot := range []MsgType{9, 13} {
+		if row := msgRows[slot]; row.handle != nil || row.name != "" {
+			t.Errorf("the retired slot %d has a row again: %q", slot, row.name)
+		}
 	}
 	if ProtocolVersion != 2 {
 		t.Errorf("ProtocolVersion = %d, want 2", ProtocolVersion)
@@ -70,7 +72,6 @@ func rowBodies() map[MsgType][]byte {
 		MsgPromote:      nil,
 		MsgCatchup:      appendCatchup(nil, &CatchupCut{Pos: 1, Snapshot: []byte("snap")}),
 		MsgReplicate:    appendReplicateRecords(nil, 0, []trace.Record{rec}),
-		MsgGroups:       appendGroupsReq(nil, &GroupsReq{Read: true}),
 		MsgCatchupChunk: []byte("piece"),
 		MsgHello:        appendHello(nil, ""),
 		MsgTenants:      nil,
@@ -182,8 +183,8 @@ func TestMsgRows(t *testing.T) {
 			t.Errorf("MsgType(%d).String() = %q, want %q", typ, got, want)
 		}
 	}
-	if len(msgNames) != 23 || MsgType(23).String() != "msg_23" || MsgType(200).String() != "msg_200" {
-		t.Errorf("%d names; 23 → %q, 200 → %q", len(msgNames), MsgType(23), MsgType(200))
+	if len(msgNames) != 22 || MsgType(13).String() != "msg_13" || MsgType(23).String() != "msg_23" || MsgType(200).String() != "msg_200" {
+		t.Errorf("%d names; 13 → %q, 23 → %q, 200 → %q", len(msgNames), MsgType(13), MsgType(23), MsgType(200))
 	}
 }
 

@@ -208,6 +208,15 @@ func TestServerRejectsMalformedBody(t *testing.T) {
 // the frame was retired: three events, one without a vector.
 const retiredEventsHex = "03000000010000000007000000000000000000000001000000000000000200000003000000753a3103000000703a32040000002f612f62000700000009000000cdccccccccccec3f02000000000000000100000003000000753a3100000000000300000009000000000000000000f03f02000000000000000000000000000000"
 
+// The golden bodies of the replica-group frames as they stood when they were
+// retired: a kind-1 MsgReplicate (a group command at stream position 41),
+// and the type-13 request and its response.
+const (
+	retiredReplicateGroupsHex = "2900000000000000012c010000cdccccccccccdc3f01"
+	retiredGroupsReqHex       = "2c010000cdccccccccccdc3f01"
+	retiredGroupsInfoHex      = "cefaedfe00000000050000000900000000000000"
+)
+
 // TestRetiredSlotAnswersUnsupported: type 9 carried mining events between
 // processes until PR 24 retired it. A frame of that type — here with the
 // body an old sender would put in it — is an unknown request type like any

@@ -33,7 +33,7 @@ type Backend interface {
 }
 
 // ReplicaBackend is the optional replication surface: a backend that also
-// implements it accepts MsgPromote/MsgCatchup/MsgReplicate/MsgGroups frames
+// implements it accepts MsgPromote/MsgCatchup/MsgReplicate frames
 // (a server whose backend does not answers CodeUnsupported). The conn
 // argument identifies the connection a frame arrived on — the follower
 // pins its replication source to the first connection that catches it up,
@@ -49,8 +49,6 @@ type ReplicaBackend interface {
 	// state. Any error tells the primary to fall back to a full cut.
 	CatchupDelta(conn uint64, d CatchupDelta) error
 	Replicate(conn uint64, pos uint64, recs []trace.Record) error
-	ReplicateGroups(conn uint64, pos uint64, req GroupsReq) error
-	Groups(req GroupsReq) (GroupsInfo, error)
 	ConnClosed(conn uint64)
 }
 

@@ -93,8 +93,7 @@ type MsgType uint8
 //	MsgLoad        (empty)                      → MsgOK (empty)
 //	MsgPromote     (empty)                      → MsgOK (empty)
 //	MsgCatchup     catch-up cut                 → MsgOK (empty)
-//	MsgReplicate   u64 pos, u8 kind, payload    → MsgOK (empty)
-//	MsgGroups      groups request               → MsgOK groups info
+//	MsgReplicate   u64 pos, u8 kind 0, records  → MsgOK (empty)
 const (
 	MsgPing MsgType = iota + 1
 	MsgFeed
@@ -112,13 +111,14 @@ const (
 	// MsgCatchupChunk frames (raw snapshot bytes, accumulated per
 	// connection) followed by the MsgCatchup carrying the final piece.
 	// MsgReplicate streams the acked record feed (kind 0, the
-	// trace.AppendRecord codec) and group-backup commands (kind 1);
-	// MsgPromote asks a follower to start accepting writes — refused while
-	// its primary's replication link is live (the split-brain guard).
+	// trace.AppendRecord codec; kind 1 carried replica-group commands and
+	// is retired, never reused); MsgPromote asks a follower to start
+	// accepting writes — refused while its primary's replication link is
+	// live (the split-brain guard).
 	MsgPromote
 	MsgCatchup
 	MsgReplicate
-	MsgGroups
+	_ // 13 carried replica-group commands and reads: retired, never reused
 	MsgCatchupChunk
 
 	// MsgHello opens a connection (protocol v2): the body carries the
@@ -553,11 +553,9 @@ func decodeCatchupDelta(b []byte) (CatchupDelta, error) {
 	return d, c.Done()
 }
 
-// Replicate frame kinds.
-const (
-	replKindRecords byte = 0 // payload: u32 count + trace.AppendRecord records
-	replKindGroups  byte = 1 // payload: GroupsReq (a group-backup command)
-)
+// replKindRecords is the one MsgReplicate kind: u32 count +
+// trace.AppendRecord records. Kind 1 is retired, never reused.
+const replKindRecords byte = 0
 
 // MsgReplicate body: u64 pos, u8 kind, payload. pos is the stream position
 // BEFORE the payload applies; a follower refuses a position that does not
@@ -569,67 +567,10 @@ func appendReplicateRecords(dst []byte, pos uint64, recs []trace.Record) []byte 
 	return appendRecords(dst, recs)
 }
 
-func appendReplicateGroups(dst []byte, pos uint64, req *GroupsReq) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, pos)
-	dst = append(dst, replKindGroups)
-	return appendGroupsReq(dst, req)
-}
-
 func decodeReplicate(b []byte) (pos uint64, kind byte, payload []byte, err error) {
 	c := bin.Read("rpc: replicate", b)
 	pos, kind, payload = c.U64(), c.U8(), c.Rest()
 	return pos, kind, payload, c.Done()
-}
-
-// GroupsReq parameterises a replica-group operation (paper §4.3): build
-// groups over [0, FileCount) with mutual-correlation threshold MinDegree.
-// Read reports the manager's current state without rebuilding or cutting —
-// the verification read a follower always answers.
-type GroupsReq struct {
-	FileCount int
-	MinDegree float64
-	Read      bool
-}
-
-// MsgGroups body: u32 fileCount, u64 minDegree bits, u8 flags (bit 0 =
-// read-only).
-func appendGroupsReq(dst []byte, req *GroupsReq) []byte {
-	le := binary.LittleEndian
-	dst = le.AppendUint32(dst, uint32(req.FileCount))
-	dst = le.AppendUint64(dst, math.Float64bits(req.MinDegree))
-	var flags byte
-	if req.Read {
-		flags |= 1
-	}
-	return append(dst, flags)
-}
-
-func decodeGroupsReq(b []byte) (GroupsReq, error) {
-	c := bin.Read("rpc: groups request", b)
-	req := GroupsReq{FileCount: int(c.U32()), MinDegree: c.F64(), Read: c.Flags(1) != 0}
-	return req, c.Done()
-}
-
-// GroupsInfo summarises a replica-group manager: the fingerprint covers
-// every group's membership and backup version, so a primary and a follower
-// agree on it iff their group-atomic backups are identical.
-type GroupsInfo struct {
-	Fingerprint uint64
-	Groups      int
-	Versions    uint64 // sum of per-group backup versions (cut count)
-}
-
-func appendGroupsInfo(dst []byte, info GroupsInfo) []byte {
-	le := binary.LittleEndian
-	dst = le.AppendUint64(dst, info.Fingerprint)
-	dst = le.AppendUint32(dst, uint32(info.Groups))
-	return le.AppendUint64(dst, info.Versions)
-}
-
-func decodeGroupsInfo(b []byte) (GroupsInfo, error) {
-	c := bin.Read("rpc: groups info", b)
-	info := GroupsInfo{Fingerprint: c.U64(), Groups: int(c.U32()), Versions: c.U64()}
-	return info, c.Done()
 }
 
 // ------------------------------------------------------- tenancy bodies

@@ -10,7 +10,6 @@ import (
 
 	"farmer/internal/core"
 	"farmer/internal/obs"
-	"farmer/internal/replica"
 	"farmer/internal/rpc"
 )
 
@@ -130,9 +129,6 @@ type LocalMiner struct {
 	sm    *ShardedModel
 	store *Store
 	pf    *Prefetcher
-
-	gmu    sync.Mutex       // guards groups creation
-	groups *replica.Manager // lazily created replica-group manager (§4.3)
 
 	ckptMu        sync.Mutex
 	ckptSinceFull int // incremental checkpoints since the last full one

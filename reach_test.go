@@ -14,7 +14,8 @@
 // TestOptionsHaveCallers, on the same loader, holds the public surface to
 // the same rule: every option constructor and every field of the root
 // package's options structs is set by a program, or names the CI job whose
-// test sets it.
+// test sets it; every exported method of an exported root type is named by
+// a program or implements an interface method, or states why it stays.
 //
 //	go test -tags reach -run 'TestInternalReachable|TestOptionsHaveCallers' .
 package farmer_test
@@ -464,6 +465,16 @@ var optionsAllow = map[string]struct{ job, test string }{
 	"WithAckWindow": {"bench-smoke", "BenchmarkAckWindowFeed"},
 }
 
+// methodsAllow names an exported method of an exported root type (Type.Method)
+// that no program outside the root package names or reaches through an
+// interface, with the reason it stays. An entry that a program reaches now,
+// or that no longer exists, fails the check.
+var methodsAllow = map[string]string{
+	"LocalMiner.AttachMetrics": "Serve calls it for ServeConfig.Obs, which farmerd sets; the in-process miner's way onto a registry",
+	"LocalMiner.Metrics":       "public API: reads back the registry AttachMetrics attached",
+	"RemoteMiner.Flush":        "the WithAckWindow barrier: a windowed writer observes its acks only through it (BenchmarkAckWindowFeed)",
+}
+
 // TestOptionsHaveCallers: a knob nobody turns is a bug. The option
 // constructors are the exported root funcs returning the func type that an
 // exported func takes variadically (Open's Option, Dial's DialOption); the
@@ -472,7 +483,9 @@ var optionsAllow = map[string]struct{ job, test string }{
 // constructor must be named, and each exported field written — a keyed
 // literal, an assignment, or its address taken — by non-test code outside
 // the root package (cmd/, examples/, bench/, internal/), or be in
-// optionsAllow.
+// optionsAllow. The same rule holds the root's exported methods: each is
+// named by such code, implements a method of an exported root interface
+// (Miner) or of an interface such code calls, or is in methodsAllow.
 func TestOptionsHaveCallers(t *testing.T) {
 	l, err := reachLoad()
 	if err != nil {
@@ -589,6 +602,65 @@ func TestOptionsHaveCallers(t *testing.T) {
 			t.Errorf("farmer.%s is set by no program in cmd/, examples/, bench/ or internal/: give it a caller, delete it, or list it in optionsAllow with the CI job whose test sets it", name)
 		}
 	}
+	// Methods: an exported method of an exported root type is named by such
+	// code, or implements a method of an interface such code names or of an
+	// exported root interface (Miner: the public contract itself).
+	var ifaceUsed []*types.Func
+	for o := range set {
+		if f, ok := o.(*types.Func); ok {
+			if recv := f.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				ifaceUsed = append(ifaceUsed, f)
+			}
+		}
+	}
+	for _, name := range root.Scope().Names() {
+		if o, ok := root.Scope().Lookup(name).(*types.TypeName); ok && o.Exported() {
+			if it, ok := o.Type().Underlying().(*types.Interface); ok {
+				for i := 0; i < it.NumMethods(); i++ {
+					ifaceUsed = append(ifaceUsed, it.Method(i))
+				}
+			}
+		}
+	}
+	implemented := func(m *types.Func, typ *types.Named) bool {
+		for _, im := range ifaceUsed {
+			it := im.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+			if im.Name() == m.Name() && types.Implements(types.NewPointer(typ), it) {
+				return true
+			}
+		}
+		return false
+	}
+	methods := map[string]bool{}
+	for _, f := range funcs {
+		recv := f.Type().(*types.Signature).Recv()
+		if recv == nil || !f.Exported() {
+			continue
+		}
+		typ := recv.Type()
+		if p, ok := typ.(*types.Pointer); ok {
+			typ = p.Elem()
+		}
+		named := typ.(*types.Named)
+		name := named.Obj().Name() + "." + f.Name()
+		methods[name] = true
+		_, allowed := methodsAllow[name]
+		switch reached := set[f] || implemented(f, named); {
+		case reached && allowed:
+			t.Errorf("methodsAllow[%q] is stale: a program reaches it now", name)
+		case !reached && !allowed:
+			t.Errorf("farmer.%s is named by no program in cmd/, examples/, bench/ or internal/, nor reached through an interface one calls: give it a caller, delete it, or list it in methodsAllow with its reason", name)
+		}
+	}
+	for name, why := range methodsAllow {
+		switch {
+		case why == "":
+			t.Errorf("methodsAllow[%q] states no reason", name)
+		case !methods[name]:
+			t.Errorf("methodsAllow[%q] is stale: no such exported method", name)
+		}
+	}
+
 	ci, err := os.ReadFile(".github/workflows/ci.yml")
 	if err != nil {
 		t.Fatal(err)

@@ -6,60 +6,13 @@ import (
 
 	"farmer/internal/core"
 	"farmer/internal/kvstore"
-	"farmer/internal/replica"
 	"farmer/internal/rpc"
 )
 
 // This file is the miner half of farmerd replication (the serving half
 // lives in serve.go, the stream itself in internal/rpc): cutting the
-// catch-up checkpoint a follower bootstraps from, installing one on the
-// follower side, and the replica-group manager whose group-atomic backup
-// cuts (paper §4.3) ride the replication stream.
-
-// ReplicaGroupsInfo summarises a miner's replica-group state. Fingerprint
-// covers every group's membership and backup version; a replication primary
-// and its follower agree on it iff their group backups are identical.
-type ReplicaGroupsInfo struct {
-	Fingerprint uint64
-	Groups      int
-	Versions    uint64 // total backup cuts across all groups
-}
-
-// BackupGroups rebuilds the miner's replica groups from its current mined
-// state — files whose mutual correlation degree clears minDegree share a
-// group over [0, fileCount) — and atomically cuts a backup version of every
-// group (paper §4.3: strongly-correlated files are backed up together or
-// not at all). On a miner served with followers, the cut is replicated so
-// every follower executes the identical operation at the identical stream
-// position; see ServeConfig.ReplicateTo.
-func (m *LocalMiner) BackupGroups(fileCount int, minDegree float64) (ReplicaGroupsInfo, error) {
-	mgr := m.replicaManager()
-	if err := mgr.Rebuild(m.sm, fileCount, minDegree); err != nil {
-		return ReplicaGroupsInfo{}, err
-	}
-	mgr.BackupAll()
-	return m.ReplicaGroups(), nil
-}
-
-// ReplicaGroups reports the current replica-group state without rebuilding
-// or cutting — the verification read both ends of a replicated pair answer.
-func (m *LocalMiner) ReplicaGroups() ReplicaGroupsInfo {
-	mgr := m.replicaManager()
-	return ReplicaGroupsInfo{
-		Fingerprint: mgr.Fingerprint(),
-		Groups:      mgr.Groups(),
-		Versions:    mgr.VersionTotal(),
-	}
-}
-
-func (m *LocalMiner) replicaManager() *replica.Manager {
-	m.gmu.Lock()
-	defer m.gmu.Unlock()
-	if m.groups == nil {
-		m.groups = replica.NewManager()
-	}
-	return m.groups
-}
+// catch-up checkpoint a follower bootstraps from, and installing one on the
+// follower side.
 
 // catchupCut snapshots the miner's complete mined state — lists, vectors,
 // correlation graph, lookahead window and ingest position — into one

@@ -6,12 +6,14 @@ import (
 	"io"
 	"net"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"farmer"
+	"farmer/internal/replica"
 )
 
 // startServe runs farmer.Serve on a loopback listener and returns the
@@ -202,6 +204,214 @@ func (r *relay) sever() {
 
 func (r *relay) Close() { r.lis.Close(); r.sever() }
 
+// holdProxy forwards a primary's replication links to its follower and can
+// hold them: while held, the bytes toward the follower wait in the proxy.
+// release delivers them and then closes the links — a primary's last frame
+// reaching its follower before the primary's death does.
+type holdProxy struct {
+	lis     net.Listener
+	backend string
+
+	mu    sync.Mutex
+	held  bool
+	links []*heldLink
+}
+
+type heldLink struct {
+	c, up net.Conn
+	queue []byte // primary→follower bytes kept by the hold
+}
+
+func newHoldProxy(t *testing.T, backend string) *holdProxy {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &holdProxy{lis: lis, backend: backend}
+	go p.accept()
+	t.Cleanup(func() { lis.Close(); p.closeLinks() })
+	return p
+}
+
+func (p *holdProxy) accept() {
+	for {
+		c, err := p.lis.Accept()
+		if err != nil {
+			return
+		}
+		up, err := net.Dial("tcp", p.backend)
+		if err != nil {
+			c.Close()
+			continue
+		}
+		l := &heldLink{c: c, up: up}
+		p.mu.Lock()
+		p.links = append(p.links, l)
+		p.mu.Unlock()
+		go func() { _, _ = io.Copy(c, up); c.Close() }()
+		go p.forward(l)
+	}
+}
+
+// forward copies one link's primary→follower bytes, queueing them while the
+// proxy holds.
+func (p *holdProxy) forward(l *heldLink) {
+	buf := make([]byte, 32<<10)
+	for {
+		n, err := l.c.Read(buf)
+		p.mu.Lock()
+		if p.held {
+			l.queue = append(l.queue, buf[:n]...)
+		} else if _, werr := l.up.Write(buf[:n]); err == nil {
+			err = werr
+		}
+		p.mu.Unlock()
+		if err != nil {
+			return
+		}
+	}
+}
+
+func (p *holdProxy) hold() {
+	p.mu.Lock()
+	p.held = true
+	p.mu.Unlock()
+}
+
+// release delivers what the hold kept, waits until settled reports that the
+// follower has applied it, and closes every link.
+func (p *holdProxy) release(t *testing.T, settled func() bool) {
+	t.Helper()
+	p.mu.Lock()
+	p.held = false
+	for _, l := range p.links {
+		if _, err := l.up.Write(l.queue); err != nil {
+			t.Errorf("delivering the held bytes: %v", err)
+		}
+		l.queue = nil
+	}
+	p.mu.Unlock()
+	for deadline := time.Now().Add(10 * time.Second); !settled(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the follower never applied the held frame")
+		}
+	}
+	p.closeLinks()
+}
+
+func (p *holdProxy) closeLinks() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, l := range p.links {
+		l.c.Close()
+		l.up.Close()
+	}
+}
+
+// resumeAfterHeldLink drives the in-doubt resume idiom over a schedule in
+// which the resume point can still move: a primary replicates to a follower
+// through a link that holds the primary's second chunk, the client loses
+// the primary with that chunk in doubt, and reads Stats while the follower
+// — not yet promotable — has not mined it. A number read then is not final:
+// the follower mines the chunk once the link delivers it, promotes once the
+// link closes, and a resume from the number mines the chunk twice. Stats
+// must answer an error until a writable server exists, then that server's
+// Fed. fail surfaces the in-doubt error: a synchronous FeedBatch's, or a
+// windowed client's failed Flush.
+func resumeAfterHeldLink(t *testing.T, window int, fail func(c *farmer.RemoteMiner, chunk []farmer.Record) error) {
+	tr, err := farmer.Generate(farmer.HP(3000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := farmer.ConfigFor(tr)
+	ctx := context.Background()
+	follower, err := farmer.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	fAddr, fStop := startServe(t, follower, farmer.ServeConfig{Follower: true})
+	defer fStop()
+	link := newHoldProxy(t, fAddr)
+
+	primary, err := farmer.Open(cfg, farmer.WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	pAddr, pStop := startServe(t, primary, farmer.ServeConfig{ReplicateTo: []string{link.lis.Addr().String()}})
+	defer pStop()
+	front := newRelay(t, pAddr)
+	defer front.Close()
+
+	client, err := farmer.Dial(ctx, front.lis.Addr().String(), farmer.WithFailover(fAddr), farmer.WithAckWindow(window))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if err := client.FeedBatch(ctx, tr.Records[:1000]); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	fedOf := func(m *farmer.LocalMiner) uint64 { st, _ := m.Stats(ctx); return st.Fed }
+
+	link.hold()
+	failed := make(chan error, 1)
+	go func() { failed <- fail(client, tr.Records[1000:2000]) }()
+	for deadline := time.Now().Add(10 * time.Second); fedOf(primary) != 2000; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the primary never mined the second chunk")
+		}
+	}
+	front.Close() // the client loses the primary, the second chunk unacked
+	if err := <-failed; !errors.Is(err, farmer.ErrDisconnected) {
+		t.Fatalf("in-doubt write failed with %v, want ErrDisconnected", err)
+	}
+
+	st, err := client.Stats(ctx)
+	link.release(t, func() bool { return fedOf(follower) == 2000 })
+	if err == nil && st.Fed != 2000 {
+		t.Errorf("Stats read Fed %d while the follower could still move; it settled at 2000", st.Fed)
+	}
+	if err != nil {
+		if st, err = client.Stats(ctx); err != nil {
+			t.Fatalf("Stats with a writable survivor: %v", err)
+		}
+	}
+	if err := client.FeedBatch(ctx, tr.Records[st.Fed:]); err != nil {
+		t.Fatalf("resuming from %d: %v", st.Fed, err)
+	}
+	if err := client.Flush(ctx); err != nil {
+		t.Fatalf("resuming from %d: %v", st.Fed, err)
+	}
+	if got := fedOf(follower); got != 3000 {
+		t.Fatalf("survivor fed %d, want 3000", got)
+	}
+}
+
+// TestStatsAfterInDoubtWriteIsFinal: after a synchronous FeedBatch fails
+// with ErrDisconnected, Stats reads only a Fed that can no longer move.
+func TestStatsAfterInDoubtWriteIsFinal(t *testing.T) {
+	resumeAfterHeldLink(t, 1, func(c *farmer.RemoteMiner, chunk []farmer.Record) error {
+		return c.FeedBatch(context.Background(), chunk)
+	})
+}
+
+// TestStatsAfterFailedFlushIsFinal is the windowed twin: the chunk rides a
+// WithAckWindow(8) window, and Flush reports it in doubt.
+func TestStatsAfterFailedFlushIsFinal(t *testing.T) {
+	resumeAfterHeldLink(t, 8, func(c *farmer.RemoteMiner, chunk []farmer.Record) error {
+		ctx := context.Background()
+		if err := c.FeedBatch(ctx, chunk); err != nil {
+			return err
+		}
+		return c.Flush(ctx)
+	})
+}
+
 // TestDialReconnectsAfterTransientError: the bugfix proper. A connection
 // fault mid-stream used to poison the client forever (every later call
 // returned the stale transport error); the failover client must redial the
@@ -332,10 +542,28 @@ func TestRemoteSaveBoundedByCheckpointTimeout(t *testing.T) {
 	}
 }
 
-// TestReplicatedGroupBackups: a group-backup cut on the primary rides the
-// replication stream, so the follower's replica-group fingerprint — groups
-// AND backup versions — matches the primary's exactly (paper §4.3 backup
-// atomicity, verified across processes).
+// groupsOf builds the paper's §4.3 replica groups over m's mined state and
+// returns each group's members, by group id.
+func groupsOf(t *testing.T, m replica.Source, fileCount int) [][]farmer.FileID {
+	t.Helper()
+	mgr := replica.NewManager()
+	if err := mgr.BuildGroups(m, fileCount, 0.4); err != nil {
+		t.Fatal(err)
+	}
+	groups := make([][]farmer.FileID, mgr.Groups())
+	for g := range groups {
+		groups[g] = mgr.Members(replica.GroupID(g))
+	}
+	if len(groups) == 0 || len(groups) >= fileCount {
+		t.Fatalf("%d groups over %d files: no multi-member group", len(groups), fileCount)
+	}
+	return groups
+}
+
+// TestReplicatedGroupBackups: replica groups are a function of replicated
+// state, so they are derived on each end, not shipped. A follower caught up
+// by a full cut and then fed by the stream builds, at the primary's
+// position, exactly the primary's groups.
 func TestReplicatedGroupBackups(t *testing.T) {
 	tr, err := farmer.Generate(farmer.HP(6000))
 	if err != nil {
@@ -357,6 +585,11 @@ func TestReplicatedGroupBackups(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer primary.Close()
+	// Half the trace is mined before the follower attaches: it reaches the
+	// follower in the catch-up cut, the other half on the stream.
+	if err := primary.FeedBatch(ctx, tr.Records[:3000]); err != nil {
+		t.Fatal(err)
+	}
 	pAddr, pStop := startServe(t, primary, farmer.ServeConfig{ReplicateTo: []string{fAddr}})
 	defer pStop()
 
@@ -365,79 +598,49 @@ func TestReplicatedGroupBackups(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if err := client.FeedBatch(ctx, tr.Records); err != nil {
+	if err := client.FeedBatch(ctx, tr.Records[3000:]); err != nil {
 		t.Fatal(err)
 	}
-	info, err := client.BackupGroups(ctx, tr.FileCount, 0.4)
-	if err != nil {
-		t.Fatal(err)
+	pst, _ := primary.Stats(ctx)
+	fst, _ := follower.Stats(ctx)
+	if pst.Fed != 6000 || fst.Fed != pst.Fed {
+		t.Fatalf("follower fed %d, primary %d: not at equal position", fst.Fed, pst.Fed)
 	}
-	if info.Groups == 0 || info.Versions == 0 {
-		t.Fatalf("no groups cut: %+v", info)
-	}
-
-	fclient, err := farmer.Dial(ctx, fAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fclient.Close()
-	finfo, err := fclient.ReplicaGroups(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if finfo != info {
-		t.Fatalf("follower groups %+v != primary %+v", finfo, info)
-	}
-	// A second cut advances versions identically on both ends.
-	info2, err := client.BackupGroups(ctx, tr.FileCount, 0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info2.Versions != info.Versions+uint64(info2.Groups) {
-		t.Fatalf("second cut versions %d, want %d", info2.Versions, info.Versions+uint64(info2.Groups))
-	}
-	finfo2, err := fclient.ReplicaGroups(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if finfo2 != info2 {
-		t.Fatalf("follower groups after second cut %+v != primary %+v", finfo2, info2)
-	}
-	// The mutating form is refused on the follower.
-	if _, err := fclient.BackupGroups(ctx, tr.FileCount, 0.4); !errors.Is(err, farmer.ErrNotPrimary) {
-		t.Fatalf("follower accepted a mutating groups op: %v", err)
+	if got, want := groupsOf(t, follower, tr.FileCount), groupsOf(t, primary, tr.FileCount); !reflect.DeepEqual(got, want) {
+		t.Fatalf("follower built %d groups, primary %d, with different members", len(got), len(want))
 	}
 }
 
-// TestLocalMinerGroupsSurface: the in-process §4.3 surface — rebuild, cut,
-// read — without any wire in between.
+// TestLocalMinerGroupsSurface: a store-backed miner reopened with WithLoad
+// builds the same replica groups it built before the restart — the groups
+// need nothing the checkpoint does not hold.
 func TestLocalMinerGroupsSurface(t *testing.T) {
 	tr, err := farmer.Generate(farmer.HP(3000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := farmer.Open(farmer.ConfigFor(tr), farmer.WithShards(2))
+	cfg, path := farmer.ConfigFor(tr), filepath.Join(t.TempDir(), "store.wal")
+	m, err := farmer.Open(cfg, farmer.WithShards(2), farmer.WithStore(path))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
 	ctx := context.Background()
-	for i := range tr.Records[:100] {
-		if err := m.Feed(ctx, &tr.Records[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := m.FeedBatch(ctx, tr.Records[100:]); err != nil {
+	if err := m.FeedBatch(ctx, tr.Records); err != nil {
 		t.Fatal(err)
 	}
-	info, err := m.BackupGroups(tr.FileCount, 0.4)
+	want := groupsOf(t, m, tr.FileCount)
+	if err := m.Save(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := farmer.Open(cfg, farmer.WithShards(2), farmer.WithStore(path), farmer.WithLoad())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Groups == 0 || info.Versions == 0 || info.Fingerprint == 0 {
-		t.Fatalf("no groups cut: %+v", info)
-	}
-	if got := m.ReplicaGroups(); got != info {
-		t.Fatalf("read-back %+v != cut %+v", got, info)
+	defer reopened.Close()
+	if got := groupsOf(t, reopened, tr.FileCount); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened miner built %d groups, %d before the restart, with different members", len(got), len(want))
 	}
 }

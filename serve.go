@@ -725,44 +725,6 @@ func (b *serveBackend) Replicate(conn uint64, pos uint64, recs []trace.Record) e
 	return nil
 }
 
-func (b *serveBackend) ReplicateGroups(conn uint64, pos uint64, req rpc.GroupsReq) error {
-	if err := b.replicated(conn, pos); err != nil {
-		return err
-	}
-	_, err := b.m.BackupGroups(req.FileCount, req.MinDegree)
-	return err
-}
-
-func (b *serveBackend) Groups(req rpc.GroupsReq) (rpc.GroupsInfo, error) {
-	if req.Read {
-		return groupsInfo(b.m.ReplicaGroups()), nil
-	}
-	if err := b.writable(); err != nil {
-		return rpc.GroupsInfo{}, err
-	}
-	run := func() error {
-		_, err := b.m.BackupGroups(req.FileCount, req.MinDegree)
-		return err
-	}
-	var err error
-	if repl := b.replicator(); repl != nil {
-		// The cut rides the replication stream at the current position, so
-		// every follower executes it at the same record boundary and the
-		// group fingerprints stay comparable.
-		err = repl.Groups(context.Background(), req, run)
-	} else {
-		err = run()
-	}
-	if err != nil {
-		return rpc.GroupsInfo{}, err
-	}
-	return groupsInfo(b.m.ReplicaGroups()), nil
-}
-
-func groupsInfo(gi ReplicaGroupsInfo) rpc.GroupsInfo {
-	return rpc.GroupsInfo{Fingerprint: gi.Fingerprint, Groups: gi.Groups, Versions: gi.Versions}
-}
-
 func (b *serveBackend) ConnClosed(conn uint64) {
 	if b.unpinSource(conn) {
 		b.logf("primary replication link lost; this follower is now promotable")
