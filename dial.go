@@ -16,9 +16,12 @@ import (
 // RemoteMiner is a Miner served by one or more farmerd processes reached
 // over the wire protocol (internal/rpc): every call is a pipelined request
 // on one connection, so concurrent callers share the link without
-// head-of-line blocking on each other's round trips. Mined degrees cross
-// the wire as exact float64 bit patterns — a remote miner fingerprints
-// identically to the local miner it serves.
+// head-of-line blocking on each other's round trips. A write is acked when
+// it returns: Feed is one round trip per record, and a streaming caller
+// buffers records and sends them with FeedBatch, whose nil return acks
+// the whole batch. Mined degrees cross the wire as exact float64 bit
+// patterns — a remote miner fingerprints identically to the local miner it
+// serves.
 //
 // # Failover
 //
@@ -53,7 +56,6 @@ import (
 type RemoteMiner struct {
 	addrs []string
 	opts  rpc.DialOptions // tenant binding, token, TLS — re-applied on every redial
-	ackN  int             // WithAckWindow: in-flight feed frames (<= 1 = synchronous)
 
 	mu     sync.Mutex
 	c      *rpc.Client // current connection, nil after a drop
@@ -61,12 +63,6 @@ type RemoteMiner struct {
 	closed bool
 
 	inDoubt atomic.Bool // a write failed in doubt: Stats finds a writable server first
-
-	// The windowed-feed state (WithAckWindow): one ack window per
-	// connection, recreated whenever the connection changes so a stale
-	// window can never resolve acks against a replaced client.
-	win  *rpc.AckWindow
-	winC *rpc.Client // the connection win was created on
 }
 
 var _ Miner = (*RemoteMiner)(nil)
@@ -75,9 +71,8 @@ var _ Miner = (*RemoteMiner)(nil)
 type DialOption func(*dialConfig) error
 
 type dialConfig struct {
-	failover  []string
-	opts      rpc.DialOptions
-	ackWindow int
+	failover []string
+	opts     rpc.DialOptions
 }
 
 // WithTenant binds the client to one tenant: every frame it sends carries
@@ -124,35 +119,6 @@ func WithDialTLS(cfg *tls.Config) DialOption {
 	}
 }
 
-// WithAckWindow(n), for n >= 2, puts the client's Feed and FeedBatch into
-// windowed-ack mode: up to n frames stay in flight on the pipelined
-// connection and their acks are resolved asynchronously, so a streaming
-// feeder pays pipeline throughput instead of one round trip per acked call
-// (the replication stream's ack-window machinery, applied client-side).
-// n <= 1 keeps the default synchronous acked path, where a server's error
-// surfaces from the Feed that caused it.
-//
-// The acked-feed contract is preserved at a coarser barrier: a nil Feed
-// means the record was handed to the window, and Flush is the barrier that
-// makes every handed-over record mean what a synchronous ack means (on a
-// replicated deployment: mined AND held by every live follower). On any
-// failure the window poisons — the first failed ack is sticky, later Feeds
-// fail fast without sending, and nothing is silently re-sent. The caller
-// recovers exactly as from a synchronous in-doubt write: Flush (or the
-// failed Feed) surfaces the first error, Stats().Fed — read from a writable
-// server, so final — is the exact resume point, and the stream is re-sent
-// from there.
-// Call Flush before Close to observe the final acks.
-func WithAckWindow(n int) DialOption {
-	return func(dc *dialConfig) error {
-		if n < 0 {
-			return fmt.Errorf("farmer: WithAckWindow(%d): negative window", n)
-		}
-		dc.ackWindow = n
-		return nil
-	}
-}
-
 // Dial connects to a farmerd at addr (or, when it is unreachable, the
 // first reachable WithFailover address) and returns the remote miner. ctx
 // bounds the connection attempts only; per-call deadlines come from the
@@ -170,7 +136,7 @@ func Dial(ctx context.Context, addr string, opts ...DialOption) (*RemoteMiner, e
 			return nil, err
 		}
 	}
-	m := &RemoteMiner{addrs: dc.failover, opts: dc.opts, ackN: dc.ackWindow}
+	m := &RemoteMiner{addrs: dc.failover, opts: dc.opts}
 	if _, err := m.connLocked(ctx); err != nil { // nobody else holds m yet
 		return nil, err
 	}
@@ -335,111 +301,6 @@ func (m *RemoteMiner) drop(c *rpc.Client) {
 	c.Close()
 }
 
-// ackWindow returns the current connection's ack window, connecting first
-// if the last connection died. The window is recreated whenever the
-// connection changed underneath it — a concurrent reader may have redialed.
-// The replaced window is settled outside m.mu like a Flush, and its first
-// failure returned: the frames it held are in doubt, so the caller resumes
-// from Stats().Fed.
-func (m *RemoteMiner) ackWindow(ctx context.Context) (*rpc.AckWindow, *rpc.Client, error) {
-	m.mu.Lock()
-	c, err := m.connLocked(ctx)
-	if err != nil {
-		m.mu.Unlock()
-		return nil, nil, err
-	}
-	old, oldC := m.win, m.winC
-	if old == nil || oldC != c {
-		m.win, m.winC = c.NewAckWindow(m.ackN), c
-	}
-	w := m.win
-	m.mu.Unlock()
-	if old != nil && old != w {
-		if err := m.flushWindow(ctx, old, oldC); err != nil {
-			return nil, nil, err
-		}
-	}
-	return w, c, nil
-}
-
-// windowed runs one windowed-feed operation and, on failure, settles the
-// window through flushWindow. The error always surfaces: frames acked before
-// the failure may have been applied, so the stream is in doubt and nothing
-// is re-sent here.
-func (m *RemoteMiner) windowed(ctx context.Context, fn func(w *rpc.AckWindow) error) error {
-	w, c, err := m.ackWindow(ctx)
-	if err != nil {
-		return err
-	}
-	if err := fn(w); err == nil {
-		return nil
-	}
-	if err = m.flushWindow(ctx, w, c); err != nil {
-		return err
-	}
-	// The operation failed but the drain saw only clean acks — a ctx expiry
-	// inside the operation, typically. The stream is still in doubt (the
-	// expired wait abandoned its ack), so report it.
-	m.forgetWindow(w)
-	if err = ctx.Err(); err == nil {
-		err = rpc.ErrDisconnected
-	}
-	return err
-}
-
-// flushWindow collects w's in-flight acks and returns its first failure,
-// after repositioning the client for the caller's resume-from-Stats().Fed
-// replay: the poisoned window is discarded, a dead connection is dropped
-// (the next call reconnects), and — because ErrNotPrimary or ErrStaleEpoch
-// means the refused frames were definitely NOT applied — a best-effort
-// promotion sweep runs so the replay lands on a writable server.
-func (m *RemoteMiner) flushWindow(ctx context.Context, w *rpc.AckWindow, c *rpc.Client) error {
-	err := w.Flush(ctx)
-	if err == nil {
-		return nil
-	}
-	m.forgetWindow(w)
-	if errors.Is(err, rpc.ErrDisconnected) {
-		m.drop(c)
-	}
-	if refusedUnapplied(err) {
-		_ = m.seekWritable(ctx)
-	}
-	return err
-}
-
-// forgetWindow discards a poisoned window (if still current) and marks the
-// stream in doubt; the next windowed call builds a fresh window on whatever
-// connection is current then.
-func (m *RemoteMiner) forgetWindow(w *rpc.AckWindow) {
-	m.mu.Lock()
-	if m.win == w {
-		m.win, m.winC = nil, nil
-	}
-	m.mu.Unlock()
-	m.inDoubt.Store(true)
-}
-
-// Flush is the windowed-ack barrier (WithAckWindow): it blocks until every
-// in-flight feed frame is acked and returns the window's first failure,
-// after which the caller resumes from Stats().Fed. On a miner without a
-// window — or with nothing in flight — it returns nil immediately. Call it
-// before Close to observe the final acks, and at every point where "fed"
-// must mean "acked" (a checkpoint cut, a journal truncation).
-func (m *RemoteMiner) Flush(ctx context.Context) error {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return rpc.ErrClientClosed
-	}
-	w, c := m.win, m.winC
-	m.mu.Unlock()
-	if w == nil {
-		return nil
-	}
-	return m.flushWindow(ctx, w, c)
-}
-
 // do runs one call with reconnect-and-failover: at most one attempt per
 // configured address after the initial failure, so a dead cluster fails
 // fast instead of retrying forever. retryDisconnected says whether the call
@@ -507,25 +368,14 @@ func (m *RemoteMiner) Ping(ctx context.Context) (time.Duration, error) {
 // Feed implements Miner: one record, one acked round trip. On a replicated
 // deployment the ack additionally means every live follower holds the
 // record (see Serve), so an acked Feed survives the primary.
-//
-// Dialed WithAckWindow(n >= 2), Feed instead hands the record to the ack
-// window — up to n frames stay in flight and a nil return means "accepted
-// into the window"; Flush is the barrier that makes it mean "acked".
 func (m *RemoteMiner) Feed(ctx context.Context, r *Record) error {
-	if m.ackN > 1 {
-		return m.windowed(ctx, func(w *rpc.AckWindow) error { return w.Feed(ctx, r) })
-	}
 	return m.do(ctx, false, func(c *rpc.Client) error { return c.Feed(ctx, r) })
 }
 
 // FeedBatch implements Miner: the whole batch travels as one frame (split
 // only above the frame bound) and the server mines it with all shards in
-// parallel before acking. Dialed WithAckWindow(n >= 2), the batch's frames
-// ride the ack window like Feed's (see Flush).
+// parallel before acking, so a nil return acks every record.
 func (m *RemoteMiner) FeedBatch(ctx context.Context, records []Record) error {
-	if m.ackN > 1 {
-		return m.windowed(ctx, func(w *rpc.AckWindow) error { return w.FeedBatch(ctx, records) })
-	}
 	return m.do(ctx, false, func(c *rpc.Client) error { return c.FeedBatch(ctx, records) })
 }
 
@@ -645,7 +495,6 @@ func (m *RemoteMiner) Close() error {
 	m.closed = true
 	c := m.c
 	m.c = nil
-	m.win, m.winC = nil, nil
 	m.mu.Unlock()
 	if c == nil {
 		return nil

@@ -185,9 +185,8 @@ func TestServeCheckpointTicker(t *testing.T) {
 	}
 }
 
-// TestAckWindowAtMostOneIsSynchronous: WithAckWindow(0) and WithAckWindow(1)
-// are the synchronous path — an error the server returns surfaces from the
-// Feed that caused it, not from a later Flush.
+// TestAckWindowAtMostOneIsSynchronous: a client's Feed is synchronous — an
+// error the server returns surfaces from the Feed that caused it.
 func TestAckWindowAtMostOneIsSynchronous(t *testing.T) {
 	tr, err := farmer.Generate(farmer.HP(9000))
 	if err != nil {
@@ -218,18 +217,13 @@ func TestAckWindowAtMostOneIsSynchronous(t *testing.T) {
 		t.Fatalf("second batch: %v, want ErrTenantBudget", err)
 	}
 
-	for _, n := range []int{0, 1} {
-		m, err := farmer.Dial(ctx, addr, farmer.WithTenant("t"), farmer.WithAckWindow(n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Feed(ctx, &tr.Records[8192]); !errors.Is(err, farmer.ErrTenantBudget) {
-			t.Errorf("WithAckWindow(%d): Feed = %v, want the server's ErrTenantBudget from Feed itself", n, err)
-		}
-		if err := m.Flush(ctx); err != nil {
-			t.Errorf("WithAckWindow(%d): Flush = %v, want nil (nothing in flight)", n, err)
-		}
-		m.Close()
+	m, err := farmer.Dial(ctx, addr, farmer.WithTenant("t"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if err := m.Feed(ctx, &tr.Records[8192]); !errors.Is(err, farmer.ErrTenantBudget) {
+		t.Errorf("Feed = %v, want the server's ErrTenantBudget from Feed itself", err)
 	}
 }
 
@@ -296,11 +290,10 @@ func (p *swallowProxy) sever() {
 	}
 }
 
-// TestReplacedAckWindowReportsItsFrames: a windowed writer's connection dies
-// with frames in flight and a concurrent read redials before the writer's
-// next call. That call must not start a fresh window as if nothing were in
-// doubt: it reports the old window's failure (ErrDisconnected), and the
-// writer resumes from Stats().Fed to a complete stream.
+// TestReplacedAckWindowReportsItsFrames: a writer's connection dies with a
+// Feed's ack lost, after the server mined the record. The Feed reports the
+// record in doubt (ErrDisconnected), a read redials, and the writer resumes
+// from Stats().Fed to a complete stream.
 func TestReplacedAckWindowReportsItsFrames(t *testing.T) {
 	tr, err := farmer.Generate(farmer.HP(300))
 	if err != nil {
@@ -315,36 +308,38 @@ func TestReplacedAckWindowReportsItsFrames(t *testing.T) {
 	defer stop()
 	proxy := newSwallowProxy(t, addr)
 	ctx := context.Background()
-	m, err := farmer.Dial(ctx, proxy.lis.Addr().String(), farmer.WithAckWindow(8))
+	m, err := farmer.Dial(ctx, proxy.lis.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
 
-	for i := 0; i < 3; i++ { // in the window; their acks are swallowed
-		if err := m.Feed(ctx, &tr.Records[i]); err != nil {
-			t.Fatal(err)
+	fed := make(chan error, 1)
+	go func() { fed <- m.Feed(ctx, &tr.Records[0]) }() // its ack is swallowed
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if st, _ := server.Stats(ctx); st.Fed == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the server never mined the record")
 		}
 	}
 	proxy.sever()
-	if _, err := m.Stats(ctx); err != nil { // the read redials
-		t.Fatalf("read did not reconnect: %v", err)
-	}
-	if err := m.Feed(ctx, &tr.Records[3]); !errors.Is(err, farmer.ErrDisconnected) {
-		t.Fatalf("Feed after a reader replaced the window's connection = %v, want ErrDisconnected for the unacked frames", err)
+	if err := <-fed; !errors.Is(err, farmer.ErrDisconnected) {
+		t.Fatalf("Feed whose ack was lost = %v, want ErrDisconnected", err)
 	}
 
-	st, err := m.Stats(ctx)
+	st, err := m.Stats(ctx) // the read redials
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("read did not reconnect: %v", err)
+	}
+	if st.Fed != 1 {
+		t.Fatalf("resume point %d, want 1: the server mined the record whose ack was lost", st.Fed)
 	}
 	for i := st.Fed; i < uint64(len(tr.Records)); i++ {
 		if err := m.Feed(ctx, &tr.Records[i]); err != nil {
 			t.Fatalf("resumed record %d: %v", i, err)
 		}
-	}
-	if err := m.Flush(ctx); err != nil {
-		t.Fatal(err)
 	}
 	if st, err := m.Stats(ctx); err != nil || st.Fed != uint64(len(tr.Records)) {
 		t.Fatalf("resumed stream fed %d (%v), want %d", st.Fed, err, len(tr.Records))

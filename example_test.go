@@ -88,11 +88,10 @@ func ExampleDial() {
 	// Output: after file 2, prefetch: [3]
 }
 
-// ExampleDial_ackWindow streams records one call at a time but keeps a
-// window of acks in flight, closing most of the acked-vs-batched throughput
-// gap. A nil Feed means submitted; the Flush barrier is what makes every
-// prior record acked and mined — after a failed Flush, resume from
-// Stats().Fed exactly as with the sequential client.
+// ExampleDial_ackWindow streams records without a round trip each: buffer
+// them and send the buffer with FeedBatch wherever "fed" must mean "acked"
+// (a full buffer, a checkpoint cut, the end of the stream). A nil FeedBatch
+// acks every buffered record; after a failed one, resume from Stats().Fed.
 func ExampleDial_ackWindow() {
 	server, err := farmer.Open(farmer.DefaultConfig(), farmer.WithShards(2))
 	if err != nil {
@@ -106,21 +105,23 @@ func ExampleDial_ackWindow() {
 	done := make(chan error, 1)
 	go func() { done <- farmer.Serve(ctx, lis, server, farmer.ServeConfig{}) }()
 
-	miner, err := farmer.Dial(context.Background(), lis.Addr().String(),
-		farmer.WithAckWindow(32))
+	miner, err := farmer.Dial(context.Background(), lis.Addr().String())
 	if err != nil {
 		log.Fatal(err)
 	}
-	recs := sequence(1, 2, 3)
-	for i := range recs {
-		// Sends immediately; blocks only when 32 acks are outstanding.
-		if err := miner.Feed(context.Background(), &recs[i]); err != nil {
-			log.Fatal(err)
+	var buf []farmer.Record
+	barrier := func() {
+		if err := miner.FeedBatch(context.Background(), buf); err != nil {
+			log.Fatal(err) // the buffer is in doubt: resume from Stats().Fed
+		}
+		buf = buf[:0]
+	}
+	for _, r := range sequence(1, 2, 3) {
+		if buf = append(buf, r); len(buf) == 32 {
+			barrier()
 		}
 	}
-	if err := miner.Flush(context.Background()); err != nil {
-		log.Fatal(err) // some submitted records are in doubt: resume from Stats().Fed
-	}
+	barrier()
 	st, err := miner.Stats(context.Background())
 	if err != nil {
 		log.Fatal(err)
@@ -129,7 +130,7 @@ func ExampleDial_ackWindow() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("acked after Flush:", st.Fed)
+	fmt.Println("acked:", st.Fed)
 	fmt.Println("after file 1, prefetch:", next)
 
 	miner.Close()
@@ -139,7 +140,7 @@ func ExampleDial_ackWindow() {
 	}
 	server.Close()
 	// Output:
-	// acked after Flush: 36
+	// acked: 36
 	// after file 1, prefetch: [2 3]
 }
 

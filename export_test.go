@@ -36,9 +36,13 @@ func (m *RemoteMiner) SeekWritable(ctx context.Context) error { return m.seekWri
 func (m *RemoteMiner) DropConn() {
 	m.mu.Lock()
 	c := m.c
-	m.c, m.win, m.winC = nil, nil, nil
+	m.c = nil
 	m.mu.Unlock()
 	if c != nil {
 		c.Close()
 	}
 }
+
+// AttachMetrics registers a miner's series into reg the way Serve does for
+// ServeConfig.Obs — for tests and benchmarks that scrape an in-process miner.
+func (m *LocalMiner) AttachMetrics(reg *MetricsRegistry) { m.attachMetrics(reg) }

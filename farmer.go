@@ -195,10 +195,9 @@ func RepairStore(path string) (kept int, dropped int64, err error) { return kvst
 
 // Observability layer, re-exported. A MetricsRegistry collects live
 // counters, gauges and histograms from every hot layer (ingest, prefetch,
-// replication, checkpoints, prediction) at zero hot-path cost; attach one
-// to a miner with LocalMiner.AttachMetrics and to a server with
-// ServeConfig.Obs, then render it with WritePrometheus/WriteJSON — the
-// body of farmerd's -metrics-addr endpoint.
+// replication, checkpoints, prediction) at zero hot-path cost; hand one to
+// a server with ServeConfig.Obs, then render it with
+// WritePrometheus/WriteJSON — the body of farmerd's -metrics-addr endpoint.
 type (
 	// MetricsRegistry is the live-metrics registry (internal/obs).
 	MetricsRegistry = obs.Registry

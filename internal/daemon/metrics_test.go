@@ -56,7 +56,7 @@ func metricValue(body, name string) (float64, bool) {
 }
 
 // TestMetricsEndpointLiveScrape scrapes /metrics continuously while a
-// windowed-ack client streams a live ingest at it: every monotone series
+// client streams a live ingest at it in acked batches: every monotone series
 // must never move backwards across scrapes (no torn reads — the scrape
 // path runs concurrently with the hot path under -race in CI), and the
 // final sample must account for exactly the fed trace.
@@ -76,7 +76,7 @@ func TestMetricsEndpointLiveScrape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := farmer.Dial(ctx, addr, farmer.WithAckWindow(8))
+	client, err := farmer.Dial(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestMetricsEndpointLiveScrape(t *testing.T) {
 				return
 			}
 		}
-		feedErr <- client.Flush(ctx)
+		feedErr <- nil
 	}()
 
 	// Scrape while the feed is live; monotone counters must never regress.
@@ -109,7 +109,7 @@ func TestMetricsEndpointLiveScrape(t *testing.T) {
 		select {
 		case err := <-feedErr:
 			if err != nil {
-				t.Fatalf("windowed feed: %v", err)
+				t.Fatalf("feed: %v", err)
 			}
 			feeding = false
 		default:

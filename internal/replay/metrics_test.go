@@ -2,7 +2,7 @@ package replay
 
 // Metrics smoke over a real replicated pair: the primary's /metrics endpoint
 // must account for the whole fed trace, see its follower, and report the
-// per-follower lag gauge back at zero once the windowed feed has drained.
+// per-follower lag gauge back at zero once the last batch is acked.
 // Runs in the CI failover job next to the SIGKILL proof.
 
 import (
@@ -83,7 +83,7 @@ func TestReplicationLagMetricsSmoke(t *testing.T) {
 
 	tr := tracegen.HP(8000).MustGenerate()
 	ctx := context.Background()
-	client, err := farmer.Dial(ctx, primary.addr, farmer.WithAckWindow(8))
+	client, err := farmer.Dial(ctx, primary.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,9 +95,6 @@ func TestReplicationLagMetricsSmoke(t *testing.T) {
 		if err := client.FeedBatch(ctx, tr.Records[lo:hi]); err != nil {
 			t.Fatalf("feed at record %d: %v", lo, err)
 		}
-	}
-	if err := client.Flush(ctx); err != nil {
-		t.Fatal(err)
 	}
 
 	// Every fed record is acked, and acks imply replication — the lag gauge

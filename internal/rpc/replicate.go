@@ -183,10 +183,10 @@ func (r *Replicator) Attach(ctx context.Context, addr string, cut func() (Catchu
 	w := window{c: c}
 	tail := cc
 	for len(tail.Snapshot) > maxCatchupChunk {
-		_ = w.start(ctx, MsgCatchupChunk, tail.Snapshot[:maxCatchupChunk])
+		_ = w.start(MsgCatchupChunk, tail.Snapshot[:maxCatchupChunk])
 		tail.Snapshot = tail.Snapshot[maxCatchupChunk:]
 	}
-	if err := w.start(ctx, MsgCatchup, appendCatchup(nil, &tail)); err != nil {
+	if err := w.start(MsgCatchup, appendCatchup(nil, &tail)); err != nil {
 		r.mu.Unlock()
 		c.Close()
 		return fmt.Errorf("rpc: attaching follower %s: %w", addr, err)
@@ -235,7 +235,7 @@ func (r *Replicator) attachDelta(ctx context.Context, addr string, c *Client) (d
 			d.Fingerprint, d.FileCount = r.fp()
 		}
 		pos += uint64(len(run))
-		return w.start(ctx, MsgCatchupDelta, appendCatchupDelta(nil, &d))
+		return w.start(MsgCatchupDelta, appendCatchupDelta(nil, &d))
 	})
 	if startErr != nil {
 		r.mu.Unlock()

@@ -8,27 +8,21 @@ import (
 
 // window is the one way this package keeps several frames in flight on a
 // connection: a FIFO of started requests whose acks are collected later, in
-// order. AckWindow bounds it (a full window reaps its oldest ack before the
-// next start); Client.FeedBatch and the Replicator's catch-up leave it
-// unbounded and flush at the end. The first failure — a start the
-// client refused, a refused or lost ack, a ctx expiry that abandons one — is
-// sticky: once one frame is unaccounted for everything after it is in doubt,
-// so later starts send nothing and return that error. Not safe for
-// concurrent use; each owner brings its own lock.
+// order, by flush. Its owners — Client.FeedBatch and the Replicator's
+// catch-ups — start every frame, then flush once. The first failure — a
+// start the client refused, a refused or lost ack, a ctx expiry that
+// abandons one — is sticky: once one frame is unaccounted for everything
+// after it is in doubt, so later starts send nothing and return that error.
+// Not safe for concurrent use; each owner brings its own lock.
 type window struct {
-	c     *Client
-	limit int // frames in flight before start reaps the oldest; 0 = no bound
+	c *Client
 
 	q   []*pending // in flight, oldest first
-	err error      // first failure, sticky until the owner clears it
+	err error      // first failure, sticky
 }
 
-// start sends one frame, first reaping the oldest acks while the window is
-// full. The body is copied, so the caller may reuse it.
-func (w *window) start(ctx context.Context, typ MsgType, body []byte) error {
-	for w.err == nil && w.limit > 0 && len(w.q) >= w.limit {
-		w.reap(ctx)
-	}
+// start sends one frame. The body is copied, so the caller may reuse it.
+func (w *window) start(typ MsgType, body []byte) error {
 	if w.err != nil {
 		return w.err
 	}
@@ -41,22 +35,16 @@ func (w *window) start(ctx context.Context, typ MsgType, body []byte) error {
 	return nil
 }
 
-// reap waits for the oldest in-flight ack.
-func (w *window) reap(ctx context.Context) {
-	p := w.q[0]
-	w.q = w.q[:copy(w.q, w.q[1:])]
-	if _, err := w.c.wait(ctx, p); err != nil && w.err == nil {
-		w.err = err
-	}
-}
-
-// flush collects every in-flight ack — all of them even after a failure, so
-// no response leaks into a later call's slot — and returns the first
-// failure, which stays sticky.
+// flush collects every in-flight ack, oldest first — all of them even after
+// a failure, so no response leaks into a later call's slot — and returns the
+// first failure, which stays sticky.
 func (w *window) flush(ctx context.Context) error {
-	for len(w.q) > 0 {
-		w.reap(ctx)
+	for _, p := range w.q {
+		if _, err := w.c.wait(ctx, p); err != nil && w.err == nil {
+			w.err = err
+		}
 	}
+	w.q = w.q[:0]
 	return w.err
 }
 

@@ -137,13 +137,11 @@ type LocalMiner struct {
 	// numbers whether or not a registry is attached); the padded counters
 	// cost one uncontended add per checkpoint. lastCkptMS is the unix-ms
 	// completion time of the last checkpoint (0 = never). ckptDur is nil
-	// until AttachMetrics.
+	// until attachMetrics.
 	ckptFull   obs.Counter
 	ckptDelta  obs.Counter
 	lastCkptMS atomic.Int64
 	ckptDur    *obs.Histogram
-
-	obsReg *obs.Registry // nil until AttachMetrics
 
 	closeOnce sync.Once
 	closeErr  error
@@ -194,18 +192,17 @@ func Open(cfg Config, opts ...Option) (*LocalMiner, error) {
 	return m, nil
 }
 
-// AttachMetrics registers the miner's live metrics into reg: ingest
+// attachMetrics registers the miner's live metrics into reg: ingest
 // position, model footprint, checkpoint age/epoch and full-vs-delta counts,
 // and (with WithPrefetcher) the pipeline's queue depth, drops and prediction
 // hit/accuracy. Metric updates on the hot path are free — everything the
 // registry reads is an atomic or a callback sampled only at scrape time.
 // Serve calls it with ServeConfig.Obs. Attaching twice, or attaching nil,
 // is a no-op.
-func (m *LocalMiner) AttachMetrics(reg *MetricsRegistry) {
-	if reg == nil || m.obsReg != nil {
+func (m *LocalMiner) attachMetrics(reg *MetricsRegistry) {
+	if reg == nil || m.ckptDur != nil {
 		return
 	}
-	m.obsReg = reg
 	m.ckptDur = reg.Histogram("farmer_checkpoint_duration_ms")
 	reg.CounterFunc("farmer_ingest_records_total", func() float64 { return float64(m.sm.Fed()) })
 	// The footprint estimate walks every list and vector under the model
@@ -242,9 +239,6 @@ func (m *LocalMiner) AttachMetrics(reg *MetricsRegistry) {
 		reg.CounterFunc("farmer_prefetch_dropped_total", func() float64 { return float64(m.pf.Stats().Dropped) })
 	}
 }
-
-// Metrics returns the attached registry, nil until AttachMetrics.
-func (m *LocalMiner) Metrics() *MetricsRegistry { return m.obsReg }
 
 // obsRow builds the miner's slice of a MsgObs response: footprint, prefetch
 // queue health, checkpoint history, prediction accuracy, and the top-k

@@ -71,16 +71,14 @@ var reachAllow = map[string]string{
 
 	// What a remaining test observes reachable behaviour through, or
 	// compares it against.
-	"rpc.NewClient":          "TestWireGoldenBytesLive, a fixed point, builds its client over a pipe through it",
-	"rpc.Client.Catchup":     "test oracle: the typed sender of MsgCatchup for replay's hostile-snapshot tests and TestWritabilityContract (the Replicator writes the frame itself)",
-	"rpc.Client.LeaseGrant":  "test oracle: the typed sender of MsgLeaseGrant for TestWritabilityContract and the lease wire tests (the Replicator writes the frame itself)",
-	"rpc.AckWindow.InFlight": "test oracle: the window bound is asserted through it",
-	"rpc.AckWindow.Err":      "test oracle: the sticky first failure is asserted through it",
-	"graph.Graph.Weight":     "test oracle: N_xy under core's refModel and the paper's LDA examples",
-	"graph.Graph.Total":      "test oracle: N_x under core's refModel",
-	"vsm.PathSimilarity":     "test oracle: the paper's Table 2 3/4 example and FuzzSimMatchesReference read the IPA path term alone through it",
-	"cache.LRU.Len":          "test oracle: the capacity bound is only observable through the resident count",
-	"hust.MDS.Cache":         "test oracle: what a prefetch installed is read from the server's cache",
+	"rpc.NewClient":         "TestWireGoldenBytesLive, a fixed point, builds its client over a pipe through it",
+	"rpc.Client.Catchup":    "test oracle: the typed sender of MsgCatchup for replay's hostile-snapshot tests and TestWritabilityContract (the Replicator writes the frame itself)",
+	"rpc.Client.LeaseGrant": "test oracle: the typed sender of MsgLeaseGrant for TestWritabilityContract and the lease wire tests (the Replicator writes the frame itself)",
+	"graph.Graph.Weight":    "test oracle: N_xy under core's refModel and the paper's LDA examples",
+	"graph.Graph.Total":     "test oracle: N_x under core's refModel",
+	"vsm.PathSimilarity":    "test oracle: the paper's Table 2 3/4 example and FuzzSimMatchesReference read the IPA path term alone through it",
+	"cache.LRU.Len":         "test oracle: the capacity bound is only observable through the resident count",
+	"hust.MDS.Cache":        "test oracle: what a prefetch installed is read from the server's cache",
 
 	// Called by the errors package through interfaces it does not name.
 	"rpc.refusal.Unwrap": "errors.Is and errors.As unwrap a refusal to its cause",
@@ -461,19 +459,14 @@ func reachRecvName(e ast.Expr) string {
 // no longer exists, whose job does not run its test, or whose test does not
 // name it fails the check.
 var optionsAllow = map[string]struct{ job, test string }{
-	"WithFailover":  {"failover-smoke", "TestFailoverSIGKILL"},
-	"WithAckWindow": {"bench-smoke", "BenchmarkAckWindowFeed"},
+	"WithFailover": {"failover-smoke", "TestFailoverSIGKILL"},
 }
 
 // methodsAllow names an exported method of an exported root type (Type.Method)
 // that no program outside the root package names or reaches through an
 // interface, with the reason it stays. An entry that a program reaches now,
 // or that no longer exists, fails the check.
-var methodsAllow = map[string]string{
-	"LocalMiner.AttachMetrics": "Serve calls it for ServeConfig.Obs, which farmerd sets; the in-process miner's way onto a registry",
-	"LocalMiner.Metrics":       "public API: reads back the registry AttachMetrics attached",
-	"RemoteMiner.Flush":        "the WithAckWindow barrier: a windowed writer observes its acks only through it (BenchmarkAckWindowFeed)",
-}
+var methodsAllow = map[string]string{}
 
 // TestOptionsHaveCallers: a knob nobody turns is a bug. The option
 // constructors are the exported root funcs returning the func type that an

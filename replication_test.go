@@ -317,9 +317,9 @@ func (p *holdProxy) closeLinks() {
 // the follower mines the chunk once the link delivers it, promotes once the
 // link closes, and a resume from the number mines the chunk twice. Stats
 // must answer an error until a writable server exists, then that server's
-// Fed. fail surfaces the in-doubt error: a synchronous FeedBatch's, or a
-// windowed client's failed Flush.
-func resumeAfterHeldLink(t *testing.T, window int, fail func(c *farmer.RemoteMiner, chunk []farmer.Record) error) {
+// Fed. fail surfaces the in-doubt error while sending tr.Records[1000:held]:
+// a FeedBatch's, or the first failed Feed's of a per-record stream.
+func resumeAfterHeldLink(t *testing.T, held uint64, fail func(c *farmer.RemoteMiner, chunk []farmer.Record) error) {
 	tr, err := farmer.Generate(farmer.HP(3000))
 	if err != nil {
 		t.Fatal(err)
@@ -345,7 +345,7 @@ func resumeAfterHeldLink(t *testing.T, window int, fail func(c *farmer.RemoteMin
 	front := newRelay(t, pAddr)
 	defer front.Close()
 
-	client, err := farmer.Dial(ctx, front.lis.Addr().String(), farmer.WithFailover(fAddr), farmer.WithAckWindow(window))
+	client, err := farmer.Dial(ctx, front.lis.Addr().String(), farmer.WithFailover(fAddr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,17 +353,14 @@ func resumeAfterHeldLink(t *testing.T, window int, fail func(c *farmer.RemoteMin
 	if err := client.FeedBatch(ctx, tr.Records[:1000]); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
 	fedOf := func(m *farmer.LocalMiner) uint64 { st, _ := m.Stats(ctx); return st.Fed }
 
 	link.hold()
 	failed := make(chan error, 1)
-	go func() { failed <- fail(client, tr.Records[1000:2000]) }()
-	for deadline := time.Now().Add(10 * time.Second); fedOf(primary) != 2000; time.Sleep(time.Millisecond) {
+	go func() { failed <- fail(client, tr.Records[1000:held]) }()
+	for deadline := time.Now().Add(10 * time.Second); fedOf(primary) != held; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("the primary never mined the second chunk")
+			t.Fatal("the primary never mined the held chunk")
 		}
 	}
 	front.Close() // the client loses the primary, the second chunk unacked
@@ -372,9 +369,9 @@ func resumeAfterHeldLink(t *testing.T, window int, fail func(c *farmer.RemoteMin
 	}
 
 	st, err := client.Stats(ctx)
-	link.release(t, func() bool { return fedOf(follower) == 2000 })
-	if err == nil && st.Fed != 2000 {
-		t.Errorf("Stats read Fed %d while the follower could still move; it settled at 2000", st.Fed)
+	link.release(t, func() bool { return fedOf(follower) == held })
+	if err == nil && st.Fed != held {
+		t.Errorf("Stats read Fed %d while the follower could still move; it settled at %d", st.Fed, held)
 	}
 	if err != nil {
 		if st, err = client.Stats(ctx); err != nil {
@@ -382,9 +379,6 @@ func resumeAfterHeldLink(t *testing.T, window int, fail func(c *farmer.RemoteMin
 		}
 	}
 	if err := client.FeedBatch(ctx, tr.Records[st.Fed:]); err != nil {
-		t.Fatalf("resuming from %d: %v", st.Fed, err)
-	}
-	if err := client.Flush(ctx); err != nil {
 		t.Fatalf("resuming from %d: %v", st.Fed, err)
 	}
 	if got := fedOf(follower); got != 3000 {
@@ -395,20 +389,21 @@ func resumeAfterHeldLink(t *testing.T, window int, fail func(c *farmer.RemoteMin
 // TestStatsAfterInDoubtWriteIsFinal: after a synchronous FeedBatch fails
 // with ErrDisconnected, Stats reads only a Fed that can no longer move.
 func TestStatsAfterInDoubtWriteIsFinal(t *testing.T) {
-	resumeAfterHeldLink(t, 1, func(c *farmer.RemoteMiner, chunk []farmer.Record) error {
+	resumeAfterHeldLink(t, 2000, func(c *farmer.RemoteMiner, chunk []farmer.Record) error {
 		return c.FeedBatch(context.Background(), chunk)
 	})
 }
 
-// TestStatsAfterFailedFlushIsFinal is the windowed twin: the chunk rides a
-// WithAckWindow(8) window, and Flush reports it in doubt.
+// TestStatsAfterFailedFlushIsFinal is the per-record twin: a stream of
+// synchronous Feeds loses the primary with one record in doubt.
 func TestStatsAfterFailedFlushIsFinal(t *testing.T) {
-	resumeAfterHeldLink(t, 8, func(c *farmer.RemoteMiner, chunk []farmer.Record) error {
-		ctx := context.Background()
-		if err := c.FeedBatch(ctx, chunk); err != nil {
-			return err
+	resumeAfterHeldLink(t, 1001, func(c *farmer.RemoteMiner, chunk []farmer.Record) error {
+		for i := range chunk {
+			if err := c.Feed(context.Background(), &chunk[i]); err != nil {
+				return err
+			}
 		}
-		return c.Flush(ctx)
+		return nil
 	})
 }
 

@@ -76,11 +76,10 @@ type ServeConfig struct {
 	Logf func(format string, args ...any)
 
 	// Obs, when non-nil, receives the server's live metrics: the miner's
-	// ingest/prefetch/checkpoint/prediction series (AttachMetrics), the wire
-	// layer's frame/byte/per-tenant-feed counters, and — on a replicating
-	// primary — per-follower replication lag. Render it with
-	// WritePrometheus/WriteJSON; farmerd's -metrics-addr endpoint is exactly
-	// that.
+	// ingest/prefetch/checkpoint/prediction series, the wire layer's
+	// frame/byte/per-tenant-feed counters, and — on a replicating primary —
+	// per-follower replication lag. Render it with WritePrometheus/WriteJSON;
+	// farmerd's -metrics-addr endpoint is exactly that.
 	Obs *MetricsRegistry
 
 	// TLS, when non-nil, serves the protocol over TLS on the listener —
@@ -779,7 +778,7 @@ func Serve(ctx context.Context, lis net.Listener, m *LocalMiner, cfg ServeConfig
 		}
 	}
 	if cfg.Obs != nil {
-		m.AttachMetrics(cfg.Obs)
+		m.attachMetrics(cfg.Obs)
 		if repl := backend.replicator(); repl != nil {
 			cfg.Obs.GaugeEach("farmer_repl_lag_records", func(emit obs.EmitFunc) {
 				for _, l := range repl.Lags() {
