@@ -136,10 +136,14 @@ const workingSetBatch = 1024
 // with ten times the groups and noise files, seed 7) and a 2-shard ensemble
 // that has mined it once in workingSetBatch-record batches: every file
 // tracked, every list and edge table grown.
-func workingSet() (*ShardedModel, *trace.Trace) {
-	p := tracegen.HP(192 * workingSetBatch)
-	p.Groups *= 10
-	p.NoiseFiles *= 10
+func workingSet() (*ShardedModel, *trace.Trace) { return population(10) }
+
+// population is workingSet at scale times HP's groups and noise files, over
+// scale/10 times its records: population(10) is the working set itself.
+func population(scale int) (*ShardedModel, *trace.Trace) {
+	p := tracegen.HP(192 * workingSetBatch * scale / 10)
+	p.Groups *= scale
+	p.NoiseFiles *= scale
 	p.Seed = 7
 	tr := p.MustGenerate()
 	cfg := DefaultConfig()

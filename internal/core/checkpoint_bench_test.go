@@ -2,10 +2,12 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"testing"
 
 	"farmer/internal/kvstore"
+	"farmer/internal/trace"
 	"farmer/internal/tracegen"
 	"farmer/internal/vsm"
 )
@@ -107,6 +109,41 @@ const deltaChunks = 8
 // CI fails the run when allocs/op exceeds 0.05 × puts/op.
 func BenchmarkCheckpointSaveDeltaWorkingSet(b *testing.B) {
 	sm, tr := workingSet()
+	benchDeltaSaves(b, sm, tr)
+}
+
+// BenchmarkCheckpointSaveDeltaPopulation is the same delta save at two
+// populations — the working set (x10: ~39k files) and ten times it (x100:
+// HP×100 over ten times the records, ~380k files) — with the same
+// deltaChunks batches between saves, so the dirty set stays about the size
+// it is and only what it is saved into grows: whether a delta's cost bends
+// with the population. Each ensemble is mined once per process, and one is
+// held at a time (x100 is about 0.9 GB).
+func BenchmarkCheckpointSaveDeltaPopulation(b *testing.B) {
+	for _, scale := range []int{10, 100} {
+		b.Run(fmt.Sprintf("x%d", scale), func(b *testing.B) {
+			if pop.scale != scale {
+				pop.sm, pop.tr = nil, nil // let the last one go before mining the next
+				pop.sm, pop.tr = population(scale)
+				pop.scale = scale
+			}
+			benchDeltaSaves(b, pop.sm, pop.tr)
+			b.ReportMetric(float64(pop.sm.Stats().TrackedFiles), "files")
+		})
+	}
+}
+
+// pop keeps BenchmarkCheckpointSaveDeltaPopulation's ensemble between the
+// calls the testing package makes of one sub-benchmark.
+var pop struct {
+	scale int
+	sm    *ShardedModel
+	tr    *trace.Trace
+}
+
+// benchDeltaSaves binds sm to a fresh store with a full save, then times
+// delta saves, each after deltaChunks batches of tr fed off the clock.
+func benchDeltaSaves(b *testing.B, sm *ShardedModel, tr *trace.Trace) {
 	s := benchStore(b)
 	if err := sm.SaveMerged(s); err != nil {
 		b.Fatal(err) // bind dirty tracking to the store

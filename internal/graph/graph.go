@@ -9,6 +9,7 @@ package graph
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"farmer/internal/trace"
@@ -60,7 +61,10 @@ func (c Config) Credit(dist int) float64 {
 
 // Edge is one successor relationship.
 type Edge struct {
-	To     trace.FileID
+	To trace.FileID
+	// rank is its node's id order, in what would be padding: while the node
+	// is ordered, Edges[i].rank is the slot of its i-th edge by id.
+	rank   uint8
 	Weight float64 // accumulated LDA credit N_xy
 }
 
@@ -78,6 +82,10 @@ type Node struct {
 	// Edges). Weights only grow and a full node never shrinks, so the weakest
 	// edge stays the weakest until it is itself credited or replaced.
 	victim int32
+	// ordered says the ranks hold the id order SortedByID last computed;
+	// only Add's append and replacement clear it (a credit moves no id).
+	// Edges keeps insertion order: the oldest successors lead Find's scan.
+	ordered bool
 }
 
 // Find returns the slot of the edge to the given file, -1 when there is none.
@@ -109,6 +117,7 @@ func (n *Node) Add(to trace.FileID, w float64, maxSuccessors int) int {
 		}
 		n.Edges = append(n.Edges, Edge{To: to, Weight: w})
 		n.victim = 0 // only a caller that raised maxSuccessors gets here with one remembered
+		n.ordered = false
 		return len(n.Edges) - 1
 	}
 	// Full: the weakest edge makes room, unless the new edge is no stronger.
@@ -127,26 +136,41 @@ func (n *Node) Add(to trace.FileID, w float64, maxSuccessors int) int {
 	victim := int(n.victim) - 1
 	if w > n.Edges[victim].Weight {
 		n.Edges[victim] = Edge{To: to, Weight: w}
-		n.victim = 0
+		n.victim, n.ordered = 0, false
 		return victim
 	}
 	return -1
 }
 
-// SortedByID copies the out-edges into dst's storage (grown when short) in
-// ascending file id order — the order a checkpoint writes them in. It sorts
-// each edge as one integer, its id above its slot: ids in a node are
-// distinct, so that is id order.
+// SortedByID copies the out-edges, rank 0, into dst's storage (grown when
+// short) in ascending id order — the order a checkpoint writes — leaving each
+// in its slot. It gathers them by the ranks, or first sorts each edge as one
+// integer, its id (distinct in a node) above its slot; a node of over 256
+// edges, more slots than a rank names, sorts every time.
 func (n *Node) SortedByID(dst []Edge) []Edge {
-	var keep [64]uint64 // the default MaxSuccessors: no allocation
-	keys := keep[:0]
-	for i, e := range n.Edges {
-		keys = append(keys, uint64(e.To)<<32|uint64(i))
-	}
-	slices.Sort(keys)
 	out := dst[:0]
-	for _, k := range keys {
-		out = append(out, n.Edges[uint32(k)])
+	if !n.ordered {
+		var keep [64]uint64 // the default MaxSuccessors: no allocation
+		keys := keep[:0]
+		for i, e := range n.Edges {
+			keys = append(keys, uint64(e.To)<<32|uint64(i))
+		}
+		slices.Sort(keys)
+		if len(keys) > math.MaxUint8+1 {
+			for _, k := range keys {
+				e := &n.Edges[uint32(k)]
+				out = append(out, Edge{To: e.To, Weight: e.Weight})
+			}
+			return out
+		}
+		for i, k := range keys {
+			n.Edges[i].rank = uint8(k)
+		}
+		n.ordered = true
+	}
+	for i := range n.Edges {
+		e := &n.Edges[n.Edges[i].rank]
+		out = append(out, Edge{To: e.To, Weight: e.Weight})
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"cmp"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -11,7 +12,8 @@ import (
 
 // refAdd is Node.Add as it was before a full node remembered its eviction
 // victim: it scans for the minimum on every miss. The oracle for the
-// remembered slot.
+// remembered slot. It writes Edges directly, behind the remembered id order's
+// back, so a node it builds never goes through SortedByID.
 func refAdd(n *Node, to trace.FileID, w float64, maxSuccessors int) int {
 	n.Total += w
 	if i := n.Find(to); i >= 0 {
@@ -36,21 +38,35 @@ func refAdd(n *Node, to trace.FileID, w float64, maxSuccessors int) int {
 	return -1
 }
 
+// byID is an independent sort: a clone of the node's edges in id order.
+func byID(n *Node) []Edge {
+	edges := slices.Clone(n.Edges)
+	slices.SortFunc(edges, func(a, b Edge) int { return cmp.Compare(a.To, b.To) })
+	return edges
+}
+
+func sameEdges(a, b []Edge) bool {
+	return slices.EqualFunc(a, b, func(x, y Edge) bool {
+		return x.To == y.To && math.Float64bits(x.Weight) == math.Float64bits(y.Weight)
+	})
+}
+
 // sameNode compares two nodes as a checkpoint would see them: the total and
 // the edges in id order, floats to the bit.
 func sameNode(a, b *Node) bool {
-	return math.Float64bits(a.Total) == math.Float64bits(b.Total) &&
-		slices.EqualFunc(a.SortedByID(nil), b.SortedByID(nil), func(x, y Edge) bool {
-			return x.To == y.To && math.Float64bits(x.Weight) == math.Float64bits(y.Weight)
-		})
+	return math.Float64bits(a.Total) == math.Float64bits(b.Total) && sameEdges(byID(a), byID(b))
 }
 
 // FuzzNodeAddMatchesReference drives Add from a byte string: the first byte
 // picks maxSuccessors from {1, 3, 64}, then each pair of bytes is one
 // Add(to, w) over an id space a little larger than the table, with w a small
 // multiple of a half so that ties and credits no stronger than the victim
-// are common. A 0xff in the id position sends the node through SortedByID
-// into a fresh Node — what LoadMerged does — which must forget the victim.
+// are common. After every op the node's SortedByID must equal an independent
+// sort of its edges — the remembered id order kept across credits, dropped
+// by an append or a replacement (which keeps the length) — and must leave
+// the slots as they were. A 0xff in the id position sends the node through
+// SortedByID into a fresh Node — what LoadMerged does — which must forget
+// the victim.
 func FuzzNodeAddMatchesReference(f *testing.F) {
 	for i, max := range []byte{0, 1, 2} {
 		rng := rand.New(rand.NewPCG(uint64(i), 21))
@@ -72,13 +88,17 @@ func FuzzNodeAddMatchesReference(f *testing.F) {
 		for op := 1; op+1 < len(data); op += 2 {
 			if data[op] == 0xff {
 				got = Node{Total: got.Total, Edges: got.SortedByID(nil)}
-				want = Node{Total: want.Total, Edges: want.SortedByID(nil)}
+				want = Node{Total: want.Total, Edges: byID(&want)}
 				continue
 			}
 			to, w := trace.FileID(int(data[op])%ids), float64(1+data[op+1]%6)/2
 			g, r := got.Add(to, w, max), refAdd(&want, to, w, max)
-			if (g < 0) != (r < 0) || (g >= 0 && got.Edges[g] != want.Edges[r]) || !sameNode(&got, &want) {
+			if (g < 0) != (r < 0) || (g >= 0 && !sameEdges(got.Edges[g:g+1], want.Edges[r:r+1])) || !sameNode(&got, &want) {
 				t.Fatalf("max=%d op %d Add(%d, %v): slot %d %+v, reference slot %d %+v", max, op/2, to, w, g, got, r, want)
+			}
+			slots := slices.Clone(got.Edges)
+			if sorted := got.SortedByID(nil); !plain(sorted) || !sameEdges(sorted, byID(&got)) || !sameEdges(got.Edges, slots) {
+				t.Fatalf("max=%d op %d Add(%d, %v): SortedByID %+v of %+v, want plain copies of %+v and the slots unmoved", max, op/2, to, w, sorted, slots, byID(&got))
 			}
 		}
 	})
@@ -130,5 +150,56 @@ func TestRefusedCreditLeavesNodeAndVictim(t *testing.T) {
 	n.Add(3, 1, 3) // crediting another edge keeps the remembered slot
 	if n.victim != 2 {
 		t.Fatalf("crediting a stronger edge forgot the victim (%d)", n.victim)
+	}
+}
+
+// plain reports whether no edge carries a rank: copies out of a node.
+func plain(edges []Edge) bool {
+	return !slices.ContainsFunc(edges, func(e Edge) bool { return e.rank != 0 })
+}
+
+// TestSortedByIDRemembersOrder: SortedByID leaves every edge in its slot,
+// hands out plain copies and remembers the id order in the edges' ranks; a
+// credit keeps it, an append or a replacement drops it, and a node of more
+// slots than a byte names sorts every time.
+func TestSortedByIDRemembersOrder(t *testing.T) {
+	n := new(Node)
+	for _, to := range []trace.FileID{5, 2, 9} {
+		n.Add(to, 1, 3)
+	}
+	slots := slices.Clone(n.Edges)
+	check := func(step string, remembered bool) {
+		t.Helper()
+		if n.ordered != remembered {
+			t.Fatalf("%s: ordered=%v, want %v", step, n.ordered, remembered)
+		}
+		got := n.SortedByID(nil)
+		if !plain(got) || !sameEdges(got, byID(n)) || !n.ordered {
+			t.Fatalf("%s: SortedByID %+v, want plain copies of %+v and the order remembered", step, got, byID(n))
+		}
+	}
+	check("first sort", false)
+	if !sameEdges(n.Edges, slots) {
+		t.Fatalf("SortedByID moved the slots: %+v, was %+v", n.Edges, slots)
+	}
+	if ranks := []uint8{n.Edges[0].rank, n.Edges[1].rank, n.Edges[2].rank}; !slices.Equal(ranks, []uint8{1, 0, 2}) {
+		t.Fatalf("ranks of %+v are %v, want slots 1 0 2", n.Edges, ranks)
+	}
+	n.Add(2, 1, 3) // a credit: the ids are those the order was taken of
+	check("after a credit", true)
+	n.Add(1, 3, 3) // replaces 5, the lowest id of the weakest; the length stays
+	check("after a replacement", false)
+	n.Add(7, 1, 0) // an append
+	check("after an append", false)
+
+	big := new(Node)
+	for to := trace.FileID(300); to > 0; to-- {
+		big.Add(to, 1, 0)
+	}
+	for range 2 {
+		got := big.SortedByID(nil)
+		if !plain(got) || !sameEdges(got, byID(big)) || big.ordered {
+			t.Fatalf("300 edges: SortedByID ascending=%v, ordered=%v", sameEdges(got, byID(big)), big.ordered)
+		}
 	}
 }
