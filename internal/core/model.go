@@ -245,11 +245,8 @@ func (m *Model) Feed(r *trace.Record) {
 	defer m.mu.Unlock()
 
 	// Stage 1: Extracting.
-	fp := m.file(r.File)
-	var fresh vsm.Vector
-	m.extractor.ExtractInto(r, &fresh)
-	m.vectorOf(fp, r.File, fp.vec.Set(&fresh))
-	v := &fp.vec
+	v := m.vectorOf(m.file(r.File), r.File)
+	m.extractor.ExtractInto(r, v)
 
 	// Stage 2: Constructing. Credit every file in the lookahead window, the
 	// newest first: the order LDA assigns in and a full node evicts by.
@@ -281,14 +278,12 @@ func (m *Model) Feed(r *trace.Record) {
 	m.fed++
 }
 
-// vectorOf marks the vector of f, whose record is fp, present after an access
-// set it, and dirty only when that changed its items: a delta checkpoint
-// writes only vectors that changed. Callers hold m.mu.
-func (m *Model) vectorOf(fp *file, f trace.FileID, changed bool) {
-	if changed || fp.have&facetVec == 0 {
-		fp.have |= facetVec
-		m.markDirty(fp, f, facetVec)
-	}
+// vectorOf returns where the vector of f, whose record is fp, is stored, for a
+// fresh one. Callers hold m.mu.
+func (m *Model) vectorOf(fp *file, f trace.FileID) *vsm.Vector {
+	fp.have |= facetVec
+	m.markDirty(fp, f, facetVec)
+	return &fp.vec
 }
 
 // credit is Stage 2 for one edge: it adds w LDA credit to the edge toward

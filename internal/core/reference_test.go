@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand/v2"
-	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -165,18 +164,10 @@ func (m *refModel) notifyListChange(f trace.FileID) {
 	m.changes[f]++
 }
 
-// setVector stores f's vector; only a vector that differs from the stored
-// one, field for field, is a change a delta checkpoint writes.
-func (m *refModel) setVector(f trace.FileID, v vsm.Vector) {
-	if old, ok := m.vectors[f]; !ok || !reflect.DeepEqual(old, v) {
-		m.vectors[f] = v
-		m.markDirty(f, facetVec)
-	}
-}
-
 func (m *refModel) Feed(r *trace.Record) {
 	v := m.ex.Extract(r)
-	m.setVector(r.File, v)
+	m.vectors[r.File] = v
+	m.markDirty(r.File, facetVec)
 	m.g.Feed(r.File)
 	for _, pred := range m.window {
 		if pred == r.File {
@@ -196,7 +187,8 @@ func (m *refModel) ApplyEvents(evs []partition.Event) {
 	for i := range evs {
 		ev := &evs[i]
 		if ev.Access {
-			m.setVector(ev.Succ, *ev.Vec)
+			m.vectors[ev.Succ] = *ev.Vec
+			m.markDirty(ev.Succ, facetVec)
 			continue
 		}
 		if ev.Credit > 0 {

@@ -58,9 +58,8 @@ const applyBlock = 64
 // event's, so the misses of a block are waited for together, not one event
 // after another behind Sim, Add and placeCorrelator. Pass 2 mines in event
 // order on the resolved records: an access event installs a copy of the
-// freshly extracted semantic vector, unless the stored one is the same; an
-// edge event adds LDA credit and re-evaluates R(pred, succ) against the
-// successor's vector it points at.
+// freshly extracted semantic vector; an edge event adds LDA credit and
+// re-evaluates R(pred, succ) against the successor's vector it points at.
 func (m *Model) ApplyEvents(evs []partition.Event) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -92,7 +91,9 @@ func (m *Model) ApplyEvents(evs []partition.Event) {
 		for i := range block {
 			ev, fp := &block[i], fps[i]
 			if ev.Access {
-				m.vectorOf(fp, ev.Succ, fp.vec.Set(ev.Vector())) // the one copy a record's vector is given: state
+				stored := m.vectorOf(fp, ev.Succ)
+				*stored = *ev.Vector() // the one copy a record's vector is given: state
+				stored.Presplit()      // returns at once on what this process extracted; a decoded vector becomes a stored one here
 				continue
 			}
 			m.evaluate(fp, ev.Pred, ev.Succ, m.credit(fp, ev.Pred, ev.Succ, ev.Credit), ev.Vector())

@@ -9,7 +9,6 @@ package graph
 
 import (
 	"cmp"
-	"math"
 	"slices"
 
 	"farmer/internal/trace"
@@ -64,7 +63,7 @@ type Edge struct {
 	To trace.FileID
 	// rank is its node's id order, in what would be padding: while the node
 	// is ordered, Edges[i].rank is the slot of its i-th edge by id.
-	rank   uint8
+	rank   uint32
 	Weight float64 // accumulated LDA credit N_xy
 }
 
@@ -145,8 +144,8 @@ func (n *Node) Add(to trace.FileID, w float64, maxSuccessors int) int {
 // SortedByID copies the out-edges, rank 0, into dst's storage (grown when
 // short) in ascending id order — the order a checkpoint writes — leaving each
 // in its slot. It gathers them by the ranks, or first sorts each edge as one
-// integer, its id (distinct in a node) above its slot; a node of over 256
-// edges, more slots than a rank names, sorts every time.
+// integer, its id (distinct in a node) above its slot, and writes the ranks:
+// like Add, it needs the node to itself.
 func (n *Node) SortedByID(dst []Edge) []Edge {
 	out := dst[:0]
 	if !n.ordered {
@@ -156,15 +155,8 @@ func (n *Node) SortedByID(dst []Edge) []Edge {
 			keys = append(keys, uint64(e.To)<<32|uint64(i))
 		}
 		slices.Sort(keys)
-		if len(keys) > math.MaxUint8+1 {
-			for _, k := range keys {
-				e := &n.Edges[uint32(k)]
-				out = append(out, Edge{To: e.To, Weight: e.Weight})
-			}
-			return out
-		}
 		for i, k := range keys {
-			n.Edges[i].rank = uint8(k)
+			n.Edges[i].rank = uint32(k)
 		}
 		n.ordered = true
 	}

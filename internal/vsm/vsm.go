@@ -17,7 +17,6 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -157,17 +156,6 @@ func (v *Vector) AppendScalar(dst []byte, i int) []byte {
 	}
 	a := bits.TrailingZeros8(has)
 	return strconv.AppendUint(append(dst, scalarAttrs[a].tag...), uint64(v.vals[a]), 10)
-}
-
-// Set makes v hold w's items, its path cut, and reports whether they changed:
-// when w holds v's scalar values and strings and path, v is left as it was.
-func (v *Vector) Set(w *Vector) bool {
-	if v.vals == w.vals && v.has == w.has && v.Path == w.Path && slices.Equal(v.Scalars, w.Scalars) {
-		return false
-	}
-	*v = *w
-	v.Presplit()
-	return true
 }
 
 // MaxCached bounds the components cached per vector — as offsets inside it,

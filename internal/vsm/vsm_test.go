@@ -304,46 +304,6 @@ func TestVectorRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSet: Set reports a change, and copies and cuts, only when the scalar
-// values, scalar strings or path differ; whether the path is cut is not
-// compared, and a vector left as it was keeps its cut. A value and the string
-// that spells it are not the same items.
-func TestSet(t *testing.T) {
-	r := trace.Record{UID: 7, PID: 42, Host: 3, Path: "/home/u7/f"}
-	ex := NewExtractor(AllPathMask)
-	x := ex.Extract(&r)
-	v := x
-	if uncut := (Vector{Path: x.Path, vals: x.vals, has: x.has}); v.Set(&uncut) || !reflect.DeepEqual(v, x) {
-		t.Errorf("setting an extracted vector's uncut twin changed it: %+v", v)
-	}
-	if again := ex.Extract(&r); v.Set(&again) || !reflect.DeepEqual(v, x) {
-		t.Errorf("re-extracting the same record changed the vector: %+v", v)
-	}
-	for name, edit := range map[string]func(*trace.Record){
-		"uid": func(r *trace.Record) { r.UID++ }, "pid": func(r *trace.Record) { r.PID++ },
-		"host": func(r *trace.Record) { r.Host++ }, "path": func(r *trace.Record) { r.Path += "g" },
-		"no path": func(r *trace.Record) { r.Path = "" }, "uid 0": func(r *trace.Record) { r.UID = 0 },
-	} {
-		o := r
-		edit(&o)
-		v, y := x, ex.Extract(&o)
-		if !v.Set(&y) || !reflect.DeepEqual(v, y) {
-			t.Errorf("a changed %s: Set reported no change or stored %+v", name, v)
-		}
-	}
-	noUser := NewExtractor(MaskOf(AttrProcess, AttrHost, AttrPath)).Extract(&trace.Record{PID: 42, Host: 3, Path: r.Path})
-	if v := x; !v.Set(&noUser) {
-		t.Errorf("a vector without the user item reads as the same as one with it")
-	}
-	spelled := Vector{Scalars: []string{"u:7", "p:42", "h:3"}, Path: x.Path}
-	other := Vector{Scalars: []string{"u:7", "p:42", "h:4"}, Path: x.Path}
-	clone := Vector{Scalars: slices.Clone(spelled.Scalars), Path: x.Path}
-	v, w := x, spelled
-	if !v.Set(&spelled) || !w.Set(&other) || w.Set(&other) || v.Set(&clone) || v.cut == 0 {
-		t.Errorf("literal vectors: values then strings, two lists, a list twice, a clone: want changed, changed, same, same and the path cut")
-	}
-}
-
 // similarity extracts both records' vectors and compares them under the
 // extractor's path algorithm.
 func similarity(e *Extractor, a, b *trace.Record) float64 {
