@@ -177,8 +177,9 @@ var (
 )
 
 // Store is the Berkeley-DB-style persistent ordered key-value store backing
-// model persistence (ShardedModel.SaveMerged/SaveCheckpoint/LoadMerged): an
-// in-memory hash index fronted by a CRC-framed write-ahead log.
+// model persistence (LocalMiner.Save and Load, through
+// ShardedModel.SaveCheckpoint and LoadMerged): an in-memory hash index
+// fronted by a CRC-framed write-ahead log.
 type Store = kvstore.Store
 
 // OpenStore creates or recovers a store whose write-ahead log lives at

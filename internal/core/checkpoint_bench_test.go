@@ -159,7 +159,7 @@ func benchDeltaSaves(b *testing.B, sm *ShardedModel, tr *trace.Trace) {
 			sm.FeedBatch(tr.Records[next : next+workingSetBatch])
 			next = (next + workingSetBatch) % len(tr.Records)
 		}
-		if i%16 == 15 { // bound the log, as farmerd's periodic full save does
+		if i%16 == 15 { // bound the log, as LocalMiner's periodic Compact does
 			if err := s.Compact(); err != nil {
 				b.Fatal(err)
 			}

@@ -355,7 +355,17 @@ func (m *Model) stageLocked(st *stager) error {
 func (s *ShardedModel) SaveMerged(st *kvstore.Store) error {
 	s.dmu.Lock()
 	defer s.dmu.Unlock()
-	_, err := s.checkpointLocked(st, false)
+	_, err := s.checkpointLocked(st, false, true)
+	return err
+}
+
+// SaveCopy writes what SaveMerged would into st but leaves dirty tracking
+// and its bound store and epoch as they were, so the next SaveCheckpoint
+// into the bound store is still a delta: a catch-up cut's copy.
+func (s *ShardedModel) SaveCopy(st *kvstore.Store) error {
+	s.dmu.Lock()
+	defer s.dmu.Unlock()
+	_, err := s.checkpointLocked(st, false, false)
 	return err
 }
 
@@ -363,21 +373,23 @@ func (s *ShardedModel) SaveMerged(st *kvstore.Store) error {
 // delta — puts for facets still present, tombstone deletes for dropped ones
 // — when st is the store (at the epoch) the last completed save or load
 // synchronized with, a full SaveMerged otherwise. It reports whether the
-// delta path ran — the caller's cue that compaction is unnecessary. This is
-// the method a periodically checkpointing daemon should use: its cost tracks
-// the write rate between checkpoints, not the model size.
+// delta path ran; a full save is the fallback, and a caller compacting the
+// log may want to follow one. This is the method a periodically
+// checkpointing daemon uses: its cost tracks the write rate between
+// checkpoints, not the model size.
 func (s *ShardedModel) SaveCheckpoint(st *kvstore.Store) (incremental bool, err error) {
 	s.dmu.Lock()
 	defer s.dmu.Unlock()
-	return s.checkpointLocked(st, true)
+	return s.checkpointLocked(st, true, true)
 }
 
 // checkpointLocked is the one save path. A delta is staged only when asked
 // for AND st is the very store, at the very epoch, the shards' dirty sets
 // were accumulated against; anything else (first save, a different store,
-// an epoch someone else advanced) is a full rewrite. A failed save unbinds,
-// so the next one is full. Callers hold s.dmu.
-func (s *ShardedModel) checkpointLocked(st *kvstore.Store, allowDelta bool) (incremental bool, err error) {
+// an epoch someone else advanced) is a full rewrite. Only a save that binds
+// resets the dirty sets and (re)binds; if it fails, it unbinds, so the next
+// one is full. Callers hold s.dmu.
+func (s *ShardedModel) checkpointLocked(st *kvstore.Store, allowDelta, bind bool) (incremental bool, err error) {
 	epoch, ok, err := readEpoch(st)
 	if err != nil {
 		return false, err
@@ -391,7 +403,7 @@ func (s *ShardedModel) checkpointLocked(st *kvstore.Store, allowDelta bool) (inc
 		for _, m := range s.shards {
 			m.mu.Lock()
 			serr := m.stageLocked(&stg)
-			if serr == nil {
+			if serr == nil && bind {
 				m.resetDirtyLocked()
 			}
 			m.mu.Unlock()
@@ -406,12 +418,12 @@ func (s *ShardedModel) checkpointLocked(st *kvstore.Store, allowDelta bool) (inc
 		}
 		return stageMeta(b, s.disp.Window(), s.cfg.Weight, s.cfg.MaxStrength, s.disp.Dispatched(), epoch+1)
 	})
-	if err != nil {
+	if bind && err != nil {
 		s.ckptStore = nil
-		return false, err
+	} else if bind {
+		s.ckptStore, s.saveEpoch = st, epoch+1
 	}
-	s.ckptStore, s.saveEpoch = st, epoch+1
-	return incremental, nil
+	return incremental && err == nil, err
 }
 
 // WindowTail returns a copy of the ensemble's lookahead window, oldest

@@ -8,8 +8,11 @@ package core
 // dead across any number of incremental saves and a compaction.
 
 import (
+	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"farmer/internal/kvstore"
@@ -26,83 +29,94 @@ func statsDelta(pre, post kvstore.WriteStats) kvstore.WriteStats {
 	}
 }
 
-// TestSaveDeltaChainEqualsFullSave: reloading a full save followed by two
-// deltas yields the exact state a single fresh full save would, and the
-// reloaded model mines the rest of the stream bit-identically to the
-// original — the window, vectors and graph travel with the deltas, not just
-// the lists.
+// TestSaveDeltaChainEqualsFullSave: a long chain of checkpoints — one
+// full save, then 64 deltas into a file-backed store, the log compacted
+// after every 16th and the store closed, reopened and reloaded into a fresh
+// model halfway — holds at every compaction exactly the records a fresh full
+// save of the same stream writes (only the epoch differs), and reloads to
+// the live model's fingerprint. The chain is all a store-backed miner writes
+// after its first save, so nothing but dirty tracking keeps it right: a
+// missed tombstone or facet shows here. The half after the reload is carried
+// by the reloaded model, so the window, vectors and graph must travel with
+// the deltas for it to keep matching a model that was never reloaded.
 func TestSaveDeltaChainEqualsFullSave(t *testing.T) {
+	const deltas, compactEvery = 64, 16
 	tr := tracegen.HP(9000).MustGenerate()
-	cfg := DefaultConfig()
-	cfg.Mask = vsm.DefaultMask(true)
-	m := NewSharded(cfg) // one shard: the lone Model fed through its own lock
-	s, err := kvstore.Open("")
-	if err != nil {
-		t.Fatal(err)
+	seg := len(tr.Records) / (deltas + 1)
+	epochKey := hex.EncodeToString([]byte(keyEpoch))
+	stateOf := func(st *kvstore.Store) [][2]string {
+		return slices.DeleteFunc(storeContents(st), func(kv [2]string) bool { return kv[0] == epochKey })
 	}
-	defer s.Close()
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Mask = vsm.DefaultMask(true)
+			cfg.Shards = shards
+			// live writes the chain, fed a record at a time; ref mines the
+			// same stream in batches and is only ever saved whole.
+			live, ref := NewSharded(cfg), NewSharded(cfg)
+			path := filepath.Join(t.TempDir(), "chain.wal")
+			s, err := kvstore.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { s.Close() }()
+			reload := func() *ShardedModel {
+				m := NewSharded(cfg)
+				if err := m.LoadMerged(s); err != nil {
+					t.Fatal(err)
+				}
+				fc := ref.TrackedFileCount()
+				if got, want := StateFingerprint(m, fc), StateFingerprint(ref, fc); got != want {
+					t.Fatalf("chain reloads to %#x, live model is %#x", got, want)
+				}
+				return m
+			}
 
-	feed := func(mm *ShardedModel, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			mm.Feed(&tr.Records[i])
-		}
-	}
-	hold := 1500 // final segment fed to both models after the reload
-	seg := (len(tr.Records) - hold) / 3
-
-	feed(m, 0, seg)
-	if err := m.SaveMerged(s); err != nil {
-		t.Fatal(err)
-	}
-	feed(m, seg, 2*seg)
-	inc, err := m.SaveCheckpoint(s)
-	if err != nil || !inc {
-		t.Fatalf("second save: incremental=%v err=%v", inc, err)
-	}
-	feed(m, 2*seg, 3*seg)
-	if inc, err = m.SaveCheckpoint(s); err != nil || !inc {
-		t.Fatalf("third save: incremental=%v err=%v", inc, err)
-	}
-
-	m2 := NewSharded(cfg)
-	if err := m2.LoadMerged(s); err != nil {
-		t.Fatal(err)
-	}
-	if m2.Fed() != m.Fed() {
-		t.Fatalf("fed %d after chain reload, want %d", m2.Fed(), m.Fed())
-	}
-	fc := m.TrackedFileCount()
-	if got, want := StateFingerprint(m2, fc), StateFingerprint(m, fc); got != want {
-		t.Fatalf("full+delta chain reloads to %#x, live model is %#x", got, want)
-	}
-
-	// The chained store holds exactly what one fresh full save would.
-	full, err := kvstore.Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer full.Close()
-	if err := m.SaveMerged(full); err != nil {
-		t.Fatal(err)
-	}
-	fpChain, err := StoreFingerprint(s, fc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fpFull, err := StoreFingerprint(full, fc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fpChain != fpFull {
-		t.Fatalf("chained store fingerprint %#x, fresh full save %#x", fpChain, fpFull)
-	}
-
-	// Both models mine the held-back tail identically.
-	feed(m, 3*seg, 3*seg+hold)
-	feed(m2, 3*seg, 3*seg+hold)
-	fc = m.TrackedFileCount()
-	if got, want := StateFingerprint(m2, fc), StateFingerprint(m, fc); got != want {
-		t.Fatalf("diverged after reload: %#x vs %#x", got, want)
+			for i := 0; i <= deltas; i++ {
+				recs := tr.Records[i*seg : (i+1)*seg]
+				for j := range recs {
+					live.Feed(&recs[j])
+				}
+				ref.FeedBatch(recs)
+				if inc, err := live.SaveCheckpoint(s); err != nil || inc != (i > 0) {
+					t.Fatalf("save %d: incremental=%v err=%v", i, inc, err)
+				}
+				if i == deltas/2 {
+					if err := s.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if s, err = kvstore.Open(path); err != nil {
+						t.Fatal(err)
+					}
+					live = reload()
+				}
+				if i == 0 || i%compactEvery != 0 {
+					continue
+				}
+				if err := s.Compact(); err != nil {
+					t.Fatal(err)
+				}
+				full, err := kvstore.Open("")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ref.SaveMerged(full); err != nil {
+					t.Fatal(err)
+				}
+				got, want := stateOf(s), stateOf(full)
+				full.Close()
+				if !slices.Equal(got, want) {
+					k := 0
+					for k < min(len(got), len(want)) && got[k] == want[k] {
+						k++
+					}
+					t.Fatalf("delta %d: the chain's %d records and a fresh full save's %d part at record %d:\nchain %v\nfull  %v",
+						i, len(got), len(want), k, got[k:min(k+1, len(got))], want[k:min(k+1, len(want))])
+				}
+				reload()
+			}
+		})
 	}
 }
 

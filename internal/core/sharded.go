@@ -122,10 +122,11 @@ type ShardedModel struct {
 
 	hook func(seq uint64, f trace.FileID) // see SetIngestHook; guarded by dmu
 
-	// Checkpoint binding (guarded by dmu): the store the last full save or
-	// load synchronized the ensemble with, and the epoch that pass wrote or
-	// read. SaveCheckpoint writes a delta only into this same store at this
-	// same epoch; anything else falls back to a full rewrite. See persist.go.
+	// Checkpoint binding (guarded by dmu): the store the last completed
+	// save or load synchronized the ensemble with, and the epoch that pass
+	// wrote or read. SaveCheckpoint writes a delta only into this same store
+	// at this same epoch; anything else falls back to a full rewrite. See
+	// persist.go.
 	ckptStore *kvstore.Store
 	saveEpoch uint64
 }

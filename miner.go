@@ -130,16 +130,15 @@ type LocalMiner struct {
 	store *Store
 	pf    *Prefetcher
 
-	ckptMu        sync.Mutex
-	ckptSinceFull int // incremental checkpoints since the last full one
-
 	// Checkpoint observability: always counted (the MsgObs row needs the
 	// numbers whether or not a registry is attached); the padded counters
-	// cost one uncontended add per checkpoint. lastCkptMS is the unix-ms
-	// completion time of the last checkpoint (0 = never). ckptDur is nil
-	// until attachMetrics.
+	// cost one uncontended add per checkpoint. ckptFull counts the full
+	// rewrites SaveCheckpoint fell back to. ckpts counts every checkpoint
+	// (see compactEvery). lastCkptMS is the unix-ms completion time of the
+	// last checkpoint (0 = never). ckptDur is nil until attachMetrics.
 	ckptFull   obs.Counter
 	ckptDelta  obs.Counter
+	ckpts      atomic.Uint64
 	lastCkptMS atomic.Int64
 	ckptDur    *obs.Histogram
 
@@ -309,42 +308,21 @@ func (m *LocalMiner) Stats(ctx context.Context) (ModelStats, error) {
 // the real body, LocalMiner.checkpoint.
 var saveToStore func(sm *ShardedModel, st *Store) error
 
-// fullCheckpointEvery forces every Nth checkpoint full — with a WAL
-// compaction behind it — even when a delta would be valid. Deltas append to
-// the write-ahead log, so without a periodic full anchor the log would grow
-// by one delta per checkpoint forever; with it, the store stays within a
-// bounded multiple of one live-state copy.
-const fullCheckpointEvery = 16
+// compactEvery is how many checkpoints run between write-ahead-log
+// compactions (one also follows every full save): deltas only append, and
+// Compact rewrites the log to the live keys under the store's lock alone.
+const compactEvery = 16
 
-// checkpoint writes the cheapest valid checkpoint: the dirty-key delta
-// (core.ShardedModel.SaveCheckpoint) most of the time — O(records mined
-// since the last save), not O(model) — and a full rewrite plus compaction
-// on the first save, every fullCheckpointEvery-th save, or whenever the
-// store's epoch says a delta would not be safe.
+// checkpoint writes a delta (core.ShardedModel.SaveCheckpoint: O(records
+// mined since the last save), not O(model)), or the full rewrite it falls
+// back to on the first save, a store at another epoch, or after a failure.
 func (m *LocalMiner) checkpoint(sm *ShardedModel, st *Store) error {
 	start := time.Now()
-	m.ckptMu.Lock()
-	forceFull := m.ckptSinceFull >= fullCheckpointEvery-1
-	m.ckptMu.Unlock()
-	var (
-		incremental bool
-		err         error
-	)
-	if forceFull {
-		err = sm.SaveMerged(st)
-	} else {
-		incremental, err = sm.SaveCheckpoint(st)
-	}
+	incremental, err := sm.SaveCheckpoint(st)
 	if err != nil {
 		return err
 	}
-	m.ckptMu.Lock()
-	if incremental {
-		m.ckptSinceFull++
-	} else {
-		m.ckptSinceFull = 0
-	}
-	m.ckptMu.Unlock()
+	n := m.ckpts.Add(1)
 	if incremental {
 		m.ckptDelta.Inc()
 	} else {
@@ -352,17 +330,17 @@ func (m *LocalMiner) checkpoint(sm *ShardedModel, st *Store) error {
 	}
 	m.lastCkptMS.Store(time.Now().UnixMilli())
 	m.ckptDur.Observe(uint64(time.Since(start).Milliseconds()))
-	if incremental {
+	if incremental && n%compactEvery != 0 {
 		return nil
 	}
 	return st.Compact()
 }
 
-// Save implements Miner: checkpoint into the WithStore store — incremental
-// when the dirty sets allow it, a full SaveMerged plus write-ahead-log
-// compaction otherwise — so repeated checkpoints (farmerd -checkpoint) cost
-// O(changed keys) and the store stays at roughly one copy of the live state
-// instead of growing by one copy per save.
+// Save implements Miner: checkpoint into the WithStore store — a delta after
+// the first save, a full rewrite only where a delta would not be safe, with
+// periodic write-ahead-log compaction — so repeated checkpoints (farmerd
+// -checkpoint) cost O(changed keys) and the store stays within a bounded
+// multiple of one copy of the live state.
 //
 // ctx bounds the WHOLE checkpoint, not just its start: a store write that
 // hangs (a wedged disk, an NFS stall) returns ctx's error when the deadline

@@ -18,13 +18,14 @@ import (
 // correlation graph, lookahead window and ingest position — into one
 // rpc.CatchupCut. The caller (rpc.Replicator.Attach) serializes the cut
 // against ingestion, so position, snapshot and fingerprint describe the
-// same record boundary.
+// same record boundary. The copy leaves the checkpoint binding alone, so the
+// miner's next Save is still a delta.
 func (m *LocalMiner) catchupCut() (rpc.CatchupCut, error) {
 	mem, err := kvstore.Open("")
 	if err != nil {
 		return rpc.CatchupCut{}, err
 	}
-	if err := m.sm.SaveMerged(mem); err != nil {
+	if err := m.sm.SaveCopy(mem); err != nil {
 		return rpc.CatchupCut{}, fmt.Errorf("farmer: cutting catch-up checkpoint: %w", err)
 	}
 	var buf bytes.Buffer
