@@ -88,3 +88,62 @@ func TestSaveAfterCatchupCutIsDelta(t *testing.T) {
 		t.Fatalf("checkpoint epoch %d after a cut and one save, want %d", got, epoch+1)
 	}
 }
+
+// TestSaveAfterFullCutIsFull: a follower restarted from its own checkpoint
+// is bound to that store, and a full catch-up cut replaces the state the
+// store describes. Its next Save must therefore be full — a delta would be
+// written against state the follower no longer holds — and the store must
+// reopen to the primary's state.
+func TestSaveAfterFullCutIsFull(t *testing.T) {
+	ctx := context.Background()
+	f, tr, path := openCheckpointed(t, 4000)
+	cfg := ConfigFor(tr)
+	if err := f.FeedBatch(ctx, tr.Records[:1000]); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Save(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stale, err := Open(cfg, WithShards(2), WithStore(path), WithLoad())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stale.Close()
+
+	primary, err := Open(cfg, WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	if err := primary.FeedBatch(ctx, tr.Records); err != nil {
+		t.Fatal(err)
+	}
+	cut, err := primary.catchupCut()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stale.applyCatchup(cut); err != nil {
+		t.Fatal(err)
+	}
+	full := stale.ckptFull.Load()
+	if err := stale.Save(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := stale.ckptFull.Load(); got != full+1 {
+		t.Fatalf("the save after a full cut wrote %d full checkpoints, want 1", got-full)
+	}
+	if err := stale.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := Open(cfg, WithShards(2), WithStore(path), WithLoad())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if fp, _ := again.catchupFingerprint(); fp != cut.Fingerprint || again.sm.Fed() != cut.Pos {
+		t.Fatalf("reopened at fed %d, fingerprint %#x; the primary's cut is %d, %#x", again.sm.Fed(), fp, cut.Pos, cut.Fingerprint)
+	}
+}

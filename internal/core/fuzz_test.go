@@ -6,6 +6,7 @@ import (
 	"runtime/metrics"
 	"testing"
 
+	"farmer/internal/bin"
 	"farmer/internal/graph"
 	"farmer/internal/kvstore"
 	"farmer/internal/trace"
@@ -38,11 +39,12 @@ func allocatedBy(limit uint64, f func()) uint64 {
 }
 
 // FuzzStoreValues puts an arbitrary value under one of the six store keys of
-// an otherwise honest checkpoint and takes the path a hostile catch-up
-// snapshot takes: StoreFingerprint, then LoadMerged. Neither may panic nor
-// allocate out of proportion to the value; a value the load accepts must be
-// what a save of the loaded model writes back (decoders accept exactly one
-// encoding); and the three per-file decoders round-trip whatever they take.
+// an otherwise honest checkpoint and takes the path a hostile catch-up cut
+// takes: decode and fingerprint (StoreFingerprint), then LoadMerged. Neither
+// may panic nor allocate out of proportion to the value; a value the load
+// accepts must be what a save of the loaded model writes back (decoders
+// accept exactly one encoding); and the three per-file decoders round-trip
+// whatever they take.
 func FuzzStoreValues(f *testing.F) {
 	for _, kv := range goldenStore {
 		for kind, k := range fuzzKeys {
@@ -121,7 +123,8 @@ func FuzzStoreValues(f *testing.F) {
 		switch string(k) {
 		case keyEpoch: // a fresh store starts its own epoch count
 		case keyWindow: // a load keeps the window's tail
-			w, _ := readWindow(st)
+			c := bin.Read("window", val)
+			w := trace.ReadFileIDs(&c)
 			if max := goldenConfig().Graph.Normalized().Window; len(w) > max {
 				w = w[len(w)-max:]
 			}

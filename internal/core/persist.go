@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -31,7 +32,7 @@ import (
 //
 // Every value is read through a bin.Cursor and must be exact: a short value,
 // an impossible count or trailing bytes fail the load. Values reach these
-// decoders from a hostile catch-up snapshot as well as from a bad disk.
+// decoders from a hostile catch-up cut as well as from a bad disk.
 //
 // The graph node and window records make a checkpoint COMPLETE: a model
 // restored from one mines every subsequent record bit-identically to the
@@ -207,32 +208,6 @@ func readEpoch(s *kvstore.Store) (epoch uint64, ok bool, err error) {
 	return epoch, err == nil, err
 }
 
-// readWindow reads the m/window record; an absent record (a pre-window
-// store) is an empty window.
-func readWindow(s *kvstore.Store) ([]trace.FileID, error) {
-	raw, ok := s.Get([]byte(keyWindow))
-	if !ok {
-		return nil, nil
-	}
-	c := bin.Read("core: persisted window", raw)
-	w := trace.ReadFileIDs(&c)
-	return w, c.Done()
-}
-
-// ReadSavedConfig reports the mining parameters and ingest position a
-// store's checkpoint was saved with — how a load checks the checkpoint
-// against the model, and how a catch-up installer pre-checks compatibility
-// before discarding its own state for the incoming one.
-func ReadSavedConfig(s *kvstore.Store) (weight, maxStrength float64, fed uint64, err error) {
-	raw, ok := s.Get([]byte(keyConfig))
-	if !ok {
-		return 0, 0, 0, fmt.Errorf("core: store has no persisted model")
-	}
-	c := bin.Read("core: persisted config", raw)
-	weight, maxStrength, fed = c.F64(), c.F64(), c.U64()
-	return weight, maxStrength, fed, c.Done()
-}
-
 // ---------------------------------------------------------------- saving
 
 // savedKeys is the set of per-file keys a full checkpoint wrote, so prune
@@ -355,17 +330,7 @@ func (m *Model) stageLocked(st *stager) error {
 func (s *ShardedModel) SaveMerged(st *kvstore.Store) error {
 	s.dmu.Lock()
 	defer s.dmu.Unlock()
-	_, err := s.checkpointLocked(st, false, true)
-	return err
-}
-
-// SaveCopy writes what SaveMerged would into st but leaves dirty tracking
-// and its bound store and epoch as they were, so the next SaveCheckpoint
-// into the bound store is still a delta: a catch-up cut's copy.
-func (s *ShardedModel) SaveCopy(st *kvstore.Store) error {
-	s.dmu.Lock()
-	defer s.dmu.Unlock()
-	_, err := s.checkpointLocked(st, false, false)
+	_, err := s.checkpointLocked(st, false)
 	return err
 }
 
@@ -380,16 +345,16 @@ func (s *ShardedModel) SaveCopy(st *kvstore.Store) error {
 func (s *ShardedModel) SaveCheckpoint(st *kvstore.Store) (incremental bool, err error) {
 	s.dmu.Lock()
 	defer s.dmu.Unlock()
-	return s.checkpointLocked(st, true, true)
+	return s.checkpointLocked(st, true)
 }
 
 // checkpointLocked is the one save path. A delta is staged only when asked
 // for AND st is the very store, at the very epoch, the shards' dirty sets
 // were accumulated against; anything else (first save, a different store,
-// an epoch someone else advanced) is a full rewrite. Only a save that binds
-// resets the dirty sets and (re)binds; if it fails, it unbinds, so the next
-// one is full. Callers hold s.dmu.
-func (s *ShardedModel) checkpointLocked(st *kvstore.Store, allowDelta, bind bool) (incremental bool, err error) {
+// an epoch someone else advanced) is a full rewrite. A completed save resets
+// the dirty sets and (re)binds; a failed one unbinds, so the next one is
+// full. Callers hold s.dmu.
+func (s *ShardedModel) checkpointLocked(st *kvstore.Store, allowDelta bool) (incremental bool, err error) {
 	epoch, ok, err := readEpoch(st)
 	if err != nil {
 		return false, err
@@ -403,7 +368,7 @@ func (s *ShardedModel) checkpointLocked(st *kvstore.Store, allowDelta, bind bool
 		for _, m := range s.shards {
 			m.mu.Lock()
 			serr := m.stageLocked(&stg)
-			if serr == nil && bind {
+			if serr == nil {
 				m.resetDirtyLocked()
 			}
 			m.mu.Unlock()
@@ -418,12 +383,37 @@ func (s *ShardedModel) checkpointLocked(st *kvstore.Store, allowDelta, bind bool
 		}
 		return stageMeta(b, s.disp.Window(), s.cfg.Weight, s.cfg.MaxStrength, s.disp.Dispatched(), epoch+1)
 	})
-	if bind && err != nil {
+	if err != nil {
 		s.ckptStore = nil
-	} else if bind {
+	} else {
 		s.ckptStore, s.saveEpoch = st, epoch+1
 	}
 	return incremental && err == nil, err
+}
+
+// Cut returns the ensemble's complete mined state as the put frames a full
+// save into an empty store stages — every list, vector and graph node, then
+// the m/ records at epoch 1 — with no batch markers and in no key order: a
+// catch-up cut's snapshot, which LoadCut installs. It holds the dispatch
+// lock, so the frames are one record boundary, and leaves dirty tracking and
+// the checkpoint binding alone: the next SaveCheckpoint is still a delta.
+func (s *ShardedModel) Cut() ([]byte, error) {
+	s.dmu.Lock()
+	defer s.dmu.Unlock()
+	return kvstore.Frames(func(b *kvstore.Batch) error {
+		stg := stager{b: b, scratch: make([]byte, 0, 512)}
+		for _, m := range s.shards {
+			m.mu.Lock()
+			for f, fp := range m.files {
+				stg.file(f, fp, fp.have)
+			}
+			m.mu.Unlock()
+			if stg.err != nil {
+				return stg.err
+			}
+		}
+		return stageMeta(b, s.disp.Window(), s.cfg.Weight, s.cfg.MaxStrength, s.disp.Dispatched(), 1)
+	})
 }
 
 // WindowTail returns a copy of the ensemble's lookahead window, oldest
@@ -446,117 +436,136 @@ func (s *ShardedModel) PrimeWindow(w []trace.FileID) {
 
 // --------------------------------------------------------------- loading
 
-// scanState decodes every persisted list, vector and graph node, handing
-// each to the callback that installs it. putGraph may be nil to skip graph
-// records.
-func scanState(s *kvstore.Store,
-	putList func(trace.FileID, []Correlator),
-	putVec func(trace.FileID, vsm.Vector),
-	putGraph func(trace.FileID, float64, []graph.Edge)) error {
+// checkpoint is a checkpoint decoded and not yet installed: each stored
+// file's facets staged on the shard that will own it, and the m/ records.
+type checkpoint struct {
+	owner               func(trace.FileID) int
+	files               []map[trace.FileID]*file // by owning shard
+	window              []trace.FileID
+	weight, maxStrength float64
+	fed, epoch          uint64
+	hasConfig           bool
+}
+
+func (s *ShardedModel) newCheckpoint() *checkpoint {
+	ck := &checkpoint{owner: s.ownerOf, files: make([]map[trace.FileID]*file, len(s.shards))}
+	for i := range ck.files {
+		ck.files[i] = make(map[trace.FileID]*file)
+	}
+	return ck
+}
+
+// readStore decodes every model record st holds.
+func (s *ShardedModel) readStore(st *kvstore.Store) (*checkpoint, error) {
+	ck := s.newCheckpoint()
 	var err error
+	st.Scan(nil, nil, func(k, v []byte) bool {
+		err = ck.put(k, v)
+		return err == nil
+	})
+	return ck, err
+}
+
+// put decodes one stored record into the checkpoint; a later record under
+// the same key replaces an earlier one. A key outside the model's layout
+// belongs to whatever else shares the store and is skipped; one inside it
+// must decode exactly. put keeps neither key nor value.
+func (ck *checkpoint) put(key, value []byte) error {
+	switch string(key) {
+	case keyConfig:
+		c := bin.Read("core: persisted config", value)
+		ck.weight, ck.maxStrength, ck.fed = c.F64(), c.F64(), c.U64()
+		ck.hasConfig = true
+		return c.Done()
+	case keyWindow:
+		c := bin.Read("core: persisted window", value)
+		ck.window = trace.ReadFileIDs(&c)
+		return c.Done()
+	case keyEpoch:
+		c := bin.Read("core: persisted epoch", value)
+		ck.epoch, _ = c.U64(), c.U64() // the stream position is for people reading the store
+		return c.Done()
+	}
 	for _, prefix := range statePrefixes {
-		if prefix == keyPrefixGraph && putGraph == nil {
+		if !bytes.HasPrefix(key, []byte(prefix)) {
 			continue
 		}
-		s.Scan([]byte(prefix), prefixEnd(prefix), func(k, v []byte) bool {
-			f, ok := fileOfKey(prefix, k)
-			if !ok {
-				err = fmt.Errorf("core: bad key %q", k)
-				return false
-			}
-			switch prefix {
-			case keyPrefixList:
-				var list []Correlator
-				if list, err = decodeList(v); err == nil {
-					putList(f, list)
-				}
-			case keyPrefixVector:
-				var vec vsm.Vector
-				if vec, err = decodeVector(v); err == nil {
-					putVec(f, vec)
-				}
-			case keyPrefixGraph:
-				var total float64
-				var edges []graph.Edge
-				if total, edges, err = decodeGraphNode(v); err == nil {
-					putGraph(f, total, edges)
-				}
-			}
-			if err != nil {
-				err = fmt.Errorf("core: %s%d: %w", prefix, f, err)
-			}
-			return err == nil
-		})
-		if err != nil {
-			return err
+		f, ok := fileOfKey(prefix, key)
+		if !ok {
+			return fmt.Errorf("core: bad key %q", key)
 		}
+		var err error
+		switch prefix {
+		case keyPrefixList:
+			var list []Correlator
+			if list, err = decodeList(value); err == nil {
+				ck.stage(f, facetList).list = list
+			}
+		case keyPrefixVector:
+			var vec vsm.Vector
+			if vec, err = decodeVector(value); err == nil {
+				vec.Presplit()
+				ck.stage(f, facetVec).vec = vec
+			}
+		case keyPrefixGraph:
+			var total float64
+			var edges []graph.Edge
+			if total, edges, err = decodeGraphNode(value); err == nil {
+				ck.stage(f, facetGraph).node = graph.Node{Total: total, Edges: edges}
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("core: %s%d: %w", prefix, f, err)
+		}
+		return nil
 	}
 	return nil
 }
 
-// LoadMerged restores a merged save into a freshly-constructed ensemble —
-// enforced: an ensemble that has already ingested refuses the load (it
-// would merge two models and double-count the fed counter) — rebalancing
-// every list and vector onto the shard the ensemble's current partitioner
-// assigns it to. The stripe count and partitioner may differ
-// freely from the ones that produced the save (that is the point); the
-// mining parameters must match the persisted weight and threshold (guarding
-// against silently mixing incompatible parameters). Predictions after a
-// load are identical at any stripe count.
-func (s *ShardedModel) LoadMerged(st *kvstore.Store) error {
-	weight, strength, fed, err := ReadSavedConfig(st)
-	if err != nil {
-		return err
+// stage returns f's staged record, marked as holding facet.
+func (ck *checkpoint) stage(f trace.FileID, facet uint8) *file {
+	to := ck.files[ck.owner(f)]
+	fp := to[f]
+	if fp == nil {
+		fp = new(file)
+		to[f] = fp
 	}
-	if weight != s.cfg.Weight || strength != s.cfg.MaxStrength {
-		return fmt.Errorf("core: persisted parameters (p=%v, max_strength=%v) differ from model (p=%v, max_strength=%v)",
-			weight, strength, s.cfg.Weight, s.cfg.MaxStrength)
-	}
-	// Route while decoding, install each shard under one lock — readers
-	// observe the usual consistent-per-shard snapshot, never a shard caught
-	// mid-restore. The dispatch lock excludes concurrent feeding for the
-	// whole install, so the restored counter and state land atomically —
-	// and the freshness check below cannot race a Feed (checking outside
-	// the lock would let a record slip in between check and install,
-	// merging models and double-counting the fed counter).
-	s.dmu.Lock()
-	defer s.dmu.Unlock()
-	if fedNow := s.disp.Dispatched(); fedNow > 0 {
-		return fmt.Errorf("core: cannot load into an ensemble that has already ingested %d records", fedNow)
-	}
-	// One staged record per stored file, on the shard that will own it.
-	staged := make([]map[trace.FileID]*file, len(s.shards))
-	for i := range staged {
-		staged[i] = make(map[trace.FileID]*file)
-	}
-	stage := func(f trace.FileID, facet uint8) *file {
-		to := staged[s.ownerOf(f)]
-		if to[f] == nil {
-			to[f] = new(file)
+	fp.have |= facet
+	return fp
+}
+
+// fingerprint is the StateFingerprint of the lists the checkpoint holds.
+func (ck *checkpoint) fingerprint(fileCount int) uint64 {
+	return fingerprintLists(func(f trace.FileID) []Correlator {
+		if fp := ck.files[ck.owner(f)][f]; fp != nil {
+			return fp.list
 		}
-		to[f].have |= facet
-		return to[f]
+		return nil
+	}, fileCount)
+}
+
+// checkParams refuses a checkpoint that holds no model, or one mined with
+// other parameters than the ensemble's (mixing them silently would be
+// wrong).
+func (s *ShardedModel) checkParams(ck *checkpoint) error {
+	if !ck.hasConfig {
+		return fmt.Errorf("core: store has no persisted model")
 	}
-	if err := scanState(st,
-		func(f trace.FileID, list []Correlator) { stage(f, facetList).list = list },
-		func(f trace.FileID, vec vsm.Vector) { vec.Presplit(); stage(f, facetVec).vec = vec },
-		func(f trace.FileID, total float64, edges []graph.Edge) {
-			stage(f, facetGraph).node = graph.Node{Total: total, Edges: edges}
-		},
-	); err != nil {
-		return err
+	if ck.weight != s.cfg.Weight || ck.maxStrength != s.cfg.MaxStrength {
+		return fmt.Errorf("core: persisted parameters (p=%v, max_strength=%v) differ from model (p=%v, max_strength=%v)",
+			ck.weight, ck.maxStrength, s.cfg.Weight, s.cfg.MaxStrength)
 	}
-	window, err := readWindow(st)
-	if err != nil {
-		return err
-	}
-	epoch, _, err := readEpoch(st)
-	if err != nil {
-		return err
-	}
+	return nil
+}
+
+// installLocked installs a decoded checkpoint, each shard under one hold of
+// its lock — readers observe the usual consistent-per-shard snapshot, never
+// a shard caught mid-restore — and restarts dirty tracking: the shards now
+// equal the checkpoint. Callers hold s.dmu.
+func (s *ShardedModel) installLocked(ck *checkpoint) {
 	for i, m := range s.shards {
 		m.mu.Lock()
-		for f, in := range staged[i] {
+		for f, in := range ck.files[i] {
 			fp := m.file(f)
 			if in.have&facetList != 0 {
 				fp.list = in.list
@@ -570,18 +579,77 @@ func (s *ShardedModel) LoadMerged(st *kvstore.Store) error {
 			}
 			fp.have |= in.have
 		}
-		// The shard now equals the store: start dirty tracking so the next
-		// SaveCheckpoint into this same store can be a delta.
 		m.resetDirtyLocked()
 		m.mu.Unlock()
 	}
-	s.disp.PrimeWindow(window)
-	s.disp.Advance(fed)
-	// (A catch-up install loads from a transient in-memory store; its
-	// binding simply never matches the daemon's real store, forcing the next
-	// save full — exactly right, since the real store knows nothing of this
-	// state. A pre-epoch store binds epoch 0, which a delta refuses too.)
-	s.ckptStore, s.saveEpoch = st, epoch
+	s.disp.PrimeWindow(ck.window)
+	s.disp.Advance(ck.fed)
+}
+
+// LoadMerged restores a merged save into a freshly-constructed ensemble —
+// enforced: an ensemble that has already ingested refuses the load (it
+// would merge two models and double-count the fed counter) — rebalancing
+// every list and vector onto the shard the ensemble's current partitioner
+// assigns it to. The stripe count and partitioner may differ
+// freely from the ones that produced the save (that is the point); the
+// mining parameters must match the persisted weight and threshold (guarding
+// against silently mixing incompatible parameters). Predictions after a
+// load are identical at any stripe count. The loaded ensemble is bound to
+// st, so the next SaveCheckpoint into it can be a delta.
+func (s *ShardedModel) LoadMerged(st *kvstore.Store) error {
+	ck, err := s.readStore(st)
+	if err == nil {
+		err = s.checkParams(ck)
+	}
+	if err != nil {
+		return err
+	}
+	// The dispatch lock excludes feeding for the whole install, so the
+	// restored counter and state land atomically — and the freshness check
+	// below cannot race a Feed (checking outside the lock would let a record
+	// slip in between check and install, merging models and double-counting
+	// the fed counter).
+	s.dmu.Lock()
+	defer s.dmu.Unlock()
+	if fedNow := s.disp.Dispatched(); fedNow > 0 {
+		return fmt.Errorf("core: cannot load into an ensemble that has already ingested %d records", fedNow)
+	}
+	s.installLocked(ck)
+	s.ckptStore, s.saveEpoch = st, ck.epoch // a pre-epoch store binds epoch 0, which a delta refuses
+	return nil
+}
+
+// LoadCut installs a catch-up cut — Cut's frames — in place of whatever the
+// ensemble holds. Nothing is touched until the frames have decoded whole,
+// their lists hash to fingerprint over [0, fileCount), their mining
+// parameters are the ensemble's and their ingest position is pos. Then, under
+// one dispatch-lock hold, the ensemble drops its state (its list hooks and
+// ingest hook stay registered), installs the cut and is bound to no store:
+// whatever store it saves into knows nothing of this state, so the next save
+// is full.
+func (s *ShardedModel) LoadCut(frames []byte, pos, fingerprint uint64, fileCount int) error {
+	ck := s.newCheckpoint()
+	if err := kvstore.ReadPuts(frames, ck.put); err != nil {
+		return fmt.Errorf("core: decoding catch-up cut: %w", err)
+	}
+	if fp := ck.fingerprint(fileCount); fp != fingerprint {
+		return fmt.Errorf("core: catch-up cut fingerprint mismatch: cut %#x, primary claims %#x (corrupt transfer or diverged state)",
+			fp, fingerprint)
+	}
+	if err := s.checkParams(ck); err != nil {
+		return err
+	}
+	if ck.fed != pos {
+		return fmt.Errorf("core: catch-up cut at position %d holds %d records", pos, ck.fed)
+	}
+	s.dmu.Lock()
+	defer s.dmu.Unlock()
+	for _, m := range s.shards {
+		m.reset()
+	}
+	s.disp = s.newDispatcher()
+	s.installLocked(ck)
+	s.ckptStore, s.saveEpoch = nil, 0
 	return nil
 }
 
@@ -601,21 +669,6 @@ type Lister interface {
 // harness asserts between deployment shapes.
 func StateFingerprint(m Lister, fileCount int) uint64 {
 	return fingerprintLists(m.CorrelatorList, fileCount)
-}
-
-// StoreFingerprint computes the StateFingerprint of the model state
-// persisted in a store, without constructing a model — how a replication
-// follower verifies a checkpoint snapshot BEFORE installing it.
-func StoreFingerprint(st *kvstore.Store, fileCount int) (uint64, error) {
-	lists := make(map[trace.FileID][]Correlator)
-	if err := scanState(st,
-		func(f trace.FileID, list []Correlator) { lists[f] = list },
-		func(trace.FileID, vsm.Vector) {},
-		nil,
-	); err != nil {
-		return 0, err
-	}
-	return fingerprintLists(func(f trace.FileID) []Correlator { return lists[f] }, fileCount), nil
 }
 
 func fingerprintLists(get func(trace.FileID) []Correlator, fileCount int) uint64 {

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -689,8 +690,32 @@ func TestCheckpointOneShardLoadsAtFour(t *testing.T) {
 	}
 }
 
-// TestStoreFingerprintMatchesState: the store-side fingerprint (what a
-// replication follower verifies before installing a snapshot) equals the
+// StoreFingerprint is the StateFingerprint of the lists a store holds, read
+// by LoadMerged's decoder (the one a catch-up cut is read by too) without
+// installing them or checking the mining parameters.
+func StoreFingerprint(st *kvstore.Store, fileCount int) (uint64, error) {
+	ck, err := NewSharded(DefaultConfig()).readStore(st)
+	if err != nil {
+		return 0, err
+	}
+	return ck.fingerprint(fileCount), nil
+}
+
+// ReadSavedConfig reports the mining parameters and ingest position of the
+// checkpoint a store holds.
+func ReadSavedConfig(st *kvstore.Store) (weight, maxStrength float64, fed uint64, err error) {
+	ck, err := NewSharded(DefaultConfig()).readStore(st)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	if !ck.hasConfig {
+		return 0, 0, 0, errors.New("core: store has no persisted model")
+	}
+	return ck.weight, ck.maxStrength, ck.fed, nil
+}
+
+// TestStoreFingerprintMatchesState: the fingerprint of a decoded checkpoint
+// (what a replication follower verifies before installing a cut) equals the
 // model-side fingerprint of the state that wrote it.
 func TestStoreFingerprintMatchesState(t *testing.T) {
 	m := minedHP(t, 3000)
@@ -847,7 +872,7 @@ func TestCorruptCountsRejectedNotPanic(t *testing.T) {
 	if err := s.Put([]byte("m/window"), wraw); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readWindow(s); err == nil {
+	if _, err := NewSharded(DefaultConfig()).readStore(s); err == nil {
 		t.Fatal("overflowing window count accepted")
 	}
 }

@@ -413,12 +413,6 @@ func (s *ShardedModel) Vector(f trace.FileID) (vsm.Vector, bool) {
 // Fed reports how many records the ensemble has ingested.
 func (s *ShardedModel) Fed() uint64 { return s.disp.Dispatched() }
 
-// Params reports the ensemble's mining parameters — the pair a persisted
-// checkpoint must match to be loadable into it.
-func (s *ShardedModel) Params() (weight, maxStrength float64) {
-	return s.cfg.Weight, s.cfg.MaxStrength
-}
-
 // ResetWindow forgets the lookahead window (stream boundary) while keeping
 // all mined knowledge.
 func (s *ShardedModel) ResetWindow() {
@@ -456,25 +450,9 @@ func (s *ShardedModel) SaveEpoch() uint64 {
 // Shard exposes one partition's Model (tests, persistence experiments).
 func (s *ShardedModel) Shard(i int) *Model { return s.shards[i] }
 
-// Reset returns the ensemble to its freshly-constructed state — mined
-// knowledge, lookahead window, sequence counter, and checkpoint binding all
-// cleared — while preserving registered list hooks and the ingest hook. It exists
-// for the one consumer that must install state over a non-fresh miner: a
-// replication follower whose delta catch-up was refused and who now needs
-// the primary's full cut (LoadMerged requires a fresh ensemble).
-func (s *ShardedModel) Reset() {
-	s.dmu.Lock()
-	defer s.dmu.Unlock()
-	for _, m := range s.shards {
-		m.reset()
-	}
-	s.disp = s.newDispatcher()
-	s.ckptStore = nil
-	s.saveEpoch = 0
-}
-
 // reset clears one shard back to its post-init state, keeping the list hook
-// registration. Every dropped Correlator List is notified to the hook.
+// registration — how a catch-up cut (LoadCut) replaces the state it finds.
+// Every dropped Correlator List is notified to the hook.
 func (m *Model) reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()

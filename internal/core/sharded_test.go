@@ -401,8 +401,9 @@ func TestApplyEventsIsSplitInvariant(t *testing.T) {
 
 // TestResetKeepsNoRecord: a Model points at file records from its map and,
 // between Feeds, from the window-slot scratch of the last one (ApplyEvents
-// keeps its block on the stack); Reset replaces the map and must not leave the
-// scratch holding the old one's records.
+// keeps its block on the stack); the reset a catch-up cut's install starts
+// with replaces the map and must not leave the scratch holding the old one's
+// records.
 func TestResetKeepsNoRecord(t *testing.T) {
 	tr := shardTrace(t, 500)
 	sm := NewSharded(DefaultConfig())
@@ -417,13 +418,19 @@ func TestResetKeepsNoRecord(t *testing.T) {
 	if kept == 0 {
 		t.Fatal("Feed left no record in its scratch: nothing to check")
 	}
-	sm.Reset()
+	empty, err := NewSharded(DefaultConfig()).Cut()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sm.LoadCut(empty, 0, StateFingerprint(sm, 0), 0); err != nil {
+		t.Fatal(err)
+	}
 	if len(m.files) != 0 {
-		t.Errorf("%d records in the map after Reset", len(m.files))
+		t.Errorf("%d records in the map after an empty cut's install", len(m.files))
 	}
 	for i, h := range m.hits {
 		if h != (hit{}) {
-			t.Errorf("window slot %d of Feed's scratch still holds %+v after Reset", i, h)
+			t.Errorf("window slot %d of Feed's scratch still holds %+v after an empty cut's install", i, h)
 		}
 	}
 }

@@ -68,18 +68,15 @@ func contents(s *Store) (kv [][2]string) {
 }
 
 // TestHostileLengthCostsNothing: a frame header is believed only as far as
-// its bytes arrive. The 13-byte snapshot a follower may be sent over
-// MsgCatchup, and the same bytes as a WAL on disk, are refused as corrupt
-// for well under a megabyte (each was a 272 MiB allocation).
+// its bytes arrive. The 13-byte cut a follower may be sent over MsgCatchup,
+// and the same bytes as a WAL on disk, are refused as corrupt for well under
+// a megabyte (each was a 272 MiB allocation).
 func TestHostileLengthCostsNothing(t *testing.T) {
 	const limit = 1 << 20
-	mem, err := Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	grew := allocatedBy(limit, func() { err = mem.LoadSnapshot(bytes.NewReader(hostileHeader())) })
+	var err error
+	grew := allocatedBy(limit, func() { err = ReadPuts(hostileHeader(), func(_, _ []byte) error { return nil }) })
 	if !errors.Is(err, ErrCorruptWAL) || grew > limit {
-		t.Errorf("LoadSnapshot: %v after allocating %d bytes; want ErrCorruptWAL within %d", err, grew, limit)
+		t.Errorf("ReadPuts: %v after allocating %d bytes; want ErrCorruptWAL within %d", err, grew, limit)
 	}
 	path := writeWAL(t, hostileHeader())
 	grew = allocatedBy(limit, func() { _, err = Open(path) })
@@ -87,20 +84,29 @@ func TestHostileLengthCostsNothing(t *testing.T) {
 		t.Errorf("Open: %v after allocating %d bytes; want ErrCorruptWAL within %d", err, grew, limit)
 	}
 	// A length that is honest is still read whole, through every doubling.
-	big := frame(walPut, "k", string(bytes.Repeat([]byte{'v'}, 300<<10)))
-	if err := mem.LoadSnapshot(bytes.NewReader(big)); err != nil {
+	got, err := readPuts(frame(walPut, "k", string(bytes.Repeat([]byte{'v'}, 300<<10))))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := mem.Get([]byte("k")); !ok || len(v) != 300<<10 {
-		t.Errorf("a 300 KiB value loaded as %d bytes, found=%v", len(v), ok)
+	if len(got) != 1 || got[0][0] != "k" || len(got[0][1]) != 300<<10 {
+		t.Errorf("a 300 KiB value read back as %d records, the first %d bytes", len(got), len(got[0][1]))
 	}
 }
 
+// readPuts lists the records ReadPuts reads from frames, in order.
+func readPuts(frames []byte) (kv [][2]string, err error) {
+	err = ReadPuts(frames, func(k, v []byte) error {
+		kv = append(kv, [2]string{string(k), string(v)})
+		return nil
+	})
+	return kv, err
+}
+
 // FuzzWAL feeds arbitrary bytes to the three readers of the frame format —
-// Open and Repair (the disk) and LoadSnapshot (the disk, and a catch-up
-// snapshot off the network). None may panic or allocate out of proportion
-// to the input; a log Repair has cut must open, and stay as Repair left it;
-// and whatever loads must survive a Snapshot round trip unchanged.
+// Open and Repair (the disk) and ReadPuts (a catch-up cut off the network).
+// None may panic or allocate out of proportion to the input; a log Repair has
+// cut must open, and stay as Repair left it; and whatever Open or ReadPuts
+// accepts must read back unchanged from its own put frames.
 func FuzzWAL(f *testing.F) {
 	if ckpt, err := os.ReadFile("../core/testdata/parent_store.wal"); err == nil {
 		f.Add(ckpt) // a real checkpoint, written by core.SaveMerged
@@ -117,12 +123,14 @@ func FuzzWAL(f *testing.F) {
 		limit := 64*uint64(len(data)) + 1<<20
 		var err error
 
-		mem, _ := Open("")
-		if grew := allocatedBy(limit, func() { err = mem.LoadSnapshot(bytes.NewReader(data)) }); grew > limit {
-			t.Fatalf("LoadSnapshot allocated %d bytes reading %d", grew, len(data))
+		var puts [][2]string
+		if grew := allocatedBy(limit, func() { puts, err = readPuts(data) }); grew > limit {
+			t.Fatalf("ReadPuts allocated %d bytes reading %d", grew, len(data))
 		}
 		if err == nil {
-			sameAfterSnapshot(t, mem)
+			sameAfterFrames(t, puts)
+		} else if !errors.Is(err, ErrCorruptWAL) {
+			t.Fatalf("ReadPuts refused the frames with %v, want ErrCorruptWAL", err)
 		}
 
 		path := writeWAL(t, data)
@@ -131,7 +139,7 @@ func FuzzWAL(f *testing.F) {
 			t.Fatalf("Open allocated %d bytes reading %d", grew, len(data))
 		}
 		if err == nil {
-			sameAfterSnapshot(t, s)
+			sameAfterFrames(t, contents(s))
 			s.Close()
 		} else if !errors.Is(err, ErrCorruptWAL) {
 			t.Fatalf("Open refused the log with %v, want ErrCorruptWAL", err)
@@ -151,25 +159,48 @@ func FuzzWAL(f *testing.F) {
 	})
 }
 
-// sameAfterSnapshot checks that s snapshots to a log that loads to exactly
-// s's keys and values.
-func sameAfterSnapshot(t *testing.T, s *Store) {
+// sameAfterFrames checks that records encoded as put frames — by
+// appendFrame, which Batch stages through; Frames adds only Put's refusal of
+// an empty key, which the reader takes — read back with ReadPuts as exactly
+// themselves, in order.
+func sameAfterFrames(t *testing.T, want [][2]string) {
 	t.Helper()
-	var snap bytes.Buffer
-	if err := s.Snapshot(&snap); err != nil {
-		t.Fatal(err)
+	var frames []byte
+	for _, kv := range want {
+		frames = appendFrame(frames, walPut, []byte(kv[0]), []byte(kv[1]))
 	}
-	again, _ := Open("")
-	if err := again.LoadSnapshot(&snap); err != nil {
-		t.Fatalf("a snapshot of an accepted log does not load: %v", err)
+	got, err := readPuts(frames)
+	if err != nil {
+		t.Fatalf("the frames of accepted records do not read back: %v", err)
 	}
-	want, got := contents(s), contents(again)
 	if len(want) != len(got) {
-		t.Fatalf("snapshot round trip: %d keys became %d", len(want), len(got))
+		t.Fatalf("frames round trip: %d records became %d", len(want), len(got))
 	}
 	for i := range want {
 		if want[i] != got[i] {
-			t.Fatalf("snapshot round trip: entry %d %q became %q", i, want[i], got[i])
+			t.Fatalf("frames round trip: record %d %q became %q", i, want[i], got[i])
+		}
+	}
+}
+
+// TestReadPutsTakesOnlyPuts: a cut is puts alone, so a delete or a batch
+// marker among its frames is corruption, not an instruction.
+func TestReadPutsTakesOnlyPuts(t *testing.T) {
+	frames, err := Frames(func(b *Batch) error {
+		if err := b.Put([]byte("a"), []byte("1")); err != nil {
+			return err
+		}
+		return b.Put([]byte("b"), nil)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := readPuts(frames); err != nil || len(got) != 2 || got[0] != [2]string{"a", "1"} || got[1] != [2]string{"b", ""} {
+		t.Fatalf("Frames read back as %q, %v", got, err)
+	}
+	for _, other := range [][]byte{frame(walDelete, "a", ""), frame(walBegin, "", ""), frame(walCommit, "", "")} {
+		if _, err := readPuts(append(frames[:len(frames):len(frames)], other...)); !errors.Is(err, ErrCorruptWAL) {
+			t.Errorf("frames ending in op %d: %v, want ErrCorruptWAL", other[4], err)
 		}
 	}
 }

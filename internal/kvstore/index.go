@@ -16,7 +16,7 @@ type index struct {
 	free  []int32 // slots a delete emptied
 	// sorted holds every key in order with its slot; nil when stale. A key
 	// past the last one extends it, so a log written in key order (a
-	// compacted one, a snapshot) recovers already sorted.
+	// compacted one) recovers already sorted.
 	sorted []sortedKey
 }
 

@@ -2,13 +2,15 @@
 // Berkeley DB plays in the HUSt prototype (paper §5.1: "The metadata
 // information of files and objects are stored in the Berkeley DB"). It
 // offers an ordered key space (a hash index with the key order built when a
-// scan asks for it), a write-ahead log with CRC framing for durability, and
-// point-in-time snapshots, which is the slice of Berkeley DB behaviour the
-// experiments depend on.
+// scan asks for it) and a write-ahead log with CRC framing for durability,
+// which is the slice of Berkeley DB behaviour the experiments depend on. The
+// log's frames double as the encoding a set of records travels in (Frames,
+// ReadPuts).
 package kvstore
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -39,8 +41,8 @@ var errClosed = errors.New("kvstore: store closed")
 // WriteStats counts the mutations a store has accepted — Puts, Deletes and
 // the WAL frame bytes they encode (counted even for in-memory stores, where
 // no log is written). Checkpoint code uses the deltas between readings as
-// the observable cost of a save; maintenance rewrites (Compact,
-// LoadSnapshot) are not counted.
+// the observable cost of a save; a maintenance rewrite (Compact) is not
+// counted.
 type WriteStats struct {
 	Puts    int64
 	Deletes int64
@@ -359,14 +361,6 @@ func (s *Store) rlockSorted() {
 	}
 }
 
-// Snapshot writes a point-in-time copy of the store to w (length-prefixed
-// key/value pairs, CRC-framed like the WAL).
-func (s *Store) Snapshot(w io.Writer) error {
-	s.rlockSorted()
-	defer s.mu.RUnlock()
-	return s.writeAll(w)
-}
-
 // writeAll writes a walPut frame for every key to w, in key order. Callers
 // hold s.mu with the order fresh.
 func (s *Store) writeAll(w io.Writer) error {
@@ -384,51 +378,41 @@ func (s *Store) writeAll(w io.Writer) error {
 	return bw.Flush()
 }
 
-// LoadSnapshot replaces the store contents with a snapshot produced by
-// Snapshot. A file-backed store logs the replacement as one atomic batch —
-// a delete for each key the snapshot lacks, then its puts — so a reopen
-// finds exactly the snapshot, or, after a crash mid-write, the old state.
-// A snapshot that does not read back whole changes nothing.
-func (s *Store) LoadSnapshot(r io.Reader) error {
-	idx := newIndex()
-	wr := newWALReader(r)
+// Frames runs fn to stage records into a batch that no store owns and
+// returns what it staged: one WAL frame per record, no batch markers — a set
+// of records in the log's encoding, to be shipped and read back with
+// ReadPuts. An error from fn is returned with no frames.
+func Frames(fn func(*Batch) error) ([]byte, error) {
+	var b Batch
+	if err := fn(&b); err != nil {
+		return nil, err
+	}
+	return b.buf, nil
+}
+
+// ReadPuts reads frames that hold only puts — what Frames returns when fn
+// staged no delete — and calls fn with each record's key and value, which
+// are fn's to keep. A frame that does not check out, or that is not a put,
+// is refused with an error wrapping ErrCorruptWAL; an error from fn stops the
+// read and is returned. A frame header is believed only as far as its bytes
+// are there (see walReader.next), so hostile frames cost nothing to refuse.
+func ReadPuts(frames []byte, fn func(key, value []byte) error) error {
+	r := newWALReader(bytes.NewReader(frames))
 	for {
-		rec, err := wr.next()
+		rec, err := r.next()
 		if errors.Is(err, io.EOF) {
-			break
+			return nil
 		}
 		if err != nil {
 			return err
 		}
 		if rec.op != walPut {
-			return fmt.Errorf("kvstore: snapshot contains op %d: %w", rec.op, ErrCorruptWAL)
+			return fmt.Errorf("kvstore: op %d where only puts may stand: %w", rec.op, ErrCorruptWAL)
 		}
-		idx.apply(walPut, rec.key, rec.value, true)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.walErr; err != nil {
-		return fmt.Errorf("kvstore: wal unavailable: %w", err)
-	}
-	if s.wal != nil {
-		s.idx.sort()
-		idx.sort()
-		buf := appendFrame(nil, walBegin, nil, nil)
-		for _, e := range s.idx.sorted {
-			if _, ok := idx.slots[e.key]; !ok {
-				buf = appendFrame(buf, walDelete, []byte(e.key), nil)
-			}
-		}
-		idx.ascend(nil, nil, func(k, v []byte) bool {
-			buf = appendFrame(buf, walPut, k, v)
-			return true
-		})
-		if err := s.commitLocked(&buf); err != nil {
+		if err := fn(rec.key, rec.value); err != nil {
 			return err
 		}
 	}
-	s.idx = idx
-	return nil
 }
 
 // Compact rewrites the WAL as one Put per live key, atomically replacing
@@ -573,7 +557,7 @@ type walRecord struct {
 }
 
 // errCorrupt is the reader-level corruption marker; it wraps ErrCorruptWAL
-// so every path that surfaces it (Open, Repair, LoadSnapshot) matches
+// so every path that surfaces it (Open, Repair, ReadPuts) matches
 // errors.Is(err, ErrCorruptWAL).
 var errCorrupt = fmt.Errorf("%w record", ErrCorruptWAL)
 

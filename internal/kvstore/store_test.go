@@ -210,83 +210,6 @@ func TestClosedStoreRefusesWrites(t *testing.T) {
 	}
 }
 
-// loadSnapshotOver writes {a, b} to a file-backed store at path, closes it,
-// and returns the log's size then; then it reopens the store, loads a
-// snapshot of {b=2', c=3} into it and closes it again.
-func loadSnapshotOver(t *testing.T, path string) int64 {
-	t.Helper()
-	s, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Put([]byte("a"), []byte("1"))
-	s.Put([]byte("b"), []byte("2"))
-	s.Close()
-	before, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem, _ := Open("")
-	mem.Put([]byte("b"), []byte("2'"))
-	mem.Put([]byte("c"), []byte("3"))
-	var snap bytes.Buffer
-	if err := mem.Snapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if s, err = Open(path); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.LoadSnapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return before.Size()
-}
-
-// TestLoadSnapshotReopensToSnapshot: a store loaded from a snapshot reopens
-// to exactly the snapshot's keys — none of the keys it held before.
-func TestLoadSnapshotReopensToSnapshot(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "meta.wal")
-	loadSnapshotOver(t, path)
-	s, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if got := contents(s); !slices.Equal(got, [][2]string{{"b", "2'"}, {"c", "3"}}) {
-		t.Fatalf("reopened store holds %q, want b=2', c=3", got)
-	}
-}
-
-// TestLoadSnapshotTornRecoversOldState: a log cut anywhere inside the load's
-// batch, from just past its walBegin frame to just short of its walCommit
-// frame's end, reopens to the state before the load.
-func TestLoadSnapshotTornRecoversOldState(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "meta.wal")
-	before := loadSnapshotOver(t, path)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cut := before + frameHeader; cut < int64(len(data)); cut++ {
-		torn := filepath.Join(t.TempDir(), "torn.wal")
-		if err := os.WriteFile(torn, data[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s, err := Open(torn)
-		if err != nil {
-			t.Fatalf("cut at %d of %d: %v", cut, len(data), err)
-		}
-		got := contents(s)
-		s.Close()
-		if !slices.Equal(got, [][2]string{{"a", "1"}, {"b", "2"}}) {
-			t.Fatalf("cut at %d of %d: reopened to %q, want a=1, b=2", cut, len(data), got)
-		}
-	}
-}
-
 func TestStoreInMemory(t *testing.T) {
 	s, err := Open("")
 	if err != nil {
@@ -451,26 +374,6 @@ func TestStoreOpenCorruptNoFDLeak(t *testing.T) {
 	}
 	if after := openFDs(t); after > before {
 		t.Fatalf("fd leak: %d open before, %d after 64 failed opens", before, after)
-	}
-}
-
-func TestSnapshotRoundTrip(t *testing.T) {
-	s, _ := Open("")
-	defer s.Close()
-	for i := 0; i < 30; i++ {
-		s.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("v"))
-	}
-	var buf bytes.Buffer
-	if err := s.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s2, _ := Open("")
-	defer s2.Close()
-	if err := s2.LoadSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if s2.Len() != 30 {
-		t.Fatalf("loaded %d keys", s2.Len())
 	}
 }
 

@@ -12,7 +12,6 @@ package replay
 //	    reference mine of the full trace.
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"net"
@@ -21,7 +20,6 @@ import (
 
 	"farmer"
 	"farmer/internal/core"
-	"farmer/internal/kvstore"
 	"farmer/internal/rpc"
 	"farmer/internal/tracegen"
 )
@@ -211,8 +209,8 @@ func TestFollowerRejectsMismatchedCatchup(t *testing.T) {
 	fAddr, fStop := startServeRole(t, follower, farmer.ServeConfig{Follower: true})
 	defer fStop()
 
-	// A would-be primary with real mined state, cut by the same path the
-	// replicator uses (SaveMerged → snapshot), but claiming a corrupted
+	// A would-be primary with real mined state, cut by the path the
+	// replicator uses (ShardedModel.Cut), but claiming a corrupted
 	// fingerprint.
 	source, err := farmer.Open(farmer.DefaultConfig(), farmer.WithShards(2))
 	if err != nil {
@@ -222,16 +220,8 @@ func TestFollowerRejectsMismatchedCatchup(t *testing.T) {
 	if err := source.FeedBatch(ctx, tr.Records); err != nil {
 		t.Fatal(err)
 	}
-	mem, err := kvstore.Open("")
+	snap, err := source.Sharded().Cut()
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer mem.Close()
-	if err := source.Sharded().SaveMerged(mem); err != nil {
-		t.Fatal(err)
-	}
-	var snap bytes.Buffer
-	if err := mem.Snapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
 	fc := source.Sharded().TrackedFileCount()
@@ -239,7 +229,7 @@ func TestFollowerRejectsMismatchedCatchup(t *testing.T) {
 		Pos:         source.Sharded().Fed(),
 		Fingerprint: core.StateFingerprint(source.Sharded(), fc),
 		FileCount:   fc,
-		Snapshot:    snap.Bytes(),
+		Snapshot:    snap,
 	}
 
 	c, err := rpc.Dial(ctx, fAddr)

@@ -371,7 +371,8 @@ func (s *Server) removeConn(conn net.Conn) {
 // MaxCatchupSnapshot bounds the per-connection accumulation of
 // MsgCatchupChunk bytes, so a hostile peer cannot demand unbounded memory.
 // A real snapshot of this size would not fit a follower's memory anyway
-// (the decoded store roughly doubles it).
+// (the model decoded from it sits beside the accumulated bytes until the
+// install).
 const MaxCatchupSnapshot = 2 << 30
 
 // connState is one connection's server-side state: its identity (the

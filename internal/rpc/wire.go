@@ -486,9 +486,9 @@ func readStats(c *bin.Cursor) core.Stats {
 // CatchupCut is one checkpoint cut of a primary's complete mined state: the
 // stream position (records ingested — the cut's WAL position), the state
 // fingerprint the follower verifies BEFORE installing, the dense FileID
-// bound the fingerprint hashes over, and the kvstore snapshot bytes
-// (Store.Snapshot framing) holding lists, vectors, graph and lookahead
-// window.
+// bound the fingerprint hashes over, and the snapshot: kvstore put frames,
+// each key once in no particular order (what core.ShardedModel.Cut stages),
+// holding lists, vectors, graph and lookahead window.
 type CatchupCut struct {
 	Pos         uint64
 	Fingerprint uint64

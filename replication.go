@@ -1,11 +1,9 @@
 package farmer
 
 import (
-	"bytes"
 	"fmt"
 
 	"farmer/internal/core"
-	"farmer/internal/kvstore"
 	"farmer/internal/rpc"
 )
 
@@ -14,30 +12,24 @@ import (
 // catch-up checkpoint a follower bootstraps from, and installing one on the
 // follower side.
 
-// catchupCut snapshots the miner's complete mined state — lists, vectors,
+// catchupCut cuts the miner's complete mined state — lists, vectors,
 // correlation graph, lookahead window and ingest position — into one
-// rpc.CatchupCut. The caller (rpc.Replicator.Attach) serializes the cut
-// against ingestion, so position, snapshot and fingerprint describe the
-// same record boundary. The copy leaves the checkpoint binding alone, so the
+// rpc.CatchupCut whose snapshot is the put frames a full checkpoint stages
+// (core.ShardedModel.Cut). The caller (rpc.Replicator.Attach) serializes the
+// cut against ingestion, so position, snapshot and fingerprint describe the
+// same record boundary. The cut leaves the checkpoint binding alone, so the
 // miner's next Save is still a delta.
 func (m *LocalMiner) catchupCut() (rpc.CatchupCut, error) {
-	mem, err := kvstore.Open("")
+	snap, err := m.sm.Cut()
 	if err != nil {
-		return rpc.CatchupCut{}, err
-	}
-	if err := m.sm.SaveCopy(mem); err != nil {
 		return rpc.CatchupCut{}, fmt.Errorf("farmer: cutting catch-up checkpoint: %w", err)
-	}
-	var buf bytes.Buffer
-	if err := mem.Snapshot(&buf); err != nil {
-		return rpc.CatchupCut{}, fmt.Errorf("farmer: encoding catch-up snapshot: %w", err)
 	}
 	fc := m.sm.TrackedFileCount()
 	return rpc.CatchupCut{
 		Pos:         m.sm.Fed(),
 		Fingerprint: core.StateFingerprint(m.sm, fc),
 		FileCount:   fc,
-		Snapshot:    buf.Bytes(),
+		Snapshot:    snap,
 	}, nil
 }
 
@@ -72,47 +64,16 @@ func (m *LocalMiner) applyCatchupDelta(d rpc.CatchupDelta) error {
 	return nil
 }
 
-// applyCatchup verifies and installs a primary's checkpoint cut. The
-// snapshot's fingerprint is computed from the decoded store BEFORE anything
-// touches the miner, so a corrupt or mismatched transfer is refused with
-// the follower's state untouched; LoadMerged then enforces that the
-// follower is fresh and that the mining parameters match the primary's.
-// A follower that is NOT fresh — it loaded its own checkpoint, or a
-// refused delta replay advanced it — is reset first (after the parameters
-// are pre-checked, so an incompatible cut still leaves it untouched): the
-// full cut replaces its state wholesale.
+// applyCatchup verifies and installs a primary's checkpoint cut
+// (core.ShardedModel.LoadCut): the snapshot is decoded and checked — its
+// fingerprint, mining parameters and position — before anything touches the
+// miner, so a corrupt, mismatched or incompatible transfer is refused with
+// the follower's state untouched. A follower that is NOT fresh — it loaded
+// its own checkpoint, or a refused delta replay advanced it — has its state
+// replaced wholesale, and its next Save is full.
 func (m *LocalMiner) applyCatchup(cut rpc.CatchupCut) error {
-	mem, err := kvstore.Open("")
-	if err != nil {
-		return err
-	}
-	if err := mem.LoadSnapshot(bytes.NewReader(cut.Snapshot)); err != nil {
-		return fmt.Errorf("farmer: decoding catch-up snapshot: %w", err)
-	}
-	fp, err := core.StoreFingerprint(mem, cut.FileCount)
-	if err != nil {
-		return fmt.Errorf("farmer: fingerprinting catch-up snapshot: %w", err)
-	}
-	if fp != cut.Fingerprint {
-		return fmt.Errorf("farmer: catch-up checkpoint fingerprint mismatch: snapshot %#x, primary claims %#x (corrupt transfer or diverged state)",
-			fp, cut.Fingerprint)
-	}
-	if m.sm.Fed() > 0 {
-		weight, strength, _, err := core.ReadSavedConfig(mem)
-		if err != nil {
-			return fmt.Errorf("farmer: reading catch-up checkpoint parameters: %w", err)
-		}
-		if mw, ms := m.sm.Params(); weight != mw || strength != ms {
-			return fmt.Errorf("farmer: catch-up checkpoint parameters (p=%v, max_strength=%v) differ from this miner's (p=%v, max_strength=%v)",
-				weight, strength, mw, ms)
-		}
-		m.sm.Reset()
-	}
-	if err := m.sm.LoadMerged(mem); err != nil {
+	if err := m.sm.LoadCut(cut.Snapshot, cut.Pos, cut.Fingerprint, cut.FileCount); err != nil {
 		return fmt.Errorf("farmer: installing catch-up checkpoint: %w", err)
-	}
-	if fed := m.sm.Fed(); fed != cut.Pos {
-		return fmt.Errorf("farmer: catch-up checkpoint at position %d but installed %d records", cut.Pos, fed)
 	}
 	return nil
 }
