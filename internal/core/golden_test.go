@@ -2,9 +2,11 @@ package core
 
 import (
 	"encoding/hex"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"farmer/internal/kvstore"
@@ -210,5 +212,55 @@ func TestLoadsParentWAL(t *testing.T) {
 	}
 	if a, b := storeContents(st), storeContents(mem); !reflect.DeepEqual(a, b) {
 		t.Fatalf("re-saved store differs from the parent's:\n got  %v\n want %v", b, a)
+	}
+}
+
+// goldenLog is the log file a full save of goldenRecords leaves over a
+// store an earlier save wrote, one frame a line: a put for each live key in
+// key order, no batch markers, nothing of the earlier save's file 0x0505.
+var goldenLog = strings.Join([]string{
+	"f30caf20010600000058000000632f000000010300000002000000f287031e7f38ea3f000000000000ec3f7c1a61b9a711e63f03000000999999999999e43f000000000000e83f555555555555d93f040300002d71eaf7dc12e33f000000000000e83f0ee53594d750ce3f",
+	"6e0432cb010600000058000000632f0000000203000000010000005be2d4efb925e83f000000000000ec3f0ee53594d750de3f0300000008146d35788ee43f000000000000e83f91852c64210bd93f04030000f8c3018f3f1ce43f000000000000e83f7c1a61b9a711d63f",
+	"0cd3ebaa010600000058000000632f000000030300000001000000666666666666ea3f000000000000e83f000000000000f03f020000008e150823ed58e53f000000000000e83f0ee53594d750de3f040300004ffaa44ffaa4e33f000000000000e83f682fa1bd84f6d23f",
+	"944ac5dd01060000003c000000632f000003040200000001000000666666666666ea3f000000000000e83f000000000000f03f030000008e150823ed58e53f000000000000e83f0ee53594d750de3f",
+	"3dc7b8f1010600000030000000672f0000000133333333333313400300000002000000000000000000004003000000666666666666fe3f04030000cdccccccccccec3f",
+	"9d432ff7010600000030000000672f0000000266666666666612400300000001000000cdccccccccccfc3f03000000cdccccccccccfc3f04030000000000000000f03f",
+	"91ce719b010600000030000000672f000000039a999999999905400300000001000000000000000000f03f02000000cdccccccccccec3f040300009a9999999999e93f",
+	"437b11e8010600000024000000672f00000304666666666666fe3f0200000001000000000000000000f03f03000000cdccccccccccec3f",
+	"be6f8d6f0108000000180000006d2f636f6e666967666666666666e63f9a9999999999d93f0800000000000000",
+	"9d7d89930107000000100000006d2f65706f636802000000000000000800000000000000",
+	"7fc843f90108000000100000006d2f77696e646f7703000000040300000100000003000000",
+	"2262ed27010600000021000000762f000000010300000003000000753a3703000000703a3903000000683a32040000002f702f61",
+	"c2c062d3010600000021000000762f000000020300000003000000753a3703000000703a3903000000683a32040000002f702f62",
+	"55cb2581010600000021000000762f000000030300000003000000753a3703000000703a3903000000683a32040000002f712f63",
+	"de55e63801060000001d000000762f000003040300000003000000753a3703000000703a3903000000683a3200000000",
+}, "")
+
+// TestFullSaveLogGoldenBytes pins those bytes: a full checkpoint over a
+// store that holds an earlier one leaves exactly the compacted log of the
+// new state.
+func TestFullSaveLogGoldenBytes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.wal")
+	st, err := kvstore.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	earlier := NewSharded(goldenConfig())
+	earlier.FeedBatch(append(goldenRecords(), trace.Record{Seq: 8, File: 0x0505, UID: 7, PID: 9, Host: 2, Path: "/r/e"}))
+	if err := earlier.SaveMerged(st); err != nil {
+		t.Fatal(err)
+	}
+	sm := NewSharded(goldenConfig())
+	sm.FeedBatch(goldenRecords())
+	if err := errors.Join(sm.SaveMerged(st), st.Compact(), st.Close()); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(raw); got != goldenLog {
+		t.Fatalf("log after a full save:\n got  %s\n want %s", got, goldenLog)
 	}
 }
