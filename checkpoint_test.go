@@ -57,8 +57,9 @@ func TestCheckpointCadence(t *testing.T) {
 }
 
 // TestSaveAfterCatchupCutIsDelta: cutting a catch-up checkpoint for a
-// follower copies the model into a throwaway store without rebinding the
-// miner's checkpoint tracking, so the next Save is still a delta.
+// follower stages the model's frames and writes no store, leaving the
+// miner's dirty tracking and checkpoint binding alone, so the next Save is
+// still a delta.
 func TestSaveAfterCatchupCutIsDelta(t *testing.T) {
 	m, tr, _ := openCheckpointed(t, 4000)
 	ctx := context.Background()

@@ -97,8 +97,8 @@ func convert() {
 
 // runDiff compares two archived runs and returns the process exit code.
 // Benchmarks are matched by package + name; metrics other than ns/op,
-// allocs/op and rates ("/s" suffix) carry no agreed direction and are not
-// compared.
+// allocs/op, B/op and rates ("/s" suffix) carry no agreed direction and are
+// not compared.
 func runDiff(oldPath, newPath string, threshold float64) int {
 	oldRun, err := loadRun(oldPath)
 	if err != nil {
@@ -129,7 +129,7 @@ func runDiff(oldPath, newPath string, threshold float64) int {
 		}
 		sort.Strings(metrics)
 		for _, m := range metrics {
-			lowerBetter := m == "ns/op" || m == "allocs/op"
+			lowerBetter := m == "ns/op" || m == "allocs/op" || m == "B/op"
 			if !lowerBetter && !strings.HasSuffix(m, "/s") {
 				continue
 			}

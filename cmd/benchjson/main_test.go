@@ -43,6 +43,10 @@ func TestRunDiff(t *testing.T) {
 	}}
 	within := writeRun(t, "within.json", []Result{{
 		Name: "BenchmarkIngestSharded/shards=4-8", Pkg: "farmer", Iterations: 10,
+		Metrics: map[string]float64{"ns/op": 1100, "records/s": 90000, "B/op": 70},
+	}})
+	fatter := writeRun(t, "fatter.json", []Result{{
+		Name: "BenchmarkIngestSharded/shards=4-8", Pkg: "farmer", Iterations: 10,
 		Metrics: map[string]float64{"ns/op": 1100, "records/s": 90000, "B/op": 9999},
 	}})
 	slower := writeRun(t, "slower.json", []Result{{
@@ -67,6 +71,10 @@ func TestRunDiff(t *testing.T) {
 	}
 	if c := runDiff(old, lowRate, 0.20); c != 1 {
 		t.Fatalf("records/s regression: exit %d, want 1", c)
+	}
+	// B/op is tracked like allocs/op: the same allocations growing fails.
+	if c := runDiff(old, fatter, 0.20); c != 1 {
+		t.Fatalf("B/op regression: exit %d, want 1", c)
 	}
 	// allocs/op is tracked like ns/op: one allocation per op becoming two fails.
 	oneAlloc := []Result{{Name: "BenchmarkFeed-8", Pkg: "farmer/internal/core", Iterations: 10,

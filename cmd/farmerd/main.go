@@ -8,7 +8,7 @@
 //
 //	farmerd [-addr host:port] [-metrics-addr host:port]
 //	        [-store wal] [-load] [-repair]
-//	        [-shards N] [-partition stripe|hash|group]
+//	        [-shards N]
 //	        [-checkpoint D] [-drain D] [-prefetch-k K]
 //	        [-weight P] [-strength S]
 //	        [-replicate-to addr,addr...] [-follow]

@@ -12,18 +12,6 @@ import (
 	"farmer"
 )
 
-func TestPartitionerByName(t *testing.T) {
-	for _, name := range []string{"stripe", "hash", "group"} {
-		p, err := farmer.PartitionerByName(name)
-		if err != nil || p == nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-	}
-	if _, err := farmer.PartitionerByName("bogus"); err == nil {
-		t.Fatal("bogus partitioner accepted")
-	}
-}
-
 // TestRunServeAndDrain runs the daemon in-process: serve, feed over the
 // wire, SIGTERM, assert the clean-exit code and the final checkpoint.
 func TestRunServeAndDrain(t *testing.T) {
@@ -35,7 +23,6 @@ func TestRunServeAndDrain(t *testing.T) {
 		"-store", wal,
 		"-load", "-repair",
 		"-shards", "2",
-		"-partition", "hash",
 		"-checkpoint", "50ms",
 		"-prefetch-k", "2",
 	}
@@ -99,8 +86,8 @@ func TestRunServeAndDrain(t *testing.T) {
 
 // TestHelpTextUnchanged pins `farmerd -h` byte for byte to the text the
 // daemon printed when its flags were still declared in this package
-// (testdata/help.txt, written by commit d78dc70): 24 flags, their
-// defaults and their help.
+// (testdata/help.txt, written by commit d78dc70, less the -partition flag
+// since deleted): 23 flags, their defaults and their help.
 func TestHelpTextUnchanged(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "help.txt"))
 	if err != nil {
@@ -113,8 +100,8 @@ func TestHelpTextUnchanged(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("farmerd -h changed:\n%s\nwant:\n%s", got.Bytes(), want)
 	}
-	if n := bytes.Count(got.Bytes(), []byte("\n  -")); n != 24 {
-		t.Fatalf("farmerd declares %d flags, want 24", n)
+	if n := bytes.Count(got.Bytes(), []byte("\n  -")); n != 23 {
+		t.Fatalf("farmerd declares %d flags, want 23", n)
 	}
 }
 
@@ -122,10 +109,6 @@ func TestRunUsageErrors(t *testing.T) {
 	os.Args = []string{"farmerd", "stray-arg"}
 	if c := run(); c != 2 {
 		t.Fatalf("stray argument: exit %d, want 2", c)
-	}
-	os.Args = []string{"farmerd", "-partition", "bogus"}
-	if c := run(); c != 2 {
-		t.Fatalf("bad partitioner: exit %d, want 2", c)
 	}
 	os.Args = []string{"farmerd", "-shards", "-1"}
 	if c := run(); c != 2 {

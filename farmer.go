@@ -36,13 +36,10 @@
 package farmer
 
 import (
-	"fmt"
-
 	"farmer/internal/core"
 	"farmer/internal/graph"
 	"farmer/internal/kvstore"
 	"farmer/internal/obs"
-	"farmer/internal/partition"
 	"farmer/internal/prefetch"
 	"farmer/internal/rpc"
 	"farmer/internal/trace"
@@ -139,47 +136,11 @@ func StartPrefetcher(m *ShardedModel, sink PrefetchSink, cfg PrefetchConfig) *Pr
 	return prefetch.Start(m, sink, cfg)
 }
 
-// Partition layer, re-exported. A Partitioner maps files to the owners of
-// their mined state; the same function can route demand requests in a
-// multi-server deployment, so each server both serves and mines exactly its
-// partition of the global model.
-type (
-	// Partitioner maps a file to one of n partition owners.
-	Partitioner = partition.Partitioner
-)
-
-// PartitionerByName maps a configuration name ("stripe", "hash", "group")
-// to the stock partitioner — the parser behind farmerd -partition.
-func PartitionerByName(name string) (Partitioner, error) {
-	switch name {
-	case "stripe":
-		return StripePartitioner, nil
-	case "hash":
-		return HashPartitioner, nil
-	case "group":
-		return GroupPartitioner, nil
-	default:
-		return nil, fmt.Errorf("farmer: unknown partitioner %q (stripe, hash or group)", name)
-	}
-}
-
-// Stock partitioners.
-var (
-	// StripePartitioner is ShardedModel's default FileID striping
-	// (Fibonacci hashing on the upper half-word).
-	StripePartitioner Partitioner = partition.Stripe
-	// HashPartitioner spreads files uniformly across partitions — the
-	// pessimistic placement for correlation locality.
-	HashPartitioner Partitioner = partition.Hash
-	// GroupPartitioner co-locates runs of adjacent file ids, approximating
-	// correlation-aware placement (paper §4.2 grouping).
-	GroupPartitioner Partitioner = partition.Group
-)
-
 // Store is the Berkeley-DB-style persistent ordered key-value store backing
 // model persistence (LocalMiner.Save and Load, through
 // ShardedModel.SaveCheckpoint and LoadMerged): an in-memory hash index
-// fronted by a CRC-framed write-ahead log.
+// fronted by a CRC-framed write-ahead log. A store holds one model and
+// nothing else: a full checkpoint replaces its whole contents.
 type Store = kvstore.Store
 
 // OpenStore creates or recovers a store whose write-ahead log lives at

@@ -168,16 +168,16 @@ func TestPublicAPIAsyncPrefetcher(t *testing.T) {
 }
 
 // TestPublicAPIClusterMiner drives the partitioned deployment story through
-// the public surface alone: an N-server collective miner under a deployment
-// partitioner, merged persistence, and a resize (different server count AND
-// different partitioner) with identical predictions.
+// the public surface alone: an N-server collective miner, merged
+// persistence, and a resize to a different server count with identical
+// predictions.
 func TestPublicAPIClusterMiner(t *testing.T) {
 	tr, err := farmer.Generate(farmer.HP(5000))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := farmer.ConfigFor(tr)
-	cluster := openModel(t, cfg, farmer.WithShards(4), farmer.WithPartitioner(farmer.HashPartitioner))
+	cluster := openModel(t, cfg, farmer.WithShards(4))
 	if cluster.Shards() != 4 {
 		t.Fatalf("servers = %d, want 4", cluster.Shards())
 	}
@@ -187,7 +187,7 @@ func TestPublicAPIClusterMiner(t *testing.T) {
 	// to it.
 	for f := 0; f < tr.FileCount; f++ {
 		id := farmer.FileID(f)
-		own := farmer.HashPartitioner(id, 4)
+		own := cluster.Partitioner()(id, 4)
 		if want, got := cluster.Predict(id, 4), cluster.Shard(own).Predict(id, 4); len(want) != len(got) {
 			t.Fatalf("file %d: owner shard disagrees with ensemble", f)
 		}
@@ -201,7 +201,7 @@ func TestPublicAPIClusterMiner(t *testing.T) {
 	if err := cluster.SaveMerged(st); err != nil {
 		t.Fatal(err)
 	}
-	resized := openModel(t, cfg, farmer.WithShards(7), farmer.WithPartitioner(farmer.GroupPartitioner))
+	resized := openModel(t, cfg, farmer.WithShards(7))
 	if err := resized.LoadMerged(st); err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
+	"time"
 
 	"farmer/internal/kvstore"
 	"farmer/internal/trace"
@@ -53,11 +55,6 @@ func BenchmarkCheckpointSaveFull(b *testing.B) {
 			b.Fatal(err)
 		}
 		cost = statsDelta(pre, s.WriteStats())
-		b.StopTimer()
-		if err := s.Compact(); err != nil { // as farmerd does after a full save
-			b.Fatal(err)
-		}
-		b.StartTimer()
 	}
 	b.ReportMetric(float64(cost.Bytes), "ckpt-B/op")
 	b.ReportMetric(float64(cost.Puts), "puts/op")
@@ -123,23 +120,150 @@ func BenchmarkCheckpointSaveDeltaWorkingSet(b *testing.B) {
 func BenchmarkDeltaSaveByPopulation(b *testing.B) {
 	for _, scale := range []int{10, 100} {
 		b.Run(fmt.Sprintf("x%d", scale), func(b *testing.B) {
-			if pop.scale != scale {
-				pop.sm, pop.tr = nil, nil // let the last one go before mining the next
-				pop.sm, pop.tr = population(scale)
-				pop.scale = scale
-			}
-			benchDeltaSaves(b, pop.sm, pop.tr)
-			b.ReportMetric(float64(pop.sm.Stats().TrackedFiles), "files")
+			sm, tr := popAt(scale)
+			benchDeltaSaves(b, sm, tr)
+			b.ReportMetric(float64(sm.Stats().TrackedFiles), "files")
 		})
 	}
 }
 
-// pop keeps BenchmarkDeltaSaveByPopulation's ensemble between the
-// calls the testing package makes of one sub-benchmark.
+// pop keeps the by-population benchmarks' ensemble between the calls the
+// testing package makes of one sub-benchmark.
 var pop struct {
 	scale int
 	sm    *ShardedModel
 	tr    *trace.Trace
+}
+
+// popAt returns population(scale), mined once per process; one is held at a
+// time.
+func popAt(scale int) (*ShardedModel, *trace.Trace) {
+	if pop.scale != scale {
+		pop.sm, pop.tr = nil, nil // let the last one go before mining the next
+		pop.sm, pop.tr = population(scale)
+		pop.scale = scale
+	}
+	return pop.sm, pop.tr
+}
+
+// stallBatches is how many FeedBatches each half of
+// BenchmarkSaveStallByPopulation's ingest phase times.
+const stallBatches = 256
+
+// BenchmarkSaveStallByPopulation is what a checkpoint costs the ingest beside
+// it, at the working set (x10) and ten times it (x100). An op is a full save
+// and then a delta, each timed while a probe takes the dispatch lock every
+// ~50 µs, then stallBatches FeedBatches of workingSetBatch records with
+// checkpoints running back to back beside them (a Compact every 16th, as
+// LocalMiner does) and as many with none. It reports, over all ops, the
+// longest wait to take the dispatch lock during a full save (full-wait-ms)
+// and during a delta (delta-wait-ms), the longest full save (full-ms), and
+// the FeedBatch p99 with checkpoints beside it (p99-saving-ms, over
+// saves-beside/op of them) and without (p99-idle-ms). x100 holds about 1 GB, so its name matches no CI -bench
+// pattern: it runs only when asked for by name.
+func BenchmarkSaveStallByPopulation(b *testing.B) {
+	for _, scale := range []int{10, 100} {
+		b.Run(fmt.Sprintf("x%d", scale), func(b *testing.B) {
+			sm, tr := popAt(scale)
+			st := benchStore(b)
+			next := 0
+			feed := func() time.Duration {
+				start := time.Now()
+				sm.FeedBatch(tr.Records[next : next+workingSetBatch])
+				next = (next + workingSetBatch) % len(tr.Records)
+				return time.Since(start)
+			}
+			var fullWait, deltaWait, full time.Duration
+			var saving, idle []time.Duration
+			beside := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fullWait = max(fullWait, lockWait(sm, func() {
+					start := time.Now()
+					if err := sm.SaveMerged(st); err != nil {
+						b.Fatal(err)
+					}
+					full = max(full, time.Since(start))
+				}))
+				for range deltaChunks {
+					feed()
+				}
+				deltaWait = max(deltaWait, lockWait(sm, func() {
+					if inc, err := sm.SaveCheckpoint(st); err != nil || !inc {
+						b.Fatalf("delta checkpoint: incremental=%v, %v", inc, err)
+					}
+				}))
+				for range stallBatches {
+					idle = append(idle, feed())
+				}
+				stop, done := make(chan struct{}), make(chan error)
+				go func() {
+					for n := 1; ; n++ {
+						select {
+						case <-stop:
+							beside += n - 1
+							done <- nil
+							return
+						default:
+						}
+						_, err := sm.SaveCheckpoint(st)
+						if err == nil && n%16 == 0 {
+							err = st.Compact()
+						}
+						if err != nil {
+							done <- err
+							return
+						}
+					}
+				}()
+				for range stallBatches {
+					saving = append(saving, feed())
+				}
+				close(stop)
+				if err := <-done; err != nil {
+					b.Fatal(err)
+				}
+			}
+			ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+			b.ReportMetric(ms(fullWait), "full-wait-ms")
+			b.ReportMetric(ms(deltaWait), "delta-wait-ms")
+			b.ReportMetric(ms(full), "full-ms")
+			b.ReportMetric(ms(p99(saving)), "p99-saving-ms")
+			b.ReportMetric(ms(p99(idle)), "p99-idle-ms")
+			b.ReportMetric(float64(beside)/float64(b.N), "saves-beside/op")
+		})
+	}
+}
+
+// lockWait runs fn while a probe takes sm's dispatch lock every ~50 µs, and
+// returns the longest the probe waited for it.
+func lockWait(sm *ShardedModel, fn func()) time.Duration {
+	stop, longest := make(chan struct{}), make(chan time.Duration)
+	go func() {
+		var worst time.Duration
+		for {
+			select {
+			case <-stop:
+				longest <- worst
+				return
+			default:
+			}
+			start := time.Now()
+			sm.dmu.Lock()
+			worst = max(worst, time.Since(start))
+			sm.dmu.Unlock()
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+	fn()
+	close(stop)
+	return <-longest
+}
+
+// p99 is the 99th percentile of ds, which it sorts.
+func p99(ds []time.Duration) time.Duration {
+	slices.Sort(ds)
+	return ds[(len(ds)*99+99)/100-1]
 }
 
 // benchDeltaSaves binds sm to a fresh store with a full save, then times
@@ -178,8 +302,8 @@ func benchDeltaSaves(b *testing.B, sm *ShardedModel, tr *trace.Trace) {
 }
 
 // BenchmarkCheckpointOpenWorkingSet is a restart's first step at the contract
-// workload's working set: Open recovering a compacted full checkpoint (~116k
-// records) from its WAL.
+// workload's working set: Open recovering a full checkpoint (~116k records,
+// one put per key) from its WAL.
 func BenchmarkCheckpointOpenWorkingSet(b *testing.B) {
 	sm, _ := workingSet()
 	path := filepath.Join(b.TempDir(), "store.wal")
@@ -187,7 +311,7 @@ func BenchmarkCheckpointOpenWorkingSet(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := errors.Join(sm.SaveMerged(s), s.Compact(), s.Close()); err != nil {
+	if err := errors.Join(sm.SaveMerged(s), s.Close()); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

@@ -20,8 +20,9 @@ import (
 // the same round trip against the repository's kvstore so a mined model
 // survives MDS restarts. A lone Model persists as a 1-shard ensemble.
 //
-// Key layout (all keys are prefixed so model state can share a store with
-// file metadata):
+// The store holds the model alone: a full checkpoint replaces the store's
+// whole contents, so nothing else may live in it (hust's metadata store
+// never holds a model). Key layout:
 //
 //	c/<fileID>  Correlator List: count, then (file, degree, sim, freq)*
 //	v/<fileID>  semantic vector: scalar count, scalars, path
@@ -66,16 +67,6 @@ func fileOfKey(prefix string, k []byte) (f trace.FileID, ok bool) {
 		return 0, false
 	}
 	return trace.FileID(binary.BigEndian.Uint32(k[len(prefix):])), true
-}
-
-// prefixEnd returns the exclusive upper Scan bound covering every key that
-// starts with prefix: the prefix with its last byte incremented. (The old
-// prefix+"\xff" bound excluded keys whose FileID top byte is 0xff — those
-// sort after "\xff" itself — silently losing files >= 0xff000000 on reload.)
-func prefixEnd(prefix string) []byte {
-	end := []byte(prefix)
-	end[len(end)-1]++
-	return end
 }
 
 // ---------------------------------------------------------------- values
@@ -210,47 +201,11 @@ func readEpoch(s *kvstore.Store) (epoch uint64, ok bool, err error) {
 
 // ---------------------------------------------------------------- saving
 
-// savedKeys is the set of per-file keys a full checkpoint wrote, so prune
-// can delete the store's leftovers from earlier checkpoints (a list dropped
-// by the validity filter must not resurrect on reload). A key is held as its
-// prefix letter above its file id.
-type savedKeys map[uint64]struct{}
-
-func savedKey(prefix string, f trace.FileID) uint64 { return uint64(prefix[0])<<32 | uint64(f) }
-
-// prune stages deletes into b for every list/vector/graph key present in
-// the store but absent from a just-staged full save — the full-rewrite
-// leftovers sweep. Reads scan the store directly (a Batch's staged records
-// are invisible to Scan, which is exactly right: the scan sees the PREVIOUS
-// checkpoint's keys).
-func (sk savedKeys) prune(s *kvstore.Store, b *kvstore.Batch) error {
-	var stale [][]byte
-	for _, prefix := range statePrefixes {
-		s.Scan([]byte(prefix), prefixEnd(prefix), func(k, v []byte) bool {
-			if f, ok := fileOfKey(prefix, k); ok {
-				if _, kept := sk[savedKey(prefix, f)]; kept {
-					return true
-				}
-			}
-			stale = append(stale, append([]byte(nil), k...))
-			return true
-		})
-	}
-	for _, k := range stale {
-		if err := b.Delete(k); err != nil {
-			return fmt.Errorf("core: pruning stale key %q: %w", k, err)
-		}
-	}
-	return nil
-}
-
 // stager stages one shard's per-file records into a checkpoint batch.
 // Keys and values are encoded in reused scratch (the batch copies what it
-// stages; a node's edges sort in their own). saved is nil for a delta; errors
-// stick.
+// stages; a node's edges sort in their own). Errors stick.
 type stager struct {
 	b       *kvstore.Batch
-	saved   savedKeys
 	key     []byte
 	scratch []byte
 	edges   []graph.Edge
@@ -272,8 +227,6 @@ func (st *stager) stage(prefix string, f trace.FileID, present bool) {
 	}
 	if st.err != nil {
 		st.err = fmt.Errorf("core: staging %s%d: %w", prefix, f, st.err)
-	} else if st.saved != nil {
-		st.saved[savedKey(prefix, f)] = struct{}{}
 	}
 }
 
@@ -295,11 +248,11 @@ func (st *stager) file(f trace.FileID, fp *file, facets uint8) {
 	}
 }
 
-// stageLocked stages this shard's half of a checkpoint: with st.saved set,
-// every list, vector and graph node; without, only the facets marked dirty
-// since the last completed save. Callers hold m.mu.
-func (m *Model) stageLocked(st *stager) error {
-	if st.saved == nil {
+// stageLocked stages this shard's half of a checkpoint: with full, every
+// list, vector and graph node; without, only the facets marked dirty since
+// the last completed save. Callers hold m.mu.
+func (m *Model) stageLocked(st *stager, full bool) error {
+	if !full {
 		for _, f := range m.dirtyIDs {
 			fp := m.files[f]
 			st.file(f, fp, fp.dirty)
@@ -312,6 +265,27 @@ func (m *Model) stageLocked(st *stager) error {
 	return st.err
 }
 
+// stageLocked stages a checkpoint of the ensemble into b — with full, the
+// complete mined state; without, the facets dirtied since the last completed
+// save — then the m/ records at epoch. With reset, each shard's dirty set
+// restarts under the same hold of its lock. Callers hold s.dmu, so what is
+// staged is one record boundary of the stream.
+func (s *ShardedModel) stageLocked(b *kvstore.Batch, full, reset bool, epoch uint64) error {
+	stg := stager{b: b, scratch: make([]byte, 0, 512)}
+	for _, m := range s.shards {
+		m.mu.Lock()
+		err := m.stageLocked(&stg, full)
+		if err == nil && reset {
+			m.resetDirtyLocked()
+		}
+		m.mu.Unlock()
+		if err != nil {
+			return err
+		}
+	}
+	return stageMeta(b, s.disp.Window(), s.cfg.Weight, s.cfg.MaxStrength, s.disp.Dispatched(), epoch)
+}
+
 // SaveMerged writes the ensemble's complete mined state as ONE logical
 // model. Shard state is disjoint, so the union of the per-shard lists and
 // vectors under the ordinary key layout is exactly what a single Model
@@ -319,101 +293,78 @@ func (m *Model) stageLocked(st *stager) error {
 // LoadMerged at ANY stripe count or partitioner — the persistence half of
 // resizing a cluster between runs.
 //
-// SaveMerged holds the dispatch lock, so a checkpoint taken while other
-// goroutines Feed captures a consistent cut of the stream: state and the
-// fed counter as of some exact record boundary, never a snapshot torn
-// across shards. Stale keys from a previous save — lists the threshold
-// filter has since dropped — are pruned. The whole checkpoint commits as one
-// atomic kvstore batch (a crash mid-save leaves the previous checkpoint
-// intact), and a completed save (re)binds the ensemble's dirty tracking to
-// the store so the next SaveCheckpoint can write just the delta.
+// The state is staged under the dispatch lock, so a checkpoint taken while
+// other goroutines Feed captures a consistent cut of the stream: state and
+// the fed counter as of some exact record boundary, never a snapshot torn
+// across shards. The lock is released before the store writes. The staged
+// records then replace the store's contents (kvstore.Store.Replace): the log
+// is rewritten as one put per key and synced, so a crash mid-save leaves the
+// previous checkpoint intact and nothing of it (a list the threshold filter
+// has since dropped) survives the save. A completed save (re)binds the
+// ensemble's dirty tracking to the store so the next SaveCheckpoint can write
+// just the delta.
 func (s *ShardedModel) SaveMerged(st *kvstore.Store) error {
-	s.dmu.Lock()
-	defer s.dmu.Unlock()
-	_, err := s.checkpointLocked(st, false)
+	_, err := s.checkpoint(st, false)
 	return err
 }
 
 // SaveCheckpoint writes the cheapest valid checkpoint into st: the dirty-key
-// delta — puts for facets still present, tombstone deletes for dropped ones
-// — when st is the store (at the epoch) the last completed save or load
-// synchronized with, a full SaveMerged otherwise. It reports whether the
-// delta path ran; a full save is the fallback, and a caller compacting the
-// log may want to follow one. This is the method a periodically
-// checkpointing daemon uses: its cost tracks the write rate between
-// checkpoints, not the model size.
+// delta — puts for facets still present, tombstone deletes for dropped ones,
+// appended as one atomic batch — when st is the store (at the epoch) the last
+// completed save or load synchronized with, a full SaveMerged otherwise. It
+// reports whether the delta path ran. Either way the dispatch lock is held
+// only while the model is read, not while the store writes. This is the
+// method a periodically checkpointing daemon uses: its cost tracks the write
+// rate between checkpoints, not the model size.
 func (s *ShardedModel) SaveCheckpoint(st *kvstore.Store) (incremental bool, err error) {
-	s.dmu.Lock()
-	defer s.dmu.Unlock()
-	return s.checkpointLocked(st, true)
+	return s.checkpoint(st, true)
 }
 
-// checkpointLocked is the one save path. A delta is staged only when asked
-// for AND st is the very store, at the very epoch, the shards' dirty sets
-// were accumulated against; anything else (first save, a different store,
-// an epoch someone else advanced) is a full rewrite. A completed save resets
-// the dirty sets and (re)binds; a failed one unbinds, so the next one is
-// full. Callers hold s.dmu.
-func (s *ShardedModel) checkpointLocked(st *kvstore.Store, allowDelta bool) (incremental bool, err error) {
+// checkpoint is the one save path. Checkpoints run one at a time under ckmu,
+// which also guards the binding, so commits land in staging order. A delta
+// is staged only when asked for AND st is the very store, at the very epoch,
+// the shards' dirty sets were accumulated against; anything else (first
+// save, a different store, an epoch someone else advanced) is a full save
+// that replaces st's contents. Staging takes dmu inside the store's callback
+// and releases it before the store writes. A completed save resets the dirty
+// sets and (re)binds; a failed one unbinds, so the next one is full.
+func (s *ShardedModel) checkpoint(st *kvstore.Store, allowDelta bool) (incremental bool, err error) {
+	s.ckmu.Lock()
+	defer s.ckmu.Unlock()
 	epoch, ok, err := readEpoch(st)
 	if err != nil {
 		return false, err
 	}
-	incremental = allowDelta && ok && s.ckptStore == st && s.saveEpoch != 0 && epoch == s.saveEpoch
-	err = st.Batch(func(b *kvstore.Batch) error {
-		stg := stager{b: b, scratch: make([]byte, 0, 512)}
-		if !incremental {
-			stg.saved = make(savedKeys)
-		}
-		for _, m := range s.shards {
-			m.mu.Lock()
-			serr := m.stageLocked(&stg)
-			if serr == nil {
-				m.resetDirtyLocked()
-			}
-			m.mu.Unlock()
-			if serr != nil {
-				return serr
-			}
-		}
-		if !incremental {
-			if err := stg.saved.prune(st, b); err != nil {
-				return err
-			}
-		}
-		return stageMeta(b, s.disp.Window(), s.cfg.Weight, s.cfg.MaxStrength, s.disp.Dispatched(), epoch+1)
-	})
+	incremental = allowDelta && ok && s.ckptStore == st && epoch != 0 && epoch == s.saveEpoch.Load()
+	stage := func(b *kvstore.Batch) error {
+		s.dmu.Lock()
+		defer s.dmu.Unlock()
+		return s.stageLocked(b, !incremental, true, epoch+1)
+	}
+	if incremental {
+		err = st.Batch(stage)
+	} else {
+		err = st.Replace(stage)
+	}
 	if err != nil {
 		s.ckptStore = nil
-	} else {
-		s.ckptStore, s.saveEpoch = st, epoch+1
+		return false, err
 	}
-	return incremental && err == nil, err
+	s.ckptStore = st
+	s.saveEpoch.Store(epoch + 1)
+	return incremental, nil
 }
 
 // Cut returns the ensemble's complete mined state as the put frames a full
-// save into an empty store stages — every list, vector and graph node, then
-// the m/ records at epoch 1 — with no batch markers and in no key order: a
-// catch-up cut's snapshot, which LoadCut installs. It holds the dispatch
-// lock, so the frames are one record boundary, and leaves dirty tracking and
-// the checkpoint binding alone: the next SaveCheckpoint is still a delta.
+// save stages — every list, vector and graph node, then the m/ records at
+// epoch 1 — with no batch markers and in no key order: a catch-up cut's
+// snapshot, which LoadCut installs. It holds the dispatch lock, so the frames
+// are one record boundary, and leaves dirty tracking and the checkpoint
+// binding alone: the next SaveCheckpoint is still a delta.
 func (s *ShardedModel) Cut() ([]byte, error) {
 	s.dmu.Lock()
 	defer s.dmu.Unlock()
-	return kvstore.Frames(func(b *kvstore.Batch) error {
-		stg := stager{b: b, scratch: make([]byte, 0, 512)}
-		for _, m := range s.shards {
-			m.mu.Lock()
-			for f, fp := range m.files {
-				stg.file(f, fp, fp.have)
-			}
-			m.mu.Unlock()
-			if stg.err != nil {
-				return stg.err
-			}
-		}
-		return stageMeta(b, s.disp.Window(), s.cfg.Weight, s.cfg.MaxStrength, s.disp.Dispatched(), 1)
-	})
+	return kvstore.Frames(func(b *kvstore.Batch) error { return s.stageLocked(b, true, false, 1) })
 }
 
 // WindowTail returns a copy of the ensemble's lookahead window, oldest
@@ -597,6 +548,8 @@ func (s *ShardedModel) installLocked(ck *checkpoint) {
 // load are identical at any stripe count. The loaded ensemble is bound to
 // st, so the next SaveCheckpoint into it can be a delta.
 func (s *ShardedModel) LoadMerged(st *kvstore.Store) error {
+	s.ckmu.Lock()
+	defer s.ckmu.Unlock()
 	ck, err := s.readStore(st)
 	if err == nil {
 		err = s.checkParams(ck)
@@ -615,7 +568,8 @@ func (s *ShardedModel) LoadMerged(st *kvstore.Store) error {
 		return fmt.Errorf("core: cannot load into an ensemble that has already ingested %d records", fedNow)
 	}
 	s.installLocked(ck)
-	s.ckptStore, s.saveEpoch = st, ck.epoch // a pre-epoch store binds epoch 0, which a delta refuses
+	s.ckptStore = st
+	s.saveEpoch.Store(ck.epoch) // a pre-epoch store binds epoch 0, which a delta refuses
 	return nil
 }
 
@@ -642,6 +596,8 @@ func (s *ShardedModel) LoadCut(frames []byte, pos, fingerprint uint64, fileCount
 	if ck.fed != pos {
 		return fmt.Errorf("core: catch-up cut at position %d holds %d records", pos, ck.fed)
 	}
+	s.ckmu.Lock()
+	defer s.ckmu.Unlock()
 	s.dmu.Lock()
 	defer s.dmu.Unlock()
 	for _, m := range s.shards {
@@ -649,7 +605,8 @@ func (s *ShardedModel) LoadCut(frames []byte, pos, fingerprint uint64, fileCount
 	}
 	s.disp = s.newDispatcher()
 	s.installLocked(ck)
-	s.ckptStore, s.saveEpoch = nil, 0
+	s.ckptStore = nil
+	s.saveEpoch.Store(0)
 	return nil
 }
 

@@ -910,10 +910,11 @@ func TestRepeatedEdgeRejected(t *testing.T) {
 
 // repeatFirstEdge rewrites the first persisted graph node holding two or
 // more edges so that its second edge names the first edge's successor again.
+// ("g0" is the first key past every g/ key.)
 func repeatFirstEdge(t *testing.T, st *kvstore.Store) {
 	t.Helper()
 	var key, val []byte
-	st.Scan([]byte(keyPrefixGraph), prefixEnd(keyPrefixGraph), func(k, v []byte) bool {
+	st.Scan([]byte(keyPrefixGraph), []byte("g0"), func(k, v []byte) bool {
 		if binary.LittleEndian.Uint32(v[8:12]) < 2 {
 			return true
 		}

@@ -393,13 +393,10 @@ func (p *refPair) check(at string) {
 	}
 	err := p.gotSt.Batch(func(b *kvstore.Batch) error {
 		stg := stager{b: b}
-		if full {
-			stg.saved = make(savedKeys)
-		}
 		got.mu.Lock()
 		defer got.mu.Unlock()
 		defer got.resetDirtyLocked()
-		return got.stageLocked(&stg)
+		return got.stageLocked(&stg, full)
 	})
 	if err != nil {
 		fail("staging: %v", err)

@@ -25,6 +25,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"farmer/internal/kvstore"
@@ -122,13 +123,15 @@ type ShardedModel struct {
 
 	hook func(seq uint64, f trace.FileID) // see SetIngestHook; guarded by dmu
 
-	// Checkpoint binding (guarded by dmu): the store the last completed
-	// save or load synchronized the ensemble with, and the epoch that pass
-	// wrote or read. SaveCheckpoint writes a delta only into this same store
-	// at this same epoch; anything else falls back to a full rewrite. See
-	// persist.go.
+	// Checkpoint binding, guarded by ckmu: the store the last completed save
+	// or load synchronized the ensemble with, and the epoch that pass wrote
+	// or read. SaveCheckpoint writes a delta only into this same store at
+	// this same epoch; anything else falls back to a full rewrite. ckmu
+	// orders checkpoints and loads and is taken before dmu; saveEpoch is
+	// also atomic, so reading it never waits for a commit. See persist.go.
+	ckmu      sync.Mutex
 	ckptStore *kvstore.Store
-	saveEpoch uint64
+	saveEpoch atomic.Uint64
 }
 
 // NewSharded creates a sharded miner with cfg.Shards partitions (0 and 1
@@ -441,11 +444,7 @@ func (s *ShardedModel) Stats() Stats {
 // SaveEpoch reports the checkpoint epoch the ensemble is bound to — the
 // counter the m/epoch protocol bumps on every completed save (0 = never
 // checkpointed or unbound).
-func (s *ShardedModel) SaveEpoch() uint64 {
-	s.dmu.Lock()
-	defer s.dmu.Unlock()
-	return s.saveEpoch
-}
+func (s *ShardedModel) SaveEpoch() uint64 { return s.saveEpoch.Load() }
 
 // Shard exposes one partition's Model (tests, persistence experiments).
 func (s *ShardedModel) Shard(i int) *Model { return s.shards[i] }

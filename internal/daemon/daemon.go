@@ -28,7 +28,7 @@ var ErrUsage = errors.New("usage error")
 // Options parameterises one serving daemon. Register binds every field but
 // Logf to the farmerd flag that describes it; set directly, a zero value
 // means the feature is off (Weight/Strength nil: the paper default,
-// Drain 0: Serve's default, Partition "": stripe).
+// Drain 0: Serve's default).
 type Options struct {
 	Addr        string
 	MetricsAddr string
@@ -36,7 +36,6 @@ type Options struct {
 	Load        bool
 	Repair      bool
 	Shards      int
-	Partition   string
 	Ckpt        time.Duration
 	PrefetchK   int
 	Weight      *float64
@@ -95,7 +94,6 @@ func (o *Options) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&o.Load, "load", false, "restore persisted state from -store at startup")
 	fs.BoolVar(&o.Repair, "repair", false, "truncate a corrupt -store log at its last intact record before opening")
 	fs.IntVar(&o.Shards, "shards", 0, "miner shards (0/1 = one; mined state is bit-identical at every count)")
-	fs.StringVar(&o.Partition, "partition", "stripe", "shard partitioner: stripe, hash or group")
 	fs.DurationVar(&o.Ckpt, "checkpoint", 0, "periodic checkpoint interval (0 = only on shutdown; needs -store)")
 	fs.IntVar(&o.PrefetchK, "prefetch-k", 0, "attach the async prefetch pipeline with this prefetch degree (0 = off)")
 	o.Weight = fs.Float64("weight", farmer.DefaultConfig().Weight, "correlation weight p")
@@ -230,14 +228,6 @@ func Run(ctx context.Context, o Options) error {
 		}
 		tlsCfg = &tls.Config{Certificates: []tls.Certificate{cert}}
 	}
-	if o.Partition == "" {
-		o.Partition = "stripe"
-	}
-	part, err := farmer.PartitionerByName(o.Partition)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrUsage, err)
-	}
-
 	cfg := farmer.DefaultConfig()
 	if o.Weight != nil {
 		cfg.Weight = *o.Weight
@@ -256,7 +246,7 @@ func Run(ctx context.Context, o Options) error {
 		}
 	}
 
-	opts := []farmer.Option{farmer.WithShards(o.Shards), farmer.WithPartitioner(part)}
+	opts := []farmer.Option{farmer.WithShards(o.Shards)}
 	if o.StorePath != "" {
 		opts = append(opts, farmer.WithStore(o.StorePath))
 		if o.Load {
@@ -309,8 +299,8 @@ func Run(ctx context.Context, o Options) error {
 	case len(o.ReplicateTo) > 0:
 		role = fmt.Sprintf("primary->%v", o.ReplicateTo)
 	}
-	logf("serving on %s (shards=%d partition=%s store=%q role=%s tenants=%q tls=%t auth=%d)",
-		lis.Addr(), o.Shards, o.Partition, o.StorePath, role, o.TenantsDir, tlsCfg != nil, len(authTokens))
+	logf("serving on %s (shards=%d store=%q role=%s tenants=%q tls=%t auth=%d)",
+		lis.Addr(), o.Shards, o.StorePath, role, o.TenantsDir, tlsCfg != nil, len(authTokens))
 
 	var tenantsCfg *farmer.TenantsConfig
 	if o.TenantsDir != "" {

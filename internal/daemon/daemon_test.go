@@ -57,7 +57,6 @@ func TestRunUsageValidation(t *testing.T) {
 		{Addr: "x", Repair: true},                             // -repair without -store
 		{Addr: "x", Ckpt: time.Second},                        // -checkpoint without -store
 		{Addr: "x", Shards: -1},                               // negative shards
-		{Addr: "x", Partition: "bogus"},                       // unknown partitioner
 		{Addr: "x", Follow: true, ReplicateTo: []string{"y"}}, // follower replicating onward
 		{Addr: "x", ReplicateTo: []string{""}},                // empty follower address
 		{Addr: "x", TLSCert: "cert.pem"},                      // cert without key

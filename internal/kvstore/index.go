@@ -1,52 +1,39 @@
 package kvstore
 
 import (
+	"cmp"
+	"encoding/binary"
 	"slices"
 	"strings"
 )
 
-// index is the store's key space: a hash from key to a slot of vals, and the
-// keys in order for the ordered reads. A point write never pays for the
-// order: an overwrite keeps its slot and, when the new value fits, the old
-// value's bytes; only adding or removing a key makes the order stale, and the
-// next ordered read rebuilds it.
+// index is the store's key space: a hash from key to a slot of vals. It keeps
+// no key order: the ordered reads (Scan, Compact) sort the keys they visit
+// when they run. An overwrite keeps its slot and, when the new value fits,
+// the old value's bytes.
 type index struct {
 	slots map[string]int32
 	vals  [][]byte
 	free  []int32 // slots a delete emptied
-	// sorted holds every key in order with its slot; nil when stale. A key
-	// past the last one extends it, so a log written in key order (a
-	// compacted one) recovers already sorted.
-	sorted []sortedKey
 }
 
-type sortedKey struct {
-	key  string
-	slot int32
-}
-
-func newIndex() *index {
-	return &index{slots: make(map[string]int32), sorted: []sortedKey{}}
+// newIndex returns an empty index with room for n keys.
+func newIndex(n int) *index {
+	return &index{slots: make(map[string]int32, n), vals: make([][]byte, 0, n)}
 }
 
 // apply applies a walPut or walDelete record. With owned, a put's value is
-// the caller's to give away (a reader's fresh record) and is kept as it is;
-// otherwise the slot keeps a copy, written over its old bytes when they fit.
+// the caller's to give away (a reader's fresh record, a slice of a replaced
+// store's staged frames) and is kept as it is; otherwise the slot keeps a
+// copy, written over its old bytes when they fit.
 func (x *index) apply(op walOp, key, value []byte, owned bool) {
 	if op == walDelete {
 		x.del(key)
 		return
 	}
-	// A key past the last of a fresh order is new without a lookup: a log
-	// written in key order recovers with one hash per key.
-	n := len(x.sorted)
-	last := x.sorted != nil && (n == 0 || x.sorted[n-1].key < string(key))
-	i, ok := int32(0), false
-	if !last {
-		i, ok = x.slots[string(key)]
-	}
+	i, ok := x.slots[string(key)]
 	if !ok {
-		i = x.add(string(key), last)
+		i = x.add(string(key))
 	}
 	switch old := x.vals[i]; {
 	case owned:
@@ -58,9 +45,8 @@ func (x *index) apply(op walOp, key, value []byte, owned bool) {
 	}
 }
 
-// add gives a new key a slot, a freed one first. A key past the last one
-// (last) extends a fresh order; any other makes it stale.
-func (x *index) add(key string, last bool) int32 {
+// add gives a new key a slot, a freed one first.
+func (x *index) add(key string) int32 {
 	i := int32(len(x.vals))
 	if n := len(x.free); n > 0 {
 		i, x.free = x.free[n-1], x.free[:n-1]
@@ -68,11 +54,6 @@ func (x *index) add(key string, last bool) int32 {
 		x.vals = append(grow(x.vals), nil)
 	}
 	x.slots[key] = i
-	if last {
-		x.sorted = append(grow(x.sorted), sortedKey{key, i})
-	} else {
-		x.sorted = nil
-	}
 	return i
 }
 
@@ -91,37 +72,38 @@ func (x *index) del(key []byte) {
 		delete(x.slots, string(key))
 		x.vals[i] = nil
 		x.free = append(x.free, i)
-		x.sorted = nil
 	}
-}
-
-// sort rebuilds a stale key order. It writes the index, so its caller holds
-// the store's write lock.
-func (x *index) sort() {
-	if x.sorted != nil {
-		return
-	}
-	x.sorted = make([]sortedKey, 0, len(x.slots))
-	for k, i := range x.slots {
-		x.sorted = append(x.sorted, sortedKey{k, i})
-	}
-	slices.SortFunc(x.sorted, func(a, b sortedKey) int { return strings.Compare(a.key, b.key) })
 }
 
 // ascend visits keys in [from, to) in order (nil bounds are open) until fn
-// returns false; the order must be fresh. fn sees a scratch copy of the key
-// and the index's own value bytes, and keeps neither.
+// returns false, sorting the keys in range first. fn sees a scratch copy of
+// the key and the index's own value bytes, and keeps neither. It only reads
+// the index, so a read lock on the store is enough.
 func (x *index) ascend(from, to []byte, fn func(key, value []byte) bool) {
-	keys, hi := x.sorted, string(to)
-	if from != nil {
-		lo, _ := slices.BinarySearchFunc(keys, string(from), func(e sortedKey, k string) int { return strings.Compare(e.key, k) })
-		keys = keys[lo:]
+	type entry struct {
+		head uint64 // the key's first eight bytes, big-endian, zeros past its end
+		key  string
+		slot int32
 	}
+	lo, hi := string(from), string(to)
+	keys := make([]entry, 0, len(x.slots))
+	for k, i := range x.slots {
+		if k >= lo && (to == nil || k < hi) {
+			var head [8]byte
+			copy(head[:], k)
+			keys = append(keys, entry{binary.BigEndian.Uint64(head[:]), k, i})
+		}
+	}
+	// Heads order keys as their bytes do; only keys whose heads tie need the
+	// bytes compared.
+	slices.SortFunc(keys, func(a, b entry) int {
+		if a.head != b.head {
+			return cmp.Compare(a.head, b.head)
+		}
+		return strings.Compare(a.key, b.key)
+	})
 	var scratch []byte
 	for _, e := range keys {
-		if to != nil && e.key >= hi {
-			return
-		}
 		scratch = append(scratch[:0], e.key...)
 		if !fn(scratch, x.vals[e.slot]) {
 			return

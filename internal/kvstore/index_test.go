@@ -25,7 +25,7 @@ func idxGet(x *index, k string) (string, bool) {
 	return string(x.vals[i]), true
 }
 
-// idxKeys rebuilds a stale order, as Scan does, and lists the keys in
+// idxKeys lists the keys in
 // [from, to) ("" is an open bound), stopping after stop of them when stop > 0.
 func idxKeys(x *index, from, to string, stop int) []string {
 	bound := func(b string) []byte {
@@ -34,7 +34,6 @@ func idxKeys(x *index, from, to string, stop int) []string {
 		}
 		return []byte(b)
 	}
-	x.sort()
 	var keys []string
 	x.ascend(bound(from), bound(to), func(k, v []byte) bool {
 		keys = append(keys, string(k))
@@ -44,7 +43,7 @@ func idxKeys(x *index, from, to string, stop int) []string {
 }
 
 func TestBTreeBasic(t *testing.T) {
-	x := newIndex()
+	x := newIndex(0)
 	for i := 0; i < 100; i++ {
 		idxPut(x, fmt.Sprintf("k%03d", i), fmt.Sprintf("v%d", i))
 	}
@@ -63,7 +62,7 @@ func TestBTreeBasic(t *testing.T) {
 }
 
 func TestBTreeOverwrite(t *testing.T) {
-	x := newIndex()
+	x := newIndex(0)
 	idxPut(x, "a", "1")
 	idxPut(x, "a", "2")
 	if len(x.slots) != 1 || len(x.vals) != 1 {
@@ -78,7 +77,7 @@ func TestBTreeOverwrite(t *testing.T) {
 }
 
 func TestBTreeDelete(t *testing.T) {
-	x := newIndex()
+	x := newIndex(0)
 	keys := []string{}
 	for i := 0; i < 200; i++ {
 		k := fmt.Sprintf("k%03d", i)
@@ -114,7 +113,7 @@ func TestBTreeDelete(t *testing.T) {
 }
 
 func TestBTreeAscendRange(t *testing.T) {
-	x := newIndex()
+	x := newIndex(0)
 	for i := 0; i < 50; i++ {
 		idxPut(x, fmt.Sprintf("k%02d", i), "")
 	}
@@ -129,7 +128,7 @@ func TestBTreeAscendRange(t *testing.T) {
 }
 
 func TestBTreeAscendEarlyStop(t *testing.T) {
-	x := newIndex()
+	x := newIndex(0)
 	for i := 0; i < 50; i++ {
 		idxPut(x, fmt.Sprintf("k%02d", i), "")
 	}
@@ -146,7 +145,7 @@ func TestBTreeAscendEarlyStop(t *testing.T) {
 func TestBTreeMatchesMapProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 9))
-		x := newIndex()
+		x := newIndex(0)
 		ref := map[string]string{}
 		for i := 0; i < 400; i++ {
 			k := fmt.Sprintf("k%02d", rng.IntN(60))

@@ -1,10 +1,12 @@
 // Package kvstore is the metadata store behind the simulated MDS — the role
 // Berkeley DB plays in the HUSt prototype (paper §5.1: "The metadata
 // information of files and objects are stored in the Berkeley DB"). It
-// offers an ordered key space (a hash index with the key order built when a
-// scan asks for it) and a write-ahead log with CRC framing for durability,
-// which is the slice of Berkeley DB behaviour the experiments depend on. The
-// log's frames double as the encoding a set of records travels in (Frames,
+// offers an ordered key space (a hash index whose keys are sorted when a scan
+// or a rewrite visits them) and a write-ahead log with CRC framing for
+// durability, which is the slice of Berkeley DB behaviour the experiments
+// depend on. Writes either append to the log (Put, Delete, Batch) or replace
+// it whole (Replace, and Compact, which replaces it with itself). The log's
+// frames double as the encoding a set of records travels in (Frames,
 // ReadPuts).
 package kvstore
 
@@ -68,7 +70,7 @@ var ErrCorruptWAL = errors.New("kvstore: corrupt or truncated wal")
 // anywhere — truncated tail included — returns an error wrapping
 // ErrCorruptWAL and leaves no file descriptor open; it never half-loads.
 func Open(path string) (*Store, error) {
-	s := &Store{idx: newIndex(), path: path}
+	s := &Store{idx: newIndex(0), path: path}
 	if path == "" {
 		return s, nil
 	}
@@ -227,12 +229,17 @@ func (s *Store) write(op walOp, key, value []byte) error {
 // counts it in the write stats. Callers hold s.mu.
 func (s *Store) applyLocked(op walOp, key, value []byte) {
 	s.idx.apply(op, key, value, false)
+	s.stats.count(op, key, value)
+}
+
+// count counts one accepted walPut or walDelete record.
+func (w *WriteStats) count(op walOp, key, value []byte) {
 	if op == walPut {
-		s.stats.Puts++
+		w.Puts++
 	} else {
-		s.stats.Deletes++
+		w.Deletes++
 	}
-	s.stats.Bytes += int64(frameHeader + len(key) + len(value))
+	w.Bytes += int64(frameHeader + len(key) + len(value))
 }
 
 // checkRecord refuses a record the WAL reader would refuse to load back.
@@ -307,12 +314,67 @@ func (s *Store) Batch(fn func(*Batch) error) error {
 		return err
 	}
 	for len(frames) > 0 {
-		klen := binary.LittleEndian.Uint32(frames[5:9])
-		vlen := binary.LittleEndian.Uint32(frames[9:13])
-		key, value := frames[frameHeader:frameHeader+klen], frames[frameHeader+klen:frameHeader+klen+vlen]
-		s.applyLocked(walOp(frames[4]), key, value)
-		frames = frames[frameHeader+klen+vlen:]
+		var op walOp
+		var key, value []byte
+		op, key, value, frames = nextFrame(frames)
+		s.applyLocked(op, key, value)
 	}
+	return nil
+}
+
+// nextFrame splits the first frame off staged frames — well-formed, since
+// this package encoded them.
+func nextFrame(frames []byte) (op walOp, key, value, rest []byte) {
+	klen := binary.LittleEndian.Uint32(frames[5:9])
+	end := frameHeader + klen + binary.LittleEndian.Uint32(frames[9:13])
+	return walOp(frames[4]), frames[frameHeader : frameHeader+klen], frames[frameHeader+klen : end], frames[end:]
+}
+
+// Replace runs fn to stage records, as Batch does, and makes them the store's
+// whole contents: the index becomes the staged records alone, and the log is
+// rewritten from it the way Compact rewrites it. fn runs WITHOUT the store
+// lock, and so does building the new index. An error from fn, or a write
+// that fails before the rename, leaves the store as it was.
+//
+// The new index keeps each value where it was staged, as recovery keeps a
+// reader's record: a sub-slice of fn's buffer (never a pooled one), capped
+// at the next value's first byte. The next frame's header and key between
+// them are read by nobody once indexed (the index copies keys), so an
+// overwrite that grows the value a little stays in place.
+func (s *Store) Replace(fn func(*Batch) error) error {
+	var b Batch
+	if err := fn(&b); err != nil {
+		return err
+	}
+	var stats WriteStats
+	for frames := b.buf; len(frames) > 0; {
+		var op walOp
+		var key, value []byte
+		op, key, value, frames = nextFrame(frames)
+		stats.count(op, key, value)
+	}
+	x := newIndex(int(stats.Puts))
+	for frames := b.buf; len(frames) > 0; {
+		var op walOp
+		var key, value []byte
+		op, key, value, frames = nextFrame(frames)
+		room := len(value)
+		if len(frames) > 0 {
+			room += frameHeader + int(binary.LittleEndian.Uint32(frames[5:9]))
+		}
+		x.apply(op, key, value[:len(value):room], true)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.walErr; err != nil {
+		return fmt.Errorf("kvstore: wal unavailable: %w", err)
+	}
+	if err := s.rewriteLocked(x); err != nil {
+		return err
+	}
+	s.stats.Puts += stats.Puts
+	s.stats.Deletes += stats.Deletes
+	s.stats.Bytes += stats.Bytes
 	return nil
 }
 
@@ -338,36 +400,21 @@ func (s *Store) Len() int {
 	return len(s.idx.slots)
 }
 
-// Scan visits keys in [from, to) in order; nil bounds are open. fn must not
-// mutate the store, and must not keep key or value after it returns: a later
-// write reuses their bytes.
+// Scan visits keys in [from, to) in order; nil bounds are open. It holds the
+// store's read lock throughout. fn must not mutate the store, and must not
+// keep key or value after it returns: a later write reuses their bytes.
 func (s *Store) Scan(from, to []byte, fn func(key, value []byte) bool) {
-	s.rlockSorted()
+	s.mu.RLock()
 	defer s.mu.RUnlock()
 	s.idx.ascend(from, to, fn)
 }
 
-// rlockSorted read-locks s with the index's key order fresh. A stale order is
-// rebuilt under the write lock first, so two concurrent scans never race on
-// it.
-func (s *Store) rlockSorted() {
-	s.mu.RLock()
-	for s.idx.sorted == nil {
-		s.mu.RUnlock()
-		s.mu.Lock()
-		s.idx.sort()
-		s.mu.Unlock()
-		s.mu.RLock()
-	}
-}
-
-// writeAll writes a walPut frame for every key to w, in key order. Callers
-// hold s.mu with the order fresh.
-func (s *Store) writeAll(w io.Writer) error {
+// writeAll writes a walPut frame for every key of x to w, in key order.
+func writeAll(w io.Writer, x *index) error {
 	bw := bufio.NewWriterSize(w, 64<<10)
 	var frame []byte
 	var err error
-	s.idx.ascend(nil, nil, func(k, v []byte) bool {
+	x.ascend(nil, nil, func(k, v []byte) bool {
 		frame = appendFrame(frame[:0], walPut, k, v)
 		_, err = bw.Write(frame)
 		return err == nil
@@ -415,28 +462,36 @@ func ReadPuts(frames []byte, fn func(key, value []byte) error) error {
 	}
 }
 
-// Compact rewrites the WAL as one Put per live key, atomically replacing
-// the log file (write to a temp file, fsync, rename). A store that is
-// checkpointed repeatedly — every save appends full state — stays bounded
-// at roughly one copy of the live data instead of growing by one copy per
-// checkpoint. No-op for an in-memory store. Crash-safe: an interrupted
-// compaction leaves the original log untouched (plus a harmless temp file).
+// Compact rewrites the WAL as one Put per live key, the rewrite Replace
+// makes, fed from the index: a store that appends deltas stays bounded at
+// roughly one copy of the live data. No-op for an in-memory store.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.path == "" {
-		return nil
-	}
 	if err := s.walErr; err != nil {
 		return fmt.Errorf("kvstore: wal unavailable: %w", err)
+	}
+	return s.rewriteLocked(s.idx)
+}
+
+// rewriteLocked makes x the store's index and its log one walPut frame per
+// key of x in key order, atomically replacing the log file: a temp file,
+// fsync, rename, directory sync. Crash-safe: an interrupted rewrite leaves
+// the original log untouched (plus a harmless temp file), and a failure
+// before the rename leaves the store as it was; the index moves with the
+// log, at the rename. An in-memory store only swaps the index. Callers hold
+// s.mu.
+func (s *Store) rewriteLocked(x *index) error {
+	if s.path == "" {
+		s.idx = x
+		return nil
 	}
 	tmp := s.path + ".compact"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("kvstore: compacting: %w", err)
 	}
-	s.idx.sort()
-	werr := s.writeAll(f)
+	werr := writeAll(f, x)
 	if werr == nil {
 		werr = f.Sync()
 	}
@@ -458,6 +513,7 @@ func (s *Store) Compact() error {
 		// stays durable despite the failed swap.
 		return s.reattachWAL(fmt.Errorf("kvstore: compacting: %w", err))
 	}
+	s.idx = x
 	// Crash-consistency rule: rename(2) only promises the swap is durable
 	// once the PARENT DIRECTORY is synced — fsyncing the file covers its
 	// contents, not the directory entry pointing at it. Without this, a
@@ -482,7 +538,7 @@ func syncDir(path string) error {
 	return serr
 }
 
-// reattachWAL reopens the append handle on s.path after Compact dropped the
+// reattachWAL reopens the append handle on s.path after a rewrite dropped the
 // old one, holding s.mu. On failure the store marks its WAL lost (walErr):
 // every later mutation refuses rather than silently succeeding in memory —
 // a checkpointing daemon must never believe writes are durable when they

@@ -711,3 +711,160 @@ func TestCompactSurvivesReopen(t *testing.T) {
 		t.Fatalf("key 7 = %q, %v", v, ok)
 	}
 }
+
+// storeDump lists every key=value of s in key order.
+func storeDump(s *Store) []string {
+	var out []string
+	s.Scan(nil, nil, func(k, v []byte) bool {
+		out = append(out, string(k)+"="+string(v))
+		return true
+	})
+	return out
+}
+
+// TestReplaceIsCompactedLog: Replace over a store with other contents leaves
+// exactly the staged records, in the log Compact writes for them — one put
+// per key in key order, the last staging of a key winning, a staged delete
+// removing it — and the store goes on appending durable writes after it.
+func TestReplaceIsCompactedLog(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(filepath.Join(dir, "replaced.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, k := range []string{"old1", "k2", "old3"} {
+		if err := s.Put([]byte(k), []byte("stale")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pre := s.WriteStats()
+	err = s.Replace(func(b *Batch) error {
+		for _, kv := range [][2]string{{"k3", "c"}, {"k1", "a"}, {"k2", "x"}, {"gone", "g"}, {"k2", "b"}} {
+			if err := b.Put([]byte(kv[0]), []byte(kv[1])); err != nil {
+				return err
+			}
+		}
+		return b.Delete([]byte("gone"))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"k1=a", "k2=b", "k3=c"}
+	if got := storeDump(s); !slices.Equal(got, want) {
+		t.Fatalf("after Replace: %q, want %q", got, want)
+	}
+	if d := s.WriteStats(); d.Puts-pre.Puts != 5 || d.Deletes-pre.Deletes != 1 {
+		t.Fatalf("Replace counted %d puts and %d deletes, staged 5 and 1", d.Puts-pre.Puts, d.Deletes-pre.Deletes)
+	}
+
+	ref, err := Open(filepath.Join(dir, "compacted.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	for _, kv := range [][2]string{{"k2", "b"}, {"k3", "c"}, {"k1", "a"}} {
+		if err := ref.Put([]byte(kv[0]), []byte(kv[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ref.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := os.ReadFile(filepath.Join(dir, "replaced.wal"))
+	compacted, _ := os.ReadFile(filepath.Join(dir, "compacted.wal"))
+	if !bytes.Equal(got, compacted) {
+		t.Fatalf("Replace wrote\n %x\nCompact of the same records writes\n %x", got, compacted)
+	}
+
+	if err := s.Put([]byte("k4"), []byte("d")); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	s2, err := Open(filepath.Join(dir, "replaced.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got, want := storeDump(s2), append(want, "k4=d"); !slices.Equal(got, want) {
+		t.Fatalf("reopened: %q, want %q", got, want)
+	}
+}
+
+// TestReplaceRefusalLeavesStore: an error from fn, or a store that can no
+// longer write, leaves contents and log as they were.
+func TestReplaceRefusalLeavesStore(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "meta.wal")
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put([]byte("a"), []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := os.ReadFile(path)
+	boom := errors.New("boom")
+	stage := func(b *Batch) error { return b.Put([]byte("b"), []byte("2")) }
+	if err := s.Replace(func(b *Batch) error { stage(b); return boom }); !errors.Is(err, boom) {
+		t.Fatalf("Replace returned %v, want fn's error", err)
+	}
+	s.Close()
+	if err := s.Replace(stage); err == nil {
+		t.Fatal("a closed store accepted a Replace")
+	}
+	if got := storeDump(s); !slices.Equal(got, []string{"a=1"}) {
+		t.Fatalf("after refused Replaces: %q", got)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
+		t.Fatal("a refused Replace changed the log")
+	}
+}
+
+// TestReplacedValuesGrowInPlace: the index keeps a replaced store's values in
+// the staged frames, each with room up to the next value. An overwrite that
+// grows into that room must leave every other key's value alone — in memory,
+// in a rewrite and after a reopen — and one past it must move.
+func TestReplacedValuesGrowInPlace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "meta.wal")
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	keys := []string{"k1", "k2", "k3"}
+	err = s.Replace(func(b *Batch) error {
+		for _, k := range keys {
+			if err := b.Put([]byte(k), []byte("v-"+k)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A value's room is its own 4 bytes, then the next frame's 13-byte
+	// header and 2-byte key: k1 grows to fill it, k2 one byte past it.
+	k1, k2 := "v-k1"+strings.Repeat("+", 15), "v-k2"+strings.Repeat("+", 16)
+	for _, kv := range [][2]string{{"k1", k1}, {"k2", k2}} {
+		if err := s.Put([]byte(kv[0]), []byte(kv[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{"k1=" + k1, "k2=" + k2, "k3=v-k3"}
+	if got := storeDump(s); !slices.Equal(got, want) {
+		t.Fatalf("after growing overwrites: %q, want %q", got, want)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	s2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := storeDump(s2); !slices.Equal(got, want) {
+		t.Fatalf("reopened: %q, want %q", got, want)
+	}
+}

@@ -47,7 +47,6 @@ var ErrNoStore = errors.New("farmer: miner has no store configured (use WithStor
 type openConfig struct {
 	shards    int
 	shardsSet bool
-	part      Partitioner
 	storePath string
 	loadStore bool
 	prefetch  bool
@@ -68,17 +67,6 @@ func WithShards(n int) Option {
 		}
 		oc.shards = n
 		oc.shardsSet = true
-		return nil
-	}
-}
-
-// WithPartitioner selects the function routing files to shards — the
-// composition a multi-server deployment uses so each server's shard holds
-// exactly the files the cluster routes to it. Requires WithShards (or
-// Config.Shards) >= 1; nil restores the default StripePartitioner.
-func WithPartitioner(p Partitioner) Option {
-	return func(oc *openConfig) error {
-		oc.part = p
 		return nil
 	}
 }
@@ -167,11 +155,7 @@ func Open(cfg Config, opts ...Option) (*LocalMiner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("farmer: invalid config: %w", err)
 	}
-	owners := cfg.Shards
-	if owners < 1 {
-		owners = 1
-	}
-	m := &LocalMiner{sm: core.NewShardedPartitioned(cfg, owners, oc.part)}
+	m := &LocalMiner{sm: core.NewSharded(cfg)}
 	if oc.storePath != "" {
 		store, err := OpenStore(oc.storePath)
 		if err != nil {
@@ -309,8 +293,9 @@ func (m *LocalMiner) Stats(ctx context.Context) (ModelStats, error) {
 var saveToStore func(sm *ShardedModel, st *Store) error
 
 // compactEvery is how many checkpoints run between write-ahead-log
-// compactions (one also follows every full save): deltas only append, and
-// Compact rewrites the log to the live keys under the store's lock alone.
+// compactions: deltas only append, and Compact rewrites the log to the live
+// keys under the store's lock alone. A full save needs none: it replaces
+// the log with one put per live key itself.
 const compactEvery = 16
 
 // checkpoint writes a delta (core.ShardedModel.SaveCheckpoint: O(records
@@ -330,26 +315,27 @@ func (m *LocalMiner) checkpoint(sm *ShardedModel, st *Store) error {
 	}
 	m.lastCkptMS.Store(time.Now().UnixMilli())
 	m.ckptDur.Observe(uint64(time.Since(start).Milliseconds()))
-	if incremental && n%compactEvery != 0 {
+	if n%compactEvery != 0 {
 		return nil
 	}
 	return st.Compact()
 }
 
 // Save implements Miner: checkpoint into the WithStore store — a delta after
-// the first save, a full rewrite only where a delta would not be safe, with
-// periodic write-ahead-log compaction — so repeated checkpoints (farmerd
-// -checkpoint) cost O(changed keys) and the store stays within a bounded
-// multiple of one copy of the live state.
+// the first save, a full save (which replaces the store) only where a delta
+// would not be safe, with periodic write-ahead-log compaction — so repeated
+// checkpoints (farmerd -checkpoint) cost O(changed keys) and the store stays
+// within a bounded multiple of one copy of the live state.
 //
 // ctx bounds the WHOLE checkpoint, not just its start: a store write that
 // hangs (a wedged disk, an NFS stall) returns ctx's error when the deadline
 // passes instead of wedging the caller — in particular the serve drain,
 // whose DrainTimeout used to be ignored by exactly this path. The abandoned
-// write keeps holding the miner's dispatch and store locks until it
-// unwedges, so an expired Save leaves later checkpoints blocked too — the
-// right state for a daemon about to exit, which is the only caller that
-// abandons.
+// write keeps holding the ensemble's checkpoint mutex and the store's lock
+// until it unwedges, so an expired Save leaves later checkpoints, loads and
+// store reads blocked — the right state for a daemon about to exit, which is
+// the only caller that abandons. It holds no dispatch lock: the model was
+// read before the write began, so ingest goes on.
 func (m *LocalMiner) Save(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err

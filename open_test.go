@@ -293,15 +293,3 @@ func TestOpenWithPrefetcher(t *testing.T) {
 		t.Fatalf("accounting: predicted from %d + dropped %d != %d records", st.Events, st.Dropped, len(tr.Records))
 	}
 }
-
-func TestPartitionerByName(t *testing.T) {
-	for _, name := range []string{"stripe", "hash", "group"} {
-		p, err := farmer.PartitionerByName(name)
-		if err != nil || p == nil {
-			t.Fatalf("%s: (%v, %v)", name, p, err)
-		}
-	}
-	if _, err := farmer.PartitionerByName("bogus"); err == nil {
-		t.Fatal("unknown partitioner accepted")
-	}
-}
