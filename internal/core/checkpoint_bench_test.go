@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -152,14 +153,18 @@ const stallBatches = 256
 
 // BenchmarkSaveStallByPopulation is what a checkpoint costs the ingest beside
 // it, at the working set (x10) and ten times it (x100). An op is a full save
-// and then a delta, each timed while a probe takes the dispatch lock every
-// ~50 µs, then stallBatches FeedBatches of workingSetBatch records with
-// checkpoints running back to back beside them (a Compact every 16th, as
-// LocalMiner does) and as many with none. It reports, over all ops, the
+// and then a delta, each after a forced GC and timed while a probe takes the
+// dispatch lock every ~50 µs; then stallBatches FeedBatches of
+// workingSetBatch records with no checkpoint, a checkpoint of those, and as
+// many FeedBatches with a checkpoint started on another goroutine every
+// deltaChunks of them (unless one still runs; a Compact every 16th, as
+// LocalMiner does), so a delta covers what it does in the contract
+// workload's save segment in either build. It reports, over all ops, the
 // longest wait to take the dispatch lock during a full save (full-wait-ms)
 // and during a delta (delta-wait-ms), the longest full save (full-ms), and
 // the FeedBatch p99 with checkpoints beside it (p99-saving-ms, over
-// saves-beside/op of them) and without (p99-idle-ms). x100 holds about 1 GB, so its name matches no CI -bench
+// saves-beside/op of them; max-saving-ms is the slowest) and without
+// (p99-idle-ms). x100 holds about 1 GB, so its name matches no CI -bench
 // pattern: it runs only when asked for by name.
 func BenchmarkSaveStallByPopulation(b *testing.B) {
 	for _, scale := range []int{10, 100} {
@@ -178,6 +183,7 @@ func BenchmarkSaveStallByPopulation(b *testing.B) {
 			beside := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				runtime.GC() // each save starts clean: its waits are its own
 				fullWait = max(fullWait, lockWait(sm, func() {
 					start := time.Now()
 					if err := sm.SaveMerged(st); err != nil {
@@ -188,6 +194,7 @@ func BenchmarkSaveStallByPopulation(b *testing.B) {
 				for range deltaChunks {
 					feed()
 				}
+				runtime.GC()
 				deltaWait = max(deltaWait, lockWait(sm, func() {
 					if inc, err := sm.SaveCheckpoint(st); err != nil || !inc {
 						b.Fatalf("delta checkpoint: incremental=%v, %v", inc, err)
@@ -196,15 +203,16 @@ func BenchmarkSaveStallByPopulation(b *testing.B) {
 				for range stallBatches {
 					idle = append(idle, feed())
 				}
-				stop, done := make(chan struct{}), make(chan error)
+				if _, err := sm.SaveCheckpoint(st); err != nil { // the idle batches' delta, off the record
+					b.Fatal(err)
+				}
+				kick, done := make(chan struct{}, 1), make(chan error, 1)
 				go func() {
 					for n := 1; ; n++ {
-						select {
-						case <-stop:
+						if _, more := <-kick; !more {
 							beside += n - 1
 							done <- nil
 							return
-						default:
 						}
 						_, err := sm.SaveCheckpoint(st)
 						if err == nil && n%16 == 0 {
@@ -216,10 +224,16 @@ func BenchmarkSaveStallByPopulation(b *testing.B) {
 						}
 					}
 				}()
-				for range stallBatches {
+				for j := range stallBatches {
+					if j%deltaChunks == 0 {
+						select {
+						case kick <- struct{}{}:
+						default: // the last one still runs
+						}
+					}
 					saving = append(saving, feed())
 				}
-				close(stop)
+				close(kick)
 				if err := <-done; err != nil {
 					b.Fatal(err)
 				}
@@ -229,6 +243,7 @@ func BenchmarkSaveStallByPopulation(b *testing.B) {
 			b.ReportMetric(ms(deltaWait), "delta-wait-ms")
 			b.ReportMetric(ms(full), "full-ms")
 			b.ReportMetric(ms(p99(saving)), "p99-saving-ms")
+			b.ReportMetric(ms(slices.Max(saving)), "max-saving-ms")
 			b.ReportMetric(ms(p99(idle)), "p99-idle-ms")
 			b.ReportMetric(float64(beside)/float64(b.N), "saves-beside/op")
 		})

@@ -218,6 +218,8 @@ func TestLoadsParentWAL(t *testing.T) {
 // goldenLog is the log file a full save of goldenRecords leaves over a
 // store an earlier save wrote, one frame a line: a put for each live key in
 // key order, no batch markers, nothing of the earlier save's file 0x0505.
+// The hex was written at commit 1c7071a, whose full save appended to the log
+// and was followed by Compact; do not regenerate it.
 var goldenLog = strings.Join([]string{
 	"f30caf20010600000058000000632f000000010300000002000000f287031e7f38ea3f000000000000ec3f7c1a61b9a711e63f03000000999999999999e43f000000000000e83f555555555555d93f040300002d71eaf7dc12e33f000000000000e83f0ee53594d750ce3f",
 	"6e0432cb010600000058000000632f0000000203000000010000005be2d4efb925e83f000000000000ec3f0ee53594d750de3f0300000008146d35788ee43f000000000000e83f91852c64210bd93f04030000f8c3018f3f1ce43f000000000000e83f7c1a61b9a711d63f",
@@ -238,8 +240,7 @@ var goldenLog = strings.Join([]string{
 
 // TestFullSaveLogGoldenBytes pins those bytes: a full checkpoint over a
 // store that holds an earlier one replaces it with exactly the compacted log
-// of the new state (the bytes a save followed by Compact left before a full
-// save replaced the store).
+// of the new state.
 func TestFullSaveLogGoldenBytes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.wal")
 	st, err := kvstore.Open(path)
