@@ -18,8 +18,6 @@ import (
 
 	"farmer/internal/core"
 	"farmer/internal/hust"
-	"farmer/internal/predictors"
-	"farmer/internal/sim"
 	"farmer/internal/trace"
 	"farmer/internal/tracegen"
 	"farmer/internal/vsm"
@@ -89,29 +87,19 @@ func main() {
 
 	// A lone MDS is a cluster of one; per-partition miners are the default
 	// configuration, the cluster-level global miner comes with -global.
-	farmer := strings.EqualFold(*policy, "farmer")
-	top := hust.Topology{Servers: *servers, Partition: part, Factory: func(e *sim.Engine) (*hust.MDS, error) {
-		if farmer {
-			return hust.NewFARMERMDS(e, cfg.MDS, nil, mc)
-		}
-		p, err := buildPredictor(*policy)
-		if err != nil {
-			return nil, err
-		}
-		return hust.NewMDS(e, cfg.MDS, nil, p)
-	}}
+	top := hust.Topology{Servers: *servers, Partition: part, Policy: *policy, Miner: mc}
 	mode := "per-partition"
 	if *global {
 		if *servers == 1 {
 			fmt.Fprintln(os.Stderr, "mdsim: -global requires -servers > 1")
 			os.Exit(2)
 		}
-		if !farmer {
+		if !strings.EqualFold(*policy, "farmer") {
 			fmt.Fprintf(os.Stderr, "mdsim: global mining requires -policy farmer, got %q\n", *policy)
 			os.Exit(1)
 		}
 		mode = "global"
-		top.Global = &hust.GlobalConfig{Miner: mc, NetDelay: *netDelay, MailboxCap: *mailbox}
+		top.Global = &hust.GlobalConfig{NetDelay: *netDelay, MailboxCap: *mailbox}
 	}
 
 	start := time.Now()
@@ -173,23 +161,4 @@ func load(in, profile string, records int) (*trace.Trace, error) {
 		return trace.ReadBinary(f)
 	}
 	return trace.ReadText(f)
-}
-
-func buildPredictor(name string) (predictors.Predictor, error) {
-	switch strings.ToLower(name) {
-	case "nexus":
-		return predictors.NewNexus(predictors.DefaultNexusConfig()), nil
-	case "lru", "none":
-		return predictors.NewNone(), nil
-	case "ls":
-		return predictors.NewLastSuccessor(), nil
-	case "pbs":
-		return predictors.NewPBS(), nil
-	case "puls":
-		return predictors.NewPULS(), nil
-	case "probgraph":
-		return predictors.NewProbabilityGraph(2, 0.1), nil
-	default:
-		return nil, fmt.Errorf("unknown policy %q", name)
-	}
 }

@@ -10,8 +10,6 @@ import (
 
 	"farmer/internal/core"
 	"farmer/internal/hust"
-	"farmer/internal/predictors"
-	"farmer/internal/sim"
 	"farmer/internal/tracegen"
 	"farmer/internal/vsm"
 )
@@ -27,12 +25,9 @@ func main() {
 	var bestMask vsm.Mask
 	bestHit := -1.0
 	for _, mask := range combos {
-		mask := mask
-		res, _, err := hust.Replay(workload, cfg, hust.Topology{Servers: 1, Factory: func(e *sim.Engine) (*hust.MDS, error) {
-			mc := core.DefaultConfig()
-			mc.Mask = mask
-			return hust.NewMDS(e, cfg.MDS, nil, predictors.NewFPA(core.New(mc)))
-		}})
+		mc := core.DefaultConfig()
+		mc.Mask = mask
+		res, _, err := hust.Replay(workload, cfg, hust.Topology{Servers: 1, Policy: "farmer", Miner: mc})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -9,8 +9,6 @@ import (
 
 	"farmer/internal/core"
 	"farmer/internal/hust"
-	"farmer/internal/predictors"
-	"farmer/internal/sim"
 	"farmer/internal/tracegen"
 	"farmer/internal/vsm"
 )
@@ -18,39 +16,23 @@ import (
 func main() {
 	workload := tracegen.HP(40000).MustGenerate()
 	cfg := hust.DefaultReplayConfig()
-
-	type policy struct {
-		name    string
-		factory func(*sim.Engine) (*hust.MDS, error)
-	}
-	policies := []policy{
-		{"FARMER", func(e *sim.Engine) (*hust.MDS, error) {
-			mc := core.DefaultConfig()
-			mc.Mask = vsm.DefaultMask(workload.HasPaths)
-			return hust.NewMDS(e, cfg.MDS, nil, predictors.NewFPA(core.New(mc)))
-		}},
-		{"Nexus", func(e *sim.Engine) (*hust.MDS, error) {
-			return hust.NewMDS(e, cfg.MDS, nil, predictors.NewNexus(predictors.DefaultNexusConfig()))
-		}},
-		{"LRU", func(e *sim.Engine) (*hust.MDS, error) {
-			return hust.NewMDS(e, cfg.MDS, nil, predictors.NewNone())
-		}},
-	}
+	mc := core.DefaultConfig()
+	mc.Mask = vsm.DefaultMask(workload.HasPaths)
 
 	fmt.Printf("%-8s %10s %10s %14s %12s\n", "policy", "hit ratio", "accuracy", "avg response", "p95")
 	var lruResp, farmerResp float64
-	for _, p := range policies {
-		res, _, err := hust.Replay(workload, cfg, hust.Topology{Servers: 1, Factory: p.factory})
+	for _, policy := range []string{"FARMER", "Nexus", "LRU"} {
+		res, _, err := hust.Replay(workload, cfg, hust.Topology{Servers: 1, Policy: policy, Miner: mc})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-8s %10.4f %10.4f %14v %12v\n",
-			p.name,
+			policy,
 			res.HitRatio,
 			res.PerServer[0].Cache.PrefetchAccuracy(),
 			res.AvgResponse,
 			res.P95Response)
-		switch p.name {
+		switch policy {
 		case "FARMER":
 			farmerResp = float64(res.AvgResponse)
 		case "LRU":

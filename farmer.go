@@ -37,7 +37,6 @@ package farmer
 
 import (
 	"farmer/internal/core"
-	"farmer/internal/graph"
 	"farmer/internal/kvstore"
 	"farmer/internal/obs"
 	"farmer/internal/prefetch"
@@ -107,10 +106,10 @@ type (
 	WorkloadProfile = tracegen.Profile
 )
 
-// Async prefetch pipeline, re-exported. StartPrefetcher hangs the async
+// Async prefetch pipeline, re-exported. WithPrefetcher hangs the async
 // Predict/prefetch pipeline off a ShardedModel's post-ingest hook so
 // ingestion — the demand path of a metadata server — never waits on
-// prediction or prefetch I/O.
+// prediction or prefetch I/O: backpressure sheds prefetch coverage.
 type (
 	// PrefetchCandidate is one prefetch the async pipeline wants issued.
 	PrefetchCandidate = prefetch.Candidate
@@ -125,16 +124,6 @@ type (
 	// PrefetcherStats is the pipeline's throughput/loss accounting.
 	PrefetcherStats = prefetch.Stats
 )
-
-// StartPrefetcher launches the asynchronous Predict/prefetch pipeline on the
-// sharded miner: every ingested record enters a bounded drop-oldest queue,
-// and one goroutine predicts from each and feeds sink. Backpressure sheds
-// prefetch coverage, never ingestion latency. A miner feeds one pipeline at
-// a time. Stop the returned pipeline to drain and detach it. New code can
-// attach the pipeline at Open with WithPrefetcher instead.
-func StartPrefetcher(m *ShardedModel, sink PrefetchSink, cfg PrefetchConfig) *Prefetcher {
-	return prefetch.Start(m, sink, cfg)
-}
 
 // Store is the Berkeley-DB-style persistent ordered key-value store backing
 // model persistence (LocalMiner.Save and Load, through
@@ -216,7 +205,6 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 func ConfigFor(t *Trace) Config {
 	cfg := core.DefaultConfig()
 	cfg.Mask = vsm.DefaultMask(t.HasPaths)
-	cfg.Graph = graph.DefaultConfig()
 	return cfg
 }
 

@@ -126,9 +126,6 @@ func TestPublicAPIAsyncPrefetcher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := farmer.ConfigFor(tr)
-	model := openModel(t, cfg, farmer.WithShards(4))
-
 	var mu sync.Mutex
 	var got []farmer.PrefetchCandidate
 	sink := farmer.PrefetchSinkFunc(func(c farmer.PrefetchCandidate) {
@@ -136,11 +133,16 @@ func TestPublicAPIAsyncPrefetcher(t *testing.T) {
 		got = append(got, c)
 		mu.Unlock()
 	})
-	p := farmer.StartPrefetcher(model, sink, farmer.PrefetchConfig{K: 4, QueueCap: len(tr.Records)})
+	m, err := farmer.Open(farmer.ConfigFor(tr), farmer.WithShards(4),
+		farmer.WithPrefetcher(sink, farmer.PrefetchConfig{K: 4, QueueCap: len(tr.Records)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := m.Sharded()
 	model.FeedTraceParallel(tr)
-	p.Stop()
+	m.Close() // drains the pipeline; the model stays readable
 
-	st := p.Stats()
+	st := m.Prefetcher().Stats()
 	if st.Events != uint64(len(tr.Records)) || st.Dropped != 0 {
 		t.Fatalf("pipeline predicted from %d records and dropped %d, want %d and 0",
 			st.Events, st.Dropped, len(tr.Records))

@@ -76,9 +76,6 @@ func NewLRU(capacity int) *LRU {
 	}
 }
 
-// Len returns the resident entry count.
-func (c *LRU) Len() int { return c.ll.Len() }
-
 // Contains reports residency without touching recency or metrics.
 func (c *LRU) Contains(f trace.FileID) bool {
 	_, ok := c.items[f]

@@ -140,8 +140,8 @@ func TestLenAndCapacity(t *testing.T) {
 	for f := trace.FileID(0); f < 10; f++ {
 		c.Access(f)
 	}
-	if c.Len() != 3 {
-		t.Fatalf("len=%d after ten accesses at capacity 3", c.Len())
+	if c.ll.Len() != 3 {
+		t.Fatalf("len=%d after ten accesses at capacity 3", c.ll.Len())
 	}
 }
 
@@ -159,7 +159,7 @@ func TestConservationProperty(t *testing.T) {
 			} else {
 				c.Prefetch(file)
 			}
-			if c.Len() > capacity {
+			if c.ll.Len() > capacity {
 				return false
 			}
 		}

@@ -6,7 +6,6 @@ package exp
 import (
 	"time"
 
-	"farmer/internal/metrics"
 	"farmer/internal/replay"
 )
 
@@ -28,8 +27,8 @@ type AsyncRow struct {
 // verifies in passing that sync and async mine bit-identical state.
 func SyncVsAsync(opt Options) []AsyncRow {
 	opt = opt.withDefaults()
-	if opt.Replay.MDS.MineTime == 0 {
-		opt.Replay.MDS.MineTime = time.Millisecond
+	if opt.MineTime == 0 {
+		opt.MineTime = time.Millisecond
 	}
 	traces := genTraces(opt.Records)
 	out := make([][]AsyncRow, len(traces))
@@ -39,7 +38,7 @@ func SyncVsAsync(opt Options) []AsyncRow {
 		jobs[i] = func() {
 			mc := farmerConfig(tr, 0.7, 0.4)
 			mc.Shards = opt.Shards
-			cmp, err := replay.Compare(tr, opt.Replay, mc)
+			cmp, err := replay.Compare(tr, opt.replayConfig(), mc)
 			if err != nil {
 				panic(err)
 			}
@@ -80,10 +79,10 @@ func SyncVsAsync(opt Options) []AsyncRow {
 }
 
 // AsyncLatency renders the sync-vs-async sweep as a table.
-func AsyncLatency(rows []AsyncRow) *metrics.Table {
-	tab := metrics.NewTable("Trace", "Pipeline", "HitRatio", "AvgResp", "DemandWait", "MineWait", "PfDropped")
+func AsyncLatency(rows []AsyncRow) *Table {
+	tab := newTable("Trace", "Pipeline", "HitRatio", "AvgResp", "DemandWait", "MineWait", "PfDropped")
 	for _, r := range rows {
-		tab.AddRow(r.Trace, r.Pipeline, r.HitRatio, r.AvgResponse, r.AvgDemandWait, r.MineAvgWait, r.PrefetchDrop)
+		tab.addRow(r.Trace, r.Pipeline, r.HitRatio, r.AvgResponse, r.AvgDemandWait, r.MineAvgWait, r.PrefetchDrop)
 	}
 	return tab
 }

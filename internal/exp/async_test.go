@@ -3,9 +3,7 @@ package exp
 import (
 	"strings"
 	"testing"
-	"time"
 
-	"farmer/internal/hust"
 	"farmer/internal/replay"
 	"farmer/internal/trace"
 	"farmer/internal/tracegen"
@@ -58,26 +56,6 @@ func TestSyncVsAsyncSweep(t *testing.T) {
 		if !strings.Contains(out, col) {
 			t.Fatalf("rendered table missing %q:\n%s", col, out)
 		}
-	}
-}
-
-// TestOptionsPreserveAsyncKnobs pins the withDefaults layering promise: a
-// partially built Replay keeps its async pipeline knobs when the rest is
-// filled from DefaultReplayConfig.
-func TestOptionsPreserveAsyncKnobs(t *testing.T) {
-	opt := Options{Replay: hust.ReplayConfig{MDS: hust.MDSConfig{
-		AsyncPrefetch: true,
-		MineTime:      5 * time.Millisecond,
-		PrefetchQueue: 1,
-		MinerWorkers:  2,
-	}}}
-	got := opt.withDefaults().Replay.MDS
-	if !got.AsyncPrefetch || got.MineTime != 5*time.Millisecond ||
-		got.PrefetchQueue != 1 || got.MinerWorkers != 2 {
-		t.Fatalf("async knobs lost through defaulting: %+v", got)
-	}
-	if got.CacheCapacity == 0 || got.Workers == 0 {
-		t.Fatalf("defaults not applied: %+v", got)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"farmer/internal/hust"
-	"farmer/internal/metrics"
 	"farmer/internal/replay"
 )
 
@@ -41,8 +40,8 @@ type ClusterRow struct {
 // merged state against the sequential reference.
 func ClusterGlobalVsLocal(opt Options) []ClusterRow {
 	opt = opt.withDefaults()
-	if opt.Replay.MDS.MineTime == 0 {
-		opt.Replay.MDS.MineTime = time.Millisecond
+	if opt.MineTime == 0 {
+		opt.MineTime = time.Millisecond
 	}
 	parts := []struct {
 		name string
@@ -58,11 +57,11 @@ func ClusterGlobalVsLocal(opt Options) []ClusterRow {
 			mc := farmerConfig(tr, 0.7, 0.4)
 			ref := replay.MineSequential(tr, mc)
 			for _, p := range parts {
-				local, err := replay.LocalCluster(tr, opt.Replay, opt.ClusterServers, p.fn, mc)
+				local, err := replay.LocalCluster(tr, opt.replayConfig(), opt.ClusterServers, p.fn, mc)
 				if err != nil {
 					panic(err)
 				}
-				global, err := replay.GlobalCluster(tr, opt.Replay, opt.ClusterServers, p.fn, mc, hust.DefaultGlobalConfig())
+				global, err := replay.GlobalCluster(tr, opt.replayConfig(), opt.ClusterServers, p.fn, mc, hust.DefaultGlobalConfig())
 				if err != nil {
 					panic(err)
 				}
@@ -97,8 +96,8 @@ func ClusterGlobalVsLocal(opt Options) []ClusterRow {
 }
 
 // ClusterTable renders the cluster sweep.
-func ClusterTable(rows []ClusterRow) *metrics.Table {
-	tab := metrics.NewTable("Trace", "Partition", "Mining", "HitRatio", "AvgResp", "DemandWait", "Cross%", "BoxDrop", "GlobalFP")
+func ClusterTable(rows []ClusterRow) *Table {
+	tab := newTable("Trace", "Partition", "Mining", "HitRatio", "AvgResp", "DemandWait", "Cross%", "BoxDrop", "GlobalFP")
 	for _, r := range rows {
 		fp := "-"
 		if r.Mining == "global" {
@@ -107,7 +106,7 @@ func ClusterTable(rows []ClusterRow) *metrics.Table {
 				fp = "exact"
 			}
 		}
-		tab.AddRow(r.Trace, r.Partition, r.Mining, r.HitRatio, r.AvgResponse, r.AvgDemandWait,
+		tab.addRow(r.Trace, r.Partition, r.Mining, r.HitRatio, r.AvgResponse, r.AvgDemandWait,
 			100*r.CrossRatio, r.MailboxDropped, fp)
 	}
 	return tab

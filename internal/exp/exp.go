@@ -3,7 +3,8 @@
 // workloads, runs the storage simulation or the miner, and renders the same
 // rows/series the paper reports, so `farmerctl figN` (or the benchmarks in
 // the repository root) regenerate every artifact. EXPERIMENTS.md records
-// paper-vs-measured values.
+// paper-vs-measured values. Simulated response times come from hust's
+// obs.Histogram, the repository's one histogram; Table renders the rows.
 package exp
 
 import (
@@ -12,10 +13,7 @@ import (
 	"time"
 
 	"farmer/internal/core"
-	"farmer/internal/graph"
 	"farmer/internal/hust"
-	"farmer/internal/predictors"
-	"farmer/internal/sim"
 	"farmer/internal/trace"
 	"farmer/internal/tracegen"
 	"farmer/internal/vsm"
@@ -26,8 +24,6 @@ import (
 type Options struct {
 	// Records per generated trace.
 	Records int
-	// Replay configuration; zero value takes hust defaults.
-	Replay hust.ReplayConfig
 	// Parallelism bounds concurrent simulations; 0 = GOMAXPROCS.
 	Parallelism int
 	// Shards stripes the FARMER miner inside each simulated MDS: 0 matches
@@ -51,32 +47,22 @@ func (o Options) withDefaults() Options {
 	if o.Records <= 0 {
 		o.Records = 30000
 	}
-	if o.Replay.MDS.CacheCapacity == 0 {
-		// A partially built Replay is replaced wholesale, but the async
-		// pipeline knobs ride through so the layering promise below holds.
-		mds := o.Replay.MDS
-		o.Replay = hust.DefaultReplayConfig()
-		o.Replay.MDS.MineTime = mds.MineTime
-		o.Replay.MDS.AsyncPrefetch = mds.AsyncPrefetch
-		o.Replay.MDS.PrefetchQueue = mds.PrefetchQueue
-		o.Replay.MDS.MinerWorkers = mds.MinerWorkers
-	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	if o.ClusterServers <= 0 {
 		o.ClusterServers = 4
 	}
-	// Both knobs only layer on top of an explicitly configured Replay: a
-	// caller-supplied Replay.MDS.AsyncPrefetch/MineTime must survive zero
-	// Options values.
-	if o.AsyncPrefetch {
-		o.Replay.MDS.AsyncPrefetch = true
-	}
-	if o.MineTime > 0 {
-		o.Replay.MDS.MineTime = o.MineTime
-	}
 	return o
+}
+
+// replayConfig is the hust replay every driver runs: the defaults with the
+// async pipeline knobs on top.
+func (o Options) replayConfig() hust.ReplayConfig {
+	cfg := hust.DefaultReplayConfig()
+	cfg.MDS.AsyncPrefetch = o.AsyncPrefetch
+	cfg.MDS.MineTime = o.MineTime
+	return cfg
 }
 
 // parallel runs jobs with bounded concurrency and waits for all.
@@ -98,35 +84,16 @@ func parallel(limit int, jobs []func()) {
 	wg.Wait()
 }
 
-// replayLone replays tr through a lone MDS built by factory. A replay fails
-// only on a configuration the drivers themselves built, so it panics.
-func replayLone(tr *trace.Trace, cfg hust.ReplayConfig, factory func(*sim.Engine) (*hust.MDS, error)) hust.ClusterStats {
-	cs, _, err := hust.Replay(tr, cfg, hust.Topology{Servers: 1, Factory: factory})
+// replayLone replays tr through a lone MDS prefetching with policy, its
+// FARMER miner mc striped per Shards. A replay fails only on a
+// configuration the drivers themselves built, so it panics.
+func (o Options) replayLone(tr *trace.Trace, policy string, mc core.Config) hust.ClusterStats {
+	mc.Shards = o.Shards
+	cs, _, err := hust.Replay(tr, o.replayConfig(), hust.Topology{Servers: 1, Policy: policy, Miner: mc})
 	if err != nil {
 		panic(err)
 	}
 	return cs
-}
-
-// farmerFactory builds an FPA-driven MDS for a trace; shards follows
-// Options.Shards semantics.
-func farmerFactory(cfg hust.MDSConfig, mc core.Config, shards int) func(*sim.Engine) (*hust.MDS, error) {
-	mc.Shards = shards
-	return func(e *sim.Engine) (*hust.MDS, error) {
-		return hust.NewFARMERMDS(e, cfg, nil, mc)
-	}
-}
-
-func nexusFactory(cfg hust.MDSConfig) func(*sim.Engine) (*hust.MDS, error) {
-	return func(e *sim.Engine) (*hust.MDS, error) {
-		return hust.NewMDS(e, cfg, nil, predictors.NewNexus(predictors.DefaultNexusConfig()))
-	}
-}
-
-func lruFactory(cfg hust.MDSConfig) func(*sim.Engine) (*hust.MDS, error) {
-	return func(e *sim.Engine) (*hust.MDS, error) {
-		return hust.NewMDS(e, cfg, nil, predictors.NewNone())
-	}
 }
 
 // farmerConfig returns the paper-default FARMER configuration adapted to the
@@ -136,7 +103,6 @@ func farmerConfig(t *trace.Trace, weight, maxStrength float64) core.Config {
 	cfg.Weight = weight
 	cfg.MaxStrength = maxStrength
 	cfg.Mask = vsm.DefaultMask(t.HasPaths)
-	cfg.Graph = graph.DefaultConfig()
 	return cfg
 }
 

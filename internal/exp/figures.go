@@ -4,9 +4,6 @@ import (
 	"fmt"
 
 	"farmer/internal/core"
-	"farmer/internal/hust"
-	"farmer/internal/metrics"
-	"farmer/internal/sim"
 	"farmer/internal/trace"
 	"farmer/internal/tracegen"
 	"farmer/internal/vsm"
@@ -16,7 +13,7 @@ import (
 // successor statistic is conditioned on different semantic attributes, for
 // all four traces. Higher probability under an attribute means that
 // attribute exposes stronger sequential regularity.
-func Fig1(opt Options) *metrics.Table {
+func Fig1(opt Options) *Table {
 	opt = opt.withDefaults()
 	traces := genTraces(opt.Records)
 	type cond struct {
@@ -32,7 +29,7 @@ func Fig1(opt Options) *metrics.Table {
 		{"dir", trace.KeyDir, true},
 		{"uid+pid", trace.KeyUIDPID, false},
 	}
-	tab := metrics.NewTable("Attribute", "LLNL", "INS", "RES", "HP")
+	tab := newTable("Attribute", "LLNL", "INS", "RES", "HP")
 	rows := make([][]string, len(conds))
 	jobs := []func(){}
 	for ci, c := range conds {
@@ -52,24 +49,24 @@ func Fig1(opt Options) *metrics.Table {
 	}
 	parallel(opt.Parallelism, jobs)
 	for ci, c := range conds {
-		tab.AddRow(c.name, rows[ci][0], rows[ci][1], rows[ci][2], rows[ci][3])
+		tab.addRow(c.name, rows[ci][0], rows[ci][1], rows[ci][2], rows[ci][3])
 	}
 	return tab
 }
 
 // Table2 reproduces the paper's Table 2 worked example of DPA vs IPA on the
 // three semantic vectors of Table 1.
-func Table2() *metrics.Table {
+func Table2() *Table {
 	a := vsm.Vector{Scalars: []string{"user1", "p1", "host1"}, Path: "/home/user1/paper/a"}
 	b := vsm.Vector{Scalars: []string{"user1", "p2", "host1"}, Path: "/home/user1/paper/b"}
 	c := vsm.Vector{Scalars: []string{"user2", "p3", "host2"}, Path: "/home/user2/c"}
-	tab := metrics.NewTable("Pair", "DPA", "IPA")
+	tab := newTable("Pair", "DPA", "IPA")
 	pairs := []struct {
 		name string
 		x, y *vsm.Vector
 	}{{"sim(A,B)", &a, &b}, {"sim(A,C)", &a, &c}, {"sim(B,C)", &b, &c}}
 	for _, p := range pairs {
-		tab.AddRow(p.name, vsm.Sim(p.x, p.y, vsm.DPA), vsm.Sim(p.x, p.y, vsm.IPA))
+		tab.addRow(p.name, vsm.Sim(p.x, p.y, vsm.DPA), vsm.Sim(p.x, p.y, vsm.IPA))
 	}
 	return tab
 }
@@ -77,7 +74,7 @@ func Table2() *metrics.Table {
 // Fig3 reproduces Figure 3: cache hit ratio as a function of max_strength
 // for weight p in {0, 0.3, 0.7, 1}, for the named trace ("" = all four; one
 // table per trace is concatenated by the caller via Fig3All).
-func Fig3(opt Options, traceName string) *metrics.Table {
+func Fig3(opt Options, traceName string) *Table {
 	opt = opt.withDefaults()
 	prof, ok := tracegen.ByName(traceName, opt.Records)
 	if !ok {
@@ -94,7 +91,7 @@ func Fig3(opt Options, traceName string) *metrics.Table {
 			wi, si, w, s := wi, si, w, s
 			jobs = append(jobs, func() {
 				mc := farmerConfig(tr, w, s)
-				results[wi][si] = replayLone(tr, opt.Replay, farmerFactory(opt.Replay.MDS, mc, opt.Shards)).HitRatio
+				results[wi][si] = opt.replayLone(tr, "farmer", mc).HitRatio
 			})
 		}
 	}
@@ -103,13 +100,13 @@ func Fig3(opt Options, traceName string) *metrics.Table {
 	for _, w := range weights {
 		header = append(header, fmt.Sprintf("p=%.1f", w))
 	}
-	tab := metrics.NewTable(header...)
+	tab := newTable(header...)
 	for si, s := range strengths {
 		cells := []interface{}{fmt.Sprintf("%.1f", s)}
 		for wi := range weights {
 			cells = append(cells, results[wi][si])
 		}
-		tab.AddRow(cells...)
+		tab.addRow(cells...)
 	}
 	return tab
 }
@@ -117,7 +114,7 @@ func Fig3(opt Options, traceName string) *metrics.Table {
 // Fig5 reproduces Figure 5 (the attribute-combination table): cache hit
 // ratios for all 15 combinations of four attributes, for HP (path schema)
 // and INS/RES (file-id schema).
-func Fig5(opt Options) *metrics.Table {
+func Fig5(opt Options) *Table {
 	opt = opt.withDefaults()
 	hp := tracegen.HP(opt.Records).MustGenerate()
 	ins := tracegen.INS(opt.Records).MustGenerate()
@@ -131,7 +128,7 @@ func Fig5(opt Options) *metrics.Table {
 	hitRatio := func(tr *trace.Trace, mask vsm.Mask) float64 {
 		mc := core.DefaultConfig()
 		mc.Mask = mask
-		return replayLone(tr, opt.Replay, farmerFactory(opt.Replay.MDS, mc, opt.Shards)).HitRatio
+		return opt.replayLone(tr, "farmer", mc).HitRatio
 	}
 
 	hpRatios := make([]float64, len(pathCombos))
@@ -146,16 +143,16 @@ func Fig5(opt Options) *metrics.Table {
 	}
 	parallel(opt.Parallelism, jobs)
 
-	tab := metrics.NewTable("HP Combination", "HP", "INS/RES Combination", "INS", "RES")
+	tab := newTable("HP Combination", "HP", "INS/RES Combination", "INS", "RES")
 	for i := range pathCombos {
-		tab.AddRow(pathCombos[i].String(), hpRatios[i], fidCombos[i].String(), insRatios[i], resRatios[i])
+		tab.addRow(pathCombos[i].String(), hpRatios[i], fidCombos[i].String(), insRatios[i], resRatios[i])
 	}
 	return tab
 }
 
 // Fig6 reproduces Figure 6: average MDS response time versus max_strength on
 // the HP trace.
-func Fig6(opt Options) *metrics.Table {
+func Fig6(opt Options) *Table {
 	opt = opt.withDefaults()
 	tr := tracegen.HP(opt.Records).MustGenerate()
 	strengths := []float64{0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
@@ -165,14 +162,14 @@ func Fig6(opt Options) *metrics.Table {
 		i, s := i, s
 		jobs = append(jobs, func() {
 			mc := farmerConfig(tr, 0.7, s)
-			r := replayLone(tr, opt.Replay, farmerFactory(opt.Replay.MDS, mc, opt.Shards))
+			r := opt.replayLone(tr, "farmer", mc)
 			resp[i] = float64(r.AvgResponse.Microseconds()) / 1000
 		})
 	}
 	parallel(opt.Parallelism, jobs)
-	tab := metrics.NewTable("max_strength", "AvgResponse(ms)")
+	tab := newTable("max_strength", "AvgResponse(ms)")
 	for i, s := range strengths {
-		tab.AddRow(fmt.Sprintf("%.1f", s), fmt.Sprintf("%.3f", resp[i]))
+		tab.addRow(fmt.Sprintf("%.1f", s), fmt.Sprintf("%.3f", resp[i]))
 	}
 	return tab
 }
@@ -193,25 +190,21 @@ func ComparePolicies(opt Options) []PolicyRun {
 	opt = opt.withDefaults()
 	traces := genTraces(opt.Records)
 	type job struct {
-		tr      *trace.Trace
-		policy  string
-		factory func(*sim.Engine) (*hust.MDS, error)
+		tr     *trace.Trace
+		policy string
 	}
 	var jobsSpec []job
 	for _, tr := range traces {
-		mc := farmerConfig(tr, 0.7, 0.4)
-		jobsSpec = append(jobsSpec,
-			job{tr, "FARMER", farmerFactory(opt.Replay.MDS, mc, opt.Shards)},
-			job{tr, "Nexus", nexusFactory(opt.Replay.MDS)},
-			job{tr, "LRU", lruFactory(opt.Replay.MDS)},
-		)
+		for _, policy := range []string{"FARMER", "Nexus", "LRU"} {
+			jobsSpec = append(jobsSpec, job{tr, policy})
+		}
 	}
 	out := make([]PolicyRun, len(jobsSpec))
 	jobs := make([]func(), len(jobsSpec))
 	for i, js := range jobsSpec {
 		i, js := i, js
 		jobs[i] = func() {
-			res := replayLone(js.tr, opt.Replay, js.factory)
+			res := opt.replayLone(js.tr, js.policy, farmerConfig(js.tr, 0.7, 0.4))
 			out[i] = PolicyRun{
 				Trace:    js.tr.Name,
 				Policy:   js.policy,
@@ -226,32 +219,32 @@ func ComparePolicies(opt Options) []PolicyRun {
 }
 
 // Fig7 renders the hit-ratio comparison (FPA vs Nexus vs LRU, four traces).
-func Fig7(runs []PolicyRun) *metrics.Table {
-	tab := metrics.NewTable("Trace", "FARMER", "Nexus", "LRU")
+func Fig7(runs []PolicyRun) *Table {
+	tab := newTable("Trace", "FARMER", "Nexus", "LRU")
 	addTracePolicyRows(tab, runs, func(r PolicyRun) float64 { return r.HitRatio })
 	return tab
 }
 
 // Fig8 renders the average-response-time comparison in milliseconds.
-func Fig8(runs []PolicyRun) *metrics.Table {
-	tab := metrics.NewTable("Trace", "FARMER(ms)", "Nexus(ms)", "LRU(ms)")
+func Fig8(runs []PolicyRun) *Table {
+	tab := newTable("Trace", "FARMER(ms)", "Nexus(ms)", "LRU(ms)")
 	addTracePolicyRows(tab, runs, func(r PolicyRun) float64 { return r.AvgResp })
 	return tab
 }
 
 // Table3 renders prefetching accuracy on the HP trace (paper: FARMER 64.04%,
 // Nexus 43.04%).
-func Table3(runs []PolicyRun) *metrics.Table {
-	tab := metrics.NewTable("Trace", "Prefetching Accuracy")
+func Table3(runs []PolicyRun) *Table {
+	tab := newTable("Trace", "Prefetching Accuracy")
 	for _, r := range runs {
 		if r.Trace == "HP" && r.Policy != "LRU" {
-			tab.AddRow(r.Policy, fmt.Sprintf("%.2f%%", r.Accuracy*100))
+			tab.addRow(r.Policy, fmt.Sprintf("%.2f%%", r.Accuracy*100))
 		}
 	}
 	return tab
 }
 
-func addTracePolicyRows(tab *metrics.Table, runs []PolicyRun, get func(PolicyRun) float64) {
+func addTracePolicyRows(tab *Table, runs []PolicyRun, get func(PolicyRun) float64) {
 	order := []string{"LLNL", "INS", "RES", "HP"}
 	policies := []string{"FARMER", "Nexus", "LRU"}
 	for _, tr := range order {
@@ -264,14 +257,14 @@ func addTracePolicyRows(tab *metrics.Table, runs []PolicyRun, get func(PolicyRun
 			}
 		}
 		if len(cells) == len(policies)+1 {
-			tab.AddRow(cells...)
+			tab.addRow(cells...)
 		}
 	}
 }
 
 // Table4 reproduces the space-overhead table: FARMER correlation-state
 // footprint per trace at max_strength 0.4.
-func Table4(opt Options) *metrics.Table {
+func Table4(opt Options) *Table {
 	opt = opt.withDefaults()
 	traces := genTraces(opt.Records)
 	sizes := make([]float64, len(traces))
@@ -288,16 +281,16 @@ func Table4(opt Options) *metrics.Table {
 		}
 	}
 	parallel(opt.Parallelism, jobs)
-	tab := metrics.NewTable("Trace", "Space (MB)", "Correlators")
+	tab := newTable("Trace", "Space (MB)", "Correlators")
 	for i, tr := range traces {
-		tab.AddRow(tr.Name, fmt.Sprintf("%.2f", sizes[i]), correl[i])
+		tab.addRow(tr.Name, fmt.Sprintf("%.2f", sizes[i]), correl[i])
 	}
 	return tab
 }
 
 // AblationFootprint compares FARMER's filtered state against an unfiltered
 // graph predictor's state on the same trace (§3.3's efficiency claim).
-func AblationFootprint(opt Options, traceName string) *metrics.Table {
+func AblationFootprint(opt Options, traceName string) *Table {
 	opt = opt.withDefaults()
 	prof, ok := tracegen.ByName(traceName, opt.Records)
 	if !ok {
@@ -313,8 +306,8 @@ func AblationFootprint(opt Options, traceName string) *metrics.Table {
 	unfiltered.FeedTrace(tr)
 	us := unfiltered.Stats()
 
-	tab := metrics.NewTable("Model", "Correlators", "Memory (MB)")
-	tab.AddRow("FARMER (max_strength=0.4)", fs.Correlators, fmt.Sprintf("%.2f", float64(fs.MemoryBytes)/(1<<20)))
-	tab.AddRow("FARMER (unfiltered)", us.Correlators, fmt.Sprintf("%.2f", float64(us.MemoryBytes)/(1<<20)))
+	tab := newTable("Model", "Correlators", "Memory (MB)")
+	tab.addRow("FARMER (max_strength=0.4)", fs.Correlators, fmt.Sprintf("%.2f", float64(fs.MemoryBytes)/(1<<20)))
+	tab.addRow("FARMER (unfiltered)", us.Correlators, fmt.Sprintf("%.2f", float64(us.MemoryBytes)/(1<<20)))
 	return tab
 }

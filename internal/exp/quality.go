@@ -3,7 +3,6 @@ package exp
 import (
 	"farmer/internal/core"
 	"farmer/internal/eval"
-	"farmer/internal/metrics"
 	"farmer/internal/predictors"
 	"farmer/internal/trace"
 	"farmer/internal/vsm"
@@ -14,7 +13,7 @@ import (
 // traces. This quantifies the paper's core claim — "FARMER can mine and
 // evaluate file correlations more accurately and effectively" — without the
 // cache in the loop.
-func MiningQuality(opt Options) *metrics.Table {
+func MiningQuality(opt Options) *Table {
 	opt = opt.withDefaults()
 	traces := genTraces(opt.Records)
 	mk := func(tr *trace.Trace) []predictors.Predictor {
@@ -69,11 +68,11 @@ func MiningQuality(opt Options) *metrics.Table {
 	}
 	parallel(opt.Parallelism, grouped)
 
-	tab := metrics.NewTable("Trace", "Policy", "Precision", "Recall", "F1")
+	tab := newTable("Trace", "Policy", "Precision", "Recall", "F1")
 	for _, tr := range traces {
 		for _, name := range names {
 			q := results[tr.Name][name].q
-			tab.AddRow(tr.Name, name, q.Precision, q.Recall, q.F1)
+			tab.addRow(tr.Name, name, q.Precision, q.Recall, q.F1)
 		}
 	}
 	return tab

@@ -219,16 +219,6 @@ func (g *Graph) Add(from, to trace.FileID, w float64) {
 	n.Add(to, w, g.cfg.MaxSuccessors)
 }
 
-// Weight returns the accumulated credit N_xy for edge from->to.
-func (g *Graph) Weight(from, to trace.FileID) float64 {
-	if n := g.nodes[from]; n != nil {
-		if i := n.Find(to); i >= 0 {
-			return n.Edges[i].Weight
-		}
-	}
-	return 0
-}
-
 // Total returns N_x, the accumulated outbound credit of a node.
 func (g *Graph) Total(from trace.FileID) float64 {
 	n := g.nodes[from]

@@ -9,6 +9,16 @@ import (
 	"farmer/internal/trace"
 )
 
+// Weight returns the accumulated credit N_xy for edge from->to.
+func (g *Graph) Weight(from, to trace.FileID) float64 {
+	if n := g.nodes[from]; n != nil {
+		if i := n.Find(to); i >= 0 {
+			return n.Edges[i].Weight
+		}
+	}
+	return 0
+}
+
 func feedSeq(g *Graph, ids ...trace.FileID) {
 	for _, id := range ids {
 		g.Feed(id)

@@ -21,7 +21,7 @@ func TestAsyncDemandExcludesMineTime(t *testing.T) {
 		cfg := DefaultMDSConfig()
 		cfg.MineTime = 10 * time.Millisecond
 		cfg.AsyncPrefetch = async
-		mds, err := NewFARMERMDS(eng, cfg, nil, core.DefaultConfig())
+		mds, err := NewFARMERMDS(eng, cfg, core.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,9 +56,7 @@ func TestAsyncMinesInArrivalOrderIdenticalState(t *testing.T) {
 		cfg := DefaultReplayConfig()
 		cfg.MDS.MineTime = 300 * time.Microsecond
 		cfg.MDS.AsyncPrefetch = async
-		res, err := replayLone(tr, cfg, func(e *sim.Engine) (*MDS, error) {
-			return NewFARMERMDS(e, cfg.MDS, nil, mc)
-		})
+		res, err := replayLone(tr, cfg, "farmer", mc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,9 +100,7 @@ func TestAsyncPrefetchStillPrefetches(t *testing.T) {
 	cfg.MDS.MineTime = 100 * time.Microsecond
 	mc := core.DefaultConfig()
 	mc.Mask = vsm.DefaultMask(tr.HasPaths)
-	res, err := replayLone(tr, cfg, func(e *sim.Engine) (*MDS, error) {
-		return NewFARMERMDS(e, cfg.MDS, nil, mc)
-	})
+	res, err := replayLone(tr, cfg, "farmer", mc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,9 +133,7 @@ func TestPrefetchQueueBoundDropsOldest(t *testing.T) {
 	cfg.ArrivalGap = 50 * time.Microsecond // overload: arrivals outpace service
 	mc := core.DefaultConfig()
 	mc.Mask = vsm.DefaultMask(tr.HasPaths)
-	res, err := replayLone(tr, cfg, func(e *sim.Engine) (*MDS, error) {
-		return NewFARMERMDS(e, cfg.MDS, nil, mc)
-	})
+	res, err := replayLone(tr, cfg, "farmer", mc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +189,7 @@ func TestBatchLeaderDropRepricesFollower(t *testing.T) {
 	cfg.PrefetchK = 3
 	cfg.PrefetchBatch = true
 	cfg.PrefetchQueue = 1
-	mds, err := NewMDS(eng, cfg, nil, stubPredictor{cands: []trace.FileID{10, 11, 12}})
+	mds, err := NewMDS(eng, cfg, stubPredictor{cands: []trace.FileID{10, 11, 12}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +218,7 @@ func TestSyncPrefetchIssueDelayedByMineTime(t *testing.T) {
 	cfg := DefaultMDSConfig()
 	cfg.Workers = 2
 	cfg.MineTime = 10 * time.Millisecond
-	mds, err := NewMDS(eng, cfg, nil, stubPredictor{cands: []trace.FileID{7}})
+	mds, err := NewMDS(eng, cfg, stubPredictor{cands: []trace.FileID{7}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +236,7 @@ func TestSyncPrefetchIssueDelayedByMineTime(t *testing.T) {
 	// MineTime=0 keeps the legacy issue-at-arrival behavior.
 	eng2 := sim.New()
 	cfg.MineTime = 0
-	mds2, err := NewMDS(eng2, cfg, nil, stubPredictor{cands: []trace.FileID{7}})
+	mds2, err := NewMDS(eng2, cfg, stubPredictor{cands: []trace.FileID{7}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"farmer/internal/metrics"
+	"farmer/internal/core"
+	"farmer/internal/obs"
 	"farmer/internal/partition"
 	"farmer/internal/sim"
 	"farmer/internal/trace"
@@ -25,17 +26,12 @@ import (
 
 // ReplayConfig drives a trace replay against a cluster.
 type ReplayConfig struct {
-	// MDS parameterises every server a Topology's Global miner builds; a
-	// Factory is handed it by its caller.
+	// MDS parameterises every server of the cluster.
 	MDS MDSConfig
 	// ArrivalGap spaces demand arrivals evenly; 1ms when not positive.
 	ArrivalGap time.Duration
 	// NetworkRTT is added to every client-observed response time.
 	NetworkRTT time.Duration
-	// MaxRecords caps how many records of the trace are replayed, so a
-	// short prefix run shares one generated trace with full-length runs;
-	// 0 replays the whole trace.
-	MaxRecords int
 }
 
 // DefaultReplayConfig spaces arrivals at 1ms, which loads the default
@@ -67,10 +63,14 @@ type Topology struct {
 	// Partition routes a file's requests (and, under Global, its mined
 	// state) to a server; nil = HashPartitioner.
 	Partition Partitioner
-	// Factory builds each server with the predictor it mines its own
-	// sub-stream with. Unused under Global, whose servers predict from
-	// their partition of the collective model.
-	Factory func(*sim.Engine) (*MDS, error)
+	// Policy names the prefetch policy each server mines its own
+	// sub-stream with (NewPolicyMDS). Unused under Global, whose servers
+	// predict from their partition of the collective model.
+	Policy string
+	// Miner configures FARMER mining: each server's own miner under Policy
+	// "farmer" (Shards 0 matches the MDS workers), or the collective miner
+	// under Global (Shards ignored: the ensemble is striped by server).
+	Miner core.Config
 	// Global, when set, mines one model across the cluster.
 	Global *GlobalConfig
 }
@@ -80,8 +80,8 @@ type Cluster struct {
 	eng       *sim.Engine
 	servers   []*MDS
 	partition Partitioner
-	resp      metrics.LatencyHist
-	global    *globalMiner // nil: every server mines its own sub-stream
+	resp      obs.Histogram // every server's response times, ns
+	global    *globalMiner  // nil: every server mines its own sub-stream
 }
 
 // newCluster assembles top's servers on eng.
@@ -94,10 +94,10 @@ func newCluster(eng *sim.Engine, mdsCfg MDSConfig, top Topology) (*Cluster, erro
 		c.partition = HashPartitioner
 	}
 	if top.Global != nil {
-		if err := top.Global.Miner.Validate(); err != nil {
+		if err := top.Miner.Validate(); err != nil {
 			return nil, err
 		}
-		c.global = newGlobalMiner(*top.Global, top.Servers, c.partition)
+		c.global = newGlobalMiner(*top.Global, top.Miner, top.Servers, c.partition)
 		// Global mining is asynchronous by construction.
 		mdsCfg.AsyncPrefetch = true
 		mdsCfg.ExternalMiner = true
@@ -109,9 +109,9 @@ func newCluster(eng *sim.Engine, mdsCfg MDSConfig, top Topology) (*Cluster, erro
 		var m *MDS
 		var err error
 		if c.global != nil {
-			m, err = NewMDS(eng, mdsCfg, nil, globalPredictor{m: c.global.ens.Shard(i)})
+			m, err = NewMDS(eng, mdsCfg, globalPredictor{m: c.global.ens.Shard(i)})
 		} else {
-			m, err = top.Factory(eng)
+			m, err = NewPolicyMDS(eng, mdsCfg, top.Policy, top.Miner)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("hust: building server %d: %w", i, err)
@@ -129,7 +129,7 @@ func (c *Cluster) Server(i int) *MDS { return c.servers[i] }
 // dispatcher, which fans its mining events out across server boundaries.
 func (c *Cluster) demand(r *trace.Record) {
 	idx := c.partition(r.File, len(c.servers))
-	c.servers[idx].Demand(r, c.resp.Observe)
+	c.servers[idx].Demand(r, func(d time.Duration) { c.resp.Observe(uint64(d)) })
 	if c.global != nil {
 		c.mineGlobal(idx, r)
 	}
@@ -159,12 +159,9 @@ type ClusterStats struct {
 
 // finish collects aggregate and per-server statistics.
 func (c *Cluster) finish(rtt time.Duration) ClusterStats {
-	cs := ClusterStats{
-		AvgResponse: c.resp.Mean(),
-		P95Response: c.resp.Quantile(0.95),
-		ClientAvg:   c.resp.Mean() + rtt,
-		Demand:      c.resp.Count(),
-	}
+	var cs ClusterStats
+	cs.Demand, cs.AvgResponse, cs.P95Response = responses(&c.resp)
+	cs.ClientAvg = cs.AvgResponse + rtt
 	var maxDemand, sumDemand uint64
 	var hits, lookups uint64
 	var waitSum time.Duration
@@ -209,9 +206,6 @@ func Replay(t *trace.Trace, cfg ReplayConfig, top Topology) (ClusterStats, *Clus
 		}
 	}
 	n := len(t.Records)
-	if cfg.MaxRecords > 0 && cfg.MaxRecords < n {
-		n = cfg.MaxRecords
-	}
 	if n == 0 {
 		return ClusterStats{}, nil, fmt.Errorf("hust: empty trace %q", t.Name)
 	}

@@ -30,9 +30,6 @@ import (
 
 // GlobalConfig describes the cluster-level global miner.
 type GlobalConfig struct {
-	// Miner configures the collective miner (Shards is ignored: the ensemble
-	// is striped by server).
-	Miner core.Config
 	// NetDelay is the one-way virtual-time latency of an inter-MDS event
 	// delivery. Events bound for the record's home server apply immediately
 	// (they never leave the machine).
@@ -109,13 +106,13 @@ type globalMiner struct {
 	crossPrefetch uint64
 }
 
-func newGlobalMiner(cfg GlobalConfig, servers int, part Partitioner) *globalMiner {
+func newGlobalMiner(cfg GlobalConfig, mc core.Config, servers int, part Partitioner) *globalMiner {
 	if cfg.MailboxCap <= 0 {
 		cfg.MailboxCap = 4096
 	}
 	return &globalMiner{
 		cfg:     cfg,
-		ens:     core.NewShardedPartitioned(cfg.Miner, servers, part),
+		ens:     core.NewShardedPartitioned(mc, servers, part),
 		queues:  make([]eventQueue, servers),
 		pending: make([]bool, servers),
 	}

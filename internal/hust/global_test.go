@@ -15,8 +15,7 @@ import (
 
 // replayGlobal replays tr through n servers mining one model under gcfg.
 func replayGlobal(tr *trace.Trace, cfg ReplayConfig, n int, part Partitioner, mc core.Config, gcfg GlobalConfig) (ClusterStats, *Cluster, error) {
-	gcfg.Miner = mc
-	return Replay(tr, cfg, Topology{Servers: n, Partition: part, Global: &gcfg})
+	return Replay(tr, cfg, Topology{Servers: n, Partition: part, Miner: mc, Global: &gcfg})
 }
 
 func globalTestSetup(t *testing.T) (*ReplayConfig, core.Config) {
@@ -115,11 +114,9 @@ func TestGlobalClusterOutperformsPerPartition(t *testing.T) {
 	tr := tracegen.HP(10000).MustGenerate()
 	cfg, mc := globalTestSetup(t)
 
-	local, _, err := Replay(tr, *cfg, Topology{Servers: 4, Partition: HashPartitioner, Factory: func(e *sim.Engine) (*MDS, error) {
-		lc := mc
-		lc.Shards = 1
-		return NewFARMERMDS(e, cfg.MDS, nil, lc)
-	}})
+	lc := mc
+	lc.Shards = 1
+	local, _, err := Replay(tr, *cfg, Topology{Servers: 4, Partition: HashPartitioner, Policy: "farmer", Miner: lc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,15 +138,15 @@ func TestGlobalClusterValidation(t *testing.T) {
 	_, mc := globalTestSetup(t)
 	bad := mc
 	bad.Weight = 2
-	if _, err := newCluster(sim.New(), DefaultMDSConfig(), Topology{Servers: 4, Global: &GlobalConfig{Miner: bad}}); err == nil {
+	if _, err := newCluster(sim.New(), DefaultMDSConfig(), Topology{Servers: 4, Miner: bad, Global: &GlobalConfig{}}); err == nil {
 		t.Fatal("invalid miner config accepted")
 	}
-	if _, err := newCluster(sim.New(), DefaultMDSConfig(), Topology{Global: &GlobalConfig{Miner: mc}}); err == nil {
+	if _, err := newCluster(sim.New(), DefaultMDSConfig(), Topology{Miner: mc, Global: &GlobalConfig{}}); err == nil {
 		t.Fatal("zero servers accepted")
 	}
 
 	// A per-partition cluster has no global model to read.
-	c, err := newCluster(sim.New(), DefaultMDSConfig(), Topology{Servers: 2, Factory: clusterFactory(DefaultMDSConfig(), true)})
+	c, err := newCluster(sim.New(), DefaultMDSConfig(), Topology{Servers: 2, Policy: "farmer", Miner: mc})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,9 +20,9 @@ type lone struct {
 	MDS       *MDS
 }
 
-// replayLone replays tr through one MDS built by factory.
-func replayLone(tr *trace.Trace, cfg ReplayConfig, factory func(*sim.Engine) (*MDS, error)) (lone, error) {
-	cs, c, err := Replay(tr, cfg, Topology{Servers: 1, Factory: factory})
+// replayLone replays tr through one MDS prefetching with policy.
+func replayLone(tr *trace.Trace, cfg ReplayConfig, policy string, mc core.Config) (lone, error) {
+	cs, c, err := Replay(tr, cfg, Topology{Servers: 1, Policy: policy, Miner: mc})
 	if err != nil {
 		return lone{}, err
 	}
@@ -32,16 +32,12 @@ func replayLone(tr *trace.Trace, cfg ReplayConfig, factory func(*sim.Engine) (*M
 	return lone{cs.PerServer[0], cs.ClientAvg, c.Server(0)}, nil
 }
 
-func lruMDS(cfg MDSConfig) func(*sim.Engine) (*MDS, error) {
-	return func(e *sim.Engine) (*MDS, error) { return NewMDS(e, cfg, nil, predictors.NewNone()) }
-}
-
-func farmerMDS(cfg MDSConfig, hasPaths bool) func(*sim.Engine) (*MDS, error) {
-	return func(e *sim.Engine) (*MDS, error) {
-		mc := core.DefaultConfig()
-		mc.Mask = vsm.DefaultMask(hasPaths)
-		return NewMDS(e, cfg, nil, predictors.NewFPA(core.New(mc)))
-	}
+// miner is the default FARMER configuration for a trace with or without
+// paths.
+func miner(hasPaths bool) core.Config {
+	mc := core.DefaultConfig()
+	mc.Mask = vsm.DefaultMask(hasPaths)
+	return mc
 }
 
 func TestMDSConfigValidate(t *testing.T) {
@@ -66,7 +62,7 @@ func TestMDSConfigValidate(t *testing.T) {
 func TestMDSHitFasterThanMiss(t *testing.T) {
 	eng := sim.New()
 	cfg := DefaultMDSConfig()
-	mds, err := NewMDS(eng, cfg, nil, predictors.NewNone())
+	mds, err := NewMDS(eng, cfg, predictors.NewNone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,13 +80,38 @@ func TestMDSHitFasterThanMiss(t *testing.T) {
 	}
 }
 
+// TestMDSResponseMeanMax checks the response accounting: the count, the
+// mean exact to the nanosecond, the largest response, and a p95 that reads
+// the upper bound of its power-of-two nanosecond bucket.
+func TestMDSResponseMeanMax(t *testing.T) {
+	eng := sim.New()
+	cfg := DefaultMDSConfig()
+	mds, err := NewMDS(eng, cfg, predictors.NewNone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &trace.Record{File: 1}
+	for range 2 { // a miss, then a hit
+		mds.Demand(r, nil)
+		eng.Run()
+	}
+	st := mds.Finish()
+	if st.Demand != 2 || st.AvgResponse != (cfg.StoreReadTime+cfg.CacheHitTime)/2 || st.MaxResponse != cfg.StoreReadTime {
+		t.Fatalf("demand %d, mean %v, max %v after a %v miss and a %v hit",
+			st.Demand, st.AvgResponse, st.MaxResponse, cfg.StoreReadTime, cfg.CacheHitTime)
+	}
+	if st.P95Response != 1<<21 { // 2ms lies in [2^20, 2^21) ns
+		t.Fatalf("p95 %v, want the 2^21ns bucket bound", st.P95Response)
+	}
+}
+
 func TestMDSPrefetchInstallsIntoCache(t *testing.T) {
 	eng := sim.New()
 	cfg := DefaultMDSConfig()
 	mc := core.DefaultConfig()
 	mc.MaxStrength = 0.0
 	fpa := predictors.NewFPA(core.New(mc))
-	mds, err := NewMDS(eng, cfg, nil, fpa)
+	mds, err := NewMDS(eng, cfg, fpa)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +127,7 @@ func TestMDSPrefetchInstallsIntoCache(t *testing.T) {
 	// A demand on 0 must now prefetch 1.
 	mds.Demand(mk(0), nil)
 	eng.Run()
-	if !mds.Cache().Contains(1) {
+	if !mds.cache.Contains(1) {
 		t.Fatal("prefetch did not install file 1")
 	}
 	if mds.Finish().PrefetchIssued == 0 {
@@ -117,7 +138,7 @@ func TestMDSPrefetchInstallsIntoCache(t *testing.T) {
 func TestReplaySmallTraceRuns(t *testing.T) {
 	tr := tracegen.HP(3000).MustGenerate()
 	cfg := DefaultReplayConfig()
-	res, err := replayLone(tr, cfg, lruMDS(cfg.MDS))
+	res, err := replayLone(tr, cfg, "lru", core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,21 +158,8 @@ func TestReplaySmallTraceRuns(t *testing.T) {
 
 func TestReplayEmptyTraceErrors(t *testing.T) {
 	cfg := DefaultReplayConfig()
-	if _, err := replayLone(&trace.Trace{Name: "empty"}, cfg, lruMDS(cfg.MDS)); err == nil {
+	if _, err := replayLone(&trace.Trace{Name: "empty"}, cfg, "lru", core.Config{}); err == nil {
 		t.Fatal("empty trace accepted")
-	}
-}
-
-func TestReplayMaxRecords(t *testing.T) {
-	tr := tracegen.INS(5000).MustGenerate()
-	cfg := DefaultReplayConfig()
-	cfg.MaxRecords = 1000
-	res, err := replayLone(tr, cfg, lruMDS(cfg.MDS))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Demand != 1000 {
-		t.Fatalf("served %d, want 1000", res.Stats.Demand)
 	}
 }
 
@@ -161,11 +169,11 @@ func TestReplayMaxRecords(t *testing.T) {
 func TestFARMERBeatsLRUOnRegularTrace(t *testing.T) {
 	tr := tracegen.HP(12000).MustGenerate()
 	cfg := DefaultReplayConfig()
-	lru, err := replayLone(tr, cfg, lruMDS(cfg.MDS))
+	lru, err := replayLone(tr, cfg, "lru", core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fpa, err := replayLone(tr, cfg, farmerMDS(cfg.MDS, true))
+	fpa, err := replayLone(tr, cfg, "farmer", miner(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +189,11 @@ func TestFARMERBeatsLRUOnRegularTrace(t *testing.T) {
 func TestDeterministicReplay(t *testing.T) {
 	tr := tracegen.RES(4000).MustGenerate()
 	cfg := DefaultReplayConfig()
-	a, err := replayLone(tr, cfg, farmerMDS(cfg.MDS, false))
+	a, err := replayLone(tr, cfg, "farmer", miner(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := replayLone(tr, cfg, farmerMDS(cfg.MDS, false))
+	b, err := replayLone(tr, cfg, "farmer", miner(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,13 +205,13 @@ func TestDeterministicReplay(t *testing.T) {
 func TestPrefetchBatchCheaper(t *testing.T) {
 	tr := tracegen.HP(6000).MustGenerate()
 	cfg := DefaultReplayConfig()
-	single, err := replayLone(tr, cfg, farmerMDS(cfg.MDS, true))
+	single, err := replayLone(tr, cfg, "farmer", miner(true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	bcfg := cfg
 	bcfg.MDS.PrefetchBatch = true
-	batched, err := replayLone(tr, bcfg, farmerMDS(bcfg.MDS, true))
+	batched, err := replayLone(tr, bcfg, "farmer", miner(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +223,7 @@ func TestPrefetchBatchCheaper(t *testing.T) {
 
 func TestMDSUnknownFileCreationPath(t *testing.T) {
 	eng := sim.New()
-	mds, err := NewMDS(eng, DefaultMDSConfig(), nil, predictors.NewNone())
+	mds, err := NewMDS(eng, DefaultMDSConfig(), predictors.NewNone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +239,7 @@ func TestMDSUnknownFileCreationPath(t *testing.T) {
 func TestMDSStatsCoherence(t *testing.T) {
 	tr := tracegen.RES(5000).MustGenerate()
 	cfg := DefaultReplayConfig()
-	res, err := replayLone(tr, cfg, farmerMDS(cfg.MDS, false))
+	res, err := replayLone(tr, cfg, "farmer", miner(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +274,7 @@ func TestPrefetchDoesNotStarveDemand(t *testing.T) {
 	aggressive := cfg
 	aggressive.MDS.PrefetchK = 16
 	aggressive.MDS.PrefetchBatch = false
-	res, err := replayLone(tr, aggressive, farmerMDS(aggressive.MDS, true))
+	res, err := replayLone(tr, aggressive, "farmer", miner(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,13 +290,9 @@ func TestPrefetchDoesNotStarveDemand(t *testing.T) {
 func TestFARMERMDSShardedMatchesSingleLock(t *testing.T) {
 	tr := tracegen.HP(6000).MustGenerate()
 	replay := func(shards int) Stats {
-		cfg := DefaultReplayConfig()
-		res, err := replayLone(tr, cfg, func(e *sim.Engine) (*MDS, error) {
-			mc := core.DefaultConfig()
-			mc.Mask = vsm.DefaultMask(tr.HasPaths)
-			mc.Shards = shards
-			return NewFARMERMDS(e, cfg.MDS, nil, mc)
-		})
+		mc := miner(tr.HasPaths)
+		mc.Shards = shards
+		res, err := replayLone(tr, DefaultReplayConfig(), "farmer", mc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +311,7 @@ func TestFARMERMDSShardedMatchesSingleLock(t *testing.T) {
 func TestFARMERMDSDefaultsShardsToWorkers(t *testing.T) {
 	eng := sim.New()
 	cfg := DefaultMDSConfig()
-	mds, err := NewFARMERMDS(eng, cfg, nil, core.DefaultConfig())
+	mds, err := NewFARMERMDS(eng, cfg, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,18 +5,20 @@
 // the paper reports is a metadata figure). The MDS implements the paper's
 // priority-based request scheduling — demand requests are served ahead of
 // queued prefetch requests — and hosts the pluggable prefetch predictor
-// (FARMER's FPA, Nexus, or none/LRU).
+// (FARMER's FPA, Nexus, or none/LRU). Response times are counted in
+// nanoseconds in an obs.Histogram, the repository's one histogram.
 package hust
 
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 	"time"
 
 	"farmer/internal/cache"
 	"farmer/internal/core"
 	"farmer/internal/kvstore"
-	"farmer/internal/metrics"
+	"farmer/internal/obs"
 	"farmer/internal/predictors"
 	"farmer/internal/sim"
 	"farmer/internal/trace"
@@ -114,24 +116,21 @@ type MDS struct {
 	store *kvstore.Store
 	pred  predictors.Predictor
 
-	resp         metrics.LatencyHist
+	resp         obs.Histogram // response times, ns
+	maxResp      time.Duration
 	prefetchSent uint64
 	storeReads   uint64
 }
 
-// NewMDS builds a metadata server on the given engine. store may be nil, in
-// which case an in-memory store is created. pred drives prefetching
-// (predictors.None disables it).
-func NewMDS(eng *sim.Engine, cfg MDSConfig, store *kvstore.Store, pred predictors.Predictor) (*MDS, error) {
+// NewMDS builds a metadata server over an in-memory store on the given
+// engine. pred drives prefetching (predictors.None disables it).
+func NewMDS(eng *sim.Engine, cfg MDSConfig, pred predictors.Predictor) (*MDS, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if store == nil {
-		var err error
-		store, err = kvstore.Open("")
-		if err != nil {
-			return nil, err
-		}
+	store, err := kvstore.Open("")
+	if err != nil {
+		return nil, err
 	}
 	m := &MDS{
 		cfg:   cfg,
@@ -169,7 +168,7 @@ func NewMDS(eng *sim.Engine, cfg MDSConfig, store *kvstore.Store, pred predictor
 // Records reach the miner in demand-arrival order either way, so the mined
 // state is bit-identical to the synchronous configuration (asserted by
 // internal/replay).
-func NewFARMERMDS(eng *sim.Engine, cfg MDSConfig, store *kvstore.Store, mc core.Config) (*MDS, error) {
+func NewFARMERMDS(eng *sim.Engine, cfg MDSConfig, mc core.Config) (*MDS, error) {
 	if mc.Shards == 0 {
 		mc.Shards = cfg.Workers
 	}
@@ -179,7 +178,34 @@ func NewFARMERMDS(eng *sim.Engine, cfg MDSConfig, store *kvstore.Store, mc core.
 	if err := mc.Validate(); err != nil {
 		return nil, err
 	}
-	return NewMDS(eng, cfg, store, predictors.NewFPA(core.NewSharded(mc)))
+	return NewMDS(eng, cfg, predictors.NewFPA(core.NewSharded(mc)))
+}
+
+// NewPolicyMDS builds an MDS that prefetches with the named policy
+// (case-insensitive): "farmer" mines with mc through NewFARMERMDS; "nexus",
+// "lru" (or "none"), "ls", "pbs", "puls" and "probgraph" are the paper's
+// baselines and the related-work predictors, and ignore mc.
+func NewPolicyMDS(eng *sim.Engine, cfg MDSConfig, policy string, mc core.Config) (*MDS, error) {
+	var p predictors.Predictor
+	switch strings.ToLower(policy) {
+	case "farmer":
+		return NewFARMERMDS(eng, cfg, mc)
+	case "nexus":
+		p = predictors.NewNexus(predictors.DefaultNexusConfig())
+	case "lru", "none":
+		p = predictors.NewNone()
+	case "ls":
+		p = predictors.NewLastSuccessor()
+	case "pbs":
+		p = predictors.NewPBS()
+	case "puls":
+		p = predictors.NewPULS()
+	case "probgraph":
+		p = predictors.NewProbabilityGraph(2, 0.1)
+	default:
+		return nil, fmt.Errorf("unknown policy %q", policy)
+	}
+	return NewMDS(eng, cfg, p)
 }
 
 // metaKey renders a store key for a file's metadata record.
@@ -242,7 +268,8 @@ func (m *MDS) Demand(r *trace.Record, done func(resp time.Duration)) {
 	m.srv.Submit(sim.PriorityDemand, &sim.Request{
 		Service: service,
 		Done: func(wait, total time.Duration) {
-			m.resp.Observe(total)
+			m.resp.Observe(uint64(total))
+			m.maxResp = max(m.maxResp, total)
 			if done != nil {
 				done(total)
 			}
@@ -377,10 +404,7 @@ type Stats struct {
 func (m *MDS) Finish() Stats {
 	s := Stats{
 		Cache:           m.cache.Finish(),
-		AvgResponse:     m.resp.Mean(),
-		P95Response:     m.resp.Quantile(0.95),
-		MaxResponse:     m.resp.Max(),
-		Demand:          m.resp.Count(),
+		MaxResponse:     m.maxResp,
 		PrefetchIssued:  m.prefetchSent,
 		PrefetchDone:    m.srv.Completed(sim.PriorityPrefetch),
 		PrefetchDropped: m.srv.Dropped(sim.PriorityPrefetch),
@@ -388,6 +412,7 @@ func (m *MDS) Finish() Stats {
 		AvgDemandWait:   m.srv.AvgWait(sim.PriorityDemand),
 		Utilization:     m.srv.Utilization(),
 	}
+	s.Demand, s.AvgResponse, s.P95Response = responses(&m.resp)
 	if m.miner != nil {
 		s.MineAvgWait = m.miner.AvgWait(sim.PriorityDemand)
 		s.MineUtilization = m.miner.Utilization()
@@ -395,8 +420,15 @@ func (m *MDS) Finish() Stats {
 	return s
 }
 
-// Cache exposes the metadata cache (tests).
-func (m *MDS) Cache() *cache.LRU { return m.cache }
+// responses reads a response-time histogram: how many, their exact mean,
+// and the upper bound of the bucket holding the 95th percentile.
+func responses(h *obs.Histogram) (n uint64, avg, p95 time.Duration) {
+	n, sum := h.Totals()
+	if n == 0 {
+		return 0, 0, 0
+	}
+	return n, time.Duration(sum / n), time.Duration(h.Quantile(0.95))
+}
 
 // Predictor exposes the active predictor.
 func (m *MDS) Predictor() predictors.Predictor { return m.pred }

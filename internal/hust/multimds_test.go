@@ -4,21 +4,10 @@ import (
 	"testing"
 	"time"
 
-	"farmer/internal/core"
-	"farmer/internal/predictors"
 	"farmer/internal/sim"
 	"farmer/internal/trace"
 	"farmer/internal/tracegen"
-	"farmer/internal/vsm"
 )
-
-func clusterFactory(cfg MDSConfig, hasPaths bool) func(*sim.Engine) (*MDS, error) {
-	return func(e *sim.Engine) (*MDS, error) {
-		mc := core.DefaultConfig()
-		mc.Mask = vsm.DefaultMask(hasPaths)
-		return NewMDS(e, cfg, nil, predictors.NewFPA(core.New(mc)))
-	}
-}
 
 func TestClusterValidation(t *testing.T) {
 	if _, err := newCluster(sim.New(), DefaultMDSConfig(), Topology{}); err == nil {
@@ -29,7 +18,7 @@ func TestClusterValidation(t *testing.T) {
 func TestClusterBalancesLoad(t *testing.T) {
 	tr := tracegen.HP(12000).MustGenerate()
 	cfg := DefaultReplayConfig()
-	cs, _, err := Replay(tr, cfg, Topology{Servers: 4, Partition: HashPartitioner, Factory: clusterFactory(cfg.MDS, true)})
+	cs, _, err := Replay(tr, cfg, Topology{Servers: 4, Partition: HashPartitioner, Policy: "farmer", Miner: miner(true)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +40,11 @@ func TestClusterScalesThroughput(t *testing.T) {
 	cfg := DefaultReplayConfig()
 	cfg.ArrivalGap = 300 * time.Microsecond // saturates one 4-worker MDS
 
-	single, _, err := Replay(tr, cfg, Topology{Servers: 1, Partition: HashPartitioner, Factory: clusterFactory(cfg.MDS, true)})
+	single, _, err := Replay(tr, cfg, Topology{Servers: 1, Partition: HashPartitioner, Policy: "farmer", Miner: miner(true)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	quad, _, err := Replay(tr, cfg, Topology{Servers: 4, Partition: HashPartitioner, Factory: clusterFactory(cfg.MDS, true)})
+	quad, _, err := Replay(tr, cfg, Topology{Servers: 4, Partition: HashPartitioner, Policy: "farmer", Miner: miner(true)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +62,11 @@ func TestClusterScalesThroughput(t *testing.T) {
 func TestGroupPartitionerPreservesPrefetching(t *testing.T) {
 	tr := tracegen.HP(12000).MustGenerate()
 	cfg := DefaultReplayConfig()
-	hash, _, err := Replay(tr, cfg, Topology{Servers: 4, Partition: HashPartitioner, Factory: clusterFactory(cfg.MDS, true)})
+	hash, _, err := Replay(tr, cfg, Topology{Servers: 4, Partition: HashPartitioner, Policy: "farmer", Miner: miner(true)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	grouped, _, err := Replay(tr, cfg, Topology{Servers: 4, Partition: GroupPartitioner, Factory: clusterFactory(cfg.MDS, true)})
+	grouped, _, err := Replay(tr, cfg, Topology{Servers: 4, Partition: GroupPartitioner, Policy: "farmer", Miner: miner(true)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,6 +132,22 @@ func (h *Histogram) Totals() (count, sum uint64) {
 	return count, h.sum.Load()
 }
 
+// Quantile estimates the q-quantile (0 < q <= 1) as the upper bound 2^i of
+// the bucket holding the ceil(q*count)-th smallest value: 0 when empty.
+func (h *Histogram) Quantile(q float64) uint64 {
+	count, _ := h.Totals()
+	if count == 0 || q <= 0 {
+		return 0
+	}
+	target, acc := uint64(math.Ceil(min(q, 1)*float64(count))), uint64(0)
+	for i := 0; i < histBuckets-1; i++ {
+		if acc += h.buckets[i].Load(); acc >= target {
+			return 1 << i
+		}
+	}
+	return math.MaxUint64
+}
+
 // BucketCount is one cumulative histogram bucket in a Sample.
 type BucketCount struct {
 	LE    float64 `json:"-"` // upper bound, +Inf for the last

@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"strings"
 	"sync"
 	"testing"
+	"testing/quick"
 )
 
 func TestNilSafety(t *testing.T) {
@@ -297,4 +299,67 @@ func ExampleRegistry_WritePrometheus() {
 	// # TYPE farmer_shard_mailbox_depth gauge
 	// farmer_shard_mailbox_depth{shard="0"} 2
 	// farmer_shard_mailbox_depth{shard="1"} 0
+}
+
+func TestHistogramQuantileMonotone(t *testing.T) {
+	var h Histogram
+	rng := rand.New(rand.NewPCG(2, 2))
+	var largest uint64
+	for i := 0; i < 5000; i++ {
+		v := uint64(rng.ExpFloat64() * 2e6)
+		largest = max(largest, v)
+		h.Observe(v)
+	}
+	q50, q95, q99 := h.Quantile(0.5), h.Quantile(0.95), h.Quantile(0.99)
+	if q50 > q95 || q95 > q99 {
+		t.Fatalf("quantiles not monotone: %d %d %d", q50, q95, q99)
+	}
+	if q := h.Quantile(1.0); q > largest*2 {
+		t.Fatalf("q100 = %d far above max %d", q, largest)
+	}
+}
+
+func TestHistogramQuantileBracketsExactValue(t *testing.T) {
+	var h Histogram
+	for i := 0; i < 100; i++ {
+		h.Observe(100_000)
+	}
+	// 100000 lives in the bucket [2^16, 2^17).
+	if q := h.Quantile(0.5); q != 1<<17 {
+		t.Fatalf("quantile = %d, want the bucket bound %d", q, 1<<17)
+	}
+}
+
+func TestHistogramQuantileEmpty(t *testing.T) {
+	var h Histogram
+	if h.Quantile(0.5) != 0 {
+		t.Fatal("empty histogram quantile not zero")
+	}
+	h.Observe(7)
+	if h.Quantile(0) != 0 || h.Quantile(2) != 8 {
+		t.Fatalf("q=0 reads %d, q=2 reads %d; want 0 and the bucket bound 8", h.Quantile(0), h.Quantile(2))
+	}
+}
+
+// Property: the quantile never decreases in q.
+func TestHistogramQuantileMonotoneProperty(t *testing.T) {
+	f := func(seed uint64, n uint8) bool {
+		var h Histogram
+		rng := rand.New(rand.NewPCG(seed, 7))
+		for i := 0; i < int(n)+1; i++ {
+			h.Observe(uint64(rng.IntN(1_000_000_000)))
+		}
+		var prev uint64
+		for q := 0.1; q <= 1.0; q += 0.1 {
+			v := h.Quantile(q)
+			if v < prev {
+				return false
+			}
+			prev = v
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -94,10 +94,10 @@ func TestAckWindowWireBitIdentical(t *testing.T) {
 	if st.Fed != uint64(len(tr.Records)) {
 		t.Fatalf("server fed %d of %d after the last ack", st.Fed, len(tr.Records))
 	}
-	if got := Fingerprint(remoteLister{t, reader}, tr.FileCount); got != ref {
+	if got := core.StateFingerprint(remoteLister{t, reader}, tr.FileCount); got != ref {
 		t.Fatalf("remote fingerprint %#x != sequential %#x", got, ref)
 	}
-	if got := Fingerprint(served.Sharded(), tr.FileCount); got != ref {
+	if got := core.StateFingerprint(served.Sharded(), tr.FileCount); got != ref {
 		t.Fatalf("served miner fingerprint %#x != sequential %#x", got, ref)
 	}
 }

@@ -202,7 +202,7 @@ func TestFailoverSIGKILL(t *testing.T) {
 	if st.Fed != uint64(len(tr.Records)) {
 		t.Fatalf("survivor fed %d, want %d", st.Fed, len(tr.Records))
 	}
-	if got := Fingerprint(remoteLister{t, client}, tr.FileCount); got != ref {
+	if got := core.StateFingerprint(remoteLister{t, client}, tr.FileCount); got != ref {
 		t.Fatalf("promoted follower fingerprint %#x != sequential %#x", got, ref)
 	}
 }

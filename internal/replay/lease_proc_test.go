@@ -192,7 +192,7 @@ func TestElectionSIGKILL(t *testing.T) {
 	if acked != uint64(len(tr.Records)) {
 		t.Fatalf("acked %d of %d records", acked, len(tr.Records))
 	}
-	if got := Fingerprint(remoteLister{t, client}, tr.FileCount); got != ref {
+	if got := core.StateFingerprint(remoteLister{t, client}, tr.FileCount); got != ref {
 		t.Fatalf("elected follower fingerprint %#x != sequential %#x", got, ref)
 	}
 }
@@ -272,7 +272,7 @@ func TestHandoffSIGKILLZeroAckedLoss(t *testing.T) {
 	if st.Fed != uint64(len(tr.Records)) {
 		t.Fatalf("survivor fed %d, want %d", st.Fed, len(tr.Records))
 	}
-	if got := Fingerprint(remoteLister{t, client}, tr.FileCount); got != ref {
+	if got := core.StateFingerprint(remoteLister{t, client}, tr.FileCount); got != ref {
 		t.Fatalf("survivor fingerprint %#x != sequential %#x", got, ref)
 	}
 	ictx, icancel := context.WithTimeout(ctx, 10*time.Second)
@@ -434,7 +434,7 @@ func TestSplitBrainResolvesToHigherEpoch(t *testing.T) {
 	if acked != uint64(len(tr.Records)) {
 		t.Fatalf("acked %d of %d records", acked, len(tr.Records))
 	}
-	if got := Fingerprint(remoteLister{t, client}, tr.FileCount); got != ref {
+	if got := core.StateFingerprint(remoteLister{t, client}, tr.FileCount); got != ref {
 		t.Fatalf("surviving side fingerprint %#x != sequential %#x", got, ref)
 	}
 	ictx, icancel := context.WithTimeout(ctx, 10*time.Second)

@@ -84,7 +84,7 @@ func TestRebalanceLiveBitIdentical(t *testing.T) {
 	if st.Fed != uint64(len(tr.Records)) {
 		t.Fatalf("target fed %d, want %d", st.Fed, len(tr.Records))
 	}
-	if got := Fingerprint(target.Sharded(), tr.FileCount); got != ref {
+	if got := core.StateFingerprint(target.Sharded(), tr.FileCount); got != ref {
 		t.Fatalf("handed-off state fingerprint %#x != sequential %#x", got, ref)
 	}
 	info, err := client.LeaseStatus(ctx)

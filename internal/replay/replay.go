@@ -3,9 +3,9 @@
 // synchronous and asynchronous pipelines under the virtual-time engine and
 // exposes what the tests assert:
 //
-//   - a Fingerprint of the complete mined state (every Correlator List,
-//     degrees compared at full float64 precision), so "bit-identical mined
-//     state" is one uint64 comparison;
+//   - a core.StateFingerprint of the complete mined state (every Correlator
+//     List, degrees compared at full float64 precision), so "bit-identical
+//     mined state" is one uint64 comparison;
 //   - a Comparison bundling the no-prefetch baseline with the sync and
 //     async FARMER replays of one trace, so demand-latency regressions are
 //     directly visible.
@@ -25,26 +25,8 @@ import (
 	"farmer/internal/core"
 	"farmer/internal/hust"
 	"farmer/internal/predictors"
-	"farmer/internal/sim"
 	"farmer/internal/trace"
 )
-
-// lister is the read surface a fingerprint needs; core.Model and
-// core.ShardedModel both satisfy it.
-type lister interface {
-	CorrelatorList(f trace.FileID) []core.Correlator
-}
-
-// Fingerprint hashes the complete mined correlation state over the dense
-// FileID space [0, fileCount): list lengths, successor ids and the exact
-// float64 bits of every degree component. Two miners agree on the
-// fingerprint iff their mined state is bit-identical. It delegates to
-// core.StateFingerprint, the same hash the replication layer verifies
-// catch-up transfers with, so the harness and the wire agree by
-// construction.
-func Fingerprint(m lister, fileCount int) uint64 {
-	return core.StateFingerprint(m, fileCount)
-}
 
 // MineSequential feeds the trace through the paper-exact single-lock Model
 // and fingerprints the result — the reference every other path must match.
@@ -52,7 +34,7 @@ func MineSequential(tr *trace.Trace, mc core.Config) uint64 {
 	mc.Shards = 0
 	m := core.New(mc)
 	m.FeedTrace(tr)
-	return Fingerprint(m, tr.FileCount)
+	return core.StateFingerprint(m, tr.FileCount)
 }
 
 // Outcome is one replay: the simulation's aggregate stats, the mined-state
@@ -65,16 +47,10 @@ type Outcome struct {
 	Cluster     *hust.Cluster
 }
 
-// farmerMDS is the Topology factory of servers that each run their own
-// FARMER miner.
-func farmerMDS(cfg hust.MDSConfig, mc core.Config) func(*sim.Engine) (*hust.MDS, error) {
-	return func(e *sim.Engine) (*hust.MDS, error) { return hust.NewFARMERMDS(e, cfg, nil, mc) }
-}
-
 // FARMER replays tr through a lone FARMER MDS built from cfg/mc and
 // fingerprints the mined state afterwards.
 func FARMER(tr *trace.Trace, cfg hust.ReplayConfig, mc core.Config) (Outcome, error) {
-	stats, c, err := hust.Replay(tr, cfg, hust.Topology{Servers: 1, Factory: farmerMDS(cfg.MDS, mc)})
+	stats, c, err := hust.Replay(tr, cfg, hust.Topology{Servers: 1, Policy: "farmer", Miner: mc})
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -82,7 +58,7 @@ func FARMER(tr *trace.Trace, cfg hust.ReplayConfig, mc core.Config) (Outcome, er
 	if err != nil {
 		return Outcome{}, err
 	}
-	return Outcome{Stats: stats, Fingerprint: Fingerprint(miner, tr.FileCount), Cluster: c}, nil
+	return Outcome{Stats: stats, Fingerprint: core.StateFingerprint(miner, tr.FileCount), Cluster: c}, nil
 }
 
 func minerOf(m *hust.MDS) (*core.ShardedModel, error) {
@@ -118,9 +94,7 @@ func Compare(tr *trace.Trace, cfg hust.ReplayConfig, mc core.Config) (Comparison
 	base.MDS.MineTime = 0
 	base.MDS.AsyncPrefetch = false
 	base.MDS.PrefetchK = 0
-	res, _, err := hust.Replay(tr, base, hust.Topology{Servers: 1, Factory: func(e *sim.Engine) (*hust.MDS, error) {
-		return hust.NewMDS(e, base.MDS, nil, predictors.NewNone())
-	}})
+	res, _, err := hust.Replay(tr, base, hust.Topology{Servers: 1, Policy: "none"})
 	if err != nil {
 		return out, err
 	}
@@ -147,12 +121,11 @@ func Compare(tr *trace.Trace, cfg hust.ReplayConfig, mc core.Config) (Comparison
 // state.
 func GlobalCluster(tr *trace.Trace, cfg hust.ReplayConfig, n int, part hust.Partitioner,
 	mc core.Config, gcfg hust.GlobalConfig) (Outcome, error) {
-	gcfg.Miner = mc
-	stats, c, err := hust.Replay(tr, cfg, hust.Topology{Servers: n, Partition: part, Global: &gcfg})
+	stats, c, err := hust.Replay(tr, cfg, hust.Topology{Servers: n, Partition: part, Miner: mc, Global: &gcfg})
 	if err != nil {
 		return Outcome{}, err
 	}
-	return Outcome{Stats: stats, Fingerprint: Fingerprint(c.GlobalMiner(), tr.FileCount), Cluster: c}, nil
+	return Outcome{Stats: stats, Fingerprint: core.StateFingerprint(c.GlobalMiner(), tr.FileCount), Cluster: c}, nil
 }
 
 // LocalCluster replays tr through the per-partition baseline: every server
@@ -161,6 +134,6 @@ func GlobalCluster(tr *trace.Trace, cfg hust.ReplayConfig, n int, part hust.Part
 func LocalCluster(tr *trace.Trace, cfg hust.ReplayConfig, n int, part hust.Partitioner,
 	mc core.Config) (Outcome, error) {
 	mc.Shards = 1
-	stats, c, err := hust.Replay(tr, cfg, hust.Topology{Servers: n, Partition: part, Factory: farmerMDS(cfg.MDS, mc)})
+	stats, c, err := hust.Replay(tr, cfg, hust.Topology{Servers: n, Partition: part, Policy: "farmer", Miner: mc})
 	return Outcome{Stats: stats, Cluster: c}, err
 }

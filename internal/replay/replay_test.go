@@ -202,5 +202,5 @@ func RunPipeline(tr *trace.Trace, mc core.Config, pcfg prefetch.Config, sink pre
 		sm.FeedBatch(tr.Records[lo:hi])
 	}
 	p.Stop()
-	return PipelineOutcome{Fingerprint: Fingerprint(sm, tr.FileCount), Stats: p.Stats()}
+	return PipelineOutcome{Fingerprint: core.StateFingerprint(sm, tr.FileCount), Stats: p.Stats()}
 }

@@ -96,12 +96,12 @@ func TestReplicatedPairBitIdenticalHP50k(t *testing.T) {
 		}
 	}
 
-	if got := Fingerprint(primary.Sharded(), tr.FileCount); got != ref {
+	if got := core.StateFingerprint(primary.Sharded(), tr.FileCount); got != ref {
 		t.Fatalf("primary fingerprint %#x != sequential %#x", got, ref)
 	}
 	// Every client ack waited for the follower's ack, so the follower is
 	// already byte-complete — no settling sleep needed.
-	if got := Fingerprint(follower.Sharded(), tr.FileCount); got != ref {
+	if got := core.StateFingerprint(follower.Sharded(), tr.FileCount); got != ref {
 		t.Fatalf("follower fingerprint %#x != sequential %#x", got, ref)
 	}
 	if fed := follower.Sharded().Fed(); fed != uint64(len(tr.Records)) {
@@ -188,7 +188,7 @@ func TestFailoverLosesNoAckedRecord(t *testing.T) {
 	if st.Fed != uint64(len(tr.Records)) {
 		t.Fatalf("survivor fed %d, want %d", st.Fed, len(tr.Records))
 	}
-	if got := Fingerprint(follower.Sharded(), tr.FileCount); got != ref {
+	if got := core.StateFingerprint(follower.Sharded(), tr.FileCount); got != ref {
 		t.Fatalf("promoted follower fingerprint %#x != sequential %#x (lost or double-mined records)", got, ref)
 	}
 }
@@ -253,7 +253,7 @@ func TestFollowerRejectsMismatchedCatchup(t *testing.T) {
 	if fed := follower.Sharded().Fed(); fed != uint64(len(tr.Records)) {
 		t.Fatalf("follower installed %d records, want %d", fed, len(tr.Records))
 	}
-	if got, want := Fingerprint(follower.Sharded(), tr.FileCount), Fingerprint(source.Sharded(), tr.FileCount); got != want {
+	if got, want := core.StateFingerprint(follower.Sharded(), tr.FileCount), core.StateFingerprint(source.Sharded(), tr.FileCount); got != want {
 		t.Fatalf("installed state %#x != source %#x", got, want)
 	}
 }

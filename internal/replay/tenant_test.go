@@ -103,7 +103,7 @@ func TestMultiTenantInterleavedBitIdentical(t *testing.T) {
 		if st.Fed != uint64(tc.n) {
 			t.Fatalf("tenant %s fed %d, want %d", tc.name, st.Fed, tc.n)
 		}
-		if got := Fingerprint(remoteLister{t, tc.c}, tc.fc); got != tc.ref {
+		if got := core.StateFingerprint(remoteLister{t, tc.c}, tc.fc); got != tc.ref {
 			t.Fatalf("tenant %s fingerprint %#x != isolated reference %#x (streams bled)", tc.name, got, tc.ref)
 		}
 	}
@@ -310,7 +310,7 @@ func TestMultiTenantFailoverReauth(t *testing.T) {
 	if st.Fed != uint64(len(tr.Records)) {
 		t.Fatalf("survivor fed %d alpha records, want %d", st.Fed, len(tr.Records))
 	}
-	if got := Fingerprint(remoteLister{t, alpha}, tr.FileCount); got != ref {
+	if got := core.StateFingerprint(remoteLister{t, alpha}, tr.FileCount); got != ref {
 		t.Fatalf("promoted alpha fingerprint %#x != sequential %#x", got, ref)
 	}
 	// The quiet tenant's stream survived whole as well (reads go through
@@ -322,7 +322,7 @@ func TestMultiTenantFailoverReauth(t *testing.T) {
 	if stB.Fed != uint64(len(trB.Records)) {
 		t.Fatalf("survivor fed %d beta records, want %d", stB.Fed, len(trB.Records))
 	}
-	if got := Fingerprint(remoteLister{t, beta}, trB.FileCount); got != refB {
+	if got := core.StateFingerprint(remoteLister{t, beta}, trB.FileCount); got != refB {
 		t.Fatalf("promoted beta fingerprint %#x != sequential %#x", got, refB)
 	}
 }
@@ -444,7 +444,7 @@ func TestMultiTenantFailoverSIGKILL(t *testing.T) {
 		if st.Fed != uint64(tc.n) {
 			t.Fatalf("tenant %s: survivor fed %d, want %d", tc.name, st.Fed, tc.n)
 		}
-		if got := Fingerprint(remoteLister{t, tc.c}, tc.fc); got != tc.ref {
+		if got := core.StateFingerprint(remoteLister{t, tc.c}, tc.fc); got != tc.ref {
 			t.Fatalf("tenant %s: promoted fingerprint %#x != sequential %#x", tc.name, got, tc.ref)
 		}
 	}

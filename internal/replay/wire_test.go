@@ -74,7 +74,7 @@ func TestWireLoopbackBitIdentical(t *testing.T) {
 	if err := local.FeedBatch(context.Background(), tr.Records); err != nil {
 		t.Fatal(err)
 	}
-	if got := Fingerprint(local.Sharded(), tr.FileCount); got != ref {
+	if got := core.StateFingerprint(local.Sharded(), tr.FileCount); got != ref {
 		t.Fatalf("local sharded fingerprint %#x != sequential %#x", got, ref)
 	}
 
@@ -112,7 +112,7 @@ func TestWireLoopbackBitIdentical(t *testing.T) {
 	if st.Fed != uint64(len(tr.Records)) {
 		t.Fatalf("remote fed %d, want %d", st.Fed, len(tr.Records))
 	}
-	if got := Fingerprint(remoteLister{t, client}, tr.FileCount); got != ref {
+	if got := core.StateFingerprint(remoteLister{t, client}, tr.FileCount); got != ref {
 		t.Fatalf("remote fingerprint %#x != sequential %#x", got, ref)
 	}
 }

@@ -147,10 +147,6 @@ func DialWith(ctx context.Context, addr string, opts DialOptions) (*Client, erro
 	return c, nil
 }
 
-// NewClient wraps an established connection (default tenant, no hello —
-// valid against servers that run without auth).
-func NewClient(conn net.Conn) *Client { return newClient(conn, DialOptions{}) }
-
 func newClient(conn net.Conn, opts DialOptions) *Client {
 	c := &Client{
 		conn:    conn,

@@ -226,7 +226,7 @@ func TestWireGoldenBytesLive(t *testing.T) {
 
 	// The client end, against a scripted peer.
 	a, b := net.Pipe()
-	c := NewClient(a)
+	c := newClient(a, DialOptions{})
 	defer c.Close()
 	defer b.Close()
 	sent := make(chan string, 2)

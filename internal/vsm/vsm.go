@@ -391,14 +391,6 @@ func tokens(a, b *Vector, ia, ib []string) int {
 	return n
 }
 
-// PathSimilarity is the component-wise similarity of two paths used by IPA:
-// |components(A) ∩ components(B)| / max component count, counting multiset
-// intersection. The paper's Table 2 example: /home/user1/paper/a vs
-// /home/user1/paper/b -> 3/4 = 0.75.
-func PathSimilarity(a, b string) float64 {
-	return share(pathIntersect(&Vector{Path: a}, &Vector{Path: b}, false))
-}
-
 // share is two item lists' similarity: shared over the longer one's length.
 func share(inter float64, la, lb int) float64 {
 	if la == 0 || lb == 0 {
@@ -451,7 +443,8 @@ func pathIntersect(a, b *Vector, scalars bool) (inter float64, la, lb int) {
 // |A∩B| / max(|A|,|B|) over all items.
 //
 // IPA: every scalar is one item and the whole path is a single item whose
-// intersection weight is PathSimilarity(A.Path, B.Path); the result is
+// intersection weight is pathSim, the multiset share of path components
+// (/home/user1/paper/a vs /home/user1/paper/b: 3/4); the result is
 // (|scalars(A)∩scalars(B)| + pathSim) / max(|A|,|B|) with |A| counting the
 // path as one item.
 func Sim(a, b *Vector, alg PathAlg) float64 {

@@ -17,6 +17,15 @@ import (
 	"farmer/internal/trace"
 )
 
+// PathSimilarity is the component-wise similarity of two paths used by IPA
+// (Sim's path term, read alone):
+// |components(A) ∩ components(B)| / max component count, counting multiset
+// intersection. The paper's Table 2 example: /home/user1/paper/a vs
+// /home/user1/paper/b -> 3/4 = 0.75.
+func PathSimilarity(a, b string) float64 {
+	return share(pathIntersect(&Vector{Path: a}, &Vector{Path: b}, false))
+}
+
 // The paper's Table 1/2 worked example:
 //
 //	A = user1 p1 host1 /home/user1/paper/a

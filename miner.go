@@ -10,6 +10,7 @@ import (
 
 	"farmer/internal/core"
 	"farmer/internal/obs"
+	"farmer/internal/prefetch"
 	"farmer/internal/rpc"
 )
 
@@ -170,7 +171,7 @@ func Open(cfg Config, opts ...Option) (*LocalMiner, error) {
 		}
 	}
 	if oc.prefetch {
-		m.pf = StartPrefetcher(m.sm, oc.pfSink, oc.pfCfg)
+		m.pf = prefetch.Start(m.sm, oc.pfSink, oc.pfCfg)
 	}
 	return m, nil
 }

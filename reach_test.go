@@ -71,14 +71,9 @@ var reachAllow = map[string]string{
 
 	// What a remaining test observes reachable behaviour through, or
 	// compares it against.
-	"rpc.NewClient":         "TestWireGoldenBytesLive, a fixed point, builds its client over a pipe through it",
 	"rpc.Client.Catchup":    "test oracle: the typed sender of MsgCatchup for replay's hostile-snapshot tests and TestWritabilityContract (the Replicator writes the frame itself)",
 	"rpc.Client.LeaseGrant": "test oracle: the typed sender of MsgLeaseGrant for TestWritabilityContract and the lease wire tests (the Replicator writes the frame itself)",
-	"graph.Graph.Weight":    "test oracle: N_xy under core's refModel and the paper's LDA examples",
 	"graph.Graph.Total":     "test oracle: N_x under core's refModel",
-	"vsm.PathSimilarity":    "test oracle: the paper's Table 2 3/4 example and FuzzSimMatchesReference read the IPA path term alone through it",
-	"cache.LRU.Len":         "test oracle: the capacity bound is only observable through the resident count",
-	"hust.MDS.Cache":        "test oracle: what a prefetch installed is read from the server's cache",
 
 	// Called by the errors package through interfaces it does not name.
 	"rpc.refusal.Unwrap": "errors.Is and errors.As unwrap a refusal to its cause",
