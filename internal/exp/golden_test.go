@@ -7,9 +7,10 @@ import (
 )
 
 // TestFiguresGolden pins the simulated-MDS figures end to end at a small
-// scale: Fig. 6, Fig. 7, Fig. 8, Table 3 and the async and cluster sweeps
-// render byte-for-byte what they rendered before the response-time
-// histogram and the per-policy MDS constructors were consolidated. The
+// scale: Fig. 6, Fig. 7, Fig. 8, Table 3, the async and cluster sweeps and
+// the mining-quality table render byte-for-byte what they rendered before
+// the response-time histogram, the per-policy MDS constructors and the
+// per-policy predictors were consolidated. The
 // rendered tables round to the microsecond, so the sweeps' AvgResponse is
 // pinned again at full nanosecond precision: it is an exact mean, and any
 // drift means a refactor changed what the replay does.
@@ -122,6 +123,33 @@ HP/hash/global 983075
 HP/group/local 1983075
 HP/group/global 983075
 `
+		quality = `Trace  Policy     Precision  Recall  F1    
+-----  ---------  ---------  ------  ------
+LLNL   FARMER     0.6430     0.2972  0.4066
+LLNL   Nexus      0.3746     0.2319  0.2865
+LLNL   ProbGraph  0.3739     0.2356  0.2891
+LLNL   LS         0.4540     0.1147  0.1832
+LLNL   PBS        0.7352     0.2325  0.3533
+LLNL   PULS       0.7352     0.2325  0.3533
+INS    FARMER     0.8318     0.5818  0.6847
+INS    Nexus      0.6719     0.4135  0.5120
+INS    ProbGraph  0.6494     0.3962  0.4922
+INS    LS         0.6478     0.1840  0.2865
+INS    PBS        0.8821     0.3952  0.5458
+INS    PULS       0.8821     0.3952  0.5458
+RES    FARMER     0.6596     0.3117  0.4234
+RES    Nexus      0.3609     0.2599  0.3022
+RES    ProbGraph  0.3568     0.2582  0.2996
+RES    LS         0.4206     0.1274  0.1956
+RES    PBS        0.8020     0.2878  0.4236
+RES    PULS       0.8020     0.2878  0.4236
+HP     FARMER     0.6757     0.3982  0.5011
+HP     Nexus      0.5036     0.3057  0.3804
+HP     ProbGraph  0.4624     0.3062  0.3685
+HP     LS         0.5284     0.1416  0.2233
+HP     PBS        0.8858     0.2788  0.4242
+HP     PULS       0.8858     0.2788  0.4242
+`
 	)
 	for _, c := range []struct{ name, got, want string }{
 		{"Fig6", Fig6(opt).String(), fig6},
@@ -131,6 +159,7 @@ HP/group/global 983075
 		{"AsyncLatency", AsyncLatency(async).String(), asyncLatency},
 		{"ClusterTable", ClusterTable(cluster).String(), clusterTable},
 		{"AvgResponse ns", strings.Join(ns, "\n") + "\n", avgResponseNS},
+		{"MiningQuality", MiningQuality(opt).String(), quality},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s drifted:\n got:\n%s\nwant:\n%s", c.name, c.got, c.want)
