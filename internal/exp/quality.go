@@ -3,8 +3,7 @@ package exp
 import (
 	"farmer/internal/core"
 	"farmer/internal/eval"
-	"farmer/internal/predictors"
-	"farmer/internal/trace"
+	"farmer/internal/hust"
 	"farmer/internal/vsm"
 )
 
@@ -16,63 +15,31 @@ import (
 func MiningQuality(opt Options) *Table {
 	opt = opt.withDefaults()
 	traces := genTraces(opt.Records)
-	mk := func(tr *trace.Trace) []predictors.Predictor {
-		cfg := core.DefaultConfig()
-		cfg.Mask = vsm.DefaultMask(tr.HasPaths)
-		return []predictors.Predictor{
-			predictors.NewFPA(core.New(cfg)),
-			predictors.NewNexus(predictors.DefaultNexusConfig()),
-			predictors.NewProbabilityGraph(2, 0.1),
-			predictors.NewLastSuccessor(),
-			predictors.NewPBS(),
-			predictors.NewPULS(),
-		}
+	type score struct {
+		policy string
+		q      eval.Quality
 	}
-	type cell struct{ q eval.Quality }
-	results := make(map[string]map[string]cell) // trace -> policy -> quality
-	var names []string
-	jobs := []func(){}
-	for _, tr := range traces {
-		tr := tr
-		results[tr.Name] = make(map[string]cell)
-		ps := mk(tr)
-		if names == nil {
-			for _, p := range ps {
-				names = append(names, p.Name())
+	scores := make([][]score, len(traces))
+	jobs := make([]func(), len(traces))
+	for i, tr := range traces {
+		jobs[i] = func() {
+			mc := core.DefaultConfig()
+			mc.Mask = vsm.DefaultMask(tr.HasPaths)
+			for _, policy := range []string{"farmer", "nexus", "probgraph", "ls", "pbs", "puls"} {
+				p, err := hust.NewPredictor(policy, mc)
+				if err != nil {
+					panic(err) // every name above is a policy
+				}
+				scores[i] = append(scores[i], score{p.Name(), eval.Score(tr, p, 4)})
 			}
 		}
-		for _, p := range ps {
-			p := p
-			jobs = append(jobs, func() {
-				q := eval.Score(tr, p, 4)
-				results[tr.Name][p.Name()] = cell{q}
-			})
-		}
 	}
-	// One job per (trace, policy); results map is pre-populated per trace so
-	// concurrent writes touch distinct inner maps... inner maps are shared
-	// per trace — serialise by running one trace's jobs in sequence instead.
-	// Simpler: bound to 1 writer per inner map via per-trace grouping.
-	grouped := make([]func(), 0, len(traces))
-	idx := 0
-	perTrace := len(names)
-	for range traces {
-		lo, hi := idx, idx+perTrace
-		idx = hi
-		batch := jobs[lo:hi]
-		grouped = append(grouped, func() {
-			for _, j := range batch {
-				j()
-			}
-		})
-	}
-	parallel(opt.Parallelism, grouped)
+	parallel(opt.Parallelism, jobs)
 
 	tab := newTable("Trace", "Policy", "Precision", "Recall", "F1")
-	for _, tr := range traces {
-		for _, name := range names {
-			q := results[tr.Name][name].q
-			tab.addRow(tr.Name, name, q.Precision, q.Recall, q.F1)
+	for i, tr := range traces {
+		for _, s := range scores[i] {
+			tab.addRow(tr.Name, s.policy, s.q.Precision, s.q.Recall, s.q.F1)
 		}
 	}
 	return tab

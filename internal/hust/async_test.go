@@ -21,7 +21,7 @@ func TestAsyncDemandExcludesMineTime(t *testing.T) {
 		cfg := DefaultMDSConfig()
 		cfg.MineTime = 10 * time.Millisecond
 		cfg.AsyncPrefetch = async
-		mds, err := NewFARMERMDS(eng, cfg, core.DefaultConfig())
+		mds, err := NewPolicyMDS(eng, cfg, "farmer", core.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

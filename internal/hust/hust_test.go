@@ -311,7 +311,7 @@ func TestFARMERMDSShardedMatchesSingleLock(t *testing.T) {
 func TestFARMERMDSDefaultsShardsToWorkers(t *testing.T) {
 	eng := sim.New()
 	cfg := DefaultMDSConfig()
-	mds, err := NewFARMERMDS(eng, cfg, core.DefaultConfig())
+	mds, err := NewPolicyMDS(eng, cfg, "farmer", core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,59 +153,58 @@ func NewMDS(eng *sim.Engine, cfg MDSConfig, pred predictors.Predictor) (*MDS, er
 	return m, nil
 }
 
-// NewFARMERMDS builds an MDS whose prefetcher is a FARMER miner. When
-// mc.Shards is 0 the miner is striped to match cfg.Workers — the
-// configuration a real deployment would run, where each metadata service
-// thread mines without contending on a single model lock. The simulator
-// itself is a single-goroutine discrete-event engine, so here the stripe
-// width is modeled configuration, not actual parallelism; every stripe
-// count mines identical results (see core.ShardedModel).
-//
-// With cfg.AsyncPrefetch the demand path consults only the cache and the
-// miner's already-materialized Correlator-List snapshot; mining and
-// prediction run on the mining station, which is sized to the miner's
-// stripe count (the shard workers) unless cfg.MinerWorkers overrides it.
-// Records reach the miner in demand-arrival order either way, so the mined
-// state is bit-identical to the synchronous configuration (asserted by
+// NewPolicyMDS builds an MDS that prefetches with the named policy
+// (NewPredictor). A FARMER miner whose mc.Shards is 0 is striped to match
+// cfg.Workers, as a deployment whose metadata threads each mine would run;
+// in this single-goroutine simulator the width is modeled, and every stripe
+// count mines identical results (core.ShardedModel). With
+// cfg.AsyncPrefetch, mining and prediction run on the mining station, sized
+// to the stripe count unless cfg.MinerWorkers says otherwise; records reach
+// the miner in demand-arrival order either way, so the mined state is
+// bit-identical to the synchronous configuration (asserted by
 // internal/replay).
-func NewFARMERMDS(eng *sim.Engine, cfg MDSConfig, mc core.Config) (*MDS, error) {
-	if mc.Shards == 0 {
-		mc.Shards = cfg.Workers
+func NewPolicyMDS(eng *sim.Engine, cfg MDSConfig, policy string, mc core.Config) (*MDS, error) {
+	if strings.EqualFold(policy, "farmer") {
+		if mc.Shards == 0 {
+			mc.Shards = cfg.Workers
+		}
+		if cfg.AsyncPrefetch && cfg.MinerWorkers == 0 {
+			cfg.MinerWorkers = mc.Shards
+		}
 	}
-	if cfg.AsyncPrefetch && cfg.MinerWorkers == 0 {
-		cfg.MinerWorkers = mc.Shards
-	}
-	if err := mc.Validate(); err != nil {
+	p, err := NewPredictor(policy, mc)
+	if err != nil {
 		return nil, err
 	}
-	return NewMDS(eng, cfg, predictors.NewFPA(core.NewSharded(mc)))
+	return NewMDS(eng, cfg, p)
 }
 
-// NewPolicyMDS builds an MDS that prefetches with the named policy
-// (case-insensitive): "farmer" mines with mc through NewFARMERMDS; "nexus",
-// "lru" (or "none"), "ls", "pbs", "puls" and "probgraph" are the paper's
-// baselines and the related-work predictors, and ignore mc.
-func NewPolicyMDS(eng *sim.Engine, cfg MDSConfig, policy string, mc core.Config) (*MDS, error) {
-	var p predictors.Predictor
+// NewPredictor builds the named policy's prefetch predictor
+// (case-insensitive): "farmer" is FARMER's FPA over a miner configured by
+// mc and striped per mc.Shards; "nexus", "probgraph", "ls", "pbs", "puls"
+// and "lru" (or "none") are the paper's baselines and the related-work
+// predictors, and ignore mc.
+func NewPredictor(policy string, mc core.Config) (predictors.Predictor, error) {
 	switch strings.ToLower(policy) {
 	case "farmer":
-		return NewFARMERMDS(eng, cfg, mc)
+		if err := mc.Validate(); err != nil {
+			return nil, err
+		}
+		return predictors.NewFPA(core.NewSharded(mc)), nil
 	case "nexus":
-		p = predictors.NewNexus(predictors.DefaultNexusConfig())
-	case "lru", "none":
-		p = predictors.NewNone()
-	case "ls":
-		p = predictors.NewLastSuccessor()
-	case "pbs":
-		p = predictors.NewPBS()
-	case "puls":
-		p = predictors.NewPULS()
+		return predictors.NewNexus(predictors.DefaultNexusConfig()), nil
 	case "probgraph":
-		p = predictors.NewProbabilityGraph(2, 0.1)
-	default:
-		return nil, fmt.Errorf("unknown policy %q", policy)
+		return predictors.NewProbabilityGraph(2, 0.1), nil
+	case "ls":
+		return predictors.NewLastSuccessor(), nil
+	case "pbs":
+		return predictors.NewPBS(), nil
+	case "puls":
+		return predictors.NewPULS(), nil
+	case "lru", "none":
+		return predictors.NewNone(), nil
 	}
-	return NewMDS(eng, cfg, p)
+	return nil, fmt.Errorf("unknown policy %q", policy)
 }
 
 // metaKey renders a store key for a file's metadata record.

@@ -7,8 +7,9 @@
 // whose leader's lease expired elects itself by taking the next epoch.
 //
 // The package is pure coordination state — no wire, no goroutines, no real
-// clock unless asked. serve.go owns the renewal/election loop and the
-// quorum rules; Holder owns only the term algebra, so the invariants
+// clock unless asked. The root package's lease runtime (lease.go) owns
+// renewal, election and the quorum rules; Holder owns only the term
+// algebra, so the invariants
 // (epochs never regress, two leaders never coexist inside one Holder's
 // view, a deposed leader stays deposed until it wins a new epoch) are
 // testable with a fake clock.
@@ -154,9 +155,10 @@ func (h *Holder) Observe(t Term) error {
 	return nil
 }
 
-// Renew extends self's own live lease by one TTL. It fails typed when self
-// is not the current leader or has been deposed — the renewal loop turns
-// that into "stop serving writes", never into a fresh claim.
+// Renew extends self's own lease by one TTL, a lapsed one too: the runtime
+// renews only on a quorum's word, from peers that took no other leader
+// since. It fails typed when self is not the current leader or has been
+// deposed — "stop serving writes", never a fresh claim.
 func (h *Holder) Renew() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -193,8 +195,11 @@ func (h *Holder) Acquire() (Term, error) {
 // in one epoch or later accept a smaller one — only when the epoch is
 // strictly above the current term AND the current lease has lapsed. A live
 // lease means the sitting leader may still be serving; voting then would
-// allow two leaders inside one TTL. An untimed holder never votes: a vote
-// is a promise not to lead for one TTL, and it has no TTL to bound it.
+// allow two leaders inside one TTL. The one vote at the current epoch is the
+// sitting leader's own, asking again: that renews the promise by one TTL,
+// which is how a leader elected by its voters renews its lease. An untimed
+// holder never votes: a vote is a promise not to lead for one TTL, and it
+// has no TTL to bound it.
 func (h *Holder) Vote(epoch uint64, candidate string) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -202,7 +207,8 @@ func (h *Holder) Vote(epoch uint64, candidate string) error {
 		return fmt.Errorf("%w: vote for %q refused, this node runs without a lease TTL",
 			ErrLeaseHeld, candidate)
 	}
-	if epoch <= h.term.Epoch {
+	renewal := epoch > 0 && epoch == h.term.Epoch && candidate == h.term.Leader
+	if epoch <= h.term.Epoch && !renewal {
 		return fmt.Errorf("%w: vote for epoch %d refused, already at %d (leader %q)",
 			ErrStaleEpoch, epoch, h.term.Epoch, h.term.Leader)
 	}

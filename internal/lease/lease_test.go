@@ -157,6 +157,34 @@ func TestVote(t *testing.T) {
 	}
 }
 
+// TestVoteRenewsTheSittingLeader: a voter asked again by the leader it
+// voted in renews its promise by one TTL — and only that leader, at that
+// epoch, may ask.
+func TestVoteRenewsTheSittingLeader(t *testing.T) {
+	c := newClock()
+	h := holder("f", c)
+	if err := h.Vote(2, "b"); err != nil {
+		t.Fatal(err)
+	}
+	c.advance(900 * time.Millisecond)
+	if err := h.Vote(2, "b"); err != nil {
+		t.Fatalf("the sitting leader's renewal: %v", err)
+	}
+	c.advance(900 * time.Millisecond)
+	if _, left := h.Current(); left <= 0 {
+		t.Fatal("the renewal did not extend the promise")
+	}
+	if err := h.Vote(3, "z"); !errors.Is(err, ErrLeaseHeld) {
+		t.Fatalf("vote against a renewed lease: %v, want ErrLeaseHeld", err)
+	}
+	if err := h.Vote(2, "z"); !errors.Is(err, ErrStaleEpoch) {
+		t.Fatalf("another candidate at the sitting epoch: %v, want ErrStaleEpoch", err)
+	}
+	if err := h.Vote(0, ""); !errors.Is(err, ErrStaleEpoch) {
+		t.Fatalf("a renewal of no term: %v, want ErrStaleEpoch", err)
+	}
+}
+
 func TestVoteDeposesSittingSelf(t *testing.T) {
 	c := newClock()
 	h := holder("a", c)

@@ -491,14 +491,6 @@ func (c *Client) LeaseVote(ctx context.Context, epoch uint64, candidate string) 
 	return err
 }
 
-// LeaseGrant announces a lease term to the server: a renewal from the
-// leader, or — with info.Transfer — a handoff that makes the receiving
-// follower the leader of the carried epoch.
-func (c *Client) LeaseGrant(ctx context.Context, info LeaseInfo) error {
-	_, err := c.call(ctx, MsgLeaseGrant, appendLeaseInfo(nil, &info))
-	return err
-}
-
 // Handoff asks the server (a lease-holding leader) to hand its write role
 // to the farmerd at target, catching it up first when needed — the wire
 // half of `farmerctl rebalance`.

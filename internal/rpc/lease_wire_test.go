@@ -8,6 +8,15 @@ import (
 	"testing"
 )
 
+// LeaseGrant announces a lease term to the server: a renewal from the
+// leader, or — with info.Transfer — a handoff that makes the receiving
+// follower the leader of the carried epoch. Only these tests send the frame
+// through a Client; the Replicator writes it itself.
+func (c *Client) LeaseGrant(ctx context.Context, info LeaseInfo) error {
+	_, err := c.call(ctx, MsgLeaseGrant, appendLeaseInfo(nil, &info))
+	return err
+}
+
 func TestLeaseInfoCodec(t *testing.T) {
 	cases := []LeaseInfo{
 		{},

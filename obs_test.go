@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"farmer"
 )
@@ -125,6 +126,63 @@ func TestObsReplicatedEndToEnd(t *testing.T) {
 	}
 	if len(rows[0].Groups) != 0 {
 		t.Fatalf("topK=0 returned %d groups", len(rows[0].Groups))
+	}
+}
+
+// TestReplGaugesFollowAHandoff: a standalone source registers the
+// replication gauges with nothing to report (followers 0, no lag series),
+// and once a live handoff gives it a replication stream mid-serve its
+// scrape shows the target on that stream.
+func TestReplGaugesFollowAHandoff(t *testing.T) {
+	ctx := context.Background()
+	const ttl = time.Second
+	target, err := farmer.Open(farmer.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer target.Close()
+	tAddr, tStop := startServe(t, target, farmer.ServeConfig{Follower: true, LeaseTTL: ttl})
+	defer tStop()
+
+	reg := farmer.NewMetricsRegistry()
+	source, err := farmer.Open(farmer.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer source.Close()
+	sAddr, sStop := startServe(t, source, farmer.ServeConfig{Obs: reg, LeaseTTL: ttl})
+	defer sStop()
+	scrape := func() string {
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	admin, err := farmer.Dial(ctx, sAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer admin.Close()
+	if err := admin.FeedBatch(ctx, []farmer.Record{{File: 1}, {File: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if s := scrape(); !strings.Contains(s, "farmer_repl_followers 0") || strings.Contains(s, "farmer_repl_lag_records{") {
+		t.Fatalf("standalone source scrape, want farmer_repl_followers 0 and no lag series:\n%s", s)
+	}
+	if err := admin.Handoff(ctx, tAddr); err != nil {
+		t.Fatalf("handoff: %v", err)
+	}
+	s := scrape()
+	for _, series := range []string{
+		"farmer_repl_followers 1",
+		`farmer_repl_lag_records{follower="` + tAddr + `"} 0`,
+		"farmer_handoffs_total 1",
+		"farmer_lease_epoch 2",
+	} {
+		if !strings.Contains(s, series) {
+			t.Fatalf("scrape after the handoff missing %q:\n%s", series, s)
+		}
 	}
 }
 

@@ -71,9 +71,8 @@ var reachAllow = map[string]string{
 
 	// What a remaining test observes reachable behaviour through, or
 	// compares it against.
-	"rpc.Client.Catchup":    "test oracle: the typed sender of MsgCatchup for replay's hostile-snapshot tests and TestWritabilityContract (the Replicator writes the frame itself)",
-	"rpc.Client.LeaseGrant": "test oracle: the typed sender of MsgLeaseGrant for TestWritabilityContract and the lease wire tests (the Replicator writes the frame itself)",
-	"graph.Graph.Total":     "test oracle: N_x under core's refModel",
+	"rpc.Client.Catchup": "test oracle: the typed sender of MsgCatchup for replay's hostile-snapshot tests (the Replicator writes the frame itself)",
+	"graph.Graph.Total":  "test oracle: N_x under core's refModel",
 
 	// Called by the errors package through interfaces it does not name.
 	"rpc.refusal.Unwrap": "errors.Is and errors.As unwrap a refusal to its cause",

@@ -1,5 +1,9 @@
 package farmer
 
+// serve.go puts a LocalMiner on the wire: Serve's loop and serveBackend, one
+// tenant's rpc backend. Every lease decision is its embedded lease runtime's
+// (lease.go); this file holds the wire steps around them.
+
 import (
 	"context"
 	"crypto/tls"
@@ -12,7 +16,6 @@ import (
 	"time"
 
 	"farmer/internal/core"
-	"farmer/internal/lease"
 	"farmer/internal/obs"
 	"farmer/internal/rpc"
 	"farmer/internal/trace"
@@ -56,19 +59,19 @@ type ServeConfig struct {
 	// plain TCP: a follower serving TLS cannot be replicated to.
 	ReplicaToken string
 	// LeaseTTL puts a clock on the write lease (internal/lease): the leader
-	// renews it every TTL/4 — through the replication stream when followers
-	// are configured, so a renewal needs a follower quorum and a partitioned
-	// leader LAPSES within one TTL and refuses writes typed (ErrStaleEpoch)
-	// instead of diverging — and a follower whose view of the lease lapsed
-	// elects itself (votes from LeasePeers, then the next epoch) with no
-	// farmerctl promote involved. 0 leaves the lease untimed, which is
-	// availability-wins: the leader holds its epoch until the process ends,
-	// and a follower's view of it ends with the replication link.
+	// renews it every TTL/4 through a quorum — of its followers' acks on the
+	// replication stream, or of the LeasePeers that elected it — so a
+	// partitioned leader LAPSES within one TTL and refuses writes typed
+	// (ErrStaleEpoch) instead of diverging, and a follower whose view of the
+	// lease lapsed elects itself (votes from LeasePeers, then the next
+	// epoch). 0 leaves the lease untimed, which is availability-wins: the
+	// leader holds its epoch until the process ends, and a follower's view
+	// of it ends with the replication link.
 	LeaseTTL time.Duration
 	// LeasePeers are the other farmerds asked to vote when this follower
-	// elects itself (typically the sibling followers of one primary). An
-	// election needs (1+len(LeasePeers))/2 granted votes; with no peers a
-	// follower elects alone — the two-node deployment.
+	// elects itself or is promoted, and to vote its epoch again at every
+	// renewal once it leads. Each needs (1+len(LeasePeers))/2 granted votes;
+	// with no peers a follower elects alone — the two-node deployment.
 	LeasePeers []string
 
 	// Logf, if set, receives serve-time notices (a dropped follower, a
@@ -100,14 +103,15 @@ type ServeConfig struct {
 }
 
 // serveBackend adapts a LocalMiner to the wire protocol's backend surface
-// and carries the replication role state: a backend whose Holder leads
-// takes writes (routing every mutation through the rpc.Replicator, if any,
-// so followers see the exact acked stream); one that does not refuses them
-// and, while it has never led, applies a primary's stream instead.
+// and carries the replication role state: a backend whose lease runtime
+// leads takes writes (routing every mutation through the rpc.Replicator, if
+// any, so followers see the exact acked stream); one that does not refuses
+// them and, while it has never led, applies a primary's stream instead.
 type serveBackend struct {
+	*leaseRuntime
 	m          *LocalMiner
-	saveBudget time.Duration // routine-checkpoint bound (see ServeConfig.DrainTimeout)
-	logf       func(format string, args ...any)
+	saveBudget time.Duration   // routine-checkpoint bound (see ServeConfig.DrainTimeout)
+	dialOpts   rpc.DialOptions // dial its followers (tenant stamped) and lease voters
 
 	// repl is non-nil on a replicating primary. It is guarded by replGate
 	// because a live handoff (MsgHandoff) installs a replicator on a
@@ -117,15 +121,6 @@ type serveBackend struct {
 	replGate sync.RWMutex
 	repl     *rpc.Replicator
 
-	// holder is the one answer to "may this backend serve writes". With a
-	// lease TTL the daemon leads or follows as a whole and every tenant
-	// backend shares lease.holder; untimed, a term lasts exactly as long as
-	// the replication link that delivered it, so each backend (one stream)
-	// owns its own and tenants promote one by one.
-	holder *lease.Holder
-	// lease is the daemon-wide election, renewal and handoff configuration.
-	lease *leaseState
-
 	// tenant and budget carry the registry's admission control: feeds are
 	// refused with ErrTenantBudget once the tenant's model footprint
 	// clears budget.MaxMemoryBytes (default tenant: zero budget, unlimited).
@@ -134,42 +129,20 @@ type serveBackend struct {
 	memPending atomic.Int64 // records since the last footprint check
 	overBudget atomic.Bool
 
-	fmu     sync.Mutex
-	srcConn uint64 // connection id of the attached primary link (0 = none)
+	handoffs  *obs.Counter   // farmer_handoffs_total (the daemon's backend)
+	handoffNS *obs.Histogram // farmer_handoff_duration_ns
+}
+
+// newServeBackend serves m under the lease runtime rt, as rt's peers.
+func newServeBackend(m *LocalMiner, rt *leaseRuntime, saveBudget time.Duration, do rpc.DialOptions) *serveBackend {
+	b := &serveBackend{leaseRuntime: rt, m: m, saveBudget: saveBudget, dialOpts: do}
+	rt.peers = replPeers{b}
+	return b
 }
 
 var _ rpc.ReplicaBackend = (*serveBackend)(nil)
 var _ rpc.LeaseBackend = (*serveBackend)(nil)
 var _ rpc.HandoffBackend = (*serveBackend)(nil)
-
-// leaseState is the daemon-wide half of the lease layer: the daemon's
-// Holder (term algebra; the default tenant's, and with a TTL every
-// tenant's), the peer set consulted during elections, and the renewal
-// quorum. serveBackend.leaseLoop drives it.
-type leaseState struct {
-	holder   *lease.Holder
-	peers    []string
-	dialOpts rpc.DialOptions // election vote probes dial peers with these
-	// renewQuorum is how many follower acks a renewal broadcast needs —
-	// half the CONFIGURED follower count, rounded up, not the attached
-	// count: a primary partitioned from its followers must lapse, not
-	// quietly renew against an empty room.
-	renewQuorum int
-
-	handoffs  *obs.Counter   // farmer_handoffs_total
-	handoffNS *obs.Histogram // farmer_handoff_duration_ns
-}
-
-// newHolder builds a backend's Holder in its start state: a follower has
-// observed nothing and leads nothing; every other backend acquires epoch 1
-// (a fresh holder has observed nothing, so that cannot fail).
-func newHolder(id string, ttl time.Duration, follower bool) *lease.Holder {
-	h := lease.NewHolder(id, ttl, nil)
-	if !follower {
-		_, _ = h.Acquire()
-	}
-	return h
-}
 
 // replicate makes b stream to addrs — the one place a backend becomes a
 // replicating primary, at daemon start, at a tenant's first touch and for a
@@ -190,12 +163,10 @@ func newHolder(id string, ttl time.Duration, follower bool) *lease.Holder {
 // With must, the first failed attach is returned; without, it is logged and
 // skipped (a tenant opening on a daemon that already serves: availability
 // wins over replica count).
-func (ls *leaseState) replicate(ctx context.Context, b *serveBackend, addrs []string, must bool) error {
+func (b *serveBackend) replicate(ctx context.Context, addrs []string, must bool) error {
 	b.replGate.Lock()
 	if b.repl == nil {
-		do := ls.dialOpts
-		do.Tenant = b.tenant
-		b.repl = rpc.NewReplicator(b.m.sm.Fed(), replicaAckTimeout, do, b.m.catchupFingerprint, func(addr string, err error) {
+		b.repl = rpc.NewReplicator(b.m.sm.Fed(), replicaAckTimeout, b.dialOpts, b.m.catchupFingerprint, func(addr string, err error) {
 			b.logf("follower %s dropped from replication: %v", addr, err)
 		})
 	}
@@ -217,7 +188,7 @@ func (ls *leaseState) replicate(ctx context.Context, b *serveBackend, addrs []st
 			b.logf("follower %s unreachable at open: %v", addr, err)
 		}
 	}
-	b.renewTick(ctx)
+	b.renew(ctx)
 	return nil
 }
 
@@ -229,30 +200,33 @@ func (b *serveBackend) replicator() *rpc.Replicator {
 	return b.repl
 }
 
-// writable reports whether this backend currently accepts mutations: only
-// while its Holder leads. The refusal travels typed — a backend that never
-// led since start is a follower (ErrNotPrimary: dial its primary or promote
-// it); one that led and lapsed or was deposed is stale (ErrStaleEpoch: the
-// lease moved). The client treats both alike and seeks the current leader.
-//
-// The feed paths ask twice: up front, and again inside the mine closure,
-// which runs under the replicator's stream lock, where a concurrent lease
-// transfer's commit is serialized — so a feed admitted before the transfer
-// committed aborts there, before mining, before shipping, and the refusal
-// is safe to retry against the new leader (the record was definitely not
-// applied anywhere).
-func (b *serveBackend) writable() error {
-	if b.holder.Leading() {
-		return nil
+// lags samples each follower's replication lag (none without a stream).
+func (b *serveBackend) lags() []rpc.FollowerLag {
+	if repl := b.replicator(); repl != nil {
+		return repl.Lags()
 	}
-	term, _ := b.holder.Current()
-	switch {
-	case !b.holder.Led():
-		return fmt.Errorf("%w: this farmerd is a replication follower; dial its primary or promote it", rpc.ErrNotPrimary)
-	case term.Leader != b.holder.Self():
-		return fmt.Errorf("%w: lease epoch %d is held by %q", rpc.ErrStaleEpoch, term.Epoch, term.Leader)
+	return nil
+}
+
+// replPeers is a backend's leasePeers on the wire: a vote is a LeaseVote to
+// the peer daemon (no tenant: with a TTL a daemon holds one lease) over a
+// fresh dial, a renewal rides the backend's replication stream.
+type replPeers struct{ b *serveBackend }
+
+func (p replPeers) vote(ctx context.Context, peer string, epoch uint64, candidate string) error {
+	c, err := rpc.DialWith(ctx, peer, rpc.DialOptions{Token: p.b.dialOpts.Token})
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("%w: this farmerd's lease lapsed at epoch %d (renewal quorum lost?)", rpc.ErrStaleEpoch, term.Epoch)
+	defer c.Close()
+	return c.LeaseVote(ctx, epoch, candidate)
+}
+
+func (p replPeers) renew(ctx context.Context, info rpc.LeaseInfo) (acked int, stale bool) {
+	if rp := p.b.replicator(); rp != nil {
+		return rp.RenewLease(ctx, info)
+	}
+	return 0, false
 }
 
 // replicaAckTimeout bounds one follower's ack on the replication stream and
@@ -353,14 +327,10 @@ func (b *serveBackend) TenantObs(topK int) rpc.TenantObs {
 	row := b.m.obsRow(topK)
 	term, _ := b.holder.Current()
 	row.LeaseEpoch = term.Epoch
-	if repl := b.replicator(); repl != nil {
-		lags := repl.Lags()
-		row.Followers = uint64(len(lags))
-		for _, l := range lags {
-			if l.Lag > row.ReplLagMax {
-				row.ReplLagMax = l.Lag
-			}
-		}
+	lags := b.lags()
+	row.Followers = uint64(len(lags))
+	for _, l := range lags {
+		row.ReplLagMax = max(row.ReplLagMax, l.Lag)
 	}
 	return row
 }
@@ -391,92 +361,6 @@ func (b *serveBackend) Load() error {
 	return b.m.Load(ctx)
 }
 
-// ------------------------------------------------------- replication surface
-
-// Promote makes this backend take the next epoch on a client's (or
-// farmerctl's) request. On the leader it is an idempotent no-op.
-func (b *serveBackend) Promote() error {
-	b.fmu.Lock()
-	defer b.fmu.Unlock()
-	if b.holder.Led() {
-		// The leader answers nil. A deposed or lapsed one answers its typed
-		// stale refusal: it must not tell a failover sweep "success" (the
-		// sweep would steer writes right back at it), nor re-take an epoch
-		// its successor may already hold — it restarts to re-join.
-		return b.writable()
-	}
-	if b.srcConn != 0 {
-		return fmt.Errorf("%w: refusing promotion, the primary's replication link is live", rpc.ErrNotPrimary)
-	}
-	// Acquire refuses while another leader's timed lease is still live: a
-	// reachable-but-disconnected primary cannot be contradicted early.
-	term, err := b.holder.Acquire()
-	if err != nil {
-		return fmt.Errorf("%w: refusing promotion: %v", rpc.ErrNotPrimary, err)
-	}
-	b.logf("promoted: leading at epoch %d, accepting writes from now on", term.Epoch)
-	return nil
-}
-
-// ------------------------------------------------------------ lease surface
-
-// LeaseStatus implements rpc.LeaseBackend: the backend's current term, TTL
-// (0 = untimed) and whether it is this daemon's own live lease — the answer
-// the client's failover sweep ranks candidates by.
-func (b *serveBackend) LeaseStatus() rpc.LeaseInfo {
-	term, _ := b.holder.Current()
-	return rpc.LeaseInfo{
-		Epoch:  term.Epoch,
-		Leader: term.Leader,
-		TTLMS:  uint64(b.holder.TTL() / time.Millisecond),
-		Self:   b.holder.Leading(),
-	}
-}
-
-// LeaseVote decides a candidate's election request. Beyond the Holder's
-// term algebra (the epoch must be new, the sitting lease lapsed), a
-// follower whose primary replication link is still live withholds its
-// vote: a primary it can hear from is not dead, whatever the candidate's
-// clock says.
-func (b *serveBackend) LeaseVote(epoch uint64, candidate string) error {
-	if b.source() != 0 {
-		return fmt.Errorf("farmer: vote for %q withheld, the primary's replication link is live", candidate)
-	}
-	if err := b.holder.Vote(epoch, candidate); err != nil {
-		return err
-	}
-	b.logf("lease: voted for %q at epoch %d", candidate, epoch)
-	return nil
-}
-
-// LeaseGrant folds a leader's announced term in. Every grant must arrive on
-// the pinned replication link. Term announcements (at attach, and every
-// renewal under a TTL) just refresh this follower's view; refusing one as
-// stale is how a deposed leader learns it lost. A TRANSFER grant — the last
-// frame of a live handoff, FIFO behind every record the source acked —
-// makes this follower the leader of the new epoch on the spot.
-func (b *serveBackend) LeaseGrant(conn uint64, info rpc.LeaseInfo) error {
-	if src := b.source(); src == 0 || src != conn {
-		return errors.New("farmer: lease grant outside the pinned replication link")
-	}
-	if !info.Transfer {
-		return b.holder.Observe(lease.Term{Epoch: info.Epoch, Leader: info.Leader})
-	}
-	if b.holder.TTL() <= 0 {
-		return errors.New("farmer: lease transfer to a farmerd without a lease TTL (start the target with -lease-ttl)")
-	}
-	// Adopt the transferred epoch with SELF as leader (the source's name for
-	// this node is its dial address, which may not match the listener
-	// address this node names itself by textually).
-	// The epoch is strictly above everything observed on this link, so the
-	// Observe cannot fail.
-	if err := b.holder.Observe(lease.Term{Epoch: info.Epoch, Leader: b.holder.Self()}); err != nil {
-		return err
-	}
-	b.logf("lease transferred: leading at epoch %d, accepting writes", info.Epoch)
-	return nil
-}
-
 // Handoff implements rpc.HandoffBackend (`farmerctl rebalance`): ship this
 // daemon's state to the target over the existing catch-up machinery, then
 // hand it the lease. The transfer grant is started on the target's
@@ -505,170 +389,18 @@ func (b *serveBackend) Handoff(target string) error {
 			}
 		}
 	}
-	if err := b.lease.replicate(context.Background(), b, []string{target}, true); err != nil {
+	if err := b.replicate(context.Background(), []string{target}, true); err != nil {
 		return err
 	}
-	rp := b.replicator()
-	term, _ := b.holder.Current()
-	next := lease.Term{Epoch: term.Epoch + 1, Leader: target}
-	info := rpc.LeaseInfo{Epoch: next.Epoch, Leader: target, TTLMS: uint64(b.holder.TTL() / time.Millisecond)}
-	err := rp.TransferLease(context.Background(), target, info, func() {
-		// Commit, under the stream lock: observing the next epoch with the
-		// target as leader deposes this source. next.Epoch is strictly above
-		// everything this holder observed, so the Observe cannot fail.
-		_ = b.holder.Observe(next)
-	})
-	if err != nil {
+	info, commit := b.transfer(target)
+	if err := b.replicator().TransferLease(context.Background(), target, info, commit); err != nil {
 		return err
 	}
-	b.lease.handoffs.Inc()
-	b.lease.handoffNS.Observe(uint64(time.Since(start)))
+	b.handoffs.Inc()
+	b.handoffNS.Observe(uint64(time.Since(start)))
 	b.logf("handoff: lease transferred to %s at epoch %d in %v; this farmerd now refuses writes",
-		target, next.Epoch, time.Since(start).Round(time.Millisecond))
+		target, info.Epoch, time.Since(start).Round(time.Millisecond))
 	return nil
-}
-
-// ------------------------------------------------------- lease renewal loop
-
-// leaseLoop drives the daemon's timed lease at TTL/4: a backend that has
-// led renews its term (through the replication stream when followers are
-// configured; a deposed or handed-off one has nothing left to renew), one
-// that never led elects itself once its view of the lease lapsed. Runs on
-// the default tenant's backend until ctx is done.
-func (b *serveBackend) leaseLoop(ctx context.Context) {
-	t := time.NewTicker(max(b.holder.TTL()/4, 10*time.Millisecond))
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-		}
-		if b.holder.Led() {
-			b.renewTick(ctx)
-		} else {
-			b.electTick(ctx)
-		}
-	}
-}
-
-// renewTick announces the leader's term to its followers and extends it.
-// With configured followers the renewal is a MsgLeaseGrant broadcast on the
-// replication stream needing a quorum of acks, so a partitioned leader
-// LAPSES within one TTL and starts refusing writes typed — the split-brain
-// rule: with a TTL, safety beats availability. A refusal as stale means a
-// higher epoch exists somewhere; the leader deposes itself immediately.
-func (b *serveBackend) renewTick(ctx context.Context) {
-	h, ls := b.holder, b.lease
-	term, _ := h.Current()
-	if term.Leader != h.Self() || h.Deposed() {
-		return // deposed, or handed off: this daemon no longer renews
-	}
-	rp := b.replicator()
-	if rp == nil || ls.renewQuorum == 0 {
-		_ = h.Renew()
-		return
-	}
-	info := rpc.LeaseInfo{Epoch: term.Epoch, Leader: term.Leader, TTLMS: uint64(h.TTL() / time.Millisecond)}
-	// A timed renewal is worthless past its TTL; an untimed announcement is
-	// bounded by the replicator's per-follower ack timeout alone.
-	rctx, cancel := ctx, context.CancelFunc(func() {})
-	if h.TTL() > 0 {
-		rctx, cancel = context.WithTimeout(ctx, h.TTL())
-	}
-	acked, stale := rp.RenewLease(rctx, info)
-	cancel()
-	switch {
-	case stale:
-		h.Depose()
-		b.logf("lease: renewal refused as stale, a higher epoch exists; deposed, refusing writes")
-	case acked >= ls.renewQuorum:
-		_ = h.Renew()
-	default:
-		b.logf("lease: renewal acked by %d/%d followers, quorum not met; a timed lease will lapse", acked, ls.renewQuorum)
-	}
-}
-
-// electTick is follower self-election: once a leader was observed (epoch >
-// 0), its lease lapsed, and its replication link is gone, the follower
-// asks each configured peer to vote it the next epoch; with a majority of
-// peer votes (none needed without peers — the two-node deployment) it
-// acquires the term and serves writes. No farmerctl promote involved.
-func (b *serveBackend) electTick(ctx context.Context) {
-	term, remaining := b.holder.Current()
-	if b.source() != 0 || term.Epoch == 0 || remaining > 0 {
-		return
-	}
-	next := term.Epoch + 1
-	votes := 0
-	for _, peer := range b.lease.peers {
-		if b.voteFrom(ctx, peer, next) {
-			votes++
-		}
-	}
-	if need := (1 + len(b.lease.peers)) / 2; votes < need {
-		b.logf("lease: election for epoch %d got %d/%d peer votes; retrying", next, votes, need)
-		return
-	}
-	won, err := b.holder.Acquire()
-	if err != nil {
-		b.logf("lease: election for epoch %d lost: %v", next, err)
-		return
-	}
-	b.logf("lease: elected at epoch %d after the leader's lease lapsed; accepting writes", won.Epoch)
-}
-
-// voteFrom asks one peer for its vote. Any failure — unreachable peer, a
-// stale refusal, a peer that heard from the sitting leader more recently —
-// is a withheld vote, never fatal: the next tick retries.
-func (b *serveBackend) voteFrom(ctx context.Context, peer string, epoch uint64) bool {
-	vctx, cancel := context.WithTimeout(ctx, b.holder.TTL())
-	defer cancel()
-	c, err := rpc.DialWith(vctx, peer, b.lease.dialOpts)
-	if err != nil {
-		return false
-	}
-	defer c.Close()
-	return c.LeaseVote(vctx, epoch, b.holder.Self()) == nil
-}
-
-// source reports the pinned primary link's connection id (0 = none).
-func (b *serveBackend) source() uint64 {
-	b.fmu.Lock()
-	defer b.fmu.Unlock()
-	return b.srcConn
-}
-
-// pinSource admits conn as this backend's replication source. Only a
-// backend that has never led accepts a primary: a promoted follower or a
-// deposed source still has to restart to re-join. Pinning before the
-// install is safe — the connection is serial, so no replicate frame can
-// race it, and any other connection's catch-up is refused here.
-func (b *serveBackend) pinSource(conn uint64) error {
-	b.fmu.Lock()
-	defer b.fmu.Unlock()
-	if b.holder.Led() {
-		return errors.New("farmer: this farmerd has led (a primary, or a promoted follower) and refuses a new primary; restart it with -follow to re-join as a follower")
-	}
-	if b.srcConn != 0 && b.srcConn != conn {
-		return errors.New("farmer: already following a primary on another connection")
-	}
-	b.srcConn = conn
-	return nil
-}
-
-// unpinSource releases the primary link if conn is it, and reports whether
-// it was. Untimed, the observed term ends with the link that delivered it
-// (Holder.LinkLost) — that is the whole of "lease-less" semantics.
-func (b *serveBackend) unpinSource(conn uint64) bool {
-	b.fmu.Lock()
-	defer b.fmu.Unlock()
-	if b.srcConn != conn {
-		return false
-	}
-	b.srcConn = 0
-	b.holder.LinkLost()
-	return true
 }
 
 func (b *serveBackend) Catchup(conn uint64, cut rpc.CatchupCut) error {
@@ -676,7 +408,7 @@ func (b *serveBackend) Catchup(conn uint64, cut rpc.CatchupCut) error {
 		return err
 	}
 	if err := b.m.applyCatchup(cut); err != nil {
-		b.unpinSource(conn)
+		b.ConnClosed(conn)
 		return err
 	}
 	b.logf("caught up from primary at position %d (%d files)", cut.Pos, cut.FileCount)
@@ -694,7 +426,7 @@ func (b *serveBackend) CatchupDelta(conn uint64, d rpc.CatchupDelta) error {
 		return err
 	}
 	if err := b.m.applyCatchupDelta(d); err != nil {
-		b.unpinSource(conn)
+		b.ConnClosed(conn)
 		return err
 	}
 	if d.Final {
@@ -722,12 +454,6 @@ func (b *serveBackend) Replicate(conn uint64, pos uint64, recs []trace.Record) e
 	}
 	b.m.sm.FeedBatch(recs)
 	return nil
-}
-
-func (b *serveBackend) ConnClosed(conn uint64) {
-	if b.unpinSource(conn) {
-		b.logf("primary replication link lost; this follower is now promotable")
-	}
 }
 
 // Serve puts a local miner on the wire: it serves the FARMER rpc protocol
@@ -758,41 +484,37 @@ func Serve(ctx context.Context, lis net.Listener, m *LocalMiner, cfg ServeConfig
 	// listener address: that is what lets the client's failover sweep match
 	// a LeaseStatus leader to a dial address.
 	id := lis.Addr().String()
-	leaseSt := &leaseState{
-		holder:      newHolder(id, max(cfg.LeaseTTL, 0), cfg.Follower),
-		peers:       cfg.LeasePeers,
-		dialOpts:    rpc.DialOptions{Token: cfg.ReplicaToken},
-		renewQuorum: (1 + len(cfg.ReplicateTo)) / 2,
-	}
-	backend := &serveBackend{m: m, saveBudget: saveBudget, logf: cfg.Logf, holder: leaseSt.holder, lease: leaseSt}
+	rt := newLeaseRuntime(id, max(cfg.LeaseTTL, 0), cfg.Follower, nil)
+	rt.logf, rt.voters, rt.followers = cfg.Logf, cfg.LeasePeers, len(cfg.ReplicateTo)
+	backend := newServeBackend(m, rt, saveBudget, rpc.DialOptions{Token: cfg.ReplicaToken})
 	if !cfg.Follower {
-		cfg.Logf("lease: leading at epoch 1 (id %s, ttl %v)", id, leaseSt.holder.TTL())
+		cfg.Logf("lease: leading at epoch 1 (id %s, ttl %v)", id, rt.holder.TTL())
 	}
-	reg := newRegistry(cfg, saveBudget, leaseSt)
+	reg := newRegistry(cfg, saveBudget, rt)
 	reg.registerDefault(m, backend)
 	defer reg.closeReplicators()
 	if len(cfg.ReplicateTo) > 0 {
 		// Followers must be reachable at startup.
-		if err := leaseSt.replicate(ctx, backend, cfg.ReplicateTo, true); err != nil {
+		if err := backend.replicate(ctx, cfg.ReplicateTo, true); err != nil {
 			return err
 		}
 	}
 	if cfg.Obs != nil {
 		m.attachMetrics(cfg.Obs)
-		if repl := backend.replicator(); repl != nil {
-			cfg.Obs.GaugeEach("farmer_repl_lag_records", func(emit obs.EmitFunc) {
-				for _, l := range repl.Lags() {
-					emit([]obs.Label{obs.L("follower", l.Addr)}, float64(l.Lag))
-				}
-			})
-			cfg.Obs.GaugeFunc("farmer_repl_followers", func() float64 { return float64(len(repl.Lags())) })
-		}
+		// Read the replicator at every scrape: a live handoff gives a
+		// standalone source one mid-serve.
+		cfg.Obs.GaugeEach("farmer_repl_lag_records", func(emit obs.EmitFunc) {
+			for _, l := range backend.lags() {
+				emit([]obs.Label{obs.L("follower", l.Addr)}, float64(l.Lag))
+			}
+		})
+		cfg.Obs.GaugeFunc("farmer_repl_followers", func() float64 { return float64(len(backend.lags())) })
 		cfg.Obs.GaugeFunc("farmer_lease_epoch", func() float64 {
-			term, _ := leaseSt.holder.Current()
+			term, _ := rt.holder.Current()
 			return float64(term.Epoch)
 		})
-		leaseSt.handoffs = cfg.Obs.Counter("farmer_handoffs_total")
-		leaseSt.handoffNS = cfg.Obs.Histogram("farmer_handoff_duration_ns")
+		backend.handoffs = cfg.Obs.Counter("farmer_handoffs_total")
+		backend.handoffNS = cfg.Obs.Histogram("farmer_handoff_duration_ns")
 	}
 	srv := rpc.NewResolverServer(reg, rpc.ServerOptions{AuthTokens: cfg.AuthTokens, Obs: cfg.Obs})
 	if cfg.TLS != nil {
@@ -800,11 +522,22 @@ func Serve(ctx context.Context, lis net.Listener, m *LocalMiner, cfg ServeConfig
 	}
 
 	if cfg.LeaseTTL > 0 {
-		// Cancel on return, not just on ctx: the listener-failure path must
-		// not leave the renewal loop running through the drain.
+		// Renew or elect every TTL/4 until Serve returns (not just ctx: the
+		// listener-failure path must not renew through the drain).
 		lctx, stopLease := context.WithCancel(ctx)
 		defer stopLease()
-		go backend.leaseLoop(lctx)
+		go func() {
+			t := time.NewTicker(max(cfg.LeaseTTL/4, 10*time.Millisecond))
+			defer t.Stop()
+			for {
+				select {
+				case <-lctx.Done():
+					return
+				case <-t.C:
+					backend.tick(lctx)
+				}
+			}
+		}()
 	}
 
 	serveErr := make(chan error, 1)

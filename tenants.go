@@ -2,7 +2,8 @@ package farmer
 
 // tenants.go is the multi-tenant core of Serve: a Registry mapping tenant
 // ids to lazily opened miners, each with its own store, checkpoint
-// schedule, replication stream and resource budget. The wire layer stays
+// schedule, replication stream, resource budget and lease runtime (derived
+// from the daemon's: leaseRuntime.forTenant). The wire layer stays
 // tenant-agnostic — the Registry plugs in as internal/rpc's Resolver, and
 // every admission refusal travels typed (ErrTenantBudget) so one
 // over-budget tenant cannot degrade its neighbors' streams.
@@ -89,9 +90,8 @@ type Registry struct {
 	saveBudget time.Duration
 
 	replicateTo []string
-	// leaseSt is shared by every tenant backend; its dialOpts (Tenant is
-	// stamped per tenant) also dial each tenant's stream.
-	leaseSt *leaseState
+	token       string        // ReplicaToken: each tenant's stream dials with it
+	lease       *leaseRuntime // the daemon's; each tenant's derives from it
 
 	mu      sync.Mutex
 	tenants map[string]*tenantEntry
@@ -114,14 +114,15 @@ type tenantEntry struct {
 	closing chan struct{}
 }
 
-func newRegistry(cfg ServeConfig, saveBudget time.Duration, leaseSt *leaseState) *Registry {
+func newRegistry(cfg ServeConfig, saveBudget time.Duration, rt *leaseRuntime) *Registry {
 	return &Registry{
 		cfg:         cfg.Tenants,
 		logf:        cfg.Logf,
 		follower:    cfg.Follower,
 		saveBudget:  saveBudget,
 		replicateTo: cfg.ReplicateTo,
-		leaseSt:     leaseSt,
+		token:       cfg.ReplicaToken,
+		lease:       rt,
 		tenants:     make(map[string]*tenantEntry),
 	}
 }
@@ -166,7 +167,7 @@ func (g *Registry) BackendFor(tenant string) (rpc.Backend, error) {
 // openLocked admits and opens one named tenant under g.mu. Holding the
 // lock through the open serializes concurrent first touches of the same
 // tenant; the store open is local disk I/O, brief at this tier, and the
-// follower attaches are bounded (leaseState.replicate).
+// follower attaches are bounded (serveBackend.replicate).
 func (g *Registry) openLocked(tenant string) (*tenantEntry, error) {
 	if g.closed {
 		return nil, errors.New("farmer: server is draining")
@@ -208,24 +209,16 @@ func (g *Registry) openLocked(tenant string) (*tenantEntry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("farmer: opening tenant %q: %w", tenant, err)
 	}
-	// Untimed, a term is scoped to one replication stream: promoting this
-	// tenant must not make a neighbor writable while its link is attached.
-	holder := g.leaseSt.holder
-	if holder.TTL() <= 0 {
-		holder = newHolder(holder.Self(), 0, g.follower)
-	}
-	b := &serveBackend{
-		m: m, saveBudget: g.saveBudget,
-		logf:   func(format string, args ...any) { g.logf("tenant %q: "+format, append([]any{tenant}, args...)...) },
-		tenant: tenant, budget: g.cfg.Budget,
-		holder: holder, lease: g.leaseSt,
-	}
+	rt := g.lease.forTenant(g.follower)
+	rt.logf = func(format string, args ...any) { g.logf("tenant %q: "+format, append([]any{tenant}, args...)...) }
+	b := newServeBackend(m, rt, g.saveBudget, rpc.DialOptions{Token: g.token, Tenant: tenant})
+	b.tenant, b.budget = tenant, g.cfg.Budget
 	b.memPending.Store(budgetCheckStride) // first feed checks the footprint
 	if len(g.replicateTo) > 0 {
 		// g.mu is held, and every frame of every tenant takes it: replicate
 		// bounds each attach, so one tenant's dead follower delays its
 		// neighbors by at most the ack timeout per address.
-		_ = g.leaseSt.replicate(context.Background(), b, g.replicateTo, false) // !must: failures are logged, not returned
+		_ = b.replicate(context.Background(), g.replicateTo, false) // !must: failures are logged, not returned
 	}
 	e := &tenantEntry{name: tenant, m: m, backend: b, owned: true, lastUse: time.Now()}
 	g.tenants[tenant] = e

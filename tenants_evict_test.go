@@ -44,7 +44,7 @@ func (l *evictLog) count(substr string) int {
 func evictRegistry(cfg ServeConfig) (*Registry, *evictLog) {
 	log := new(evictLog)
 	cfg.Logf = log.logf
-	return newRegistry(cfg, time.Minute, &leaseState{holder: newHolder("self:1", 0, cfg.Follower)}), log
+	return newRegistry(cfg, time.Minute, newLeaseRuntime("self:1", 0, cfg.Follower, nil)), log
 }
 
 // backdate makes a live tenant look untouched for an hour.

@@ -139,7 +139,7 @@ func TestWritabilityContract(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				b := &serveBackend{m: m, logf: func(string, ...any) {}, holder: h, lease: &leaseState{holder: h}}
+				b := &serveBackend{m: m, leaseRuntime: &leaseRuntime{holder: h, logf: func(string, ...any) {}}}
 				for _, s := range tc.steps {
 					s(env{t, b, &now})
 				}
