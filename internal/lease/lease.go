@@ -9,10 +9,9 @@
 // The package is pure coordination state — no wire, no goroutines, no real
 // clock unless asked. The root package's lease runtime (lease.go) owns
 // renewal, election and the quorum rules; Holder owns only the term
-// algebra, so the invariants
-// (epochs never regress, two leaders never coexist inside one Holder's
-// view, a deposed leader stays deposed until it wins a new epoch) are
-// testable with a fake clock.
+// algebra, so the invariants (epochs never regress, two leaders never
+// coexist inside one Holder's view, a deposed leader stays deposed until it
+// wins a new epoch) are testable with a fake clock.
 package lease
 
 import (
