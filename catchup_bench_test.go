@@ -1,10 +1,9 @@
 package farmer
 
-// Catch-up cost, full snapshot vs delta replay, over a real loopback
-// attach. Full ships the whole model (O(model) regardless of how little
-// the follower missed); delta replays just the records the follower's
-// checkpoint is behind by (O(missed)), which is the restart-lag case the
-// resumable tail exists for.
+// Catch-up cost, full snapshot vs resume, over a real loopback attach. Full
+// ships the whole model (O(model) regardless of how little the follower
+// missed); a follower restarted at the primary's position resumes with the
+// fingerprint check alone, the restart-both-from-disk case.
 
 import (
 	"context"
@@ -62,7 +61,7 @@ func BenchmarkCatchupFull(b *testing.B) {
 			b.Fatal(err)
 		}
 		addr, stop := benchServeFollower(b, f)
-		r := rpc.NewReplicator(primary.sm.Fed(), time.Minute, rpc.DialOptions{}, primary.catchupFingerprint, nil)
+		r := rpc.NewReplicator(primary.sm.Fed, time.Minute, rpc.DialOptions{}, primary.catchupFingerprint, nil)
 		b.StartTimer()
 		if err := r.Attach(ctx, addr, primary.catchupCut); err != nil {
 			b.Fatal(err)
@@ -78,19 +77,17 @@ func BenchmarkCatchupFull(b *testing.B) {
 	}
 }
 
-// BenchmarkCatchupDelta attaches a follower that restarted from a
-// checkpoint tailN records behind the primary: the primary replays only
-// those records from its resumable tail, O(missed) instead of O(model).
-func BenchmarkCatchupDelta(b *testing.B) {
-	const tailN = 512
+// BenchmarkCatchupResume attaches a follower that restarted from a
+// checkpoint at the primary's position: the attach is one empty final
+// MsgCatchupDelta and the follower's fingerprint check, O(fingerprint)
+// instead of O(model) on the wire.
+func BenchmarkCatchupResume(b *testing.B) {
 	tr, err := Generate(HP(benchCatchupRecords))
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := ConfigFor(tr)
 	ctx := context.Background()
-	base, tail := tr.Records[:len(tr.Records)-tailN], tr.Records[len(tr.Records)-tailN:]
-
 	primary, err := Open(cfg, WithShards(2))
 	if err != nil {
 		b.Fatal(err)
@@ -99,26 +96,16 @@ func BenchmarkCatchupDelta(b *testing.B) {
 	if err := primary.FeedBatch(ctx, tr.Records); err != nil {
 		b.Fatal(err)
 	}
-
-	// The followers all restart from the same checkpoint, cut at the base
-	// boundary by a separate miner (deterministic mining makes its state
-	// identical to the primary's own at that position).
-	seeder, err := Open(cfg, WithShards(2))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := seeder.FeedBatch(ctx, base); err != nil {
-		b.Fatal(err)
-	}
+	// Every follower restarts from the same checkpoint of the primary's
+	// state.
 	seedStore, err := kvstore.Open("")
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer seedStore.Close()
-	if err := seeder.sm.SaveMerged(seedStore); err != nil {
+	if err := primary.sm.SaveMerged(seedStore); err != nil {
 		b.Fatal(err)
 	}
-	seeder.Close()
 
 	fellBack := false
 	cut := func() (rpc.CatchupCut, error) {
@@ -136,24 +123,17 @@ func BenchmarkCatchupDelta(b *testing.B) {
 			b.Fatal(err)
 		}
 		addr, stop := benchServeFollower(b, f)
-		// Prime a replicator exactly as a restarted primary would stand:
-		// position at the stream head with the last tailN records resumable.
-		// The no-op mine skips local ingestion — the primary's model already
-		// holds the whole stream.
-		r := rpc.NewReplicator(uint64(len(base)), time.Minute, rpc.DialOptions{}, primary.catchupFingerprint, nil)
-		if err := r.Ingest(ctx, tail, func() error { return nil }); err != nil {
-			b.Fatal(err)
-		}
+		r := rpc.NewReplicator(primary.sm.Fed, time.Minute, rpc.DialOptions{}, primary.catchupFingerprint, nil)
 		b.StartTimer()
 		if err := r.Attach(ctx, addr, cut); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
 		if fellBack {
-			b.Fatal("delta catch-up fell back to a full snapshot")
+			b.Fatal("the resume fell back to a full snapshot")
 		}
 		if fed := f.sm.Fed(); fed != uint64(len(tr.Records)) {
-			b.Fatalf("follower fed %d after delta catch-up, want %d", fed, len(tr.Records))
+			b.Fatalf("follower fed %d after the resume, want %d", fed, len(tr.Records))
 		}
 		r.Close()
 		stop()

@@ -28,10 +28,11 @@ var wallField = regexp.MustCompile(` wall=\S+`)
 // mailboxes overflow behind a 20 ms network (16,345 events shed). The
 // simulator runs in virtual time, so every figure — drop counts included —
 // repeats exactly; only the wall= field is stripped. testdata/golden.txt was
-// written by commit dc4a680, and only its p95 lines were rewritten since,
+// written by commit dc4a680, and only its p95 lines were rewritten since:
 // when the response histogram moved from 2^k µs to 2^k ns buckets (2.048ms
-// became 2.097152ms): a red test means the simulator's behaviour moved, not
-// that the file needs regenerating.
+// became 2.097152ms), and when the p95 began interpolating inside its bucket
+// (2.097152ms became 1.968807–1.995693ms). A red test means the simulator's
+// behaviour moved, not that the file needs regenerating.
 func TestGoldenOutput(t *testing.T) {
 	golden, err := os.ReadFile("testdata/golden.txt")
 	if err != nil {

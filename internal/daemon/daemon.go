@@ -44,8 +44,8 @@ type Options struct {
 	// ReplicateTo makes the daemon the replication primary of the listed
 	// followers; Follow starts it as a promotable follower instead, and the
 	// two are mutually exclusive. A follower started with Load resumes from
-	// its own checkpoint: the primary catches it up by replaying just the
-	// records it missed (delta catch-up) when it can, shipping a full cut
+	// its own checkpoint when that holds the primary's position (both
+	// restarted after a clean drain); the primary ships a full cut
 	// otherwise.
 	ReplicateTo []string
 	Follow      bool

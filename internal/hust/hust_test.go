@@ -81,8 +81,8 @@ func TestMDSHitFasterThanMiss(t *testing.T) {
 }
 
 // TestMDSResponseMeanMax checks the response accounting: the count, the
-// mean exact to the nanosecond, the largest response, and a p95 that reads
-// the upper bound of its power-of-two nanosecond bucket.
+// mean exact to the nanosecond, the largest response, and a p95 interpolated
+// inside its power-of-two nanosecond bucket.
 func TestMDSResponseMeanMax(t *testing.T) {
 	eng := sim.New()
 	cfg := DefaultMDSConfig()
@@ -100,8 +100,10 @@ func TestMDSResponseMeanMax(t *testing.T) {
 		t.Fatalf("demand %d, mean %v, max %v after a %v miss and a %v hit",
 			st.Demand, st.AvgResponse, st.MaxResponse, cfg.StoreReadTime, cfg.CacheHitTime)
 	}
-	if st.P95Response != 1<<21 { // 2ms lies in [2^20, 2^21) ns
-		t.Fatalf("p95 %v, want the 2^21ns bucket bound", st.P95Response)
+	// Rank 0.95×2 = 1.9 is 0.9 of the way through the miss's bucket: 2ms
+	// lies in [2^20, 2^21) ns, which holds one observation.
+	if st.P95Response != 1992294 {
+		t.Fatalf("p95 %v, want 2^20ns × 1.9 = 1.992294ms", st.P95Response)
 	}
 }
 

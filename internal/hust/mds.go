@@ -420,7 +420,7 @@ func (m *MDS) Finish() Stats {
 }
 
 // responses reads a response-time histogram: how many, their exact mean,
-// and the upper bound of the bucket holding the 95th percentile.
+// and the 95th percentile interpolated inside its bucket.
 func responses(h *obs.Histogram) (n uint64, avg, p95 time.Duration) {
 	n, sum := h.Totals()
 	if n == 0 {

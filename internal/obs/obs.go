@@ -132,18 +132,30 @@ func (h *Histogram) Totals() (count, sum uint64) {
 	return count, h.sum.Load()
 }
 
-// Quantile estimates the q-quantile (0 < q <= 1) as the upper bound 2^i of
-// the bucket holding the ceil(q*count)-th smallest value: 0 when empty.
+// Quantile estimates the q-quantile (0 < q <= 1) as Prometheus'
+// histogram_quantile does: find the bucket [2^(i-1), 2^i) holding rank
+// q*count and interpolate linearly inside it by the rank's place among the
+// bucket's observations. 0 when empty; bucket 0 holds only 0.
 func (h *Histogram) Quantile(q float64) uint64 {
 	count, _ := h.Totals()
 	if count == 0 || q <= 0 {
 		return 0
 	}
-	target, acc := uint64(math.Ceil(min(q, 1)*float64(count))), uint64(0)
-	for i := 0; i < histBuckets-1; i++ {
-		if acc += h.buckets[i].Load(); acc >= target {
-			return 1 << i
+	rank, acc := min(q, 1)*float64(count), uint64(0)
+	for i := range h.buckets {
+		n := h.buckets[i].Load()
+		if acc += n; float64(acc) < rank {
+			continue
 		}
+		if i == 0 {
+			return 0
+		}
+		lo := math.Ldexp(1, i-1)
+		v := lo + lo*(rank-float64(acc-n))/float64(n)
+		if v >= math.MaxUint64 {
+			return math.MaxUint64
+		}
+		return uint64(v)
 	}
 	return math.MaxUint64
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand/v2"
 	"strings"
 	"sync"
@@ -324,9 +325,34 @@ func TestHistogramQuantileBracketsExactValue(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.Observe(100_000)
 	}
-	// 100000 lives in the bucket [2^16, 2^17).
-	if q := h.Quantile(0.5); q != 1<<17 {
-		t.Fatalf("quantile = %d, want the bucket bound %d", q, 1<<17)
+	// 100000 lives in the bucket [2^16, 2^17); rank 50 of its 100 is half
+	// way through it.
+	if q := h.Quantile(0.5); q != 1<<16+1<<15 {
+		t.Fatalf("quantile = %d, want %d", q, 1<<16+1<<15)
+	}
+}
+
+// TestHistogramQuantileSeparatesRanksInOneBucket: two histograms whose p95
+// lies in the same bucket [1024, 2048) but at different ranks inside it read
+// different quantiles, ordered as their exact p95s are and close to them.
+// Reading the bucket bound, both would say 2048.
+func TestHistogramQuantileSeparatesRanksInOneBucket(t *testing.T) {
+	var spread, half Histogram
+	for i := range 100 {
+		spread.Observe(uint64(1024 + 10*i)) // exact p95: the 95th, 1964
+	}
+	for i := range 50 {
+		half.Observe(100)
+		half.Observe(uint64(1024 + 20*i)) // exact p95: the 45th in the bucket, 1904
+	}
+	hi, lo := spread.Quantile(0.95), half.Quantile(0.95)
+	if lo >= hi || lo < 1024 || hi >= 2048 {
+		t.Fatalf("p95s %d and %d, want two values in [1024, 2048), the second lower", hi, lo)
+	}
+	for _, c := range []struct{ got, exact uint64 }{{hi, 1964}, {lo, 1904}} {
+		if diff := math.Abs(float64(c.got) - float64(c.exact)); diff > 0.03*float64(c.exact) {
+			t.Errorf("p95 %d is %.0f from the exact %d", c.got, diff, c.exact)
+		}
 	}
 }
 

@@ -8,7 +8,8 @@ package replay
 //	    deposed source refuses writes typed;
 //	(b) the multi-address client's failover sweep prefers the lease holder:
 //	    an old primary that is perfectly reachable but no longer holds the
-//	    lease must not win the sweep just by answering first.
+//	    lease must not win the sweep just by answering first;
+//	(c) the lease and the mined state survive a chain of two handoffs.
 
 import (
 	"context"
@@ -107,6 +108,83 @@ func TestRebalanceLiveBitIdentical(t *testing.T) {
 	}
 	if fed := source.Sharded().Fed(); fed != uint64(len(tr.Records))/2 {
 		t.Fatalf("deposed source mined past the handoff: fed=%d", fed)
+	}
+}
+
+// TestHandoffChainBitIdentical: the lease moves twice, A → B → C, with the
+// trace fed in thirds around the handoffs through one multi-address client.
+// B's miner was fed by A's catch-up and stream, never through B's own
+// replicator, so B's catch-up of C is right only if B's stream position is
+// its miner's record count. C ends bit-identical to the sequential miner,
+// and both deposed daemons refuse writes typed.
+func TestHandoffChainBitIdentical(t *testing.T) {
+	tr := tracegen.HP(15000).MustGenerate()
+	ref := MineSequential(tr, core.DefaultConfig())
+	ctx := context.Background()
+	const ttl = time.Second
+
+	var addrs [3]string
+	var miners [3]*farmer.LocalMiner
+	for i := range miners {
+		m, err := farmer.Open(farmer.DefaultConfig(), farmer.WithShards(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		addr, stop := startServeRole(t, m, farmer.ServeConfig{Follower: i > 0, LeaseTTL: ttl})
+		defer stop()
+		addrs[i], miners[i] = addr, m
+	}
+	client, err := farmer.Dial(ctx, addrs[0], farmer.WithFailover(addrs[1], addrs[2]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	third := len(tr.Records) / 3
+	feed := func(lo, hi int) {
+		t.Helper()
+		for ; lo < hi; lo += 1024 {
+			if err := client.FeedBatch(ctx, tr.Records[lo:min(lo+1024, hi)]); err != nil {
+				t.Fatalf("feed at %d: %v", lo, err)
+			}
+		}
+	}
+	feed(0, third)
+	if err := client.Handoff(ctx, addrs[1]); err != nil {
+		t.Fatalf("handoff A → B: %v", err)
+	}
+	feed(third, 2*third)
+	if err := client.Handoff(ctx, addrs[2]); err != nil {
+		t.Fatalf("handoff B → C: %v", err)
+	}
+	feed(2*third, len(tr.Records))
+
+	if fed := miners[2].Sharded().Fed(); fed != uint64(len(tr.Records)) {
+		t.Fatalf("C fed %d, want %d", fed, len(tr.Records))
+	}
+	if got := core.StateFingerprint(miners[2].Sharded(), tr.FileCount); got != ref {
+		t.Fatalf("C's fingerprint %#x != sequential %#x", got, ref)
+	}
+	info, err := client.LeaseStatus(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.Self || info.Epoch != 3 {
+		t.Fatalf("lease after two handoffs %+v, want C leading at epoch 3", info)
+	}
+	for i, want := range []uint64{uint64(third), uint64(2 * third)} {
+		rc, err := rpc.Dial(ctx, addrs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rc.Close()
+		if err := rc.Feed(ctx, &tr.Records[0]); !errors.Is(err, rpc.ErrStaleEpoch) {
+			t.Fatalf("deposed daemon %d refused with %v, want ErrStaleEpoch", i, err)
+		}
+		if fed := miners[i].Sharded().Fed(); fed != want {
+			t.Fatalf("deposed daemon %d mined past its handoff: fed %d, want %d", i, fed, want)
+		}
 	}
 }
 

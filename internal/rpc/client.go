@@ -425,7 +425,7 @@ func (c *Client) FeedBatch(ctx context.Context, recs []trace.Record) error {
 	// serves every frame — the hot feed path stops allocating per frame.
 	scratch := getFrameBuf()
 	defer putFrameBuf(scratch)
-	_ = chunkRecords(recs, maxBatchBody, func(run []trace.Record, _ bool) error {
+	_ = chunkRecords(recs, maxBatchBody, func(run []trace.Record) error {
 		scratch.b = appendRecords(scratch.b[:0], run)
 		return w.start(MsgFeedBatch, scratch.b)
 	})

@@ -169,7 +169,8 @@ func TestReplicatorLags(t *testing.T) {
 	addr, _, stop := startServer(t, rec)
 	defer stop()
 
-	r := NewReplicator(0, time.Minute, DialOptions{}, noFingerprint, nil)
+	var miner fedCounter
+	r := NewReplicator(miner.fed, time.Minute, DialOptions{}, noFingerprint, nil)
 	defer r.Close()
 	if err := r.Attach(context.Background(), addr, func() (CatchupCut, error) {
 		return CatchupCut{FileCount: 1, Snapshot: []byte("snap")}, nil
@@ -180,7 +181,7 @@ func TestReplicatorLags(t *testing.T) {
 		t.Fatalf("fresh attach lags %+v, want one caught-up follower", lags)
 	}
 	recs := []trace.Record{{File: 1, Path: "/p"}, {File: 2, Path: "/p"}}
-	if err := r.Ingest(context.Background(), recs, func() error { return nil }); err != nil {
+	if err := r.Ingest(context.Background(), recs, miner.mine(len(recs))); err != nil {
 		t.Fatal(err)
 	}
 	lags := r.Lags()

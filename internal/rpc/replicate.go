@@ -13,17 +13,19 @@ import (
 )
 
 // Replicator is the primary half of farmerd replication: it owns the
-// outbound replication stream to every attached follower and the single
-// stream-position counter both ends agree on.
+// outbound replication stream to every attached follower. The stream
+// position is the primary miner's record count, read through fed: the miner
+// is the one counter both ends agree on.
 //
 // The contract with the serving layer is that EVERY mutation of the mined
-// stream goes through Ingest, and a follower's state is that stream and
-// nothing else: the mine runs under the replicator's lock, so the local
-// mine, the position assignment and the enqueue onto each follower
+// stream on a primary goes through Ingest, and a follower's state is that
+// stream and nothing else: the mine runs under the replicator's lock, so the
+// local mine, the position read and the enqueue onto each follower
 // connection are one atomic step, and each follower connection — a FIFO
 // channel, like every rpc connection — carries the exact stream the primary
 // mined, in order. Whatever is derived from mined state (replica groups,
-// predictions) is derived on each end, never shipped.
+// predictions) is derived on each end, never shipped. With no follower
+// attached, Ingest is the mine under the lock and nothing else.
 // Acks are awaited OUTSIDE the lock, so followers add latency but the
 // pipeline stays full.
 //
@@ -38,24 +40,13 @@ import (
 // catch-up).
 type Replicator struct {
 	mu         sync.Mutex
-	pos        uint64
+	fed        func() uint64
 	followers  []*replFollower
 	ackTimeout time.Duration
 	lost       func(addr string, err error)
 	dialOpts   DialOptions
 	fp         func() (fingerprint uint64, fileCount int)
-
-	// The catch-up tail: the last catchupTail ingested records, positions
-	// [tailBase, pos).
-	tail     []trace.Record
-	tailBase uint64
 }
-
-// catchupTail is how many recent records a Replicator retains for delta
-// catch-up: a follower that restarts holding its own on-disk checkpoint
-// inside that tail is caught up by replaying just the records it missed
-// (MsgCatchupDelta) — O(missed records), not O(model).
-const catchupTail = 65536
 
 type replFollower struct {
 	addr string
@@ -91,21 +82,23 @@ type FollowerLag struct {
 func (r *Replicator) Lags() []FollowerLag {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	pos := r.fed()
 	out := make([]FollowerLag, len(r.followers))
 	for i, f := range r.followers {
 		acked := f.acked.Load()
 		var lag uint64
-		if r.pos > acked {
-			lag = r.pos - acked
+		if pos > acked {
+			lag = pos - acked
 		}
 		out[i] = FollowerLag{Addr: f.addr, Acked: acked, Lag: lag}
 	}
 	return out
 }
 
-// NewReplicator creates a replicator whose stream starts at pos (the
-// primary miner's current record count). ackTimeout (> 0) bounds the wait
-// for one follower's ack: a follower that is connected but wedged — its
+// NewReplicator creates a replicator over the primary miner whose record
+// count fed reads: every position the stream ships, attaches at and lags
+// behind is fed's answer under the stream lock. ackTimeout (> 0) bounds the
+// wait for one follower's ack: a follower that is connected but wedged — its
 // process stopped, its disk stuck — never produces a transport error, and
 // without the bound it would block every Ingest (and therefore every client
 // write on the primary) forever; when the bound expires the follower is
@@ -114,14 +107,13 @@ func (r *Replicator) Lags() []FollowerLag {
 // replication frame (the follower reassembles per-tenant streams from
 // per-tenant connections), and the token authenticates against a follower
 // running with -auth. fp is consulted under the stream lock when a
-// restarted follower is offered a delta catch-up (the stream is quiescent)
-// and returns the primary's current state fingerprint and tracked-file
-// bound; the follower verifies the fingerprint after replaying the delta, so
-// a delta attach ends with the same state guarantee as a full one. lost, if
-// non-nil, is called once for each follower dropped after a replication
-// failure.
-func NewReplicator(pos uint64, ackTimeout time.Duration, opts DialOptions, fp func() (fingerprint uint64, fileCount int), lost func(addr string, err error)) *Replicator {
-	return &Replicator{pos: pos, tailBase: pos, ackTimeout: ackTimeout, dialOpts: opts, fp: fp, lost: lost}
+// restarted follower at the primary's position is offered a resume and
+// returns the primary's current state fingerprint and tracked-file bound;
+// the follower verifies it against its own state, so a resume ends with the
+// same state guarantee as a full cut. lost, if non-nil, is called once for
+// each follower dropped after a replication failure.
+func NewReplicator(fed func() uint64, ackTimeout time.Duration, opts DialOptions, fp func() (fingerprint uint64, fileCount int), lost func(addr string, err error)) *Replicator {
+	return &Replicator{fed: fed, ackTimeout: ackTimeout, dialOpts: opts, fp: fp, lost: lost}
 }
 
 // Followers reports the attached follower addresses.
@@ -136,41 +128,35 @@ func (r *Replicator) Followers() []string {
 }
 
 // Attach dials a follower, catches it up and adds it to the live stream. A
-// follower whose position lies inside the catch-up tail is offered a delta
-// replay first; any other, or one that refuses the delta, gets a checkpoint
-// of the primary's state cut and shipped as MsgCatchup. cut runs under the
-// replicator's lock — the stream is quiescent while the checkpoint is
-// taken, so the cut and the attach are atomic: no record can slip between
-// the snapshot and the first replicated frame. The returned error covers
-// dialing, cutting and the follower's verification of the cut.
+// follower already at the primary's position is offered a resume first; any
+// other, or one that refuses the resume, gets a checkpoint of the primary's
+// state cut and shipped as MsgCatchup. cut runs under the replicator's lock —
+// the stream is quiescent while the checkpoint is taken, so the cut and the
+// attach are atomic: no record can slip between the snapshot and the first
+// replicated frame. The returned error covers dialing, cutting and the
+// follower's verification of the cut.
 func (r *Replicator) Attach(ctx context.Context, addr string, cut func() (CatchupCut, error)) error {
 	c, err := DialWith(ctx, addr, r.dialOpts)
 	if err != nil {
 		return fmt.Errorf("rpc: attaching follower %s: %w", addr, err)
 	}
-	done, sent := r.attachDelta(ctx, addr, c)
+	done, sent := r.attachResume(ctx, addr, c)
 	if done {
 		return nil
 	}
 	if sent {
-		// The follower refused the replay mid-delta (an old server answers
-		// CodeUnsupported here): fall back to the full cut on a fresh
-		// connection — the refused transfer may have left frames in flight
-		// on this one.
+		// The follower refused the resume (its state does not match the
+		// fingerprint, or it cannot resume): fall back to the full cut on a
+		// fresh connection.
 		c.Close()
 		if c, err = DialWith(ctx, addr, r.dialOpts); err != nil {
 			return fmt.Errorf("rpc: attaching follower %s: %w", addr, err)
 		}
 	}
-	// Offer inapplicable (no resumable position, or outside the tail):
+	// Offer inapplicable (a fresh follower, or one at another position):
 	// nothing was sent, the same connection carries the full cut.
 	r.mu.Lock()
 	cc, err := cut()
-	if err == nil && cc.Pos != r.pos {
-		// The miner was fed behind the replicator's back; refusing beats
-		// shipping a stream the follower will refuse at the first frame.
-		err = fmt.Errorf("checkpoint at position %d, stream at %d (miner fed outside the replicator?)", cc.Pos, r.pos)
-	}
 	if err != nil {
 		r.mu.Unlock()
 		c.Close()
@@ -204,40 +190,29 @@ func (r *Replicator) Attach(ctx context.Context, addr string, cut func() (Catchu
 // Variable only so tests can force the chunked paths on small transfers.
 var maxCatchupChunk = 8 << 20
 
-// attachDelta offers a restarted follower a catch-up by record replay from
-// its own position. done means the follower is attached; otherwise the
-// caller falls back to the full cut — on a fresh connection when sent
-// reports delta frames already went out, on this same connection otherwise.
-// The probe (the follower's Stats) runs outside the stream lock — an idle,
-// unattached follower's position cannot move; the cut itself — position
-// check, fingerprint, frame starts, follower registration — is atomic under
-// the lock, exactly like the full path.
-func (r *Replicator) attachDelta(ctx context.Context, addr string, c *Client) (done, sent bool) {
+// attachResume offers a restarted follower at exactly the primary's
+// position a resume: one final MsgCatchupDelta with no records and the
+// fingerprint its own state must match. done means the follower is
+// attached; otherwise the caller falls back to the full cut — on a fresh
+// connection when sent reports the offer went out, on this same connection
+// otherwise. The probe (the follower's Stats) runs outside the stream lock —
+// an idle, unattached follower's position cannot move; the position check,
+// fingerprint, frame start and follower registration are atomic under the
+// lock, exactly like the full path.
+func (r *Replicator) attachResume(ctx context.Context, addr string, c *Client) (done, sent bool) {
 	st, err := c.Stats(ctx)
 	if err != nil || st.Fed == 0 {
 		return false, false
 	}
 	r.mu.Lock()
-	if st.Fed < r.tailBase || st.Fed > r.pos {
+	if st.Fed != r.fed() {
 		r.mu.Unlock()
 		return false, false
 	}
-	// A delta bigger than one frame ships as non-final MsgCatchupDelta
-	// frames (each at its own cumulative position, replayed in FIFO order)
-	// plus a final frame carrying the fingerprint the follower must match
-	// after the whole replay. Zero missed records still ship one final
-	// frame: the fingerprint check is the attach guarantee.
+	d := CatchupDelta{FromPos: st.Fed, Final: true}
+	d.Fingerprint, d.FileCount = r.fp()
 	w := window{c: c}
-	pos := st.Fed
-	startErr := chunkRecords(r.tail[pos-r.tailBase:], maxCatchupChunk, func(run []trace.Record, last bool) error {
-		d := CatchupDelta{FromPos: pos, Records: run, Final: last}
-		if last {
-			d.Fingerprint, d.FileCount = r.fp()
-		}
-		pos += uint64(len(run))
-		return w.start(MsgCatchupDelta, appendCatchupDelta(nil, &d))
-	})
-	if startErr != nil {
+	if err := w.start(MsgCatchupDelta, appendCatchupDelta(nil, &d)); err != nil {
 		r.mu.Unlock()
 		return false, true
 	}
@@ -256,7 +231,7 @@ func (r *Replicator) attachDelta(ctx context.Context, addr string, c *Client) (d
 func (r *Replicator) admitLocked(ctx context.Context, addr string, w *window) (*replFollower, error) {
 	f := &replFollower{addr: addr, c: w.c}
 	r.followers = append(r.followers, f)
-	pos := r.pos
+	pos := r.fed()
 	r.mu.Unlock()
 	if err := w.flush(ctx); err != nil {
 		r.remove(f)
@@ -270,31 +245,22 @@ func (r *Replicator) admitLocked(ctx context.Context, addr string, w *window) (*
 
 // Ingest replicates one record batch: mine runs the local ingestion under
 // the stream lock, then the batch is enqueued to every follower at the
-// claimed position. It returns after every live follower acked (followers
-// that fail are detached and reported, not waited for). mine's error aborts
-// the step before anything is shipped.
+// position the miner stood at before it. It returns after every live
+// follower acked (followers that fail are detached and reported, not waited
+// for). mine's error aborts the step before anything is shipped.
 func (r *Replicator) Ingest(ctx context.Context, recs []trace.Record, mine func() error) error {
 	if len(recs) == 0 {
 		return nil
 	}
 	r.mu.Lock()
+	pos := r.fed()
 	if err := mine(); err != nil {
 		r.mu.Unlock()
 		return err
 	}
-	post := r.pos + uint64(len(recs))
-	waits := r.broadcastLocked(MsgReplicate, func() []byte { return appendReplicateRecords(nil, r.pos, recs) })
-	// Extend the catch-up tail. Trimming by reslice leaves the backing array
-	// to append's usual reallocation; memory stays within a small constant
-	// of catchupTail records.
-	r.tail = append(r.tail, recs...)
-	if drop := len(r.tail) - catchupTail; drop > 0 {
-		r.tail = r.tail[drop:]
-		r.tailBase += uint64(drop)
-	}
-	r.pos = post
+	waits := r.broadcastLocked(MsgReplicate, func() []byte { return appendReplicateRecords(nil, pos, recs) })
 	r.mu.Unlock()
-	r.collect(ctx, waits, post)
+	r.collect(ctx, waits, pos+uint64(len(recs)))
 	return nil
 }
 

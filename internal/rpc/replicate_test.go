@@ -8,6 +8,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -135,9 +136,19 @@ func (b *replicaRecorder) Replicate(conn uint64, pos uint64, recs []trace.Record
 }
 func (b *replicaRecorder) ConnClosed(conn uint64) {}
 
-// noFingerprint is the state fingerprint of a primary whose delta offers
+// noFingerprint is the state fingerprint of a primary whose resume offers
 // these tests' followers never take.
 func noFingerprint() (uint64, int) { return 0, 0 }
+
+// fedCounter stands in for a primary miner's record count where a test's
+// mine feeds nothing: mine(n) advances it as mining n records would.
+type fedCounter struct{ n atomic.Uint64 }
+
+func (c *fedCounter) fed() uint64 { return c.n.Load() }
+
+func (c *fedCounter) mine(n int) func() error {
+	return func() error { c.n.Add(uint64(n)); return nil }
+}
 
 // TestReplicatorStreamOrdering: the Replicator ships catch-up first, then
 // every batch at a strictly contiguous position, whatever the interleaving
@@ -148,7 +159,9 @@ func TestReplicatorStreamOrdering(t *testing.T) {
 	defer stop()
 
 	const startPos = 7
-	r := NewReplicator(startPos, time.Minute, DialOptions{}, noFingerprint, nil)
+	var miner fedCounter
+	miner.n.Store(startPos)
+	r := NewReplicator(miner.fed, time.Minute, DialOptions{}, noFingerprint, nil)
 	defer r.Close()
 	cut := CatchupCut{Pos: startPos, FileCount: 1, Snapshot: []byte("snap")}
 	if err := r.Attach(context.Background(), addr, func() (CatchupCut, error) { return cut, nil }); err != nil {
@@ -162,16 +175,10 @@ func TestReplicatorStreamOrdering(t *testing.T) {
 		for j := range recs {
 			recs[j] = trace.Record{File: trace.FileID(i), Path: "/p"}
 		}
-		if err := r.Ingest(ctx, recs, func() error { return nil }); err != nil {
+		if err := r.Ingest(ctx, recs, miner.mine(n)); err != nil {
 			t.Fatal(err)
 		}
 		pos += uint64(n)
-	}
-	r.mu.Lock()
-	got := r.pos
-	r.mu.Unlock()
-	if got != pos {
-		t.Fatalf("replicator position %d, want %d", got, pos)
 	}
 
 	rec.mu.Lock()
@@ -191,6 +198,47 @@ func TestReplicatorStreamOrdering(t *testing.T) {
 	}
 }
 
+// resumeRefuser records the resume offers it refuses.
+type resumeRefuser struct {
+	*replicaRecorder
+	offers []CatchupDelta
+}
+
+func (b *resumeRefuser) CatchupDelta(conn uint64, d CatchupDelta) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.offers = append(b.offers, d)
+	return errors.New("state does not match the fingerprint")
+}
+
+// TestReplicatorResumeRefusedFallsBackToFullCut: a follower at the
+// primary's position is offered a resume — one final frame, no records —
+// and when it refuses, the attach ships the full cut on a fresh connection
+// and the follower is on the stream.
+func TestReplicatorResumeRefusedFallsBackToFullCut(t *testing.T) {
+	rec := &resumeRefuser{replicaRecorder: &replicaRecorder{minerBackend: newMinerBackend(1)}}
+	rec.sm.FeedBatch([]trace.Record{{File: 1, Path: "/p"}, {File: 2, Path: "/p"}})
+	addr, _, stop := startServer(t, rec)
+	defer stop()
+
+	r := NewReplicator(rec.sm.Fed, time.Minute, DialOptions{}, func() (uint64, int) { return 0xfeed, 3 }, nil)
+	defer r.Close()
+	cut := CatchupCut{Pos: 2, FileCount: 1, Snapshot: []byte("snap")}
+	if err := r.Attach(context.Background(), addr, func() (CatchupCut, error) { return cut, nil }); err != nil {
+		t.Fatal(err)
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	want := CatchupDelta{FromPos: 2, Fingerprint: 0xfeed, FileCount: 3, Final: true}
+	if len(rec.offers) != 1 || len(rec.offers[0].Records) != 0 || rec.offers[0].FromPos != want.FromPos ||
+		rec.offers[0].Fingerprint != want.Fingerprint || rec.offers[0].FileCount != want.FileCount || !rec.offers[0].Final {
+		t.Fatalf("resume offers %+v, want one %+v", rec.offers, want)
+	}
+	if len(rec.catchup) != 1 || len(r.Followers()) != 1 {
+		t.Fatalf("%d catch-ups delivered, followers %v: want the full cut and the follower attached", len(rec.catchup), r.Followers())
+	}
+}
+
 // TestReplicatorDetachesDeadFollower: a follower that dies mid-stream is
 // dropped (reported via the lost callback) and the primary keeps ingesting.
 func TestReplicatorDetachesDeadFollower(t *testing.T) {
@@ -198,7 +246,8 @@ func TestReplicatorDetachesDeadFollower(t *testing.T) {
 	addr, srv, _ := startServer(t, rec)
 
 	lost := make(chan string, 1)
-	r := NewReplicator(0, time.Minute, DialOptions{}, noFingerprint, func(addr string, err error) { lost <- addr })
+	var miner fedCounter
+	r := NewReplicator(miner.fed, time.Minute, DialOptions{}, noFingerprint, func(addr string, err error) { lost <- addr })
 	defer r.Close()
 	if err := r.Attach(context.Background(), addr, func() (CatchupCut, error) {
 		return CatchupCut{}, nil
@@ -220,7 +269,7 @@ func TestReplicatorDetachesDeadFollower(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("dead follower never detached")
 		}
-		if err := r.Ingest(context.Background(), recs, func() error { return nil }); err != nil {
+		if err := r.Ingest(context.Background(), recs, miner.mine(len(recs))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -307,7 +356,7 @@ func TestCatchupChunked(t *testing.T) {
 	for i := range snap {
 		snap[i] = byte(i * 31)
 	}
-	r := NewReplicator(5, time.Minute, DialOptions{}, noFingerprint, nil)
+	r := NewReplicator(func() uint64 { return 5 }, time.Minute, DialOptions{}, noFingerprint, nil)
 	defer r.Close()
 	cut := CatchupCut{Pos: 5, Fingerprint: 9, FileCount: 3, Snapshot: snap}
 	if err := r.Attach(context.Background(), addr, func() (CatchupCut, error) { return cut, nil }); err != nil {
@@ -351,7 +400,8 @@ func TestReplicatorDetachesWedgedFollower(t *testing.T) {
 	defer close(rec.release) // unwedge the handler so the test binary exits
 
 	lost := make(chan string, 1)
-	r := NewReplicator(0, 50*time.Millisecond, DialOptions{}, noFingerprint, func(addr string, err error) {
+	var miner fedCounter
+	r := NewReplicator(miner.fed, 50*time.Millisecond, DialOptions{}, noFingerprint, func(addr string, err error) {
 		if !strings.Contains(err.Error(), "wedged") {
 			t.Errorf("lost reason %v, want the wedged hint", err)
 		}
@@ -362,7 +412,7 @@ func TestReplicatorDetachesWedgedFollower(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if err := r.Ingest(context.Background(), []trace.Record{{File: 1, Path: "/x"}}, func() error { return nil }); err != nil {
+	if err := r.Ingest(context.Background(), []trace.Record{{File: 1, Path: "/x"}}, miner.mine(1)); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {

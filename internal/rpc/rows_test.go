@@ -188,24 +188,22 @@ func TestMsgRows(t *testing.T) {
 	}
 }
 
-// frameSink is a peer that acks every frame and records its type and body
-// size; a Stats request is answered with a position, so a Replicator takes
-// it for a restarted follower to catch up by delta.
+// frameSink is a peer that acks every frame with an empty body and records
+// its type and body size.
 type frameSink struct {
 	lis net.Listener
-	fed uint64
 
 	mu     sync.Mutex
 	bodies map[MsgType][]int
 }
 
-func newFrameSink(t *testing.T, fed uint64) *frameSink {
+func newFrameSink(t *testing.T) *frameSink {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := &frameSink{lis: lis, fed: fed, bodies: make(map[MsgType][]int)}
+	k := &frameSink{lis: lis, bodies: make(map[MsgType][]int)}
 	t.Cleanup(func() { lis.Close() })
 	go func() {
 		for {
@@ -230,11 +228,7 @@ func (k *frameSink) serve(conn net.Conn) {
 		k.mu.Lock()
 		k.bodies[f.Type] = append(k.bodies[f.Type], len(f.Body))
 		k.mu.Unlock()
-		var body []byte
-		if f.Type == MsgStats {
-			body = appendStats(nil, core.Stats{Fed: k.fed})
-		}
-		if _, err := conn.Write(AppendFrame(nil, MsgOK, f.ID, body)); err != nil {
+		if _, err := conn.Write(AppendFrame(nil, MsgOK, f.ID, nil)); err != nil {
 			return
 		}
 	}
@@ -246,16 +240,14 @@ func (k *frameSink) sizes(typ MsgType) []int {
 	return append([]int(nil), k.bodies[typ]...)
 }
 
-// TestRecordChunksHoldTheLimit: every frame that carries a run of records —
-// a split FeedBatch, a delta catch-up — is cut by the one chunkRecords, at
-// the encoded size of a record. (The delta path used to size a record at
-// 24 bytes + path against the 49 it encodes to, so path-less chunks came out
-// twice maxCatchupChunk.)
+// TestRecordChunksHoldTheLimit: a split FeedBatch is cut by chunkRecords at
+// the encoded size of a record. (A record used to be sized at 24 bytes +
+// path against the 49 it encodes to, so path-less chunks came out twice the
+// limit.)
 func TestRecordChunksHoldTheLimit(t *testing.T) {
 	const limit = 1024
-	oldBatch, oldChunk := maxBatchBody, maxCatchupChunk
-	maxBatchBody, maxCatchupChunk = limit, limit
-	defer func() { maxBatchBody, maxCatchupChunk = oldBatch, oldChunk }()
+	defer func(old int) { maxBatchBody = old }(maxBatchBody)
+	maxBatchBody = limit
 
 	recs := make([]trace.Record, 500) // path-less: RecordFixedLen bytes each
 	for i := range recs {
@@ -263,21 +255,7 @@ func TestRecordChunksHoldTheLimit(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	check := func(what string, sizes []int, header int) {
-		t.Helper()
-		carried := 0
-		for _, n := range sizes {
-			if n > limit+trace.RecordFixedLen {
-				t.Errorf("%s body of %d bytes, limit %d + one record", what, n, limit)
-			}
-			carried += (n - header - 4) / trace.RecordFixedLen
-		}
-		if want := len(recs) * trace.RecordFixedLen / limit; len(sizes) < want || carried != len(recs) {
-			t.Errorf("%s: %d frames carried %d records, want all %d in at least %d", what, len(sizes), carried, len(recs), want)
-		}
-	}
-
-	sink := newFrameSink(t, 0)
+	sink := newFrameSink(t)
 	c, err := Dial(ctx, sink.lis.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -286,22 +264,14 @@ func TestRecordChunksHoldTheLimit(t *testing.T) {
 	if err := c.FeedBatch(ctx, recs); err != nil {
 		t.Fatal(err)
 	}
-	check("MsgFeedBatch", sink.sizes(MsgFeedBatch), 0)
-
-	// A follower that says it holds the first record is inside the tail: the
-	// other 499 reach it as delta chunks.
-	r := NewReplicator(0, time.Second, DialOptions{}, func() (uint64, int) { return 0xfeed, 17 }, nil)
-	defer r.Close()
-	if err := r.Ingest(ctx, recs, func() error { return nil }); err != nil {
-		t.Fatal(err)
+	sizes, carried := sink.sizes(MsgFeedBatch), 0
+	for _, n := range sizes {
+		if n > limit+trace.RecordFixedLen {
+			t.Errorf("MsgFeedBatch body of %d bytes, limit %d + one record", n, limit)
+		}
+		carried += (n - 4) / trace.RecordFixedLen
 	}
-	follower := newFrameSink(t, 1)
-	err = r.Attach(ctx, follower.lis.Addr().String(), func() (CatchupCut, error) {
-		return CatchupCut{}, errors.New("the delta offer applies; no full cut is wanted")
-	})
-	if err != nil {
-		t.Fatal(err)
+	if want := len(recs) * trace.RecordFixedLen / limit; len(sizes) < want || carried != len(recs) {
+		t.Errorf("%d frames carried %d records, want all %d in at least %d", len(sizes), carried, len(recs), want)
 	}
-	recs = recs[1:]
-	check("MsgCatchupDelta", follower.sizes(MsgCatchupDelta), 8+8+4+1)
 }

@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"context"
-	"errors"
 	"testing"
 	"time"
 
@@ -16,8 +15,8 @@ import (
 // across frames (feedRow). These tests hold what that rests on: the scratch
 // is reused and bounded, a handled frame allocates one string per record and
 // nothing else that grows with the batch, and nobody downstream — the miner's
-// shards, the Replicator's catch-up tail — still reads the slice when the
-// next frame overwrites it.
+// shards behind a Replicator — still reads the slice when the next frame
+// overwrites it.
 
 // consumeRecords decodes a whole batch body: what the golden and fuzz tests
 // hold readRecords by.
@@ -109,32 +108,15 @@ func (b *replicatingBackend) FeedBatch(recs []trace.Record) error {
 	return b.repl.Ingest(context.Background(), recs, func() error { return b.minerBackend.FeedBatch(recs) })
 }
 
-// replayingFollower takes a delta catch-up the way farmer's follower does:
-// replay, then match the primary's fingerprint.
-type replayingFollower struct {
-	*replicaRecorder
-}
-
-func (f *replayingFollower) CatchupDelta(conn uint64, d CatchupDelta) error {
-	f.sm.FeedBatch(d.Records)
-	if d.Final && core.StateFingerprint(f.sm, d.FileCount) != d.Fingerprint {
-		return errors.New("replayed state does not match the primary's fingerprint")
-	}
-	return nil
-}
-
-// TestCatchupTailSurvivesScratchReuse is the retention half: frames decoded
-// into one reused scratch go through Replicator.Ingest, and a follower that
-// was a frame in when it restarted catches up from the tail by replay. A
-// tail (or a shard) still pointing into the scratch would replay the last
-// frame five times over and miss the fingerprint.
-func TestCatchupTailSurvivesScratchReuse(t *testing.T) {
+// TestReplicatedFeedSurvivesScratchReuse is the retention half: frames
+// decoded into one reused scratch go through Replicator.Ingest into the
+// miner's shards. A shard still pointing into the scratch would mine the last
+// frame over again and miss the sequential miner's fingerprint.
+func TestReplicatedFeedSurvivesScratchReuse(t *testing.T) {
 	const batch = 1024
 	tr := tracegen.HP(6 * batch).MustGenerate()
 	b := newMinerBackend(2)
-	primary := &replicatingBackend{b, NewReplicator(0, time.Minute, DialOptions{}, func() (uint64, int) {
-		return core.StateFingerprint(b.sm, tr.FileCount), tr.FileCount
-	}, nil)}
+	primary := &replicatingBackend{b, NewReplicator(b.sm.Fed, time.Minute, DialOptions{}, noFingerprint, nil)}
 	defer primary.repl.Close()
 	s, cs := NewServer(primary), &connState{id: 1, authed: true}
 	for i, body := range feedFrames(tr.Records, batch) {
@@ -145,23 +127,9 @@ func TestCatchupTailSurvivesScratchReuse(t *testing.T) {
 	if cap(cs.recs) != batch {
 		t.Fatalf("six frames left a scratch of %d records: not reused", cap(cs.recs))
 	}
-
-	follower := &replayingFollower{&replicaRecorder{minerBackend: newMinerBackend(2)}}
-	follower.sm.FeedBatch(tr.Records[:batch])
-	addr, _, stop := startServer(t, follower)
-	defer stop()
-	err := primary.repl.Attach(context.Background(), addr, func() (CatchupCut, error) {
-		return CatchupCut{}, errors.New("the delta was refused: a full cut was asked for")
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	single := core.New(core.DefaultConfig())
 	single.FeedTrace(tr)
 	want := core.StateFingerprint(single, tr.FileCount)
-	if got := core.StateFingerprint(follower.sm, tr.FileCount); got != want || follower.sm.Fed() != uint64(len(tr.Records)) {
-		t.Fatalf("follower at %d records with fingerprint %x, want %d and the sequential miner's %x", follower.sm.Fed(), got, len(tr.Records), want)
-	}
 	if got := core.StateFingerprint(primary.sm, tr.FileCount); got != want {
 		t.Fatalf("primary fingerprint %x, want the sequential miner's %x", got, want)
 	}

@@ -50,19 +50,19 @@ func (w *window) flush(ctx context.Context) error {
 
 // chunkRecords cuts recs into consecutive runs whose appendRecords encoding
 // stays within limit bytes (a run always takes at least one record, so it can
-// exceed limit by at most that record) and yields them in order; last marks
-// the final run. An empty recs yields one empty final run.
-func chunkRecords(recs []trace.Record, limit int, yield func(run []trace.Record, last bool) error) error {
+// exceed limit by at most that record) and yields them in order, stopping at
+// the first error. An empty recs yields one empty run.
+func chunkRecords(recs []trace.Record, limit int, yield func(run []trace.Record) error) error {
 	lo, size := 0, 4
 	for i := range recs {
 		sz := trace.RecordFixedLen + len(recs[i].Path)
 		if size+sz > limit && i > lo {
-			if err := yield(recs[lo:i], false); err != nil {
+			if err := yield(recs[lo:i]); err != nil {
 				return err
 			}
 			lo, size = i, 4
 		}
 		size += sz
 	}
-	return yield(recs[lo:], true)
+	return yield(recs[lo:])
 }

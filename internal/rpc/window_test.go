@@ -106,7 +106,7 @@ func TestAckWindowFeedBatch(t *testing.T) {
 
 	w := window{c: c}
 	frames := 0
-	_ = chunkRecords(tr.Records, 16<<10, func(run []trace.Record, _ bool) error {
+	_ = chunkRecords(tr.Records, 16<<10, func(run []trace.Record) error {
 		frames++
 		return w.start(MsgFeedBatch, appendRecords(nil, run))
 	})

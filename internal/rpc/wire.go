@@ -136,8 +136,10 @@ const (
 	// (bit 0 = final), u32 count + records. The fingerprint/fileCount fields
 	// are zero on non-final chunks; the final chunk carries the primary's
 	// current state fingerprint, which the follower verifies after replay
-	// exactly like a full cut's. A server that predates the frame answers
-	// CodeUnsupported, and the primary falls back to the full snapshot path.
+	// exactly like a full cut's. A Replicator sends it only to resume a
+	// follower already at its position: one final chunk, no records. A
+	// server that predates the frame answers CodeUnsupported, and the
+	// primary falls back to the full snapshot path.
 	MsgCatchupDelta
 
 	// MsgObs is the live-observability read behind `farmerctl top` and the

@@ -34,10 +34,10 @@ func (m *LocalMiner) catchupCut() (rpc.CatchupCut, error) {
 }
 
 // catchupFingerprint reports the miner's current state fingerprint and the
-// tracked-file bound it covers — what a delta catch-up's final frame carries
-// for the follower to verify after replaying. The caller
-// (rpc.Replicator.attachDelta) holds the stream lock, so the fingerprint
-// describes the exact record boundary the delta ends at.
+// tracked-file bound it covers — what a resume's final frame carries for the
+// follower to verify. The caller (rpc.Replicator.attachResume) holds the
+// stream lock, so the fingerprint describes the exact record boundary the
+// follower resumes at.
 func (m *LocalMiner) catchupFingerprint() (uint64, int) {
 	fc := m.sm.TrackedFileCount()
 	return core.StateFingerprint(m.sm, fc), fc

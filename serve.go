@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"net"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -104,22 +103,20 @@ type ServeConfig struct {
 
 // serveBackend adapts a LocalMiner to the wire protocol's backend surface
 // and carries the replication role state: a backend whose lease runtime
-// leads takes writes (routing every mutation through the rpc.Replicator, if
-// any, so followers see the exact acked stream); one that does not refuses
-// them and, while it has never led, applies a primary's stream instead.
+// leads takes writes, every one through its rpc.Replicator so attached
+// followers see the exact acked stream; one that does not refuses them and,
+// while it has never led, applies a primary's stream instead.
 type serveBackend struct {
 	*leaseRuntime
 	m          *LocalMiner
-	saveBudget time.Duration   // routine-checkpoint bound (see ServeConfig.DrainTimeout)
-	dialOpts   rpc.DialOptions // dial its followers (tenant stamped) and lease voters
+	saveBudget time.Duration // routine-checkpoint bound (see ServeConfig.DrainTimeout)
+	token      string        // ReplicaToken: dial lease voters with it
 
-	// repl is non-nil on a replicating primary. It is guarded by replGate
-	// because a live handoff (MsgHandoff) installs a replicator on a
-	// previously standalone source mid-serve: the install takes the write
-	// side, waiting out every in-flight direct-path feed, so the new
-	// stream's starting position is exactly the miner's record count.
-	replGate sync.RWMutex
-	repl     *rpc.Replicator
+	// repl is this backend's replication stream for its whole life, built
+	// over the miner's record count: with no follower attached it mines and
+	// broadcasts to none. Followers attach at start, at a tenant's first
+	// touch, or for a live handoff (replicate).
+	repl *rpc.Replicator
 
 	// tenant and budget carry the registry's admission control: feeds are
 	// refused with ErrTenantBudget once the tenant's model footprint
@@ -133,9 +130,13 @@ type serveBackend struct {
 	handoffNS *obs.Histogram // farmer_handoff_duration_ns
 }
 
-// newServeBackend serves m under the lease runtime rt, as rt's peers.
+// newServeBackend serves m under the lease runtime rt, as rt's peers; do
+// dials its followers (tenant stamped) and lease voters.
 func newServeBackend(m *LocalMiner, rt *leaseRuntime, saveBudget time.Duration, do rpc.DialOptions) *serveBackend {
-	b := &serveBackend{leaseRuntime: rt, m: m, saveBudget: saveBudget, dialOpts: do}
+	b := &serveBackend{leaseRuntime: rt, m: m, saveBudget: saveBudget, token: do.Token}
+	b.repl = rpc.NewReplicator(m.sm.Fed, replicaAckTimeout, do, m.catchupFingerprint, func(addr string, err error) {
+		b.logf("follower %s dropped from replication: %v", addr, err)
+	})
 	rt.peers = replPeers{b}
 	return b
 }
@@ -144,17 +145,14 @@ var _ rpc.ReplicaBackend = (*serveBackend)(nil)
 var _ rpc.LeaseBackend = (*serveBackend)(nil)
 var _ rpc.HandoffBackend = (*serveBackend)(nil)
 
-// replicate makes b stream to addrs — the one place a backend becomes a
-// replicating primary, at daemon start, at a tenant's first touch and for a
-// live handoff alike. It installs b's Replicator if b has none, under the
-// write side of replGate: that waits out every in-flight direct-path feed,
-// so the stream starts at exactly the miner's record count. It then catches
-// up and attaches each address not yet on the stream and announces b's term
-// to the attached followers — TTL or not, so a follower always knows whose
-// epoch it mirrors, and now rather than at the first renewal tick: a leader
-// that dies inside that first TTL/4 would otherwise leave followers that
-// never observed any lease, and a follower that has seen no epoch refuses to
-// elect itself.
+// replicate makes b stream to addrs — the one place a backend gains
+// followers, at daemon start, at a tenant's first touch and for a live
+// handoff alike. It catches up and attaches each address not yet on b's
+// stream and announces b's term to the attached followers — TTL or not, so a
+// follower always knows whose epoch it mirrors, and now rather than at the
+// first renewal tick: a leader that dies inside that first TTL/4 would
+// otherwise leave followers that never observed any lease, and a follower
+// that has seen no epoch refuses to elect itself.
 //
 // Each attach (dial, hello, catch-up verdict) is bounded by
 // replicaAckTimeout, like each ack on the stream: a follower that accepts
@@ -164,20 +162,12 @@ var _ rpc.HandoffBackend = (*serveBackend)(nil)
 // skipped (a tenant opening on a daemon that already serves: availability
 // wins over replica count).
 func (b *serveBackend) replicate(ctx context.Context, addrs []string, must bool) error {
-	b.replGate.Lock()
-	if b.repl == nil {
-		b.repl = rpc.NewReplicator(b.m.sm.Fed(), replicaAckTimeout, b.dialOpts, b.m.catchupFingerprint, func(addr string, err error) {
-			b.logf("follower %s dropped from replication: %v", addr, err)
-		})
-	}
-	rp := b.repl
-	b.replGate.Unlock()
 	for _, addr := range addrs {
-		if slices.Contains(rp.Followers(), addr) {
+		if slices.Contains(b.repl.Followers(), addr) {
 			continue
 		}
 		actx, cancel := context.WithTimeout(ctx, replicaAckTimeout)
-		err := rp.Attach(actx, addr, b.m.catchupCut)
+		err := b.repl.Attach(actx, addr, b.m.catchupCut)
 		cancel()
 		switch {
 		case err == nil:
@@ -192,29 +182,13 @@ func (b *serveBackend) replicate(ctx context.Context, addrs []string, must bool)
 	return nil
 }
 
-// replicator snapshots the replication handle under the gate (a live
-// handoff may install one on a standalone source mid-serve).
-func (b *serveBackend) replicator() *rpc.Replicator {
-	b.replGate.RLock()
-	defer b.replGate.RUnlock()
-	return b.repl
-}
-
-// lags samples each follower's replication lag (none without a stream).
-func (b *serveBackend) lags() []rpc.FollowerLag {
-	if repl := b.replicator(); repl != nil {
-		return repl.Lags()
-	}
-	return nil
-}
-
 // replPeers is a backend's leasePeers on the wire: a vote is a LeaseVote to
 // the peer daemon (no tenant: with a TTL a daemon holds one lease) over a
 // fresh dial, a renewal rides the backend's replication stream.
 type replPeers struct{ b *serveBackend }
 
 func (p replPeers) vote(ctx context.Context, peer string, epoch uint64, candidate string) error {
-	c, err := rpc.DialWith(ctx, peer, rpc.DialOptions{Token: p.b.dialOpts.Token})
+	c, err := rpc.DialWith(ctx, peer, rpc.DialOptions{Token: p.b.token})
 	if err != nil {
 		return err
 	}
@@ -223,10 +197,7 @@ func (p replPeers) vote(ctx context.Context, peer string, epoch uint64, candidat
 }
 
 func (p replPeers) renew(ctx context.Context, info rpc.LeaseInfo) (acked int, stale bool) {
-	if rp := p.b.replicator(); rp != nil {
-		return rp.RenewLease(ctx, info)
-	}
-	return 0, false
+	return p.b.repl.RenewLease(ctx, info)
 }
 
 // replicaAckTimeout bounds one follower's ack on the replication stream and
@@ -279,12 +250,6 @@ func (b *serveBackend) Feed(r *trace.Record) error {
 	if err := b.admit(1); err != nil {
 		return err
 	}
-	b.replGate.RLock()
-	defer b.replGate.RUnlock()
-	if b.repl == nil {
-		b.m.sm.Feed(r)
-		return nil
-	}
 	return b.repl.Ingest(context.Background(), []trace.Record{*r}, func() error {
 		if err := b.writable(); err != nil { // the re-check under the stream lock
 			return err
@@ -300,12 +265,6 @@ func (b *serveBackend) FeedBatch(recs []trace.Record) error {
 	}
 	if err := b.admit(len(recs)); err != nil {
 		return err
-	}
-	b.replGate.RLock()
-	defer b.replGate.RUnlock()
-	if b.repl == nil {
-		b.m.sm.FeedBatch(recs)
-		return nil
 	}
 	return b.repl.Ingest(context.Background(), recs, func() error {
 		if err := b.writable(); err != nil { // the re-check under the stream lock
@@ -327,7 +286,7 @@ func (b *serveBackend) TenantObs(topK int) rpc.TenantObs {
 	row := b.m.obsRow(topK)
 	term, _ := b.holder.Current()
 	row.LeaseEpoch = term.Epoch
-	lags := b.lags()
+	lags := b.repl.Lags()
 	row.Followers = uint64(len(lags))
 	for _, l := range lags {
 		row.ReplLagMax = max(row.ReplLagMax, l.Lag)
@@ -353,8 +312,8 @@ func (b *serveBackend) Load() error {
 	if err := b.writable(); err != nil {
 		return err
 	}
-	if b.replicator() != nil {
-		return errors.New("farmer: cannot load a checkpoint into a replicating primary (restart it with -load instead)")
+	if len(b.repl.Followers()) > 0 {
+		return errors.New("farmer: cannot load a checkpoint while followers are attached (restart the primary with -load instead)")
 	}
 	ctx, cancel := b.saveCtx()
 	defer cancel()
@@ -382,18 +341,16 @@ func (b *serveBackend) Handoff(target string) error {
 		return err
 	}
 	start := time.Now()
-	if rp := b.replicator(); rp != nil {
-		for _, addr := range rp.Followers() {
-			if addr != target {
-				return fmt.Errorf("farmer: refusing handoff to %s while also replicating to %s (the stream cannot split leaders)", target, addr)
-			}
+	for _, addr := range b.repl.Followers() {
+		if addr != target {
+			return fmt.Errorf("farmer: refusing handoff to %s while also replicating to %s (the stream cannot split leaders)", target, addr)
 		}
 	}
 	if err := b.replicate(context.Background(), []string{target}, true); err != nil {
 		return err
 	}
 	info, commit := b.transfer(target)
-	if err := b.replicator().TransferLease(context.Background(), target, info, commit); err != nil {
+	if err := b.repl.TransferLease(context.Background(), target, info, commit); err != nil {
 		return err
 	}
 	b.handoffs.Inc()
@@ -501,14 +458,12 @@ func Serve(ctx context.Context, lis net.Listener, m *LocalMiner, cfg ServeConfig
 	}
 	if cfg.Obs != nil {
 		m.attachMetrics(cfg.Obs)
-		// Read the replicator at every scrape: a live handoff gives a
-		// standalone source one mid-serve.
 		cfg.Obs.GaugeEach("farmer_repl_lag_records", func(emit obs.EmitFunc) {
-			for _, l := range backend.lags() {
+			for _, l := range backend.repl.Lags() {
 				emit([]obs.Label{obs.L("follower", l.Addr)}, float64(l.Lag))
 			}
 		})
-		cfg.Obs.GaugeFunc("farmer_repl_followers", func() float64 { return float64(len(backend.lags())) })
+		cfg.Obs.GaugeFunc("farmer_repl_followers", func() float64 { return float64(len(backend.repl.Followers())) })
 		cfg.Obs.GaugeFunc("farmer_lease_epoch", func() float64 {
 			term, _ := rt.holder.Current()
 			return float64(term.Epoch)

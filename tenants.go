@@ -198,11 +198,10 @@ func (g *Registry) openLocked(tenant string) (*tenantEntry, error) {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("farmer: creating tenant %q store dir: %w", tenant, err)
 		}
-		// Followers load too: a follower tenant's own checkpoint is what
-		// makes a delta catch-up possible — the primary replays just the
-		// records past its position. A checkpoint the primary cannot resume
-		// from simply makes it fall back to a full cut, which resets the
-		// miner before installing.
+		// Followers load too: a follower tenant's own checkpoint at the
+		// primary's position lets it resume without a full cut. Any other
+		// checkpoint makes the primary fall back to a full cut, which
+		// resets the miner before installing.
 		opts = append(opts, WithStore(filepath.Join(dir, "store.wal")), WithLoad())
 	}
 	m, err := Open(cfg, opts...)
@@ -310,9 +309,7 @@ func (g *Registry) evictIdle() {
 // holding everything the primary acked. Idempotent.
 func (g *Registry) closeReplicators() {
 	for _, e := range g.snapshot() {
-		if repl := e.backend.replicator(); repl != nil {
-			repl.Close()
-		}
+		e.backend.repl.Close()
 	}
 }
 

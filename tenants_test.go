@@ -86,6 +86,10 @@ func (p *blackholeProxy) close() {
 // which the tenant opens without the follower and says so.
 func TestTenantOpenDoesNotStallDaemon(t *testing.T) {
 	ctx := context.Background()
+	// Shortened before any daemon starts (every backend reads it when it is
+	// built) and restored after the last one stops.
+	const bound = 500 * time.Millisecond
+	defer farmer.SetReplicaAckTimeout(bound)()
 	follower, err := farmer.Open(farmer.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -101,8 +105,6 @@ func TestTenantOpenDoesNotStallDaemon(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer primary.Close()
-	const bound = 500 * time.Millisecond
-	defer farmer.SetReplicaAckTimeout(bound)()
 	var plog serveLog
 	pAddr, pStop := startServe(t, primary, farmer.ServeConfig{
 		ReplicateTo:  []string{proxy.addr()},

@@ -139,7 +139,7 @@ func TestWritabilityContract(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				b := &serveBackend{m: m, leaseRuntime: &leaseRuntime{holder: h, logf: func(string, ...any) {}}}
+				b := newServeBackend(m, &leaseRuntime{holder: h, logf: func(string, ...any) {}}, 0, rpc.DialOptions{})
 				for _, s := range tc.steps {
 					s(env{t, b, &now})
 				}
