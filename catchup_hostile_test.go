@@ -14,6 +14,7 @@ import (
 	"farmer/internal/core"
 	"farmer/internal/kvstore"
 	"farmer/internal/rpc"
+	"farmer/internal/trace"
 )
 
 // editFrame returns a copy of a cut's snapshot in which the first frame whose
@@ -207,5 +208,37 @@ func TestCatchupSnapshotLengthNotBelieved(t *testing.T) {
 	}
 	if fed := follower.sm.Fed(); fed != 0 {
 		t.Fatalf("refused catch-up left state behind: fed=%d", fed)
+	}
+}
+
+// TestResumeRefusesAnythingButAnEmptyFinalFrame: a primary resumes a
+// follower with one final MsgCatchupDelta and no records. A frame carrying
+// records, or one not final, is refused before the follower mines anything
+// or pins its sender, and the honest resume is accepted after them from
+// another connection.
+func TestResumeRefusesAnythingButAnEmptyFinalFrame(t *testing.T) {
+	m, err := Open(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	rt := newLeaseRuntime("self:1", 0, true, nil)
+	rt.logf = func(string, ...any) {}
+	b := newServeBackend(m, rt, 0, rpc.DialOptions{})
+	fp, fc := m.catchupFingerprint()
+	honest := rpc.CatchupDelta{Fingerprint: fp, FileCount: fc, Final: true}
+	withRecords, notFinal := honest, honest
+	withRecords.Records = []trace.Record{{File: 1}}
+	notFinal.Final = false
+	for name, d := range map[string]rpc.CatchupDelta{"records": withRecords, "not final": notFinal} {
+		if err := b.CatchupDelta(1, d); err == nil {
+			t.Errorf("%s: resume frame accepted", name)
+		}
+		if fed := m.sm.Fed(); fed != 0 {
+			t.Fatalf("%s: the refused frame was mined: fed=%d", name, fed)
+		}
+	}
+	if err := b.CatchupDelta(2, honest); err != nil {
+		t.Fatalf("honest resume refused after the others: %v", err)
 	}
 }

@@ -1,10 +1,9 @@
 package farmer_test
 
-// Delta catch-up integration: a follower restarted from its own on-disk
-// checkpoint is caught up by the primary replaying just the records it
-// missed (MsgCatchupDelta) instead of shipping a full snapshot — and falls
-// back to the full snapshot automatically when its position is outside the
-// primary's resumable tail.
+// Resume integration: a follower restarted from its own on-disk checkpoint
+// at the restarted primary's position resumes with one empty final
+// MsgCatchupDelta and a fingerprint check instead of a full snapshot — and
+// gets the full snapshot automatically when its position is any other.
 
 import (
 	"context"
@@ -60,8 +59,8 @@ func waitForLog(t *testing.T, l *serveLog, sub string) {
 
 // TestFollowerDeltaCatchupOnRestart: a replicated pair drains cleanly, both
 // sides restart from their checkpoints, and the follower — whose position
-// matches the primary's — reattaches via delta replay, never receiving a
-// full snapshot. The reattached pair then keeps replicating.
+// matches the primary's — reattaches by a resume, never receiving a full
+// snapshot. The reattached pair then keeps replicating.
 func TestFollowerDeltaCatchupOnRestart(t *testing.T) {
 	tr, err := farmer.Generate(farmer.HP(6000))
 	if err != nil {
@@ -106,7 +105,7 @@ func TestFollowerDeltaCatchupOnRestart(t *testing.T) {
 
 	// Generation 2: both restart from disk. The follower's checkpoint puts
 	// it exactly at the primary's position, so the attach must run as a
-	// delta replay — no snapshot install.
+	// resume — no snapshot install.
 	var flog, plog serveLog
 	f2, err := farmer.Open(cfg, farmer.WithShards(2), farmer.WithStore(fWAL), farmer.WithLoad())
 	if err != nil {
@@ -124,8 +123,8 @@ func TestFollowerDeltaCatchupOnRestart(t *testing.T) {
 	defer pStop2()
 
 	waitForLog(t, &plog, "caught up and attached")
-	if !flog.contains("caught up from primary by delta replay to position 4000") {
-		t.Fatalf("follower did not catch up by delta replay: %q", flog.all())
+	if !flog.contains("resumed from primary at position 4000") {
+		t.Fatalf("follower did not resume: %q", flog.all())
 	}
 	if flog.contains("caught up from primary at position") {
 		t.Fatalf("follower received a full snapshot despite a resumable checkpoint: %q", flog.all())
@@ -155,9 +154,9 @@ func TestFollowerDeltaCatchupOnRestart(t *testing.T) {
 }
 
 // TestFollowerCatchupFallsBackToFullWhenStale: a follower whose checkpoint
-// is BEHIND the restarted primary's resumable tail cannot be caught up by
-// replay — the attach must fall back to the full snapshot (resetting the
-// follower's stale loaded state) and end with the follower current.
+// is BEHIND the restarted primary's position cannot resume — the attach
+// must fall back to the full snapshot (resetting the follower's stale
+// loaded state) and end with the follower current.
 func TestFollowerCatchupFallsBackToFullWhenStale(t *testing.T) {
 	tr, err := farmer.Generate(farmer.HP(6000))
 	if err != nil {
@@ -204,8 +203,8 @@ func TestFollowerCatchupFallsBackToFullWhenStale(t *testing.T) {
 	}
 	p1.Close()
 
-	// Generation 2: the restarted primary's resumable tail starts at its
-	// own position (4500); the follower resumes at 3000, outside it.
+	// Generation 2: the restarted primary stands at 4500; the follower
+	// restarts at 3000, where no resume is possible.
 	var flog serveLog
 	f2, err := farmer.Open(cfg, farmer.WithShards(2), farmer.WithStore(fWAL), farmer.WithLoad())
 	if err != nil {
@@ -227,8 +226,8 @@ func TestFollowerCatchupFallsBackToFullWhenStale(t *testing.T) {
 	if !flog.contains("caught up from primary at position 4500") {
 		t.Fatalf("stale follower was not bootstrapped by a full snapshot: %q", flog.all())
 	}
-	if flog.contains("delta replay") {
-		t.Fatalf("stale follower was offered a delta it cannot replay: %q", flog.all())
+	if flog.contains("resumed from primary") {
+		t.Fatalf("stale follower resumed instead of taking a full snapshot: %q", flog.all())
 	}
 
 	// The pair is live again: replicate the rest and verify the follower

@@ -207,7 +207,7 @@ func ExampleDial_failover() {
 // bind which tenant, and the workloads never see each other: alpha's cycle
 // teaches it nothing about beta's.
 func ExampleServe_multiTenant() {
-	server, err := farmer.Open(farmer.DefaultConfig())
+	server, err := farmer.Open(farmer.DefaultConfig(), farmer.WithShards(2)) // every tenant mines as it does
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func ExampleServe_multiTenant() {
 	done := make(chan error, 1)
 	go func() {
 		done <- farmer.Serve(ctx, lis, server, farmer.ServeConfig{
-			Tenants: &farmer.TenantsConfig{Shards: 2}, // memory-only tenants; set Dir to persist them
+			Tenants: &farmer.TenantsConfig{}, // memory-only tenants; set Dir to persist them
 			AuthTokens: map[string][]string{
 				"admin-secret": {"*"},     // every tenant, including the default
 				"alpha-secret": {"alpha"}, // exactly one

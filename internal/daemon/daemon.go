@@ -306,14 +306,9 @@ func Run(ctx context.Context, o Options) error {
 	if o.TenantsDir != "" {
 		tenantsCfg = &farmer.TenantsConfig{
 			Dir:        o.TenantsDir,
-			Config:     cfg,
-			Shards:     o.Shards,
 			Budget:     farmer.TenantBudget{MaxMemoryBytes: o.TenantMaxMemory},
 			MaxTenants: o.MaxTenants,
 			IdleAfter:  o.TenantIdle,
-		}
-		if o.PrefetchK > 0 {
-			tenantsCfg.Prefetch = &farmer.PrefetchConfig{K: o.PrefetchK}
 		}
 	}
 

@@ -42,13 +42,13 @@ func TestMultiTenantInterleavedBitIdentical(t *testing.T) {
 	refD := MineSequential(trD, mc)
 	ctx := context.Background()
 
-	def, err := farmer.Open(farmer.DefaultConfig(), farmer.WithShards(2))
+	def, err := farmer.Open(farmer.DefaultConfig(), farmer.WithShards(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer def.Close()
 	addr, stop := startServeRole(t, def, farmer.ServeConfig{
-		Tenants: &farmer.TenantsConfig{Dir: t.TempDir(), Shards: 3},
+		Tenants: &farmer.TenantsConfig{Dir: t.TempDir()},
 	})
 	defer stop()
 
@@ -226,7 +226,7 @@ func TestMultiTenantFailoverReauth(t *testing.T) {
 	fAddr, fStop := startServeRole(t, fDef, farmer.ServeConfig{
 		Follower:   true,
 		AuthTokens: auth,
-		Tenants:    &farmer.TenantsConfig{Dir: t.TempDir(), Shards: 2},
+		Tenants:    &farmer.TenantsConfig{Dir: t.TempDir()},
 	})
 	defer fStop()
 
@@ -239,7 +239,7 @@ func TestMultiTenantFailoverReauth(t *testing.T) {
 		ReplicateTo:  []string{fAddr},
 		ReplicaToken: "admin-secret",
 		AuthTokens:   auth,
-		Tenants:      &farmer.TenantsConfig{Dir: t.TempDir(), Shards: 3},
+		Tenants:      &farmer.TenantsConfig{Dir: t.TempDir()},
 		// A near-zero drain makes the stop a crash: connections are cut,
 		// not drained — the in-process stand-in for SIGKILL.
 		DrainTimeout: time.Millisecond,

@@ -88,7 +88,8 @@ func row[Req any](name string, s surface, decode func([]byte) (Req, error), run 
 // read into the connection's scratch (grown to the largest batch seen, up to
 // maxKeptRecords), not a slice per frame: a backend is done with the slice
 // once it returns — FeedBatch returns after every shard has drained, the
-// Replicator copies into its tail — and a Path is a string of its own.
+// Replicator encodes them for its followers before it returns — and a Path
+// is a string of its own.
 func feedRow(name, what string, read func(*bin.Cursor, []trace.Record) []trace.Record, feed func(Backend, []trace.Record) error) msgRow {
 	return msgRow{name, surfacePlain, func(r *request) ([]byte, error) {
 		c := bin.Read(what, r.body)

@@ -43,10 +43,9 @@ type ReplicaBackend interface {
 	Backend
 	Promote() error
 	Catchup(conn uint64, cut CatchupCut) error
-	// CatchupDelta applies one chunk of a delta catch-up: the follower
-	// replays the missed records through its own miner and, on the final
-	// chunk, verifies the primary's fingerprint against its post-replay
-	// state. Any error tells the primary to fall back to a full cut.
+	// CatchupDelta resumes a follower at the primary's position: it
+	// verifies its own state against the primary's fingerprint. Any error
+	// tells the primary to fall back to a full cut.
 	CatchupDelta(conn uint64, d CatchupDelta) error
 	Replicate(conn uint64, pos uint64, recs []trace.Record) error
 	ConnClosed(conn uint64)

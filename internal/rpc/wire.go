@@ -130,16 +130,14 @@ const (
 	// MsgTenants lists the live tenants: the MsgOK body is a TenantInfo
 	// list (name + stats per tenant) — the read behind `farmerctl tenants`.
 	MsgTenants
-	// MsgCatchupDelta catches a restarted follower up from its own resumable
-	// position with a chunked replay of the records it missed instead of a
-	// full snapshot: u64 fromPos, u64 fingerprint, u32 fileCount, u8 flags
-	// (bit 0 = final), u32 count + records. The fingerprint/fileCount fields
-	// are zero on non-final chunks; the final chunk carries the primary's
-	// current state fingerprint, which the follower verifies after replay
-	// exactly like a full cut's. A Replicator sends it only to resume a
-	// follower already at its position: one final chunk, no records. A
-	// server that predates the frame answers CodeUnsupported, and the
-	// primary falls back to the full snapshot path.
+	// MsgCatchupDelta resumes a restarted follower already at the primary's
+	// position without a snapshot: u64 fromPos, u64 fingerprint, u32
+	// fileCount, u8 flags (bit 0 = final), u32 count + records. A Replicator
+	// sends one final frame with no records, carrying the primary's state
+	// fingerprint, which the follower verifies exactly like a full cut's; a
+	// follower refuses any other frame, and any refusal sends the primary
+	// down the full snapshot path. A server that predates the frame answers
+	// CodeUnsupported, with the same fallback.
 	MsgCatchupDelta
 
 	// MsgObs is the live-observability read behind `farmerctl top` and the
@@ -513,13 +511,10 @@ func decodeCatchup(b []byte) (CatchupCut, error) {
 	return cut, c.Done()
 }
 
-// CatchupDelta is one chunk of a delta catch-up: the records a restarted
-// follower missed, replayed through its own miner (mining is deterministic,
-// so replay from an identical base state reproduces the primary's state
-// bit-identically). FromPos is the stream position BEFORE this chunk's
-// records; the follower refuses a position that does not equal its own fed
-// counter. Final marks the last chunk, whose Fingerprint/FileCount the
-// follower verifies against its post-replay state.
+// CatchupDelta is a MsgCatchupDelta body. A resume sends it Final with no
+// Records: FromPos is the position both sides stand at (the follower
+// refuses one that is not its own fed counter), and Fingerprint/FileCount
+// describe the primary's state, which the follower's must match.
 type CatchupDelta struct {
 	FromPos     uint64
 	Fingerprint uint64

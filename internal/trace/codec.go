@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -290,72 +291,45 @@ func WriteBinary(w io.Writer, t *Trace) error {
 	return bw.Flush()
 }
 
-// ReadBinary decodes a trace written by WriteBinary.
+// ReadBinary decodes a trace written by WriteBinary. Each record goes
+// through ConsumeRecord, the decoder of the layout AppendRecord writes.
 func ReadBinary(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
 	le := binary.LittleEndian
-	var scratch [8]byte
-	getU32 := func() (uint32, error) {
-		if _, err := io.ReadFull(br, scratch[:4]); err != nil {
-			return 0, err
-		}
-		return le.Uint32(scratch[:4]), nil
+	var buf []byte
+	// read returns the next n bytes, valid until the next call.
+	read := func(n int) ([]byte, error) {
+		buf = slices.Grow(buf[:0], n)[:n]
+		_, err := io.ReadFull(br, buf)
+		return buf, err
 	}
-	getU64 := func() (uint64, error) {
-		if _, err := io.ReadFull(br, scratch[:8]); err != nil {
-			return 0, err
-		}
-		return le.Uint64(scratch[:8]), nil
-	}
-	getStr := func() (string, error) {
-		n, err := getU32()
-		if err != nil {
-			return "", err
-		}
-		if n > 1<<20 {
-			return "", fmt.Errorf("trace: unreasonable string length %d", n)
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(br, b); err != nil {
-			return "", err
-		}
-		return string(b), nil
-	}
-	m, err := getU32()
+	h, err := read(12) // magic, version, name length
 	if err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
+		return nil, fmt.Errorf("trace: reading header: %w", err)
 	}
-	if m != binMagic {
+	if m := le.Uint32(h); m != binMagic {
 		return nil, fmt.Errorf("trace: bad binary magic %#x", m)
 	}
-	ver, err := getU32()
-	if err != nil {
-		return nil, err
-	}
-	if ver != 1 {
+	if ver := le.Uint32(h[4:]); ver != 1 {
 		return nil, fmt.Errorf("trace: unsupported version %d", ver)
 	}
-	t := &Trace{}
-	if t.Name, err = getStr(); err != nil {
-		return nil, err
+	nameLen := le.Uint32(h[8:])
+	if nameLen > MaxPathLen {
+		return nil, fmt.Errorf("trace: unreasonable name length %d", nameLen)
 	}
-	fc, err := getU32()
+	name, err := read(int(nameLen))
 	if err != nil {
 		return nil, err
 	}
+	t := &Trace{Name: string(name)}
+	if h, err = read(13); err != nil { // file count, has-paths flag, record count
+		return nil, err
+	}
+	fc, n := le.Uint32(h), le.Uint64(h[5:])
 	if fc > maxFileCount {
 		return nil, fmt.Errorf("trace: unreasonable file count %d", fc)
 	}
-	t.FileCount = int(fc)
-	hp, err := br.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	t.HasPaths = hp == 1
-	n, err := getU64()
-	if err != nil {
-		return nil, err
-	}
+	t.FileCount, t.HasPaths = int(fc), h[4] == 1
 	if n > 1<<32 {
 		return nil, fmt.Errorf("trace: unreasonable record count %d", n)
 	}
@@ -365,38 +339,24 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 		// (found by FuzzCodec — a flipped count field cost ~90MB per decode
 		// attempt). Larger traces grow via amortized append as records
 		// actually arrive.
-		pre := n
-		if pre > 4096 {
-			pre = 4096
-		}
-		t.Records = make([]Record, 0, pre)
+		t.Records = make([]Record, 0, min(n, 4096))
 	}
 	for i := uint64(0); i < n; i++ {
-		var rec Record
-		if rec.Seq, err = getU64(); err != nil {
+		fixed, err := br.Peek(RecordFixedLen)
+		if err != nil {
 			return nil, fmt.Errorf("trace: record %d: %w", i, err)
 		}
-		tm, err := getU64()
+		pathLen := le.Uint32(fixed[RecordFixedLen-4:])
+		if pathLen > MaxPathLen {
+			return nil, fmt.Errorf("trace: record %d: unreasonable path length %d", i, pathLen)
+		}
+		b, err := read(RecordFixedLen + int(pathLen))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("trace: record %d: %w", i, err)
 		}
-		rec.Time = time.Duration(tm)
-		op, err := br.ReadByte()
+		rec, _, err := ConsumeRecord(b)
 		if err != nil {
-			return nil, err
-		}
-		rec.Op = Op(op)
-		var vals [7]uint32
-		for j := range vals {
-			if vals[j], err = getU32(); err != nil {
-				return nil, err
-			}
-		}
-		rec.File = FileID(vals[0])
-		rec.UID, rec.PID, rec.Host, rec.Dev, rec.Size = vals[1], vals[2], vals[3], vals[4], vals[5]
-		rec.Group = int32(vals[6])
-		if rec.Path, err = getStr(); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("trace: record %d: %w", i, err)
 		}
 		t.Records = append(t.Records, rec)
 	}

@@ -91,9 +91,15 @@ func (r *leaseRuntime) writable() error {
 // farmerctl's) request; on the leader it is a no-op. With voters it is the
 // election run now: without their votes it could contradict a leader they
 // still renew, or one that a follower still attached to it renews again.
+// Timed, it is refused until a term was observed, as elect is: a follower
+// restarted under a live primary that never re-dials it has seen no epoch,
+// and would take epoch 1, the one that primary still holds.
 func (r *leaseRuntime) Promote() error {
+	term, _ := r.holder.Current()
+	if term.Epoch == 0 && r.holder.TTL() > 0 {
+		return fmt.Errorf("%w: refusing promotion, no lease term observed yet (a primary may still hold epoch 1)", rpc.ErrNotPrimary)
+	}
 	if !r.holder.Led() && len(r.voters) > 0 && r.source() == 0 {
-		term, _ := r.holder.Current()
 		if votes, _ := r.votes(context.Background(), term.Epoch+1); votes < r.majority() {
 			return fmt.Errorf("%w: refusing promotion, %d/%d peer votes", rpc.ErrNotPrimary, votes, r.majority())
 		}

@@ -419,6 +419,44 @@ func TestLeasePromotionNeedsVoters(t *testing.T) {
 	}
 }
 
+// unreachable is the leasePeers of a primary whose follower is gone: no
+// renewal is acked, no vote granted.
+type unreachable struct{}
+
+func (unreachable) vote(context.Context, string, uint64, string) error {
+	return errors.New("unreachable")
+}
+func (unreachable) renew(context.Context, rpc.LeaseInfo) (int, bool) { return 0, false }
+
+// TestLeaseRestartedFollowerCannotPromote: a TTL follower restarted under a
+// running primary, which never re-dials it, has observed no term. With no
+// voters a promotion would acquire epoch 1, the epoch the primary holds —
+// and, once it lapses, the epoch of every record it acked alone. Promote
+// refuses it as an election does, before and after that lapse.
+func TestLeaseRestartedFollowerCannotPromote(t *testing.T) {
+	now := time.Unix(1_000_000, 0)
+	clock := func() time.Time { return now }
+	primary := newLeaseRuntime("p", netTTL, false, clock)
+	primary.peers, primary.logf, primary.followers = unreachable{}, func(string, ...any) {}, 1
+	restarted := newLeaseRuntime("f", netTTL, true, clock)
+	restarted.peers, restarted.logf = unreachable{}, func(string, ...any) {}
+
+	for _, when := range []string{"primary leading", "primary lapsed"} {
+		if err := restarted.Promote(); !errors.Is(err, rpc.ErrNotPrimary) {
+			t.Fatalf("%s: promoting a follower that observed no term: %v, want refused ErrNotPrimary", when, err)
+		}
+		restarted.tick(context.Background())
+		if term, _ := restarted.holder.Current(); term.Epoch != 0 || restarted.holder.Led() {
+			t.Fatalf("%s: the restarted follower took epoch %d beside the primary's epoch 1", when, term.Epoch)
+		}
+		now = now.Add(2 * netTTL)
+		primary.tick(context.Background())
+	}
+	if primary.holder.Leading() {
+		t.Fatal("a primary with no follower acking kept its lease past the TTL")
+	}
+}
+
 func FuzzLeaseSchedule(f *testing.F) {
 	for _, s := range leaseScenarios {
 		f.Add(s.ops())

@@ -118,6 +118,7 @@ type LocalMiner struct {
 	sm    *ShardedModel
 	store *Store
 	pf    *Prefetcher
+	pfCfg PrefetchConfig // what WithPrefetcher asked for: a named tenant's pipeline runs the same
 
 	// Checkpoint observability: always counted (the MsgObs row needs the
 	// numbers whether or not a registry is attached); the padded counters
@@ -171,7 +172,7 @@ func Open(cfg Config, opts ...Option) (*LocalMiner, error) {
 		}
 	}
 	if oc.prefetch {
-		m.pf = prefetch.Start(m.sm, oc.pfSink, oc.pfCfg)
+		m.pf, m.pfCfg = prefetch.Start(m.sm, oc.pfSink, oc.pfCfg), oc.pfCfg
 	}
 	return m, nil
 }

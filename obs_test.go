@@ -190,7 +190,7 @@ func TestReplGaugesFollowAHandoff(t *testing.T) {
 // tenant first), stamped with per-tenant wire accounting, and a restricted
 // token's view is filtered to its grant exactly like MsgTenants.
 func TestObsMultiTenantGrantFiltered(t *testing.T) {
-	server, err := farmer.Open(farmer.DefaultConfig())
+	server, err := farmer.Open(farmer.DefaultConfig(), farmer.WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestObsMultiTenantGrantFiltered(t *testing.T) {
 	reg := farmer.NewMetricsRegistry()
 	addr, stop := startServe(t, server, farmer.ServeConfig{
 		Obs:     reg,
-		Tenants: &farmer.TenantsConfig{Shards: 2},
+		Tenants: &farmer.TenantsConfig{},
 		AuthTokens: map[string][]string{
 			"root-secret":  {"*"},
 			"alpha-secret": {"alpha"},

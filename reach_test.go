@@ -55,7 +55,6 @@ var reachAllow = map[string]string{
 	"core.Model.WindowTail":               "public API: farmer.Model",
 	"core.ShardedModel.WindowTail":        "public API: farmer.ShardedModel",
 	"core.ShardedModel.PrimeWindow":       "public API: farmer.ShardedModel",
-	"core.ShardedModel.Config":            "public API: farmer.ShardedModel",
 	"core.ShardedModel.Shards":            "public API: farmer.ShardedModel",
 	"core.ShardedModel.Partitioner":       "public API: farmer.ShardedModel",
 	"core.ShardedModel.FeedTraceParallel": "public API: farmer.ShardedModel",

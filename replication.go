@@ -43,23 +43,16 @@ func (m *LocalMiner) catchupFingerprint() (uint64, int) {
 	return core.StateFingerprint(m.sm, fc), fc
 }
 
-// applyCatchupDelta replays one chunk of a delta catch-up: the records this
-// follower's checkpoint missed, fed through the normal mining path —
-// deterministic mining makes the replayed state identical to the primary's,
-// which the final chunk's fingerprint proves. A position mismatch (this
-// chunk does not start exactly where the follower stopped) refuses the
-// delta; the primary falls back to a full cut.
-func (m *LocalMiner) applyCatchupDelta(d rpc.CatchupDelta) error {
+// checkResume verifies a resume (rpc.Replicator.attachResume): this
+// follower stands exactly at the primary's position and its state
+// fingerprints as the primary's does. Any mismatch refuses the resume; the
+// primary falls back to a full cut.
+func (m *LocalMiner) checkResume(d rpc.CatchupDelta) error {
 	if fed := m.sm.Fed(); fed != d.FromPos {
-		return fmt.Errorf("farmer: delta catch-up resumes at position %d but this follower is at %d (no resumable match)", d.FromPos, fed)
+		return fmt.Errorf("farmer: resume at position %d but this follower is at %d", d.FromPos, fed)
 	}
-	if len(d.Records) > 0 {
-		m.sm.FeedBatch(d.Records)
-	}
-	if d.Final {
-		if fp := core.StateFingerprint(m.sm, d.FileCount); fp != d.Fingerprint {
-			return fmt.Errorf("farmer: delta catch-up fingerprint mismatch after replay: follower %#x, primary claims %#x (diverged checkpoint)", fp, d.Fingerprint)
-		}
+	if fp := core.StateFingerprint(m.sm, d.FileCount); fp != d.Fingerprint {
+		return fmt.Errorf("farmer: resume fingerprint mismatch: follower %#x, primary claims %#x (diverged checkpoint)", fp, d.Fingerprint)
 	}
 	return nil
 }
@@ -69,8 +62,8 @@ func (m *LocalMiner) applyCatchupDelta(d rpc.CatchupDelta) error {
 // fingerprint, mining parameters and position — before anything touches the
 // miner, so a corrupt, mismatched or incompatible transfer is refused with
 // the follower's state untouched. A follower that is NOT fresh — it loaded
-// its own checkpoint, or a refused delta replay advanced it — has its state
-// replaced wholesale, and its next Save is full.
+// its own checkpoint — has its state replaced wholesale, and its next Save
+// is full.
 func (m *LocalMiner) applyCatchup(cut rpc.CatchupCut) error {
 	if err := m.sm.LoadCut(cut.Snapshot, cut.Pos, cut.Fingerprint, cut.FileCount); err != nil {
 		return fmt.Errorf("farmer: installing catch-up checkpoint: %w", err)

@@ -372,24 +372,24 @@ func (b *serveBackend) Catchup(conn uint64, cut rpc.CatchupCut) error {
 	return nil
 }
 
-// CatchupDelta applies one chunk of a primary's delta catch-up: replay the
-// missed records through the miner and, on the final chunk, verify the
-// primary's fingerprint against the replayed state. The source-connection
-// pinning mirrors Catchup; on any error the pin is released so the
-// primary's fallback — a full cut, usually on a fresh connection — is not
-// refused as a second primary.
+// CatchupDelta resumes this follower at the primary's position: the one
+// frame a primary sends for that is final and carries no records, only the
+// fingerprint this follower's state must match; any other frame is
+// refused. The source-connection pinning mirrors Catchup; on any error the
+// pin is released so the primary's fallback — a full cut, usually on a
+// fresh connection — is not refused as a second primary.
 func (b *serveBackend) CatchupDelta(conn uint64, d rpc.CatchupDelta) error {
+	if !d.Final || len(d.Records) > 0 {
+		return fmt.Errorf("farmer: a resume is one final frame with no records, got final=%v with %d records", d.Final, len(d.Records))
+	}
 	if err := b.pinSource(conn); err != nil {
 		return err
 	}
-	if err := b.m.applyCatchupDelta(d); err != nil {
+	if err := b.m.checkResume(d); err != nil {
 		b.ConnClosed(conn)
 		return err
 	}
-	if d.Final {
-		b.logf("caught up from primary by delta replay to position %d (%d files)",
-			d.FromPos+uint64(len(d.Records)), d.FileCount)
-	}
+	b.logf("resumed from primary at position %d (%d files, fingerprint verified)", d.FromPos, d.FileCount)
 	return nil
 }
 
@@ -441,14 +441,11 @@ func Serve(ctx context.Context, lis net.Listener, m *LocalMiner, cfg ServeConfig
 	// listener address: that is what lets the client's failover sweep match
 	// a LeaseStatus leader to a dial address.
 	id := lis.Addr().String()
-	rt := newLeaseRuntime(id, max(cfg.LeaseTTL, 0), cfg.Follower, nil)
-	rt.logf, rt.voters, rt.followers = cfg.Logf, cfg.LeasePeers, len(cfg.ReplicateTo)
-	backend := newServeBackend(m, rt, saveBudget, rpc.DialOptions{Token: cfg.ReplicaToken})
+	reg := newRegistry(m, id, cfg, saveBudget)
+	backend := reg.def.backend
 	if !cfg.Follower {
-		cfg.Logf("lease: leading at epoch 1 (id %s, ttl %v)", id, rt.holder.TTL())
+		cfg.Logf("lease: leading at epoch 1 (id %s, ttl %v)", id, backend.holder.TTL())
 	}
-	reg := newRegistry(cfg, saveBudget, rt)
-	reg.registerDefault(m, backend)
 	defer reg.closeReplicators()
 	if len(cfg.ReplicateTo) > 0 {
 		// Followers must be reachable at startup.
@@ -465,7 +462,7 @@ func Serve(ctx context.Context, lis net.Listener, m *LocalMiner, cfg ServeConfig
 		})
 		cfg.Obs.GaugeFunc("farmer_repl_followers", func() float64 { return float64(len(backend.repl.Followers())) })
 		cfg.Obs.GaugeFunc("farmer_lease_epoch", func() float64 {
-			term, _ := rt.holder.Current()
+			term, _ := backend.holder.Current()
 			return float64(term.Epoch)
 		})
 		backend.handoffs = cfg.Obs.Counter("farmer_handoffs_total")

@@ -47,23 +47,15 @@ type TenantBudget struct {
 }
 
 // TenantsConfig turns Serve multi-tenant (ServeConfig.Tenants): frames
-// carrying a tenant id lazily open one miner per tenant, configured
-// uniformly from this struct.
+// carrying a tenant id lazily open one miner per tenant, each mining with
+// the serving miner's Config and shard count (and, when it runs one, the
+// same prefetch pipeline, candidates discarded).
 type TenantsConfig struct {
 	// Dir is the per-tenant store layout root: tenant t persists at
 	// Dir/t/store.wal (farmerd -tenants-dir). Empty means tenants are
 	// memory-only — they still mine, but are never checkpointed and are
 	// not eligible for idle eviction.
 	Dir string
-	// Config is the mining configuration for lazily opened tenants. A
-	// zero Weight and MaxStrength means DefaultConfig().
-	Config Config
-	// Shards stripes each tenant's miner (0/1 = one shard).
-	Shards int
-	// Prefetch, when non-nil, attaches the async predict pipeline to each
-	// tenant miner (candidates are discarded; the pipeline still predicts
-	// and accounts).
-	Prefetch *PrefetchConfig
 	// Budget is every named tenant's admission-control budget (the default
 	// tenant — the caller's own miner — is not budgeted).
 	Budget TenantBudget
@@ -91,21 +83,21 @@ type Registry struct {
 
 	replicateTo []string
 	token       string        // ReplicaToken: each tenant's stream dials with it
-	lease       *leaseRuntime // the daemon's; each tenant's derives from it
+	lease       *leaseRuntime // the daemon's; each named tenant's derives from it
+	def         *tenantEntry  // the default tenant: the caller's miner, never evicted
 
 	mu      sync.Mutex
 	tenants map[string]*tenantEntry
 	closed  bool
 }
 
-// tenantEntry is one live tenant. owned reports whether the Registry
-// opened the miner (and therefore closes it on eviction/drain); the
-// default tenant's miner belongs to Serve's caller.
+// tenantEntry is one live tenant. A named tenant's miner is the Registry's
+// (closed on eviction and drain); the default tenant's belongs to Serve's
+// caller.
 type tenantEntry struct {
 	name    string
 	m       *LocalMiner
 	backend *serveBackend
-	owned   bool
 	lastUse time.Time // guarded by Registry.mu
 	// closing is non-nil from the moment evictIdle claims the entry and is
 	// closed once the miner is: until then the entry stays in the map, so
@@ -114,8 +106,12 @@ type tenantEntry struct {
 	closing chan struct{}
 }
 
-func newRegistry(cfg ServeConfig, saveBudget time.Duration, rt *leaseRuntime) *Registry {
-	return &Registry{
+// newRegistry builds the Registry a Serve on the listener address self
+// runs, with m as its default tenant under the daemon's lease runtime.
+func newRegistry(m *LocalMiner, self string, cfg ServeConfig, saveBudget time.Duration) *Registry {
+	rt := newLeaseRuntime(self, max(cfg.LeaseTTL, 0), cfg.Follower, nil)
+	rt.logf, rt.voters, rt.followers = cfg.Logf, cfg.LeasePeers, len(cfg.ReplicateTo)
+	g := &Registry{
 		cfg:         cfg.Tenants,
 		logf:        cfg.Logf,
 		follower:    cfg.Follower,
@@ -125,13 +121,27 @@ func newRegistry(cfg ServeConfig, saveBudget time.Duration, rt *leaseRuntime) *R
 		lease:       rt,
 		tenants:     make(map[string]*tenantEntry),
 	}
+	g.def = g.add("", m)
+	return g
 }
 
-// registerDefault installs the caller's miner as the default tenant.
-func (g *Registry) registerDefault(m *LocalMiner, b *serveBackend) {
-	g.mu.Lock()
-	g.tenants[""] = &tenantEntry{name: "", m: m, backend: b, lastUse: time.Now()}
-	g.mu.Unlock()
+// add serves m as tenant and lists it — every tenant's lease runtime,
+// backend and entry are built here, under g.mu or before g is shared. The
+// default tenant ("") runs the daemon's lease runtime and no budget; a
+// named one derives its runtime from the daemon's and carries
+// TenantsConfig.Budget.
+func (g *Registry) add(tenant string, m *LocalMiner) *tenantEntry {
+	rt, budget := g.lease, TenantBudget{}
+	if tenant != "" {
+		rt, budget = g.lease.forTenant(g.follower), g.cfg.Budget
+		rt.logf = func(format string, args ...any) { g.logf("tenant %q: "+format, append([]any{tenant}, args...)...) }
+	}
+	b := newServeBackend(m, rt, g.saveBudget, rpc.DialOptions{Token: g.token, Tenant: tenant})
+	b.tenant, b.budget = tenant, budget
+	b.memPending.Store(budgetCheckStride) // first feed checks the footprint
+	e := &tenantEntry{name: tenant, m: m, backend: b, lastUse: time.Now()}
+	g.tenants[tenant] = e
+	return e
 }
 
 var _ rpc.Resolver = (*Registry)(nil)
@@ -175,23 +185,16 @@ func (g *Registry) openLocked(tenant string) (*tenantEntry, error) {
 	if g.cfg == nil {
 		return nil, fmt.Errorf("farmer: unknown tenant %q (multi-tenant serving not enabled; start farmerd with -tenants-dir)", tenant)
 	}
-	if g.cfg.MaxTenants > 0 {
-		named := len(g.tenants)
-		if _, ok := g.tenants[""]; ok {
-			named--
-		}
-		if named >= g.cfg.MaxTenants {
-			return nil, fmt.Errorf("%w: tenant %q refused, %d tenants live (MaxTenants %d)",
-				ErrTenantBudget, tenant, named, g.cfg.MaxTenants)
-		}
+	if named := len(g.tenants) - 1; g.cfg.MaxTenants > 0 && named >= g.cfg.MaxTenants {
+		return nil, fmt.Errorf("%w: tenant %q refused, %d tenants live (MaxTenants %d)",
+			ErrTenantBudget, tenant, named, g.cfg.MaxTenants)
 	}
-	cfg := g.cfg.Config
-	if cfg.Weight == 0 && cfg.MaxStrength == 0 {
-		cfg = DefaultConfig()
-	}
-	opts := []Option{WithShards(g.cfg.Shards)}
-	if g.cfg.Prefetch != nil {
-		opts = append(opts, WithPrefetcher(nil, *g.cfg.Prefetch))
+	// A named tenant mines exactly as the serving miner does: its Config
+	// (shard count included) and, candidates discarded, its pipeline.
+	def := g.def.m
+	var opts []Option
+	if def.pf != nil {
+		opts = append(opts, WithPrefetcher(nil, def.pfCfg))
 	}
 	if g.cfg.Dir != "" {
 		dir := filepath.Join(g.cfg.Dir, tenant)
@@ -204,23 +207,17 @@ func (g *Registry) openLocked(tenant string) (*tenantEntry, error) {
 		// resets the miner before installing.
 		opts = append(opts, WithStore(filepath.Join(dir, "store.wal")), WithLoad())
 	}
-	m, err := Open(cfg, opts...)
+	m, err := Open(def.sm.Config(), opts...)
 	if err != nil {
 		return nil, fmt.Errorf("farmer: opening tenant %q: %w", tenant, err)
 	}
-	rt := g.lease.forTenant(g.follower)
-	rt.logf = func(format string, args ...any) { g.logf("tenant %q: "+format, append([]any{tenant}, args...)...) }
-	b := newServeBackend(m, rt, g.saveBudget, rpc.DialOptions{Token: g.token, Tenant: tenant})
-	b.tenant, b.budget = tenant, g.cfg.Budget
-	b.memPending.Store(budgetCheckStride) // first feed checks the footprint
+	e := g.add(tenant, m)
 	if len(g.replicateTo) > 0 {
 		// g.mu is held, and every frame of every tenant takes it: replicate
 		// bounds each attach, so one tenant's dead follower delays its
 		// neighbors by at most the ack timeout per address.
-		_ = b.replicate(context.Background(), g.replicateTo, false) // !must: failures are logged, not returned
+		_ = e.backend.replicate(context.Background(), g.replicateTo, false) // !must: failures are logged, not returned
 	}
-	e := &tenantEntry{name: tenant, m: m, backend: b, owned: true, lastUse: time.Now()}
-	g.tenants[tenant] = e
 	g.logf("tenant %q opened", tenant)
 	return e, nil
 }
@@ -281,7 +278,7 @@ func (g *Registry) evictIdle() {
 	var evict []*tenantEntry
 	g.mu.Lock()
 	for _, e := range g.tenants {
-		if !e.owned || now.Sub(e.lastUse) < g.cfg.IdleAfter {
+		if e.name == "" || now.Sub(e.lastUse) < g.cfg.IdleAfter {
 			continue
 		}
 		e.closing = make(chan struct{})
@@ -327,7 +324,7 @@ func (g *Registry) drainAll(dctx context.Context) error {
 				first = err
 			}
 		}
-		if e.owned {
+		if e.name != "" {
 			e.m.Close()
 		}
 	}

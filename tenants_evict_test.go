@@ -39,12 +39,18 @@ func (l *evictLog) count(substr string) int {
 	return n
 }
 
-// evictRegistry builds the Registry a Serve with this configuration would,
-// without the listener: BackendFor and evictIdle are driven directly.
-func evictRegistry(cfg ServeConfig) (*Registry, *evictLog) {
+// evictRegistry builds the Registry a Serve of a fresh default miner with
+// this configuration would, without the listener: BackendFor and evictIdle
+// are driven directly.
+func evictRegistry(t *testing.T, cfg ServeConfig) (*Registry, *evictLog) {
+	m, err := Open(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
 	log := new(evictLog)
 	cfg.Logf = log.logf
-	return newRegistry(cfg, time.Minute, newLeaseRuntime("self:1", 0, cfg.Follower, nil)), log
+	return newRegistry(m, "self:1", cfg, time.Minute), log
 }
 
 // backdate makes a live tenant look untouched for an hour.
@@ -90,7 +96,7 @@ func TestEvictIdleLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, log := evictRegistry(ServeConfig{Tenants: &TenantsConfig{Dir: t.TempDir(), IdleAfter: time.Minute}})
+	g, log := evictRegistry(t, ServeConfig{Tenants: &TenantsConfig{Dir: t.TempDir(), IdleAfter: time.Minute}})
 	defer g.drainAll(t.Context())
 	b := feedTenant(t, g, "t", tr)
 	want := stateOf(b, tr.FileCount)
@@ -104,7 +110,7 @@ func TestEvictIdleLifecycle(t *testing.T) {
 	if log.count(`tenant "t" evicted after 1m0s idle`) != 1 {
 		t.Fatalf("no eviction logged: %q", log.lines)
 	}
-	if len(g.snapshot()) != 0 {
+	if len(g.snapshot()) != 1 { // the default tenant, never evicted
 		t.Fatal("the evicted tenant is still listed")
 	}
 	if err := b.m.store.Compact(); err == nil { // only a closed store refuses
@@ -137,7 +143,7 @@ func TestEvictIdleNeverEvicts(t *testing.T) {
 		"memory-only": {Tenants: &TenantsConfig{IdleAfter: time.Minute}},
 	} {
 		t.Run(name, func(t *testing.T) {
-			g, log := evictRegistry(cfg)
+			g, log := evictRegistry(t, cfg)
 			defer g.drainAll(t.Context())
 			defer g.closeReplicators()
 			b, err := g.BackendFor("t")
@@ -163,7 +169,7 @@ func TestEvictIdleRacesReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, log := evictRegistry(ServeConfig{Tenants: &TenantsConfig{Dir: t.TempDir(), IdleAfter: time.Minute}})
+	g, log := evictRegistry(t, ServeConfig{Tenants: &TenantsConfig{Dir: t.TempDir(), IdleAfter: time.Minute}})
 	defer g.drainAll(t.Context())
 	victim := feedTenant(t, g, "t", tr)
 	want := stateOf(victim, tr.FileCount)

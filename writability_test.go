@@ -106,7 +106,7 @@ func TestWritabilityContract(t *testing.T) {
 			epoch: 2, leads: true},
 
 		{name: "follower/ttl/never linked", follower: true, ttl: ttl,
-			epoch: 0, feed: ErrNotPrimary, catchup: true},
+			epoch: 0, feed: ErrNotPrimary, promote: ErrNotPrimary, catchup: true},
 		{name: "follower/ttl/link attached", follower: true, ttl: ttl, steps: []step{attach},
 			epoch: 1, feed: ErrNotPrimary, promote: ErrNotPrimary},
 		{name: "follower/ttl/link attached, lease lapsed", follower: true, ttl: ttl, steps: []step{attach, lapse},
