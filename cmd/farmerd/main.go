@@ -33,9 +33,9 @@
 // with a catch-up checkpoint at startup and then receives every acked
 // record before the client's ack — so no acked record dies with the
 // primary. A follower restarted with -load resumes from its own
-// checkpoint, and the primary catches it up by replaying just the records
-// it missed when its position is within the last 65536 records, shipping a
-// full cut otherwise.
+// checkpoint: the primary keeps no record tail, so a follower at the
+// primary's position resumes by a position and fingerprint check, and any
+// other follower, or one whose state fails the check, gets a full cut.
 //
 // Writability is one epoch-versioned LEASE. A farmerd leads epoch 1 from
 // start; with -follow it starts without the lease: it serves reads, mirrors

@@ -109,19 +109,25 @@ type Model struct {
 	window []trace.FileID // recent accesses, oldest first
 	hits   []hit          // Feed's scratch, one per window slot
 	fed    uint64
-	// touched sums what ApplyEvents' first pass loads ahead of its second, so
+	// touched sums what ApplyEvents and staging load ahead (file.touch), so
 	// that the loads are kept; nothing reads it.
 	touched uint64
 
 	// Incremental-checkpoint dirty tracking. Once a save or load has
 	// synchronized the model with a checkpoint store, every mutation marks
-	// the touched facet in its file's record, and the file's id joins
-	// dirtyIDs with its first mark: the next save writes only that delta.
-	// dirtyOn stays false (one branch per mutation) until then. The owning
-	// ensemble binds the dirty sets to the store (and its epoch) they are a
-	// delta against; see persist.go.
-	dirtyOn  bool
-	dirtyIDs []trace.FileID
+	// the touched facet in its file's record, and the record joins dirtyList
+	// with its first mark: the next save writes only that delta. dirtyOn
+	// stays false (one branch per mutation) until then. The owning ensemble
+	// binds the dirty sets to the store (and its epoch) they are a delta
+	// against; see persist.go.
+	dirtyOn   bool
+	dirtyList []fileRef
+}
+
+// fileRef is a record and its file's id; a record lives until reset.
+type fileRef struct {
+	id trace.FileID
+	fp *file
 }
 
 // file is everything the model holds for one file id — its last semantic
@@ -168,7 +174,7 @@ func (m *Model) file(f trace.FileID) *file {
 func (m *Model) markDirty(fp *file, f trace.FileID, facets uint8) {
 	if m.dirtyOn {
 		if fp.dirty == 0 {
-			m.dirtyIDs = append(m.dirtyIDs, f)
+			m.dirtyList = append(m.dirtyList, fileRef{f, fp})
 		}
 		fp.dirty |= facets
 	}
@@ -179,10 +185,10 @@ func (m *Model) markDirty(fp *file, f trace.FileID, facets uint8) {
 // the model with its checkpoint store.
 func (m *Model) resetDirtyLocked() {
 	m.dirtyOn = true
-	for _, f := range m.dirtyIDs {
-		m.files[f].dirty = 0
+	for _, r := range m.dirtyList {
+		r.fp.dirty = 0
 	}
-	m.dirtyIDs = m.dirtyIDs[:0]
+	m.dirtyList = m.dirtyList[:0]
 }
 
 // DirtyFiles reports how many files have pending dirty marks — the size of
@@ -190,7 +196,7 @@ func (m *Model) resetDirtyLocked() {
 func (m *Model) DirtyFiles() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return len(m.dirtyIDs)
+	return len(m.dirtyList)
 }
 
 // New creates a model; it panics on invalid configuration (programmer
@@ -404,10 +410,7 @@ func (m *Model) Predict(f trace.FileID, k int) []trace.FileID {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	list := m.listLocked(f)
-	if k > len(list) {
-		k = len(list)
-	}
-	if k <= 0 {
+	if k = min(k, len(list)); k <= 0 {
 		return nil
 	}
 	out := make([]trace.FileID, k)

@@ -248,20 +248,41 @@ func (st *stager) file(f trace.FileID, fp *file, facets uint8) {
 	}
 }
 
+const stageBlock = 64 // records staging touches ahead: a constant, not a knob
+
 // stageLocked stages this shard's half of a checkpoint: with full, every
 // list, vector and graph node; without, only the facets marked dirty since
-// the last completed save. Callers hold m.mu.
+// the last completed save — a block at a time, as ApplyEvents mines: it
+// touches each record, then encodes each in order. Callers hold m.mu.
 func (m *Model) stageLocked(st *stager, full bool) error {
+	stage := func(refs []fileRef) {
+		for _, r := range refs {
+			m.touched += r.fp.touch()
+		}
+		for _, r := range refs {
+			facets := r.fp.dirty
+			if full {
+				facets = r.fp.have
+			}
+			st.file(r.id, r.fp, facets)
+		}
+	}
 	if !full {
-		for _, f := range m.dirtyIDs {
-			fp := m.files[f]
-			st.file(f, fp, fp.dirty)
+		for i := 0; i < len(m.dirtyList); i += stageBlock {
+			stage(m.dirtyList[i:min(i+stageBlock, len(m.dirtyList))])
 		}
 		return st.err
 	}
+	var block [stageBlock]fileRef // on the stack: no record is kept past the call
+	n := 0
 	for f, fp := range m.files {
-		st.file(f, fp, fp.have)
+		block[n], n = fileRef{f, fp}, n+1
+		if n == stageBlock {
+			stage(block[:n])
+			n = 0
+		}
 	}
+	stage(block[:n])
 	return st.err
 }
 
@@ -652,29 +673,19 @@ func fingerprintLists(get func(trace.FileID) []Correlator, fileCount int) uint64
 	return h.Sum64()
 }
 
-// trackedFileCount reports 1 + the highest FileID carrying any mined state
-// (list, vector or graph node).
-func (m *Model) trackedFileCount() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	max := -1
-	for f, fp := range m.files {
-		if fp.have != 0 && int(f) > max {
-			max = int(f)
-		}
-	}
-	return max + 1
-}
-
 // TrackedFileCount reports 1 + the highest FileID the ensemble holds any
-// mined state for — the dense fingerprint bound a checkpoint cut ships so
-// both ends hash the same FileID space.
+// mined state (list, vector or graph node) for — the dense fingerprint bound
+// a checkpoint cut ships so both ends hash the same FileID space.
 func (s *ShardedModel) TrackedFileCount() int {
-	max := 0
+	n := 0
 	for _, m := range s.shards {
-		if n := m.trackedFileCount(); n > max {
-			max = n
+		m.mu.RLock()
+		for f, fp := range m.files {
+			if fp.have != 0 {
+				n = max(n, int(f)+1)
+			}
 		}
+		m.mu.RUnlock()
 	}
-	return max
+	return n
 }

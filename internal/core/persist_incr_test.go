@@ -395,3 +395,90 @@ func TestTombstoneNeverResurrects(t *testing.T) {
 		t.Fatalf("fed %d after reload, want %d", sm2.Fed(), sm.Fed())
 	}
 }
+
+// TestDeltaAfterCutInstall: a shard's dirty list holds its records, not ids,
+// so the reset a catch-up cut's install starts with must leave it holding
+// none of the records it drops. A follower bound to a store, with dirty lists
+// full of a history of its own, installs a primary's cut, keeps mining beside
+// it, saves (full: a cut binds no store), mines on and saves a delta. The
+// dropped records must be out of reach of every dirty list, spare capacity
+// included; the delta must leave the store holding what a full save of the
+// primary writes; and the store must reload to the primary's fingerprint.
+func TestDeltaAfterCutInstall(t *testing.T) {
+	epochKey := hex.EncodeToString([]byte(keyEpoch))
+	stateOf := func(st *kvstore.Store) [][2]string {
+		return slices.DeleteFunc(storeContents(st), func(kv [2]string) bool { return kv[0] == epochKey })
+	}
+	tr := tracegen.HP(6000).MustGenerate()
+	own := tracegen.HP(3000)
+	own.Seed = 11
+	history := own.MustGenerate().Records
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Shards = shards
+			primary, follower := NewSharded(cfg), NewSharded(cfg)
+			st, err := kvstore.Open(filepath.Join(t.TempDir(), "follower.wal"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			follower.FeedBatch(history[:1000])
+			if err := follower.SaveMerged(st); err != nil {
+				t.Fatal(err)
+			}
+			follower.FeedBatch(history[1000:])
+			if follower.Shard(0).DirtyFiles() == 0 {
+				t.Fatal("the follower's history dirtied nothing: nothing to check")
+			}
+
+			primary.FeedBatch(tr.Records[:2000])
+			frames, err := primary.Cut()
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := primary.TrackedFileCount()
+			if err := follower.LoadCut(frames, primary.Fed(), StateFingerprint(primary, n), n); err != nil {
+				t.Fatal(err)
+			}
+			for i := range shards {
+				m := follower.Shard(i)
+				for _, r := range m.dirtyList[:cap(m.dirtyList)] {
+					if r.fp != nil && m.files[r.id] != r.fp {
+						t.Fatalf("shard %d: after the cut's install the dirty list still reaches a dropped record of file %d", i, r.id)
+					}
+				}
+			}
+
+			for k, seg := range [][2]int{{2000, 4000}, {4000, 6000}} {
+				recs := tr.Records[seg[0]:seg[1]]
+				primary.FeedBatch(recs)
+				for j := range recs {
+					follower.Feed(&recs[j])
+				}
+				if inc, err := follower.SaveCheckpoint(st); err != nil || inc != (k == 1) {
+					t.Fatalf("save %d after the cut: incremental=%v, %v", k, inc, err)
+				}
+			}
+			full, err := kvstore.Open("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := primary.SaveMerged(full); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := stateOf(st), stateOf(full); !slices.Equal(got, want) {
+				t.Fatalf("after the delta the store holds %d records, a full save of the primary %d; first difference: %s",
+					len(got), len(want), firstDifference(got, want))
+			}
+			reloaded := NewSharded(cfg)
+			if err := reloaded.LoadMerged(st); err != nil {
+				t.Fatal(err)
+			}
+			n = primary.TrackedFileCount()
+			if got, want := StateFingerprint(reloaded, n), StateFingerprint(primary, n); got != want {
+				t.Fatalf("the store reloads to %#x, the primary is %#x", got, want)
+			}
+		})
+	}
+}

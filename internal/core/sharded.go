@@ -75,19 +75,8 @@ func (m *Model) ApplyEvents(evs []partition.Event) {
 				fps[i] = m.file(ev.Pred)
 			}
 		}
-		// Go has no prefetch outside the runtime; a load summed into the model
-		// is one the compiler keeps. Their own loop: behind a map lookup's
-		// hundred instructions the core would start two or three at a time.
 		for _, fp := range fps[:len(block)] {
-			if len(fp.node.Edges) > 0 {
-				m.touched += uint64(fp.node.Edges[0].To)
-			}
-			if len(fp.list) > 0 {
-				m.touched += uint64(fp.list[0].File)
-			}
-			if len(fp.vec.Path) > 0 {
-				m.touched += uint64(fp.vec.Path[0])
-			}
+			m.touched += fp.touch()
 		}
 		for i := range block {
 			ev, fp := &block[i], fps[i]
@@ -100,6 +89,24 @@ func (m *Model) ApplyEvents(evs []partition.Event) {
 			m.evaluate(fp, ev.Pred, ev.Succ, m.credit(fp, ev.Pred, ev.Succ, ev.Credit), ev.Vector())
 		}
 	}
+}
+
+// touch loads the first line of what mining or staging reads through the
+// record — edge table, list, stored path — and sums them: Go has no prefetch
+// outside the runtime, and a load summed into the model is one the compiler
+// keeps. Callers touch a block in a loop of its own: behind a map lookup's
+// hundred instructions the core would start two or three at a time.
+func (fp *file) touch() (sum uint64) {
+	if len(fp.node.Edges) > 0 {
+		sum += uint64(fp.node.Edges[0].To)
+	}
+	if len(fp.list) > 0 {
+		sum += uint64(fp.list[0].File)
+	}
+	if len(fp.vec.Path) > 0 {
+		sum += uint64(fp.vec.Path[0])
+	}
+	return sum
 }
 
 // ShardedModel is a FileID-striped ensemble of Models with concurrent batch
@@ -137,11 +144,7 @@ type ShardedModel struct {
 // NewSharded creates a sharded miner with cfg.Shards partitions (0 and 1
 // both mean unsharded). Like New it panics on invalid configuration.
 func NewSharded(cfg Config) *ShardedModel {
-	n := cfg.Shards
-	if n < 1 {
-		n = 1
-	}
-	return NewShardedPartitioned(cfg, n, partition.Stripe)
+	return NewShardedPartitioned(cfg, max(cfg.Shards, 1), partition.Stripe)
 }
 
 // NewShardedPartitioned creates a sharded miner whose stripes are the
@@ -467,5 +470,5 @@ func (m *Model) reset() {
 	m.window = m.window[:0]
 	m.fed = 0
 	m.dirtyOn = false
-	m.dirtyIDs = nil
+	m.dirtyList = nil
 }

@@ -318,7 +318,9 @@ func applyCalls(cfg Config, fileCount int, calls ...[]partition.Event) applied {
 	for f, fp := range m.files {
 		a.files[f] = *fp
 	}
-	a.dirty = m.dirtyIDs
+	for _, r := range m.dirtyList {
+		a.dirty = append(a.dirty, r.id)
+	}
 	return a
 }
 

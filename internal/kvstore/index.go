@@ -12,9 +12,10 @@ import (
 // when they run. An overwrite keeps its slot and, when the new value fits,
 // the old value's bytes.
 type index struct {
-	slots map[string]int32
-	vals  [][]byte
-	free  []int32 // slots a delete emptied
+	slots   map[string]int32
+	vals    [][]byte
+	free    []int32 // slots a delete emptied
+	touched byte    // sums what applyFrames loads ahead, to keep the loads
 }
 
 // newIndex returns an empty index with room for n keys.
@@ -22,26 +23,60 @@ func newIndex(n int) *index {
 	return &index{slots: make(map[string]int32, n), vals: make([][]byte, 0, n)}
 }
 
-// apply applies a walPut or walDelete record. With owned, a put's value is
-// the caller's to give away (a reader's fresh record, a slice of a replaced
-// store's staged frames) and is kept as it is; otherwise the slot keeps a
-// copy, written over its old bytes when they fit.
-func (x *index) apply(op walOp, key, value []byte, owned bool) {
+// apply applies a walPut or walDelete record, keeping the value as it is: a
+// reader's fresh record, or a slice of a replaced store's staged frames.
+func (x *index) apply(op walOp, key, value []byte) {
 	if op == walDelete {
 		x.del(key)
 		return
 	}
-	i, ok := x.slots[string(key)]
-	if !ok {
-		i = x.add(string(key))
+	x.vals[x.slot(key)] = value
+}
+
+// slot returns key's slot, giving a new key one.
+func (x *index) slot(key []byte) int32 {
+	if i, ok := x.slots[string(key)]; ok {
+		return i
 	}
-	switch old := x.vals[i]; {
-	case owned:
-		x.vals[i] = value
-	case cap(old) >= len(value):
-		x.vals[i] = append(old[:0], value...)
-	default:
-		x.vals[i] = append([]byte(nil), value...)
+	return x.add(string(key))
+}
+
+const applyBlock = 64 // puts applyFrames resolves ahead: a constant, not a knob
+
+// applyFrames applies walPut and walDelete frames in order, a slot copying its
+// value over its old bytes when they fit, and counts them in stats. Up to
+// applyBlock puts at a time, it resolves their slots in frame order, loads
+// each slot's old value, then copies the values in frame order, so a block's
+// misses are waited for together. A delete ends a block: no put before it may
+// write after it.
+func (x *index) applyFrames(frames []byte, stats *WriteStats) {
+	var slots [applyBlock]int32
+	var vals [applyBlock][]byte
+	for len(frames) > 0 {
+		n := 0
+		for ; n < applyBlock && len(frames) > 0 && walOp(frames[4]) == walPut; n++ {
+			_, key, value, rest := nextFrame(frames)
+			slots[n], vals[n], frames = x.slot(key), value, rest
+			stats.count(walPut, key, value)
+		}
+		for _, i := range slots[:n] {
+			if old := x.vals[i]; len(old) > 0 {
+				x.touched += old[0]
+			}
+		}
+		for j, i := range slots[:n] {
+			if old := x.vals[i]; cap(old) >= len(vals[j]) {
+				x.vals[i] = append(old[:0], vals[j]...)
+			} else {
+				x.vals[i] = append([]byte(nil), vals[j]...)
+			}
+		}
+		if n == 0 { // a delete
+			var key []byte
+			_, key, _, frames = nextFrame(frames)
+			x.del(key)
+			stats.count(walDelete, key, nil)
+		}
 	}
 }
 

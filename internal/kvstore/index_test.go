@@ -13,9 +13,9 @@ import (
 // B-tree; they check the hash index that replaced it, driven the way the
 // store drives it.
 
-func idxPut(x *index, k, v string) { x.apply(walPut, []byte(k), []byte(v), false) }
+func idxPut(x *index, k, v string) { x.apply(walPut, []byte(k), []byte(v)) }
 
-func idxDelete(x *index, k string) { x.apply(walDelete, []byte(k), nil, false) }
+func idxDelete(x *index, k string) { x.apply(walDelete, []byte(k), nil) }
 
 func idxGet(x *index, k string) (string, bool) {
 	i, ok := x.slots[k]

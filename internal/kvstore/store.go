@@ -97,7 +97,7 @@ func (s *Store) recover() error {
 	}
 	defer f.Close()
 	r := newWALReader(f)
-	apply := func(rec walRecord) { s.idx.apply(rec.op, rec.key, rec.value, true) }
+	apply := func(rec walRecord) { s.idx.apply(rec.op, rec.key, rec.value) }
 	// A walBegin opens a batch: its records are buffered and only applied
 	// when the walCommit marker arrives. A log that ends inside a batch —
 	// clean EOF or a torn record — is a crash mid-atomic-checkpoint: the
@@ -215,21 +215,14 @@ func (s *Store) write(op walOp, key, value []byte) error {
 		// beats silently succeeding in memory only.
 		return fmt.Errorf("kvstore: wal unavailable: %w", err)
 	}
+	s.frame = appendFrame(s.frame[:0], op, key, value)
 	if s.wal != nil {
-		s.frame = appendFrame(s.frame[:0], op, key, value)
 		if _, err := s.wal.Write(s.frame); err != nil {
 			return err
 		}
 	}
-	s.applyLocked(op, key, value)
+	s.idx.applyFrames(s.frame, &s.stats)
 	return nil
-}
-
-// applyLocked applies an accepted walPut or walDelete record to the index and
-// counts it in the write stats. Callers hold s.mu.
-func (s *Store) applyLocked(op walOp, key, value []byte) {
-	s.idx.apply(op, key, value, false)
-	s.stats.count(op, key, value)
 }
 
 // count counts one accepted walPut or walDelete record.
@@ -313,12 +306,7 @@ func (s *Store) Batch(fn func(*Batch) error) error {
 	if err := s.commitLocked(&b.buf); err != nil {
 		return err
 	}
-	for len(frames) > 0 {
-		var op walOp
-		var key, value []byte
-		op, key, value, frames = nextFrame(frames)
-		s.applyLocked(op, key, value)
-	}
+	s.idx.applyFrames(frames, &s.stats)
 	return nil
 }
 
@@ -362,7 +350,7 @@ func (s *Store) Replace(fn func(*Batch) error) error {
 		if len(frames) > 0 {
 			room += frameHeader + int(binary.LittleEndian.Uint32(frames[5:9]))
 		}
-		x.apply(op, key, value[:len(value):room], true)
+		x.apply(op, key, value[:len(value):room])
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
